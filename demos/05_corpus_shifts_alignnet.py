@@ -17,12 +17,12 @@ from sqkit import (
     FrontendConfig,
     SynthSpec,
     TrainConfig,
-    alignnet_forward,
     build_datastore,
     featurize,
     generate_synthetic_corpus,
     mse,
     nearest_dataset_id,
+    parametric_predict,
     pool,
     pool_time,
     predict_split,
@@ -65,8 +65,8 @@ print("trained alignnet over datasets", model.params.dataset_ids)
 sample = mid.samples("dev")[0]
 mat = featurize(sample, frontend, model.scaler)
 for name in model.params.dataset_ids:
-    pred = alignnet_forward(model.params, mat, name)
-    print(f"  scored as {name:>4}: {pred.clipped:.3f}")
+    pred = parametric_predict(model.params, mat, name)
+    print(f"  scored as {name:>4}: {pred:.3f}")
 
 # with no dataset label, borrow the nearest training neighbor's
 ds = build_datastore(frontend, pooled, scaler=model.scaler)

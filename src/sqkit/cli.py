@@ -769,9 +769,11 @@ def _acquire_lock(out: Path) -> Path:
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        raise RuntimeError(
-            f"output dir {out} is locked by another invocation ({lock}); remove the lock if that run is gone"
-        )
+        try:
+            holder = lock.read_text(encoding="utf-8", errors="replace").strip()
+        except FileNotFoundError:  # the holder finished between open and read
+            holder = ""
+        raise RuntimeError(f"output dir {out} is locked by pid {holder or '?'} ({lock}); remove it if that run is gone")
     with os.fdopen(fd, "w") as fh:
         fh.write(str(os.getpid()) + "\n")
     return lock

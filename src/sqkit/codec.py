@@ -1,0 +1,71 @@
+"""The one codec behind sqkit's binary artifacts (SQPM, SQSC, SQDS, SQE1).
+
+An artifact is a 4-byte magic tag, little-endian struct fields, optional
+string tables (uint16 byte length, then UTF-8, per entry) and fixed-shape
+arrays, with nothing after the last array. Reader checks every length
+against the bytes present and raises the loader's own error type.
+"""
+
+from __future__ import annotations
+
+import math
+import struct
+from pathlib import Path
+from typing import Iterable
+
+import numpy as np
+
+from .errors import SqkitError
+
+
+def pack_strings(strings: Iterable[str]) -> bytes:
+    """A string table: uint16 byte length plus UTF-8 bytes per entry."""
+    encoded = [text.encode("utf-8") for text in strings]
+    return b"".join(struct.pack("<H", len(raw)) + raw for raw in encoded)
+
+
+def write_artifact(path: str | Path, magic: bytes, fmt: str, fields: tuple, *payload: bytes) -> None:
+    """Write magic, the header fields packed with fmt, then each payload chunk."""
+    with open(path, "wb") as fh:
+        fh.write(magic + struct.pack(fmt, *fields))
+        fh.writelines(payload)
+
+
+class Reader:
+    """Sequential, bounds-checked reads over one artifact's bytes; failures raise `error`."""
+
+    def __init__(self, data: bytes, path: str | Path, error: type[SqkitError], magic: bytes, what: str):
+        if data[:4] != magic:
+            raise error(f"{path}: not a {what} file")
+        self.data, self.path, self.error, self.what, self.pos = data, path, error, what, 4
+
+    def _take(self, n: int) -> int:
+        start, left = self.pos, len(self.data) - self.pos
+        if n > left:
+            raise self.error(f"{self.path}: truncated {self.what} file ({n} bytes needed at {start}, {left} left)")
+        self.pos += n
+        return start
+
+    def fields(self, fmt: str) -> tuple:
+        return struct.unpack_from(fmt, self.data, self._take(struct.calcsize(fmt)))
+
+    def strings(self, count: int) -> list[str]:
+        out = []
+        for _ in range(count):
+            (length,) = self.fields("<H")
+            start = self._take(length)
+            try:
+                out.append(self.data[start : start + length].decode("utf-8"))
+            except UnicodeDecodeError:
+                raise self.error(f"{self.path}: string {len(out)} of the {self.what} file is not UTF-8") from None
+        return out
+
+    def array(self, dtype: str | np.dtype, shape: tuple[int, ...]) -> np.ndarray:
+        """The next array, as a read-only view of the file bytes."""
+        dtype = np.dtype(dtype)
+        count = math.prod(shape)
+        return np.frombuffer(self.data, dtype, count, self._take(count * dtype.itemsize)).reshape(shape)
+
+    def end(self) -> None:
+        if self.pos != len(self.data):
+            raise self.error(f"{self.path}: {len(self.data) - self.pos} trailing bytes after the {self.what} payload")

@@ -9,7 +9,6 @@ precomputed-embedding file.
 
 from __future__ import annotations
 
-import struct
 import wave as wave_mod
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,6 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .codec import Reader, write_artifact
 from .errors import AudioFormatError, ValidationError
 
 if TYPE_CHECKING:
@@ -206,11 +206,8 @@ def extract_dsp(samples: np.ndarray, config: FrontendConfig) -> EmbeddingMatrix:
 
 def save_precomputed(path: str | Path, mat: EmbeddingMatrix) -> None:
     """Write an embedding file: magic SQE1, uint32 T, uint32 D, float32 rows."""
-    frames = np.ascontiguousarray(mat.frames, dtype="<f4")
-    with open(path, "wb") as fh:
-        fh.write(EMBEDDING_MAGIC)
-        fh.write(struct.pack("<II", frames.shape[0], frames.shape[1]))
-        fh.write(frames.tobytes())
+    frames = np.asarray(mat.frames, dtype="<f4")
+    write_artifact(path, EMBEDDING_MAGIC, "<II", frames.shape, frames.tobytes())
 
 
 def save_precomputed_text(path: str | Path, sample_id: str, mat: EmbeddingMatrix) -> None:
@@ -226,33 +223,35 @@ def load_precomputed(path: str | Path, expected_dim: int | None = None) -> Embed
 
     When expected_dim is given, a differing file dimensionality is a
     validation error: precomputed dims must be consistent across a corpus.
+    Malformed files of either form raise ValidationError.
     """
-    path = Path(path)
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-        if head == EMBEDDING_MAGIC:
-            t, d = struct.unpack("<II", fh.read(8))
-            payload = fh.read(4 * t * d)
-            if len(payload) != 4 * t * d:
-                raise ValidationError(f"{path}: truncated embedding payload")
-            frames = np.frombuffer(payload, dtype="<f4").reshape(t, d).astype(np.float64)
-        else:
-            rows = []
-            d = None
-            for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-                parts = line.split()
-                if not parts:
-                    continue
-                if len(parts) < 4:
-                    raise ValidationError(f"{path} line {lineno}: expected `sample_id dim t v...`")
-                d = int(parts[1]) if d is None else d
-                values = [float(v) for v in parts[3:]]
-                if int(parts[1]) != d or len(values) != d:
-                    raise ValidationError(f"{path} line {lineno}: inconsistent dimensionality")
-                rows.append(values)
-            if not rows:
-                raise ValidationError(f"{path}: empty embedding file")
-            frames = np.asarray(rows, dtype=np.float64)
+    data = Path(path).read_bytes()
+    if data[:4] == EMBEDDING_MAGIC:
+        reader = Reader(data, path, ValidationError, EMBEDDING_MAGIC, "embedding")
+        frames = reader.array("<f4", reader.fields("<II")).astype(np.float64)
+        reader.end()
+    else:
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not an SQE1 file and not UTF-8 text (byte {exc.start})") from None
+        rows = []
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            parts = line.split()
+            if not parts:
+                continue
+            if len(parts) < 4:
+                raise ValidationError(f"{path} line {lineno}: expected `sample_id dim t v...`")
+            try:
+                dim, values = int(parts[1]), [float(v) for v in parts[3:]]
+            except ValueError as exc:
+                raise ValidationError(f"{path} line {lineno}: {exc}") from None
+            if len(values) != dim or (rows and dim != len(rows[0])):
+                raise ValidationError(f"{path} line {lineno}: inconsistent dimensionality")
+            rows.append(values)
+        if not rows:
+            raise ValidationError(f"{path}: empty embedding file")
+        frames = np.asarray(rows, dtype=np.float64)
     if expected_dim is not None and frames.shape[1] != expected_dim:
         raise ValidationError(f"{path}: embedding dim {frames.shape[1]} != expected {expected_dim}")
     return EmbeddingMatrix(frames=frames)
@@ -317,20 +316,18 @@ class FeatureScaler:
 
 
 def save_scaler(path: str | Path, scaler: FeatureScaler) -> None:
-    with open(path, "wb") as fh:
-        fh.write(SCALER_MAGIC)
-        fh.write(struct.pack("<I", len(scaler.mean)))
-        fh.write(np.ascontiguousarray(scaler.mean, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(scaler.std, dtype="<f8").tobytes())
+    """Write a scaler file: magic SQSC, uint32 D, float64 mean, float64 std."""
+    mean = np.asarray(scaler.mean, dtype="<f8")
+    std = np.asarray(scaler.std, dtype="<f8")
+    write_artifact(path, SCALER_MAGIC, "<I", (len(mean),), mean.tobytes(), std.tobytes())
 
 
 def load_scaler(path: str | Path) -> FeatureScaler:
-    with open(path, "rb") as fh:
-        if fh.read(4) != SCALER_MAGIC:
-            raise ValidationError(f"{path}: not a scaler file")
-        (dim,) = struct.unpack("<I", fh.read(4))
-        mean = np.frombuffer(fh.read(8 * dim), dtype="<f8").copy()
-        std = np.frombuffer(fh.read(8 * dim), dtype="<f8").copy()
+    """Load a scaler file; a malformed one raises ValidationError."""
+    reader = Reader(Path(path).read_bytes(), path, ValidationError, SCALER_MAGIC, "scaler")
+    (dim,) = reader.fields("<I")
+    mean, std = reader.array("<f8", (2, dim)).copy()
+    reader.end()
     return FeatureScaler(mean=mean, std=std)
 
 

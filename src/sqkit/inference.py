@@ -9,12 +9,12 @@ favors far neighbors; pass paper_literal=True to reproduce it.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .codec import Reader, pack_strings, write_artifact
 from .corpus import CorpusManifest, PooledCorpus
 from .errors import ValidationError
 from .frontend import EmbeddingMatrix, FeatureScaler, FrontendConfig, featurize, pool_time
@@ -223,44 +223,44 @@ def predict_split(
     )
 
 
+def _record_dtype(dim: int) -> np.dtype:
+    return np.dtype([("embedding", "<f4", (dim,)), ("score", "<f4"), ("id", "<u4")])
+
+
 def save_datastore(path: str | Path, ds: Datastore) -> None:
-    """Binary datastore: header, dataset-id string table, float32 records."""
+    """Binary datastore: magic SQDS, uint8 distance kind, uint32 N, D and
+    id count, the sorted dataset-id string table, then N records of float32
+    embedding, float32 score and uint32 string-table index."""
     unique_ids = sorted(set(ds.dataset_ids))
     index = {d: i for i, d in enumerate(unique_ids)}
-    with open(path, "wb") as fh:
-        fh.write(DATASTORE_MAGIC)
-        fh.write(struct.pack("<BII", DISTANCE_KINDS.index(ds.distance_kind), len(ds), ds.dim))
-        fh.write(struct.pack("<I", len(unique_ids)))
-        for dataset_id in unique_ids:
-            encoded = dataset_id.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-        for i in range(len(ds)):
-            fh.write(np.ascontiguousarray(ds.embeddings[i], dtype="<f4").tobytes())
-            fh.write(struct.pack("<fI", float(ds.scores[i]), index[ds.dataset_ids[i]]))
+    records = np.empty(len(ds), dtype=_record_dtype(ds.dim))
+    records["embedding"] = ds.embeddings
+    records["score"] = ds.scores
+    records["id"] = [index[d] for d in ds.dataset_ids]
+    fields = (DISTANCE_KINDS.index(ds.distance_kind), len(ds), ds.dim, len(unique_ids))
+    write_artifact(path, DATASTORE_MAGIC, "<BIII", fields, pack_strings(unique_ids), records.tobytes())
 
 
 def load_datastore(path: str | Path) -> Datastore:
-    with open(path, "rb") as fh:
-        if fh.read(4) != DATASTORE_MAGIC:
-            raise ValidationError(f"{path}: not a datastore file")
-        kind_idx, n, dim = struct.unpack("<BII", fh.read(9))
-        (n_ids,) = struct.unpack("<I", fh.read(4))
-        unique_ids = []
-        for _ in range(n_ids):
-            (length,) = struct.unpack("<H", fh.read(2))
-            unique_ids.append(fh.read(length).decode("utf-8"))
-        embeddings = np.empty((n, dim))
-        scores = np.empty(n)
-        ids = []
-        for i in range(n):
-            embeddings[i] = np.frombuffer(fh.read(4 * dim), dtype="<f4")
-            score, idx = struct.unpack("<fI", fh.read(8))
-            scores[i] = score
-            ids.append(unique_ids[idx])
+    """Load a datastore; a malformed one raises ValidationError."""
+    reader = Reader(Path(path).read_bytes(), path, ValidationError, DATASTORE_MAGIC, "datastore")
+    kind_idx, n, dim, n_ids = reader.fields("<BIII")
+    if kind_idx >= len(DISTANCE_KINDS) or n < 1:
+        raise ValidationError(f"{path}: bad datastore header (distance kind tag {kind_idx}, {n} records)")
+    unique_ids = reader.strings(n_ids)
+    if unique_ids != sorted(set(unique_ids)):
+        raise ValidationError(f"{path}: dataset-id table is not sorted and unique")
+    # Bounds-check the record bytes before building a dtype from the header's D.
+    records = reader.array("u1", (n, 4 * dim + 8)).view(_record_dtype(dim)).reshape(n)
+    reader.end()
+    id_index = records["id"].tolist()
+    if set(id_index) != set(range(n_ids)):
+        raise ValidationError(f"{path}: record dataset-id indices do not cover the {n_ids}-entry table")
+    if not (np.all(np.isfinite(records["embedding"])) and np.all(np.isfinite(records["score"]))):
+        raise ValidationError(f"{path}: non-finite embedding or score")
     return Datastore(
-        embeddings=embeddings,
-        scores=scores,
-        dataset_ids=tuple(ids),
+        embeddings=records["embedding"],
+        scores=records["score"],
+        dataset_ids=tuple(unique_ids[i] for i in id_index),
         distance_kind=DISTANCE_KINDS[kind_idx],
     )

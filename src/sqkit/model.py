@@ -15,14 +15,13 @@ Shapes (D = feature dim, T = frames):
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from .codec import Reader, pack_strings, write_artifact
 from .errors import CheckpointError, ValidationError
-from .frontend import EmbeddingMatrix
 from .seeding import named_rng
 
 PARAMS_MAGIC = b"SQPM"
@@ -190,11 +189,6 @@ def head_raw(params: HeadParams, frames: np.ndarray) -> float:
     return float(np.mean(hidden @ params.w2 + params.b2))
 
 
-def head_forward(params: HeadParams, mat: EmbeddingMatrix) -> ScorePrediction:
-    """Score an utterance with the feed-forward head."""
-    return ScorePrediction.from_raw(head_raw(params, mat.frames))
-
-
 def head_backward(params: HeadParams, frames: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
     """Raw score plus d(raw)/d(theta) for every parameter."""
     _check_dim(frames, params.dim)
@@ -219,11 +213,6 @@ def alignnet_raw(params: AlignNetParams, frames: np.ndarray, dataset_id: str) ->
     fused = np.concatenate([trunk, np.broadcast_to(row, (trunk.shape[0], len(row)))], axis=1)
     dec = np.maximum(fused @ params.v1 + params.c1, 0.0)
     return float(np.mean(dec @ params.v2 + params.c2))
-
-
-def alignnet_forward(params: AlignNetParams, mat: EmbeddingMatrix, dataset_id: str) -> ScorePrediction:
-    """Score an utterance under a known dataset's embedding row."""
-    return ScorePrediction.from_raw(alignnet_raw(params, mat.frames, dataset_id))
 
 
 def alignnet_backward(
@@ -278,84 +267,42 @@ def copy_params(params: ModelParams) -> ModelParams:
     return params.with_arrays({k: v.copy() for k, v in params.as_dict().items()})
 
 
-def _write_array(fh, arr: np.ndarray) -> None:
-    fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def _read_array(fh, shape: tuple[int, ...]) -> np.ndarray:
-    count = int(np.prod(shape)) if shape else 1
-    raw = fh.read(8 * count)
-    if len(raw) != 8 * count:
-        raise CheckpointError("truncated checkpoint payload")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-
-
 def save_params(params: ModelParams, path: str | Path) -> None:
     """Serialize parameters; round-trip through load_params is bit-exact.
 
     Layout: magic, version byte, kind byte, uint32 shape header, then the
-    float64 arrays in a fixed order (alignnet also stores its dataset-id
+    float64 arrays in as_dict order (alignnet also stores its dataset-id
     string table between header and payload).
     """
-    with open(path, "wb") as fh:
-        fh.write(PARAMS_MAGIC)
-        if isinstance(params, HeadParams):
-            fh.write(struct.pack("<BB", PARAMS_VERSION, KIND_HEAD))
-            fh.write(struct.pack("<II", params.dim, params.hidden))
-            for name in ("w1", "b1", "w2", "b2"):
-                _write_array(fh, params.as_dict()[name])
-        elif isinstance(params, AlignNetParams):
-            fh.write(struct.pack("<BB", PARAMS_VERSION, KIND_ALIGNNET))
-            fh.write(
-                struct.pack(
-                    "<IIIII",
-                    params.dim,
-                    params.hidden,
-                    len(params.dataset_ids),
-                    params.embed_dim,
-                    params.decoder_hidden,
-                )
-            )
-            for dataset_id in params.dataset_ids:
-                encoded = dataset_id.encode("utf-8")
-                fh.write(struct.pack("<H", len(encoded)))
-                fh.write(encoded)
-            for name in ("w1", "b1", "table", "v1", "c1", "v2", "c2"):
-                _write_array(fh, params.as_dict()[name])
-        else:
-            raise CheckpointError(f"cannot serialize {type(params).__name__}")
+    if isinstance(params, HeadParams):
+        kind, dims, ids = KIND_HEAD, (params.dim, params.hidden), ()
+    elif isinstance(params, AlignNetParams):
+        ids = params.dataset_ids
+        kind, dims = KIND_ALIGNNET, (params.dim, params.hidden, len(ids), params.embed_dim, params.decoder_hidden)
+    else:
+        raise CheckpointError(f"cannot serialize {type(params).__name__}")
+    arrays = (np.asarray(arr, dtype="<f8").tobytes() for arr in params.as_dict().values())
+    fmt = "<BB" + "I" * len(dims)
+    write_artifact(path, PARAMS_MAGIC, fmt, (PARAMS_VERSION, kind, *dims), pack_strings(ids), *arrays)
 
 
 def load_params(path: str | Path) -> ModelParams:
-    """Load a checkpoint; the kind tag decides which model it belongs to."""
-    with open(path, "rb") as fh:
-        if fh.read(4) != PARAMS_MAGIC:
-            raise CheckpointError(f"{path}: bad magic, not a checkpoint")
-        version, kind = struct.unpack("<BB", fh.read(2))
-        if version != PARAMS_VERSION:
-            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-        if kind == KIND_HEAD:
-            d, h = struct.unpack("<II", fh.read(8))
-            return HeadParams(
-                w1=_read_array(fh, (d, h)),
-                b1=_read_array(fh, (h,)),
-                w2=_read_array(fh, (h,)),
-                b2=_read_array(fh, ()),
-            )
-        if kind == KIND_ALIGNNET:
-            d, h, n, e, g = struct.unpack("<IIIII", fh.read(20))
-            ids = []
-            for _ in range(n):
-                (length,) = struct.unpack("<H", fh.read(2))
-                ids.append(fh.read(length).decode("utf-8"))
-            return AlignNetParams(
-                w1=_read_array(fh, (d, h)),
-                b1=_read_array(fh, (h,)),
-                table=_read_array(fh, (n, e)),
-                v1=_read_array(fh, (h + e, g)),
-                c1=_read_array(fh, (g,)),
-                v2=_read_array(fh, (g,)),
-                c2=_read_array(fh, ()),
-                dataset_ids=tuple(ids),
-            )
+    """Load a checkpoint (its kind tag picks the model); a malformed file raises CheckpointError."""
+    reader = Reader(Path(path).read_bytes(), path, CheckpointError, PARAMS_MAGIC, "checkpoint")
+    version, kind = reader.fields("<BB")
+    if version != PARAMS_VERSION:
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+    if kind == KIND_HEAD:
+        d, h = reader.fields("<II")
+        shapes = {"w1": (d, h), "b1": (h,), "w2": (h,), "b2": ()}
+    elif kind == KIND_ALIGNNET:
+        d, h, n, e, g = reader.fields("<IIIII")
+        ids = tuple(reader.strings(n))
+        if len(set(ids)) != n:
+            raise CheckpointError(f"{path}: duplicate dataset ids {ids}")
+        shapes = {"w1": (d, h), "b1": (h,), "table": (n, e), "v1": (h + e, g), "c1": (g,), "v2": (g,), "c2": ()}
+    else:
         raise CheckpointError(f"{path}: unknown model kind tag {kind}")
+    arrays = {name: reader.array("<f8", shape).copy() for name, shape in shapes.items()}
+    reader.end()
+    return HeadParams(**arrays) if kind == KIND_HEAD else AlignNetParams(**arrays, dataset_ids=ids)

@@ -22,7 +22,6 @@ from .errors import UndefinedCorrelationError, ValidationError
 from .frontend import EmbeddingMatrix, FeatureScaler, FrontendConfig, featurize
 from .metrics import EvalPairs, pearson, spearman, system_aggregate
 from .model import (
-    AlignNetParams,
     HeadParams,
     ModelParams,
     ScorePrediction,
@@ -166,20 +165,6 @@ class TrainResult:
     steps_run: int
 
 
-def _featurize_split(
-    samples: Sequence[Sample], frontend_config: FrontendConfig, scaler: FeatureScaler | None
-) -> list[EmbeddingMatrix]:
-    return [featurize(s, frontend_config, scaler) for s in samples]
-
-
-def _raw_fn(model_kind: str) -> Callable:
-    return head_raw if model_kind == "head" else alignnet_raw
-
-
-def _backward_fn(model_kind: str) -> Callable:
-    return head_backward if model_kind == "head" else alignnet_backward
-
-
 def predict_clipped(params: ModelParams, frames: np.ndarray, dataset_id: str | None = None) -> float:
     if isinstance(params, HeadParams):
         return ScorePrediction.from_raw(head_raw(params, frames)).clipped
@@ -239,11 +224,11 @@ def train(
     if config.selection == "sys_srcc" and any(s.system_id is None for s in dev_samples):
         raise ValidationError("sys_srcc selection needs system_id on every dev sample")
 
-    raw_mats = _featurize_split(train_samples, frontend_config, None)
+    raw_mats = [featurize(s, frontend_config) for s in train_samples]
     if scaler is None:
         scaler = FeatureScaler.fit(raw_mats)
     train_mats = [scaler.transform(m) for m in raw_mats]
-    dev_mats = _featurize_split(dev_samples, frontend_config, scaler)
+    dev_mats = [featurize(s, frontend_config, scaler) for s in dev_samples]
 
     dim = train_mats[0].dim
     if model_kind == "alignnet":
@@ -266,7 +251,6 @@ def train(
         raise ValidationError(f"initial params dim {params.dim} != feature dim {dim}")
     initial_params = copy_params(params)
 
-    backward = _backward_fn(model_kind)
     targets_all = np.array([s.mos for s in train_samples])
     ids_all = [s.dataset_id for s in train_samples]
 
@@ -289,9 +273,9 @@ def train(
         grads_each = []
         for j, i in enumerate(batch_idx):
             if model_kind == "head":
-                raw, g = backward(params, train_mats[i].frames)
+                raw, g = head_backward(params, train_mats[i].frames)
             else:
-                raw, g = backward(params, train_mats[i].frames, ids_all[i])
+                raw, g = alignnet_backward(params, train_mats[i].frames, ids_all[i])
             raws[j] = raw
             grads_each.append(g)
         loss, dpred = clipped_mse(raws, targets_all[batch_idx], config.loss_tau)

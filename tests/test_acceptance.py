@@ -473,8 +473,14 @@ def test_benchmark_runs_are_byte_identical(tmp_path):
     out_b = tmp_path / "run_b"
     assert main(["benchmark", "--config", str(config), "--out", str(out_a), "--seed", "0,1"]) == 0
     assert main(["benchmark", "--config", str(config), "--out", str(out_b), "--seed", "0,1"]) == 0
-    assert (out_a / "records.csv").read_bytes() == (out_b / "records.csv").read_bytes()
-    assert (out_a / "records_mean.csv").read_bytes() == (out_b / "records_mean.csv").read_bytes()
+    # The whole output tree, not only the records: corpora, checkpoints,
+    # scalers, ledgers, logs and meta files must all repeat to the byte.
+    tree_a = {p.relative_to(out_a).as_posix(): p for p in out_a.rglob("*") if p.is_file()}
+    tree_b = {p.relative_to(out_b).as_posix(): p for p in out_b.rglob("*") if p.is_file()}
+    assert sorted(tree_a) == sorted(tree_b)
+    assert {"records.csv", "records_mean.csv", "train/seed0/params.ckpt", "train/seed0/scaler.bin"} <= set(tree_a)
+    for name, path in sorted(tree_a.items()):
+        assert path.read_bytes() == tree_b[name].read_bytes(), name
 
 
 @criterion("miscalibration-pattern")

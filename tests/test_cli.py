@@ -260,7 +260,9 @@ class TestExitCodes:
         out.mkdir()
         (out / ".sqkit.lock").write_text("12345\n")
         assert main(["prepare", "--config", str(config), "--out", str(out)]) == 2
-        assert "locked" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "locked" in err
+        assert "12345" in err
         # The foreign lock must survive the failed run.
         assert (out / ".sqkit.lock").exists()
 

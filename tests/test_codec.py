@@ -1,0 +1,216 @@
+"""The four binary artifact formats: exact layouts and corrupt-input handling.
+
+Every loader must either read a file back into an object that re-saves to
+exactly the same bytes, or raise its own typed error (CheckpointError for
+checkpoints, ValidationError for scalers, datastores and embeddings). A
+struct.error, IndexError, UnicodeDecodeError or bare ValueError escaping a
+loader, or a silently malformed object, fails these tests.
+"""
+
+import struct
+
+import numpy as np
+import pytest
+
+from sqkit import (
+    CheckpointError,
+    Datastore,
+    EmbeddingMatrix,
+    FeatureScaler,
+    ValidationError,
+    init_alignnet,
+    init_head,
+    load_datastore,
+    load_params,
+    load_precomputed,
+    load_scaler,
+    save_datastore,
+    save_params,
+    save_precomputed,
+    save_scaler,
+)
+
+
+def small_datastore():
+    rng = np.random.default_rng(40)
+    return Datastore(
+        embeddings=rng.normal(size=(4, 3)).astype(np.float32),
+        scores=rng.uniform(1, 5, 4).astype(np.float32),
+        dataset_ids=("tmhint", "bvcc", "tmhint", "é-set"),
+        distance_kind="cosine",
+    )
+
+
+def small_scaler():
+    return FeatureScaler(mean=np.array([0.5, -1.25, 3.0]), std=np.array([1.0, 0.25, 2.5]))
+
+
+def small_embedding():
+    return EmbeddingMatrix(frames=np.random.default_rng(41).normal(size=(3, 2)).astype(np.float32))
+
+
+# kind -> (error type, make object, save(path, obj), load(path))
+ARTIFACTS = {
+    "checkpoint": (
+        CheckpointError,
+        lambda: init_alignnet(3, ("bvcc", "nisqa-é"), seed=42, hidden=2, embed_dim=2, decoder_hidden=2),
+        lambda path, obj: save_params(obj, path),
+        load_params,
+    ),
+    "scaler": (ValidationError, small_scaler, save_scaler, load_scaler),
+    "datastore": (ValidationError, small_datastore, save_datastore, load_datastore),
+    "embedding": (ValidationError, small_embedding, save_precomputed, load_precomputed),
+}
+
+
+def f8(arr):
+    return b"".join(struct.pack("<d", v) for v in np.ravel(arr))
+
+
+def f4(arr):
+    return b"".join(struct.pack("<f", v) for v in np.ravel(arr))
+
+
+def id_table(ids):
+    return b"".join(struct.pack("<H", len(i.encode("utf-8"))) + i.encode("utf-8") for i in ids)
+
+
+@pytest.mark.parametrize("kind", sorted(ARTIFACTS))
+def test_corrupt_files_round_trip_exactly_or_raise_typed_error(kind, tmp_path):
+    error, make, save, load = ARTIFACTS[kind]
+    original = tmp_path / "original.bin"
+    save(original, make())
+    data = original.read_bytes()
+    mutated = tmp_path / "mutated.bin"
+    resaved = tmp_path / "resaved.bin"
+
+    variants = [("intact", data), ("one extra byte", data + b"\x00")]
+    variants += [(f"truncated to {n}", data[:n]) for n in range(len(data))]
+    for offset in range(len(data)):
+        for mask in (0x01, 0x80, 0xFF):
+            flipped = bytearray(data)
+            flipped[offset] ^= mask
+            variants.append((f"byte {offset} ^ {mask:#04x}", bytes(flipped)))
+
+    outcomes = {"loaded": 0, "raised": 0}
+    for label, blob in variants:
+        mutated.write_bytes(blob)
+        try:
+            obj = load(mutated)
+        except error:
+            outcomes["raised"] += 1
+            continue
+        save(resaved, obj)
+        assert resaved.read_bytes() == blob, f"{kind}, {label}: loaded but does not re-save to the same bytes"
+        outcomes["loaded"] += 1
+    assert outcomes["raised"] > len(data)  # at least every truncation and the extra byte
+    assert outcomes["loaded"] >= 1
+
+
+class TestReportedDefects:
+    def test_truncated_scaler_is_rejected(self, tmp_path):
+        path = tmp_path / "scaler.bin"
+        save_scaler(path, FeatureScaler(mean=np.arange(4.0), std=np.ones(4)))
+        path.write_bytes(path.read_bytes()[: 8 + 8 * 4])  # mean present, std missing
+        with pytest.raises(ValidationError, match="truncated"):
+            load_scaler(path)
+
+    def test_truncated_checkpoint_header_is_checkpoint_error(self, tmp_path):
+        path = tmp_path / "params.ckpt"
+        save_params(init_head(4, 3, seed=0), path)
+        path.write_bytes(path.read_bytes()[:7])
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_params(path)
+
+    def test_truncated_datastore_is_validation_error(self, tmp_path):
+        path = tmp_path / "datastore.bin"
+        save_datastore(path, small_datastore())
+        path.write_bytes(path.read_bytes()[:10])
+        with pytest.raises(ValidationError, match="truncated"):
+            load_datastore(path)
+
+    def test_bad_distance_kind_byte(self, tmp_path):
+        path = tmp_path / "datastore.bin"
+        save_datastore(path, small_datastore())
+        data = bytearray(path.read_bytes())
+        data[4] = 7
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValidationError, match="distance kind"):
+            load_datastore(path)
+
+    def test_bad_record_id_index(self, tmp_path):
+        path = tmp_path / "datastore.bin"
+        ds = small_datastore()
+        save_datastore(path, ds)
+        data = bytearray(path.read_bytes())
+        # The last record's uint32 id index is the file's last four bytes.
+        data[-4:] = struct.pack("<I", 9)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValidationError, match="dataset-id"):
+            load_datastore(path)
+
+    def test_trailing_bytes_after_datastore(self, tmp_path):
+        path = tmp_path / "datastore.bin"
+        save_datastore(path, small_datastore())
+        path.write_bytes(path.read_bytes() + b"junk")
+        with pytest.raises(ValidationError, match="trailing"):
+            load_datastore(path)
+
+    def test_flipped_embedding_magic_is_validation_error(self, tmp_path):
+        path = tmp_path / "e.bin"
+        save_precomputed(path, small_embedding())
+        data = bytearray(path.read_bytes())
+        data[0] ^= 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValidationError, match="UTF-8"):
+            load_precomputed(path)
+
+    def test_unparseable_text_value_names_path_and_line(self, tmp_path):
+        path = tmp_path / "e.txt"
+        path.write_text("u 2 0 1.0 2.0\nu 2 0 1.0 abc\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=r"e\.txt line 2: .*abc"):
+            load_precomputed(path)
+
+
+class TestLayouts:
+    """Each writer's bytes against a struct.pack reference built by hand."""
+
+    def test_head_checkpoint(self, tmp_path):
+        params = init_head(3, 2, seed=1)
+        path = tmp_path / "head.ckpt"
+        save_params(params, path)
+        expected = b"SQPM" + struct.pack("<BBII", 1, 1, 3, 2)
+        expected += f8(params.w1) + f8(params.b1) + f8(params.w2) + f8(params.b2)
+        assert path.read_bytes() == expected
+
+    def test_alignnet_checkpoint(self, tmp_path):
+        ids = ("bvcc", "nisqa-é")
+        params = init_alignnet(3, ids, seed=2, hidden=2, embed_dim=2, decoder_hidden=4)
+        path = tmp_path / "align.ckpt"
+        save_params(params, path)
+        expected = b"SQPM" + struct.pack("<BBIIIII", 1, 2, 3, 2, 2, 2, 4) + id_table(ids)
+        for name in ("w1", "b1", "table", "v1", "c1", "v2", "c2"):
+            expected += f8(params.as_dict()[name])
+        assert path.read_bytes() == expected
+
+    def test_scaler(self, tmp_path):
+        scaler = small_scaler()
+        path = tmp_path / "scaler.bin"
+        save_scaler(path, scaler)
+        assert path.read_bytes() == b"SQSC" + struct.pack("<I", 3) + f8(scaler.mean) + f8(scaler.std)
+
+    def test_datastore(self, tmp_path):
+        ds = small_datastore()
+        path = tmp_path / "datastore.bin"
+        save_datastore(path, ds)
+        table = sorted(set(ds.dataset_ids))
+        expected = b"SQDS" + struct.pack("<BII", 1, 4, 3) + struct.pack("<I", len(table)) + id_table(table)
+        for emb, score, dataset_id in zip(ds.embeddings, ds.scores, ds.dataset_ids):
+            expected += f4(emb) + struct.pack("<fI", score, table.index(dataset_id))
+        assert path.read_bytes() == expected
+
+    def test_embedding(self, tmp_path):
+        mat = small_embedding()
+        path = tmp_path / "e.bin"
+        save_precomputed(path, mat)
+        assert path.read_bytes() == b"SQE1" + struct.pack("<II", 3, 2) + f4(mat.frames)

@@ -9,10 +9,11 @@ from sqkit import (
     EmbeddingMatrix,
     FrontendConfig,
     KnnConfig,
+    ScorePrediction,
     ValidationError,
     build_datastore,
     domain_embedding_retrieval_predict,
-    head_forward,
+    head_raw,
     init_alignnet,
     init_head,
     knn_predict,
@@ -215,7 +216,7 @@ class TestParametricPredict:
         rng = np.random.default_rng(3)
         params = init_head(4, 3, seed=0)
         mat = EmbeddingMatrix(frames=rng.normal(size=(5, 4)))
-        assert parametric_predict(params, mat) == head_forward(params, mat).clipped
+        assert parametric_predict(params, mat) == ScorePrediction.from_raw(head_raw(params, mat.frames)).clipped
 
     def test_alignnet_without_dataset_id_rejected(self):
         params = init_alignnet(4, ("a",), seed=0, hidden=3, embed_dim=2, decoder_hidden=3)
