@@ -18,9 +18,11 @@ import logging
 import os
 import sys
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
+from .codec import atomic_open
 from .corpus import (
     CorpusManifest,
     PooledCorpus,
@@ -90,19 +92,19 @@ class Recipe:
             raise ValidationError(f"config key {key!r} is required")
         return self.config[key]
 
-    def get_int(self, key: str, default: int) -> int:
+    def _number(self, key: str, default, kind: type):
         raw = self.config.get(key)
         try:
-            return default if raw is None else int(raw)
+            return default if raw is None else kind(raw)
         except ValueError:
-            raise ValidationError(f"config key {key!r}: expected integer, got {raw!r}")
+            what = "integer" if kind is int else "number"
+            raise ValidationError(f"config key {key!r}: expected {what}, got {raw!r}")
 
-    def get_float(self, key: str, default: float) -> float:
-        raw = self.config.get(key)
-        try:
-            return default if raw is None else float(raw)
-        except ValueError:
-            raise ValidationError(f"config key {key!r}: expected number, got {raw!r}")
+    def get_int(self, key: str, default: int | None) -> int | None:
+        return self._number(key, default, int)
+
+    def get_float(self, key: str, default: float | None) -> float | None:
+        return self._number(key, default, float)
 
     def get_bool(self, key: str, default: bool) -> bool:
         raw = self.config.get(key)
@@ -115,9 +117,7 @@ class Recipe:
         raise ValidationError(f"config key {key!r}: expected true/false, got {raw!r}")
 
     def path(self, key: str) -> Path:
-        raw = self.require(key)
-        p = Path(raw)
-        return p if p.is_absolute() else self.base_dir / p
+        return self.base_dir / self.require(key)  # an absolute value replaces base_dir
 
 
 # ---------------------------------------------------------------- corpora
@@ -180,12 +180,12 @@ def materialize_corpus(recipe: Recipe, name: str, out_base: Path) -> CorpusManif
     else:
         raise ValidationError(f"corpus {name!r}: unknown kind {kind!r}")
 
-    n_sub = recipe.get(prefix + "subsample")
+    n_sub = recipe.get_int(prefix + "subsample", None)
     if n_sub is not None:
-        corpus = subsample(corpus, int(n_sub), seed)
-    ratio = recipe.get(prefix + "split_ratio")
+        corpus = subsample(corpus, n_sub, seed)
+    ratio = recipe.get_float(prefix + "split_ratio", None)
     if ratio is not None and set(corpus.splits) == {"train"}:
-        corpus = split_random(corpus, float(ratio), seed)
+        corpus = split_random(corpus, ratio, seed)
     return corpus
 
 
@@ -196,16 +196,16 @@ def get_corpora(recipe: Recipe, out_base: Path) -> dict[str, CorpusManifest]:
     return {name: materialize_corpus(recipe, name, out_base) for name in names}
 
 
+def _corpus(corpora: dict[str, CorpusManifest], key: str, name: str) -> CorpusManifest:
+    if name not in corpora:
+        raise ValidationError(f"{key} references unknown corpus {name!r}")
+    return corpora[name]
+
+
 def resolve_train_corpus(recipe: Recipe, corpora: dict[str, CorpusManifest]) -> CorpusManifest | PooledCorpus:
     """train.corpus is one name or a +-joined pool like a+b+c."""
-    text = recipe.require("train.corpus")
-    names = [n.strip() for n in text.split("+")]
-    for n in names:
-        if n not in corpora:
-            raise ValidationError(f"train.corpus references unknown corpus {n!r}")
-    if len(names) == 1:
-        return corpora[names[0]]
-    return pool([corpora[n] for n in names])
+    members = [_corpus(corpora, "train.corpus", n.strip()) for n in recipe.require("train.corpus").split("+")]
+    return members[0] if len(members) == 1 else pool(members)
 
 
 def eval_split_for(corpus: CorpusManifest, preferred: str | None) -> str:
@@ -220,17 +220,26 @@ def eval_split_for(corpus: CorpusManifest, preferred: str | None) -> str:
     raise ValidationError(f"corpus {corpus.name!r} is empty")
 
 
+def _target(
+    recipe: Recipe, corpora: dict[str, CorpusManifest], key: str, name: str | None = None
+) -> tuple[str, CorpusManifest, str]:
+    """The corpus named by `key` (or `name`, one entry of its list) and the
+    split to score: <section>.split, else test, dev or train."""
+    name = recipe.require(key) if name is None else name
+    corpus = _corpus(corpora, key, name)
+    return name, corpus, eval_split_for(corpus, recipe.get(key.split(".")[0] + ".split"))
+
+
 # ---------------------------------------------------------------- training
 
 
 def build_frontend(recipe: Recipe) -> FrontendConfig:
-    expected = recipe.get("frontend.expected_dim")
     return FrontendConfig(
         kind=recipe.get("frontend.kind", "dsp"),
         n_mels=recipe.get_int("frontend.n_mels", 40),
         window_ms=recipe.get_float("frontend.window_ms", 25.0),
         hop_ms=recipe.get_float("frontend.hop_ms", 10.0),
-        expected_dim=None if expected is None else int(expected),
+        expected_dim=recipe.get_int("frontend.expected_dim", None),
     )
 
 
@@ -253,10 +262,17 @@ def build_train_config(recipe: Recipe, seed: int, domain_tag: str, max_steps: in
 
 
 def save_model_dir(directory: Path, result: TrainResult, frontend_config: FrontendConfig, extra: dict | None = None) -> None:
-    """Persist one trained model: params, scaler, metadata, eval log."""
+    """Persist one trained model: params, scaler, eval log, then metadata.
+
+    meta.json marks a finished model dir (benchmark skips training when it
+    exists), so it is removed first and written last.
+    """
     directory.mkdir(parents=True, exist_ok=True)
+    (directory / "meta.json").unlink(missing_ok=True)
     save_params(result.params, directory / "params.ckpt")
     save_scaler(directory / "scaler.bin", result.scaler)
+    log = ({"step": r.step, "train_loss": r.train_loss, "dev_criterion": r.dev_criterion} for r in result.log)
+    write_text(directory / "log.jsonl", "".join(json.dumps(record) + "\n" for record in log))
     meta = {
         "model_kind": result.model_kind,
         "criterion": result.criterion,
@@ -267,15 +283,7 @@ def save_model_dir(directory: Path, result: TrainResult, frontend_config: Fronte
     }
     if extra:
         meta.update(extra)
-    (directory / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    with open(directory / "log.jsonl", "w", encoding="utf-8") as fh:
-        for record in result.log:
-            fh.write(
-                json.dumps(
-                    {"step": record.step, "train_loss": record.train_loss, "dev_criterion": record.dev_criterion}
-                )
-                + "\n"
-            )
+    write_text(directory / "meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def load_model_dir(directory: Path) -> tuple[ModelParams, FeatureScaler, dict]:
@@ -342,26 +350,35 @@ def train_one_seed(
     return result
 
 
-# ---------------------------------------------------------------- records
+# ---------------------------------------------------------------- writers
+
+
+def write_text(path: Path, text: str) -> None:
+    """Write a UTF-8 text file whole or not at all (temp file plus rename)."""
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
+def write_csv(path: Path, header: list[str], rows: Iterable[list[str]]) -> None:
+    """Write a CSV file whole or not at all (temp file plus rename)."""
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def metric_values(pairs: EvalPairs) -> dict[str, float | str]:
     """All six metrics; an undefined correlation becomes the string
     "undefined" so records stay machine-readable without inventing zeros."""
-    values: dict[str, float | str] = {"utt_mse": mse(pairs)}
-    for key, fn in (("utt_lcc", pearson), ("utt_srcc", spearman)):
-        try:
-            values[key] = fn(pairs)
-        except UndefinedCorrelationError:
-            values[key] = "undefined"
-    if pairs.has_systems:
-        sys_pairs = system_aggregate(pairs)
-        values["sys_mse"] = mse(sys_pairs)
-        for key, fn in (("sys_lcc", pearson), ("sys_srcc", spearman)):
+    levels = [("utt", pairs)] + ([("sys", system_aggregate(pairs))] if pairs.has_systems else [])
+    values: dict[str, float | str] = {}
+    for level, level_pairs in levels:
+        values[f"{level}_mse"] = mse(level_pairs)
+        for name, fn in (("lcc", pearson), ("srcc", spearman)):
             try:
-                values[key] = fn(sys_pairs)
+                values[f"{level}_{name}"] = fn(level_pairs)
             except UndefinedCorrelationError:
-                values[key] = "undefined"
+                values[f"{level}_{name}"] = "undefined"
     return values
 
 
@@ -371,11 +388,8 @@ def _fmt(value: float | str) -> str:
 
 def write_records(path: Path, rows: list[tuple]) -> None:
     """model,test,seed,metric,value rows in sorted order (byte-stable)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "test", "seed", "metric", "value"])
-        for row in sorted(rows):
-            writer.writerow([row[0], row[1], str(row[2]), row[3], _fmt(row[4])])
+    out = ([row[0], row[1], str(row[2]), row[3], _fmt(row[4])] for row in sorted(rows))
+    write_csv(path, ["model", "test", "seed", "metric", "value"], out)
 
 
 def write_records_mean(path: Path, rows: list[tuple]) -> None:
@@ -383,15 +397,11 @@ def write_records_mean(path: Path, rows: list[tuple]) -> None:
     grouped: dict[tuple[str, str, str], list] = {}
     for model, test, _seed, metric, value in rows:
         grouped.setdefault((model, test, metric), []).append(value)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "test", "metric", "value"])
-        for (model, test, metric), values in sorted(grouped.items()):
-            if any(isinstance(v, str) for v in values):
-                out = "undefined"
-            else:
-                out = repr(float(np.mean([float(v) for v in values])))
-            writer.writerow([model, test, metric, out])
+    out = []
+    for (model, test, metric), values in sorted(grouped.items()):
+        undefined = any(isinstance(v, str) for v in values)
+        out.append([model, test, metric, "undefined" if undefined else repr(float(np.mean(values)))])
+    write_csv(path, ["model", "test", "metric", "value"], out)
 
 
 # ---------------------------------------------------------------- commands
@@ -429,27 +439,24 @@ def cmd_train(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
     return 0
 
 
-def _inference_setup(
+def _predict_seeds(
     recipe: Recipe,
     args: argparse.Namespace,
+    out: Path,
     corpora: dict[str, CorpusManifest],
-    params: ModelParams,
-    scaler: FeatureScaler,
-) -> tuple[str, KnnConfig | None, Datastore | None]:
+    targets: list[tuple[str, CorpusManifest, str]],
+) -> Iterator[tuple[int, str, Datastore | None, list[EvalPairs]]]:
+    """Per seed: load the trained model, build the datastore its inference
+    mode needs and predict every (name, corpus, split) target.
+
+    Yields (seed, mode, datastore, one EvalPairs per target).
+    """
     mode = args.inference or recipe.get("infer.mode", "parametric")
     if mode not in INFERENCE_MODES:
         raise ValidationError(f"unknown inference mode {mode!r}")
+    frontend_config = build_frontend(recipe)
+    distance_kind = recipe.get("infer.distance", "euclidean")
     knn_config = None
-    datastore = None
-    if mode in ("knn", "domain-retrieval"):
-        frontend_config = build_frontend(recipe)
-        train_corpus = resolve_train_corpus(recipe, corpora)
-        datastore = build_datastore(
-            frontend_config,
-            train_corpus,
-            scaler=scaler,
-            distance_kind=recipe.get("infer.distance", "euclidean"),
-        )
     if mode == "knn":
         knn_config = KnnConfig(
             k=args.knn_k if args.knn_k is not None else recipe.get_int("infer.knn_k", 5),
@@ -458,39 +465,42 @@ def _inference_setup(
                 if args.knn_temperature is not None
                 else recipe.get_float("infer.knn_temperature", 1.0)
             ),
-            distance_kind=recipe.get("infer.distance", "euclidean"),
+            distance_kind=distance_kind,
             paper_literal=args.paper_literal_knn or recipe.get_bool("infer.knn_paper_literal", False),
         )
-    return mode, knn_config, datastore
+    train_corpus = None if mode == "parametric" else resolve_train_corpus(recipe, corpora)
+    for seed in _seed_list(recipe, args):
+        params, scaler, _meta = load_model_dir(out / "train" / f"seed{seed}")
+        datastore = None
+        if train_corpus is not None:
+            datastore = build_datastore(frontend_config, train_corpus, scaler=scaler, distance_kind=distance_kind)
+        pairs = [
+            predict_split(corpus, split, frontend_config, scaler, params, mode, knn_config, datastore)
+            for _name, corpus, split in targets
+        ]
+        yield seed, mode, datastore, pairs
 
 
 def _write_pairs(path: Path, pairs: EvalPairs) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "system_id", "true", "pred"])
-        for sid, system, t, p in zip(pairs.sample_ids, pairs.system_ids, pairs.true, pairs.pred):
-            writer.writerow([sid, system or "", repr(float(t)), repr(float(p))])
+    rows = zip(pairs.sample_ids, pairs.system_ids, pairs.true, pairs.pred)
+    write_csv(
+        path,
+        ["sample_id", "system_id", "true", "pred"],
+        ([sid, system or "", repr(float(t)), repr(float(p))] for sid, system, t, p in rows),
+    )
 
 
 def cmd_infer(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
     """Predict one corpus split with a trained model, one file per seed."""
     corpora = get_corpora(recipe, out)
-    frontend_config = build_frontend(recipe)
-    target_name = recipe.require("infer.corpus")
-    if target_name not in corpora:
-        raise ValidationError(f"infer.corpus references unknown corpus {target_name!r}")
-    target = corpora[target_name]
-    split = eval_split_for(target, recipe.get("infer.split"))
-    for seed in _seed_list(recipe, args):
-        params, scaler, _meta = load_model_dir(out / "train" / f"seed{seed}")
-        mode, knn_config, datastore = _inference_setup(recipe, args, corpora, params, scaler)
-        pairs = predict_split(target, split, frontend_config, scaler, params, mode, knn_config, datastore)
+    target = _target(recipe, corpora, "infer.corpus")
+    for seed, mode, datastore, (pairs,) in _predict_seeds(recipe, args, out, corpora, [target]):
         seed_dir = out / "infer" / f"seed{seed}"
         seed_dir.mkdir(parents=True, exist_ok=True)
         _write_pairs(seed_dir / "predictions.csv", pairs)
         if datastore is not None:
             save_datastore(seed_dir / "datastore.bin", datastore)
-        print(f"infer seed {seed}: {mode} on {target_name}/{split}, {len(pairs)} predictions")
+        print(f"infer seed {seed}: {mode} on {target[0]}/{target[2]}, {len(pairs)} predictions")
     return 0
 
 
@@ -498,44 +508,27 @@ def cmd_benchmark(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
     """Train (when not already trained in this out dir) and evaluate every
     configured test set per seed, then write record files."""
     corpora = get_corpora(recipe, out)
-    frontend_config = build_frontend(recipe)
-    test_names = [t.strip() for t in recipe.require("benchmark.tests").split(",") if t.strip()]
-    for name in test_names:
-        if name not in corpora:
-            raise ValidationError(f"benchmark.tests references unknown corpus {name!r}")
+    names = [t.strip() for t in recipe.require("benchmark.tests").split(",") if t.strip()]
+    targets = [_target(recipe, corpora, "benchmark.tests", name) for name in names]
     mdf_pretrain = args.mdf_pretrain or recipe.get("train.mdf_pretrain")
-    model_kind = recipe.get("model.kind", "head")
-    seeds = _seed_list(recipe, args)
-
-    rows: list[tuple] = []
-    test_meta: dict[str, tuple[str, int]] = {}
-    model_label = None
-    for seed in seeds:
-        seed_dir = out / "train" / f"seed{seed}"
-        if not (seed_dir / "meta.json").exists():
+    for seed in _seed_list(recipe, args):
+        if not (out / "train" / f"seed{seed}" / "meta.json").exists():
             train_one_seed(recipe, corpora, seed, out, mdf_pretrain)
-        params, scaler, _meta = load_model_dir(seed_dir)
-        mode, knn_config, datastore = _inference_setup(recipe, args, corpora, params, scaler)
-        if model_label is None:
-            suffix = "-mdf" if mdf_pretrain else ""
-            model_label = recipe.get("model.label", f"{model_kind}{suffix}-{mode}")
-        for name in test_names:
-            target = corpora[name]
-            split = eval_split_for(target, recipe.get("benchmark.split"))
-            pairs = predict_split(target, split, frontend_config, scaler, params, mode, knn_config, datastore)
-            test_meta[name] = (target.domain_tag, len(pairs))
+
+    model_kind = recipe.get("model.kind", "head") + ("-mdf" if mdf_pretrain else "")
+    rows: list[tuple] = []
+    tests: dict[str, list[str]] = {}
+    for seed, mode, _datastore, all_pairs in _predict_seeds(recipe, args, out, corpora, targets):
+        model_label = recipe.get("model.label", f"{model_kind}-{mode}")
+        for (name, corpus, _split), pairs in zip(targets, all_pairs):
+            tests[name] = [name, corpus.domain_tag, str(len(pairs))]
             for metric, value in metric_values(pairs).items():
                 rows.append((model_label, name, seed, metric, value))
-        print(f"benchmark seed {seed}: {model_label} on {len(test_names)} test sets")
+        print(f"benchmark seed {seed}: {model_label} on {len(targets)} test sets")
 
     write_records(out / "records.csv", rows)
     write_records_mean(out / "records_mean.csv", rows)
-    with open(out / "tests.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["test", "domain_tag", "n"])
-        for name in sorted(test_meta):
-            domain, n = test_meta[name]
-            writer.writerow([name, domain, str(n)])
+    write_csv(out / "tests.csv", ["test", "domain_tag", "n"], (tests[name] for name in sorted(tests)))
     print(f"wrote {out / 'records.csv'} ({len(rows)} rows)")
     return 0
 
@@ -568,14 +561,7 @@ def _reports_from_cells(by_cell: dict[tuple[str, str], dict[str, float]]) -> dic
         for needed in ("utt_mse", "utt_lcc", "utt_srcc"):
             if needed not in values:
                 raise ValidationError(f"records for {cell} lack {needed}")
-        reports[cell] = MetricReport(
-            utt_mse=values["utt_mse"],
-            utt_lcc=values["utt_lcc"],
-            utt_srcc=values["utt_srcc"],
-            sys_mse=values.get("sys_mse"),
-            sys_lcc=values.get("sys_lcc"),
-            sys_srcc=values.get("sys_srcc"),
-        )
+        reports[cell] = MetricReport(**{f.name: values.get(f.name) for f in dataclasses.fields(MetricReport)})
     return reports
 
 
@@ -590,9 +576,7 @@ def cmd_aggregate(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
     merged: dict[tuple[str, str], dict[str, float]] = {}
     domains: dict[str, str] = {}
     for text in input_dirs:
-        p = Path(text)
-        run_dir = p if p.is_absolute() else recipe.base_dir / p
-        by_cell, run_domains = _read_records_mean(run_dir)
+        by_cell, run_domains = _read_records_mean(recipe.base_dir / text)
         for cell in by_cell:
             if cell in merged:
                 raise ValidationError(f"duplicate (model, test) {cell} across aggregate inputs")
@@ -617,21 +601,21 @@ def cmd_aggregate(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
 
     matrix = aggregate(reports, domains, best=best)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "aggregate.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "test", "mse", "corr", "difference", "ratio"])
-        for model in matrix.model_ids:
-            for test in matrix.test_ids:
-                cell = matrix.cells[model, test]
-                writer.writerow(
-                    [model, test, repr(cell.mse), repr(cell.corr), repr(cell.difference), repr(cell.ratio)]
-                )
-    with open(out / "aggregate_summary.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "domain", "mean_difference", "mean_ratio"])
-        for model in matrix.model_ids:
-            for domain, (diff, ratio) in sorted(matrix.averages[model].items()):
-                writer.writerow([model, domain, repr(diff), repr(ratio)])
+    cells = ((model, test, matrix.cells[model, test]) for model in matrix.model_ids for test in matrix.test_ids)
+    write_csv(
+        out / "aggregate.csv",
+        ["model", "test", "mse", "corr", "difference", "ratio"],
+        ([m, t, repr(c.mse), repr(c.corr), repr(c.difference), repr(c.ratio)] for m, t, c in cells),
+    )
+    write_csv(
+        out / "aggregate_summary.csv",
+        ["model", "domain", "mean_difference", "mean_ratio"],
+        (
+            [model, domain, repr(diff), repr(ratio)]
+            for model in matrix.model_ids
+            for domain, (diff, ratio) in sorted(matrix.averages[model].items())
+        ),
+    )
     print(f"aggregated {len(matrix.model_ids)} models x {len(matrix.test_ids)} tests -> {out / 'aggregate.csv'}")
     return 0
 
@@ -652,10 +636,8 @@ def cmd_export_embeddings(recipe: Recipe, args: argparse.Namespace, out: Path) -
         if ":" not in entry:
             raise ValidationError(f"export.sets entry {entry!r} must be corpus:split")
         name, split = entry.split(":", 1)
-        if name not in corpora:
-            raise ValidationError(f"export.sets references unknown corpus {name!r}")
         role = "train" if split == "train" else "test"
-        sets.append((f"{name}:{split}", corpora[name], split, role))
+        sets.append((f"{name}:{split}", _corpus(corpora, "export.sets", name), split, role))
 
     scaler = None
     scaler_note = "raw frontend features (no trained scaler found)"
@@ -674,26 +656,21 @@ def cmd_export_embeddings(recipe: Recipe, args: argparse.Namespace, out: Path) -
     proj, _components, _mean = pca_2d(dump.embeddings)
     export_dir = out / "export"
     export_dir.mkdir(parents=True, exist_ok=True)
-    with open(export_dir / "embeddings.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        dim = dump.embeddings.shape[1]
-        writer.writerow(["set_label", "sample_id", "role"] + [f"e{i}" for i in range(dim)])
-        for i in range(len(dump.sample_ids)):
-            writer.writerow(
-                [dump.set_labels[i], dump.sample_ids[i], dump.roles[i]]
-                + [repr(float(v)) for v in dump.embeddings[i]]
-            )
-    with open(export_dir / "pca.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["set_label", "sample_id", "role", "x", "y"])
-        for i in range(len(dump.sample_ids)):
-            writer.writerow(
-                [dump.set_labels[i], dump.sample_ids[i], dump.roles[i], repr(float(proj[i, 0])), repr(float(proj[i, 1]))]
-            )
+    labels = list(zip(dump.set_labels, dump.sample_ids, dump.roles))
+    write_csv(
+        export_dir / "embeddings.csv",
+        ["set_label", "sample_id", "role"] + [f"e{i}" for i in range(dump.embeddings.shape[1])],
+        ([*label, *(repr(float(v)) for v in row)] for label, row in zip(labels, dump.embeddings)),
+    )
+    write_csv(
+        export_dir / "pca.csv",
+        ["set_label", "sample_id", "role", "x", "y"],
+        ([*label, repr(float(x)), repr(float(y))] for label, (x, y) in zip(labels, proj)),
+    )
     notes = [f"features: {scaler_note}"]
     if dump.truncated_sets:
         notes.append("sets smaller than n_per_set (taken whole): " + ", ".join(dump.truncated_sets))
-    (export_dir / "summary.txt").write_text("\n".join(notes) + "\n", encoding="utf-8")
+    write_text(export_dir / "summary.txt", "\n".join(notes) + "\n")
     print(f"exported {len(dump.sample_ids)} embeddings -> {export_dir}")
     return 0
 
@@ -701,27 +678,20 @@ def cmd_export_embeddings(recipe: Recipe, args: argparse.Namespace, out: Path) -
 def cmd_distribution_data(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
     """Emit true-vs-predicted scatter data for one test set, per seed."""
     corpora = get_corpora(recipe, out)
-    frontend_config = build_frontend(recipe)
-    target_name = recipe.require("distribution.corpus")
-    if target_name not in corpora:
-        raise ValidationError(f"distribution.corpus references unknown corpus {target_name!r}")
-    target = corpora[target_name]
-    split = eval_split_for(target, recipe.get("distribution.split"))
-    for seed in _seed_list(recipe, args):
-        params, scaler, _meta = load_model_dir(out / "train" / f"seed{seed}")
-        mode, knn_config, datastore = _inference_setup(recipe, args, corpora, params, scaler)
-        pairs = predict_split(target, split, frontend_config, scaler, params, mode, knn_config, datastore)
+    target = _target(recipe, corpora, "distribution.corpus")
+    for seed, _mode, _datastore, (pairs,) in _predict_seeds(recipe, args, out, corpora, [target]):
         data = distribution_data(pairs)
         seed_dir = out / "distribution" / f"seed{seed}"
         seed_dir.mkdir(parents=True, exist_ok=True)
         _write_pairs(seed_dir / "utterances.csv", data.utterances)
         if data.systems is not None:
-            with open(seed_dir / "systems.csv", "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["system_id", "true_mean", "pred_mean"])
-                for sid, t, p in zip(data.systems.system_ids, data.systems.true, data.systems.pred):
-                    writer.writerow([sid, repr(float(t)), repr(float(p))])
-        print(f"distribution seed {seed}: {len(pairs)} utterances on {target_name}/{split}")
+            systems = zip(data.systems.system_ids, data.systems.true, data.systems.pred)
+            write_csv(
+                seed_dir / "systems.csv",
+                ["system_id", "true_mean", "pred_mean"],
+                ([sid, repr(float(t)), repr(float(p))] for sid, t, p in systems),
+            )
+        print(f"distribution seed {seed}: {len(pairs)} utterances on {target[0]}/{target[2]}")
     return 0
 
 
@@ -787,6 +757,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
+    lock = None
     try:
         config_path = Path(args.config)
         recipe = Recipe(parse_recipe(config_path), config_path.resolve().parent)
@@ -794,12 +765,6 @@ def main(argv: list[str] | None = None) -> int:
         if out_text is None:
             raise ValidationError("no output dir: pass --out or set 'out' in the config")
         out = Path(out_text)
-    except (ValidationError, ManifestError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    lock = None
-    try:
         lock = _acquire_lock(out)
         return COMMANDS[args.command](recipe, args, out)
     except (ValidationError, ManifestError, FileNotFoundError, ValueError) as exc:

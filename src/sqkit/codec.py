@@ -8,10 +8,12 @@ against the bytes present and raises the loader's own error type.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
 from pathlib import Path
-from typing import Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -24,9 +26,24 @@ def pack_strings(strings: Iterable[str]) -> bytes:
     return b"".join(struct.pack("<H", len(raw)) + raw for raw in encoded)
 
 
+@contextlib.contextmanager
+def atomic_open(path: str | Path, mode: str = "wb", **kwargs) -> Iterator[IO]:
+    """Open a temp file beside path and rename it over path once the block
+    succeeds; a failure removes the temp file, so path is whole or untouched."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_artifact(path: str | Path, magic: bytes, fmt: str, fields: tuple, *payload: bytes) -> None:
     """Write magic, the header fields packed with fmt, then each payload chunk."""
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(magic + struct.pack(fmt, *fields))
         fh.writelines(payload)
 

@@ -184,7 +184,6 @@ def extract_dsp(samples: np.ndarray, config: FrontendConfig) -> EmbeddingMatrix:
         deficit = win - len(samples)
         mode = "reflect" if len(samples) > 1 else "edge"
         samples = np.pad(samples, (0, deficit), mode=mode) if len(samples) else np.zeros(win)
-    n_frames = 1 + (len(samples) - win) // hop
 
     n_fft = 1
     while n_fft < win:
@@ -192,8 +191,7 @@ def extract_dsp(samples: np.ndarray, config: FrontendConfig) -> EmbeddingMatrix:
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(win) / win)
     fb = mel_filterbank(n_fft, rate, config.n_mels)
 
-    starts = np.arange(n_frames) * hop
-    frames = np.stack([samples[s : s + win] for s in starts]) * window
+    frames = np.lib.stride_tricks.sliding_window_view(samples, win)[::hop] * window
     power = np.abs(np.fft.rfft(frames, n=n_fft, axis=1)) ** 2
     energies = power @ fb.T
     log_mel = np.log(np.maximum(energies, config.log_floor))

@@ -1,13 +1,15 @@
 """End-to-end command-line runs on a tiny synthetic recipe."""
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from sqkit import ValidationError
-from sqkit.cli import main, parse_recipe, write_records, write_records_mean
+from sqkit import ValidationError, cli
+from sqkit.cli import main, parse_recipe, write_csv, write_records, write_records_mean
+from sqkit.training import LogRecord
 
 BASE_RECIPE = """
 # tiny end-to-end setup
@@ -292,3 +294,39 @@ class TestRecordWriters:
         rows = {r["metric"]: r["value"] for r in read_csv(path)}
         assert rows["utt_lcc"] == "undefined"
         assert rows["utt_mse"] == "0.375"
+
+
+class TestKillSafety:
+    def test_failed_log_write_leaves_no_meta_so_benchmark_retrains(self, tmp_path, monkeypatch):
+        config = write_recipe(tmp_path)
+        out = tmp_path / "out"
+        seed_dir = out / "train" / "seed0"
+        real_train = cli.train
+
+        def train_with_unwritable_log(*args, **kwargs):
+            result = real_train(*args, **kwargs)
+            bad = LogRecord(step=-1, train_loss=object(), dev_criterion=None)  # not JSON-serializable
+            return dataclasses.replace(result, log=result.log + (bad,))
+
+        monkeypatch.setattr(cli, "train", train_with_unwritable_log)
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 2
+        assert sorted(p.name for p in seed_dir.iterdir()) == ["ledger", "params.ckpt", "scaler.bin"]
+
+        monkeypatch.undo()
+        assert main(["benchmark", "--config", str(config), "--out", str(out)]) == 0
+        assert json.loads((seed_dir / "meta.json").read_text())["steps_run"] == 60
+        log = [json.loads(line) for line in (seed_dir / "log.jsonl").read_text().splitlines()]
+        assert log and all(row["step"] >= 0 for row in log)
+
+    def test_write_csv_failing_midway_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["a"], [["1"]])
+
+        def rows():
+            yield ["2"]
+            raise RuntimeError("killed mid-write")
+
+        with pytest.raises(RuntimeError):
+            write_csv(path, ["a"], rows())
+        assert path.read_bytes() == b"a\r\n1\r\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]

@@ -29,6 +29,7 @@ from sqkit import (
     save_precomputed,
     save_scaler,
 )
+from sqkit.codec import write_artifact
 
 
 def small_datastore():
@@ -214,3 +215,17 @@ class TestLayouts:
         path = tmp_path / "e.bin"
         save_precomputed(path, mat)
         assert path.read_bytes() == b"SQE1" + struct.pack("<II", 3, 2) + f4(mat.frames)
+
+
+def test_failed_write_leaves_the_previous_file_or_none(tmp_path):
+    """A write that fails midway (here the second payload chunk is not
+    bytes) leaves the old file or none, never a truncated one, and no
+    temp file beside it."""
+    old, new = tmp_path / "scaler.bin", tmp_path / "new.bin"
+    save_scaler(old, small_scaler())
+    before = old.read_bytes()
+    for path in (old, new):
+        with pytest.raises(TypeError):
+            write_artifact(path, b"SQSC", "<I", (3,), b"first chunk", "not bytes")
+    assert [p.name for p in tmp_path.iterdir()] == ["scaler.bin"]
+    assert old.read_bytes() == before

@@ -28,6 +28,7 @@ from sqkit import (
     save_scaler,
     write_wav,
 )
+from sqkit.frontend import mel_filterbank
 
 
 def write_raw_wav(path, int_samples, rate=16000, width=2, channels=1):
@@ -139,6 +140,17 @@ class TestExtractDsp:
         for n in (400, 401, 560, 5000):
             mat = extract_dsp(np.random.default_rng(0).normal(size=n) * 0.1, self.CONFIG)
             assert mat.n_frames == 1 + (n - win) // hop
+
+    def test_log_mel_matches_loop_framed_reference(self):
+        win, hop, n_fft, n_mels = 400, 160, 512, self.CONFIG.n_mels
+        window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(win) / win)
+        fb = mel_filterbank(n_fft, 16000, n_mels)
+        for n in (400, 401, 560, 5000, 48000):
+            x = np.random.default_rng(n).normal(size=n) * 0.1
+            frames = np.stack([x[s : s + win] for s in range(0, n - win + 1, hop)]) * window
+            energies = (np.abs(np.fft.rfft(frames, n=n_fft, axis=1)) ** 2) @ fb.T
+            expected = np.log(np.maximum(energies, self.CONFIG.log_floor))
+            np.testing.assert_array_equal(extract_dsp(x, self.CONFIG).frames[:, :n_mels], expected)
 
     def test_short_utterance_gets_one_frame(self):
         mat = extract_dsp(np.random.default_rng(3).normal(size=150) * 0.1, self.CONFIG)
