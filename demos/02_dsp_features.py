@@ -54,6 +54,6 @@ vec = pool_time(mat)
 print("pooled vector", vec.shape)
 
 # scalers are fit on train features and reused everywhere after
-scaler = FeatureScaler.fit([mat])
+scaler = FeatureScaler.fit(mat.frames)
 standardized = scaler.transform(mat)
 print("largest per-dim mean after standardizing:", float(np.abs(standardized.frames.mean(axis=0)).max()))

@@ -13,9 +13,11 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import hashlib
 import json
 import logging
 import os
+import shutil
 import sys
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -51,6 +53,7 @@ from .training import MdfResult, TrainConfig, TrainResult, select_criterion, tra
 logger = logging.getLogger(__name__)
 
 LOCK_NAME = ".sqkit.lock"
+MODEL_SECTIONS = ("corpus.", "frontend.", "model.", "train.")
 INFERENCE_MODES = ("parametric", "knn", "domain-retrieval")
 
 
@@ -264,8 +267,8 @@ def build_train_config(recipe: Recipe, seed: int, domain_tag: str, max_steps: in
 def save_model_dir(directory: Path, result: TrainResult, frontend_config: FrontendConfig, extra: dict | None = None) -> None:
     """Persist one trained model: params, scaler, eval log, then metadata.
 
-    meta.json marks a finished model dir (benchmark skips training when it
-    exists), so it is removed first and written last.
+    meta.json marks a finished model dir (benchmark skips training when its
+    recipe_hash matches), so it is removed first and written last.
     """
     directory.mkdir(parents=True, exist_ok=True)
     (directory / "meta.json").unlink(missing_ok=True)
@@ -277,6 +280,7 @@ def save_model_dir(directory: Path, result: TrainResult, frontend_config: Fronte
         "model_kind": result.model_kind,
         "criterion": result.criterion,
         "steps_run": result.steps_run,
+        "stop_reason": result.stop_reason,
         "best_step": None if result.ledger.best is None else result.ledger.best.step,
         "best_value": None if result.ledger.best is None else result.ledger.best.value,
         "frontend": dataclasses.asdict(frontend_config),
@@ -292,6 +296,25 @@ def load_model_dir(directory: Path) -> tuple[ModelParams, FeatureScaler, dict]:
         raise ValidationError(f"no trained model in {directory} (run the train command first)")
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
     return load_params(directory / "params.ckpt"), load_scaler(directory / "scaler.bin"), meta
+
+
+def recipe_hash(recipe: Recipe, mdf_pretrain: str | None) -> str:
+    """sha256 of the raw recipe lines that decide a trained model (the
+    corpus, frontend, model and train keys) and the effective MDF pretrain
+    corpus. Raw strings, not resolved paths: the same recipe hashes the
+    same in any out dir."""
+    lines = sorted(f"{key} = {value}" for key, value in recipe.config.items() if key.startswith(MODEL_SECTIONS))
+    lines.append(f"mdf_pretrain = {mdf_pretrain or ''}")
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+def _trained_under(seed_dir: Path, digest: str) -> bool:
+    """Whether seed_dir holds a finished model trained under recipe hash digest."""
+    try:
+        meta = json.loads((seed_dir / "meta.json").read_text(encoding="utf-8"))
+    except (FileNotFoundError, ValueError):
+        return False
+    return isinstance(meta, dict) and meta.get("recipe_hash") == digest
 
 
 def train_one_seed(
@@ -312,6 +335,9 @@ def train_one_seed(
     }
     config = build_train_config(recipe, seed, train_corpus.domain_tag)
     seed_dir = out_dir / "train" / f"seed{seed}"
+    for stale in ("ledger", "mdf_phase1"):  # nothing of an earlier run survives a retrain
+        shutil.rmtree(seed_dir / stale, ignore_errors=True)
+    extra = {"recipe_hash": recipe_hash(recipe, mdf_pretrain)}
 
     if mdf_pretrain:
         if not isinstance(train_corpus, PooledCorpus):
@@ -332,10 +358,10 @@ def train_one_seed(
             seed_dir / "mdf_phase1",
             mdf.phase1,
             frontend_config,
-            extra={"mdf_pretrain": mdf_pretrain, "phase": 1},
+            extra={**extra, "mdf_pretrain": mdf_pretrain, "phase": 1},
         )
         result = mdf.phase2
-        save_model_dir(seed_dir, result, frontend_config, extra={"mdf_pretrain": mdf_pretrain, "phase": 2})
+        save_model_dir(seed_dir, result, frontend_config, extra={**extra, "mdf_pretrain": mdf_pretrain, "phase": 2})
     else:
         result = train(
             model_kind,
@@ -345,7 +371,7 @@ def train_one_seed(
             **sizes,
             out_dir=seed_dir / "ledger",
         )
-        save_model_dir(seed_dir, result, frontend_config)
+        save_model_dir(seed_dir, result, frontend_config, extra=extra)
     logger.info("seed %d: trained %s for %d steps", seed, model_kind, result.steps_run)
     return result
 
@@ -505,14 +531,16 @@ def cmd_infer(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
 
 
 def cmd_benchmark(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
-    """Train (when not already trained in this out dir) and evaluate every
-    configured test set per seed, then write record files."""
+    """Train (unless this out dir holds a model trained under the same
+    recipe) and evaluate every configured test set per seed, then write
+    record files."""
     corpora = get_corpora(recipe, out)
     names = [t.strip() for t in recipe.require("benchmark.tests").split(",") if t.strip()]
     targets = [_target(recipe, corpora, "benchmark.tests", name) for name in names]
     mdf_pretrain = args.mdf_pretrain or recipe.get("train.mdf_pretrain")
+    digest = recipe_hash(recipe, mdf_pretrain)
     for seed in _seed_list(recipe, args):
-        if not (out / "train" / f"seed{seed}" / "meta.json").exists():
+        if not _trained_under(out / "train" / f"seed{seed}", digest):
             train_one_seed(recipe, corpora, seed, out, mdf_pretrain)
 
     model_kind = recipe.get("model.kind", "head") + ("-mdf" if mdf_pretrain else "")

@@ -295,22 +295,26 @@ class FeatureScaler:
     std: np.ndarray
 
     @staticmethod
-    def fit(mats: list[EmbeddingMatrix]) -> "FeatureScaler":
-        if not mats:
-            raise ValidationError("cannot fit scaler on zero matrices")
-        stacked = np.concatenate([m.frames for m in mats], axis=0)
-        mean = stacked.mean(axis=0)
-        std = stacked.std(axis=0)
-        return FeatureScaler(mean=mean, std=np.maximum(std, 1e-8))
+    def fit(frames: np.ndarray) -> "FeatureScaler":
+        """Mean and std per dimension of (N, D) training frames."""
+        if frames.ndim != 2 or len(frames) == 0:
+            raise ValidationError(f"cannot fit scaler on frames of shape {frames.shape}")
+        return FeatureScaler(mean=frames.mean(axis=0), std=np.maximum(frames.std(axis=0), 1e-8))
 
     @staticmethod
     def identity(dim: int) -> "FeatureScaler":
         return FeatureScaler(mean=np.zeros(dim), std=np.ones(dim))
 
+    def standardize(self, frames: np.ndarray) -> np.ndarray:
+        """Standardize (N, D) float64 frames in place and return them."""
+        if frames.shape[1] != len(self.mean):
+            raise ValidationError(f"scaler dim {len(self.mean)} != feature dim {frames.shape[1]}")
+        frames -= self.mean
+        frames /= self.std
+        return frames
+
     def transform(self, mat: EmbeddingMatrix) -> EmbeddingMatrix:
-        if mat.dim != len(self.mean):
-            raise ValidationError(f"scaler dim {len(self.mean)} != feature dim {mat.dim}")
-        return EmbeddingMatrix(frames=(mat.frames - self.mean) / self.std, frame_rate_hz=mat.frame_rate_hz)
+        return EmbeddingMatrix(frames=self.standardize(mat.frames.copy()), frame_rate_hz=mat.frame_rate_hz)
 
 
 def save_scaler(path: str | Path, scaler: FeatureScaler) -> None:

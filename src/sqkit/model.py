@@ -11,12 +11,19 @@ Shapes (D = feature dim, T = frames):
              u_t = concat(h_t, e_d)          e_d = dataset embedding row
              o_t = v2 . relu(V1^T u_t + c1) + c2
   raw = mean_t o_t,  clipped = min(5, max(1, raw))
+
+The backward kernels take a packed batch: the utterances' frames stacked
+into one (sum T, D) matrix plus their lengths, so a training step is one
+forward/backward pass whatever the batch size. Per-utterance means are
+np.add.reduceat sums over the utterance start rows. A Workspace keeps
+the large (sum T, width) intermediates between calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -183,27 +190,87 @@ def _check_dim(frames: np.ndarray, dim: int) -> None:
         raise ValidationError(f"expected (T, {dim}) features, got shape {frames.shape}")
 
 
+class Workspace:
+    """Working buffers reused by the packed kernels across calls.
+
+    One float64 (rows, width) buffer per name, allocated on first use and
+    grown only when a batch needs more rows. A training run sizes it once
+    to its largest batch; without reuse every step would fault a few
+    megabytes of fresh pages in for its temporaries.
+    """
+
+    def __init__(self, rows: int = 0) -> None:
+        self.rows = rows
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, rows: int, width: int) -> np.ndarray:
+        buf = self._buffers.get(name)
+        if buf is None or buf.shape[0] < rows or buf.shape[1] != width:
+            buf = self._buffers[name] = np.empty((max(rows, self.rows), width))
+        return buf[:rows]
+
+
+Loss = Callable[[np.ndarray], tuple[float, np.ndarray]]
+
+
+def _sum_loss(raws: np.ndarray) -> tuple[float, np.ndarray]:
+    return float(raws.sum()), np.ones_like(raws)
+
+
+def _segments(frames: np.ndarray, dim: int, lengths) -> tuple[np.ndarray, np.ndarray]:
+    """Per-utterance lengths and start rows of a packed (sum T, D) batch."""
+    _check_dim(frames, dim)
+    lengths = np.array([frames.shape[0]] if lengths is None else lengths, dtype=np.intp)
+    if lengths.ndim != 1 or len(lengths) == 0 or lengths.min() < 1 or lengths.sum() != frames.shape[0]:
+        raise ValidationError(f"lengths must be positive and sum to the {frames.shape[0]} packed frames")
+    return lengths, np.cumsum(lengths) - lengths
+
+
+def _loss_grad(loss: Loss | None, frame_scores: np.ndarray, lengths: np.ndarray, starts: np.ndarray):
+    """Per-utterance mean scores through the loss; returns the loss value,
+    d(loss)/d(raw) per utterance and d(loss)/d(score) per frame."""
+    raws = np.add.reduceat(frame_scores, starts) / lengths
+    value, d_raws = (loss or _sum_loss)(raws)
+    d_raws = np.asarray(d_raws, dtype=np.float64)
+    if d_raws.shape != raws.shape:
+        raise ValidationError(f"loss gradient shape {d_raws.shape} != raw scores {raws.shape}")
+    return value, d_raws, np.repeat(d_raws / lengths, lengths)
+
+
 def head_raw(params: HeadParams, frames: np.ndarray) -> float:
     _check_dim(frames, params.dim)
     hidden = np.maximum(frames @ params.w1 + params.b1, 0.0)
     return float(np.mean(hidden @ params.w2 + params.b2))
 
 
-def head_backward(params: HeadParams, frames: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
-    """Raw score plus d(raw)/d(theta) for every parameter."""
-    _check_dim(frames, params.dim)
-    t = frames.shape[0]
-    pre = frames @ params.w1 + params.b1
-    act = np.maximum(pre, 0.0)
-    raw = float(np.mean(act @ params.w2 + params.b2))
-    d_act = np.where(pre > 0.0, params.w2, 0.0) / t
-    grads = {
-        "w1": frames.T @ d_act,
-        "b1": d_act.sum(axis=0),
-        "w2": act.mean(axis=0),
-        "b2": np.ones(()),
-    }
-    return raw, grads
+def head_backward(
+    params: HeadParams,
+    frames: np.ndarray,
+    *,
+    lengths: Sequence[int] | np.ndarray | None = None,
+    loss: Loss | None = None,
+    work: Workspace | None = None,
+) -> tuple[float, dict[str, np.ndarray]]:
+    """One forward/backward pass over a packed batch: loss value plus
+    d(loss)/d(theta) for every parameter.
+
+    frames stacks the utterances' (T_u, D) rows; lengths lists the T_u
+    (default: one utterance). loss(raws) -> (value, d_raws) sees every
+    raw score between the two halves, so it can reject a batch before any
+    backward work; the default is sum(raws), so one utterance gives
+    (raw, d(raw)/d(theta)).
+    """
+    lengths, starts = _segments(frames, params.dim, lengths)
+    act = np.matmul(frames, params.w1, out=(work or Workspace()).take("hidden", len(frames), params.hidden))
+    act += params.b1
+    np.maximum(act, 0.0, out=act)
+    value, d_raws, d_scores = _loss_grad(loss, act @ params.w2 + params.b2, lengths, starts)
+    d_w2 = act.T @ d_scores
+    d_act = np.greater(act, 0.0, out=act)  # relu(x) > 0 <=> x > 0; act becomes its mask
+    d_act *= params.w2
+    d_act *= d_scores[:, None]
+    grads = {"w1": frames.T @ d_act, "b1": d_act.sum(axis=0), "w2": d_w2, "b2": np.array(d_raws.sum())}
+    return value, grads
 
 
 def alignnet_raw(params: AlignNetParams, frames: np.ndarray, dataset_id: str) -> float:
@@ -216,37 +283,58 @@ def alignnet_raw(params: AlignNetParams, frames: np.ndarray, dataset_id: str) ->
 
 
 def alignnet_backward(
-    params: AlignNetParams, frames: np.ndarray, dataset_id: str
+    params: AlignNetParams,
+    frames: np.ndarray,
+    dataset_id: str | None = None,
+    *,
+    lengths: Sequence[int] | np.ndarray | None = None,
+    rows: Sequence[int] | np.ndarray | None = None,
+    loss: Loss | None = None,
+    work: Workspace | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Raw score plus d(raw)/d(theta); table gradient touches one row."""
-    _check_dim(frames, params.dim)
-    t = frames.shape[0]
-    h = params.hidden
-    idx = params.row_index(dataset_id)
-    row = params.table[idx]
+    """head_backward for alignnet; rows gives each utterance's table row
+    (default: the row of dataset_id for one utterance).
 
-    pre1 = frames @ params.w1 + params.b1
-    trunk = np.maximum(pre1, 0.0)
-    fused = np.concatenate([trunk, np.broadcast_to(row, (t, len(row)))], axis=1)
-    pre2 = fused @ params.v1 + params.c1
-    dec = np.maximum(pre2, 0.0)
-    raw = float(np.mean(dec @ params.v2 + params.c2))
+    The embedding enters the decoder as a per-utterance bias,
+    table[rows] @ V1[H:] + c1, so no (sum T, H+E) fused matrix is built.
+    """
+    lengths, starts = _segments(frames, params.dim, lengths)
+    rows = np.array([params.row_index(dataset_id)] if rows is None else rows, dtype=np.intp)
+    if rows.shape != lengths.shape or rows.min() < 0 or rows.max() >= len(params.dataset_ids):
+        raise ValidationError(f"need one table row in [0, {len(params.dataset_ids)}) per utterance")
+    work = work or Workspace()
+    n, h = len(frames), params.hidden
+    v1_trunk, v1_embed = params.v1[:h], params.v1[h:]
+    embeds = params.table[rows]
 
-    d_dec = np.where(pre2 > 0.0, params.v2, 0.0) / t
-    d_fused = d_dec @ params.v1.T
-    d_trunk = np.where(pre1 > 0.0, d_fused[:, :h], 0.0)
+    trunk = np.matmul(frames, params.w1, out=work.take("hidden", n, h))
+    trunk += params.b1
+    np.maximum(trunk, 0.0, out=trunk)
+    dec = np.matmul(trunk, v1_trunk, out=work.take("decoder", n, params.decoder_hidden))
+    dec += np.repeat(embeds @ v1_embed + params.c1, lengths, axis=0)
+    np.maximum(dec, 0.0, out=dec)
+    value, d_raws, d_scores = _loss_grad(loss, dec @ params.v2 + params.c2, lengths, starts)
+
+    d_v2 = dec.T @ d_scores
+    d_dec = np.greater(dec, 0.0, out=dec)  # dec is needed no more: its mask overwrites it
+    d_dec *= params.v2
+    d_dec *= d_scores[:, None]
+    d_bias = np.add.reduceat(d_dec, starts, axis=0)
     d_table = np.zeros_like(params.table)
-    d_table[idx] = d_fused[:, h:].sum(axis=0)
+    np.add.at(d_table, rows, d_bias @ v1_embed.T)  # rows repeat within a batch
+    d_v1 = np.concatenate([trunk.T @ d_dec, embeds.T @ d_bias])
+    d_trunk = np.matmul(d_dec, v1_trunk.T, out=work.take("d_hidden", n, h))
+    d_trunk *= np.greater(trunk, 0.0, out=trunk)
     grads = {
         "w1": frames.T @ d_trunk,
         "b1": d_trunk.sum(axis=0),
         "table": d_table,
-        "v1": fused.T @ d_dec,
-        "c1": d_dec.sum(axis=0),
-        "v2": dec.mean(axis=0),
-        "c2": np.ones(()),
+        "v1": d_v1,
+        "c1": d_bias.sum(axis=0),
+        "v2": d_v2,
+        "c2": np.array(d_raws.sum()),
     }
-    return raw, grads
+    return value, grads
 
 
 def zero_grads(params: ModelParams) -> dict[str, np.ndarray]:

@@ -1,8 +1,13 @@
 """SGD training with clipped MSE, best-k checkpoint tracking, early stop.
 
-The loop is deliberately plain: features are extracted once and cached,
-minibatches come from a seeded shuffle stream, and the optimizer is
-classical heavy-ball momentum (v <- momentum*v + g; p <- p - lr*v).
+The loop is deliberately plain: the train split is featurized once into
+one packed (sum T, D) matrix, standardized in place, minibatches come
+from a seeded shuffle stream, and the optimizer is classical heavy-ball
+momentum (v <- momentum*v + g; p <- p - lr*v). Each step gathers its
+utterances' rows into a workspace buffer and makes one packed
+forward/backward call; the workspace is sized once per run to the
+batch_size longest utterances, so the gather and activation buffers are
+allocated once, not per step.
 Everything a run produces (best parameters, the feature scaler, the
 checkpoint ledger, the eval log) travels together in a TrainResult so
 inference can never see half a model.
@@ -25,6 +30,7 @@ from .model import (
     HeadParams,
     ModelParams,
     ScorePrediction,
+    Workspace,
     alignnet_backward,
     alignnet_raw,
     copy_params,
@@ -163,6 +169,7 @@ class TrainResult:
     model_kind: str
     criterion: str
     steps_run: int
+    stop_reason: str  # "max_steps", "patience" or "zero_steps"
 
 
 def predict_clipped(params: ModelParams, frames: np.ndarray, dataset_id: str | None = None) -> float:
@@ -224,13 +231,18 @@ def train(
     if config.selection == "sys_srcc" and any(s.system_id is None for s in dev_samples):
         raise ValidationError("sys_srcc selection needs system_id on every dev sample")
 
-    raw_mats = [featurize(s, frontend_config) for s in train_samples]
+    # One (sum T, D) train matrix, standardized in place: utterance i is
+    # rows starts[i] : starts[i] + lengths[i].
+    train_frames = [featurize(s, frontend_config).frames for s in train_samples]
+    lengths_all = np.array([len(f) for f in train_frames])
+    starts_all = np.cumsum(lengths_all) - lengths_all
+    train_frames = np.concatenate(train_frames)
     if scaler is None:
-        scaler = FeatureScaler.fit(raw_mats)
-    train_mats = [scaler.transform(m) for m in raw_mats]
+        scaler = FeatureScaler.fit(train_frames)
+    scaler.standardize(train_frames)
     dev_mats = [featurize(s, frontend_config, scaler) for s in dev_samples]
 
-    dim = train_mats[0].dim
+    dim = train_frames.shape[1]
     if model_kind == "alignnet":
         if dataset_ids is None:
             dataset_ids = (
@@ -252,47 +264,48 @@ def train(
     initial_params = copy_params(params)
 
     targets_all = np.array([s.mos for s in train_samples])
-    ids_all = [s.dataset_id for s in train_samples]
+    if model_kind == "alignnet":
+        rows_all = np.array([params.row_index(s.dataset_id) for s in train_samples])
+    work = Workspace(rows=int(np.sort(lengths_all)[-config.batch_size :].sum()))
 
     velocity = zero_grads(params)
     ledger = CheckpointLedger(top_k=config.top_k)
     log: list[LogRecord] = []
     losses_since_eval: list[float] = []
     shuffle_rng = named_rng(config.seed, "shuffle")
-    order: list[int] = []
+    order = np.empty(0, dtype=np.intp)
     step = 0
+    stop_reason = "zero_steps" if config.max_steps == 0 else "max_steps"
 
     while step < config.max_steps:
-        if not order:
-            order = shuffle_rng.permutation(len(train_samples)).tolist()
-        batch_idx = order[: config.batch_size]
-        order = order[config.batch_size :]
+        if not order.size:
+            order = shuffle_rng.permutation(len(train_samples))
+        batch, order = order[: config.batch_size], order[config.batch_size :]
         step += 1
 
-        raws = np.empty(len(batch_idx))
-        grads_each = []
-        for j, i in enumerate(batch_idx):
-            if model_kind == "head":
-                raw, g = head_backward(params, train_mats[i].frames)
-            else:
-                raw, g = alignnet_backward(params, train_mats[i].frames, ids_all[i])
-            raws[j] = raw
-            grads_each.append(g)
-        loss, dpred = clipped_mse(raws, targets_all[batch_idx], config.loss_tau)
-        if not np.isfinite(loss):
-            raise RuntimeError(
-                f"non-finite loss {loss} at step {step} (batch {batch_idx}, raw preds {raws.tolist()})"
-            )
-        losses_since_eval.append(loss)
+        lengths = lengths_all[batch]
+        n = int(lengths.sum())
+        # Row of each batch frame in train_frames, utterances in batch order.
+        frame_rows = np.arange(n) + np.repeat(starts_all[batch] - (np.cumsum(lengths) - lengths), lengths)
+        frames = np.take(train_frames, frame_rows, axis=0, out=work.take("frames", n, dim), mode="clip")
 
-        total = zero_grads(params)
-        for scale, g in zip(dpred, grads_each):
-            if scale != 0.0:
-                for name in total:
-                    total[name] += scale * g[name]
+        def loss(raws: np.ndarray) -> tuple[float, np.ndarray]:
+            value, d_raws = clipped_mse(raws, targets_all[batch], config.loss_tau)
+            if not np.isfinite(value):
+                raise RuntimeError(
+                    f"non-finite loss {value} at step {step} (batch {batch.tolist()}, raw preds {raws.tolist()})"
+                )
+            return value, d_raws
+
+        if model_kind == "head":
+            value, grads = head_backward(params, frames, lengths=lengths, loss=loss, work=work)
+        else:
+            value, grads = alignnet_backward(params, frames, lengths=lengths, rows=rows_all[batch], loss=loss, work=work)
+        losses_since_eval.append(value)
+
         new_arrays = {}
         for name, p_arr in params.as_dict().items():
-            velocity[name] = config.momentum * velocity[name] + total[name]
+            velocity[name] = config.momentum * velocity[name] + grads[name]
             new_arrays[name] = p_arr - config.lr * velocity[name]
         params = params.with_arrays(new_arrays)
 
@@ -315,6 +328,7 @@ def train(
 
         if step > ledger.last_improvement_step + config.patience_steps:
             logger.info("early stop at step %d (no improvement since %d)", step, ledger.last_improvement_step)
+            stop_reason = "patience"
             break
 
     best = ledger.best
@@ -330,6 +344,7 @@ def train(
         model_kind=model_kind,
         criterion=config.selection,
         steps_run=step,
+        stop_reason=stop_reason,
     )
 
 

@@ -101,6 +101,7 @@ class TestTrain:
         meta = json.loads((seed_dir / "meta.json").read_text())
         assert meta["model_kind"] == "head"
         assert meta["steps_run"] == 60
+        assert meta["stop_reason"] == "max_steps"
         assert list((seed_dir / "ledger").glob("ckpt_step*.bin"))
 
     def test_seed_flag_overrides_config(self, tmp_path):
@@ -172,13 +173,30 @@ class TestBenchmark:
         assert (out_a / "records.csv").read_bytes() == (out_b / "records.csv").read_bytes()
         assert (out_a / "records_mean.csv").read_bytes() == (out_b / "records_mean.csv").read_bytes()
 
-    def test_reuses_already_trained_seeds(self, tmp_path):
+    def test_reuses_already_trained_seeds(self, tmp_path, monkeypatch):
         config = write_recipe(tmp_path)
         out = tmp_path / "out"
         main(["train", "--config", str(config), "--out", str(out)])
         before = (out / "train" / "seed0" / "params.ckpt").read_bytes()
+        monkeypatch.setattr(cli, "train_one_seed", None)  # a retrain would fail the run
         assert main(["benchmark", "--config", str(config), "--out", str(out)]) == 0
         assert (out / "train" / "seed0" / "params.ckpt").read_bytes() == before
+
+    def test_retrains_a_seed_trained_under_another_recipe(self, tmp_path):
+        out = tmp_path / "out"
+        head = write_recipe(tmp_path, name="head.cfg")
+        main(["train", "--config", str(head), "--out", str(out)])
+        ledger = out / "train" / "seed0" / "ledger"
+        (ledger / "ckpt_step999.bin").write_bytes(b"stale")
+        (out / "train" / "seed0" / "mdf_phase1").mkdir()
+        alignnet = write_recipe(tmp_path, BASE_RECIPE.replace("model.kind = head", "model.kind = alignnet"))
+        assert main(["benchmark", "--config", str(alignnet), "--out", str(out)]) == 0
+        meta = json.loads((out / "train" / "seed0" / "meta.json").read_text())
+        assert meta["model_kind"] == "alignnet"
+        assert meta["recipe_hash"] == cli.recipe_hash(cli.Recipe(parse_recipe(alignnet), tmp_path), None)
+        assert {r["model"] for r in read_csv(out / "records.csv")} == {"alignnet-parametric"}
+        assert not (ledger / "ckpt_step999.bin").exists()
+        assert not (out / "train" / "seed0" / "mdf_phase1").exists()
 
     def test_unknown_test_corpus_fails(self, tmp_path):
         config = write_recipe(tmp_path, BASE_RECIPE.replace("benchmark.tests = synth", "benchmark.tests = ghost"))

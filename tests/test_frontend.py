@@ -299,14 +299,14 @@ class TestFeatureScaler:
     def test_standardizes_fit_data(self):
         rng = np.random.default_rng(12)
         mats = [EmbeddingMatrix(frames=rng.normal(3.0, 2.0, size=(20, 4))) for _ in range(5)]
-        scaler = FeatureScaler.fit(mats)
+        scaler = FeatureScaler.fit(np.concatenate([m.frames for m in mats]))
         stacked = np.concatenate([scaler.transform(m).frames for m in mats])
         np.testing.assert_allclose(stacked.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(stacked.std(axis=0), 1.0, atol=1e-12)
 
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(13)
-        scaler = FeatureScaler.fit([EmbeddingMatrix(frames=rng.normal(size=(10, 3)))])
+        scaler = FeatureScaler.fit(rng.normal(size=(10, 3)))
         path = tmp_path / "s.bin"
         save_scaler(path, scaler)
         loaded = load_scaler(path)
@@ -319,6 +319,17 @@ class TestFeatureScaler:
         np.testing.assert_array_equal(ident.transform(mat).frames, mat.frames)
         with pytest.raises(ValidationError):
             FeatureScaler.identity(5).transform(mat)
+
+    def test_standardize_in_place_matches_transform_bitwise(self):
+        rng = np.random.default_rng(15)
+        frames = rng.normal(3.0, 2.0, size=(30, 4))
+        scaler = FeatureScaler.fit(frames)
+        expected = scaler.transform(EmbeddingMatrix(frames=frames)).frames
+        packed = frames.copy()
+        assert scaler.standardize(packed) is packed
+        np.testing.assert_array_equal(packed, expected)
+        with pytest.raises(ValidationError):
+            FeatureScaler.fit(np.empty((0, 4)))
 
 
 class TestFeaturize:

@@ -10,6 +10,8 @@ from sqkit import (
     EmbeddingMatrix,
     HeadParams,
     ScorePrediction,
+    ValidationError,
+    Workspace,
     alignnet_backward,
     alignnet_raw,
     copy_params,
@@ -228,6 +230,102 @@ class TestAlignNetGradients:
         params = AlignNetParams(**alignnet_arrays(rng, 4, 3, 2, 3, 3), dataset_ids=("a", "b", "c"))
         _, grads = alignnet_backward(params, rng.normal(size=(3, 4)), "b")
         assert np.all(grads["table"][[0, 2]] == 0.0)
+
+
+class TestPackedKernels:
+    """One packed call over a batch of unequal utterances (one of a single
+    frame) against central differences of the summed per-utterance loss."""
+
+    LENGTHS = (4, 1, 3, 2)
+    IDS = ("a", "b", "c")
+    ROWS = (2, 0, 2, 1)  # row 2 twice: its gradient must add up, not overwrite
+    TARGETS = np.array([2.0, -1.0, 0.5, 3.0])
+    WEIGHTS = np.array([1.0, 0.5, 2.0, 1.5])
+
+    def loss(self, raws):
+        err = raws - self.TARGETS
+        return float(np.sum(self.WEIGHTS * err**2)), 2.0 * self.WEIGHTS * err
+
+    def split(self, frames):
+        return np.split(frames, np.cumsum(self.LENGTHS)[:-1])
+
+    def test_head_finite_differences(self):
+        rng = np.random.default_rng(15)
+        dim, hidden = 5, 4
+
+        def draw():
+            return head_arrays(rng, dim, hidden), rng.normal(size=(sum(self.LENGTHS), dim))
+
+        arrays, frames = oracles.draw_clear_of_kinks(draw, lambda c: [c[1] @ c[0]["w1"] + c[0]["b1"]])
+        value, grads = head_backward(HeadParams(**arrays), frames, lengths=self.LENGTHS, loss=self.loss)
+
+        def total(a):
+            return self.loss(np.array([head_raw(HeadParams(**a), f) for f in self.split(frames)]))[0]
+
+        assert value == pytest.approx(total(arrays), rel=1e-14)
+        assert oracles.check_gradients(total, arrays, grads) < 1e-4
+
+    def test_alignnet_finite_differences(self):
+        rng = np.random.default_rng(16)
+        dim, hidden, embed_dim, decoder_hidden = 5, 4, 3, 4
+        ids = [self.IDS[r] for r in self.ROWS]
+
+        def draw():
+            return (
+                alignnet_arrays(rng, dim, hidden, embed_dim, decoder_hidden, len(self.IDS)),
+                rng.normal(size=(sum(self.LENGTHS), dim)),
+            )
+
+        def preacts(candidate):
+            arrays, frames = candidate
+            pre1 = frames @ arrays["w1"] + arrays["b1"]
+            embeds = np.repeat(arrays["table"][list(self.ROWS)], self.LENGTHS, axis=0)
+            fused = np.concatenate([np.maximum(pre1, 0.0), embeds], axis=1)
+            return [pre1, fused @ arrays["v1"] + arrays["c1"]]
+
+        arrays, frames = oracles.draw_clear_of_kinks(draw, preacts)
+        params = AlignNetParams(**arrays, dataset_ids=self.IDS)
+        value, grads = alignnet_backward(params, frames, lengths=self.LENGTHS, rows=self.ROWS, loss=self.loss)
+
+        def total(a):
+            p = AlignNetParams(**a, dataset_ids=self.IDS)
+            return self.loss(np.array([alignnet_raw(p, f, d) for f, d in zip(self.split(frames), ids)]))[0]
+
+        assert value == pytest.approx(total(arrays), rel=1e-14)
+        assert oracles.check_gradients(total, arrays, grads) < 1e-4
+
+    def test_reused_workspace_gives_the_same_gradients(self):
+        rng = np.random.default_rng(17)
+        params = AlignNetParams(**alignnet_arrays(rng, 5, 4, 3, 4, 3), dataset_ids=self.IDS)
+        frames = rng.normal(size=(sum(self.LENGTHS), 5))
+        work = Workspace(rows=2)
+        for lengths, rows in (((10,), (1,)), (self.LENGTHS, self.ROWS), ((2, 3), (0, 0))):
+            batch = frames[: sum(lengths)]
+            fresh = alignnet_backward(params, batch, lengths=lengths, rows=rows)
+            reused = alignnet_backward(params, batch, lengths=lengths, rows=rows, work=work)
+            assert fresh[0] == reused[0]
+            for name in fresh[1]:
+                np.testing.assert_array_equal(fresh[1][name], reused[1][name])
+
+    def test_loss_error_propagates(self):
+        params = init_head(3, 2, seed=0)
+
+        def reject(raws):
+            raise RuntimeError("rejected")
+
+        with pytest.raises(RuntimeError, match="rejected"):
+            head_backward(params, np.ones((3, 3)), lengths=[1, 2], loss=reject)
+
+    @pytest.mark.parametrize("lengths", [[], [3], [2, 0, 2], [[4]]])
+    def test_lengths_must_cover_the_frames(self, lengths):
+        with pytest.raises(ValidationError, match="lengths"):
+            head_backward(init_head(3, 2, seed=0), np.ones((4, 3)), lengths=lengths)
+
+    @pytest.mark.parametrize("rows", [[0], [0, 3], [-1, 0]])
+    def test_rows_must_index_the_table(self, rows):
+        params = init_alignnet(3, self.IDS, seed=0, hidden=2, embed_dim=2, decoder_hidden=2)
+        with pytest.raises(ValidationError, match="table row"):
+            alignnet_backward(params, np.ones((4, 3)), lengths=[2, 2], rows=rows)
 
 
 class TestCheckpointFiles:

@@ -11,13 +11,16 @@ from sqkit import (
     EmbeddingMatrix,
     FeatureScaler,
     FrontendConfig,
+    HeadParams,
     PooledCorpus,
     Sample,
     TrainConfig,
     ValidationError,
+    alignnet_raw,
     clipped_mse,
     featurize,
-    head_backward,
+    head_raw,
+    init_alignnet,
     init_head,
     named_rng,
     params_equal,
@@ -75,6 +78,36 @@ def make_corpus(tmp_path, name, n_train=12, n_dev=6, seed=0, mos_fn=None, dev_mo
 
 
 FRONTEND = FrontendConfig(kind="precomputed", expected_dim=DIM)
+
+
+def per_sample_reference(params, frames, dataset_id):
+    """Raw score and d(raw)/d(theta) of one utterance, written out the
+    unpacked way (alignnet builds the fused trunk+embedding matrix)."""
+    t = len(frames)
+    pre1 = frames @ params.w1 + params.b1
+    trunk = np.maximum(pre1, 0.0)
+    if isinstance(params, HeadParams):
+        d_trunk = np.where(pre1 > 0.0, params.w2, 0.0) / t
+        grads = {"w1": frames.T @ d_trunk, "b1": d_trunk.sum(axis=0), "w2": trunk.mean(axis=0), "b2": np.ones(())}
+        return head_raw(params, frames), grads
+    h, row = params.hidden, params.row_index(dataset_id)
+    fused = np.concatenate([trunk, np.tile(params.table[row], (t, 1))], axis=1)
+    pre2 = fused @ params.v1 + params.c1
+    d_dec = np.where(pre2 > 0.0, params.v2, 0.0) / t
+    d_fused = d_dec @ params.v1.T
+    d_trunk = np.where(pre1 > 0.0, d_fused[:, :h], 0.0)
+    d_table = np.zeros_like(params.table)
+    d_table[row] = d_fused[:, h:].sum(axis=0)
+    grads = {
+        "w1": frames.T @ d_trunk,
+        "b1": d_trunk.sum(axis=0),
+        "table": d_table,
+        "v1": fused.T @ d_dec,
+        "c1": d_dec.sum(axis=0),
+        "v2": np.maximum(pre2, 0.0).mean(axis=0),
+        "c2": np.ones(()),
+    }
+    return alignnet_raw(params, frames, dataset_id), grads
 
 
 class TestClippedMse:
@@ -166,28 +199,30 @@ class TestCheckpointLedger:
 
 
 class TestTrainLoop:
-    def test_one_step_matches_hand_sgd(self, tmp_path):
-        corpus = make_corpus(tmp_path, "tiny", n_train=8, n_dev=5, seed=1)
+    # The packed step sums gradients in another order than a per-sample
+    # loop, so the hand reference agrees to rounding, not bitwise: at most
+    # 6e-17 measured on parameters near 0.7. 1e-15 is still far below the
+    # step itself, which moves every parameter array by more than 1e-6.
+    def check_one_step(self, kind, corpus, params, **sizes):
         config = TrainConfig(
             batch_size=8, lr=0.01, momentum=0.9, max_steps=1, loss_tau=0.0, seed=3,
             eval_interval=1, patience_steps=10, top_k=2,
         )
-        result = train("head", corpus, FRONTEND, config, hidden=4)
-
-        # Replicate the step by hand from the same deterministic pieces.
-        raw_mats = [featurize(s, FRONTEND) for s in corpus.samples("train")]
-        scaler = FeatureScaler.fit(raw_mats)
-        mats = [scaler.transform(m) for m in raw_mats]
-        params = init_head(DIM, 4, seed=3)
+        result = train(kind, corpus, FRONTEND, config, **sizes)
         assert params_equal(result.initial_params, params)
 
+        # Replicate the step by hand from the same deterministic pieces.
+        samples = corpus.samples("train")
+        raw_mats = [featurize(s, FRONTEND) for s in samples]
+        scaler = FeatureScaler.fit(np.concatenate([m.frames for m in raw_mats]))
+        mats = [scaler.transform(m) for m in raw_mats]
         order = named_rng(3, "shuffle").permutation(8).tolist()
         raws, grads = [], []
         for i in order:
-            raw, g = head_backward(params, mats[i].frames)
+            raw, g = per_sample_reference(params, mats[i].frames, samples[i].dataset_id)
             raws.append(raw)
             grads.append(g)
-        targets = np.array([corpus.samples("train")[i].mos for i in order])
+        targets = np.array([samples[i].mos for i in order])
         _, dpred = clipped_mse(np.array(raws), targets, tau=0.0)
         total = {name: np.zeros_like(arr) for name, arr in params.as_dict().items()}
         for scale, g in zip(dpred, grads):
@@ -195,8 +230,23 @@ class TestTrainLoop:
                 total[name] += scale * g[name]
         expected = {name: arr - 0.01 * total[name] for name, arr in params.as_dict().items()}
 
+        assert result.steps_run == 1 and result.stop_reason == "max_steps"
         for name, arr in result.params.as_dict().items():
-            np.testing.assert_array_equal(arr, expected[name])
+            assert np.max(np.abs(expected[name] - params.as_dict()[name])) > 1e-6  # the step moved it
+            np.testing.assert_allclose(arr, expected[name], rtol=0, atol=1e-15)
+
+    def test_one_step_matches_hand_sgd(self, tmp_path):
+        corpus = make_corpus(tmp_path, "tiny", n_train=8, n_dev=5, seed=1)
+        self.check_one_step("head", corpus, init_head(DIM, 4, seed=3), hidden=4)
+
+    def test_one_alignnet_step_over_both_datasets_matches_hand_sgd(self, tmp_path):
+        # batch_size 8 takes the whole pooled train split: both table rows in one batch.
+        corpus = pool([
+            make_corpus(tmp_path, "seta", n_train=4, n_dev=4, seed=1),
+            make_corpus(tmp_path, "setb", n_train=4, n_dev=4, seed=2),
+        ])
+        params = init_alignnet(DIM, ("seta", "setb"), seed=3, hidden=4, embed_dim=2, decoder_hidden=3)
+        self.check_one_step("alignnet", corpus, params, hidden=4, embed_dim=2, decoder_hidden=3)
 
     def test_same_seed_is_bit_identical(self, tmp_path):
         corpus = make_corpus(tmp_path, "det", seed=2)
@@ -214,6 +264,7 @@ class TestTrainLoop:
         assert params_equal(result.params, result.initial_params)
         assert result.ledger.entries == []
         assert result.steps_run == 0
+        assert result.stop_reason == "zero_steps"
 
     def test_early_stop_when_dev_criterion_stays_undefined(self, tmp_path):
         # Constant dev targets make the correlation undefined at every
@@ -224,6 +275,7 @@ class TestTrainLoop:
         )
         result = train("head", corpus, FRONTEND, config, hidden=4)
         assert result.steps_run == 8
+        assert result.stop_reason == "patience"
         assert result.ledger.entries == []
         assert all(rec.dev_criterion is None for rec in result.log)
 
