@@ -45,7 +45,7 @@ from .errors import (
 )
 from .export import distribution_data, export_embeddings, pca_2d
 from .frontend import FeatureScaler, FrontendConfig, load_scaler, save_scaler
-from .inference import Datastore, KnnConfig, build_datastore, predict_split, save_datastore
+from .inference import INFERENCE_MODES, Datastore, KnnConfig, build_datastore, predict_split, save_datastore
 from .metrics import DEFAULT_METRIC_KEYS, EvalPairs, MetricReport, aggregate, mse, pearson, spearman, system_aggregate
 from .model import ModelParams, load_params, save_params
 from .training import MdfResult, TrainConfig, TrainResult, select_criterion, train, train_mdf
@@ -54,7 +54,6 @@ logger = logging.getLogger(__name__)
 
 LOCK_NAME = ".sqkit.lock"
 MODEL_SECTIONS = ("corpus.", "frontend.", "model.", "train.")
-INFERENCE_MODES = ("parametric", "knn", "domain-retrieval")
 
 
 # ---------------------------------------------------------------- recipes

@@ -5,11 +5,19 @@ per training sample and never changes after it is built, so queries are
 pure functions. kNN weighting uses exp(-d/temperature) by default: nearer
 neighbors count more. The as-published formula weighted by exp(+d), which
 favors far neighbors; pass paper_literal=True to reproduce it.
+
+Retrieval is exact and batched. ``retrieve_neighbors`` takes one query or
+a (Q, D) batch. It screens all records with one matrix product per block
+of query rows, keeps every record that rounding error allows among the k
+nearest, recomputes those distances row by row and ranks them by
+(distance, score, dataset_id). A query gets the same neighbors, bit for
+bit, alone or inside a batch, and ``predict_split`` makes one call per
+split in the retrieval modes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -23,16 +31,37 @@ from .model import AlignNetParams, HeadParams, ModelParams, ScorePrediction, ali
 
 DATASTORE_MAGIC = b"SQDS"
 DISTANCE_KINDS = ("euclidean", "cosine")
+INFERENCE_MODES = ("parametric", "knn", "domain-retrieval")
+
+# The screening buffer holds about this many bytes of float64 distances:
+# as many query rows per block as fit, and at least one.
+_BLOCK_BYTES = 2 ** 21
+
+
+def _squared_norms(rows: np.ndarray) -> np.ndarray:
+    """Row-wise squared norms; inf where one overflows, so that a caller can
+    reject vectors too large for the distance arithmetic."""
+    with np.errstate(over="ignore"):
+        return np.sum(rows * rows, axis=1)
 
 
 @dataclass(frozen=True)
 class Datastore:
-    """Immutable retrieval index: (N, D) embeddings with scores and origins."""
+    """Immutable retrieval index: (N, D) embeddings with scores and origins.
+
+    Derived once on construction: ``id_table`` (the sorted unique dataset
+    ids), ``id_codes`` (each record's index in it, so the tie-break sorts
+    integers in the same order as the strings) and ``sq_norms`` (each
+    embedding's squared norm).
+    """
 
     embeddings: np.ndarray
     scores: np.ndarray
     dataset_ids: tuple[str, ...]
     distance_kind: str = "euclidean"
+    id_table: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    id_codes: np.ndarray = field(init=False, repr=False, compare=False)
+    sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         emb = np.asarray(self.embeddings, dtype=np.float64)
@@ -43,8 +72,16 @@ class Datastore:
             raise ValidationError("embeddings, scores and dataset_ids must align")
         if self.distance_kind not in DISTANCE_KINDS:
             raise ValidationError(f"distance_kind must be one of {DISTANCE_KINDS}")
+        sq_norms = _squared_norms(emb)
+        if not (np.all(np.isfinite(sq_norms)) and np.all(np.isfinite(scores))):
+            raise ValidationError("datastore embeddings and scores must be finite, and no squared norm may overflow")
+        id_table = tuple(sorted(set(self.dataset_ids)))
+        code = {d: i for i, d in enumerate(id_table)}
         object.__setattr__(self, "embeddings", emb)
         object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "id_table", id_table)
+        object.__setattr__(self, "id_codes", np.array([code[d] for d in self.dataset_ids], dtype=np.intp))
+        object.__setattr__(self, "sq_norms", sq_norms)
 
     def __len__(self) -> int:
         return int(self.embeddings.shape[0])
@@ -72,24 +109,69 @@ class KnnConfig:
 
 @dataclass(frozen=True)
 class NeighborSet:
-    """k retrieved records, ascending by distance."""
+    """k retrieved records, ascending by (distance, score, dataset_id).
+
+    For one (D,) query the arrays are (k,) and dataset_ids is a k-tuple;
+    for a (Q, D) batch the arrays are (Q, k) and dataset_ids holds one
+    k-tuple per query. len() is k for one query and Q for a batch.
+    """
 
     distances: np.ndarray
     scores: np.ndarray
-    dataset_ids: tuple[str, ...]
+    dataset_ids: tuple
 
     def __len__(self) -> int:
         return len(self.dataset_ids)
 
 
-def _distances(ds_embeddings: np.ndarray, query: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "euclidean":
-        return np.sqrt(np.sum((ds_embeddings - query) ** 2, axis=1))
+def _screen(ds: Datastore, block: np.ndarray, q_sq: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
+    """Approximate distances from each row of a (B, D) query block, whose
+    squared norms are q_sq, to every record, written into out (B, N);
+    returns each row's candidate limit.
+
+    Euclidean screens by the squared distance ||e||^2 + ||q||^2 - 2 e.q,
+    cosine by 1 - e.q / (||e|| ||q||), so both cost one matrix product.
+    """
+    np.matmul(block, ds.embeddings.T, out=out)
+    if ds.distance_kind == "euclidean":
+        out *= -2.0
+        out += ds.sq_norms
+        out += q_sq[:, None]
+        scale = ds.sq_norms.max() + q_sq
+    else:
+        e_norms, q_norms = np.sqrt(ds.sq_norms), np.sqrt(q_sq)
+        out *= np.divide(1.0, e_norms, out=np.zeros_like(e_norms), where=e_norms > 0)
+        out *= np.divide(1.0, q_norms, out=np.zeros_like(q_norms), where=q_norms > 0)[:, None]
+        np.clip(out, -1.0, 1.0, out=out)
+        out[:, e_norms == 0] = -1.0
+        out[q_norms == 0] = -1.0
+        np.subtract(1.0, out, out=out)
+        scale = 2.0
+    # Error allowance, with unit roundoff u = eps/2 and M = max||e||^2 +
+    # ||q||^2: each dot product of length D errs by at most D*u times the
+    # sum of its terms' magnitudes, so the expansion misses the true squared
+    # distance by at most (2D + 3)*u*M, and the row-wise recompute in
+    # _distances by at most (D + 2)*u times a squared distance <= 2M. A
+    # record of the exact top k, counting records that tie with the k-th
+    # after the square root (relative gap <= 4u), therefore screens at most
+    # (8D + 22)*u*M above the k-th smallest screened value. The allowance
+    # (16D + 32)*u*M exceeds that. Cosine is the same argument on unit
+    # vectors, M = 2.
+    tol = 8 * (ds.dim + 2) * np.finfo(np.float64).eps * scale
+    return np.partition(out, k - 1, axis=1)[:, k - 1] + tol
+
+
+def _distances(ds: Datastore, rows: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Exact distances from query to the given records, each computed from
+    its own record alone, so it does not depend on which rows are asked."""
+    emb = ds.embeddings[rows]
+    if ds.distance_kind == "euclidean":
+        return np.sqrt(np.sum((emb - query) ** 2, axis=1))
     q_norm = np.linalg.norm(query)
-    e_norms = np.linalg.norm(ds_embeddings, axis=1)
+    e_norms = np.sqrt(ds.sq_norms[rows])
     # Zero-norm vectors have no direction; give them the maximum distance.
     with np.errstate(invalid="ignore", divide="ignore"):
-        cos = (ds_embeddings @ query) / (e_norms * q_norm)
+        cos = np.sum(emb * query, axis=1) / (e_norms * q_norm)
     cos = np.where((e_norms == 0) | (q_norm == 0), -1.0, cos)
     return 1.0 - np.clip(cos, -1.0, 1.0)
 
@@ -119,20 +201,44 @@ def build_datastore(
 
 
 def retrieve_neighbors(ds: Datastore, query: np.ndarray, k: int) -> NeighborSet:
-    """The k nearest records; ties broken by score then dataset_id so the
-    result never depends on datastore record order."""
+    """The k nearest records of a (D,) query, or of each row of a (Q, D)
+    batch; ties broken by score then dataset_id so the result never depends
+    on datastore record order. Row i of a batch equals the call on query[i]
+    bit for bit.
+
+    Each block of query rows is screened in one buffer of about 2 MB;
+    only the records within the rounding-error allowance of the k-th
+    screened value get exact distances and the tie-break sort.
+    """
     query = np.asarray(query, dtype=np.float64)
-    if query.shape != (ds.dim,):
-        raise ValidationError(f"query shape {query.shape} != ({ds.dim},)")
+    if query.ndim not in (1, 2) or query.shape[-1] != ds.dim:
+        raise ValidationError(f"query shape {query.shape} is neither ({ds.dim},) nor (Q, {ds.dim})")
     if k > len(ds):
         raise ValidationError(f"k={k} exceeds datastore size {len(ds)}")
-    dists = _distances(ds.embeddings, query, ds.distance_kind)
-    order = np.lexsort((np.array(ds.dataset_ids), ds.scores, dists))[:k]
-    return NeighborSet(
-        distances=dists[order],
-        scores=ds.scores[order],
-        dataset_ids=tuple(ds.dataset_ids[i] for i in order),
-    )
+    if k < 1:
+        raise ValidationError(f"k={k} must be >= 1")
+    batch = np.atleast_2d(query)
+    q_sq = _squared_norms(batch)
+    if not np.all(np.isfinite(q_sq)):
+        raise ValidationError("query has non-finite values or a squared norm that overflows")
+    block_rows = max(1, _BLOCK_BYTES // (8 * len(ds)))
+    screened = np.empty((min(block_rows, len(batch)), len(ds)))
+    distances = np.empty((len(batch), k))
+    index = np.empty((len(batch), k), dtype=np.intp)
+    for start in range(0, len(batch), block_rows):
+        block = batch[start : start + block_rows]
+        approx = screened[: len(block)]
+        limits = _screen(ds, block, q_sq[start : start + block_rows], k, approx)
+        for i, (row, approx_row, limit) in enumerate(zip(block, approx, limits), start):
+            candidates = np.flatnonzero(approx_row <= limit)
+            dists = _distances(ds, candidates, row)
+            order = np.lexsort((ds.id_codes[candidates], ds.scores[candidates], dists))[:k]
+            distances[i] = dists[order]
+            index[i] = candidates[order]
+    ids = tuple(tuple(ds.dataset_ids[j] for j in row) for row in index.tolist())
+    if query.ndim == 1:
+        return NeighborSet(distances=distances[0], scores=ds.scores[index[0]], dataset_ids=ids[0])
+    return NeighborSet(distances=distances, scores=ds.scores[index], dataset_ids=ids)
 
 
 def knn_weights(distances: np.ndarray, temperature: float, paper_literal: bool = False) -> np.ndarray:
@@ -148,16 +254,37 @@ def knn_weights(distances: np.ndarray, temperature: float, paper_literal: bool =
     return w / w.sum()
 
 
+def _check_distance_kind(ds: Datastore, cfg: KnnConfig) -> None:
+    if cfg.distance_kind != ds.distance_kind:
+        raise ValidationError(
+            f"kNN config distance {cfg.distance_kind!r} does not match the datastore's {ds.distance_kind!r}"
+        )
+
+
+def _one_query(ds: Datastore, query: np.ndarray, k: int) -> NeighborSet:
+    query = np.asarray(query, dtype=np.float64)
+    if query.ndim != 1:
+        raise ValidationError(f"query shape {query.shape} != ({ds.dim},)")
+    return retrieve_neighbors(ds, query, k)
+
+
+def _knn_score(distances: np.ndarray, scores: np.ndarray, cfg: KnnConfig) -> float:
+    return float(knn_weights(distances, cfg.temperature, cfg.paper_literal) @ scores)
+
+
 def knn_predict(ds: Datastore, query: np.ndarray, cfg: KnnConfig) -> float:
-    """Softmax-weighted average of the k nearest scores (convex combination)."""
-    neighbors = retrieve_neighbors(ds, query, cfg.k)
-    w = knn_weights(neighbors.distances, cfg.temperature, cfg.paper_literal)
-    return float(w @ neighbors.scores)
+    """Softmax-weighted average of the k nearest scores (convex combination).
+
+    The config's distance kind must be the datastore's.
+    """
+    _check_distance_kind(ds, cfg)
+    neighbors = _one_query(ds, query, cfg.k)
+    return _knn_score(neighbors.distances, neighbors.scores, cfg)
 
 
 def nearest_dataset_id(ds: Datastore, query: np.ndarray) -> str:
     """Which training corpus the query most resembles (1-NN)."""
-    return retrieve_neighbors(ds, query, 1).dataset_ids[0]
+    return _one_query(ds, query, 1).dataset_ids[0]
 
 
 def parametric_predict(params: ModelParams, mat: EmbeddingMatrix, dataset_id: str | None = None) -> float:
@@ -176,8 +303,7 @@ def domain_embedding_retrieval_predict(params: AlignNetParams, ds: Datastore, ma
     query picks the training dataset it most resembles and borrows that
     dataset's embedding row.
     """
-    chosen = nearest_dataset_id(ds, pool_time(mat))
-    return ScorePrediction.from_raw(alignnet_raw(params, mat.frames, chosen)).clipped
+    return parametric_predict(params, mat, nearest_dataset_id(ds, pool_time(mat)))
 
 
 def predict_split(
@@ -194,27 +320,35 @@ def predict_split(
 
     Modes: "parametric" (forward pass; alignnet uses each sample's own
     dataset_id), "knn" (datastore retrieval, model params unused beyond
-    the shared feature space), "domain-retrieval" (alignnet with the
-    nearest neighbor's dataset embedding).
+    the shared feature space; knn_config defaults to KnnConfig() with the
+    datastore's distance kind), "domain-retrieval" (alignnet with the
+    nearest neighbor's dataset embedding). Arguments are checked before
+    any sample is featurized. The retrieval modes featurize the whole
+    split, then make one batched retrieve_neighbors call; each prediction
+    equals knn_predict / domain_embedding_retrieval_predict on its sample.
     """
+    if mode not in INFERENCE_MODES:
+        raise ValidationError(f"unknown inference mode {mode!r}")
+    if mode != "parametric" and datastore is None:
+        raise ValidationError(f"mode {mode!r} needs a datastore")
+    if mode == "domain-retrieval" and not isinstance(params, AlignNetParams):
+        raise ValidationError("domain-retrieval needs alignnet parameters")
+    if mode == "knn":
+        knn_config = knn_config or KnnConfig(distance_kind=datastore.distance_kind)
+        _check_distance_kind(datastore, knn_config)
     samples = corpus.samples(split)
     if not samples:
         raise ValueError(f"corpus has no samples in split {split!r}")
-    if mode in ("knn", "domain-retrieval") and datastore is None:
-        raise ValidationError(f"mode {mode!r} needs a datastore")
-    preds = []
-    for sample in samples:
-        mat = featurize(sample, frontend_config, scaler)
-        if mode == "parametric":
-            preds.append(parametric_predict(params, mat, sample.dataset_id))
-        elif mode == "knn":
-            preds.append(knn_predict(datastore, pool_time(mat), knn_config or KnnConfig()))
-        elif mode == "domain-retrieval":
-            if not isinstance(params, AlignNetParams):
-                raise ValidationError("domain-retrieval needs alignnet parameters")
-            preds.append(domain_embedding_retrieval_predict(params, datastore, mat))
-        else:
-            raise ValidationError(f"unknown inference mode {mode!r}")
+    if mode == "parametric":
+        preds = [parametric_predict(params, featurize(s, frontend_config, scaler), s.dataset_id) for s in samples]
+    elif mode == "knn":
+        queries = np.stack([pool_time(featurize(s, frontend_config, scaler)) for s in samples])
+        neighbors = retrieve_neighbors(datastore, queries, knn_config.k)
+        preds = [_knn_score(d, sc, knn_config) for d, sc in zip(neighbors.distances, neighbors.scores)]
+    else:
+        mats = [featurize(s, frontend_config, scaler) for s in samples]
+        neighbors = retrieve_neighbors(datastore, np.stack([pool_time(m) for m in mats]), 1)
+        preds = [parametric_predict(params, m, ids[0]) for m, ids in zip(mats, neighbors.dataset_ids)]
     return EvalPairs(
         sample_ids=tuple(s.sample_id for s in samples),
         system_ids=tuple(s.system_id for s in samples),
@@ -231,14 +365,12 @@ def save_datastore(path: str | Path, ds: Datastore) -> None:
     """Binary datastore: magic SQDS, uint8 distance kind, uint32 N, D and
     id count, the sorted dataset-id string table, then N records of float32
     embedding, float32 score and uint32 string-table index."""
-    unique_ids = sorted(set(ds.dataset_ids))
-    index = {d: i for i, d in enumerate(unique_ids)}
     records = np.empty(len(ds), dtype=_record_dtype(ds.dim))
     records["embedding"] = ds.embeddings
     records["score"] = ds.scores
-    records["id"] = [index[d] for d in ds.dataset_ids]
-    fields = (DISTANCE_KINDS.index(ds.distance_kind), len(ds), ds.dim, len(unique_ids))
-    write_artifact(path, DATASTORE_MAGIC, "<BIII", fields, pack_strings(unique_ids), records.tobytes())
+    records["id"] = ds.id_codes
+    fields = (DISTANCE_KINDS.index(ds.distance_kind), len(ds), ds.dim, len(ds.id_table))
+    write_artifact(path, DATASTORE_MAGIC, "<BIII", fields, pack_strings(ds.id_table), records.tobytes())
 
 
 def load_datastore(path: str | Path) -> Datastore:
@@ -256,8 +388,6 @@ def load_datastore(path: str | Path) -> Datastore:
     id_index = records["id"].tolist()
     if set(id_index) != set(range(n_ids)):
         raise ValidationError(f"{path}: record dataset-id indices do not cover the {n_ids}-entry table")
-    if not (np.all(np.isfinite(records["embedding"])) and np.all(np.isfinite(records["score"]))):
-        raise ValidationError(f"{path}: non-finite embedding or score")
     return Datastore(
         embeddings=records["embedding"],
         scores=records["score"],

@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 
 import oracles
+import sqkit.inference
 from sqkit import (
     Datastore,
     EmbeddingMatrix,
     FrontendConfig,
     KnnConfig,
+    PooledCorpus,
     ScorePrediction,
     ValidationError,
     build_datastore,
     domain_embedding_retrieval_predict,
+    featurize,
     head_raw,
     init_alignnet,
     init_head,
@@ -26,7 +29,7 @@ from sqkit import (
     retrieve_neighbors,
     save_datastore,
 )
-from test_training import FRONTEND, make_corpus
+from test_training import DIM, FRONTEND, make_corpus
 
 
 def line_datastore(values, scores, ids=None, kind="euclidean"):
@@ -75,11 +78,16 @@ class TestRetrieveNeighbors:
         ds = line_datastore([1.0, 2.0], [3, 4])
         with pytest.raises(ValidationError, match="exceeds"):
             retrieve_neighbors(ds, np.array([0.0]), k=3)
+        with pytest.raises(ValidationError, match="k=0"):
+            retrieve_neighbors(ds, np.array([0.0]), k=0)
 
     def test_query_shape_checked(self):
         ds = line_datastore([1.0], [3])
+        for bad in (np.zeros(2), np.zeros((3, 2)), np.zeros((1, 1, 1))):
+            with pytest.raises(ValidationError):
+                retrieve_neighbors(ds, bad, k=1)
         with pytest.raises(ValidationError):
-            retrieve_neighbors(ds, np.zeros(2), k=1)
+            knn_predict(ds, np.zeros((1, 1)), KnnConfig(k=1))
 
     def test_tie_break_ignores_record_order(self):
         # Two records at identical distance: the one with lower score wins
@@ -90,6 +98,133 @@ class TestRetrieveNeighbors:
         nb = retrieve_neighbors(b, np.array([0.0]), k=1)
         assert na.scores[0] == nb.scores[0] == 2.0
         assert na.dataset_ids == nb.dataset_ids == ("q",)
+
+
+def reference_neighbors(ds, query, k):
+    """Retrieval as it was before batching: every distance, then a full
+    lexsort with the dataset ids as a string key. Cosine takes its dot
+    products row by row, as the kernel does."""
+    emb = ds.embeddings
+    if ds.distance_kind == "euclidean":
+        dists = np.sqrt(np.sum((emb - query) ** 2, axis=1))
+    else:
+        q_norm = np.linalg.norm(query)
+        e_norms = np.linalg.norm(emb, axis=1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cos = np.sum(emb * query, axis=1) / (e_norms * q_norm)
+        cos = np.where((e_norms == 0) | (q_norm == 0), -1.0, cos)
+        dists = 1.0 - np.clip(cos, -1.0, 1.0)
+    order = np.lexsort((np.array(ds.dataset_ids), ds.scores, dists))[:k]
+    return dists[order], ds.scores[order], tuple(ds.dataset_ids[i] for i in order)
+
+
+def random_points(rng, style, shape):
+    if style == "normal":
+        return rng.normal(size=shape)
+    if style == "grid":  # duplicate-heavy: exact distance ties, zero vectors
+        return rng.integers(-1, 2, size=shape).astype(np.float64)
+    return 1e4 + rng.normal(size=shape)  # large offset: the expansion cancels
+
+
+def assert_same_bits(got, want):
+    distances, scores, ids = want
+    assert got.distances.tobytes() == np.asarray(distances).tobytes()
+    assert got.scores.tobytes() == np.asarray(scores).tobytes()
+    assert got.dataset_ids == ids
+
+
+class TestBatchedKernel:
+    def test_matches_reference_on_random_stores(self, monkeypatch):
+        """200 random stores, both distance kinds, every k from 1 to N:
+        the batch and each 1-D call equal the reference bit for bit."""
+        rng = np.random.default_rng(5005)
+        for _ in range(200):
+            n, d = int(rng.integers(1, 41)), int(rng.integers(1, 9))
+            style = str(rng.choice(["normal", "grid", "offset"]))
+            ds = Datastore(
+                random_points(rng, style, (n, d)),
+                rng.integers(1, 4, size=n).astype(np.float64),
+                tuple(str(x) for x in rng.choice(["b", "a", "c"], size=n)),
+                distance_kind=str(rng.choice(sqkit.inference.DISTANCE_KINDS)),
+            )
+            n_queries = int(rng.integers(1, 12))
+            queries = random_points(rng, style, (n_queries, d))
+            copies = rng.integers(0, n, size=n_queries // 2)
+            queries[: len(copies)] = ds.embeddings[copies]
+            # Screen 1 to n_queries rows per block, so batches span blocks.
+            block_rows = int(rng.integers(1, n_queries + 1))
+            monkeypatch.setattr(sqkit.inference, "_BLOCK_BYTES", 8 * n * block_rows)
+            full = [reference_neighbors(ds, q, n) for q in queries]
+            for k in range(1, n + 1):
+                batch = retrieve_neighbors(ds, queries, k)
+                assert batch.distances.shape == batch.scores.shape == (n_queries, k)
+                assert len(batch) == n_queries
+                for i, q in enumerate(queries):
+                    want = tuple(part[:k] for part in full[i])
+                    single = retrieve_neighbors(ds, q, k)
+                    assert single.distances.shape == (k,) and len(single) == k
+                    assert_same_bits(single, want)
+                    assert_same_bits(
+                        sqkit.inference.NeighborSet(batch.distances[i], batch.scores[i], batch.dataset_ids[i]),
+                        want,
+                    )
+
+    def test_batch_spanning_blocks_at_the_real_block_size(self):
+        rng = np.random.default_rng(5006)
+        n = 2 ** 16 + 3
+        ds = Datastore(
+            rng.integers(-3, 4, size=(n, 3)).astype(np.float64),
+            rng.integers(1, 6, size=n).astype(np.float64),
+            tuple(f"d{i}" for i in rng.integers(0, 4, size=n)),
+        )
+        queries = rng.integers(-3, 4, size=(7, 3)).astype(np.float64)
+        assert len(queries) > sqkit.inference._BLOCK_BYTES // (8 * n) >= 1
+        for k in (1, 7, 500):
+            batch = retrieve_neighbors(ds, queries, k)
+            for i, q in enumerate(queries):
+                want = reference_neighbors(ds, q, k)
+                assert_same_bits(retrieve_neighbors(ds, q, k), want)
+                np.testing.assert_array_equal(batch.distances[i], want[0])
+                assert batch.dataset_ids[i] == want[2]
+
+    def test_empty_batch(self):
+        ds = line_datastore([1.0, 2.0], [3, 4])
+        batch = retrieve_neighbors(ds, np.zeros((0, 1)), k=2)
+        assert batch.distances.shape == (0, 2) and batch.dataset_ids == ()
+
+
+class TestNonFiniteInputs:
+    # 1e200 is finite, but its square overflows the distance arithmetic.
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    def test_query_rejected(self, bad):
+        ds = Datastore(np.eye(3), np.ones(3), ("a", "b", "c"))
+        with pytest.raises(ValidationError, match="non-finite"):
+            retrieve_neighbors(ds, np.array([bad, 0.0, 0.0]), 2)
+        batch = np.zeros((4, 3))
+        batch[2, 1] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            retrieve_neighbors(ds, batch, 2)
+        with pytest.raises(ValidationError, match="non-finite"):
+            knn_predict(ds, np.array([0.0, bad, 0.0]), KnnConfig(k=2))
+
+    @pytest.mark.parametrize("field, bad", [
+        ("embeddings", np.nan), ("embeddings", -np.inf), ("embeddings", 1e200), ("scores", np.nan), ("scores", np.inf),
+    ])
+    def test_datastore_rejected(self, field, bad):
+        arrays = {"embeddings": np.zeros((2, 2)), "scores": np.ones(2)}
+        arrays[field].flat[1] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            Datastore(dataset_ids=("a", "b"), **arrays)
+
+    def test_loading_a_nan_record_is_validation_error(self, tmp_path):
+        path = tmp_path / "store.bin"
+        save_datastore(path, Datastore(np.array([[1234.5, 0.0]]), np.array([3.0]), ("a",)))
+        data = path.read_bytes()
+        marker = np.float32(1234.5).tobytes()
+        assert data.count(marker) == 1
+        path.write_bytes(data.replace(marker, np.float32(np.nan).tobytes()))
+        with pytest.raises(ValidationError, match="finite"):
+            load_datastore(path)
 
 
 class TestKnnWeights:
@@ -256,6 +391,13 @@ class TestDomainRetrieval:
         assert pred_a == pred_b
 
 
+def forbid_featurize(monkeypatch):
+    def featurized(*_args, **_kwargs):
+        raise AssertionError("predict_split featurized a sample before checking its arguments")
+
+    monkeypatch.setattr(sqkit.inference, "featurize", featurized)
+
+
 class TestPredictSplit:
     def test_parametric_matches_per_sample_loop(self, tmp_path):
         from sqkit import featurize
@@ -269,24 +411,70 @@ class TestPredictSplit:
         np.testing.assert_array_equal(pairs.pred, expected)
         np.testing.assert_array_equal(pairs.true, [s.mos for s in corpus.samples("dev")])
 
-    def test_knn_mode_needs_datastore(self, tmp_path):
+    def test_knn_mode_needs_datastore(self, tmp_path, monkeypatch):
         corpus = make_corpus(tmp_path, "psk", seed=8)
         params = init_head(6, 4, seed=0)
+        forbid_featurize(monkeypatch)
         with pytest.raises(ValidationError, match="datastore"):
             predict_split(corpus, "dev", FRONTEND, None, params, mode="knn")
 
-    def test_domain_retrieval_needs_alignnet(self, tmp_path):
+    def test_domain_retrieval_needs_alignnet(self, tmp_path, monkeypatch):
         corpus = make_corpus(tmp_path, "psd", seed=9)
         ds = build_datastore(FRONTEND, corpus)
         params = init_head(6, 4, seed=0)
+        forbid_featurize(monkeypatch)
         with pytest.raises(ValidationError, match="alignnet"):
             predict_split(corpus, "dev", FRONTEND, None, params, mode="domain-retrieval", datastore=ds)
 
-    def test_unknown_mode_rejected(self, tmp_path):
+    def test_unknown_mode_rejected(self, tmp_path, monkeypatch):
         corpus = make_corpus(tmp_path, "psu", seed=10)
         params = init_head(6, 4, seed=0)
+        forbid_featurize(monkeypatch)
         with pytest.raises(ValidationError, match="unknown inference mode"):
             predict_split(corpus, "dev", FRONTEND, None, params, mode="oracle")
+
+    def test_knn_config_distance_must_match_the_datastore(self, tmp_path, monkeypatch):
+        corpus = make_corpus(tmp_path, "psm", seed=12)
+        ds = build_datastore(FRONTEND, corpus)
+        cosine = KnnConfig(k=1, distance_kind="cosine")
+        with pytest.raises(ValidationError, match="does not match"):
+            knn_predict(ds, ds.embeddings[0], cosine)
+        forbid_featurize(monkeypatch)
+        with pytest.raises(ValidationError, match="does not match"):
+            predict_split(corpus, "dev", FRONTEND, None, None, mode="knn", knn_config=cosine, datastore=ds)
+
+    def test_knn_needs_no_params_and_defaults_to_the_store_distance(self, tmp_path):
+        corpus = make_corpus(tmp_path, "psn", seed=13)
+        ds = build_datastore(FRONTEND, corpus, distance_kind="cosine")
+        pairs = predict_split(corpus, "dev", FRONTEND, None, None, mode="knn", datastore=ds)
+        expected = [
+            knn_predict(ds, pool_time(featurize(s, FRONTEND)), KnnConfig(distance_kind="cosine"))
+            for s in corpus.samples("dev")
+        ]
+        np.testing.assert_array_equal(pairs.pred, expected)
+
+    @pytest.mark.parametrize("kind", ["euclidean", "cosine"])
+    def test_retrieval_modes_match_per_sample_loop_bitwise(self, tmp_path, monkeypatch, kind):
+        pooled = PooledCorpus((
+            make_corpus(tmp_path, "pa", n_train=10, n_dev=7, seed=21),
+            make_corpus(tmp_path, "pb", n_train=10, n_dev=7, seed=22),
+        ))
+        ds = build_datastore(FRONTEND, pooled, distance_kind=kind)
+        params = init_alignnet(DIM, ("pa", "pb"), seed=3, hidden=4, embed_dim=2, decoder_hidden=3)
+        params = params.with_arrays({"c2": np.array(3.0), "table": np.array([[2.0, -2.0], [-2.0, 2.0]])})
+        # Three query rows per screening block: the 14 dev samples span five.
+        monkeypatch.setattr(sqkit.inference, "_BLOCK_BYTES", 8 * len(ds) * 3)
+        cfg = KnnConfig(k=3, temperature=0.5, distance_kind=kind)
+        mats = [featurize(s, FRONTEND) for s in pooled.samples("dev")]
+
+        knn = predict_split(pooled, "dev", FRONTEND, None, params, mode="knn", knn_config=cfg, datastore=ds)
+        expected = np.array([knn_predict(ds, pool_time(m), cfg) for m in mats])
+        assert knn.pred.tobytes() == expected.tobytes()
+
+        dr = predict_split(pooled, "dev", FRONTEND, None, params, mode="domain-retrieval", datastore=ds)
+        expected = np.array([domain_embedding_retrieval_predict(params, ds, m) for m in mats])
+        assert dr.pred.tobytes() == expected.tobytes()
+        assert len(set(dr.pred.tolist())) > 1
 
     def test_knn_predictions_stay_in_score_range(self, tmp_path):
         corpus = make_corpus(tmp_path, "psr", n_train=10, n_dev=6, seed=11)
