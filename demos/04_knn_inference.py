@@ -19,7 +19,6 @@ from sqkit import (
     build_datastore,
     featurize,
     generate_synthetic_corpus,
-    knn_predict,
     knn_weights,
     mse,
     pool_time,
@@ -49,19 +48,20 @@ frontend = FrontendConfig()
 ds = build_datastore(frontend, corpus)
 print("datastore:", len(ds), "records of dim", ds.dim, "distance", ds.distance_kind)
 
-# inspect retrieval for one held-out utterance
+# inspect retrieval for one held-out utterance: queries are (Q, D) rows
 sample = corpus.samples("dev")[0]
-query = pool_time(featurize(sample, frontend))
+query = pool_time(featurize(sample, frontend))[None]
 neighbors = retrieve_neighbors(ds, query, k=5)
+distances, scores = neighbors.distances[0], neighbors.scores[0]
 print("query", sample.sample_id, "true", round(sample.mos, 2))
-for dist, score in zip(neighbors.distances, neighbors.scores):
+for dist, score in zip(distances, scores):
     print(f"  neighbor at distance {dist:7.3f}  score {score:.2f}")
 
-# temperature controls how sharply weight concentrates on near neighbors
+# temperature controls how sharply weight concentrates on near neighbors;
+# the prediction is the weighted mean of the neighbor scores
 for temperature in (10.0, 1.0, 0.01):
-    w = knn_weights(neighbors.distances, temperature)
-    pred = knn_predict(ds, query, KnnConfig(k=5, temperature=temperature))
-    print(f"T={temperature:<5}  weights {np.round(w, 3)}  pred {pred:.3f}")
+    w = knn_weights(distances, temperature)
+    print(f"T={temperature:<5}  weights {np.round(w, 3)}  pred {w @ scores:.3f}")
 
 # whole-split accuracy
 pairs = predict_split(corpus, "dev", frontend, None, None, mode="knn",

@@ -17,15 +17,16 @@ from sqkit import (
     FrontendConfig,
     SynthSpec,
     TrainConfig,
+    alignnet_raw,
     build_datastore,
+    clip_score,
     featurize,
     generate_synthetic_corpus,
     mse,
-    nearest_dataset_id,
-    parametric_predict,
     pool,
     pool_time,
     predict_split,
+    retrieve_neighbors,
     split_random,
     train,
 )
@@ -65,12 +66,12 @@ print("trained alignnet over datasets", model.params.dataset_ids)
 sample = mid.samples("dev")[0]
 mat = featurize(sample, frontend, model.scaler)
 for name in model.params.dataset_ids:
-    pred = parametric_predict(model.params, mat, name)
+    pred = clip_score(alignnet_raw(model.params, mat.frames, name))
     print(f"  scored as {name:>4}: {pred:.3f}")
 
 # with no dataset label, borrow the nearest training neighbor's
 ds = build_datastore(frontend, pooled, scaler=model.scaler)
-guessed = nearest_dataset_id(ds, pool_time(mat))
+(guessed,), = retrieve_neighbors(ds, pool_time(mat)[None], k=1).dataset_ids
 print(f"nearest neighbor says {sample.sample_id} came from {guessed!r} (truth {sample.dataset_id!r})")
 
 # corpus-shift effect on the shifted corpora's dev sets

@@ -43,9 +43,9 @@ from .errors import (
     UndefinedCorrelationError,
     ValidationError,
 )
-from .export import distribution_data, export_embeddings, pca_2d
+from .export import export_embeddings, pca_2d
 from .frontend import FeatureScaler, FrontendConfig, load_scaler, save_scaler
-from .inference import INFERENCE_MODES, Datastore, KnnConfig, build_datastore, predict_split, save_datastore
+from .inference import DISTANCE_KINDS, INFERENCE_MODES, Datastore, KnnConfig, build_datastore, predict_split, save_datastore
 from .metrics import DEFAULT_METRIC_KEYS, EvalPairs, MetricReport, aggregate, mse, pearson, spearman, system_aggregate
 from .model import ModelParams, load_params, save_params
 from .training import MdfResult, TrainConfig, TrainResult, select_criterion, train, train_mdf
@@ -480,7 +480,6 @@ def _predict_seeds(
     if mode not in INFERENCE_MODES:
         raise ValidationError(f"unknown inference mode {mode!r}")
     frontend_config = build_frontend(recipe)
-    distance_kind = recipe.get("infer.distance", "euclidean")
     knn_config = None
     if mode == "knn":
         knn_config = KnnConfig(
@@ -490,10 +489,12 @@ def _predict_seeds(
                 if args.knn_temperature is not None
                 else recipe.get_float("infer.knn_temperature", 1.0)
             ),
-            distance_kind=distance_kind,
             paper_literal=args.paper_literal_knn or recipe.get_bool("infer.knn_paper_literal", False),
         )
     train_corpus = None if mode == "parametric" else resolve_train_corpus(recipe, corpora)
+    distance_kind = recipe.get("infer.distance", "euclidean")
+    if train_corpus is not None and distance_kind not in DISTANCE_KINDS:
+        raise ValidationError(f"infer.distance must be one of {DISTANCE_KINDS}, not {distance_kind!r}")
     for seed in _seed_list(recipe, args):
         params, scaler, _meta = load_model_dir(out / "train" / f"seed{seed}")
         datastore = None
@@ -707,12 +708,12 @@ def cmd_distribution_data(recipe: Recipe, args: argparse.Namespace, out: Path) -
     corpora = get_corpora(recipe, out)
     target = _target(recipe, corpora, "distribution.corpus")
     for seed, _mode, _datastore, (pairs,) in _predict_seeds(recipe, args, out, corpora, [target]):
-        data = distribution_data(pairs)
         seed_dir = out / "distribution" / f"seed{seed}"
         seed_dir.mkdir(parents=True, exist_ok=True)
-        _write_pairs(seed_dir / "utterances.csv", data.utterances)
-        if data.systems is not None:
-            systems = zip(data.systems.system_ids, data.systems.true, data.systems.pred)
+        _write_pairs(seed_dir / "utterances.csv", pairs)
+        if pairs.has_systems:
+            means = system_aggregate(pairs)
+            systems = zip(means.system_ids, means.true, means.pred)
             write_csv(
                 seed_dir / "systems.csv",
                 ["system_id", "true_mean", "pred_mean"],

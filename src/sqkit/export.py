@@ -1,4 +1,4 @@
-"""Data exports for external plotting: embedding dumps, PCA, scatter data.
+"""Data exports for external plotting: embedding dumps and PCA.
 
 Nothing here renders anything; the outputs are rows and matrices meant
 for whatever plotting stack the user prefers.
@@ -14,7 +14,6 @@ import numpy as np
 from .corpus import CorpusManifest, PooledCorpus
 from .errors import ValidationError
 from .frontend import FeatureScaler, FrontendConfig, featurize, pool_time
-from .metrics import EvalPairs, system_aggregate
 from .seeding import named_rng
 
 logger = logging.getLogger(__name__)
@@ -92,17 +91,3 @@ def pca_2d(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     components = vt[:2]
     return centered @ components.T, components, mean
-
-
-@dataclass(frozen=True)
-class DistributionData:
-    """The data behind a true-vs-predicted scatter for one test set."""
-
-    utterances: EvalPairs
-    systems: EvalPairs | None  # per-system means when system ids exist
-
-
-def distribution_data(pairs: EvalPairs) -> DistributionData:
-    """Per-utterance (true, pred) rows plus the per-system scatter."""
-    systems = system_aggregate(pairs) if pairs.has_systems else None
-    return DistributionData(utterances=pairs, systems=systems)

@@ -1,4 +1,4 @@
-"""Feature extraction: audio I/O, resampling, DSP features, padding, scaling.
+"""Feature extraction: audio I/O, resampling, DSP features, scaling.
 
 Everything here is a pure function of its inputs, so feature extraction
 can be cached or parallelized freely. The built-in DSP frontend stands in
@@ -30,13 +30,9 @@ SCALER_MAGIC = b"SQSC"
 
 @dataclass(frozen=True)
 class EmbeddingMatrix:
-    """Frame-level features: (T, D) float64 rows plus the frame rate.
-
-    frame_rate_hz is 0.0 when unknown (precomputed files do not carry it).
-    """
+    """Frame-level features: (T, D) float64 rows."""
 
     frames: np.ndarray
-    frame_rate_hz: float = 0.0
 
     def __post_init__(self) -> None:
         frames = np.asarray(self.frames, dtype=np.float64)
@@ -199,7 +195,7 @@ def extract_dsp(samples: np.ndarray, config: FrontendConfig) -> EmbeddingMatrix:
     shares = np.divide(energies, totals, out=np.zeros_like(energies), where=totals > 0)
     log_share = np.log(np.maximum(shares, config.log_floor))
     feats = np.concatenate([log_mel, log_share], axis=1)
-    return EmbeddingMatrix(frames=feats, frame_rate_hz=1000.0 / config.hop_ms)
+    return EmbeddingMatrix(frames=feats)
 
 
 def save_precomputed(path: str | Path, mat: EmbeddingMatrix) -> None:
@@ -260,28 +256,6 @@ def pool_time(mat: EmbeddingMatrix) -> np.ndarray:
     return mat.frames.mean(axis=0)
 
 
-def pad_repetitive(batch: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Tile each item end-to-end to the batch max length, then truncate.
-
-    Works on 1-D waveforms or (T, D) frame matrices (tiling along axis 0).
-    Returns (stacked array, original lengths); every item's prefix is
-    preserved bit-exactly and the padded tail is a cyclic copy of it.
-    """
-    if not batch:
-        raise ValidationError("pad_repetitive requires a non-empty batch")
-    arrays = [np.asarray(a) for a in batch]
-    lengths = np.array([a.shape[0] for a in arrays], dtype=np.int64)
-    if np.any(lengths == 0):
-        raise ValidationError("pad_repetitive requires non-empty items")
-    max_len = int(lengths.max())
-    padded = []
-    for a in arrays:
-        reps = -(-max_len // a.shape[0])
-        tile_reps = (reps,) + (1,) * (a.ndim - 1)
-        padded.append(np.tile(a, tile_reps)[:max_len])
-    return np.stack(padded), lengths
-
-
 @dataclass(frozen=True)
 class FeatureScaler:
     """Per-dimension standardization fitted on training features.
@@ -314,7 +288,7 @@ class FeatureScaler:
         return frames
 
     def transform(self, mat: EmbeddingMatrix) -> EmbeddingMatrix:
-        return EmbeddingMatrix(frames=self.standardize(mat.frames.copy()), frame_rate_hz=mat.frame_rate_hz)
+        return EmbeddingMatrix(frames=self.standardize(mat.frames.copy()))
 
 
 def save_scaler(path: str | Path, scaler: FeatureScaler) -> None:

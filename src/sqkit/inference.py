@@ -6,13 +6,18 @@ pure functions. kNN weighting uses exp(-d/temperature) by default: nearer
 neighbors count more. The as-published formula weighted by exp(+d), which
 favors far neighbors; pass paper_literal=True to reproduce it.
 
-Retrieval is exact and batched. ``retrieve_neighbors`` takes one query or
-a (Q, D) batch. It screens all records with one matrix product per block
-of query rows, keeps every record that rounding error allows among the k
-nearest, recomputes those distances row by row and ranks them by
+``predict_split`` is the one scoring entry point: it featurizes a split
+and scores it in one inference mode. The retrieval modes make one
+``retrieve_neighbors`` call per split. The datastore alone decides the
+distance (euclidean or cosine); a KnnConfig only says how many neighbors
+to take and how to weight them.
+
+Retrieval is exact and batched. ``retrieve_neighbors`` takes a (Q, D)
+batch of queries. It screens all records with one matrix product per
+block of query rows, keeps every record that rounding error allows among
+the k nearest, recomputes those distances row by row and ranks them by
 (distance, score, dataset_id). A query gets the same neighbors, bit for
-bit, alone or inside a batch, and ``predict_split`` makes one call per
-split in the retrieval modes.
+bit, in a batch of one or inside a larger batch.
 """
 
 from __future__ import annotations
@@ -25,9 +30,9 @@ import numpy as np
 from .codec import Reader, pack_strings, write_artifact
 from .corpus import CorpusManifest, PooledCorpus
 from .errors import ValidationError
-from .frontend import EmbeddingMatrix, FeatureScaler, FrontendConfig, featurize, pool_time
+from .frontend import FeatureScaler, FrontendConfig, featurize, pool_time
 from .metrics import EvalPairs
-from .model import AlignNetParams, HeadParams, ModelParams, ScorePrediction, alignnet_raw, head_raw
+from .model import AlignNetParams, HeadParams, ModelParams, alignnet_raw, clip_score, head_raw
 
 DATASTORE_MAGIC = b"SQDS"
 DISTANCE_KINDS = ("euclidean", "cosine")
@@ -95,7 +100,6 @@ class Datastore:
 class KnnConfig:
     k: int = 5
     temperature: float = 1.0
-    distance_kind: str = "euclidean"
     paper_literal: bool = False
 
     def __post_init__(self) -> None:
@@ -103,17 +107,13 @@ class KnnConfig:
             raise ValidationError("k must be >= 1")
         if self.temperature <= 0:
             raise ValidationError("temperature must be > 0")
-        if self.distance_kind not in DISTANCE_KINDS:
-            raise ValidationError(f"distance_kind must be one of {DISTANCE_KINDS}")
 
 
 @dataclass(frozen=True)
 class NeighborSet:
-    """k retrieved records, ascending by (distance, score, dataset_id).
-
-    For one (D,) query the arrays are (k,) and dataset_ids is a k-tuple;
-    for a (Q, D) batch the arrays are (Q, k) and dataset_ids holds one
-    k-tuple per query. len() is k for one query and Q for a batch.
+    """The k retrieved records of each of Q queries, ascending by
+    (distance, score, dataset_id): (Q, k) distances and scores, and one
+    k-tuple of dataset ids per query. len() is Q.
     """
 
     distances: np.ndarray
@@ -201,32 +201,31 @@ def build_datastore(
 
 
 def retrieve_neighbors(ds: Datastore, query: np.ndarray, k: int) -> NeighborSet:
-    """The k nearest records of a (D,) query, or of each row of a (Q, D)
-    batch; ties broken by score then dataset_id so the result never depends
-    on datastore record order. Row i of a batch equals the call on query[i]
-    bit for bit.
+    """The k nearest records of each row of a (Q, D) query batch; ties
+    broken by score then dataset_id so the result never depends on
+    datastore record order. Row i equals the call on query[i:i + 1] bit
+    for bit.
 
     Each block of query rows is screened in one buffer of about 2 MB;
     only the records within the rounding-error allowance of the k-th
     screened value get exact distances and the tie-break sort.
     """
     query = np.asarray(query, dtype=np.float64)
-    if query.ndim not in (1, 2) or query.shape[-1] != ds.dim:
-        raise ValidationError(f"query shape {query.shape} is neither ({ds.dim},) nor (Q, {ds.dim})")
+    if query.ndim != 2 or query.shape[1] != ds.dim:
+        raise ValidationError(f"query shape {query.shape} != (Q, {ds.dim})")
     if k > len(ds):
         raise ValidationError(f"k={k} exceeds datastore size {len(ds)}")
     if k < 1:
         raise ValidationError(f"k={k} must be >= 1")
-    batch = np.atleast_2d(query)
-    q_sq = _squared_norms(batch)
+    q_sq = _squared_norms(query)
     if not np.all(np.isfinite(q_sq)):
         raise ValidationError("query has non-finite values or a squared norm that overflows")
     block_rows = max(1, _BLOCK_BYTES // (8 * len(ds)))
-    screened = np.empty((min(block_rows, len(batch)), len(ds)))
-    distances = np.empty((len(batch), k))
-    index = np.empty((len(batch), k), dtype=np.intp)
-    for start in range(0, len(batch), block_rows):
-        block = batch[start : start + block_rows]
+    screened = np.empty((min(block_rows, len(query)), len(ds)))
+    distances = np.empty((len(query), k))
+    index = np.empty((len(query), k), dtype=np.intp)
+    for start in range(0, len(query), block_rows):
+        block = query[start : start + block_rows]
         approx = screened[: len(block)]
         limits = _screen(ds, block, q_sq[start : start + block_rows], k, approx)
         for i, (row, approx_row, limit) in enumerate(zip(block, approx, limits), start):
@@ -236,8 +235,6 @@ def retrieve_neighbors(ds: Datastore, query: np.ndarray, k: int) -> NeighborSet:
             distances[i] = dists[order]
             index[i] = candidates[order]
     ids = tuple(tuple(ds.dataset_ids[j] for j in row) for row in index.tolist())
-    if query.ndim == 1:
-        return NeighborSet(distances=distances[0], scores=ds.scores[index[0]], dataset_ids=ids[0])
     return NeighborSet(distances=distances, scores=ds.scores[index], dataset_ids=ids)
 
 
@@ -254,56 +251,12 @@ def knn_weights(distances: np.ndarray, temperature: float, paper_literal: bool =
     return w / w.sum()
 
 
-def _check_distance_kind(ds: Datastore, cfg: KnnConfig) -> None:
-    if cfg.distance_kind != ds.distance_kind:
-        raise ValidationError(
-            f"kNN config distance {cfg.distance_kind!r} does not match the datastore's {ds.distance_kind!r}"
-        )
-
-
-def _one_query(ds: Datastore, query: np.ndarray, k: int) -> NeighborSet:
-    query = np.asarray(query, dtype=np.float64)
-    if query.ndim != 1:
-        raise ValidationError(f"query shape {query.shape} != ({ds.dim},)")
-    return retrieve_neighbors(ds, query, k)
-
-
-def _knn_score(distances: np.ndarray, scores: np.ndarray, cfg: KnnConfig) -> float:
-    return float(knn_weights(distances, cfg.temperature, cfg.paper_literal) @ scores)
-
-
-def knn_predict(ds: Datastore, query: np.ndarray, cfg: KnnConfig) -> float:
-    """Softmax-weighted average of the k nearest scores (convex combination).
-
-    The config's distance kind must be the datastore's.
-    """
-    _check_distance_kind(ds, cfg)
-    neighbors = _one_query(ds, query, cfg.k)
-    return _knn_score(neighbors.distances, neighbors.scores, cfg)
-
-
-def nearest_dataset_id(ds: Datastore, query: np.ndarray) -> str:
-    """Which training corpus the query most resembles (1-NN)."""
-    return _one_query(ds, query, 1).dataset_ids[0]
-
-
-def parametric_predict(params: ModelParams, mat: EmbeddingMatrix, dataset_id: str | None = None) -> float:
-    """Clipped forward pass; alignnet needs a dataset_id in its table."""
+def _clipped(params: ModelParams, frames: np.ndarray, dataset_id: str) -> float:
+    """One utterance's clipped forward pass; alignnet scores it with the
+    table row of dataset_id."""
     if isinstance(params, HeadParams):
-        return ScorePrediction.from_raw(head_raw(params, mat.frames)).clipped
-    if dataset_id is None:
-        raise ValidationError("alignnet parametric prediction needs a dataset_id")
-    return ScorePrediction.from_raw(alignnet_raw(params, mat.frames, dataset_id)).clipped
-
-
-def domain_embedding_retrieval_predict(params: AlignNetParams, ds: Datastore, mat: EmbeddingMatrix) -> float:
-    """Score with the embedding row of the nearest training neighbor.
-
-    This is how the alignnet scores utterances from unseen corpora: the
-    query picks the training dataset it most resembles and borrows that
-    dataset's embedding row.
-    """
-    return parametric_predict(params, mat, nearest_dataset_id(ds, pool_time(mat)))
+        return clip_score(head_raw(params, frames))
+    return clip_score(alignnet_raw(params, frames, dataset_id))
 
 
 def predict_split(
@@ -318,14 +271,16 @@ def predict_split(
 ) -> EvalPairs:
     """Predict a whole split under one inference mode, as EvalPairs.
 
-    Modes: "parametric" (forward pass; alignnet uses each sample's own
-    dataset_id), "knn" (datastore retrieval, model params unused beyond
-    the shared feature space; knn_config defaults to KnnConfig() with the
-    datastore's distance kind), "domain-retrieval" (alignnet with the
-    nearest neighbor's dataset embedding). Arguments are checked before
-    any sample is featurized. The retrieval modes featurize the whole
-    split, then make one batched retrieve_neighbors call; each prediction
-    equals knn_predict / domain_embedding_retrieval_predict on its sample.
+    Modes: "parametric" (clipped forward pass; alignnet uses each
+    sample's own dataset_id, which must have a row in its table),
+    "knn" (softmax-weighted mean of the k nearest datastore scores under
+    the datastore's distance; params are unused beyond the shared feature
+    space; knn_config defaults to KnnConfig()) and "domain-retrieval"
+    (alignnet with the table row of the nearest record's dataset, how
+    the alignnet scores corpora outside its table). Arguments are
+    checked before any sample is featurized. The retrieval modes
+    featurize and time-pool the whole split, then make one batched
+    retrieve_neighbors call.
     """
     if mode not in INFERENCE_MODES:
         raise ValidationError(f"unknown inference mode {mode!r}")
@@ -333,22 +288,28 @@ def predict_split(
         raise ValidationError(f"mode {mode!r} needs a datastore")
     if mode == "domain-retrieval" and not isinstance(params, AlignNetParams):
         raise ValidationError("domain-retrieval needs alignnet parameters")
-    if mode == "knn":
-        knn_config = knn_config or KnnConfig(distance_kind=datastore.distance_kind)
-        _check_distance_kind(datastore, knn_config)
     samples = corpus.samples(split)
     if not samples:
         raise ValueError(f"corpus has no samples in split {split!r}")
     if mode == "parametric":
-        preds = [parametric_predict(params, featurize(s, frontend_config, scaler), s.dataset_id) for s in samples]
+        if isinstance(params, AlignNetParams):
+            unknown = sorted({s.dataset_id for s in samples} - set(params.dataset_ids))
+            if unknown:
+                raise ValidationError(
+                    f"dataset id(s) {unknown} of split {split!r} have no row in the alignnet embedding table "
+                    f"{params.dataset_ids}; score unseen corpora with --inference domain-retrieval"
+                )
+        preds = [_clipped(params, featurize(s, frontend_config, scaler).frames, s.dataset_id) for s in samples]
     elif mode == "knn":
+        cfg = knn_config or KnnConfig()
         queries = np.stack([pool_time(featurize(s, frontend_config, scaler)) for s in samples])
-        neighbors = retrieve_neighbors(datastore, queries, knn_config.k)
-        preds = [_knn_score(d, sc, knn_config) for d, sc in zip(neighbors.distances, neighbors.scores)]
+        neighbors = retrieve_neighbors(datastore, queries, cfg.k)
+        weights = (knn_weights(d, cfg.temperature, cfg.paper_literal) for d in neighbors.distances)
+        preds = [float(w @ sc) for w, sc in zip(weights, neighbors.scores)]
     else:
         mats = [featurize(s, frontend_config, scaler) for s in samples]
         neighbors = retrieve_neighbors(datastore, np.stack([pool_time(m) for m in mats]), 1)
-        preds = [parametric_predict(params, m, ids[0]) for m, ids in zip(mats, neighbors.dataset_ids)]
+        preds = [_clipped(params, m.frames, ids[0]) for m, ids in zip(mats, neighbors.dataset_ids)]
     return EvalPairs(
         sample_ids=tuple(s.sample_id for s in samples),
         system_ids=tuple(s.system_id for s in samples),

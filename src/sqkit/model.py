@@ -10,7 +10,7 @@ Shapes (D = feature dim, T = frames):
   alignnet:  h_t = relu(W1^T x_t + b1)
              u_t = concat(h_t, e_d)          e_d = dataset embedding row
              o_t = v2 . relu(V1^T u_t + c1) + c2
-  raw = mean_t o_t,  clipped = min(5, max(1, raw))
+  raw = mean_t o_t,  prediction = clip_score(raw) = min(5, max(1, raw))
 
 The backward kernels take a packed batch: the utterances' frames stacked
 into one (sum T, D) matrix plus their lengths, so a training step is one
@@ -40,16 +40,9 @@ SCORE_LO = 1.0
 SCORE_HI = 5.0
 
 
-@dataclass(frozen=True)
-class ScorePrediction:
-    """A model output: the raw mean frame score and its [1, 5] clamp."""
-
-    raw: float
-    clipped: float
-
-    @staticmethod
-    def from_raw(raw: float) -> "ScorePrediction":
-        return ScorePrediction(raw=float(raw), clipped=float(min(SCORE_HI, max(SCORE_LO, raw))))
+def clip_score(raw: float) -> float:
+    """A raw mean frame score clamped to the [1, 5] rating scale."""
+    return float(min(SCORE_HI, max(SCORE_LO, raw)))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,10 +29,10 @@ from .metrics import EvalPairs, pearson, spearman, system_aggregate
 from .model import (
     HeadParams,
     ModelParams,
-    ScorePrediction,
     Workspace,
     alignnet_backward,
     alignnet_raw,
+    clip_score,
     copy_params,
     head_backward,
     head_raw,
@@ -174,8 +174,8 @@ class TrainResult:
 
 def predict_clipped(params: ModelParams, frames: np.ndarray, dataset_id: str | None = None) -> float:
     if isinstance(params, HeadParams):
-        return ScorePrediction.from_raw(head_raw(params, frames)).clipped
-    return ScorePrediction.from_raw(alignnet_raw(params, frames, dataset_id)).clipped
+        return clip_score(head_raw(params, frames))
+    return clip_score(alignnet_raw(params, frames, dataset_id))
 
 
 def _dev_criterion(
@@ -400,24 +400,3 @@ def train_mdf(
         out_dir=None if out_dir is None else out_dir / "phase2",
     )
     return MdfResult(phase1=phase1, phase2=phase2)
-
-
-@dataclass(frozen=True)
-class SeedSummary:
-    per_seed: tuple[tuple[int, dict[str, float]], ...]
-    mean: dict[str, float]
-
-
-def run_seeds(run_fn: Callable[[int], dict[str, float]], seeds: Sequence[int]) -> SeedSummary:
-    """Run a seeded experiment per seed and arithmetic-mean the metrics."""
-    if not seeds:
-        raise ValidationError("run_seeds needs at least one seed")
-    per_seed = []
-    for seed in seeds:
-        result = run_fn(seed)
-        if per_seed and set(result) != set(per_seed[0][1]):
-            raise ValidationError("seed runs reported differing metric keys")
-        per_seed.append((seed, dict(result)))
-    keys = per_seed[0][1].keys()
-    mean = {k: float(np.mean([metrics[k] for _, metrics in per_seed])) for k in keys}
-    return SeedSummary(per_seed=tuple(per_seed), mean=mean)

@@ -20,6 +20,7 @@ from scipy.stats import rankdata
 
 import oracles
 from test_cli import BASE_RECIPE
+from test_inference import knn_predictions
 from test_metrics import make_pairs, report_with
 from test_model import alignnet_arrays, head_arrays
 from test_training import FRONTEND, make_corpus
@@ -42,7 +43,6 @@ from sqkit import (
     generate_synthetic_corpus,
     head_backward,
     head_raw,
-    knn_predict,
     knn_weights,
     mse,
     params_equal,
@@ -211,7 +211,7 @@ def test_analytic_gradients_match_central_differences():
 
 
 @criterion("knn-properties")
-def test_knn_convexity_normalization_and_limits():
+def test_knn_convexity_normalization_and_limits(monkeypatch):
     """1,000 random datastores: convex predictions, normalized weights,
     and the tiny-temperature limit collapsing onto the nearest neighbor."""
     rng = np.random.default_rng(3003)
@@ -228,18 +228,18 @@ def test_knn_convexity_normalization_and_limits():
             tuple(f"c{i % 3}" for i in range(n)),
             distance_kind=kind,
         )
-        query = rng.normal(size=d)
+        query = rng.normal(size=(1, d))
         k = int(rng.integers(1, n + 1))
         temperature = float(rng.uniform(0.05, 3.0))
 
         neighbors = retrieve_neighbors(ds, query, k)
-        weights = knn_weights(neighbors.distances, temperature)
+        weights = knn_weights(neighbors.distances[0], temperature)
         assert abs(float(weights.sum()) - 1.0) <= 1e-9
         assert np.all(weights >= 0.0)
-        literal = knn_weights(neighbors.distances, temperature, paper_literal=True)
+        literal = knn_weights(neighbors.distances[0], temperature, paper_literal=True)
         assert abs(float(literal.sum()) - 1.0) <= 1e-9
 
-        pred = knn_predict(ds, query, KnnConfig(k=k, temperature=temperature, distance_kind=kind))
+        (pred,) = knn_predictions(monkeypatch, ds, query, KnnConfig(k=k, temperature=temperature))
         lo = float(neighbors.scores.min())
         hi = float(neighbors.scores.max())
         assert lo - 1e-12 <= pred <= hi + 1e-12
@@ -248,12 +248,12 @@ def test_knn_convexity_normalization_and_limits():
         # with a near-tie the softmax legitimately splits the weight.
         if n >= 2:
             two = retrieve_neighbors(ds, query, 2)
-            separated = float(two.distances[1] - two.distances[0]) > 1e-3
+            separated = float(two.distances[0, 1] - two.distances[0, 0]) > 1e-3
         else:
             separated = True
         if separated:
-            tiny = knn_predict(ds, query, KnnConfig(k=k, temperature=1e-6, distance_kind=kind))
-            one = knn_predict(ds, query, KnnConfig(k=1, temperature=1.0, distance_kind=kind))
+            (tiny,) = knn_predictions(monkeypatch, ds, query, KnnConfig(k=k, temperature=1e-6))
+            (one,) = knn_predictions(monkeypatch, ds, query, KnnConfig(k=1, temperature=1.0))
             assert abs(tiny - one) <= 1e-6
             tiny_checked += 1
     assert tiny_checked >= 900

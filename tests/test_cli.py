@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from sqkit import ValidationError, cli
+import sqkit.inference
+from sqkit import ValidationError, cli, load_corpus_dir, save_manifest
 from sqkit.cli import main, parse_recipe, write_csv, write_records, write_records_mean
 from sqkit.training import LogRecord
 
@@ -39,6 +40,17 @@ distribution.corpus = synth
 export.sets = synth:train, synth:dev
 export.n_per_set = 5
 seeds = 0
+"""
+
+
+# A second synthetic corpus, for recipes that score outside train.corpus.
+OTHER_CORPUS = """
+corpus.other.kind = synthetic
+corpus.other.n = 8
+corpus.other.seed = 8
+corpus.other.duration_lo = 0.2
+corpus.other.duration_hi = 0.3
+corpus.other.split_ratio = 0.5
 """
 
 
@@ -141,6 +153,20 @@ class TestInfer:
         assert code == 0
         assert (out / "infer" / "seed0" / "datastore.bin").exists()
 
+    @pytest.mark.parametrize("mode", ["knn", "domain-retrieval"])
+    def test_unknown_distance_is_exit_1_before_any_featurizing(self, tmp_path, monkeypatch, capsys, mode):
+        recipe = BASE_RECIPE.replace("model.kind = head", "model.kind = alignnet") + "infer.distance = manhattan\n"
+        config = write_recipe(tmp_path, recipe)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+
+        def featurize(*_args, **_kwargs):
+            raise AssertionError("featurized with an unknown distance")
+
+        monkeypatch.setattr(sqkit.inference, "featurize", featurize)
+        assert main(["infer", "--config", str(config), "--out", str(out), "--inference", mode]) == 1
+        assert "infer.distance" in capsys.readouterr().err
+
 
 class TestBenchmark:
     def run_benchmark(self, tmp_path, out_name, seeds="0,1"):
@@ -202,6 +228,19 @@ class TestBenchmark:
         config = write_recipe(tmp_path, BASE_RECIPE.replace("benchmark.tests = synth", "benchmark.tests = ghost"))
         assert main(["benchmark", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
 
+    def test_alignnet_parametric_on_a_corpus_outside_its_table_is_exit_1(self, tmp_path, capsys):
+        # The alignnet has no embedding row for corpus "other": parametric
+        # scoring is a recipe error, named before any test audio is read.
+        recipe = BASE_RECIPE.replace("model.kind = head", "model.kind = alignnet").replace(
+            "benchmark.tests = synth", "benchmark.tests = other"
+        ) + OTHER_CORPUS
+        config = write_recipe(tmp_path, recipe)
+        out = tmp_path / "out"
+        assert main(["benchmark", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "['other']" in err and "--inference domain-retrieval" in err
+        assert not (out / "records.csv").exists()
+
 
 class TestAggregate:
     def test_single_model_is_its_own_best(self, tmp_path):
@@ -250,9 +289,38 @@ class TestDistributionData:
         main(["train", "--config", str(config), "--out", str(out)])
         assert main(["distribution-data", "--config", str(config), "--out", str(out)]) == 0
         seed_dir = out / "distribution" / "seed0"
-        assert len(read_csv(seed_dir / "utterances.csv")) == 4
+        utterances = read_csv(seed_dir / "utterances.csv")
+        assert len(utterances) == 4
         systems = read_csv(seed_dir / "systems.csv")
         assert set(systems[0]) == {"system_id", "true_mean", "pred_mean"}
+        # One row per system, in id order, holding its utterances' means.
+        by_system = {}
+        for row in utterances:
+            by_system.setdefault(row["system_id"], []).append(row)
+        assert [r["system_id"] for r in systems] == sorted(by_system)
+        for row in systems:
+            members = by_system[row["system_id"]]
+            for column, mean in (("true", "true_mean"), ("pred", "pred_mean")):
+                expected = sum(float(m[column]) for m in members) / len(members)
+                assert float(row[mean]) == pytest.approx(expected, rel=1e-12)
+
+    def test_no_systems_file_without_system_ids(self, tmp_path):
+        config = write_recipe(tmp_path)
+        out = tmp_path / "out"
+        assert main(["prepare", "--config", str(config), "--out", str(out)]) == 0
+        synth = load_corpus_dir(out / "corpora" / "synth")
+        samples = [dataclasses.replace(s, system_id=None) for split in synth.splits for s in synth.samples(split)]
+        save_manifest(samples, tmp_path / "plain.csv")
+        recipe = BASE_RECIPE.replace("distribution.corpus = synth", "distribution.corpus = plain") + (
+            f"corpus.plain.kind = manifest\ncorpus.plain.path = {tmp_path / 'plain.csv'}\n"
+        )
+        config = write_recipe(tmp_path, recipe)
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["distribution-data", "--config", str(config), "--out", str(out)]) == 0
+        seed_dir = out / "distribution" / "seed0"
+        utterances = read_csv(seed_dir / "utterances.csv")
+        assert len(utterances) == len(samples) and {r["system_id"] for r in utterances} == {""}
+        assert not (seed_dir / "systems.csv").exists()
 
 
 class TestExitCodes:

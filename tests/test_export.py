@@ -1,12 +1,10 @@
-"""Embedding dumps, 2-D PCA, and scatter-data extraction."""
+"""Embedding dumps and 2-D PCA."""
 
 import numpy as np
 import pytest
 
 from sqkit import (
-    EvalPairs,
     ValidationError,
-    distribution_data,
     export_embeddings,
     pca_2d,
     select_samples,
@@ -101,26 +99,3 @@ class TestPca2d:
             pca_2d(np.zeros((1, 5)))
         with pytest.raises(ValidationError):
             pca_2d(np.zeros((5, 1)))
-
-
-class TestDistributionData:
-    def test_systems_present_when_ids_exist(self):
-        pairs = EvalPairs(
-            sample_ids=("a", "b", "c", "d"),
-            system_ids=("s1", "s1", "s2", "s2"),
-            true=np.array([2.0, 3.0, 4.0, 5.0]),
-            pred=np.array([2.1, 2.9, 4.2, 4.8]),
-        )
-        data = distribution_data(pairs)
-        assert data.utterances is pairs
-        assert data.systems is not None
-        assert len(data.systems.true) == 2
-
-    def test_systems_none_without_ids(self):
-        pairs = EvalPairs(
-            sample_ids=("a", "b"),
-            system_ids=(None, None),
-            true=np.array([2.0, 3.0]),
-            pred=np.array([2.1, 2.9]),
-        )
-        assert distribution_data(pairs).systems is None

@@ -20,7 +20,6 @@ from sqkit import (
     load_precomputed,
     load_scaler,
     mel_center_frequencies,
-    pad_repetitive,
     pool_time,
     resample_to_16k,
     save_precomputed,
@@ -219,43 +218,6 @@ class TestPoolTime:
         frames = rng.normal(size=(12, 6))
         pooled = pool_time(EmbeddingMatrix(frames=frames))
         assert np.all(pooled >= frames.min(axis=0)) and np.all(pooled <= frames.max(axis=0))
-
-
-class TestPadRepetitive:
-    def test_batch_of_one_is_unchanged(self):
-        wave = np.arange(7.0)
-        stacked, lengths = pad_repetitive([wave])
-        np.testing.assert_array_equal(stacked[0], wave)
-        assert lengths.tolist() == [7]
-
-    def test_pattern_repeats_two_and_a_half_times(self):
-        short = np.array([1.0, 2.0, 3.0, 4.0])
-        long = np.arange(10.0)
-        stacked, lengths = pad_repetitive([short, long])
-        np.testing.assert_array_equal(stacked[0], [1, 2, 3, 4, 1, 2, 3, 4, 1, 2])
-        np.testing.assert_array_equal(stacked[1], long)
-        assert lengths.tolist() == [4, 10]
-
-    def test_padding_is_cyclic_copy_of_prefix(self):
-        rng = np.random.default_rng(9)
-        waves = [rng.normal(size=n) for n in (5, 13, 8)]
-        stacked, lengths = pad_repetitive(waves)
-        for row, wave, n in zip(stacked, waves, lengths):
-            np.testing.assert_array_equal(row[:n], wave)
-            for j in range(n, stacked.shape[1]):
-                assert row[j] == wave[j % n]
-
-    def test_two_dimensional_frame_matrices(self):
-        mats = [np.arange(6.0).reshape(3, 2), np.arange(14.0).reshape(7, 2)]
-        stacked, lengths = pad_repetitive(mats)
-        assert stacked.shape == (2, 7, 2)
-        np.testing.assert_array_equal(stacked[0][:3], mats[0])
-        np.testing.assert_array_equal(stacked[0][3:6], mats[0])
-        np.testing.assert_array_equal(stacked[0][6], mats[0][0])
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValidationError):
-            pad_repetitive([])
 
 
 class TestEmbeddingFiles:

@@ -1,29 +1,29 @@
 """Datastore retrieval, softmax-weighted kNN, and the three inference modes."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import oracles
 import sqkit.inference
 from sqkit import (
+    CorpusManifest,
     Datastore,
     EmbeddingMatrix,
-    FrontendConfig,
     KnnConfig,
     PooledCorpus,
-    ScorePrediction,
+    Sample,
     ValidationError,
+    alignnet_raw,
     build_datastore,
-    domain_embedding_retrieval_predict,
+    clip_score,
     featurize,
     head_raw,
     init_alignnet,
     init_head,
-    knn_predict,
     knn_weights,
     load_datastore,
-    nearest_dataset_id,
-    parametric_predict,
     pool_time,
     predict_split,
     retrieve_neighbors,
@@ -36,6 +36,27 @@ def line_datastore(values, scores, ids=None, kind="euclidean"):
     values = np.asarray(values, dtype=np.float64).reshape(-1, 1)
     ids = tuple(ids) if ids is not None else tuple(f"d{i}" for i in range(len(values)))
     return Datastore(embeddings=values, scores=np.asarray(scores, float), dataset_ids=ids, distance_kind=kind)
+
+
+def predict_frames(monkeypatch, mats, mode, params=None, knn_config=None, datastore=None, dataset_id="q"):
+    """predict_split over one sample per (T, D) frame matrix in mats, all
+    from dataset_id; featurize is replaced by a lookup of the matrices."""
+    frames = {f"s{i}": EmbeddingMatrix(frames=m) for i, m in enumerate(mats)}
+    samples = tuple(Sample(sid, None, Path(sid), dataset_id, None, 3.0) for sid in frames)
+    corpus = CorpusManifest("frames", "synthetic", "en", 16000, {"test": samples})
+    monkeypatch.setattr(sqkit.inference, "featurize", lambda sample, *_: frames[sample.sample_id])
+    return predict_split(corpus, "test", FRONTEND, None, params, mode, knn_config, datastore).pred
+
+
+def knn_predictions(monkeypatch, ds, queries, cfg):
+    """knn-mode predictions, one per row of the (Q, D) queries: each is a
+    one-frame utterance, so its time pool is the row itself."""
+    one_frame = np.asarray(queries, dtype=np.float64)[:, None, :]
+    return predict_frames(monkeypatch, one_frame, "knn", knn_config=cfg, datastore=ds)
+
+
+def batch_row(neighbors, i):
+    return sqkit.inference.NeighborSet(neighbors.distances[i], neighbors.scores[i], neighbors.dataset_ids[i])
 
 
 class TestBuildDatastore:
@@ -69,35 +90,35 @@ class TestBuildDatastore:
 class TestRetrieveNeighbors:
     def test_sorted_ascending_and_sized(self):
         ds = line_datastore([5.0, 1.0, 3.0, 2.0], [1, 2, 3, 4])
-        ns = retrieve_neighbors(ds, np.array([0.0]), k=3)
-        assert len(ns) == 3
-        np.testing.assert_array_equal(ns.distances, [1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(ns.scores, [2.0, 4.0, 3.0])
+        ns = retrieve_neighbors(ds, np.array([[0.0], [4.5]]), k=3)
+        assert len(ns) == 2
+        np.testing.assert_array_equal(ns.distances, [[1.0, 2.0, 3.0], [0.5, 1.5, 2.5]])
+        np.testing.assert_array_equal(ns.scores, [[2.0, 4.0, 3.0], [1.0, 3.0, 4.0]])
+        assert ns.dataset_ids == (("d1", "d3", "d2"), ("d0", "d2", "d3"))
 
     def test_k_larger_than_store_rejected(self):
         ds = line_datastore([1.0, 2.0], [3, 4])
         with pytest.raises(ValidationError, match="exceeds"):
-            retrieve_neighbors(ds, np.array([0.0]), k=3)
+            retrieve_neighbors(ds, np.array([[0.0]]), k=3)
         with pytest.raises(ValidationError, match="k=0"):
-            retrieve_neighbors(ds, np.array([0.0]), k=0)
+            retrieve_neighbors(ds, np.array([[0.0]]), k=0)
 
     def test_query_shape_checked(self):
+        # A (D,) vector is not a batch: a single query is a (1, D) batch.
         ds = line_datastore([1.0], [3])
-        for bad in (np.zeros(2), np.zeros((3, 2)), np.zeros((1, 1, 1))):
-            with pytest.raises(ValidationError):
+        for bad in (np.zeros(1), np.zeros(2), np.zeros((3, 2)), np.zeros((1, 1, 1))):
+            with pytest.raises(ValidationError, match="query shape"):
                 retrieve_neighbors(ds, bad, k=1)
-        with pytest.raises(ValidationError):
-            knn_predict(ds, np.zeros((1, 1)), KnnConfig(k=1))
 
     def test_tie_break_ignores_record_order(self):
         # Two records at identical distance: the one with lower score wins
         # the slot no matter how the store is laid out.
         a = line_datastore([1.0, -1.0], [4.0, 2.0], ids=("p", "q"))
         b = line_datastore([-1.0, 1.0], [2.0, 4.0], ids=("q", "p"))
-        na = retrieve_neighbors(a, np.array([0.0]), k=1)
-        nb = retrieve_neighbors(b, np.array([0.0]), k=1)
-        assert na.scores[0] == nb.scores[0] == 2.0
-        assert na.dataset_ids == nb.dataset_ids == ("q",)
+        na = retrieve_neighbors(a, np.array([[0.0]]), k=1)
+        nb = retrieve_neighbors(b, np.array([[0.0]]), k=1)
+        assert na.scores[0, 0] == nb.scores[0, 0] == 2.0
+        assert na.dataset_ids == nb.dataset_ids == (("q",),)
 
 
 def reference_neighbors(ds, query, k):
@@ -136,7 +157,8 @@ def assert_same_bits(got, want):
 class TestBatchedKernel:
     def test_matches_reference_on_random_stores(self, monkeypatch):
         """200 random stores, both distance kinds, every k from 1 to N:
-        the batch and each 1-D call equal the reference bit for bit."""
+        each batch row and the batch of one of its query equal the
+        reference bit for bit."""
         rng = np.random.default_rng(5005)
         for _ in range(200):
             n, d = int(rng.integers(1, 41)), int(rng.integers(1, 9))
@@ -161,13 +183,10 @@ class TestBatchedKernel:
                 assert len(batch) == n_queries
                 for i, q in enumerate(queries):
                     want = tuple(part[:k] for part in full[i])
-                    single = retrieve_neighbors(ds, q, k)
-                    assert single.distances.shape == (k,) and len(single) == k
-                    assert_same_bits(single, want)
-                    assert_same_bits(
-                        sqkit.inference.NeighborSet(batch.distances[i], batch.scores[i], batch.dataset_ids[i]),
-                        want,
-                    )
+                    single = retrieve_neighbors(ds, q[None], k)
+                    assert single.distances.shape == (1, k) and len(single) == 1
+                    assert_same_bits(batch_row(single, 0), want)
+                    assert_same_bits(batch_row(batch, i), want)
 
     def test_batch_spanning_blocks_at_the_real_block_size(self):
         rng = np.random.default_rng(5006)
@@ -183,7 +202,7 @@ class TestBatchedKernel:
             batch = retrieve_neighbors(ds, queries, k)
             for i, q in enumerate(queries):
                 want = reference_neighbors(ds, q, k)
-                assert_same_bits(retrieve_neighbors(ds, q, k), want)
+                assert_same_bits(batch_row(retrieve_neighbors(ds, q[None], k), 0), want)
                 np.testing.assert_array_equal(batch.distances[i], want[0])
                 assert batch.dataset_ids[i] == want[2]
 
@@ -199,13 +218,11 @@ class TestNonFiniteInputs:
     def test_query_rejected(self, bad):
         ds = Datastore(np.eye(3), np.ones(3), ("a", "b", "c"))
         with pytest.raises(ValidationError, match="non-finite"):
-            retrieve_neighbors(ds, np.array([bad, 0.0, 0.0]), 2)
+            retrieve_neighbors(ds, np.array([[bad, 0.0, 0.0]]), 2)
         batch = np.zeros((4, 3))
         batch[2, 1] = bad
         with pytest.raises(ValidationError, match="non-finite"):
             retrieve_neighbors(ds, batch, 2)
-        with pytest.raises(ValidationError, match="non-finite"):
-            knn_predict(ds, np.array([0.0, bad, 0.0]), KnnConfig(k=2))
 
     @pytest.mark.parametrize("field, bad", [
         ("embeddings", np.nan), ("embeddings", -np.inf), ("embeddings", 1e200), ("scores", np.nan), ("scores", np.inf),
@@ -257,22 +274,22 @@ class TestKnnWeights:
 
 
 class TestKnnPredict:
-    def test_k1_returns_nearest_score(self):
+    def test_k1_returns_nearest_score(self, monkeypatch):
         ds = line_datastore([0.0, 10.0], [2.0, 5.0])
-        assert knn_predict(ds, np.array([1.0]), KnnConfig(k=1)) == 2.0
+        assert knn_predictions(monkeypatch, ds, [[1.0], [9.0]], KnnConfig(k=1)).tolist() == [2.0, 5.0]
 
-    def test_equidistant_pair_averages(self):
+    def test_equidistant_pair_averages(self, monkeypatch):
         ds = line_datastore([1.0, -1.0], [2.0, 4.0])
-        assert knn_predict(ds, np.array([0.0]), KnnConfig(k=2)) == pytest.approx(3.0)
+        assert knn_predictions(monkeypatch, ds, [[0.0]], KnnConfig(k=2))[0] == pytest.approx(3.0)
 
-    def test_k3_matches_softmax_oracle(self):
+    def test_k3_matches_softmax_oracle(self, monkeypatch):
         ds = line_datastore([0.0, 1.0, 2.0], [1.0, 3.0, 5.0])
-        pred = knn_predict(ds, np.array([0.0]), KnnConfig(k=3, temperature=1.0))
+        pred = knn_predictions(monkeypatch, ds, [[0.0]], KnnConfig(k=3, temperature=1.0))[0]
         w = oracles.softmax_oracle([0.0, -1.0, -2.0])
         expected = w[0] * 1.0 + w[1] * 3.0 + w[2] * 5.0
         assert pred == pytest.approx(expected, rel=1e-12)
 
-    def test_prediction_is_convex_combination(self):
+    def test_prediction_is_convex_combination(self, monkeypatch):
         rng = np.random.default_rng(1)
         for _ in range(50):
             n = int(rng.integers(2, 10))
@@ -282,10 +299,11 @@ class TestKnnPredict:
                 dataset_ids=tuple(f"d{i}" for i in range(n)),
             )
             k = int(rng.integers(1, n + 1))
-            pred = knn_predict(ds, rng.normal(size=3), KnnConfig(k=k, temperature=rng.uniform(0.2, 3)))
-            assert ds.scores.min() - 1e-12 <= pred <= ds.scores.max() + 1e-12
+            cfg = KnnConfig(k=k, temperature=rng.uniform(0.2, 3))
+            preds = knn_predictions(monkeypatch, ds, rng.normal(size=(4, 3)), cfg)
+            assert np.all(ds.scores.min() - 1e-12 <= preds) and np.all(preds <= ds.scores.max() + 1e-12)
 
-    def test_record_order_invariance(self):
+    def test_record_order_invariance(self, monkeypatch):
         rng = np.random.default_rng(2)
         emb = rng.normal(size=(8, 2))
         emb[3] = emb[5]  # force a distance tie
@@ -296,22 +314,22 @@ class TestKnnPredict:
         b = Datastore(
             embeddings=emb[perm], scores=scores[perm], dataset_ids=tuple(ids[i] for i in perm)
         )
-        q = rng.normal(size=2)
+        q = np.stack([rng.normal(size=2), emb[3]])
         cfg = KnnConfig(k=4, temperature=0.7)
-        assert knn_predict(a, q, cfg) == knn_predict(b, q, cfg)
+        assert knn_predictions(monkeypatch, a, q, cfg).tobytes() == knn_predictions(monkeypatch, b, q, cfg).tobytes()
 
-    def test_tiny_temperature_approaches_one_nearest_neighbor(self):
+    def test_tiny_temperature_approaches_one_nearest_neighbor(self, monkeypatch):
         ds = line_datastore([0.3, 1.0, 4.0], [1.5, 3.0, 4.5])
-        q = np.array([0.0])
-        soft = knn_predict(ds, q, KnnConfig(k=3, temperature=1e-6))
-        hard = knn_predict(ds, q, KnnConfig(k=1))
+        q = [[0.0]]
+        soft = knn_predictions(monkeypatch, ds, q, KnnConfig(k=3, temperature=1e-6))[0]
+        hard = knn_predictions(monkeypatch, ds, q, KnnConfig(k=1))[0]
         assert soft == pytest.approx(hard, abs=1e-6)
 
-    def test_paper_literal_pulls_toward_far_scores(self):
+    def test_paper_literal_pulls_toward_far_scores(self, monkeypatch):
         ds = line_datastore([0.0, 2.0], [1.0, 5.0])
-        q = np.array([0.0])
-        default = knn_predict(ds, q, KnnConfig(k=2, temperature=1.0))
-        literal = knn_predict(ds, q, KnnConfig(k=2, temperature=1.0, paper_literal=True))
+        q = [[0.0]]
+        default = knn_predictions(monkeypatch, ds, q, KnnConfig(k=2, temperature=1.0))[0]
+        literal = knn_predictions(monkeypatch, ds, q, KnnConfig(k=2, temperature=1.0, paper_literal=True))[0]
         assert default < 3.0 < literal
 
 
@@ -323,9 +341,9 @@ class TestCosineDistance:
             embeddings=emb, scores=np.array([1.0, 2.0, 3.0]),
             dataset_ids=("a", "b", "c"), distance_kind="cosine",
         )
-        ns = retrieve_neighbors(ds, np.array([1.0, 0.0]), k=3)
-        assert ns.dataset_ids == ("a", "b", "c")
-        assert np.all(np.diff(ns.distances) > 0)
+        ns = retrieve_neighbors(ds, np.array([[1.0, 0.0]]), k=3)
+        assert ns.dataset_ids == (("a", "b", "c"),)
+        assert np.all(np.diff(ns.distances[0]) > 0)
 
     def test_zero_norm_record_gets_maximum_distance(self):
         emb = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -333,38 +351,51 @@ class TestCosineDistance:
             embeddings=emb, scores=np.array([1.0, 5.0]),
             dataset_ids=("z", "u"), distance_kind="cosine",
         )
-        ns = retrieve_neighbors(ds, np.array([1.0, 0.0]), k=2)
-        assert ns.dataset_ids == ("u", "z")
-        assert ns.distances[1] == 2.0
+        ns = retrieve_neighbors(ds, np.array([[1.0, 0.0]]), k=2)
+        assert ns.dataset_ids == (("u", "z"),)
+        assert ns.distances[0, 1] == 2.0
 
     def test_parallel_vectors_have_zero_distance(self):
         ds = Datastore(
             embeddings=np.array([[2.0, 0.0]]), scores=np.array([3.0]),
             dataset_ids=("a",), distance_kind="cosine",
         )
-        ns = retrieve_neighbors(ds, np.array([0.5, 0.0]), k=1)
-        assert ns.distances[0] == 0.0
+        ns = retrieve_neighbors(ds, np.array([[0.5, 0.0]]), k=1)
+        assert ns.distances[0, 0] == 0.0
 
 
 class TestParametricPredict:
-    def test_head_equals_forward_clip(self):
+    def test_head_equals_forward_clip(self, monkeypatch):
         rng = np.random.default_rng(3)
-        params = init_head(4, 3, seed=0)
-        mat = EmbeddingMatrix(frames=rng.normal(size=(5, 4)))
-        assert parametric_predict(params, mat) == ScorePrediction.from_raw(head_raw(params, mat.frames)).clipped
+        params = init_head(DIM, 3, seed=0)
+        params = params.with_arrays({"b2": np.array(3.0)})
+        mats = [rng.normal(size=(5, DIM)), 40.0 * rng.normal(size=(2, DIM))]
+        preds = predict_frames(monkeypatch, mats, "parametric", params)
+        assert preds.tolist() == [clip_score(head_raw(params, m)) for m in mats]
 
-    def test_alignnet_without_dataset_id_rejected(self):
-        params = init_alignnet(4, ("a",), seed=0, hidden=3, embed_dim=2, decoder_hidden=3)
-        mat = EmbeddingMatrix(frames=np.zeros((2, 4)))
-        with pytest.raises(ValidationError, match="dataset_id"):
-            parametric_predict(params, mat)
+    def test_alignnet_scores_each_sample_with_its_own_row(self, monkeypatch):
+        params = init_alignnet(DIM, ("a", "b"), seed=0, hidden=3, embed_dim=2, decoder_hidden=3)
+        params = params.with_arrays({"c2": np.array(3.0), "table": np.array([[2.0, -2.0], [-2.0, 2.0]])})
+        frames = np.random.default_rng(4).normal(size=(4, DIM))
+        preds = {d: predict_frames(monkeypatch, [frames], "parametric", params, dataset_id=d)[0] for d in "ab"}
+        assert preds == {d: clip_score(alignnet_raw(params, frames, d)) for d in "ab"}
+        assert preds["a"] != preds["b"]
+
+    def test_alignnet_without_dataset_id_rejected(self, tmp_path, monkeypatch):
+        # A sample whose dataset has no table row fails before any sample
+        # is featurized, and the error names the id and the way out.
+        corpus = make_corpus(tmp_path, "unseen", seed=14)
+        params = init_alignnet(DIM, ("a",), seed=0, hidden=3, embed_dim=2, decoder_hidden=3)
+        forbid_featurize(monkeypatch)
+        with pytest.raises(ValidationError, match=r"\['unseen'\].*--inference domain-retrieval"):
+            predict_split(corpus, "dev", FRONTEND, None, params)
 
 
 class TestDomainRetrieval:
     def test_single_corpus_store_always_picks_it(self, tmp_path):
         corpus = make_corpus(tmp_path, "only", seed=4)
         ds = build_datastore(FRONTEND, corpus)
-        assert nearest_dataset_id(ds, np.zeros(ds.dim)) == "only"
+        assert retrieve_neighbors(ds, np.zeros((1, ds.dim)), 1).dataset_ids == (("only",),)
 
     def test_exact_match_query_picks_its_own_record(self):
         rng = np.random.default_rng(5)
@@ -373,9 +404,9 @@ class TestDomainRetrieval:
             embeddings=emb, scores=rng.uniform(1, 5, 6),
             dataset_ids=("a", "a", "b", "b", "c", "c"),
         )
-        assert nearest_dataset_id(ds, emb[4]) == "c"
+        assert retrieve_neighbors(ds, emb, 1).dataset_ids == tuple((d,) for d in ds.dataset_ids)
 
-    def test_identical_table_rows_make_retrieval_irrelevant(self):
+    def test_identical_table_rows_make_retrieval_irrelevant(self, monkeypatch):
         rng = np.random.default_rng(6)
         params = init_alignnet(3, ("a", "b"), seed=1, hidden=4, embed_dim=2, decoder_hidden=3)
         params = params.with_arrays({"table": np.tile(params.table[0], (2, 1))})
@@ -386,9 +417,9 @@ class TestDomainRetrieval:
         store_b = Datastore(
             embeddings=rng.normal(size=(2, 3)), scores=np.array([2.0, 4.0]), dataset_ids=("b", "b")
         )
-        pred_a = domain_embedding_retrieval_predict(params, store_a, mat)
-        pred_b = domain_embedding_retrieval_predict(params, store_b, mat)
-        assert pred_a == pred_b
+        pred_a = predict_frames(monkeypatch, [mat.frames], "domain-retrieval", params, datastore=store_a)
+        pred_b = predict_frames(monkeypatch, [mat.frames], "domain-retrieval", params, datastore=store_b)
+        assert pred_a.tolist() == pred_b.tolist() == [clip_score(alignnet_raw(params, mat.frames, "a"))]
 
 
 def forbid_featurize(monkeypatch):
@@ -405,9 +436,7 @@ class TestPredictSplit:
         corpus = make_corpus(tmp_path, "ps", n_train=6, n_dev=4, seed=7)
         params = init_head(6, 4, seed=2)
         pairs = predict_split(corpus, "dev", FRONTEND, None, params)
-        expected = [
-            parametric_predict(params, featurize(s, FRONTEND)) for s in corpus.samples("dev")
-        ]
+        expected = [clip_score(head_raw(params, featurize(s, FRONTEND).frames)) for s in corpus.samples("dev")]
         np.testing.assert_array_equal(pairs.pred, expected)
         np.testing.assert_array_equal(pairs.true, [s.mos for s in corpus.samples("dev")])
 
@@ -433,24 +462,26 @@ class TestPredictSplit:
         with pytest.raises(ValidationError, match="unknown inference mode"):
             predict_split(corpus, "dev", FRONTEND, None, params, mode="oracle")
 
-    def test_knn_config_distance_must_match_the_datastore(self, tmp_path, monkeypatch):
-        corpus = make_corpus(tmp_path, "psm", seed=12)
-        ds = build_datastore(FRONTEND, corpus)
-        cosine = KnnConfig(k=1, distance_kind="cosine")
-        with pytest.raises(ValidationError, match="does not match"):
-            knn_predict(ds, ds.embeddings[0], cosine)
-        forbid_featurize(monkeypatch)
-        with pytest.raises(ValidationError, match="does not match"):
-            predict_split(corpus, "dev", FRONTEND, None, None, mode="knn", knn_config=cosine, datastore=ds)
+    def test_the_datastore_decides_the_distance(self, monkeypatch):
+        # (9, 0) is nearest to (10, 1) by euclidean distance but parallel
+        # to (1, 0): one KnnConfig scores it 5 or 1 by the store's kind.
+        stores = {
+            kind: Datastore(np.array([[1.0, 0.0], [10.0, 1.0]]), np.array([1.0, 5.0]), ("a", "b"), distance_kind=kind)
+            for kind in ("euclidean", "cosine")
+        }
+        cfg = KnnConfig(k=1)
+        preds = {kind: knn_predictions(monkeypatch, ds, [[9.0, 0.0]], cfg).tolist() for kind, ds in stores.items()}
+        assert preds == {"euclidean": [5.0], "cosine": [1.0]}
 
     def test_knn_needs_no_params_and_defaults_to_the_store_distance(self, tmp_path):
         corpus = make_corpus(tmp_path, "psn", seed=13)
         ds = build_datastore(FRONTEND, corpus, distance_kind="cosine")
         pairs = predict_split(corpus, "dev", FRONTEND, None, None, mode="knn", datastore=ds)
-        expected = [
-            knn_predict(ds, pool_time(featurize(s, FRONTEND)), KnnConfig(distance_kind="cosine"))
-            for s in corpus.samples("dev")
-        ]
+        cfg = KnnConfig()
+        expected = []
+        for s in corpus.samples("dev"):
+            want = reference_neighbors(ds, pool_time(featurize(s, FRONTEND)), cfg.k)
+            expected.append(float(knn_weights(want[0], cfg.temperature) @ want[1]))
         np.testing.assert_array_equal(pairs.pred, expected)
 
     @pytest.mark.parametrize("kind", ["euclidean", "cosine"])
@@ -464,15 +495,18 @@ class TestPredictSplit:
         params = params.with_arrays({"c2": np.array(3.0), "table": np.array([[2.0, -2.0], [-2.0, 2.0]])})
         # Three query rows per screening block: the 14 dev samples span five.
         monkeypatch.setattr(sqkit.inference, "_BLOCK_BYTES", 8 * len(ds) * 3)
-        cfg = KnnConfig(k=3, temperature=0.5, distance_kind=kind)
+        cfg = KnnConfig(k=3, temperature=0.5)
         mats = [featurize(s, FRONTEND) for s in pooled.samples("dev")]
+        # Per sample: a batch of one, then the weighting or the forward pass.
+        singles = [batch_row(retrieve_neighbors(ds, pool_time(m)[None], cfg.k), 0) for m in mats]
 
         knn = predict_split(pooled, "dev", FRONTEND, None, params, mode="knn", knn_config=cfg, datastore=ds)
-        expected = np.array([knn_predict(ds, pool_time(m), cfg) for m in mats])
+        expected = np.array([float(knn_weights(n.distances, cfg.temperature) @ n.scores) for n in singles])
         assert knn.pred.tobytes() == expected.tobytes()
 
         dr = predict_split(pooled, "dev", FRONTEND, None, params, mode="domain-retrieval", datastore=ds)
-        expected = np.array([domain_embedding_retrieval_predict(params, ds, m) for m in mats])
+        nearest = [retrieve_neighbors(ds, pool_time(m)[None], 1).dataset_ids[0][0] for m in mats]
+        expected = np.array([clip_score(alignnet_raw(params, m.frames, d)) for m, d in zip(mats, nearest)])
         assert dr.pred.tobytes() == expected.tobytes()
         assert len(set(dr.pred.tolist())) > 1
 

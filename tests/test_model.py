@@ -9,11 +9,11 @@ from sqkit import (
     CheckpointError,
     EmbeddingMatrix,
     HeadParams,
-    ScorePrediction,
     ValidationError,
     Workspace,
     alignnet_backward,
     alignnet_raw,
+    clip_score,
     copy_params,
     head_backward,
     head_raw,
@@ -72,9 +72,10 @@ class TestHeadForward:
         high = HeadParams(w1=np.zeros((2, 2)), b1=np.zeros(2), w2=np.zeros(2), b2=np.asarray(7.5))
         low = HeadParams(w1=np.zeros((2, 2)), b1=np.zeros(2), w2=np.zeros(2), b2=np.asarray(0.2))
         mat = EmbeddingMatrix(frames=np.zeros((3, 2)))
-        assert ScorePrediction.from_raw(head_raw(high, mat.frames)).clipped == 5.0
-        assert ScorePrediction.from_raw(head_raw(high, mat.frames)).raw == 7.5
-        assert ScorePrediction.from_raw(head_raw(low, mat.frames)).clipped == 1.0
+        assert head_raw(high, mat.frames) == 7.5
+        assert clip_score(head_raw(high, mat.frames)) == 5.0
+        assert clip_score(head_raw(low, mat.frames)) == 1.0
+        assert clip_score(3.25) == 3.25
 
     def test_wrong_dim_rejected(self):
         params = init_head(5, 4, seed=0)
@@ -110,8 +111,7 @@ class TestAlignNetForward:
     def test_clipped_score_inside_range(self):
         params = init_alignnet(4, ("x",), seed=4, hidden=3, embed_dim=2, decoder_hidden=3)
         mat = EmbeddingMatrix(frames=np.random.default_rng(5).normal(size=(3, 4)))
-        pred = ScorePrediction.from_raw(alignnet_raw(params, mat.frames, "x"))
-        assert 1.0 <= pred.clipped <= 5.0
+        assert 1.0 <= clip_score(alignnet_raw(params, mat.frames, "x")) <= 5.0
 
     def test_duplicate_dataset_ids_rejected(self):
         from sqkit import ValidationError

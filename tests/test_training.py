@@ -12,7 +12,6 @@ from sqkit import (
     FeatureScaler,
     FrontendConfig,
     HeadParams,
-    PooledCorpus,
     Sample,
     TrainConfig,
     ValidationError,
@@ -25,7 +24,6 @@ from sqkit import (
     named_rng,
     params_equal,
     pool,
-    run_seeds,
     save_precomputed,
     select_criterion,
     train,
@@ -363,28 +361,3 @@ class TestTrainMdf:
         cfg = TrainConfig(max_steps=1)
         with pytest.raises(ValueError, match="not among pool members"):
             train_mdf("head", "setc", pooled, FRONTEND, cfg, cfg, hidden=4)
-
-
-class TestRunSeeds:
-    def test_single_seed_mean_equals_the_run(self):
-        summary = run_seeds(lambda s: {"utt_lcc": 0.5 + s / 10}, [3])
-        assert summary.mean == {"utt_lcc": 0.8}
-        assert summary.per_seed == ((3, {"utt_lcc": 0.8}),)
-
-    def test_constant_runs_have_exact_mean(self):
-        summary = run_seeds(lambda s: {"m": 0.25}, [0, 1, 2])
-        assert summary.mean["m"] == 0.25
-
-    def test_mean_lies_between_extremes(self):
-        summary = run_seeds(lambda s: {"m": float(s)}, [1, 2, 6])
-        assert 1.0 <= summary.mean["m"] <= 6.0
-        assert summary.mean["m"] == pytest.approx(3.0)
-
-    def test_mismatched_keys_rejected(self):
-        runs = [{"a": 1.0}, {"b": 2.0}]
-        with pytest.raises(ValidationError):
-            run_seeds(lambda s: runs[s], [0, 1])
-
-    def test_empty_seed_list_rejected(self):
-        with pytest.raises(ValidationError):
-            run_seeds(lambda s: {"m": 0.0}, [])
