@@ -289,10 +289,18 @@ class TestDistributionData:
         main(["train", "--config", str(config), "--out", str(out)])
         assert main(["distribution-data", "--config", str(config), "--out", str(out)]) == 0
         seed_dir = out / "distribution" / "seed0"
-        utterances = read_csv(seed_dir / "utterances.csv")
-        assert len(utterances) == 4
+        assert len(read_csv(seed_dir / "utterances.csv")) == 4
         systems = read_csv(seed_dir / "systems.csv")
         assert set(systems[0]) == {"system_id", "true_mean", "pred_mean"}
+
+    def test_systems_file_holds_per_system_means(self, tmp_path):
+        config = write_recipe(tmp_path)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["distribution-data", "--config", str(config), "--out", str(out)]) == 0
+        seed_dir = out / "distribution" / "seed0"
+        utterances = read_csv(seed_dir / "utterances.csv")
+        systems = read_csv(seed_dir / "systems.csv")
         # One row per system, in id order, holding its utterances' means.
         by_system = {}
         for row in utterances:
