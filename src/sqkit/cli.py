@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .codec import atomic_open
+from .codec import atomic_dir, atomic_open
 from .corpus import (
     CorpusManifest,
     PooledCorpus,
@@ -53,6 +53,7 @@ from .training import MdfResult, TrainConfig, TrainResult, select_criterion, tra
 logger = logging.getLogger(__name__)
 
 LOCK_NAME = ".sqkit.lock"
+LOG_LEVELS = ("debug", "info", "warning", "error")
 MODEL_SECTIONS = ("corpus.", "frontend.", "model.", "train.")
 
 
@@ -134,23 +135,40 @@ def _floats_list(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(",") if v.strip())
 
 
-def materialize_corpus(recipe: Recipe, name: str, out_base: Path) -> CorpusManifest:
-    """Build one corpus from its config block.
+def corpus_fingerprint(recipe: Recipe, name: str) -> str:
+    """sha256 of the raw lines of one corpus block (corpus.<name>.*), by the
+    raw-string rule of recipe_hash: the same block fingerprints the same in
+    any out dir."""
+    return _raw_lines_hash(recipe, (f"corpus.{name}.",))
 
-    kinds: synthetic (generated under <out>/corpora/<name>), manifest
-    (one CSV loaded as a train split), dir (corpus directory with
-    corpus.json). A train-only corpus with split_ratio set is partitioned
-    into train/dev; subsample trims the train split first.
-    """
+
+def _transformed(recipe: Recipe, prefix: str, corpus: CorpusManifest, seed: int) -> CorpusManifest:
+    """Apply the block's subsample, then split a train-only corpus at split_ratio."""
+    n_sub = recipe.get_int(prefix + "subsample", None)
+    if n_sub is not None:
+        corpus = subsample(corpus, n_sub, seed)
+    ratio = recipe.get_float(prefix + "split_ratio", None)
+    if ratio is not None and set(corpus.splits) == {"train"}:
+        corpus = split_random(corpus, ratio, seed)
+    return corpus
+
+
+def _synthetic_corpus(recipe: Recipe, name: str, seed: int, target: Path) -> CorpusManifest:
+    """The prepared corpus in target when its fingerprint matches the
+    recipe; otherwise generate it, subsample and split it, and move the
+    finished dir into place (corpus.json written last)."""
+    fingerprint = corpus_fingerprint(recipe, name)
+    try:
+        corpus = load_corpus_dir(target, fingerprint)
+        logger.info("loaded prepared corpus %r from %s", name, target)
+        return corpus
+    except (ManifestError, ValidationError, OSError, ValueError) as exc:
+        reason = exc
     prefix = f"corpus.{name}."
-    kind = recipe.get(prefix + "kind")
-    if kind is None:
-        raise ValidationError(f"corpus {name!r}: missing {prefix}kind")
-    seed = recipe.get_int(prefix + "seed", 0)
-    if kind == "synthetic":
+    with atomic_dir(target) as tmp:
         spec = SynthSpec(
             name=name,
-            out_dir=out_base / "corpora" / name,
+            out_dir=tmp,
             n_utterances=recipe.get_int(prefix + "n", 120),
             snr_grid_db=_floats_list(recipe.get(prefix + "snr_grid", "-2,0,2,5")),
             mos_intercept=recipe.get_float(prefix + "mos_intercept", 3.0),
@@ -168,8 +186,30 @@ def materialize_corpus(recipe: Recipe, name: str, out_base: Path) -> CorpusManif
             ),
             rate_hz=recipe.get_int(prefix + "rate", 16000),
         )
-        corpus = generate_synthetic_corpus(spec, seed)
-    elif kind == "manifest":
+        corpus = _transformed(recipe, prefix, generate_synthetic_corpus(spec, seed), seed)
+        save_corpus_dir(corpus, tmp, fingerprint)
+    logger.info("generated corpus %r into %s (%s)", name, target, reason)
+    return load_corpus_dir(target, fingerprint)  # samples point into target, not the temp dir
+
+
+def materialize_corpus(recipe: Recipe, name: str, out_base: Path) -> CorpusManifest:
+    """Build one corpus from its config block.
+
+    kinds: synthetic (made once under <out>/corpora/<name> and loaded from
+    there while its fingerprint matches the block), manifest (one CSV
+    loaded as a train split), dir (corpus directory with corpus.json). A
+    train-only corpus with split_ratio set is partitioned into train/dev;
+    subsample trims the train split first. A prepared synthetic dir holds
+    the corpus after both.
+    """
+    prefix = f"corpus.{name}."
+    kind = recipe.get(prefix + "kind")
+    if kind is None:
+        raise ValidationError(f"corpus {name!r}: missing {prefix}kind")
+    seed = recipe.get_int(prefix + "seed", 0)
+    if kind == "synthetic":
+        return _synthetic_corpus(recipe, name, seed, out_base / "corpora" / name)
+    if kind == "manifest":
         corpus = load_manifest(
             recipe.path(prefix + "path"),
             name=name,
@@ -181,14 +221,7 @@ def materialize_corpus(recipe: Recipe, name: str, out_base: Path) -> CorpusManif
         corpus = load_corpus_dir(recipe.path(prefix + "path"))
     else:
         raise ValidationError(f"corpus {name!r}: unknown kind {kind!r}")
-
-    n_sub = recipe.get_int(prefix + "subsample", None)
-    if n_sub is not None:
-        corpus = subsample(corpus, n_sub, seed)
-    ratio = recipe.get_float(prefix + "split_ratio", None)
-    if ratio is not None and set(corpus.splits) == {"train"}:
-        corpus = split_random(corpus, ratio, seed)
-    return corpus
+    return _transformed(recipe, prefix, corpus, seed)
 
 
 def get_corpora(recipe: Recipe, out_base: Path) -> dict[str, CorpusManifest]:
@@ -297,14 +330,19 @@ def load_model_dir(directory: Path) -> tuple[ModelParams, FeatureScaler, dict]:
     return load_params(directory / "params.ckpt"), load_scaler(directory / "scaler.bin"), meta
 
 
+def _raw_lines_hash(recipe: Recipe, prefixes: tuple[str, ...], *extra: str) -> str:
+    """sha256 of the sorted raw `key = value` lines whose key starts with one
+    of prefixes, then the extra lines."""
+    lines = sorted(f"{key} = {value}" for key, value in recipe.config.items() if key.startswith(prefixes))
+    return hashlib.sha256("\n".join([*lines, *extra]).encode("utf-8")).hexdigest()
+
+
 def recipe_hash(recipe: Recipe, mdf_pretrain: str | None) -> str:
     """sha256 of the raw recipe lines that decide a trained model (the
     corpus, frontend, model and train keys) and the effective MDF pretrain
     corpus. Raw strings, not resolved paths: the same recipe hashes the
     same in any out dir."""
-    lines = sorted(f"{key} = {value}" for key, value in recipe.config.items() if key.startswith(MODEL_SECTIONS))
-    lines.append(f"mdf_pretrain = {mdf_pretrain or ''}")
-    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    return _raw_lines_hash(recipe, MODEL_SECTIONS, f"mdf_pretrain = {mdf_pretrain or ''}")
 
 
 def _trained_under(seed_dir: Path, digest: str) -> bool:
@@ -436,7 +474,10 @@ def cmd_prepare(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
     """Materialize every configured corpus under <out>/corpora/."""
     corpora = get_corpora(recipe, out)
     for name, corpus in corpora.items():
-        save_corpus_dir(corpus, out / "corpora" / name)
+        # A synthetic corpus dir is already in place. Other copies are written
+        # in place, file by file: a dir corpus may live in this very dir.
+        if recipe.get(f"corpus.{name}.kind") != "synthetic":
+            save_corpus_dir(corpus, out / "corpora" / name)
         sizes = {split: corpus.size(split) for split in corpus.splits}
         print(f"prepared corpus {name}: {sizes}")
     return 0
@@ -758,6 +799,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--knn-temperature", type=float, help="kNN softmax temperature override")
         p.add_argument("--paper-literal-knn", action="store_true", help="weight neighbors by exp(+d/T) as published")
         p.add_argument("--mdf-pretrain", help="corpus name for two-phase pre-train + pooled fine-tune")
+        p.add_argument("--log-level", choices=LOG_LEVELS, default="warning", help="sqkit log level (default warning)")
+        p.add_argument("-v", dest="log_level", action="store_const", const="info", help="same as --log-level info")
     return parser
 
 
@@ -784,6 +827,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    for name in ("sqkit", logger.name):  # logger.name is __main__ under `python -m sqkit.cli`
+        logging.getLogger(name).setLevel(args.log_level.upper())
 
     lock = None
     try:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import shutil
 import struct
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -38,6 +39,25 @@ def atomic_open(path: str | Path, mode: str = "wb", **kwargs) -> Iterator[IO]:
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
+        raise
+
+
+@contextlib.contextmanager
+def atomic_dir(path: str | Path) -> Iterator[Path]:
+    """Yield an empty temp dir beside path and move it into place as path
+    (replacing any old path) once the block succeeds; a failure removes the
+    temp dir. A kill leaves path whole or absent, plus at worst a temp dir
+    that nothing reads."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    shutil.rmtree(tmp, ignore_errors=True)  # a killed run's, if the pid came round again
+    try:
+        tmp.mkdir(parents=True)
+        yield tmp
+        shutil.rmtree(path, ignore_errors=True)
+        os.replace(tmp, path)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
         raise
 
 

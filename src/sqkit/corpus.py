@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .codec import atomic_open
 from .errors import ManifestError, ValidationError
 from .seeding import named_rng
 
@@ -233,7 +234,8 @@ def load_manifest(
 
 
 def save_manifest(samples: tuple[Sample, ...] | list[Sample], path: str | Path) -> None:
-    """Write samples as a manifest CSV; paths are relativized when possible."""
+    """Write samples as a manifest CSV, whole or not at all; paths are
+    relativized when possible."""
     path = Path(path)
     base_dir = path.parent.resolve()
 
@@ -246,7 +248,7 @@ def save_manifest(samples: tuple[Sample, ...] | list[Sample], path: str | Path) 
         except ValueError:
             return str(p)
 
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(MANIFEST_HEADER)
         for s in samples:
@@ -258,37 +260,48 @@ def save_manifest(samples: tuple[Sample, ...] | list[Sample], path: str | Path) 
                 writer.writerow(common + ["", ""])
 
 
-def load_corpus_dir(directory: str | Path) -> CorpusManifest:
-    """Load a corpus directory: ``corpus.json`` metadata plus split CSVs."""
+def load_corpus_dir(directory: str | Path, fingerprint: str | None = None) -> CorpusManifest:
+    """Load a corpus directory: ``corpus.json`` metadata plus split CSVs.
+
+    With ``fingerprint`` set, a corpus.json that records another
+    fingerprint, or none, raises ManifestError: the dir was made from
+    another recipe (or by an older sqkit) and cannot be trusted.
+    """
     directory = Path(directory)
     meta_path = directory / "corpus.json"
-    if not meta_path.exists():
-        raise ManifestError(f"no corpus.json in {directory}")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    splits: dict[str, tuple[Sample, ...]] = {}
-    for split, filename in meta["splits"].items():
-        part = load_manifest(
-            directory / filename,
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ManifestError(f"no corpus.json in {directory}") from None
+    except (OSError, ValueError) as exc:
+        raise ManifestError(f"{meta_path}: unreadable ({exc})") from None
+    if not isinstance(meta, dict):
+        raise ManifestError(f"{meta_path}: not a JSON object")
+    if fingerprint is not None and meta.get("fingerprint") != fingerprint:
+        found = meta.get("fingerprint") or "(none)"
+        raise ManifestError(f"{meta_path}: fingerprint {found} does not match the recipe's {fingerprint}")
+    try:
+        info = dict(
             name=meta["name"],
             domain_tag=meta["domain_tag"],
             language=meta.get("language", "und"),
             native_rate_hz=int(meta.get("native_rate_hz", 16000)),
-            split=split,
         )
-        splits[split] = part.samples(split)
-    corpus = CorpusManifest(
-        name=meta["name"],
-        domain_tag=meta["domain_tag"],
-        language=meta.get("language", "und"),
-        native_rate_hz=int(meta.get("native_rate_hz", 16000)),
-        splits=splits,
-    )
+        files = dict(meta["splits"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ManifestError(f"{meta_path}: bad corpus metadata ({exc!r})") from None
+    splits = {
+        split: load_manifest(directory / csv_name, split=split, **info).samples(split)
+        for split, csv_name in files.items()
+    }
+    corpus = CorpusManifest(splits=splits, **info)
     corpus.validate()
     return corpus
 
 
-def save_corpus_dir(corpus: CorpusManifest, directory: str | Path) -> None:
-    """Write a corpus as corpus.json plus one CSV per split."""
+def save_corpus_dir(corpus: CorpusManifest, directory: str | Path, fingerprint: str | None = None) -> None:
+    """Write a corpus as one CSV per split, then corpus.json (recording
+    ``fingerprint`` when given); each file is written whole or not at all."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     meta = {
@@ -298,9 +311,12 @@ def save_corpus_dir(corpus: CorpusManifest, directory: str | Path) -> None:
         "native_rate_hz": corpus.native_rate_hz,
         "splits": {split: f"{split}.csv" for split in corpus.splits},
     }
-    (directory / "corpus.json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+    if fingerprint is not None:
+        meta["fingerprint"] = fingerprint
     for split, samples in corpus.splits.items():
         save_manifest(samples, directory / f"{split}.csv")
+    with atomic_open(directory / "corpus.json", "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(meta, indent=2) + "\n")
 
 
 def split_random(corpus: CorpusManifest, ratio: float, seed: int) -> CorpusManifest:
@@ -384,10 +400,12 @@ def generate_synthetic_corpus(spec: SynthSpec, seed: int) -> CorpusManifest:
     """Generate WAVs plus manifest for a synthetic corpus; returns the corpus.
 
     Writes under ``spec.out_dir``: ``wav/*.wav``, ``<split>.csv``,
-    ``corpus.json`` and ``sidecar.csv`` holding the ground-truth
-    ``snr_db,delta,epsilon`` per sample for oracle tests. Audio content
+    ``sidecar.csv`` holding the ground-truth ``snr_db,delta,epsilon`` per
+    sample for oracle tests, and ``corpus.json`` last. Audio content
     depends only on (spec-sans-delta, seed): shifting ``delta`` changes
-    scores, never waveforms.
+    scores, never waveforms. Files are written in place; the CLI
+    generates into a ``codec.atomic_dir`` so a killed run leaves no torn
+    corpus dir.
     """
     from .frontend import write_wav
 
@@ -440,12 +458,12 @@ def generate_synthetic_corpus(spec: SynthSpec, seed: int) -> CorpusManifest:
         splits={spec.split: tuple(samples)},
     )
     corpus.validate()
-    save_corpus_dir(corpus, out_dir)
     with open(out_dir / "sidecar.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample_id", "snr_db", "delta", "epsilon"])
         for sid, snr_db, delta, eps in sidecar_rows:
             writer.writerow([sid, repr(snr_db), repr(delta), repr(eps)])
+    save_corpus_dir(corpus, out_dir)
     logger.info("generated synthetic corpus %r: %d utterances in %s", spec.name, len(samples), out_dir)
     return corpus
 

@@ -9,6 +9,7 @@ precomputed-embedding file.
 
 from __future__ import annotations
 
+import functools
 import wave as wave_mod
 from dataclasses import dataclass
 from pathlib import Path
@@ -163,6 +164,17 @@ def mel_center_frequencies(n_mels: int, fmin_hz: float = 0.0, fmax_hz: float = T
     return np.asarray(mel_to_hz(mel_points))[1:-1]
 
 
+@functools.lru_cache(maxsize=16)
+def _dsp_tables(win: int, n_fft: int, rate_hz: int, n_mels: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Hann window and mel filterbank of one frontend shape, built once
+    and shared read-only by every extract_dsp call."""
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(win) / win)
+    fb = mel_filterbank(n_fft, rate_hz, n_mels)
+    window.flags.writeable = False
+    fb.flags.writeable = False
+    return window, fb
+
+
 def extract_dsp(samples: np.ndarray, config: FrontendConfig) -> EmbeddingMatrix:
     """Frame-level DSP features for a 16 kHz waveform.
 
@@ -184,8 +196,7 @@ def extract_dsp(samples: np.ndarray, config: FrontendConfig) -> EmbeddingMatrix:
     n_fft = 1
     while n_fft < win:
         n_fft *= 2
-    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(win) / win)
-    fb = mel_filterbank(n_fft, rate, config.n_mels)
+    window, fb = _dsp_tables(win, n_fft, rate, config.n_mels)
 
     frames = np.lib.stride_tricks.sliding_window_view(samples, win)[::hop] * window
     power = np.abs(np.fft.rfft(frames, n=n_fft, axis=1)) ** 2

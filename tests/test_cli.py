@@ -2,13 +2,23 @@
 
 import csv
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+import sqkit.frontend
 import sqkit.inference
-from sqkit import ValidationError, cli, load_corpus_dir, save_manifest
+from sqkit import (
+    SynthSpec,
+    ValidationError,
+    cli,
+    generate_synthetic_corpus,
+    load_corpus_dir,
+    save_manifest,
+    split_random,
+)
 from sqkit.cli import main, parse_recipe, write_csv, write_records, write_records_mean
 from sqkit.training import LogRecord
 
@@ -424,3 +434,167 @@ class TestKillSafety:
             write_csv(path, ["a"], rows())
         assert path.read_bytes() == b"a\r\n1\r\n"
         assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+def tree_bytes(root):
+    """relative path -> bytes of every file under root."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(Path(root).rglob("*")) if p.is_file()}
+
+
+def counted_generate(monkeypatch):
+    """Count cli.generate_synthetic_corpus calls by corpus name."""
+    calls = []
+    real = cli.generate_synthetic_corpus
+
+    def generate(spec, seed):
+        calls.append(spec.name)
+        return real(spec, seed)
+
+    monkeypatch.setattr(cli, "generate_synthetic_corpus", generate)
+    return calls
+
+
+class TestPreparedCorpora:
+    """A synthetic corpus is generated once per out dir and loaded from
+    corpora/<name>/ while its fingerprint matches the recipe."""
+
+    def test_prepare_then_train_keeps_the_dev_split(self, tmp_path, monkeypatch):
+        config = write_recipe(tmp_path)
+        out = tmp_path / "out"
+        assert main(["prepare", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+        corpus_dir = out / "corpora" / "synth"
+        meta = json.loads((corpus_dir / "corpus.json").read_text())
+        assert meta["splits"] == {"train": "train.csv", "dev": "dev.csv"}
+        block_lines = sorted(line for line in BASE_RECIPE.splitlines() if line.startswith("corpus.synth."))
+        assert meta["fingerprint"] == hashlib.sha256("\n".join(block_lines).encode("utf-8")).hexdigest()
+        assert len(read_csv(corpus_dir / "train.csv")) == 12
+        assert len(read_csv(corpus_dir / "dev.csv")) == 4
+
+        trained_on = []
+        real_train = cli.train
+
+        def train(model_kind, corpus, *args, **kwargs):
+            trained_on.append(corpus.size("train"))
+            return real_train(model_kind, corpus, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", train)
+        block = [line for line in BASE_RECIPE.splitlines() if not line.startswith("corpus.synth.")]
+        dir_recipe = "\n".join(block) + f"\ncorpus.synth.kind = dir\ncorpus.synth.path = {corpus_dir}\n"
+        dir_config = write_recipe(tmp_path, dir_recipe, name="dir.cfg")
+        assert main(["train", "--config", str(dir_config), "--out", str(tmp_path / "out_dir")]) == 0
+        assert trained_on == [12]
+
+    def test_prepare_of_a_dir_corpus_in_place_keeps_its_audio(self, tmp_path):
+        config = write_recipe(tmp_path)
+        out = tmp_path / "out"
+        assert main(["prepare", "--config", str(config), "--out", str(out)]) == 0
+        corpus_dir = out / "corpora" / "synth"
+        block = [line for line in BASE_RECIPE.splitlines() if not line.startswith("corpus.synth.")]
+        dir_recipe = "\n".join(block) + f"\ncorpus.synth.kind = dir\ncorpus.synth.path = {corpus_dir}\n"
+        dir_config = write_recipe(tmp_path, dir_recipe, name="dir.cfg")
+        assert main(["prepare", "--config", str(dir_config), "--out", str(out)]) == 0
+        corpus = load_corpus_dir(corpus_dir)
+        assert corpus.size("train") == 12 and corpus.size("dev") == 4
+        assert all(s.audio_ref.exists() for split in corpus.splits for s in corpus.samples(split))
+
+    def test_loaded_corpus_equals_the_generated_one(self, tmp_path):
+        config = write_recipe(tmp_path)
+        out = tmp_path / "out"
+        recipe = cli.Recipe(parse_recipe(config), tmp_path)
+        first = cli.get_corpora(recipe, out)["synth"]  # generates
+        again = cli.get_corpora(recipe, out)["synth"]  # loads
+        assert again == first
+        assert all(s.audio_ref.parent == out / "corpora" / "synth" / "wav" for s in first.samples("train"))
+
+        spec = SynthSpec(name="synth", out_dir=tmp_path / "direct", n_utterances=16, duration_s=(0.2, 0.3))
+        direct = split_random(generate_synthetic_corpus(spec, seed=7), 0.75, seed=7)
+        assert list(again.splits) == list(direct.splits) == ["train", "dev"]
+        for split in direct.splits:
+            for loaded, made in zip(again.samples(split), direct.samples(split), strict=True):
+                assert dataclasses.replace(loaded, audio_ref=None) == dataclasses.replace(made, audio_ref=None)
+                assert loaded.audio_ref.name == made.audio_ref.name
+                assert loaded.audio_ref.read_bytes() == made.audio_ref.read_bytes()
+        assert {k: v for k, v in vars(again).items() if k != "splits"} == {
+            k: v for k, v in vars(direct).items() if k != "splits"
+        }
+
+    def test_editing_one_corpus_block_regenerates_that_corpus_only(self, tmp_path, monkeypatch):
+        config = write_recipe(tmp_path, BASE_RECIPE + OTHER_CORPUS)
+        out = tmp_path / "out"
+        assert main(["prepare", "--config", str(config), "--out", str(out)]) == 0
+        synth_before = tree_bytes(out / "corpora" / "synth")
+        calls = counted_generate(monkeypatch)
+        config = write_recipe(tmp_path, BASE_RECIPE + OTHER_CORPUS.replace("corpus.other.n = 8", "corpus.other.n = 10"))
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+        assert calls == ["other"]
+        assert tree_bytes(out / "corpora" / "synth") == synth_before
+        assert len(read_csv(out / "corpora" / "other" / "train.csv")) == 5
+
+    def test_train_infer_benchmark_without_prepare_generate_each_corpus_once(self, tmp_path, monkeypatch):
+        config = write_recipe(tmp_path, BASE_RECIPE + OTHER_CORPUS)
+        out = tmp_path / "out"
+        calls = counted_generate(monkeypatch)
+        for command in ("train", "infer", "benchmark"):
+            assert main([command, "--config", str(config), "--out", str(out)]) == 0
+        assert sorted(calls) == ["other", "synth"]
+
+    def test_failed_generation_leaves_no_corpus_dir_and_a_rerun_matches_a_clean_run(self, tmp_path, monkeypatch):
+        config = write_recipe(tmp_path)
+        clean, out = tmp_path / "clean", tmp_path / "out"
+        assert main(["benchmark", "--config", str(config), "--out", str(clean)]) == 0
+
+        writes = []
+        real_write_wav = sqkit.frontend.write_wav
+
+        def write_wav(*args):
+            writes.append(args[0])
+            if len(writes) == 5:
+                raise OSError("disk full")
+            real_write_wav(*args)
+
+        monkeypatch.setattr(sqkit.frontend, "write_wav", write_wav)
+        assert main(["prepare", "--config", str(config), "--out", str(out)]) == 2
+        assert list((out / "corpora").iterdir()) == []  # neither a torn synth/ nor the temp dir
+        monkeypatch.undo()
+
+        # A temp dir a SIGKILL left behind, holding a plausible corpus.json, is never read.
+        stale = out / "corpora" / ".synth.99999999.tmp"
+        (stale / "wav").mkdir(parents=True)
+        (stale / "corpus.json").write_text((clean / "corpora" / "synth" / "corpus.json").read_text())
+        (stale / "train.csv").write_text("garbage\n")
+        assert main(["benchmark", "--config", str(config), "--out", str(out)]) == 0
+        assert sorted(p.name for p in (out / "corpora").iterdir()) == [".synth.99999999.tmp", "synth"]
+        for tree in ("corpora/synth", "train"):
+            assert tree_bytes(out / tree) == tree_bytes(clean / tree), tree
+        for name in ("records.csv", "records_mean.csv", "tests.csv"):
+            assert (out / name).read_bytes() == (clean / name).read_bytes(), name
+
+    def test_failed_regeneration_keeps_the_old_whole_dir(self, tmp_path, monkeypatch):
+        config = write_recipe(tmp_path)
+        out = tmp_path / "out"
+        assert main(["prepare", "--config", str(config), "--out", str(out)]) == 0
+        before = tree_bytes(out / "corpora")
+
+        def write_wav(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(sqkit.frontend, "write_wav", write_wav)
+        config = write_recipe(tmp_path, BASE_RECIPE.replace("corpus.synth.n = 16", "corpus.synth.n = 20"))
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 2
+        assert tree_bytes(out / "corpora") == before
+        monkeypatch.undo()
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+        assert len(read_csv(out / "corpora" / "synth" / "train.csv")) == 15
+
+    def test_verbose_flag_says_whether_each_corpus_was_generated_or_loaded(self, tmp_path, caplog):
+        config = write_recipe(tmp_path)
+        out = tmp_path / "out"
+        assert main(["prepare", "--config", str(config), "--out", str(out)]) == 0
+        assert caplog.records == []
+        assert main(["train", "--config", str(config), "--out", str(out), "-v"]) == 0
+        assert f"loaded prepared corpus 'synth' from {out / 'corpora' / 'synth'}" in caplog.messages
+        assert "seed 0: trained head for 60 steps" in caplog.messages
+        caplog.clear()
+        assert main(["prepare", "--config", str(config), "--out", str(tmp_path / "fresh"), "--log-level", "info"]) == 0
+        assert any(m.startswith("generated corpus 'synth'") for m in caplog.messages)

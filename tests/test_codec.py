@@ -29,7 +29,7 @@ from sqkit import (
     save_precomputed,
     save_scaler,
 )
-from sqkit.codec import write_artifact
+from sqkit.codec import atomic_dir, write_artifact
 
 
 def small_datastore():
@@ -229,3 +229,20 @@ def test_failed_write_leaves_the_previous_file_or_none(tmp_path):
             write_artifact(path, b"SQSC", "<I", (3,), b"first chunk", "not bytes")
     assert [p.name for p in tmp_path.iterdir()] == ["scaler.bin"]
     assert old.read_bytes() == before
+
+
+def test_atomic_dir_replaces_the_old_dir_whole_or_not_at_all(tmp_path):
+    target = tmp_path / "corpus"
+    target.mkdir()
+    (target / "old.txt").write_text("old")
+    with pytest.raises(OSError):
+        with atomic_dir(target) as tmp:
+            (tmp / "new.txt").write_text("half")
+            raise OSError("killed mid-build")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus"]
+    assert [p.name for p in target.iterdir()] == ["old.txt"]
+    with atomic_dir(target) as tmp:
+        assert tmp.parent == tmp_path and not list(tmp.iterdir())
+        (tmp / "new.txt").write_text("whole")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus"]
+    assert [p.name for p in target.iterdir()] == ["new.txt"]

@@ -210,6 +210,22 @@ class TestManifestRoundTrip:
         with pytest.raises(ManifestError, match="corpus.json"):
             load_corpus_dir(tmp_path)
 
+    def test_fingerprint_must_match_when_asked_for(self, tmp_path):
+        corpus = corpus_of(make_samples(4))
+        save_corpus_dir(corpus, tmp_path / "old")  # as an older sqkit wrote it: no fingerprint
+        save_corpus_dir(corpus, tmp_path / "new", fingerprint="abc")
+        assert load_corpus_dir(tmp_path / "old") == load_corpus_dir(tmp_path / "new")
+        assert load_corpus_dir(tmp_path / "new", fingerprint="abc").size("train") == 4
+        for directory, fingerprint in (("old", "abc"), ("new", "abd")):
+            with pytest.raises(ManifestError, match="fingerprint"):
+                load_corpus_dir(tmp_path / directory, fingerprint=fingerprint)
+
+    @pytest.mark.parametrize("text", ["", "{\"name\": ", "[1, 2]", "{\"name\": \"demo\"}", "\udcff"])
+    def test_unreadable_corpus_json_is_a_manifest_error(self, tmp_path, text):
+        (tmp_path / "corpus.json").write_text(text, encoding="utf-8", errors="surrogateescape")
+        with pytest.raises(ManifestError, match="corpus.json"):
+            load_corpus_dir(tmp_path)
+
 
 class TestSplits:
     def test_floor_rule_and_partition(self):

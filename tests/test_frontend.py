@@ -27,6 +27,7 @@ from sqkit import (
     save_scaler,
     write_wav,
 )
+from sqkit import frontend
 from sqkit.frontend import mel_filterbank
 
 
@@ -150,6 +151,18 @@ class TestExtractDsp:
             energies = (np.abs(np.fft.rfft(frames, n=n_fft, axis=1)) ** 2) @ fb.T
             expected = np.log(np.maximum(energies, self.CONFIG.log_floor))
             np.testing.assert_array_equal(extract_dsp(x, self.CONFIG).frames[:, :n_mels], expected)
+
+    def test_window_and_filterbank_are_shared_read_only_per_shape(self):
+        window, fb = frontend._dsp_tables(400, 512, 16000, 8)
+        assert frontend._dsp_tables(400, 512, 16000, 8)[1] is fb
+        np.testing.assert_array_equal(fb, mel_filterbank(512, 16000, 8))
+        for table in (window, fb):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1.0
+        x = np.random.default_rng(5).normal(size=4000) * 0.1
+        first, other, again = (extract_dsp(x, FrontendConfig(n_mels=n)) for n in (8, 24, 8))
+        assert other.dim == 48
+        np.testing.assert_array_equal(first.frames, again.frames)
 
     def test_short_utterance_gets_one_frame(self):
         mat = extract_dsp(np.random.default_rng(3).normal(size=150) * 0.1, self.CONFIG)
