@@ -1,7 +1,8 @@
 """Recipe-style command line: prepare, train, infer, benchmark, aggregate,
 export-embeddings, distribution-data.
 
-A recipe is a flat key=value config file; command-line flags override it.
+A recipe is a flat key=value config file. Three flags override a recipe
+key: --seed (seeds), --out (out) and --inference (infer.mode).
 Every command is deterministic given (config, seeds): corpora are
 materialized from seeded generators, training consumes named seed
 streams, and all emitted CSV floats use repr so reruns are byte-identical.
@@ -46,7 +47,7 @@ from .errors import (
 from .export import export_embeddings, pca_2d
 from .frontend import FeatureScaler, FrontendConfig, load_scaler, save_scaler
 from .inference import DISTANCE_KINDS, INFERENCE_MODES, Datastore, KnnConfig, build_datastore, predict_split, save_datastore
-from .metrics import DEFAULT_METRIC_KEYS, EvalPairs, MetricReport, aggregate, mse, pearson, spearman, system_aggregate
+from .metrics import EvalPairs, MetricReport, aggregate, best_values, mse, pearson, spearman, system_aggregate
 from .model import ModelParams, load_params, save_params
 from .training import MdfResult, TrainConfig, TrainResult, select_criterion, train, train_mdf
 
@@ -296,7 +297,7 @@ def build_train_config(recipe: Recipe, seed: int, domain_tag: str, max_steps: in
     )
 
 
-def save_model_dir(directory: Path, result: TrainResult, frontend_config: FrontendConfig, extra: dict | None = None) -> None:
+def save_model_dir(directory: Path, result: TrainResult, frontend_config: FrontendConfig, extra: dict) -> None:
     """Persist one trained model: params, scaler, eval log, then metadata.
 
     meta.json marks a finished model dir (benchmark skips training when its
@@ -316,18 +317,21 @@ def save_model_dir(directory: Path, result: TrainResult, frontend_config: Fronte
         "best_step": None if result.ledger.best is None else result.ledger.best.step,
         "best_value": None if result.ledger.best is None else result.ledger.best.value,
         "frontend": dataclasses.asdict(frontend_config),
+        **extra,
     }
-    if extra:
-        meta.update(extra)
     write_text(directory / "meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def load_model_dir(directory: Path) -> tuple[ModelParams, FeatureScaler, dict]:
+def load_model_dir(directory: Path, digest: str) -> tuple[ModelParams, FeatureScaler]:
+    """Load a trained model dir; warn when it was trained under a recipe
+    whose recipe_hash is not digest."""
     meta_path = directory / "meta.json"
     if not meta_path.exists():
         raise ValidationError(f"no trained model in {directory} (run the train command first)")
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    return load_params(directory / "params.ckpt"), load_scaler(directory / "scaler.bin"), meta
+    if not isinstance(meta, dict) or meta.get("recipe_hash") != digest:
+        logger.warning("%s was trained under another recipe (its recipe_hash differs); rerun train", directory)
+    return load_params(directory / "params.ckpt"), load_scaler(directory / "scaler.bin")
 
 
 def _raw_lines_hash(recipe: Recipe, prefixes: tuple[str, ...], *extra: str) -> str:
@@ -337,12 +341,13 @@ def _raw_lines_hash(recipe: Recipe, prefixes: tuple[str, ...], *extra: str) -> s
     return hashlib.sha256("\n".join([*lines, *extra]).encode("utf-8")).hexdigest()
 
 
-def recipe_hash(recipe: Recipe, mdf_pretrain: str | None) -> str:
+def recipe_hash(recipe: Recipe) -> str:
     """sha256 of the raw recipe lines that decide a trained model (the
-    corpus, frontend, model and train keys) and the effective MDF pretrain
-    corpus. Raw strings, not resolved paths: the same recipe hashes the
-    same in any out dir."""
-    return _raw_lines_hash(recipe, MODEL_SECTIONS, f"mdf_pretrain = {mdf_pretrain or ''}")
+    corpus, frontend, model and train keys). Raw strings, not resolved
+    paths: the same recipe hashes the same in any out dir. The last line
+    repeats the train.mdf_pretrain value, so the digests that existing
+    meta.json files record still match."""
+    return _raw_lines_hash(recipe, MODEL_SECTIONS, f"mdf_pretrain = {recipe.get('train.mdf_pretrain') or ''}")
 
 
 def _trained_under(seed_dir: Path, digest: str) -> bool:
@@ -359,7 +364,6 @@ def train_one_seed(
     corpora: dict[str, CorpusManifest],
     seed: int,
     out_dir: Path,
-    mdf_pretrain: str | None,
 ) -> TrainResult:
     """Train (plain or MDF) for one seed and persist the artifacts."""
     frontend_config = build_frontend(recipe)
@@ -374,8 +378,9 @@ def train_one_seed(
     seed_dir = out_dir / "train" / f"seed{seed}"
     for stale in ("ledger", "mdf_phase1"):  # nothing of an earlier run survives a retrain
         shutil.rmtree(seed_dir / stale, ignore_errors=True)
-    extra = {"recipe_hash": recipe_hash(recipe, mdf_pretrain)}
+    extra = {"recipe_hash": recipe_hash(recipe)}
 
+    mdf_pretrain = recipe.get("train.mdf_pretrain")
     if mdf_pretrain:
         if not isinstance(train_corpus, PooledCorpus):
             raise ValidationError("MDF needs a pooled train.corpus (a+b+...)")
@@ -496,9 +501,8 @@ def _seed_list(recipe: Recipe, args: argparse.Namespace) -> list[int]:
 
 def cmd_train(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
     corpora = get_corpora(recipe, out)
-    mdf_pretrain = args.mdf_pretrain or recipe.get("train.mdf_pretrain")
     for seed in _seed_list(recipe, args):
-        result = train_one_seed(recipe, corpora, seed, out, mdf_pretrain)
+        result = train_one_seed(recipe, corpora, seed, out)
         best = result.ledger.best
         value = "n/a" if best is None else f"{best.value:.4f}@{best.step}"
         print(f"trained seed {seed}: {result.model_kind}, {result.steps_run} steps, best {result.criterion} {value}")
@@ -524,20 +528,17 @@ def _predict_seeds(
     knn_config = None
     if mode == "knn":
         knn_config = KnnConfig(
-            k=args.knn_k if args.knn_k is not None else recipe.get_int("infer.knn_k", 5),
-            temperature=(
-                args.knn_temperature
-                if args.knn_temperature is not None
-                else recipe.get_float("infer.knn_temperature", 1.0)
-            ),
-            paper_literal=args.paper_literal_knn or recipe.get_bool("infer.knn_paper_literal", False),
+            k=recipe.get_int("infer.knn_k", 5),
+            temperature=recipe.get_float("infer.knn_temperature", 1.0),
+            paper_literal=recipe.get_bool("infer.knn_paper_literal", False),
         )
     train_corpus = None if mode == "parametric" else resolve_train_corpus(recipe, corpora)
     distance_kind = recipe.get("infer.distance", "euclidean")
     if train_corpus is not None and distance_kind not in DISTANCE_KINDS:
         raise ValidationError(f"infer.distance must be one of {DISTANCE_KINDS}, not {distance_kind!r}")
+    digest = recipe_hash(recipe)
     for seed in _seed_list(recipe, args):
-        params, scaler, _meta = load_model_dir(out / "train" / f"seed{seed}")
+        params, scaler = load_model_dir(out / "train" / f"seed{seed}", digest)
         datastore = None
         if train_corpus is not None:
             datastore = build_datastore(frontend_config, train_corpus, scaler=scaler, distance_kind=distance_kind)
@@ -578,13 +579,12 @@ def cmd_benchmark(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
     corpora = get_corpora(recipe, out)
     names = [t.strip() for t in recipe.require("benchmark.tests").split(",") if t.strip()]
     targets = [_target(recipe, corpora, "benchmark.tests", name) for name in names]
-    mdf_pretrain = args.mdf_pretrain or recipe.get("train.mdf_pretrain")
-    digest = recipe_hash(recipe, mdf_pretrain)
+    digest = recipe_hash(recipe)
     for seed in _seed_list(recipe, args):
         if not _trained_under(out / "train" / f"seed{seed}", digest):
-            train_one_seed(recipe, corpora, seed, out, mdf_pretrain)
+            train_one_seed(recipe, corpora, seed, out)
 
-    model_kind = recipe.get("model.kind", "head") + ("-mdf" if mdf_pretrain else "")
+    model_kind = recipe.get("model.kind", "head") + ("-mdf" if recipe.get("train.mdf_pretrain") else "")
     rows: list[tuple] = []
     tests: dict[str, list[str]] = {}
     for seed, mode, _datastore, all_pairs in _predict_seeds(recipe, args, out, corpora, targets):
@@ -654,21 +654,19 @@ def cmd_aggregate(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
     reports = _reports_from_cells(merged)
 
     policy = recipe.get("aggregate.best", "within-family")
-    if policy == "within-family":
-        best: str | dict = "within-family"
-    elif policy == "external":
-        ref_dir = recipe.path("aggregate.reference")
-        ref_cells, ref_domains = _read_records_mean(ref_dir)
-        ref_reports = _reports_from_cells(ref_cells)
-        best = {}
-        for test in {t for _, t in ref_reports}:
-            mse_key, corr_key = DEFAULT_METRIC_KEYS[ref_domains[test]]
-            family = [r for (m, t), r in ref_reports.items() if t == test]
-            best[test] = (min(r.get(mse_key) for r in family), max(r.get(corr_key) for r in family))
-    else:
+    best = None
+    if policy == "external":
+        ref_cells, ref_domains = _read_records_mean(recipe.path("aggregate.reference"))
+        for test, domain in sorted(domains.items()):
+            if test not in ref_domains:
+                raise ValidationError(f"aggregate.reference has no test set {test!r}")
+            if ref_domains[test] != domain:
+                raise ValidationError(f"aggregate.reference tags test set {test!r} {ref_domains[test]!r}, not {domain!r}")
+        best = best_values(_reports_from_cells(ref_cells), ref_domains)
+    elif policy != "within-family":
         raise ValidationError(f"aggregate.best must be within-family or external, got {policy!r}")
 
-    matrix = aggregate(reports, domains, best=best)
+    matrix = aggregate(reports, domains, best)
     out.mkdir(parents=True, exist_ok=True)
     cells = ((model, test, matrix.cells[model, test]) for model in matrix.model_ids for test in matrix.test_ids)
     write_csv(
@@ -712,7 +710,7 @@ def cmd_export_embeddings(recipe: Recipe, args: argparse.Namespace, out: Path) -
     scaler_note = "raw frontend features (no trained scaler found)"
     model_dir = out / "train" / f"seed{seeds[0]}"
     if (model_dir / "meta.json").exists():
-        _params, scaler, _meta = load_model_dir(model_dir)
+        _params, scaler = load_model_dir(model_dir, recipe_hash(recipe))
         scaler_note = f"scaler from {model_dir}"
 
     dump = export_embeddings(
@@ -794,11 +792,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="recipe config file (flat key=value)")
         p.add_argument("--seed", help="comma-separated seed list, overrides config 'seeds'")
         p.add_argument("--out", help="output directory, overrides config 'out'")
-        p.add_argument("--inference", choices=INFERENCE_MODES, help="inference mode override")
-        p.add_argument("--knn-k", type=int, help="kNN neighbor count override")
-        p.add_argument("--knn-temperature", type=float, help="kNN softmax temperature override")
-        p.add_argument("--paper-literal-knn", action="store_true", help="weight neighbors by exp(+d/T) as published")
-        p.add_argument("--mdf-pretrain", help="corpus name for two-phase pre-train + pooled fine-tune")
+        p.add_argument("--inference", choices=INFERENCE_MODES, help="inference mode, overrides config 'infer.mode'")
         p.add_argument("--log-level", choices=LOG_LEVELS, default="warning", help="sqkit log level (default warning)")
         p.add_argument("-v", dest="log_level", action="store_const", const="info", help="same as --log-level info")
     return parser

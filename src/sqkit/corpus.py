@@ -390,20 +390,19 @@ class SynthSpec:
     tone_amplitude: float = 0.25
     duration_s: tuple[float, float] = (1.0, 3.0)
     rate_hz: int = 16000
-    split: str = "train"
 
     def mos_of_snr(self, snr_db: float) -> float:
         return self.mos_intercept + self.mos_slope * snr_db
 
 
 def generate_synthetic_corpus(spec: SynthSpec, seed: int) -> CorpusManifest:
-    """Generate WAVs plus manifest for a synthetic corpus; returns the corpus.
+    """Generate the WAVs of a synthetic corpus; returns it as one train split.
 
-    Writes under ``spec.out_dir``: ``wav/*.wav``, ``<split>.csv``,
-    ``sidecar.csv`` holding the ground-truth ``snr_db,delta,epsilon`` per
-    sample for oracle tests, and ``corpus.json`` last. Audio content
-    depends only on (spec-sans-delta, seed): shifting ``delta`` changes
-    scores, never waveforms. Files are written in place; the CLI
+    Writes under ``spec.out_dir`` only ``wav/*.wav`` and ``sidecar.csv``,
+    the ground-truth ``snr_db,delta,epsilon`` per sample for oracle tests;
+    ``save_corpus_dir`` writes the manifests of the (split) corpus. Audio
+    content depends only on (spec-sans-delta, seed): shifting ``delta``
+    changes scores, never waveforms. Files are written in place; the CLI
     generates into a ``codec.atomic_dir`` so a killed run leaves no torn
     corpus dir.
     """
@@ -455,7 +454,7 @@ def generate_synthetic_corpus(spec: SynthSpec, seed: int) -> CorpusManifest:
         domain_tag="synthetic",
         language="none",
         native_rate_hz=spec.rate_hz,
-        splits={spec.split: tuple(samples)},
+        splits={"train": tuple(samples)},
     )
     corpus.validate()
     with open(out_dir / "sidecar.csv", "w", encoding="utf-8", newline="") as fh:
@@ -463,7 +462,6 @@ def generate_synthetic_corpus(spec: SynthSpec, seed: int) -> CorpusManifest:
         writer.writerow(["sample_id", "snr_db", "delta", "epsilon"])
         for sid, snr_db, delta, eps in sidecar_rows:
             writer.writerow([sid, repr(snr_db), repr(delta), repr(eps)])
-    save_corpus_dir(corpus, out_dir)
     logger.info("generated synthetic corpus %r: %d utterances in %s", spec.name, len(samples), out_dir)
     return corpus
 

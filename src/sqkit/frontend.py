@@ -142,12 +142,15 @@ def mel_to_hz(mel: np.ndarray | float) -> np.ndarray | float:
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(n_fft: int, rate_hz: int, n_mels: int, fmin_hz: float = 0.0, fmax_hz: float | None = None) -> np.ndarray:
-    """Triangular mel filterbank over rfft bins, shape (n_mels, n_fft//2 + 1)."""
-    if fmax_hz is None:
-        fmax_hz = rate_hz / 2.0
-    mel_points = np.linspace(hz_to_mel(fmin_hz), hz_to_mel(fmax_hz), n_mels + 2)
-    hz_points = np.asarray(mel_to_hz(mel_points))
+def _mel_points_hz(rate_hz: int, n_mels: int) -> np.ndarray:
+    """n_mels + 2 filter edges (Hz), evenly spaced in mel from 0 Hz to Nyquist."""
+    return np.asarray(mel_to_hz(np.linspace(0.0, hz_to_mel(rate_hz / 2.0), n_mels + 2)))
+
+
+def mel_filterbank(n_fft: int, rate_hz: int, n_mels: int) -> np.ndarray:
+    """Triangular mel filterbank over rfft bins spanning 0 Hz to Nyquist,
+    shape (n_mels, n_fft//2 + 1)."""
+    hz_points = _mel_points_hz(rate_hz, n_mels)
     bin_hz = np.arange(n_fft // 2 + 1) * (rate_hz / n_fft)
     fb = np.zeros((n_mels, len(bin_hz)))
     for m in range(n_mels):
@@ -158,10 +161,9 @@ def mel_filterbank(n_fft: int, rate_hz: int, n_mels: int, fmin_hz: float = 0.0, 
     return fb
 
 
-def mel_center_frequencies(n_mels: int, fmin_hz: float = 0.0, fmax_hz: float = TARGET_RATE_HZ / 2.0) -> np.ndarray:
-    """Center frequency (Hz) of each mel filter, for interpreting feature bins."""
-    mel_points = np.linspace(hz_to_mel(fmin_hz), hz_to_mel(fmax_hz), n_mels + 2)
-    return np.asarray(mel_to_hz(mel_points))[1:-1]
+def mel_center_frequencies(n_mels: int) -> np.ndarray:
+    """Center frequency (Hz) of each mel filter at 16 kHz, for interpreting feature bins."""
+    return _mel_points_hz(TARGET_RATE_HZ, n_mels)[1:-1]
 
 
 @functools.lru_cache(maxsize=16)

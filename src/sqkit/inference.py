@@ -181,16 +181,15 @@ def build_datastore(
     corpus: CorpusManifest | PooledCorpus,
     scaler: FeatureScaler | None = None,
     distance_kind: str = "euclidean",
-    split: str = "train",
 ) -> Datastore:
-    """One record per sample of the split, in the model's feature space.
+    """One record per sample of the train split, in the model's feature space.
 
     The embedding is the time-pooled feature matrix, scaled exactly as the
     trained model saw it; the score is the manifest MOS.
     """
-    samples = corpus.samples(split)
+    samples = corpus.samples("train")
     if not samples:
-        raise ValueError(f"corpus has no samples in split {split!r}")
+        raise ValueError("corpus has no samples in split 'train'")
     embeddings = np.stack([pool_time(featurize(s, frontend_config, scaler)) for s in samples])
     return Datastore(
         embeddings=embeddings,

@@ -7,7 +7,7 @@ Spearman uses average ranks for ties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import rankdata
@@ -26,6 +26,7 @@ __all__ = [
     "compute_report",
     "best_score_difference",
     "best_score_ratio",
+    "best_values",
     "aggregate",
     "DEFAULT_METRIC_KEYS",
 ]
@@ -168,11 +169,18 @@ def best_score_ratio(model_corr: float, best_corr: float) -> float:
     return 100.0 * float(model_corr) / float(best_corr)
 
 
-# Per-domain default choice of (error metric, correlation metric) per cell.
+# Per-domain choice of (error metric, correlation metric) per cell.
 DEFAULT_METRIC_KEYS: dict[str, tuple[str, str]] = {
     "synthetic": ("sys_mse", "sys_srcc"),
     "non-synthetic": ("utt_mse", "utt_lcc"),
 }
+
+
+def _metric_keys(test_domains: dict[str, str], test: str) -> tuple[str, str]:
+    domain = test_domains.get(test)
+    if domain not in DEFAULT_METRIC_KEYS:
+        raise ValidationError(f"test set {test!r} has domain tag {domain!r}, not one of {sorted(DEFAULT_METRIC_KEYS)}")
+    return DEFAULT_METRIC_KEYS[domain]
 
 
 @dataclass(frozen=True)
@@ -198,57 +206,56 @@ class BenchMatrix:
     test_ids: list[str]
     test_domains: dict[str, str]
     cells: dict[tuple[str, str], BenchCell]
-    best_by_test: dict[str, tuple[str, str]] = field(default_factory=dict)
-    averages: dict[str, dict[str, tuple[float, float]]] = field(default_factory=dict)
+    averages: dict[str, dict[str, tuple[float, float]]]
+
+
+def best_values(
+    reports: dict[tuple[str, str], MetricReport], test_domains: dict[str, str]
+) -> dict[str, tuple[float, float]]:
+    """Per test set, the lowest error and the highest correlation among the
+    models in ``reports``: ``{test_id: (best_mse, best_corr)}``. The metrics
+    are chosen per domain tag (``DEFAULT_METRIC_KEYS``): system-level
+    MSE/SRCC for synthetic sets, utterance-level MSE/LCC otherwise."""
+    best = {}
+    for test in sorted({t for _, t in reports}):
+        mse_key, corr_key = _metric_keys(test_domains, test)
+        family = [report for (_, t), report in reports.items() if t == test]
+        best[test] = (min(r.get(mse_key) for r in family), max(r.get(corr_key) for r in family))
+    return best
 
 
 def aggregate(
     reports: dict[tuple[str, str], MetricReport],
     test_domains: dict[str, str],
-    metric_keys: dict[str, tuple[str, str]] | None = None,
-    best: str | dict[str, tuple[float, float]] = "within-family",
+    best: dict[str, tuple[float, float]] | None = None,
 ) -> BenchMatrix:
     """Fill best-score differences/ratios for a (model, test) report grid.
 
-    ``best`` selects the policy: ``"within-family"`` takes the best value
-    among the models in ``reports`` per test set, or pass an explicit
-    ``{test_id: (best_mse, best_corr)}`` mapping as an external reference.
-    Which metric fills a cell is chosen per test set by ``metric_keys``
-    (default: system-level MSE/SRCC for synthetic sets, utterance-level
-    MSE/LCC otherwise). Ratios assume the best correlation is positive.
+    ``best`` maps each test set to its (best_mse, best_corr), as
+    :func:`best_values` computes them; by default they are the best values
+    among the models in ``reports`` (within-family). Pass
+    ``best_values(reference_reports, ...)`` to score against an external
+    reference. Ratios assume the best correlation is positive.
     """
     model_ids = sorted({m for m, _ in reports})
     test_ids = sorted({t for _, t in reports})
     if not model_ids or not test_ids:
         raise ValidationError("aggregate requires at least one report")
     for t in test_ids:
-        if t not in test_domains:
-            raise ValidationError(f"no domain tag for test set {t!r}")
         for m in model_ids:
             if (m, t) not in reports:
                 raise ValidationError(f"missing report for ({m!r}, {t!r})")
+    if best is None:
+        best = best_values(reports, test_domains)
 
     cells: dict[tuple[str, str], BenchCell] = {}
-    best_by_test: dict[str, tuple[str, str]] = {}
     for t in test_ids:
-        if metric_keys is not None and t in metric_keys:
-            mse_key, corr_key = metric_keys[t]
-        else:
-            mse_key, corr_key = DEFAULT_METRIC_KEYS[test_domains[t]]
-        values = {m: (reports[m, t].get(mse_key), reports[m, t].get(corr_key)) for m in model_ids}
-        if isinstance(best, dict):
-            best_mse, best_corr = best[t]
-            best_by_test[t] = ("<reference>", "<reference>")
-        else:
-            if best != "within-family":
-                raise ValidationError(f"unknown best policy {best!r}")
-            best_mse_model = min(model_ids, key=lambda m: values[m][0])
-            best_corr_model = max(model_ids, key=lambda m: values[m][1])
-            best_mse = values[best_mse_model][0]
-            best_corr = values[best_corr_model][1]
-            best_by_test[t] = (best_mse_model, best_corr_model)
+        mse_key, corr_key = _metric_keys(test_domains, t)
+        if t not in best:
+            raise ValidationError(f"no best values for test set {t!r}")
+        best_mse, best_corr = best[t]
         for m in model_ids:
-            cell_mse, cell_corr = values[m]
+            cell_mse, cell_corr = reports[m, t].get(mse_key), reports[m, t].get(corr_key)
             cells[m, t] = BenchCell(
                 mse=cell_mse,
                 corr=cell_corr,
@@ -277,6 +284,5 @@ def aggregate(
         test_ids=test_ids,
         test_domains=dict(test_domains),
         cells=cells,
-        best_by_test=best_by_test,
         averages=averages,
     )

@@ -333,8 +333,6 @@ def train(
 
     best = ledger.best
     final = copy_params(best.params) if best is not None else copy_params(params)
-    if config.max_steps == 0:
-        final = copy_params(initial_params)
     return TrainResult(
         params=final,
         initial_params=initial_params,

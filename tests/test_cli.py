@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -11,11 +12,14 @@ import pytest
 import sqkit.frontend
 import sqkit.inference
 from sqkit import (
+    KnnConfig,
     SynthSpec,
     ValidationError,
+    build_datastore,
     cli,
     generate_synthetic_corpus,
     load_corpus_dir,
+    predict_split,
     save_manifest,
     split_random,
 )
@@ -73,6 +77,10 @@ def write_recipe(tmp_path, text=BASE_RECIPE, name="recipe.cfg"):
 def read_csv(path):
     with open(path, encoding="utf-8", newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def warnings_logged(caplog):
+    return [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
 
 
 class TestParseRecipe:
@@ -154,14 +162,40 @@ class TestInfer:
             assert 1.0 <= float(row["pred"]) <= 5.0
 
     def test_knn_mode_writes_datastore(self, tmp_path):
-        config = write_recipe(tmp_path)
+        config = write_recipe(tmp_path, BASE_RECIPE + "infer.knn_k = 3\n")
         out = tmp_path / "out"
         main(["train", "--config", str(config), "--out", str(out)])
-        code = main(
-            ["infer", "--config", str(config), "--out", str(out), "--inference", "knn", "--knn-k", "3"]
-        )
-        assert code == 0
+        assert main(["infer", "--config", str(config), "--out", str(out), "--inference", "knn"]) == 0
         assert (out / "infer" / "seed0" / "datastore.bin").exists()
+
+    def test_knn_settings_come_from_the_recipe_only(self, tmp_path):
+        config = write_recipe(tmp_path, BASE_RECIPE + "infer.knn_k = 3\n")
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["infer", "--config", str(config), "--out", str(out), "--inference", "knn"]) == 0
+        preds = [float(row["pred"]) for row in read_csv(out / "infer" / "seed0" / "predictions.csv")]
+
+        recipe = cli.Recipe(parse_recipe(config), tmp_path)
+        corpus = cli.get_corpora(recipe, out)["synth"]
+        _params, scaler = cli.load_model_dir(out / "train" / "seed0", cli.recipe_hash(recipe))
+        frontend = cli.build_frontend(recipe)
+        ds = build_datastore(frontend, corpus, scaler=scaler)
+        expected = {k: predict_split(corpus, "dev", frontend, scaler, None, "knn", KnnConfig(k=k), ds) for k in (3, 5)}
+        assert preds == expected[3].pred.tolist()
+        assert preds != expected[5].pred.tolist()  # so the recipe key, not the default, decided k
+
+    @pytest.mark.parametrize("command", ["infer", "distribution-data", "export-embeddings"])
+    def test_model_trained_under_another_recipe_warns(self, tmp_path, caplog, command):
+        config = write_recipe(tmp_path)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+        assert main([command, "--config", str(config), "--out", str(out)]) == 0
+        assert warnings_logged(caplog) == []
+
+        config = write_recipe(tmp_path, BASE_RECIPE.replace("corpus.synth.n = 16", "corpus.synth.n = 20"))
+        assert main([command, "--config", str(config), "--out", str(out)]) == 0
+        (warning,) = warnings_logged(caplog)
+        assert str(out / "train" / "seed0") in warning and "rerun train" in warning
 
     @pytest.mark.parametrize("mode", ["knn", "domain-retrieval"])
     def test_unknown_distance_is_exit_1_before_any_featurizing(self, tmp_path, monkeypatch, capsys, mode):
@@ -229,7 +263,7 @@ class TestBenchmark:
         assert main(["benchmark", "--config", str(alignnet), "--out", str(out)]) == 0
         meta = json.loads((out / "train" / "seed0" / "meta.json").read_text())
         assert meta["model_kind"] == "alignnet"
-        assert meta["recipe_hash"] == cli.recipe_hash(cli.Recipe(parse_recipe(alignnet), tmp_path), None)
+        assert meta["recipe_hash"] == cli.recipe_hash(cli.Recipe(parse_recipe(alignnet), tmp_path))
         assert {r["model"] for r in read_csv(out / "records.csv")} == {"alignnet-parametric"}
         assert not (ledger / "ckpt_step999.bin").exists()
         assert not (out / "train" / "seed0" / "mdf_phase1").exists()
@@ -251,12 +285,96 @@ class TestBenchmark:
         assert "['other']" in err and "--inference domain-retrieval" in err
         assert not (out / "records.csv").exists()
 
+    def test_mdf_pretrain_comes_from_the_recipe(self, tmp_path, monkeypatch):
+        recipe = (
+            BASE_RECIPE.replace("train.corpus = synth", "train.corpus = synth+other")
+            + OTHER_CORPUS
+            + "train.mdf_pretrain = synth\ntrain.mdf_max_steps = 20\n"
+        )
+        config = write_recipe(tmp_path, recipe)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+        seed_dir = out / "train" / "seed0"
+        meta = json.loads((seed_dir / "meta.json").read_text())
+        assert (meta["mdf_pretrain"], meta["phase"], meta["steps_run"]) == ("synth", 2, 20)
+        assert json.loads((seed_dir / "mdf_phase1" / "meta.json").read_text())["phase"] == 1
+        # The hashed text: the model-deciding lines, then the pretrain name
+        # once more, as model dirs have always recorded it.
+        lines = sorted(line for line in recipe.splitlines() if line.startswith(cli.MODEL_SECTIONS))
+        expected = hashlib.sha256("\n".join([*lines, "mdf_pretrain = synth"]).encode("utf-8")).hexdigest()
+        assert meta["recipe_hash"] == expected
+        monkeypatch.setattr(cli, "train_one_seed", None)  # benchmark must reuse the MDF model
+        assert main(["benchmark", "--config", str(config), "--out", str(out)]) == 0
+        assert {r["model"] for r in read_csv(out / "records.csv")} == {"head-mdf-parametric"}
+
+
+def write_bench_dir(path, cells, domains):
+    """A benchmark output dir holding only what aggregate reads:
+    cells maps (model, test) to {metric: value}, domains test to its tag."""
+    path.mkdir()
+    rows = ([m, t, metric, repr(v)] for (m, t), values in sorted(cells.items()) for metric, v in sorted(values.items()))
+    write_csv(path / "records_mean.csv", ["model", "test", "metric", "value"], rows)
+    write_csv(path / "tests.csv", ["test", "domain_tag", "n"], ([t, d, "4"] for t, d in sorted(domains.items())))
+
 
 class TestAggregate:
-    def test_single_model_is_its_own_best(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def bench_out(self, tmp_path_factory):
+        """One benchmark run of the tiny recipe: model head-parametric, test synth."""
+        tmp_path = tmp_path_factory.mktemp("bench")
         config = write_recipe(tmp_path)
-        bench_out = tmp_path / "bench"
-        main(["benchmark", "--config", str(config), "--out", str(bench_out), "--seed", "0"])
+        assert main(["benchmark", "--config", str(config), "--out", str(tmp_path / "bench"), "--seed", "0"]) == 0
+        return tmp_path / "bench"
+
+    def external(self, tmp_path, bench_out, cells, domains):
+        """Aggregate bench_out against a reference dir of the given cells."""
+        write_bench_dir(tmp_path / "ref", cells, domains)
+        agg_config = write_recipe(
+            tmp_path,
+            f"aggregate.inputs = {bench_out}\naggregate.best = external\naggregate.reference = ref\n",
+            name="agg.cfg",
+        )
+        return main(["aggregate", "--config", str(agg_config), "--out", str(tmp_path / "agg")])
+
+    # Two reference models: r1 has the lower sys_mse, r2 the higher sys_srcc.
+    REFERENCE = {
+        ("r1", "synth"): {"utt_mse": 0.5, "utt_lcc": 0.5, "utt_srcc": 0.5, "sys_mse": 0.0125, "sys_srcc": 0.75},
+        ("r2", "synth"): {"utt_mse": 0.5, "utt_lcc": 0.5, "utt_srcc": 0.5, "sys_mse": 0.25, "sys_srcc": 0.8},
+    }
+
+    def test_external_reference_best_values(self, tmp_path, bench_out):
+        assert self.external(tmp_path, bench_out, self.REFERENCE, {"synth": "synthetic"}) == 0
+        # By hand: synth is synthetic, so a cell reads sys_mse and sys_srcc;
+        # the best error and the best correlation are taken over the reference.
+        mine = {r["metric"]: float(r["value"]) for r in read_csv(bench_out / "records_mean.csv")}
+        ref = read_csv(tmp_path / "ref" / "records_mean.csv")
+        best_mse = min(float(r["value"]) for r in ref if r["metric"] == "sys_mse")
+        best_corr = max(float(r["value"]) for r in ref if r["metric"] == "sys_srcc")
+        (row,) = read_csv(tmp_path / "agg" / "aggregate.csv")
+        assert (row["model"], row["test"]) == ("head-parametric", "synth")
+        assert (best_mse, best_corr) == (0.0125, 0.8)
+        assert float(row["difference"]) == mine["sys_mse"] - best_mse
+        assert float(row["ratio"]) == 100.0 * mine["sys_srcc"] / best_corr
+
+    def test_reference_without_an_input_test_is_exit_1(self, tmp_path, bench_out, capsys):
+        cells = {("r1", "other"): self.REFERENCE["r1", "synth"]}
+        assert self.external(tmp_path, bench_out, cells, {"other": "synthetic"}) == 1
+        assert "aggregate.reference has no test set 'synth'" in capsys.readouterr().err
+        assert not (tmp_path / "agg" / "aggregate.csv").exists()
+
+    def test_reference_with_another_domain_tag_is_exit_1(self, tmp_path, bench_out, capsys):
+        assert self.external(tmp_path, bench_out, self.REFERENCE, {"synth": "non-synthetic"}) == 1
+        err = capsys.readouterr().err
+        assert "'synth'" in err and "'non-synthetic'" in err
+        assert not (tmp_path / "agg" / "aggregate.csv").exists()
+
+    def test_unknown_domain_tag_is_exit_1(self, tmp_path, capsys):
+        write_bench_dir(tmp_path / "in", self.REFERENCE, {"synth": "studio"})
+        agg_config = write_recipe(tmp_path, "aggregate.inputs = in\n", name="agg.cfg")
+        assert main(["aggregate", "--config", str(agg_config), "--out", str(tmp_path / "agg")]) == 1
+        assert "test set 'synth' has domain tag 'studio'" in capsys.readouterr().err
+
+    def test_single_model_is_its_own_best(self, tmp_path, bench_out):
         agg_config = write_recipe(
             tmp_path,
             f"aggregate.inputs = {bench_out}\n",
@@ -344,6 +462,15 @@ class TestDistributionData:
 class TestExitCodes:
     def test_unknown_flag_is_exit_1(self, tmp_path):
         assert main(["train", "--config", "x", "--bogus"]) == 1
+
+    @pytest.mark.parametrize(
+        "flag", [["--knn-k", "3"], ["--knn-temperature", "0.5"], ["--paper-literal-knn"], ["--mdf-pretrain", "synth"]]
+    )
+    def test_flags_that_shadowed_recipe_keys_are_exit_1(self, tmp_path, capsys, flag):
+        config = write_recipe(tmp_path)
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / "o"), *flag]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_command_is_exit_1(self):
         assert main(["paint"]) == 1

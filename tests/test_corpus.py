@@ -314,6 +314,9 @@ class TestSyntheticCorpus:
         for s in samples:
             assert 1.0 <= s.mos <= 5.0
             assert s.audio_ref.exists()
+        # The generator writes audio and the sidecar; manifests are the caller's.
+        assert sorted(p.name for p in (tmp_path / "tones").iterdir()) == ["sidecar.csv", "wav"]
+        save_corpus_dir(corpus, tmp_path / "tones")
         reloaded = load_corpus_dir(tmp_path / "tones")
         assert [s.sample_id for s in reloaded.samples("train")] == [s.sample_id for s in samples]
 

@@ -1,5 +1,6 @@
 """Datastore retrieval, softmax-weighted kNN, and the three inference modes."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -83,8 +84,9 @@ class TestBuildDatastore:
 
     def test_empty_split_rejected(self, tmp_path):
         corpus = make_corpus(tmp_path, "dsd", seed=3)
-        with pytest.raises(ValueError, match="no samples"):
-            build_datastore(FRONTEND, corpus, split="test")
+        dev_only = dataclasses.replace(corpus, splits={"dev": corpus.samples("dev")})
+        with pytest.raises(ValueError, match="no samples in split 'train'"):
+            build_datastore(FRONTEND, dev_only)
 
 
 class TestRetrieveNeighbors:

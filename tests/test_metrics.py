@@ -12,6 +12,7 @@ from sqkit import (
     aggregate,
     best_score_difference,
     best_score_ratio,
+    best_values,
     compute_report,
     mse,
     pearson,
@@ -262,7 +263,6 @@ class TestAggregate:
             ("bad", "t2"): report_with(utt_mse=0.9, utt_lcc=0.30),
         }
         matrix = aggregate(reports, self.DOMAINS)
-        assert matrix.best_by_test == {"t1": ("good", "good"), "t2": ("good", "good")}
         for test in ("t1", "t2"):
             assert matrix.cells["good", test].difference == 0.0
             assert matrix.cells["good", test].ratio == pytest.approx(100.0)
@@ -320,22 +320,41 @@ class TestAggregate:
             ("mine", "t1"): report_with(sys_mse=0.5, sys_srcc=0.8),
             ("mine", "t2"): report_with(utt_mse=0.5, utt_lcc=0.4),
         }
+        # A peer that matches the reference exactly is the reference's best.
+        reports[("peer", "t1")] = report_with(sys_mse=0.25, sys_srcc=0.9)
+        reports[("peer", "t2")] = report_with(utt_mse=0.1, utt_lcc=0.8)
         best = {"t1": (0.25, 0.9), "t2": (0.1, 0.8)}
         matrix = aggregate(reports, self.DOMAINS, best=best)
         assert matrix.cells["mine", "t1"].difference == pytest.approx(0.25)
         assert matrix.cells["mine", "t1"].ratio == pytest.approx(100.0 * 0.8 / 0.9)
         assert matrix.cells["mine", "t2"].difference == pytest.approx(0.4)
         assert matrix.cells["mine", "t2"].ratio == pytest.approx(50.0)
-        assert matrix.best_by_test["t1"] == ("<reference>", "<reference>")
+        for test in ("t1", "t2"):
+            assert matrix.cells["peer", test].difference == 0.0
+            assert matrix.cells["peer", test].ratio == 100.0
 
-    def test_explicit_metric_keys_override_domain_defaults(self):
-        reports = {
-            ("a", "t1"): report_with(utt_mse=0.2, utt_lcc=0.9, sys_mse=5.0, sys_srcc=0.1),
-            ("b", "t1"): report_with(utt_mse=0.4, utt_lcc=0.45, sys_mse=1.0, sys_srcc=0.1),
-        }
-        matrix = aggregate(reports, {"t1": "synthetic"}, metric_keys={"t1": ("utt_mse", "utt_lcc")})
-        assert matrix.cells["b", "t1"].difference == pytest.approx(0.2)
-        assert matrix.cells["b", "t1"].ratio == pytest.approx(50.0)
+    def test_best_values_take_each_metric_from_its_best_model(self):
+        # t1 (synthetic) reads sys_mse/sys_srcc, t2 utt_mse/utt_lcc; the
+        # lowest error and the highest correlation may come from two models.
+        best = best_values(self.spreadsheet_reports(), self.DOMAINS)
+        assert best == {"t1": (0.30, 0.90), "t2": (0.25, 0.80)}
+
+    def test_within_family_is_aggregate_against_its_own_best_values(self):
+        reports = self.spreadsheet_reports()
+        default = aggregate(reports, self.DOMAINS)
+        explicit = aggregate(reports, self.DOMAINS, best=best_values(reports, self.DOMAINS))
+        assert default == explicit
+
+    def test_best_values_missing_a_test_rejected(self):
+        with pytest.raises(ValidationError, match="'t2'"):
+            aggregate(self.spreadsheet_reports(), self.DOMAINS, best={"t1": (0.3, 0.9)})
+
+    @pytest.mark.parametrize("domains", [{"t1": "synthetic"}, {"t1": "synthetic", "t2": "pooled"}])
+    def test_test_set_without_a_known_domain_tag_rejected(self, domains):
+        with pytest.raises(ValidationError, match="test set 't2' has domain tag"):
+            best_values(self.spreadsheet_reports(), domains)
+        with pytest.raises(ValidationError, match="test set 't2' has domain tag"):
+            aggregate(self.spreadsheet_reports(), domains, best={"t1": (0.3, 0.9), "t2": (0.25, 0.8)})
 
     def test_missing_cell_rejected(self):
         reports = self.spreadsheet_reports()
