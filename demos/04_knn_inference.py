@@ -29,47 +29,47 @@ from sqkit import (
     split_random,
 )
 
-work = Path(tempfile.mkdtemp(prefix="sqkit-demo-"))
+with tempfile.TemporaryDirectory(prefix="sqkit-demo-") as tmp:
+    work = Path(tmp)
+    spec = SynthSpec(
+        name="demo",
+        out_dir=work / "wav",
+        n_utterances=48,
+        snr_grid_db=(-2.0, 0.0, 2.0, 5.0),
+        mos_intercept=3.0,
+        mos_slope=0.4,
+        sigma=0.0,
+        duration_s=(0.3, 0.5),
+    )
+    corpus = split_random(generate_synthetic_corpus(spec, seed=0), 0.75, seed=0)
+    frontend = FrontendConfig()
 
-spec = SynthSpec(
-    name="demo",
-    out_dir=work / "wav",
-    n_utterances=48,
-    snr_grid_db=(-2.0, 0.0, 2.0, 5.0),
-    mos_intercept=3.0,
-    mos_slope=0.4,
-    sigma=0.0,
-    duration_s=(0.3, 0.5),
-)
-corpus = split_random(generate_synthetic_corpus(spec, seed=0), 0.75, seed=0)
-frontend = FrontendConfig()
+    # one record per training utterance: time-pooled embedding plus its score
+    ds = build_datastore(frontend, corpus)
+    print("datastore:", len(ds), "records of dim", ds.dim, "distance", ds.distance_kind)
 
-# one record per training utterance: time-pooled embedding plus its score
-ds = build_datastore(frontend, corpus)
-print("datastore:", len(ds), "records of dim", ds.dim, "distance", ds.distance_kind)
+    # inspect retrieval for one held-out utterance: queries are (Q, D) rows
+    sample = corpus.samples("dev")[0]
+    query = pool_time(featurize(sample, frontend))[None]
+    neighbors = retrieve_neighbors(ds, query, k=5)
+    distances, scores = neighbors.distances[0], neighbors.scores[0]
+    print("query", sample.sample_id, "true", round(sample.mos, 2))
+    for dist, score in zip(distances, scores):
+        print(f"  neighbor at distance {dist:7.3f}  score {score:.2f}")
 
-# inspect retrieval for one held-out utterance: queries are (Q, D) rows
-sample = corpus.samples("dev")[0]
-query = pool_time(featurize(sample, frontend))[None]
-neighbors = retrieve_neighbors(ds, query, k=5)
-distances, scores = neighbors.distances[0], neighbors.scores[0]
-print("query", sample.sample_id, "true", round(sample.mos, 2))
-for dist, score in zip(distances, scores):
-    print(f"  neighbor at distance {dist:7.3f}  score {score:.2f}")
+    # temperature controls how sharply weight concentrates on near neighbors;
+    # the prediction is the weighted mean of the neighbor scores
+    for temperature in (10.0, 1.0, 0.01):
+        w = knn_weights(distances, temperature)
+        print(f"T={temperature:<5}  weights {np.round(w, 3)}  pred {w @ scores:.3f}")
 
-# temperature controls how sharply weight concentrates on near neighbors;
-# the prediction is the weighted mean of the neighbor scores
-for temperature in (10.0, 1.0, 0.01):
-    w = knn_weights(distances, temperature)
-    print(f"T={temperature:<5}  weights {np.round(w, 3)}  pred {w @ scores:.3f}")
+    # whole-split accuracy
+    pairs = predict_split(corpus, "dev", frontend, None, None, mode="knn",
+                          knn_config=KnnConfig(k=5, temperature=1.0), datastore=ds)
+    print(f"dev mse via retrieval: {mse(pairs):.4f}")
 
-# whole-split accuracy
-pairs = predict_split(corpus, "dev", frontend, None, None, mode="knn",
-                      knn_config=KnnConfig(k=5, temperature=1.0), datastore=ds)
-print(f"dev mse via retrieval: {mse(pairs):.4f}")
-
-# datastores serialize to a single binary file (float32 payload)
-save_datastore(work / "ds.bin", ds)
-again = load_datastore(work / "ds.bin")
-assert np.allclose(again.scores, ds.scores, rtol=1e-6)
-print("round-tripped datastore with", len(again), "records")
+    # datastores serialize to a single binary file (float32 payload)
+    save_datastore(work / "ds.bin", ds)
+    again = load_datastore(work / "ds.bin")
+    assert np.allclose(again.scores, ds.scores, rtol=1e-6)
+    print("round-tripped datastore with", len(again), "records")

@@ -31,51 +31,52 @@ from sqkit import (
     train,
 )
 
-work = Path(tempfile.mkdtemp(prefix="sqkit-demo-"))
-frontend = FrontendConfig()
+with tempfile.TemporaryDirectory(prefix="sqkit-demo-") as tmp:
+    work = Path(tmp)
+    frontend = FrontendConfig()
 
 
-def shifted(name: str, delta: float, seed: int):
-    # identical tone/noise statistics; only the score scale moves
-    spec = SynthSpec(
-        name=name,
-        out_dir=work / name,
-        n_utterances=40,
-        snr_grid_db=(-2.0, 0.0, 2.0, 5.0),
-        mos_intercept=3.0,
-        mos_slope=0.25,
-        delta=delta,
-        sigma=0.0,
-        duration_s=(0.25, 0.5),
-    )
-    return split_random(generate_synthetic_corpus(spec, seed=seed), 0.75, seed=0)
+    def shifted(name: str, delta: float, seed: int):
+        # identical tone/noise statistics; only the score scale moves
+        spec = SynthSpec(
+            name=name,
+            out_dir=work / name,
+            n_utterances=40,
+            snr_grid_db=(-2.0, 0.0, 2.0, 5.0),
+            mos_intercept=3.0,
+            mos_slope=0.25,
+            delta=delta,
+            sigma=0.0,
+            duration_s=(0.25, 0.5),
+        )
+        return split_random(generate_synthetic_corpus(spec, seed=seed), 0.75, seed=0)
 
 
-low = shifted("low", -0.5, 100)
-mid = shifted("mid", 0.0, 200)
-high = shifted("high", +0.5, 300)
-pooled = pool([low, mid, high])
-print("pooled members:", [c.name for c in pooled.members])
+    low = shifted("low", -0.5, 100)
+    mid = shifted("mid", 0.0, 200)
+    high = shifted("high", +0.5, 300)
+    pooled = pool([low, mid, high])
+    print("pooled members:", [c.name for c in pooled.members])
 
-cfg = TrainConfig(batch_size=16, lr=0.01, max_steps=1200, patience_steps=1200,
-                  selection="utt_lcc", seed=0, eval_interval=100)
-model = train("alignnet", pooled, frontend, cfg, hidden=32, embed_dim=8, decoder_hidden=16)
-print("trained alignnet over datasets", model.params.dataset_ids)
+    cfg = TrainConfig(batch_size=16, lr=0.01, max_steps=1200, patience_steps=1200,
+                      selection="utt_lcc", seed=0, eval_interval=100)
+    model = train("alignnet", pooled, frontend, cfg, hidden=32, embed_dim=8, decoder_hidden=16)
+    print("trained alignnet over datasets", model.params.dataset_ids)
 
-# one utterance, three dataset rows: the embedding table moves the score
-sample = mid.samples("dev")[0]
-mat = featurize(sample, frontend, model.scaler)
-for name in model.params.dataset_ids:
-    pred = clip_score(alignnet_raw(model.params, mat.frames, name))
-    print(f"  scored as {name:>4}: {pred:.3f}")
+    # one utterance, three dataset rows: the embedding table moves the score
+    sample = mid.samples("dev")[0]
+    mat = featurize(sample, frontend, model.scaler)
+    for name in model.params.dataset_ids:
+        pred = clip_score(alignnet_raw(model.params, mat.frames, name))
+        print(f"  scored as {name:>4}: {pred:.3f}")
 
-# with no dataset label, borrow the nearest training neighbor's
-ds = build_datastore(frontend, pooled, scaler=model.scaler)
-(guessed,), = retrieve_neighbors(ds, pool_time(mat)[None], k=1).dataset_ids
-print(f"nearest neighbor says {sample.sample_id} came from {guessed!r} (truth {sample.dataset_id!r})")
+    # with no dataset label, borrow the nearest training neighbor's
+    ds = build_datastore(frontend, pooled, scaler=model.scaler)
+    (guessed,), = retrieve_neighbors(ds, pool_time(mat)[None], k=1).dataset_ids
+    print(f"nearest neighbor says {sample.sample_id} came from {guessed!r} (truth {sample.dataset_id!r})")
 
-# corpus-shift effect on the shifted corpora's dev sets
-for corpus in (low, high):
-    pairs = predict_split(corpus, "dev", frontend, model.scaler, model.params,
-                          mode="domain-retrieval", datastore=ds)
-    print(f"{corpus.name:>4} dev mse with domain retrieval: {mse(pairs):.4f}")
+    # corpus-shift effect on the shifted corpora's dev sets
+    for corpus in (low, high):
+        pairs = predict_split(corpus, "dev", frontend, model.scaler, model.params,
+                              mode="domain-retrieval", datastore=ds)
+        print(f"{corpus.name:>4} dev mse with domain retrieval: {mse(pairs):.4f}")

@@ -13,8 +13,6 @@ from pathlib import Path
 
 from sqkit.cli import main
 
-work = Path(tempfile.mkdtemp(prefix="sqkit-demo-"))
-
 RECIPE = """
 # one synthetic corpus, a small head, a short training run
 corpus.synth.kind = synthetic
@@ -42,28 +40,32 @@ benchmark.tests = synth
 seeds = 0,1
 """
 
-config = work / "recipe.cfg"
-config.write_text(RECIPE, encoding="utf-8")
-out = work / "out"
+with tempfile.TemporaryDirectory(prefix="sqkit-demo-") as tmp:
+    work = Path(tmp)
+    config = work / "recipe.cfg"
+    config.write_text(RECIPE, encoding="utf-8")
+    out = work / "out"
 
-# materialize corpora to disk (wav files plus manifests)
-assert main(["prepare", "--config", str(config), "--out", str(out)]) == 0
-print("prepared:", sorted(p.name for p in (out / "corpora" / "synth").iterdir()))
+    # materialize corpora to disk (wav files plus manifests)
+    assert main(["prepare", "--config", str(config), "--out", str(out)]) == 0
+    print("prepared:", sorted(p.name for p in (out / "corpora" / "synth").iterdir()))
 
-# one model directory per seed: params, scaler, meta, log
-assert main(["train", "--config", str(config), "--out", str(out)]) == 0
-print("trained:", sorted(p.name for p in (out / "train" / "seed0").iterdir()))
+    # one model directory per seed: params, scaler, meta, log
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+    print("trained:", sorted(p.name for p in (out / "train" / "seed0").iterdir()))
 
-# per-seed metric records plus the across-seed mean table
-assert main(["benchmark", "--config", str(config), "--out", str(out)]) == 0
-with open(out / "records_mean.csv", encoding="utf-8", newline="") as fh:
-    for row in csv.DictReader(fh):
-        print(f"  {row['model']}  {row['test']}  {row['metric']:>8}  {row['value']}")
+    # per-seed metric records plus the across-seed mean table
+    assert main(["benchmark", "--config", str(config), "--out", str(out)]) == 0
+    with open(out / "records_mean.csv", encoding="utf-8", newline="") as fh:
+        for row in csv.DictReader(fh):
+            print(f"  {row['model']}  {row['test']}  {row['metric']:>8}  {row['value']}")
 
-# best-score differences and ratios across benchmark outputs;
-# aggregate reads its input dirs from its own recipe key
-agg_config = work / "agg.cfg"
-agg_config.write_text(f"aggregate.inputs = {out}\n", encoding="utf-8")
-summary = work / "summary"
-assert main(["aggregate", "--config", str(agg_config), "--out", str(summary)]) == 0
-print("aggregate wrote:", sorted(p.name for p in summary.iterdir()))
+    # best-score differences and ratios across benchmark outputs;
+    # aggregate reads its input dirs from its own recipe key
+    agg_config = work / "agg.cfg"
+    agg_config.write_text(f"aggregate.inputs = {out}\n", encoding="utf-8")
+    summary = work / "summary"
+    assert main(["aggregate", "--config", str(agg_config), "--out", str(summary)]) == 0
+    with open(summary / "aggregate.csv", encoding="utf-8", newline="") as fh:
+        for row in csv.DictReader(fh):
+            print(f"  {row['model']}  {row['test']}  difference {row['difference']}  ratio {row['ratio']}")

@@ -322,14 +322,23 @@ def save_model_dir(directory: Path, result: TrainResult, frontend_config: Fronte
     write_text(directory / "meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
+def _model_meta(seed_dir: Path) -> dict | None:
+    """The meta.json of a finished model dir; None when it is missing or
+    is not a JSON object."""
+    try:
+        meta = json.loads((seed_dir / "meta.json").read_text(encoding="utf-8"))
+    except (FileNotFoundError, ValueError):
+        return None
+    return meta if isinstance(meta, dict) else None
+
+
 def load_model_dir(directory: Path, digest: str) -> tuple[ModelParams, FeatureScaler]:
     """Load a trained model dir; warn when it was trained under a recipe
     whose recipe_hash is not digest."""
-    meta_path = directory / "meta.json"
-    if not meta_path.exists():
+    meta = _model_meta(directory)
+    if meta is None:
         raise ValidationError(f"no trained model in {directory} (run the train command first)")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    if not isinstance(meta, dict) or meta.get("recipe_hash") != digest:
+    if meta.get("recipe_hash") != digest:
         logger.warning("%s was trained under another recipe (its recipe_hash differs); rerun train", directory)
     return load_params(directory / "params.ckpt"), load_scaler(directory / "scaler.bin")
 
@@ -348,15 +357,6 @@ def recipe_hash(recipe: Recipe) -> str:
     repeats the train.mdf_pretrain value, so the digests that existing
     meta.json files record still match."""
     return _raw_lines_hash(recipe, MODEL_SECTIONS, f"mdf_pretrain = {recipe.get('train.mdf_pretrain') or ''}")
-
-
-def _trained_under(seed_dir: Path, digest: str) -> bool:
-    """Whether seed_dir holds a finished model trained under recipe hash digest."""
-    try:
-        meta = json.loads((seed_dir / "meta.json").read_text(encoding="utf-8"))
-    except (FileNotFoundError, ValueError):
-        return False
-    return isinstance(meta, dict) and meta.get("recipe_hash") == digest
 
 
 def train_one_seed(
@@ -519,7 +519,9 @@ def _predict_seeds(
     """Per seed: load the trained model, build the datastore its inference
     mode needs and predict every (name, corpus, split) target.
 
-    Yields (seed, mode, datastore, one EvalPairs per target).
+    The inference settings are checked on the call; each seed is loaded
+    and scored only when the returned iterator reaches it. Yields (seed,
+    mode, datastore, one EvalPairs per target).
     """
     mode = args.inference or recipe.get("infer.mode", "parametric")
     if mode not in INFERENCE_MODES:
@@ -537,7 +539,8 @@ def _predict_seeds(
     if train_corpus is not None and distance_kind not in DISTANCE_KINDS:
         raise ValidationError(f"infer.distance must be one of {DISTANCE_KINDS}, not {distance_kind!r}")
     digest = recipe_hash(recipe)
-    for seed in _seed_list(recipe, args):
+
+    def predict(seed: int) -> tuple[int, str, Datastore | None, list[EvalPairs]]:
         params, scaler = load_model_dir(out / "train" / f"seed{seed}", digest)
         datastore = None
         if train_corpus is not None:
@@ -546,7 +549,9 @@ def _predict_seeds(
             predict_split(corpus, split, frontend_config, scaler, params, mode, knn_config, datastore)
             for _name, corpus, split in targets
         ]
-        yield seed, mode, datastore, pairs
+        return seed, mode, datastore, pairs
+
+    return map(predict, _seed_list(recipe, args))
 
 
 def _write_pairs(path: Path, pairs: EvalPairs) -> None:
@@ -579,15 +584,16 @@ def cmd_benchmark(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
     corpora = get_corpora(recipe, out)
     names = [t.strip() for t in recipe.require("benchmark.tests").split(",") if t.strip()]
     targets = [_target(recipe, corpora, "benchmark.tests", name) for name in names]
+    predictions = _predict_seeds(recipe, args, out, corpora, targets)  # checks the inference settings
     digest = recipe_hash(recipe)
     for seed in _seed_list(recipe, args):
-        if not _trained_under(out / "train" / f"seed{seed}", digest):
+        if (_model_meta(out / "train" / f"seed{seed}") or {}).get("recipe_hash") != digest:
             train_one_seed(recipe, corpora, seed, out)
 
     model_kind = recipe.get("model.kind", "head") + ("-mdf" if recipe.get("train.mdf_pretrain") else "")
     rows: list[tuple] = []
     tests: dict[str, list[str]] = {}
-    for seed, mode, _datastore, all_pairs in _predict_seeds(recipe, args, out, corpora, targets):
+    for seed, mode, _datastore, all_pairs in predictions:
         model_label = recipe.get("model.label", f"{model_kind}-{mode}")
         for (name, corpus, _split), pairs in zip(targets, all_pairs):
             tests[name] = [name, corpus.domain_tag, str(len(pairs))]
@@ -609,19 +615,31 @@ def _read_records_mean(run_dir: Path) -> tuple[dict[tuple[str, str], dict[str, f
     if not records_path.exists() or not tests_path.exists():
         raise ValidationError(f"{run_dir} has no records_mean.csv/tests.csv (run benchmark first)")
     by_cell: dict[tuple[str, str], dict[str, float]] = {}
-    with open(records_path, encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            if row["value"] == "undefined":
-                raise ValidationError(
-                    f"{records_path}: metric {row['metric']} for ({row['model']}, {row['test']}) is undefined; "
-                    "aggregate needs defined metrics"
-                )
-            by_cell.setdefault((row["model"], row["test"]), {})[row["metric"]] = float(row["value"])
-    domains: dict[str, str] = {}
-    with open(tests_path, encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            domains[row["test"]] = row["domain_tag"]
+    for row in _read_csv_rows(records_path, ("model", "test", "metric", "value")):
+        if row["value"] == "undefined":
+            raise ValidationError(
+                f"{records_path}: metric {row['metric']} for ({row['model']}, {row['test']}) is undefined; "
+                "aggregate needs defined metrics"
+            )
+        by_cell.setdefault((row["model"], row["test"]), {})[row["metric"]] = float(row["value"])
+    domains = {row["test"]: row["domain_tag"] for row in _read_csv_rows(tests_path, ("test", "domain_tag"))}
     return by_cell, domains
+
+
+def _read_csv_rows(path: Path, columns: tuple[str, ...]) -> list[dict[str, str]]:
+    """The rows of a CSV file whose header names every column; a missing
+    column or a row shorter than the header raises ValidationError."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValidationError(f"{path}: header lacks column(s) {', '.join(missing)}")
+        rows = []
+        for row in reader:
+            if None in row.values():
+                raise ValidationError(f"{path} line {reader.line_num}: fewer fields than the header")
+            rows.append(row)
+    return rows
 
 
 def _reports_from_cells(by_cell: dict[tuple[str, str], dict[str, float]]) -> dict[tuple[str, str], MetricReport]:

@@ -74,6 +74,9 @@ class FrontendConfig:
             raise ValidationError(f"unknown frontend kind {self.kind!r}")
         if self.kind == "dsp" and (self.n_mels < 1 or self.window_ms <= 0 or self.hop_ms <= 0):
             raise ValidationError("dsp parameters must be positive")
+        if self.target_rate_hz != TARGET_RATE_HZ:
+            # featurize always resamples to 16 kHz; extract_dsp sizes its frames from this field.
+            raise ValidationError(f"target_rate_hz must be {TARGET_RATE_HZ}, not {self.target_rate_hz}")
 
     @property
     def dim(self) -> int:

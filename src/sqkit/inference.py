@@ -250,9 +250,10 @@ def knn_weights(distances: np.ndarray, temperature: float, paper_literal: bool =
     return w / w.sum()
 
 
-def _clipped(params: ModelParams, frames: np.ndarray, dataset_id: str) -> float:
+def predict_clipped(params: ModelParams, frames: np.ndarray, dataset_id: str | None = None) -> float:
     """One utterance's clipped forward pass; alignnet scores it with the
-    table row of dataset_id."""
+    table row of dataset_id. Dev eval in training and the parametric and
+    domain-retrieval modes all score through it."""
     if isinstance(params, HeadParams):
         return clip_score(head_raw(params, frames))
     return clip_score(alignnet_raw(params, frames, dataset_id))
@@ -298,7 +299,7 @@ def predict_split(
                     f"dataset id(s) {unknown} of split {split!r} have no row in the alignnet embedding table "
                     f"{params.dataset_ids}; score unseen corpora with --inference domain-retrieval"
                 )
-        preds = [_clipped(params, featurize(s, frontend_config, scaler).frames, s.dataset_id) for s in samples]
+        preds = [predict_clipped(params, featurize(s, frontend_config, scaler).frames, s.dataset_id) for s in samples]
     elif mode == "knn":
         cfg = knn_config or KnnConfig()
         queries = np.stack([pool_time(featurize(s, frontend_config, scaler)) for s in samples])
@@ -308,7 +309,7 @@ def predict_split(
     else:
         mats = [featurize(s, frontend_config, scaler) for s in samples]
         neighbors = retrieve_neighbors(datastore, np.stack([pool_time(m) for m in mats]), 1)
-        preds = [_clipped(params, m.frames, ids[0]) for m, ids in zip(mats, neighbors.dataset_ids)]
+        preds = [predict_clipped(params, m.frames, ids[0]) for m, ids in zip(mats, neighbors.dataset_ids)]
     return EvalPairs(
         sample_ids=tuple(s.sample_id for s in samples),
         system_ids=tuple(s.system_id for s in samples),

@@ -23,7 +23,6 @@ __all__ = [
     "pearson",
     "spearman",
     "system_aggregate",
-    "compute_report",
     "best_score_difference",
     "best_score_ratio",
     "best_values",
@@ -137,24 +136,6 @@ def system_aggregate(pairs: EvalPairs) -> EvalPairs:
         true=np.array(true_means),
         pred=np.array(pred_means),
     )
-
-
-def compute_report(pairs: EvalPairs) -> MetricReport:
-    """All six metrics; system-level ones only when every pair has a system."""
-    utt_mse = mse(pairs)
-    utt_lcc = pearson(pairs)
-    utt_srcc = spearman(pairs)
-    if pairs.has_systems:
-        sys_pairs = system_aggregate(pairs)
-        return MetricReport(
-            utt_mse=utt_mse,
-            utt_lcc=utt_lcc,
-            utt_srcc=utt_srcc,
-            sys_mse=mse(sys_pairs),
-            sys_lcc=pearson(sys_pairs),
-            sys_srcc=spearman(sys_pairs),
-        )
-    return MetricReport(utt_mse=utt_mse, utt_lcc=utt_lcc, utt_srcc=utt_srcc)
 
 
 def best_score_difference(model_mse: float, best_mse: float) -> float:

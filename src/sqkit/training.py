@@ -25,14 +25,15 @@ import numpy as np
 from .corpus import CorpusManifest, PooledCorpus, Sample
 from .errors import UndefinedCorrelationError, ValidationError
 from .frontend import EmbeddingMatrix, FeatureScaler, FrontendConfig, featurize
+from .inference import predict_clipped
 from .metrics import EvalPairs, pearson, spearman, system_aggregate
+# head_raw and alignnet_raw are unused here: perfbench's tracer wraps these
+# names on this module, and a site that stops resolving fails its run.
 from .model import (
-    HeadParams,
     ModelParams,
     Workspace,
     alignnet_backward,
     alignnet_raw,
-    clip_score,
     copy_params,
     head_backward,
     head_raw,
@@ -170,12 +171,6 @@ class TrainResult:
     criterion: str
     steps_run: int
     stop_reason: str  # "max_steps", "patience" or "zero_steps"
-
-
-def predict_clipped(params: ModelParams, frames: np.ndarray, dataset_id: str | None = None) -> float:
-    if isinstance(params, HeadParams):
-        return clip_score(head_raw(params, frames))
-    return clip_score(alignnet_raw(params, frames, dataset_id))
 
 
 def _dev_criterion(

@@ -197,6 +197,11 @@ class TestInfer:
         (warning,) = warnings_logged(caplog)
         assert str(out / "train" / "seed0") in warning and "rerun train" in warning
 
+    def test_split_with_no_samples_is_exit_1(self, tmp_path, capsys):
+        config = write_recipe(tmp_path, BASE_RECIPE + "infer.split = test\n")
+        assert main(["infer", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert "has no samples in split 'test'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("mode", ["knn", "domain-retrieval"])
     def test_unknown_distance_is_exit_1_before_any_featurizing(self, tmp_path, monkeypatch, capsys, mode):
         recipe = BASE_RECIPE.replace("model.kind = head", "model.kind = alignnet") + "infer.distance = manhattan\n"
@@ -267,6 +272,52 @@ class TestBenchmark:
         assert {r["model"] for r in read_csv(out / "records.csv")} == {"alignnet-parametric"}
         assert not (ledger / "ckpt_step999.bin").exists()
         assert not (out / "train" / "seed0" / "mdf_phase1").exists()
+
+    @pytest.mark.parametrize(
+        "settings, named",
+        [
+            ("infer.mode = knnn\n", "unknown inference mode 'knnn'"),
+            ("infer.mode = knn\ninfer.distance = manhattan\n", "infer.distance"),
+            ("infer.mode = knn\ninfer.knn_k = 0\n", "k must be >= 1"),
+        ],
+        ids=["unknown-mode", "unknown-distance", "zero-k"],
+    )
+    def test_bad_inference_settings_are_exit_1_before_any_seed_is_trained(
+        self, tmp_path, monkeypatch, capsys, settings, named
+    ):
+        config = write_recipe(tmp_path, BASE_RECIPE + settings)
+        out = tmp_path / "out"
+        trained = []
+        monkeypatch.setattr(cli, "train_one_seed", lambda *args: trained.append(args))
+        assert main(["benchmark", "--config", str(config), "--out", str(out), "--seed", "0,1"]) == 1
+        assert named in capsys.readouterr().err
+        assert trained == []
+        assert not (out / "train").exists()
+
+    def test_split_key_picks_the_scored_split(self, tmp_path):
+        config = write_recipe(tmp_path, BASE_RECIPE + "benchmark.split = train\n")
+        out = tmp_path / "out"
+        assert main(["benchmark", "--config", str(config), "--out", str(out)]) == 0
+        # 16 utterances at split ratio 0.75: 12 in train, 4 in dev.
+        assert read_csv(out / "tests.csv") == [{"test": "synth", "domain_tag": "synthetic", "n": "12"}]
+
+    def test_one_mos_level_gives_undefined_correlations_that_aggregate_refuses(self, tmp_path, capsys):
+        # One SNR level: every MOS is 5.0, so no correlation is defined.
+        config = write_recipe(tmp_path, BASE_RECIPE + "corpus.synth.snr_grid = 5\n")
+        out = tmp_path / "out"
+        assert main(["benchmark", "--config", str(config), "--out", str(out)]) == 0
+        records = {r["metric"]: r["value"] for r in read_csv(out / "records.csv")}
+        assert {r["metric"]: r["value"] for r in read_csv(out / "records_mean.csv")} == records
+        for metric in ("utt_lcc", "utt_srcc", "sys_lcc", "sys_srcc"):
+            assert records.pop(metric) == "undefined"
+        assert sorted(records) == ["sys_mse", "utt_mse"]
+        assert all(float(value) >= 0.0 for value in records.values())  # errors stay defined
+
+        agg_config = write_recipe(tmp_path, f"aggregate.inputs = {out}\n", name="agg.cfg")
+        assert main(["aggregate", "--config", str(agg_config), "--out", str(tmp_path / "agg")]) == 1
+        err = capsys.readouterr().err
+        assert "metric sys_lcc for (head-parametric, synth) is undefined" in err
+        assert not (tmp_path / "agg" / "aggregate.csv").exists()
 
     def test_unknown_test_corpus_fails(self, tmp_path):
         config = write_recipe(tmp_path, BASE_RECIPE.replace("benchmark.tests = synth", "benchmark.tests = ghost"))
@@ -389,6 +440,24 @@ class TestAggregate:
         summary = read_csv(agg_out / "aggregate_summary.csv")
         domains = {r["domain"] for r in summary}
         assert domains == {"average", "synthetic"}
+
+    @pytest.mark.parametrize(
+        "name, text, named",
+        [
+            ("records_mean.csv", "model,test,metric,val\nm,synth,utt_mse,0.5\n", "lacks column(s) value"),
+            ("records_mean.csv", "model,test,metric,value\nm,synth,utt_mse\n", "line 2: fewer fields"),
+            ("tests.csv", "test,tag,n\nsynth,synthetic,4\n", "lacks column(s) domain_tag"),
+            ("tests.csv", "test,domain_tag,n\nsynth\n", "line 2: fewer fields"),
+        ],
+        ids=["records-header", "records-short-row", "tests-header", "tests-short-row"],
+    )
+    def test_malformed_record_files_are_exit_1(self, tmp_path, capsys, name, text, named):
+        write_bench_dir(tmp_path / "in", self.REFERENCE, {"synth": "synthetic"})
+        (tmp_path / "in" / name).write_text(text, encoding="utf-8")
+        agg_config = write_recipe(tmp_path, "aggregate.inputs = in\n", name="agg.cfg")
+        assert main(["aggregate", "--config", str(agg_config), "--out", str(tmp_path / "agg")]) == 1
+        err = capsys.readouterr().err
+        assert str(tmp_path / "in" / name) in err and named in err
 
     def test_missing_records_fail(self, tmp_path):
         agg_config = write_recipe(tmp_path, f"aggregate.inputs = {tmp_path / 'nowhere'}\n")

@@ -172,6 +172,13 @@ class TestExtractDsp:
         mat = extract_dsp(np.zeros(8000), self.CONFIG)
         np.testing.assert_allclose(mat.frames, np.log(1e-10))
 
+    @pytest.mark.parametrize("rate", [8000, 22050])
+    def test_target_rate_other_than_16k_is_rejected(self, rate):
+        # featurize always resamples to 16 kHz, so any other target rate
+        # would size the frames for audio it never gets.
+        with pytest.raises(ValidationError, match="target_rate_hz"):
+            FrontendConfig(target_rate_hz=rate)
+
     def test_feature_dim_is_twice_n_mels(self):
         config = FrontendConfig(n_mels=24)
         mat = extract_dsp(np.random.default_rng(4).normal(size=4000) * 0.1, config)

@@ -13,12 +13,12 @@ from sqkit import (
     best_score_difference,
     best_score_ratio,
     best_values,
-    compute_report,
     mse,
     pearson,
     spearman,
     system_aggregate,
 )
+from sqkit.cli import _reports_from_cells, metric_values
 
 from oracles import mse_oracle, pearson_oracle, spearman_oracle
 
@@ -206,9 +206,13 @@ class TestBestScore:
             best_score_ratio(0.5, 0.0)
 
 
-class TestComputeReport:
+class TestMetricValues:
+    """cli.metric_values is the one six-metric table records are written from."""
+
     def test_system_fields_absent_without_ids(self):
-        report = compute_report(make_pairs([1.0, 2.0, 3.0], [1.1, 2.1, 2.9]))
+        values = metric_values(make_pairs([1.0, 2.0, 3.0], [1.1, 2.1, 2.9]))
+        assert sorted(values) == ["utt_lcc", "utt_mse", "utt_srcc"]
+        report = _reports_from_cells({("m", "t"): values})["m", "t"]
         assert report.sys_mse is None and report.sys_srcc is None
         with pytest.raises(ValidationError):
             report.get("sys_srcc")
@@ -219,14 +223,14 @@ class TestComputeReport:
             [1.2, 2.1, 3.3, 3.9],
             systems=["a", "a", "b", "b"],
         )
-        report = compute_report(pairs)
-        assert report.utt_mse == pytest.approx(mse(pairs))
-        assert report.utt_lcc == pytest.approx(pearson(pairs))
-        assert report.utt_srcc == pytest.approx(spearman(pairs))
+        values = metric_values(pairs)
+        assert values["utt_mse"] == pytest.approx(mse(pairs))
+        assert values["utt_lcc"] == pytest.approx(pearson(pairs))
+        assert values["utt_srcc"] == pytest.approx(spearman(pairs))
         sys_pairs = system_aggregate(pairs)
-        assert report.sys_mse == pytest.approx(mse(sys_pairs))
-        assert report.sys_lcc == pytest.approx(pearson(sys_pairs))
-        assert report.sys_srcc == pytest.approx(spearman(sys_pairs))
+        assert values["sys_mse"] == pytest.approx(mse(sys_pairs))
+        assert values["sys_lcc"] == pytest.approx(pearson(sys_pairs))
+        assert values["sys_srcc"] == pytest.approx(spearman(sys_pairs))
 
 
 def report_with(**kwargs) -> MetricReport:
