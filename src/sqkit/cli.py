@@ -1,5 +1,5 @@
 """Recipe-style command line: prepare, train, infer, benchmark, aggregate,
-export-embeddings, distribution-data.
+export-embeddings.
 
 A recipe is a flat key=value config file. Three flags override a recipe
 key: --seed (seeds), --out (out) and --inference (infer.mode).
@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 validation/config error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -21,11 +20,11 @@ import os
 import shutil
 import sys
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from .codec import atomic_dir, atomic_open
+from .codec import atomic_dir, atomic_open, read_csv_rows, write_csv
 from .corpus import (
     CorpusManifest,
     PooledCorpus,
@@ -46,10 +45,19 @@ from .errors import (
 )
 from .export import export_embeddings, pca_2d
 from .frontend import FeatureScaler, FrontendConfig, load_scaler, save_scaler
-from .inference import DISTANCE_KINDS, INFERENCE_MODES, Datastore, KnnConfig, build_datastore, predict_split, save_datastore
-from .metrics import EvalPairs, MetricReport, aggregate, best_values, mse, pearson, spearman, system_aggregate
+from .inference import (
+    DISTANCE_KINDS,
+    INFERENCE_MODES,
+    Datastore,
+    KnnConfig,
+    build_datastore,
+    check_table_rows,
+    predict_split,
+    save_datastore,
+)
+from .metrics import EvalPairs, aggregate, best_values, mse, pearson, spearman, system_aggregate
 from .model import ModelParams, load_params, save_params
-from .training import MdfResult, TrainConfig, TrainResult, select_criterion, train, train_mdf
+from .training import MdfResult, TrainConfig, TrainResult, select_criterion, table_dataset_ids, train, train_mdf
 
 logger = logging.getLogger(__name__)
 
@@ -427,14 +435,6 @@ def write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def write_csv(path: Path, header: list[str], rows: Iterable[list[str]]) -> None:
-    """Write a CSV file whole or not at all (temp file plus rename)."""
-    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def metric_values(pairs: EvalPairs) -> dict[str, float | str]:
     """All six metrics; an undefined correlation becomes the string
     "undefined" so records stay machine-readable without inventing zeros."""
@@ -519,13 +519,21 @@ def _predict_seeds(
     """Per seed: load the trained model, build the datastore its inference
     mode needs and predict every (name, corpus, split) target.
 
-    The inference settings are checked on the call; each seed is loaded
+    The inference settings, and that the recipe's model kind can score
+    every target in that mode, are checked on the call; each seed is loaded
     and scored only when the returned iterator reaches it. Yields (seed,
     mode, datastore, one EvalPairs per target).
     """
     mode = args.inference or recipe.get("infer.mode", "parametric")
     if mode not in INFERENCE_MODES:
         raise ValidationError(f"unknown inference mode {mode!r}")
+    model_kind = recipe.get("model.kind", "head")
+    if mode == "domain-retrieval" and model_kind != "alignnet":
+        raise ValidationError(f"domain-retrieval needs model.kind = alignnet, not {model_kind!r}")
+    if mode == "parametric" and model_kind == "alignnet":
+        table_ids = table_dataset_ids(resolve_train_corpus(recipe, corpora))
+        for _name, corpus, split in targets:
+            check_table_rows(table_ids, corpus.samples(split), split)
     frontend_config = build_frontend(recipe)
     knn_config = None
     if mode == "knn":
@@ -554,23 +562,21 @@ def _predict_seeds(
     return map(predict, _seed_list(recipe, args))
 
 
-def _write_pairs(path: Path, pairs: EvalPairs) -> None:
-    rows = zip(pairs.sample_ids, pairs.system_ids, pairs.true, pairs.pred)
-    write_csv(
-        path,
-        ["sample_id", "system_id", "true", "pred"],
-        ([sid, system or "", repr(float(t)), repr(float(p))] for sid, system, t, p in rows),
-    )
-
-
 def cmd_infer(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
-    """Predict one corpus split with a trained model, one file per seed."""
+    """Predict one corpus split with a trained model, one file per seed,
+    plus the per-system means when every sample has a system id."""
     corpora = get_corpora(recipe, out)
     target = _target(recipe, corpora, "infer.corpus")
     for seed, mode, datastore, (pairs,) in _predict_seeds(recipe, args, out, corpora, [target]):
         seed_dir = out / "infer" / f"seed{seed}"
         seed_dir.mkdir(parents=True, exist_ok=True)
-        _write_pairs(seed_dir / "predictions.csv", pairs)
+        systems = (system or "" for system in pairs.system_ids)
+        rows = zip(pairs.sample_ids, systems, map(_fmt, pairs.true), map(_fmt, pairs.pred))
+        write_csv(seed_dir / "predictions.csv", ["sample_id", "system_id", "true", "pred"], rows)
+        if pairs.has_systems:
+            means = system_aggregate(pairs)
+            rows = zip(means.system_ids, map(_fmt, means.true), map(_fmt, means.pred))
+            write_csv(seed_dir / "systems.csv", ["system_id", "true_mean", "pred_mean"], rows)
         if datastore is not None:
             save_datastore(seed_dir / "datastore.bin", datastore)
         print(f"infer seed {seed}: {mode} on {target[0]}/{target[2]}, {len(pairs)} predictions")
@@ -615,41 +621,15 @@ def _read_records_mean(run_dir: Path) -> tuple[dict[tuple[str, str], dict[str, f
     if not records_path.exists() or not tests_path.exists():
         raise ValidationError(f"{run_dir} has no records_mean.csv/tests.csv (run benchmark first)")
     by_cell: dict[tuple[str, str], dict[str, float]] = {}
-    for row in _read_csv_rows(records_path, ("model", "test", "metric", "value")):
+    for row in read_csv_rows(records_path, ("model", "test", "metric", "value")):
         if row["value"] == "undefined":
             raise ValidationError(
                 f"{records_path}: metric {row['metric']} for ({row['model']}, {row['test']}) is undefined; "
                 "aggregate needs defined metrics"
             )
         by_cell.setdefault((row["model"], row["test"]), {})[row["metric"]] = float(row["value"])
-    domains = {row["test"]: row["domain_tag"] for row in _read_csv_rows(tests_path, ("test", "domain_tag"))}
+    domains = {row["test"]: row["domain_tag"] for row in read_csv_rows(tests_path, ("test", "domain_tag"))}
     return by_cell, domains
-
-
-def _read_csv_rows(path: Path, columns: tuple[str, ...]) -> list[dict[str, str]]:
-    """The rows of a CSV file whose header names every column; a missing
-    column or a row shorter than the header raises ValidationError."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in columns if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ValidationError(f"{path}: header lacks column(s) {', '.join(missing)}")
-        rows = []
-        for row in reader:
-            if None in row.values():
-                raise ValidationError(f"{path} line {reader.line_num}: fewer fields than the header")
-            rows.append(row)
-    return rows
-
-
-def _reports_from_cells(by_cell: dict[tuple[str, str], dict[str, float]]) -> dict[tuple[str, str], MetricReport]:
-    reports = {}
-    for cell, values in by_cell.items():
-        for needed in ("utt_mse", "utt_lcc", "utt_srcc"):
-            if needed not in values:
-                raise ValidationError(f"records for {cell} lack {needed}")
-        reports[cell] = MetricReport(**{f.name: values.get(f.name) for f in dataclasses.fields(MetricReport)})
-    return reports
 
 
 def cmd_aggregate(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
@@ -669,7 +649,6 @@ def cmd_aggregate(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
                 raise ValidationError(f"duplicate (model, test) {cell} across aggregate inputs")
         merged.update(by_cell)
         domains.update(run_domains)
-    reports = _reports_from_cells(merged)
 
     policy = recipe.get("aggregate.best", "within-family")
     best = None
@@ -680,11 +659,11 @@ def cmd_aggregate(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
                 raise ValidationError(f"aggregate.reference has no test set {test!r}")
             if ref_domains[test] != domain:
                 raise ValidationError(f"aggregate.reference tags test set {test!r} {ref_domains[test]!r}, not {domain!r}")
-        best = best_values(_reports_from_cells(ref_cells), ref_domains)
+        best = best_values(ref_cells, ref_domains)
     elif policy != "within-family":
         raise ValidationError(f"aggregate.best must be within-family or external, got {policy!r}")
 
-    matrix = aggregate(reports, domains, best)
+    matrix = aggregate(merged, domains, best)
     out.mkdir(parents=True, exist_ok=True)
     cells = ((model, test, matrix.cells[model, test]) for model in matrix.model_ids for test in matrix.test_ids)
     write_csv(
@@ -760,26 +739,6 @@ def cmd_export_embeddings(recipe: Recipe, args: argparse.Namespace, out: Path) -
     return 0
 
 
-def cmd_distribution_data(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
-    """Emit true-vs-predicted scatter data for one test set, per seed."""
-    corpora = get_corpora(recipe, out)
-    target = _target(recipe, corpora, "distribution.corpus")
-    for seed, _mode, _datastore, (pairs,) in _predict_seeds(recipe, args, out, corpora, [target]):
-        seed_dir = out / "distribution" / f"seed{seed}"
-        seed_dir.mkdir(parents=True, exist_ok=True)
-        _write_pairs(seed_dir / "utterances.csv", pairs)
-        if pairs.has_systems:
-            means = system_aggregate(pairs)
-            systems = zip(means.system_ids, means.true, means.pred)
-            write_csv(
-                seed_dir / "systems.csv",
-                ["system_id", "true_mean", "pred_mean"],
-                ([sid, repr(float(t)), repr(float(p))] for sid, t, p in systems),
-            )
-        print(f"distribution seed {seed}: {len(pairs)} utterances on {target[0]}/{target[2]}")
-    return 0
-
-
 # ---------------------------------------------------------------- main
 
 
@@ -790,7 +749,6 @@ COMMANDS = {
     "benchmark": cmd_benchmark,
     "aggregate": cmd_aggregate,
     "export-embeddings": cmd_export_embeddings,
-    "distribution-data": cmd_distribution_data,
 }
 
 

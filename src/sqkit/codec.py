@@ -1,4 +1,5 @@
-"""The one codec behind sqkit's binary artifacts (SQPM, SQSC, SQDS, SQE1).
+"""The one codec behind sqkit's binary artifacts (SQPM, SQSC, SQDS, SQE1),
+plus the atomic writers and the one CSV writer and reader.
 
 An artifact is a 4-byte magic tag, little-endian struct fields, optional
 string tables (uint16 byte length, then UTF-8, per entry) and fixed-shape
@@ -9,6 +10,7 @@ against the bytes present and raises the loader's own error type.
 from __future__ import annotations
 
 import contextlib
+import csv
 import math
 import os
 import shutil
@@ -18,7 +20,7 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from .errors import SqkitError
+from .errors import SqkitError, ValidationError
 
 
 def pack_strings(strings: Iterable[str]) -> bytes:
@@ -40,6 +42,30 @@ def atomic_open(path: str | Path, mode: str = "wb", **kwargs) -> Iterator[IO]:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_csv(path: str | Path, header: Iterable[str], rows: Iterable[Iterable[str]]) -> None:
+    """Write a CSV file whole or not at all (temp file plus rename)."""
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_csv_rows(path: str | Path, columns: tuple[str, ...]) -> list[dict[str, str]]:
+    """The rows of a CSV file whose header names every column; a missing
+    column or a row shorter than the header raises ValidationError."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValidationError(f"{path}: header lacks column(s) {', '.join(missing)}")
+        rows = []
+        for row in reader:
+            if None in row.values():
+                raise ValidationError(f"{path} line {reader.line_num}: fewer fields than the header")
+            rows.append(row)
+    return rows
 
 
 @contextlib.contextmanager

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import atomic_open
+from .codec import atomic_open, read_csv_rows, write_csv
 from .errors import ManifestError, ValidationError
 from .seeding import named_rng
 
@@ -35,6 +35,8 @@ MANIFEST_HEADER = [
 ]
 
 SPLIT_NAMES = ("train", "dev", "test")
+
+SIDECAR_COLUMNS = ("sample_id", "snr_db", "delta", "epsilon")
 
 DOMAIN_TAGS = ("synthetic", "non-synthetic")
 
@@ -248,16 +250,12 @@ def save_manifest(samples: tuple[Sample, ...] | list[Sample], path: str | Path) 
         except ValueError:
             return str(p)
 
-    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MANIFEST_HEADER)
-        for s in samples:
-            common = [s.sample_id, fmt(s.audio_ref), fmt(s.embedding_ref), s.dataset_id, s.system_id or "", repr(s.mos)]
-            if s.listener_scores:
-                for lid, score in s.listener_scores:
-                    writer.writerow(common + [lid, str(score)])
-            else:
-                writer.writerow(common + ["", ""])
+    rows = (
+        [s.sample_id, fmt(s.audio_ref), fmt(s.embedding_ref), s.dataset_id, s.system_id or "", repr(s.mos), lid, str(score)]
+        for s in samples
+        for lid, score in s.listener_scores or (("", ""),)  # one row per listener, or one bare row
+    )
+    write_csv(path, MANIFEST_HEADER, rows)
 
 
 def load_corpus_dir(directory: str | Path, fingerprint: str | None = None) -> CorpusManifest:
@@ -418,7 +416,7 @@ def generate_synthetic_corpus(spec: SynthSpec, seed: int) -> CorpusManifest:
 
     rng = named_rng(seed, f"synth/{spec.name}")
     samples: list[Sample] = []
-    sidecar_rows: list[tuple[str, float, float, float]] = []
+    sidecar_rows: list[list[str]] = []
     for i in range(spec.n_utterances):
         snr_db = float(spec.snr_grid_db[i % len(spec.snr_grid_db)])
         duration = rng.uniform(*spec.duration_s)
@@ -447,7 +445,7 @@ def generate_synthetic_corpus(spec: SynthSpec, seed: int) -> CorpusManifest:
                 mos=mos,
             )
         )
-        sidecar_rows.append((sample_id, snr_db, spec.delta, eps))
+        sidecar_rows.append([sample_id, repr(snr_db), repr(spec.delta), repr(eps)])
 
     corpus = CorpusManifest(
         name=spec.name,
@@ -457,19 +455,13 @@ def generate_synthetic_corpus(spec: SynthSpec, seed: int) -> CorpusManifest:
         splits={"train": tuple(samples)},
     )
     corpus.validate()
-    with open(out_dir / "sidecar.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "snr_db", "delta", "epsilon"])
-        for sid, snr_db, delta, eps in sidecar_rows:
-            writer.writerow([sid, repr(snr_db), repr(delta), repr(eps)])
+    write_csv(out_dir / "sidecar.csv", SIDECAR_COLUMNS, sidecar_rows)
     logger.info("generated synthetic corpus %r: %d utterances in %s", spec.name, len(samples), out_dir)
     return corpus
 
 
 def load_sidecar(directory: str | Path) -> dict[str, tuple[float, float, float]]:
-    """Read a synthetic corpus sidecar: sample_id -> (snr_db, delta, epsilon)."""
-    out: dict[str, tuple[float, float, float]] = {}
-    with open(Path(directory) / "sidecar.csv", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            out[row["sample_id"]] = (float(row["snr_db"]), float(row["delta"]), float(row["epsilon"]))
-    return out
+    """Read a synthetic corpus sidecar: sample_id -> (snr_db, delta, epsilon);
+    a missing column raises ValidationError."""
+    rows = read_csv_rows(Path(directory) / "sidecar.csv", SIDECAR_COLUMNS)
+    return {row["sample_id"]: (float(row["snr_db"]), float(row["delta"]), float(row["epsilon"])) for row in rows}

@@ -27,7 +27,8 @@ class AudioFormatError(SqkitError):
 
 
 class CheckpointError(SqkitError):
-    """A parameter/datastore file is corrupt or of the wrong kind."""
+    """A parameter checkpoint (SQPM) is corrupt or of the wrong kind. The
+    scaler, datastore and embedding loaders raise ValidationError instead."""
 
 
 class UndefinedCorrelationError(SqkitError):
@@ -35,4 +36,4 @@ class UndefinedCorrelationError(SqkitError):
 
 
 class UndefinedRatioError(SqkitError):
-    """A best-score ratio is undefined (best correlation is zero)."""
+    """A best-score ratio is undefined (best correlation is not positive)."""

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .codec import Reader, pack_strings, write_artifact
-from .corpus import CorpusManifest, PooledCorpus
+from .corpus import CorpusManifest, PooledCorpus, Sample
 from .errors import ValidationError
 from .frontend import FeatureScaler, FrontendConfig, featurize, pool_time
 from .metrics import EvalPairs
@@ -259,6 +259,17 @@ def predict_clipped(params: ModelParams, frames: np.ndarray, dataset_id: str | N
     return clip_score(alignnet_raw(params, frames, dataset_id))
 
 
+def check_table_rows(table_ids: tuple[str, ...], samples: tuple[Sample, ...], split: str) -> None:
+    """Parametric alignnet scoring needs a table row for every sample's
+    dataset id; name the missing ones and the mode that scores them."""
+    unknown = sorted({s.dataset_id for s in samples} - set(table_ids))
+    if unknown:
+        raise ValidationError(
+            f"dataset id(s) {unknown} of split {split!r} have no row in the alignnet embedding table "
+            f"{table_ids}; score unseen corpora with --inference domain-retrieval"
+        )
+
+
 def predict_split(
     corpus: CorpusManifest | PooledCorpus,
     split: str,
@@ -293,12 +304,7 @@ def predict_split(
         raise ValueError(f"corpus has no samples in split {split!r}")
     if mode == "parametric":
         if isinstance(params, AlignNetParams):
-            unknown = sorted({s.dataset_id for s in samples} - set(params.dataset_ids))
-            if unknown:
-                raise ValidationError(
-                    f"dataset id(s) {unknown} of split {split!r} have no row in the alignnet embedding table "
-                    f"{params.dataset_ids}; score unseen corpora with --inference domain-retrieval"
-                )
+            check_table_rows(params.dataset_ids, samples, split)
         preds = [predict_clipped(params, featurize(s, frontend_config, scaler).frames, s.dataset_id) for s in samples]
     elif mode == "knn":
         cfg = knn_config or KnnConfig()

@@ -16,7 +16,6 @@ from .errors import UndefinedCorrelationError, UndefinedRatioError, ValidationEr
 
 __all__ = [
     "EvalPairs",
-    "MetricReport",
     "BenchCell",
     "BenchMatrix",
     "mse",
@@ -63,24 +62,6 @@ class EvalPairs:
     @property
     def has_systems(self) -> bool:
         return all(s is not None for s in self.system_ids)
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    """Six standard metrics; system fields are None without system labels."""
-
-    utt_mse: float
-    utt_lcc: float
-    utt_srcc: float
-    sys_mse: float | None = None
-    sys_lcc: float | None = None
-    sys_srcc: float | None = None
-
-    def get(self, key: str) -> float:
-        value = getattr(self, key)
-        if value is None:
-            raise ValidationError(f"metric {key!r} is not available in this report")
-        return float(value)
 
 
 def mse(pairs: EvalPairs) -> float:
@@ -144,9 +125,12 @@ def best_score_difference(model_mse: float, best_mse: float) -> float:
 
 
 def best_score_ratio(model_corr: float, best_corr: float) -> float:
-    """Model correlation over the best model's correlation, in percent."""
-    if best_corr == 0.0:
-        raise UndefinedRatioError("best correlation is zero; ratio undefined")
+    """Model correlation over the best model's correlation, in percent.
+
+    Undefined unless the best correlation is positive: over a negative
+    best, a worse model would rate above 100."""
+    if best_corr <= 0.0:
+        raise UndefinedRatioError(f"best correlation {best_corr!r} is not positive; ratio undefined")
     return 100.0 * float(model_corr) / float(best_corr)
 
 
@@ -162,6 +146,12 @@ def _metric_keys(test_domains: dict[str, str], test: str) -> tuple[str, str]:
     if domain not in DEFAULT_METRIC_KEYS:
         raise ValidationError(f"test set {test!r} has domain tag {domain!r}, not one of {sorted(DEFAULT_METRIC_KEYS)}")
     return DEFAULT_METRIC_KEYS[domain]
+
+
+def _metric(records: dict[tuple[str, str], dict[str, float]], cell: tuple[str, str], key: str) -> float:
+    if key not in records[cell]:
+        raise ValidationError(f"records for ({cell[0]}, {cell[1]}) lack {key}")
+    return float(records[cell][key])
 
 
 @dataclass(frozen=True)
@@ -185,49 +175,53 @@ class BenchMatrix:
 
     model_ids: list[str]
     test_ids: list[str]
-    test_domains: dict[str, str]
     cells: dict[tuple[str, str], BenchCell]
     averages: dict[str, dict[str, tuple[float, float]]]
 
 
 def best_values(
-    reports: dict[tuple[str, str], MetricReport], test_domains: dict[str, str]
+    records: dict[tuple[str, str], dict[str, float]], test_domains: dict[str, str]
 ) -> dict[str, tuple[float, float]]:
     """Per test set, the lowest error and the highest correlation among the
-    models in ``reports``: ``{test_id: (best_mse, best_corr)}``. The metrics
-    are chosen per domain tag (``DEFAULT_METRIC_KEYS``): system-level
-    MSE/SRCC for synthetic sets, utterance-level MSE/LCC otherwise."""
+    models in ``records`` (``{(model, test): {metric: value}}``):
+    ``{test_id: (best_mse, best_corr)}``. The metrics are chosen per domain
+    tag (``DEFAULT_METRIC_KEYS``): system-level MSE/SRCC for synthetic
+    sets, utterance-level MSE/LCC otherwise."""
     best = {}
-    for test in sorted({t for _, t in reports}):
+    for test in sorted({t for _, t in records}):
         mse_key, corr_key = _metric_keys(test_domains, test)
-        family = [report for (_, t), report in reports.items() if t == test]
-        best[test] = (min(r.get(mse_key) for r in family), max(r.get(corr_key) for r in family))
+        family = [cell for cell in records if cell[1] == test]
+        best[test] = (
+            min(_metric(records, c, mse_key) for c in family),
+            max(_metric(records, c, corr_key) for c in family),
+        )
     return best
 
 
 def aggregate(
-    reports: dict[tuple[str, str], MetricReport],
+    records: dict[tuple[str, str], dict[str, float]],
     test_domains: dict[str, str],
     best: dict[str, tuple[float, float]] | None = None,
 ) -> BenchMatrix:
-    """Fill best-score differences/ratios for a (model, test) report grid.
+    """Fill best-score differences/ratios for a (model, test) grid of
+    metric records (``{(model, test): {metric: value}}``).
 
     ``best`` maps each test set to its (best_mse, best_corr), as
     :func:`best_values` computes them; by default they are the best values
-    among the models in ``reports`` (within-family). Pass
-    ``best_values(reference_reports, ...)`` to score against an external
-    reference. Ratios assume the best correlation is positive.
+    among the models in ``records`` (within-family). Pass
+    ``best_values(reference_records, ...)`` to score against an external
+    reference. A best correlation that is not positive raises
+    :class:`UndefinedRatioError`.
     """
-    model_ids = sorted({m for m, _ in reports})
-    test_ids = sorted({t for _, t in reports})
+    model_ids = sorted({m for m, _ in records})
+    test_ids = sorted({t for _, t in records})
     if not model_ids or not test_ids:
-        raise ValidationError("aggregate requires at least one report")
-    for t in test_ids:
-        for m in model_ids:
-            if (m, t) not in reports:
-                raise ValidationError(f"missing report for ({m!r}, {t!r})")
+        raise ValidationError("aggregate requires at least one record")
+    missing = [(m, t) for t in test_ids for m in model_ids if (m, t) not in records]
+    if missing:
+        raise ValidationError(f"missing record for {missing[0]!r}")
     if best is None:
-        best = best_values(reports, test_domains)
+        best = best_values(records, test_domains)
 
     cells: dict[tuple[str, str], BenchCell] = {}
     for t in test_ids:
@@ -236,7 +230,7 @@ def aggregate(
             raise ValidationError(f"no best values for test set {t!r}")
         best_mse, best_corr = best[t]
         for m in model_ids:
-            cell_mse, cell_corr = reports[m, t].get(mse_key), reports[m, t].get(corr_key)
+            cell_mse, cell_corr = _metric(records, (m, t), mse_key), _metric(records, (m, t), corr_key)
             cells[m, t] = BenchCell(
                 mse=cell_mse,
                 corr=cell_corr,
@@ -244,26 +238,17 @@ def aggregate(
                 ratio=best_score_ratio(cell_corr, best_corr),
             )
 
-    domains = sorted(set(test_domains[t] for t in test_ids))
-    averages: dict[str, dict[str, tuple[float, float]]] = {}
-    for m in model_ids:
-        by_domain: dict[str, tuple[float, float]] = {}
-        for d in domains:
-            in_domain = [t for t in test_ids if test_domains[t] == d]
-            by_domain[d] = (
-                float(np.mean([cells[m, t].difference for t in in_domain])),
-                float(np.mean([cells[m, t].ratio for t in in_domain])),
+    groups = {d: [t for t in test_ids if test_domains[t] == d] for d in sorted({test_domains[t] for t in test_ids})}
+    groups["average"] = test_ids
+    averages = {
+        m: {
+            group: (
+                float(np.mean([cells[m, t].difference for t in tests])),
+                float(np.mean([cells[m, t].ratio for t in tests])),
             )
-        by_domain["average"] = (
-            float(np.mean([cells[m, t].difference for t in test_ids])),
-            float(np.mean([cells[m, t].ratio for t in test_ids])),
-        )
-        averages[m] = by_domain
+            for group, tests in groups.items()
+        }
+        for m in model_ids
+    }
 
-    return BenchMatrix(
-        model_ids=model_ids,
-        test_ids=test_ids,
-        test_domains=dict(test_domains),
-        cells=cells,
-        averages=averages,
-    )
+    return BenchMatrix(model_ids=model_ids, test_ids=test_ids, cells=cells, averages=averages)

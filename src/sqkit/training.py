@@ -191,6 +191,12 @@ def _dev_criterion(
     return spearman(system_aggregate(pairs))
 
 
+def table_dataset_ids(corpus: CorpusManifest | PooledCorpus) -> tuple[str, ...]:
+    """The alignnet table rows train gives a corpus by default: the pool
+    members' names, or the corpus name."""
+    return corpus.dataset_ids if isinstance(corpus, PooledCorpus) else (corpus.name,)
+
+
 def train(
     model_kind: str,
     corpus: CorpusManifest | PooledCorpus,
@@ -240,9 +246,7 @@ def train(
     dim = train_frames.shape[1]
     if model_kind == "alignnet":
         if dataset_ids is None:
-            dataset_ids = (
-                corpus.dataset_ids if isinstance(corpus, PooledCorpus) else (corpus.name,)
-            )
+            dataset_ids = table_dataset_ids(corpus)
         table_ids = set(dataset_ids)
         missing = {s.dataset_id for s in train_samples} - table_ids
         if missing:

@@ -474,10 +474,9 @@ def test_benchmark_runs_are_byte_identical(tmp_path):
     for out in (out_a, out_b):
         assert main(["benchmark", "--config", str(config), "--out", str(out), "--seed", "0,1"]) == 0
         assert main(["infer", "--config", str(config), "--out", str(out), "--seed", "0,1", "--inference", "knn"]) == 0
-        assert main(["distribution-data", "--config", str(config), "--out", str(out), "--seed", "0,1"]) == 0
     # The whole output tree, not only the records: corpora, checkpoints,
-    # scalers, ledgers, logs, meta files, kNN predictions, datastores and
-    # scatter data must all repeat to the byte.
+    # scalers, ledgers, logs, meta files, kNN predictions, per-system means
+    # and datastores must all repeat to the byte.
     tree_a = {p.relative_to(out_a).as_posix(): p for p in out_a.rglob("*") if p.is_file()}
     tree_b = {p.relative_to(out_b).as_posix(): p for p in out_b.rglob("*") if p.is_file()}
     assert sorted(tree_a) == sorted(tree_b)
@@ -488,8 +487,7 @@ def test_benchmark_runs_are_byte_identical(tmp_path):
         "train/seed0/scaler.bin",
         "infer/seed1/predictions.csv",
         "infer/seed1/datastore.bin",
-        "distribution/seed1/utterances.csv",
-        "distribution/seed1/systems.csv",
+        "infer/seed1/systems.csv",
     } <= set(tree_a)
     for name, path in sorted(tree_a.items()):
         assert path.read_bytes() == tree_b[name].read_bytes(), name

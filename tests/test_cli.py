@@ -50,7 +50,6 @@ train.loss_tau = 0.0
 
 infer.corpus = synth
 benchmark.tests = synth
-distribution.corpus = synth
 export.sets = synth:train, synth:dev
 export.n_per_set = 5
 seeds = 0
@@ -143,6 +142,25 @@ class TestTrain:
         assert not (out / "train" / "seed0").exists()
 
 
+    def test_subsample_trims_the_corpus_before_its_split(self, tmp_path, monkeypatch):
+        config = write_recipe(tmp_path, BASE_RECIPE + "corpus.synth.subsample = 8\n")
+        sizes = []
+        real_train = cli.train
+
+        def train(model_kind, corpus, *args, **kwargs):
+            sizes.append((corpus.size("train"), corpus.size("dev")))
+            return real_train(model_kind, corpus, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", train)
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert sizes == [(6, 2)]  # 16 generated, 8 kept, then split at 0.75
+
+    def test_mdf_on_a_single_train_corpus_is_exit_1(self, tmp_path, capsys):
+        config = write_recipe(tmp_path, BASE_RECIPE + "train.mdf_pretrain = synth\n")
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert "MDF needs a pooled train.corpus" in capsys.readouterr().err
+
+
 class TestInfer:
     def test_needs_a_trained_model(self, tmp_path, capsys):
         config = write_recipe(tmp_path)
@@ -160,6 +178,45 @@ class TestInfer:
         assert set(rows[0]) == {"sample_id", "system_id", "true", "pred"}
         for row in rows:
             assert 1.0 <= float(row["pred"]) <= 5.0
+        systems = read_csv(out / "infer" / "seed0" / "systems.csv")
+        assert set(systems[0]) == {"system_id", "true_mean", "pred_mean"}
+
+    def test_systems_file_holds_per_system_means(self, tmp_path):
+        config = write_recipe(tmp_path)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["infer", "--config", str(config), "--out", str(out)]) == 0
+        seed_dir = out / "infer" / "seed0"
+        predictions = read_csv(seed_dir / "predictions.csv")
+        systems = read_csv(seed_dir / "systems.csv")
+        # One row per system, in id order, holding its utterances' means.
+        by_system = {}
+        for row in predictions:
+            by_system.setdefault(row["system_id"], []).append(row)
+        assert [r["system_id"] for r in systems] == sorted(by_system)
+        for row in systems:
+            members = by_system[row["system_id"]]
+            for column, mean in (("true", "true_mean"), ("pred", "pred_mean")):
+                expected = sum(float(m[column]) for m in members) / len(members)
+                assert float(row[mean]) == pytest.approx(expected, rel=1e-12)
+
+    def test_no_systems_file_without_system_ids(self, tmp_path):
+        config = write_recipe(tmp_path)
+        out = tmp_path / "out"
+        assert main(["prepare", "--config", str(config), "--out", str(out)]) == 0
+        synth = load_corpus_dir(out / "corpora" / "synth")
+        samples = [dataclasses.replace(s, system_id=None) for split in synth.splits for s in synth.samples(split)]
+        save_manifest(samples, tmp_path / "plain.csv")
+        recipe = BASE_RECIPE.replace("infer.corpus = synth", "infer.corpus = plain") + (
+            f"corpus.plain.kind = manifest\ncorpus.plain.path = {tmp_path / 'plain.csv'}\n"
+        )
+        config = write_recipe(tmp_path, recipe)
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["infer", "--config", str(config), "--out", str(out)]) == 0
+        seed_dir = out / "infer" / "seed0"
+        predictions = read_csv(seed_dir / "predictions.csv")
+        assert len(predictions) == len(samples) and {r["system_id"] for r in predictions} == {""}
+        assert not (seed_dir / "systems.csv").exists()
 
     def test_knn_mode_writes_datastore(self, tmp_path):
         config = write_recipe(tmp_path, BASE_RECIPE + "infer.knn_k = 3\n")
@@ -184,7 +241,7 @@ class TestInfer:
         assert preds == expected[3].pred.tolist()
         assert preds != expected[5].pred.tolist()  # so the recipe key, not the default, decided k
 
-    @pytest.mark.parametrize("command", ["infer", "distribution-data", "export-embeddings"])
+    @pytest.mark.parametrize("command", ["infer", "export-embeddings"])
     def test_model_trained_under_another_recipe_warns(self, tmp_path, caplog, command):
         config = write_recipe(tmp_path)
         out = tmp_path / "out"
@@ -274,18 +331,26 @@ class TestBenchmark:
         assert not (out / "train" / "seed0" / "mdf_phase1").exists()
 
     @pytest.mark.parametrize(
-        "settings, named",
+        "recipe, named",
         [
-            ("infer.mode = knnn\n", "unknown inference mode 'knnn'"),
-            ("infer.mode = knn\ninfer.distance = manhattan\n", "infer.distance"),
-            ("infer.mode = knn\ninfer.knn_k = 0\n", "k must be >= 1"),
+            (BASE_RECIPE + "infer.mode = knnn\n", "unknown inference mode 'knnn'"),
+            (BASE_RECIPE + "infer.mode = knn\ninfer.distance = manhattan\n", "infer.distance"),
+            (BASE_RECIPE + "infer.mode = knn\ninfer.knn_k = 0\n", "k must be >= 1"),
+            (BASE_RECIPE + "infer.mode = domain-retrieval\n", "domain-retrieval needs model.kind = alignnet"),
+            (
+                BASE_RECIPE.replace("model.kind = head", "model.kind = alignnet").replace(
+                    "benchmark.tests = synth", "benchmark.tests = synth,other"
+                )
+                + OTHER_CORPUS,
+                "dataset id(s) ['other'] of split 'dev' have no row",
+            ),
         ],
-        ids=["unknown-mode", "unknown-distance", "zero-k"],
+        ids=["unknown-mode", "unknown-distance", "zero-k", "head-domain-retrieval", "alignnet-outside-its-table"],
     )
     def test_bad_inference_settings_are_exit_1_before_any_seed_is_trained(
-        self, tmp_path, monkeypatch, capsys, settings, named
+        self, tmp_path, monkeypatch, capsys, recipe, named
     ):
-        config = write_recipe(tmp_path, BASE_RECIPE + settings)
+        config = write_recipe(tmp_path, recipe)
         out = tmp_path / "out"
         trained = []
         monkeypatch.setattr(cli, "train_one_seed", lambda *args: trained.append(args))
@@ -459,6 +524,29 @@ class TestAggregate:
         err = capsys.readouterr().err
         assert str(tmp_path / "in" / name) in err and named in err
 
+    def test_record_without_the_metric_its_domain_needs_is_exit_1(self, tmp_path, capsys):
+        # synth is synthetic, so its cells are scored on sys_mse, which r1 lacks.
+        cells = dict(self.REFERENCE)
+        cells["r1", "synth"] = {k: v for k, v in cells["r1", "synth"].items() if k != "sys_mse"}
+        write_bench_dir(tmp_path / "in", cells, {"synth": "synthetic"})
+        agg_config = write_recipe(tmp_path, "aggregate.inputs = in\n", name="agg.cfg")
+        assert main(["aggregate", "--config", str(agg_config), "--out", str(tmp_path / "agg")]) == 1
+        assert "records for (r1, synth) lack sys_mse" in capsys.readouterr().err
+        assert not (tmp_path / "agg" / "aggregate.csv").exists()
+
+    def test_duplicate_cell_across_inputs_is_exit_1(self, tmp_path, capsys):
+        for name in ("a", "b"):
+            write_bench_dir(tmp_path / name, self.REFERENCE, {"synth": "synthetic"})
+        agg_config = write_recipe(tmp_path, "aggregate.inputs = a, b\n", name="agg.cfg")
+        assert main(["aggregate", "--config", str(agg_config), "--out", str(tmp_path / "agg")]) == 1
+        assert "duplicate (model, test) ('r1', 'synth')" in capsys.readouterr().err
+
+    def test_unknown_best_policy_is_exit_1(self, tmp_path, capsys):
+        write_bench_dir(tmp_path / "in", self.REFERENCE, {"synth": "synthetic"})
+        agg_config = write_recipe(tmp_path, "aggregate.inputs = in\naggregate.best = oracle\n", name="agg.cfg")
+        assert main(["aggregate", "--config", str(agg_config), "--out", str(tmp_path / "agg")]) == 1
+        assert "aggregate.best must be within-family or external, got 'oracle'" in capsys.readouterr().err
+
     def test_missing_records_fail(self, tmp_path):
         agg_config = write_recipe(tmp_path, f"aggregate.inputs = {tmp_path / 'nowhere'}\n")
         assert main(["aggregate", "--config", str(agg_config), "--out", str(tmp_path / "agg")]) == 1
@@ -479,53 +567,10 @@ class TestExportEmbeddings:
         assert "synth:dev" in summary  # truncation note
 
 
-class TestDistributionData:
-    def test_writes_scatter_files(self, tmp_path):
-        config = write_recipe(tmp_path)
-        out = tmp_path / "out"
-        main(["train", "--config", str(config), "--out", str(out)])
-        assert main(["distribution-data", "--config", str(config), "--out", str(out)]) == 0
-        seed_dir = out / "distribution" / "seed0"
-        assert len(read_csv(seed_dir / "utterances.csv")) == 4
-        systems = read_csv(seed_dir / "systems.csv")
-        assert set(systems[0]) == {"system_id", "true_mean", "pred_mean"}
-
-    def test_systems_file_holds_per_system_means(self, tmp_path):
-        config = write_recipe(tmp_path)
-        out = tmp_path / "out"
-        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
-        assert main(["distribution-data", "--config", str(config), "--out", str(out)]) == 0
-        seed_dir = out / "distribution" / "seed0"
-        utterances = read_csv(seed_dir / "utterances.csv")
-        systems = read_csv(seed_dir / "systems.csv")
-        # One row per system, in id order, holding its utterances' means.
-        by_system = {}
-        for row in utterances:
-            by_system.setdefault(row["system_id"], []).append(row)
-        assert [r["system_id"] for r in systems] == sorted(by_system)
-        for row in systems:
-            members = by_system[row["system_id"]]
-            for column, mean in (("true", "true_mean"), ("pred", "pred_mean")):
-                expected = sum(float(m[column]) for m in members) / len(members)
-                assert float(row[mean]) == pytest.approx(expected, rel=1e-12)
-
-    def test_no_systems_file_without_system_ids(self, tmp_path):
-        config = write_recipe(tmp_path)
-        out = tmp_path / "out"
-        assert main(["prepare", "--config", str(config), "--out", str(out)]) == 0
-        synth = load_corpus_dir(out / "corpora" / "synth")
-        samples = [dataclasses.replace(s, system_id=None) for split in synth.splits for s in synth.samples(split)]
-        save_manifest(samples, tmp_path / "plain.csv")
-        recipe = BASE_RECIPE.replace("distribution.corpus = synth", "distribution.corpus = plain") + (
-            f"corpus.plain.kind = manifest\ncorpus.plain.path = {tmp_path / 'plain.csv'}\n"
-        )
-        config = write_recipe(tmp_path, recipe)
-        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
-        assert main(["distribution-data", "--config", str(config), "--out", str(out)]) == 0
-        seed_dir = out / "distribution" / "seed0"
-        utterances = read_csv(seed_dir / "utterances.csv")
-        assert len(utterances) == len(samples) and {r["system_id"] for r in utterances} == {""}
-        assert not (seed_dir / "systems.csv").exists()
+    def test_set_without_a_split_is_exit_1(self, tmp_path, capsys):
+        config = write_recipe(tmp_path, BASE_RECIPE.replace("export.sets = synth:train, synth:dev", "export.sets = synth"))
+        assert main(["export-embeddings", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert "export.sets entry 'synth' must be corpus:split" in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -555,6 +600,34 @@ class TestExitCodes:
     def test_unknown_train_corpus_is_exit_1(self, tmp_path):
         config = write_recipe(tmp_path, BASE_RECIPE.replace("train.corpus = synth", "train.corpus = ghost"))
         assert main(["train", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize(
+        "kind_line, named",
+        [("", "corpus 'synth': missing corpus.synth.kind"), ("corpus.synth.kind = studio\n", "unknown kind 'studio'")],
+        ids=["missing", "unknown"],
+    )
+    def test_missing_or_unknown_corpus_kind_is_exit_1(self, tmp_path, capsys, kind_line, named):
+        config = write_recipe(tmp_path, BASE_RECIPE.replace("corpus.synth.kind = synthetic\n", kind_line))
+        assert main(["prepare", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "seeds, named", [("0,x", "bad seed list '0,x'"), (",", "seed list is empty")], ids=["bad", "empty"]
+    )
+    def test_bad_or_empty_seed_list_is_exit_1(self, tmp_path, capsys, seeds, named):
+        config = write_recipe(tmp_path)
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / "out"), "--seed", seeds]) == 1
+        assert named in capsys.readouterr().err
+
+    def test_truncated_checkpoint_is_a_runtime_error_exit_2(self, tmp_path, capsys):
+        config = write_recipe(tmp_path)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+        ckpt = out / "train" / "seed0" / "params.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes()[:-1])
+        assert main(["infer", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "truncated" in err
 
     def test_locked_out_dir_is_exit_2(self, tmp_path, capsys):
         config = write_recipe(tmp_path)

@@ -320,6 +320,12 @@ class TestSyntheticCorpus:
         reloaded = load_corpus_dir(tmp_path / "tones")
         assert [s.sample_id for s in reloaded.samples("train")] == [s.sample_id for s in samples]
 
+    def test_sidecar_without_a_column_is_a_validation_error(self, tmp_path):
+        generate_synthetic_corpus(synth_spec(tmp_path), seed=11)
+        (tmp_path / "tones" / "sidecar.csv").write_text("sample_id,delta,epsilon\ntones-00000,0.0,0.0\n")
+        with pytest.raises(ValidationError, match=r"lacks column\(s\) snr_db"):
+            load_sidecar(tmp_path / "tones")
+
     def test_deterministic_audio_and_scores(self, tmp_path):
         c1 = generate_synthetic_corpus(synth_spec(tmp_path, name="x1"), seed=4)
         c2 = generate_synthetic_corpus(synth_spec(tmp_path, name="x1", out_dir=tmp_path / "other"), seed=4)

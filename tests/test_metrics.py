@@ -5,7 +5,6 @@ import pytest
 
 from sqkit import (
     EvalPairs,
-    MetricReport,
     UndefinedCorrelationError,
     UndefinedRatioError,
     ValidationError,
@@ -18,7 +17,7 @@ from sqkit import (
     spearman,
     system_aggregate,
 )
-from sqkit.cli import _reports_from_cells, metric_values
+from sqkit.cli import metric_values
 
 from oracles import mse_oracle, pearson_oracle, spearman_oracle
 
@@ -205,6 +204,14 @@ class TestBestScore:
         with pytest.raises(UndefinedRatioError):
             best_score_ratio(0.5, 0.0)
 
+    def test_negative_best_correlation_is_undefined(self):
+        # Over a negative best, the worse model would rate 200 and the best 100.
+        with pytest.raises(UndefinedRatioError, match="not positive"):
+            best_score_ratio(-0.4, -0.2)
+        records = {("m1", "t"): {"utt_mse": 0.5, "utt_lcc": -0.2}, ("m2", "t"): {"utt_mse": 0.6, "utt_lcc": -0.4}}
+        with pytest.raises(UndefinedRatioError):
+            aggregate(records, {"t": "non-synthetic"})
+
 
 class TestMetricValues:
     """cli.metric_values is the one six-metric table records are written from."""
@@ -212,10 +219,9 @@ class TestMetricValues:
     def test_system_fields_absent_without_ids(self):
         values = metric_values(make_pairs([1.0, 2.0, 3.0], [1.1, 2.1, 2.9]))
         assert sorted(values) == ["utt_lcc", "utt_mse", "utt_srcc"]
-        report = _reports_from_cells({("m", "t"): values})["m", "t"]
-        assert report.sys_mse is None and report.sys_srcc is None
-        with pytest.raises(ValidationError):
-            report.get("sys_srcc")
+        # A synthetic test set is scored on system metrics, which these records lack.
+        with pytest.raises(ValidationError, match=r"records for \(m, t\) lack sys_mse"):
+            aggregate({("m", "t"): values}, {"t": "synthetic"})
 
     def test_fields_match_direct_calls(self):
         pairs = make_pairs(
@@ -233,10 +239,9 @@ class TestMetricValues:
         assert values["sys_srcc"] == pytest.approx(spearman(sys_pairs))
 
 
-def report_with(**kwargs) -> MetricReport:
-    base = {"utt_mse": 9.0, "utt_lcc": 0.1, "utt_srcc": 0.1}
-    base.update(kwargs)
-    return MetricReport(**base)
+def report_with(**kwargs) -> dict[str, float]:
+    """One (model, test) cell's metric record: utterance metrics plus kwargs."""
+    return {"utt_mse": 9.0, "utt_lcc": 0.1, "utt_srcc": 0.1, **kwargs}
 
 
 class TestAggregate:
