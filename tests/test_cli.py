@@ -178,45 +178,6 @@ class TestInfer:
         assert set(rows[0]) == {"sample_id", "system_id", "true", "pred"}
         for row in rows:
             assert 1.0 <= float(row["pred"]) <= 5.0
-        systems = read_csv(out / "infer" / "seed0" / "systems.csv")
-        assert set(systems[0]) == {"system_id", "true_mean", "pred_mean"}
-
-    def test_systems_file_holds_per_system_means(self, tmp_path):
-        config = write_recipe(tmp_path)
-        out = tmp_path / "out"
-        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
-        assert main(["infer", "--config", str(config), "--out", str(out)]) == 0
-        seed_dir = out / "infer" / "seed0"
-        predictions = read_csv(seed_dir / "predictions.csv")
-        systems = read_csv(seed_dir / "systems.csv")
-        # One row per system, in id order, holding its utterances' means.
-        by_system = {}
-        for row in predictions:
-            by_system.setdefault(row["system_id"], []).append(row)
-        assert [r["system_id"] for r in systems] == sorted(by_system)
-        for row in systems:
-            members = by_system[row["system_id"]]
-            for column, mean in (("true", "true_mean"), ("pred", "pred_mean")):
-                expected = sum(float(m[column]) for m in members) / len(members)
-                assert float(row[mean]) == pytest.approx(expected, rel=1e-12)
-
-    def test_no_systems_file_without_system_ids(self, tmp_path):
-        config = write_recipe(tmp_path)
-        out = tmp_path / "out"
-        assert main(["prepare", "--config", str(config), "--out", str(out)]) == 0
-        synth = load_corpus_dir(out / "corpora" / "synth")
-        samples = [dataclasses.replace(s, system_id=None) for split in synth.splits for s in synth.samples(split)]
-        save_manifest(samples, tmp_path / "plain.csv")
-        recipe = BASE_RECIPE.replace("infer.corpus = synth", "infer.corpus = plain") + (
-            f"corpus.plain.kind = manifest\ncorpus.plain.path = {tmp_path / 'plain.csv'}\n"
-        )
-        config = write_recipe(tmp_path, recipe)
-        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
-        assert main(["infer", "--config", str(config), "--out", str(out)]) == 0
-        seed_dir = out / "infer" / "seed0"
-        predictions = read_csv(seed_dir / "predictions.csv")
-        assert len(predictions) == len(samples) and {r["system_id"] for r in predictions} == {""}
-        assert not (seed_dir / "systems.csv").exists()
 
     def test_knn_mode_writes_datastore(self, tmp_path):
         config = write_recipe(tmp_path, BASE_RECIPE + "infer.knn_k = 3\n")
@@ -272,6 +233,57 @@ class TestInfer:
         monkeypatch.setattr(sqkit.inference, "featurize", featurize)
         assert main(["infer", "--config", str(config), "--out", str(out), "--inference", mode]) == 1
         assert "infer.distance" in capsys.readouterr().err
+
+
+class TestDistributionData:
+    """infer writes the scatter data of the distribution figure: one row per utterance, one per system."""
+
+    def test_writes_scatter_files(self, tmp_path):
+        config = write_recipe(tmp_path)
+        out = tmp_path / "out"
+        main(["train", "--config", str(config), "--out", str(out)])
+        assert main(["infer", "--config", str(config), "--out", str(out)]) == 0
+        seed_dir = out / "infer" / "seed0"
+        assert len(read_csv(seed_dir / "predictions.csv")) == 4
+        systems = read_csv(seed_dir / "systems.csv")
+        assert set(systems[0]) == {"system_id", "true_mean", "pred_mean"}
+
+    def test_systems_file_holds_per_system_means(self, tmp_path):
+        config = write_recipe(tmp_path)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["infer", "--config", str(config), "--out", str(out)]) == 0
+        seed_dir = out / "infer" / "seed0"
+        predictions = read_csv(seed_dir / "predictions.csv")
+        systems = read_csv(seed_dir / "systems.csv")
+        # One row per system, in id order, holding its utterances' means.
+        by_system = {}
+        for row in predictions:
+            by_system.setdefault(row["system_id"], []).append(row)
+        assert [r["system_id"] for r in systems] == sorted(by_system)
+        for row in systems:
+            members = by_system[row["system_id"]]
+            for column, mean in (("true", "true_mean"), ("pred", "pred_mean")):
+                expected = sum(float(m[column]) for m in members) / len(members)
+                assert float(row[mean]) == pytest.approx(expected, rel=1e-12)
+
+    def test_no_systems_file_without_system_ids(self, tmp_path):
+        config = write_recipe(tmp_path)
+        out = tmp_path / "out"
+        assert main(["prepare", "--config", str(config), "--out", str(out)]) == 0
+        synth = load_corpus_dir(out / "corpora" / "synth")
+        samples = [dataclasses.replace(s, system_id=None) for split in synth.splits for s in synth.samples(split)]
+        save_manifest(samples, tmp_path / "plain.csv")
+        recipe = BASE_RECIPE.replace("infer.corpus = synth", "infer.corpus = plain") + (
+            f"corpus.plain.kind = manifest\ncorpus.plain.path = {tmp_path / 'plain.csv'}\n"
+        )
+        config = write_recipe(tmp_path, recipe)
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["infer", "--config", str(config), "--out", str(out)]) == 0
+        seed_dir = out / "infer" / "seed0"
+        predictions = read_csv(seed_dir / "predictions.csv")
+        assert len(predictions) == len(samples) and {r["system_id"] for r in predictions} == {""}
+        assert not (seed_dir / "systems.csv").exists()
 
 
 class TestBenchmark:
