@@ -68,8 +68,9 @@ with tempfile.TemporaryDirectory(prefix="sqkit-demo-") as tmp:
                           knn_config=KnnConfig(k=5, temperature=1.0), datastore=ds)
     print(f"dev mse via retrieval: {mse(pairs):.4f}")
 
-    # datastores serialize to a single binary file (float32 payload)
+    # datastores serialize to a single binary file (float64 payload, so the
+    # loaded store is bit-identical); the distance is chosen at load
     save_datastore(work / "ds.bin", ds)
-    again = load_datastore(work / "ds.bin")
-    assert np.allclose(again.scores, ds.scores, rtol=1e-6)
+    again = load_datastore(work / "ds.bin", distance_kind="euclidean")
+    assert np.array_equal(again.embeddings, ds.embeddings) and np.array_equal(again.scores, ds.scores)
     print("round-tripped datastore with", len(again), "records")

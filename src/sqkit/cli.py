@@ -6,7 +6,8 @@ key: --seed (seeds), --out (out) and --inference (infer.mode).
 Every command is deterministic given (config, seeds): corpora are
 materialized from seeded generators, training consumes named seed
 streams, and all emitted CSV floats use repr so reruns are byte-identical.
-Exit codes: 0 success, 1 validation/config error, 2 runtime error.
+Exit codes: 0 success, 1 bad input (config, data or an artifact on disk),
+2 runtime error.
 """
 
 from __future__ import annotations
@@ -38,20 +39,24 @@ from .corpus import (
     subsample,
 )
 from .errors import (
+    CheckpointError,
     ManifestError,
     SqkitError,
     UndefinedCorrelationError,
+    UndefinedRatioError,
     ValidationError,
 )
 from .export import export_embeddings, pca_2d
 from .frontend import FeatureScaler, FrontendConfig, load_scaler, save_scaler
+# build_datastore is unused here: perfbench's tracer wraps this name on
+# this module, and a site that stops resolving fails its run.
 from .inference import (
     DISTANCE_KINDS,
     INFERENCE_MODES,
-    Datastore,
     KnnConfig,
     build_datastore,
     check_table_rows,
+    load_datastore,
     predict_split,
     save_datastore,
 )
@@ -306,7 +311,8 @@ def build_train_config(recipe: Recipe, seed: int, domain_tag: str, max_steps: in
 
 
 def save_model_dir(directory: Path, result: TrainResult, frontend_config: FrontendConfig, extra: dict) -> None:
-    """Persist one trained model: params, scaler, eval log, then metadata.
+    """Persist one trained model: params, scaler, datastore, eval log, then
+    metadata.
 
     meta.json marks a finished model dir (benchmark skips training when its
     recipe_hash matches), so it is removed first and written last.
@@ -315,6 +321,7 @@ def save_model_dir(directory: Path, result: TrainResult, frontend_config: Fronte
     (directory / "meta.json").unlink(missing_ok=True)
     save_params(result.params, directory / "params.ckpt")
     save_scaler(directory / "scaler.bin", result.scaler)
+    save_datastore(directory / "datastore.bin", result.datastore)
     log = ({"step": r.step, "train_loss": r.train_loss, "dev_criterion": r.dev_criterion} for r in result.log)
     write_text(directory / "log.jsonl", "".join(json.dumps(record) + "\n" for record in log))
     meta = {
@@ -341,11 +348,14 @@ def _model_meta(seed_dir: Path) -> dict | None:
 
 
 def load_model_dir(directory: Path, digest: str) -> tuple[ModelParams, FeatureScaler]:
-    """Load a trained model dir; warn when it was trained under a recipe
-    whose recipe_hash is not digest."""
+    """Load a trained model dir, which must also hold its datastore; warn
+    when it was trained under a recipe whose recipe_hash is not digest."""
     meta = _model_meta(directory)
     if meta is None:
         raise ValidationError(f"no trained model in {directory} (run the train command first)")
+    datastore = directory / "datastore.bin"
+    if not datastore.is_file():
+        raise ValidationError(f"{datastore} is missing (an older sqkit did not write it); rerun train")
     if meta.get("recipe_hash") != digest:
         logger.warning("%s was trained under another recipe (its recipe_hash differs); rerun train", directory)
     return load_params(directory / "params.ckpt"), load_scaler(directory / "scaler.bin")
@@ -515,14 +525,15 @@ def _predict_seeds(
     out: Path,
     corpora: dict[str, CorpusManifest],
     targets: list[tuple[str, CorpusManifest, str]],
-) -> Iterator[tuple[int, str, Datastore | None, list[EvalPairs]]]:
-    """Per seed: load the trained model, build the datastore its inference
-    mode needs and predict every (name, corpus, split) target.
+) -> Iterator[tuple[int, str, list[EvalPairs]]]:
+    """Per seed: load the trained model, and the datastore its inference
+    mode needs under infer.distance, and predict every (name, corpus,
+    split) target.
 
     The inference settings, and that the recipe's model kind can score
     every target in that mode, are checked on the call; each seed is loaded
     and scored only when the returned iterator reaches it. Yields (seed,
-    mode, datastore, one EvalPairs per target).
+    mode, one EvalPairs per target).
     """
     mode = args.inference or recipe.get("infer.mode", "parametric")
     if mode not in INFERENCE_MODES:
@@ -542,22 +553,20 @@ def _predict_seeds(
             temperature=recipe.get_float("infer.knn_temperature", 1.0),
             paper_literal=recipe.get_bool("infer.knn_paper_literal", False),
         )
-    train_corpus = None if mode == "parametric" else resolve_train_corpus(recipe, corpora)
     distance_kind = recipe.get("infer.distance", "euclidean")
-    if train_corpus is not None and distance_kind not in DISTANCE_KINDS:
+    if mode != "parametric" and distance_kind not in DISTANCE_KINDS:
         raise ValidationError(f"infer.distance must be one of {DISTANCE_KINDS}, not {distance_kind!r}")
     digest = recipe_hash(recipe)
 
-    def predict(seed: int) -> tuple[int, str, Datastore | None, list[EvalPairs]]:
-        params, scaler = load_model_dir(out / "train" / f"seed{seed}", digest)
-        datastore = None
-        if train_corpus is not None:
-            datastore = build_datastore(frontend_config, train_corpus, scaler=scaler, distance_kind=distance_kind)
+    def predict(seed: int) -> tuple[int, str, list[EvalPairs]]:
+        seed_dir = out / "train" / f"seed{seed}"
+        params, scaler = load_model_dir(seed_dir, digest)
+        datastore = None if mode == "parametric" else load_datastore(seed_dir / "datastore.bin", distance_kind)
         pairs = [
             predict_split(corpus, split, frontend_config, scaler, params, mode, knn_config, datastore)
             for _name, corpus, split in targets
         ]
-        return seed, mode, datastore, pairs
+        return seed, mode, pairs
 
     return map(predict, _seed_list(recipe, args))
 
@@ -567,7 +576,7 @@ def cmd_infer(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
     plus the per-system means when every sample has a system id."""
     corpora = get_corpora(recipe, out)
     target = _target(recipe, corpora, "infer.corpus")
-    for seed, mode, datastore, (pairs,) in _predict_seeds(recipe, args, out, corpora, [target]):
+    for seed, mode, (pairs,) in _predict_seeds(recipe, args, out, corpora, [target]):
         seed_dir = out / "infer" / f"seed{seed}"
         seed_dir.mkdir(parents=True, exist_ok=True)
         systems = (system or "" for system in pairs.system_ids)
@@ -577,15 +586,13 @@ def cmd_infer(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
             means = system_aggregate(pairs)
             rows = zip(means.system_ids, map(_fmt, means.true), map(_fmt, means.pred))
             write_csv(seed_dir / "systems.csv", ["system_id", "true_mean", "pred_mean"], rows)
-        if datastore is not None:
-            save_datastore(seed_dir / "datastore.bin", datastore)
         print(f"infer seed {seed}: {mode} on {target[0]}/{target[2]}, {len(pairs)} predictions")
     return 0
 
 
 def cmd_benchmark(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
-    """Train (unless this out dir holds a model trained under the same
-    recipe) and evaluate every configured test set per seed, then write
+    """Train (unless this out dir holds a finished model trained under the
+    same recipe) and evaluate every configured test set per seed, then write
     record files."""
     corpora = get_corpora(recipe, out)
     names = [t.strip() for t in recipe.require("benchmark.tests").split(",") if t.strip()]
@@ -593,13 +600,15 @@ def cmd_benchmark(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
     predictions = _predict_seeds(recipe, args, out, corpora, targets)  # checks the inference settings
     digest = recipe_hash(recipe)
     for seed in _seed_list(recipe, args):
-        if (_model_meta(out / "train" / f"seed{seed}") or {}).get("recipe_hash") != digest:
+        seed_dir = out / "train" / f"seed{seed}"
+        # A dir without a datastore was trained before train wrote one.
+        if (_model_meta(seed_dir) or {}).get("recipe_hash") != digest or not (seed_dir / "datastore.bin").is_file():
             train_one_seed(recipe, corpora, seed, out)
 
     model_kind = recipe.get("model.kind", "head") + ("-mdf" if recipe.get("train.mdf_pretrain") else "")
     rows: list[tuple] = []
     tests: dict[str, list[str]] = {}
-    for seed, mode, _datastore, all_pairs in predictions:
+    for seed, mode, all_pairs in predictions:
         model_label = recipe.get("model.label", f"{model_kind}-{mode}")
         for (name, corpus, _split), pairs in zip(targets, all_pairs):
             tests[name] = [name, corpus.domain_tag, str(len(pairs))]
@@ -810,7 +819,7 @@ def main(argv: list[str] | None = None) -> int:
         out = Path(out_text)
         lock = _acquire_lock(out)
         return COMMANDS[args.command](recipe, args, out)
-    except (ValidationError, ManifestError, FileNotFoundError, ValueError) as exc:
+    except (ValidationError, ManifestError, CheckpointError, UndefinedRatioError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SqkitError as exc:

@@ -1,4 +1,4 @@
-"""The one codec behind sqkit's binary artifacts (SQPM, SQSC, SQDS, SQE1),
+"""The one codec behind sqkit's binary artifacts (SQPM, SQSC, SQD2, SQE1),
 plus the atomic writers and the one CSV writer and reader.
 
 An artifact is a 4-byte magic tag, little-endian struct fields, optional

@@ -8,9 +8,10 @@ favors far neighbors; pass paper_literal=True to reproduce it.
 
 ``predict_split`` is the one scoring entry point: it featurizes a split
 and scores it in one inference mode. The retrieval modes make one
-``retrieve_neighbors`` call per split. The datastore alone decides the
-distance (euclidean or cosine); a KnnConfig only says how many neighbors
-to take and how to weight them.
+``retrieve_neighbors`` call per split. The datastore's distance kind
+(euclidean or cosine, set when it is built or loaded) decides the
+distance; a KnnConfig only says how many neighbors to take and how to
+weight them.
 
 Retrieval is exact and batched. ``retrieve_neighbors`` takes a (Q, D)
 batch of queries. It screens all records with one matrix product per
@@ -34,7 +35,7 @@ from .frontend import FeatureScaler, FrontendConfig, featurize, pool_time
 from .metrics import EvalPairs
 from .model import AlignNetParams, HeadParams, ModelParams, alignnet_raw, clip_score, head_raw
 
-DATASTORE_MAGIC = b"SQDS"
+DATASTORE_MAGIC = b"SQD2"
 DISTANCE_KINDS = ("euclidean", "cosine")
 INFERENCE_MODES = ("parametric", "knn", "domain-retrieval")
 
@@ -324,40 +325,36 @@ def predict_split(
     )
 
 
-def _record_dtype(dim: int) -> np.dtype:
-    return np.dtype([("embedding", "<f4", (dim,)), ("score", "<f4"), ("id", "<u4")])
-
-
 def save_datastore(path: str | Path, ds: Datastore) -> None:
-    """Binary datastore: magic SQDS, uint8 distance kind, uint32 N, D and
-    id count, the sorted dataset-id string table, then N records of float32
-    embedding, float32 score and uint32 string-table index."""
-    records = np.empty(len(ds), dtype=_record_dtype(ds.dim))
-    records["embedding"] = ds.embeddings
-    records["score"] = ds.scores
-    records["id"] = ds.id_codes
-    fields = (DISTANCE_KINDS.index(ds.distance_kind), len(ds), ds.dim, len(ds.id_table))
-    write_artifact(path, DATASTORE_MAGIC, "<BIII", fields, pack_strings(ds.id_table), records.tobytes())
+    """Binary datastore: magic SQD2, uint32 N, D and id count, the sorted
+    dataset-id string table, then float64 embeddings (N x D), float64
+    scores (N) and uint32 string-table indices (N). The file holds no
+    distance: a query setting, chosen when it is loaded."""
+    fields = (len(ds), ds.dim, len(ds.id_table))
+    arrays = (ds.embeddings.astype("<f8"), ds.scores.astype("<f8"), ds.id_codes.astype("<u4"))
+    write_artifact(path, DATASTORE_MAGIC, "<III", fields, pack_strings(ds.id_table), *(a.tobytes() for a in arrays))
 
 
-def load_datastore(path: str | Path) -> Datastore:
-    """Load a datastore; a malformed one raises ValidationError."""
+def load_datastore(path: str | Path, distance_kind: str = "euclidean") -> Datastore:
+    """Load a datastore queried under distance_kind; a malformed one, or
+    one in the older SQDS layout, raises ValidationError."""
     reader = Reader(Path(path).read_bytes(), path, ValidationError, DATASTORE_MAGIC, "datastore")
-    kind_idx, n, dim, n_ids = reader.fields("<BIII")
-    if kind_idx >= len(DISTANCE_KINDS) or n < 1:
-        raise ValidationError(f"{path}: bad datastore header (distance kind tag {kind_idx}, {n} records)")
+    n, dim, n_ids = reader.fields("<III")
+    if n < 1:
+        raise ValidationError(f"{path}: bad datastore header ({n} records)")
     unique_ids = reader.strings(n_ids)
     if unique_ids != sorted(set(unique_ids)):
         raise ValidationError(f"{path}: dataset-id table is not sorted and unique")
-    # Bounds-check the record bytes before building a dtype from the header's D.
-    records = reader.array("u1", (n, 4 * dim + 8)).view(_record_dtype(dim)).reshape(n)
+    # Copies: the views into the file bytes need not be 8-byte aligned.
+    embeddings = reader.array("<f8", (n, dim)).copy()
+    scores = reader.array("<f8", (n,)).copy()
+    id_index = reader.array("<u4", (n,)).tolist()
     reader.end()
-    id_index = records["id"].tolist()
     if set(id_index) != set(range(n_ids)):
         raise ValidationError(f"{path}: record dataset-id indices do not cover the {n_ids}-entry table")
     return Datastore(
-        embeddings=records["embedding"],
-        scores=records["score"],
+        embeddings=embeddings,
+        scores=scores,
         dataset_ids=tuple(unique_ids[i] for i in id_index),
-        distance_kind=DISTANCE_KINDS[kind_idx],
+        distance_kind=distance_kind,
     )

@@ -9,6 +9,7 @@ forward/backward call; the workspace is sized once per run to the
 batch_size longest utterances, so the gather and activation buffers are
 allocated once, not per step.
 Everything a run produces (best parameters, the feature scaler, the
+retrieval datastore pooled from the standardized train matrix, the
 checkpoint ledger, the eval log) travels together in a TrainResult so
 inference can never see half a model.
 """
@@ -25,7 +26,7 @@ import numpy as np
 from .corpus import CorpusManifest, PooledCorpus, Sample
 from .errors import UndefinedCorrelationError, ValidationError
 from .frontend import EmbeddingMatrix, FeatureScaler, FrontendConfig, featurize
-from .inference import predict_clipped
+from .inference import Datastore, predict_clipped
 from .metrics import EvalPairs, pearson, spearman, system_aggregate
 # head_raw and alignnet_raw are unused here: perfbench's tracer wraps these
 # names on this module, and a site that stops resolving fails its run.
@@ -165,6 +166,7 @@ class TrainResult:
     params: ModelParams
     initial_params: ModelParams
     scaler: FeatureScaler
+    datastore: Datastore
     ledger: CheckpointLedger
     log: tuple[LogRecord, ...]
     model_kind: str
@@ -263,6 +265,14 @@ def train(
     initial_params = copy_params(params)
 
     targets_all = np.array([s.mos for s in train_samples])
+    # Each utterance's standardized rows pooled over time: the records
+    # build_datastore would make from the train split, bit for bit. This is
+    # np.mean's own sum, with its division done once for all utterances.
+    pooled = np.empty((len(train_samples), dim))
+    for row, start, length in zip(pooled, starts_all.tolist(), lengths_all.tolist()):
+        np.add.reduce(train_frames[start : start + length], axis=0, out=row)
+    pooled /= lengths_all[:, None]
+    datastore = Datastore(embeddings=pooled, scores=targets_all, dataset_ids=tuple(s.dataset_id for s in train_samples))
     if model_kind == "alignnet":
         rows_all = np.array([params.row_index(s.dataset_id) for s in train_samples])
     work = Workspace(rows=int(np.sort(lengths_all)[-config.batch_size :].sum()))
@@ -336,6 +346,7 @@ def train(
         params=final,
         initial_params=initial_params,
         scaler=scaler,
+        datastore=datastore,
         ledger=ledger,
         log=tuple(log),
         model_kind=model_kind,

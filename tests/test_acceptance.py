@@ -475,8 +475,8 @@ def test_benchmark_runs_are_byte_identical(tmp_path):
         assert main(["benchmark", "--config", str(config), "--out", str(out), "--seed", "0,1"]) == 0
         assert main(["infer", "--config", str(config), "--out", str(out), "--seed", "0,1", "--inference", "knn"]) == 0
     # The whole output tree, not only the records: corpora, checkpoints,
-    # scalers, ledgers, logs, meta files, kNN predictions, per-system means
-    # and datastores must all repeat to the byte.
+    # scalers, datastores, ledgers, logs, meta files, kNN predictions and
+    # per-system means must all repeat to the byte.
     tree_a = {p.relative_to(out_a).as_posix(): p for p in out_a.rglob("*") if p.is_file()}
     tree_b = {p.relative_to(out_b).as_posix(): p for p in out_b.rglob("*") if p.is_file()}
     assert sorted(tree_a) == sorted(tree_b)
@@ -485,10 +485,12 @@ def test_benchmark_runs_are_byte_identical(tmp_path):
         "records_mean.csv",
         "train/seed0/params.ckpt",
         "train/seed0/scaler.bin",
+        "train/seed0/datastore.bin",
+        "train/seed1/datastore.bin",
         "infer/seed1/predictions.csv",
-        "infer/seed1/datastore.bin",
         "infer/seed1/systems.csv",
     } <= set(tree_a)
+    assert not any(name.startswith("infer/") and name.endswith("datastore.bin") for name in tree_a)
     for name, path in sorted(tree_a.items()):
         assert path.read_bytes() == tree_b[name].read_bytes(), name
 

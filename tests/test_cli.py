@@ -19,7 +19,10 @@ from sqkit import (
     cli,
     generate_synthetic_corpus,
     load_corpus_dir,
+    load_datastore,
+    load_scaler,
     predict_split,
+    save_datastore,
     save_manifest,
     split_random,
 )
@@ -65,6 +68,14 @@ corpus.other.duration_lo = 0.2
 corpus.other.duration_hi = 0.3
 corpus.other.split_ratio = 0.5
 """
+
+
+# MDF: pre-train on synth, then fine-tune on the synth+other pool.
+MDF_RECIPE = (
+    BASE_RECIPE.replace("train.corpus = synth", "train.corpus = synth+other")
+    + OTHER_CORPUS
+    + "train.mdf_pretrain = synth\ntrain.mdf_max_steps = 20\n"
+)
 
 
 def write_recipe(tmp_path, text=BASE_RECIPE, name="recipe.cfg"):
@@ -125,7 +136,7 @@ class TestTrain:
         out = tmp_path / "out"
         assert main(["train", "--config", str(config), "--out", str(out)]) == 0
         seed_dir = out / "train" / "seed0"
-        for name in ("params.ckpt", "scaler.bin", "meta.json", "log.jsonl"):
+        for name in ("params.ckpt", "scaler.bin", "datastore.bin", "meta.json", "log.jsonl"):
             assert (seed_dir / name).exists()
         meta = json.loads((seed_dir / "meta.json").read_text())
         assert meta["model_kind"] == "head"
@@ -160,6 +171,31 @@ class TestTrain:
         assert main(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
         assert "MDF needs a pooled train.corpus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "recipe",
+        [BASE_RECIPE, BASE_RECIPE.replace("model.kind = head", "model.kind = alignnet"), MDF_RECIPE],
+        ids=["head", "alignnet", "mdf"],
+    )
+    def test_datastore_equals_build_datastore_bit_for_bit(self, tmp_path, recipe):
+        config = write_recipe(tmp_path, recipe)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+        seed_dir = out / "train" / "seed0"
+        parsed = cli.Recipe(parse_recipe(config), tmp_path)
+        corpora = cli.get_corpora(parsed, out)
+        frontend = cli.build_frontend(parsed)
+        dirs = [(seed_dir, cli.resolve_train_corpus(parsed, corpora))]
+        if "mdf_pretrain" in recipe:  # phase 2 pools with the phase-1 scaler, phase 1 saw synth alone
+            dirs.append((seed_dir / "mdf_phase1", corpora["synth"]))
+        for model_dir, corpus in dirs:
+            built = build_datastore(frontend, corpus, scaler=load_scaler(model_dir / "scaler.bin"))
+            save_datastore(tmp_path / "built.bin", built)
+            assert (model_dir / "datastore.bin").read_bytes() == (tmp_path / "built.bin").read_bytes()
+            loaded = load_datastore(model_dir / "datastore.bin")
+            assert loaded.embeddings.tobytes() == built.embeddings.tobytes()
+            assert loaded.scores.tobytes() == built.scores.tobytes()
+            assert loaded.dataset_ids == built.dataset_ids
+
 
 class TestInfer:
     def test_needs_a_trained_model(self, tmp_path, capsys):
@@ -179,12 +215,55 @@ class TestInfer:
         for row in rows:
             assert 1.0 <= float(row["pred"]) <= 5.0
 
-    def test_knn_mode_writes_datastore(self, tmp_path):
+    def test_knn_mode_reads_the_trained_datastore(self, tmp_path, monkeypatch):
         config = write_recipe(tmp_path, BASE_RECIPE + "infer.knn_k = 3\n")
         out = tmp_path / "out"
-        main(["train", "--config", str(config), "--out", str(out)])
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+        featurized = []
+        real = sqkit.inference.featurize
+
+        def featurize(sample, *args, **kwargs):
+            featurized.append(sample.sample_id)
+            return real(sample, *args, **kwargs)
+
+        monkeypatch.setattr(sqkit.inference, "featurize", featurize)
         assert main(["infer", "--config", str(config), "--out", str(out), "--inference", "knn"]) == 0
-        assert (out / "infer" / "seed0" / "datastore.bin").exists()
+        dev = [row["sample_id"] for row in read_csv(out / "corpora" / "synth" / "dev.csv")]
+        assert featurized == dev  # the queries only: the train split is not featurized again
+        assert sorted(p.name for p in (out / "infer" / "seed0").iterdir()) == ["predictions.csv", "systems.csv"]
+
+    def test_distance_is_applied_when_the_datastore_is_loaded(self, tmp_path):
+        """infer.distance picks the distance of the stored datastore: the
+        predictions equal those over a datastore built afresh under it."""
+        config = write_recipe(tmp_path, BASE_RECIPE + "infer.knn_k = 3\ninfer.distance = cosine\n")
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["infer", "--config", str(config), "--out", str(out), "--inference", "knn"]) == 0
+        preds = [float(row["pred"]) for row in read_csv(out / "infer" / "seed0" / "predictions.csv")]
+
+        recipe = cli.Recipe(parse_recipe(config), tmp_path)
+        corpus = cli.get_corpora(recipe, out)["synth"]
+        _params, scaler = cli.load_model_dir(out / "train" / "seed0", cli.recipe_hash(recipe))
+        frontend = cli.build_frontend(recipe)
+        expected = {
+            kind: predict_split(
+                corpus, "dev", frontend, scaler, None, "knn", KnnConfig(k=3),
+                build_datastore(frontend, corpus, scaler=scaler, distance_kind=kind),
+            ).pred.tolist()
+            for kind in ("euclidean", "cosine")
+        }
+        assert preds == expected["cosine"]
+        assert preds != expected["euclidean"]  # so the setting, not the default, decided
+
+    def test_a_model_dir_without_a_datastore_is_exit_1(self, tmp_path, capsys):
+        config = write_recipe(tmp_path)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+        datastore = out / "train" / "seed0" / "datastore.bin"
+        datastore.unlink()
+        assert main(["infer", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(datastore) in err and "rerun train" in err
 
     def test_knn_settings_come_from_the_recipe_only(self, tmp_path):
         config = write_recipe(tmp_path, BASE_RECIPE + "infer.knn_k = 3\n")
@@ -413,12 +492,27 @@ class TestBenchmark:
         assert "['other']" in err and "--inference domain-retrieval" in err
         assert not (out / "records.csv").exists()
 
+    def test_retrains_a_seed_without_a_datastore(self, tmp_path, monkeypatch):
+        config = write_recipe(tmp_path)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+        seed_dir = out / "train" / "seed0"
+        trained = tree_bytes(seed_dir)
+        (seed_dir / "datastore.bin").unlink()
+        retrained = []
+        real = cli.train_one_seed
+
+        def train_one_seed(recipe, corpora, seed, out_dir):
+            retrained.append(seed)
+            return real(recipe, corpora, seed, out_dir)
+
+        monkeypatch.setattr(cli, "train_one_seed", train_one_seed)
+        assert main(["benchmark", "--config", str(config), "--out", str(out)]) == 0
+        assert retrained == [0]
+        assert tree_bytes(seed_dir) == trained
+
     def test_mdf_pretrain_comes_from_the_recipe(self, tmp_path, monkeypatch):
-        recipe = (
-            BASE_RECIPE.replace("train.corpus = synth", "train.corpus = synth+other")
-            + OTHER_CORPUS
-            + "train.mdf_pretrain = synth\ntrain.mdf_max_steps = 20\n"
-        )
+        recipe = MDF_RECIPE
         config = write_recipe(tmp_path, recipe)
         out = tmp_path / "out"
         assert main(["train", "--config", str(config), "--out", str(out)]) == 0
@@ -559,6 +653,22 @@ class TestAggregate:
         assert main(["aggregate", "--config", str(agg_config), "--out", str(tmp_path / "agg")]) == 1
         assert "aggregate.best must be within-family or external, got 'oracle'" in capsys.readouterr().err
 
+    def test_undefined_ratio_is_exit_1(self, tmp_path, capsys):
+        # real is non-synthetic, so its cells are scored on utt_lcc, whose best is -0.2.
+        run = tmp_path / "in"
+        run.mkdir()
+        (run / "records_mean.csv").write_text(
+            "model,test,metric,value\n"
+            "m1,real,utt_lcc,-0.2\nm1,real,utt_mse,0.5\n"
+            "m2,real,utt_lcc,-0.5\nm2,real,utt_mse,0.75\n",
+            encoding="utf-8",
+        )
+        (run / "tests.csv").write_text("test,domain_tag,n\nreal,non-synthetic,4\n", encoding="utf-8")
+        agg_config = write_recipe(tmp_path, "aggregate.inputs = in\n", name="agg.cfg")
+        assert main(["aggregate", "--config", str(agg_config), "--out", str(tmp_path / "agg")]) == 1
+        assert "best correlation -0.2 is not positive" in capsys.readouterr().err
+        assert not (tmp_path / "agg" / "aggregate.csv").exists()
+
     def test_missing_records_fail(self, tmp_path):
         agg_config = write_recipe(tmp_path, f"aggregate.inputs = {tmp_path / 'nowhere'}\n")
         assert main(["aggregate", "--config", str(agg_config), "--out", str(tmp_path / "agg")]) == 1
@@ -631,15 +741,17 @@ class TestExitCodes:
         assert main(["train", "--config", str(config), "--out", str(tmp_path / "out"), "--seed", seeds]) == 1
         assert named in capsys.readouterr().err
 
-    def test_truncated_checkpoint_is_a_runtime_error_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("name", ["params.ckpt", "scaler.bin", "datastore.bin"])
+    def test_truncated_train_artifact_is_exit_1(self, tmp_path, capsys, name):
+        # A corrupt artifact on disk is bad input, whichever loader reads it.
         config = write_recipe(tmp_path)
         out = tmp_path / "out"
         assert main(["train", "--config", str(config), "--out", str(out)]) == 0
-        ckpt = out / "train" / "seed0" / "params.ckpt"
-        ckpt.write_bytes(ckpt.read_bytes()[:-1])
-        assert main(["infer", "--config", str(config), "--out", str(out)]) == 2
+        path = out / "train" / "seed0" / name
+        path.write_bytes(path.read_bytes()[:-1])
+        assert main(["infer", "--config", str(config), "--out", str(out), "--inference", "knn"]) == 1
         err = capsys.readouterr().err
-        assert str(ckpt) in err and "truncated" in err
+        assert str(path) in err and "truncated" in err
 
     def test_locked_out_dir_is_exit_2(self, tmp_path, capsys):
         config = write_recipe(tmp_path)
@@ -695,7 +807,7 @@ class TestKillSafety:
 
         monkeypatch.setattr(cli, "train", train_with_unwritable_log)
         assert main(["train", "--config", str(config), "--out", str(out)]) == 2
-        assert sorted(p.name for p in seed_dir.iterdir()) == ["ledger", "params.ckpt", "scaler.bin"]
+        assert sorted(p.name for p in seed_dir.iterdir()) == ["datastore.bin", "ledger", "params.ckpt", "scaler.bin"]
 
         monkeypatch.undo()
         assert main(["benchmark", "--config", str(config), "--out", str(out)]) == 0

@@ -130,13 +130,12 @@ class TestReportedDefects:
         with pytest.raises(ValidationError, match="truncated"):
             load_datastore(path)
 
-    def test_bad_distance_kind_byte(self, tmp_path):
+    def test_older_sqds_datastore_is_validation_error(self, tmp_path):
+        # The float32 layout with a distance byte, as sqkit wrote it before SQD2.
         path = tmp_path / "datastore.bin"
-        save_datastore(path, small_datastore())
-        data = bytearray(path.read_bytes())
-        data[4] = 7
-        path.write_bytes(bytes(data))
-        with pytest.raises(ValidationError, match="distance kind"):
+        header = b"SQDS" + struct.pack("<BIII", 0, 1, 2, 1) + id_table(["a"])
+        path.write_bytes(header + f4([0.5, -1.0]) + struct.pack("<fI", 3.0, 0))
+        with pytest.raises(ValidationError, match="not a datastore file"):
             load_datastore(path)
 
     def test_bad_record_id_index(self, tmp_path):
@@ -205,9 +204,9 @@ class TestLayouts:
         path = tmp_path / "datastore.bin"
         save_datastore(path, ds)
         table = sorted(set(ds.dataset_ids))
-        expected = b"SQDS" + struct.pack("<BII", 1, 4, 3) + struct.pack("<I", len(table)) + id_table(table)
-        for emb, score, dataset_id in zip(ds.embeddings, ds.scores, ds.dataset_ids):
-            expected += f4(emb) + struct.pack("<fI", score, table.index(dataset_id))
+        expected = b"SQD2" + struct.pack("<III", 4, 3, len(table)) + id_table(table)
+        expected += f8(ds.embeddings) + f8(ds.scores)
+        expected += b"".join(struct.pack("<I", table.index(dataset_id)) for dataset_id in ds.dataset_ids)
         assert path.read_bytes() == expected
 
     def test_embedding(self, tmp_path):

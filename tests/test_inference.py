@@ -239,9 +239,9 @@ class TestNonFiniteInputs:
         path = tmp_path / "store.bin"
         save_datastore(path, Datastore(np.array([[1234.5, 0.0]]), np.array([3.0]), ("a",)))
         data = path.read_bytes()
-        marker = np.float32(1234.5).tobytes()
+        marker = np.float64(1234.5).tobytes()
         assert data.count(marker) == 1
-        path.write_bytes(data.replace(marker, np.float32(np.nan).tobytes()))
+        path.write_bytes(data.replace(marker, np.float64(np.nan).tobytes()))
         with pytest.raises(ValidationError, match="finite"):
             load_datastore(path)
 
@@ -534,13 +534,13 @@ class TestDatastoreFiles:
         )
         path = tmp_path / "store.bin"
         save_datastore(path, ds)
-        loaded = load_datastore(path)
+        loaded = load_datastore(path, "cosine")
         np.testing.assert_array_equal(loaded.embeddings, ds.embeddings)
         np.testing.assert_array_equal(loaded.scores, ds.scores)
         assert loaded.dataset_ids == ds.dataset_ids
         assert loaded.distance_kind == "cosine"
 
-    def test_float64_store_survives_within_float32_precision(self, tmp_path):
+    def test_float64_store_round_trips_exactly(self, tmp_path):
         rng = np.random.default_rng(13)
         ds = Datastore(
             embeddings=rng.normal(size=(4, 3)),
@@ -550,8 +550,9 @@ class TestDatastoreFiles:
         path = tmp_path / "store64.bin"
         save_datastore(path, ds)
         loaded = load_datastore(path)
-        np.testing.assert_allclose(loaded.embeddings, ds.embeddings, rtol=1e-6)
-        np.testing.assert_allclose(loaded.scores, ds.scores, rtol=1e-6)
+        assert loaded.embeddings.tobytes() == ds.embeddings.tobytes()
+        assert loaded.scores.tobytes() == ds.scores.tobytes()
+        assert loaded.distance_kind == "euclidean"  # the file holds no distance; the loader's default applies
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
