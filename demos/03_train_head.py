@@ -18,6 +18,7 @@ from sqkit import (
     mse,
     pearson,
     predict_split,
+    prepare_train_data,
     spearman,
     split_random,
     system_aggregate,
@@ -48,7 +49,7 @@ with tempfile.TemporaryDirectory(prefix="sqkit-demo-") as tmp:
         selection="utt_lcc",   # dev criterion steering the ledger
         seed=0,
     )
-    result = train("head", corpus, FrontendConfig(), cfg, out_dir=work / "ckpt")
+    result = train("head", prepare_train_data(corpus, FrontendConfig()), cfg, out_dir=work / "ckpt")
 
     print("ran", result.steps_run, "steps, selected by", result.criterion)
     print("ledger (best first):")
@@ -60,7 +61,7 @@ with tempfile.TemporaryDirectory(prefix="sqkit-demo-") as tmp:
     print("first eval", evals[0], "\nlast eval ", evals[-1])
 
     # score the held-out split with the best checkpoint
-    pairs = predict_split(corpus, "dev", FrontendConfig(), result.scaler, result.params)
+    (pairs,) = predict_split(corpus, "dev", FrontendConfig(), [(result.params, result.scaler, None)])
     print(f"dev: mse {mse(pairs):.4f}  lcc {pearson(pairs):.4f}")
 
     # system-level view: average true/pred per system, then correlate

@@ -64,8 +64,8 @@ with tempfile.TemporaryDirectory(prefix="sqkit-demo-") as tmp:
         print(f"T={temperature:<5}  weights {np.round(w, 3)}  pred {w @ scores:.3f}")
 
     # whole-split accuracy
-    pairs = predict_split(corpus, "dev", frontend, None, None, mode="knn",
-                          knn_config=KnnConfig(k=5, temperature=1.0), datastore=ds)
+    (pairs,) = predict_split(corpus, "dev", frontend, [(None, None, ds)], mode="knn",
+                             knn_config=KnnConfig(k=5, temperature=1.0))
     print(f"dev mse via retrieval: {mse(pairs):.4f}")
 
     # datastores serialize to a single binary file (float64 payload, so the

@@ -26,6 +26,7 @@ from sqkit import (
     pool,
     pool_time,
     predict_split,
+    prepare_train_data,
     retrieve_neighbors,
     split_random,
     train,
@@ -60,7 +61,7 @@ with tempfile.TemporaryDirectory(prefix="sqkit-demo-") as tmp:
 
     cfg = TrainConfig(batch_size=16, lr=0.01, max_steps=1200, patience_steps=1200,
                       selection="utt_lcc", seed=0, eval_interval=100)
-    model = train("alignnet", pooled, frontend, cfg, hidden=32, embed_dim=8, decoder_hidden=16)
+    model = train("alignnet", prepare_train_data(pooled, frontend), cfg, hidden=32, embed_dim=8, decoder_hidden=16)
     print("trained alignnet over datasets", model.params.dataset_ids)
 
     # one utterance, three dataset rows: the embedding table moves the score
@@ -77,6 +78,6 @@ with tempfile.TemporaryDirectory(prefix="sqkit-demo-") as tmp:
 
     # corpus-shift effect on the shifted corpora's dev sets
     for corpus in (low, high):
-        pairs = predict_split(corpus, "dev", frontend, model.scaler, model.params,
-                              mode="domain-retrieval", datastore=ds)
+        (pairs,) = predict_split(corpus, "dev", frontend, [(model.params, model.scaler, ds)],
+                                 mode="domain-retrieval")
         print(f"{corpus.name:>4} dev mse with domain retrieval: {mse(pairs):.4f}")

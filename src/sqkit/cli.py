@@ -62,7 +62,18 @@ from .inference import (
 )
 from .metrics import EvalPairs, aggregate, best_values, mse, pearson, spearman, system_aggregate
 from .model import ModelParams, load_params, save_params
-from .training import MdfResult, TrainConfig, TrainResult, select_criterion, table_dataset_ids, train, train_mdf
+from .training import (
+    MdfData,
+    TrainConfig,
+    TrainData,
+    TrainResult,
+    prepare_mdf_data,
+    prepare_train_data,
+    select_criterion,
+    table_dataset_ids,
+    train,
+    train_mdf,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -377,43 +388,49 @@ def recipe_hash(recipe: Recipe) -> str:
     return _raw_lines_hash(recipe, MODEL_SECTIONS, f"mdf_pretrain = {recipe.get('train.mdf_pretrain') or ''}")
 
 
-def train_one_seed(
-    recipe: Recipe,
-    corpora: dict[str, CorpusManifest],
-    seed: int,
-    out_dir: Path,
-) -> TrainResult:
-    """Train (plain or MDF) for one seed and persist the artifacts."""
-    frontend_config = build_frontend(recipe)
+def _train_configs(recipe: Recipe, seed: int, train_corpus: CorpusManifest | PooledCorpus) -> list[TrainConfig]:
+    """The TrainConfig of each training phase: one, or two under MDF."""
+    config = build_train_config(recipe, seed, train_corpus.domain_tag)
+    if not recipe.get("train.mdf_pretrain"):
+        return [config]
+    if not isinstance(train_corpus, PooledCorpus):
+        raise ValidationError("MDF needs a pooled train.corpus (a+b+...)")
+    phase2_steps = recipe.get_int("train.mdf_max_steps", config.max_steps)
+    return [config, build_train_config(recipe, seed, train_corpus.domain_tag, max_steps=phase2_steps)]
+
+
+def prepare_training(recipe: Recipe, corpora: dict[str, CorpusManifest]) -> TrainData | MdfData:
+    """The seed-independent part of training under the recipe, featurized
+    once for every seed; the train keys are checked before any sample is
+    read."""
     train_corpus = resolve_train_corpus(recipe, corpora)
+    _train_configs(recipe, 0, train_corpus)  # the seed only fills in TrainConfig.seed
+    frontend_config = build_frontend(recipe)
+    mdf_pretrain = recipe.get("train.mdf_pretrain")
+    if mdf_pretrain:
+        return prepare_mdf_data(mdf_pretrain, train_corpus, frontend_config)
+    return prepare_train_data(train_corpus, frontend_config)
+
+
+def train_one_seed(recipe: Recipe, data: TrainData | MdfData, seed: int, out_dir: Path) -> TrainResult:
+    """Train (plain or MDF) for one seed from prepared data and persist
+    the artifacts."""
+    frontend_config = build_frontend(recipe)
     model_kind = recipe.get("model.kind", "head")
     sizes = {
         "hidden": recipe.get_int("model.hidden", 64),
         "embed_dim": recipe.get_int("model.embed_dim", 16),
         "decoder_hidden": recipe.get_int("model.decoder_hidden", 32),
     }
-    config = build_train_config(recipe, seed, train_corpus.domain_tag)
     seed_dir = out_dir / "train" / f"seed{seed}"
     for stale in ("ledger", "mdf_phase1"):  # nothing of an earlier run survives a retrain
         shutil.rmtree(seed_dir / stale, ignore_errors=True)
     extra = {"recipe_hash": recipe_hash(recipe)}
 
-    mdf_pretrain = recipe.get("train.mdf_pretrain")
-    if mdf_pretrain:
-        if not isinstance(train_corpus, PooledCorpus):
-            raise ValidationError("MDF needs a pooled train.corpus (a+b+...)")
-        phase2_steps = recipe.get_int("train.mdf_max_steps", config.max_steps)
-        phase2_config = build_train_config(recipe, seed, train_corpus.domain_tag, max_steps=phase2_steps)
-        mdf: MdfResult = train_mdf(
-            model_kind,
-            mdf_pretrain,
-            train_corpus,
-            frontend_config,
-            config,
-            phase2_config,
-            **sizes,
-            out_dir=seed_dir / "ledger",
-        )
+    if isinstance(data, MdfData):
+        config, phase2_config = _train_configs(recipe, seed, data.phase2.corpus)
+        mdf_pretrain = recipe.get("train.mdf_pretrain")
+        mdf = train_mdf(model_kind, data, config, phase2_config, **sizes, out_dir=seed_dir / "ledger")
         save_model_dir(
             seed_dir / "mdf_phase1",
             mdf.phase1,
@@ -423,14 +440,8 @@ def train_one_seed(
         result = mdf.phase2
         save_model_dir(seed_dir, result, frontend_config, extra={**extra, "mdf_pretrain": mdf_pretrain, "phase": 2})
     else:
-        result = train(
-            model_kind,
-            train_corpus,
-            frontend_config,
-            config,
-            **sizes,
-            out_dir=seed_dir / "ledger",
-        )
+        (config,) = _train_configs(recipe, seed, data.corpus)
+        result = train(model_kind, data, config, **sizes, out_dir=seed_dir / "ledger")
         save_model_dir(seed_dir, result, frontend_config, extra=extra)
     logger.info("seed %d: trained %s for %d steps", seed, model_kind, result.steps_run)
     return result
@@ -511,8 +522,10 @@ def _seed_list(recipe: Recipe, args: argparse.Namespace) -> list[int]:
 
 def cmd_train(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
     corpora = get_corpora(recipe, out)
-    for seed in _seed_list(recipe, args):
-        result = train_one_seed(recipe, corpora, seed, out)
+    seeds = _seed_list(recipe, args)
+    data = prepare_training(recipe, corpora)
+    for seed in seeds:
+        result = train_one_seed(recipe, data, seed, out)
         best = result.ledger.best
         value = "n/a" if best is None else f"{best.value:.4f}@{best.step}"
         print(f"trained seed {seed}: {result.model_kind}, {result.steps_run} steps, best {result.criterion} {value}")
@@ -526,14 +539,15 @@ def _predict_seeds(
     corpora: dict[str, CorpusManifest],
     targets: list[tuple[str, CorpusManifest, str]],
 ) -> Iterator[tuple[int, str, list[EvalPairs]]]:
-    """Per seed: load the trained model, and the datastore its inference
+    """Load every seed's trained model, and the datastore its inference
     mode needs under infer.distance, and predict every (name, corpus,
-    split) target.
+    split) target for all seeds at once, so each target sample is
+    featurized once.
 
     The inference settings, and that the recipe's model kind can score
-    every target in that mode, are checked on the call; each seed is loaded
-    and scored only when the returned iterator reaches it. Yields (seed,
-    mode, one EvalPairs per target).
+    every target in that mode, are checked on the call; the seeds are
+    loaded and scored only when the returned iterator is first advanced.
+    Yields (seed, mode, one EvalPairs per target).
     """
     mode = args.inference or recipe.get("infer.mode", "parametric")
     if mode not in INFERENCE_MODES:
@@ -557,18 +571,20 @@ def _predict_seeds(
     if mode != "parametric" and distance_kind not in DISTANCE_KINDS:
         raise ValidationError(f"infer.distance must be one of {DISTANCE_KINDS}, not {distance_kind!r}")
     digest = recipe_hash(recipe)
+    seeds = _seed_list(recipe, args)
 
-    def predict(seed: int) -> tuple[int, str, list[EvalPairs]]:
-        seed_dir = out / "train" / f"seed{seed}"
-        params, scaler = load_model_dir(seed_dir, digest)
-        datastore = None if mode == "parametric" else load_datastore(seed_dir / "datastore.bin", distance_kind)
-        pairs = [
-            predict_split(corpus, split, frontend_config, scaler, params, mode, knn_config, datastore)
-            for _name, corpus, split in targets
-        ]
-        return seed, mode, pairs
+    def predict() -> Iterator[tuple[int, str, list[EvalPairs]]]:
+        models = []
+        for seed in seeds:
+            seed_dir = out / "train" / f"seed{seed}"
+            params, scaler = load_model_dir(seed_dir, digest)
+            datastore = None if mode == "parametric" else load_datastore(seed_dir / "datastore.bin", distance_kind)
+            models.append((params, scaler, datastore))
+        by_target = [predict_split(corpus, split, frontend_config, models, mode, knn_config) for _, corpus, split in targets]
+        for seed, *pairs in zip(seeds, *by_target):
+            yield seed, mode, pairs
 
-    return map(predict, _seed_list(recipe, args))
+    return predict()
 
 
 def cmd_infer(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
@@ -599,11 +615,15 @@ def cmd_benchmark(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
     targets = [_target(recipe, corpora, "benchmark.tests", name) for name in names]
     predictions = _predict_seeds(recipe, args, out, corpora, targets)  # checks the inference settings
     digest = recipe_hash(recipe)
+    data = None  # prepared on the first seed that needs training
     for seed in _seed_list(recipe, args):
         seed_dir = out / "train" / f"seed{seed}"
         # A dir without a datastore was trained before train wrote one.
         if (_model_meta(seed_dir) or {}).get("recipe_hash") != digest or not (seed_dir / "datastore.bin").is_file():
-            train_one_seed(recipe, corpora, seed, out)
+            if data is None:
+                data = prepare_training(recipe, corpora)
+            train_one_seed(recipe, data, seed, out)
+    del data  # the train matrix is not needed for scoring
 
     model_kind = recipe.get("model.kind", "head") + ("-mdf" if recipe.get("train.mdf_pretrain") else "")
     rows: list[tuple] = []

@@ -7,8 +7,11 @@ neighbors count more. The as-published formula weighted by exp(+d), which
 favors far neighbors; pass paper_literal=True to reproduce it.
 
 ``predict_split`` is the one scoring entry point: it featurizes a split
-and scores it in one inference mode. The retrieval modes make one
-``retrieve_neighbors`` call per split. The datastore's distance kind
+once and scores it in one inference mode for every model it is given,
+each a (params, scaler, datastore) triple, such as all seeds of a run;
+one model is a one-element list. Each model standardizes the raw
+features with its own scaler. The retrieval modes make one
+``retrieve_neighbors`` call per model and split. The datastore's distance kind
 (euclidean or cosine, set when it is built or loaded) decides the
 distance; a KnnConfig only says how many neighbors to take and how to
 weight them.
@@ -25,13 +28,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .codec import Reader, pack_strings, write_artifact
 from .corpus import CorpusManifest, PooledCorpus, Sample
 from .errors import ValidationError
-from .frontend import FeatureScaler, FrontendConfig, featurize, pool_time
+from .frontend import EmbeddingMatrix, FeatureScaler, FrontendConfig, featurize, pool_time
 from .metrics import EvalPairs
 from .model import AlignNetParams, HeadParams, ModelParams, alignnet_raw, clip_score, head_raw
 
@@ -275,13 +279,12 @@ def predict_split(
     corpus: CorpusManifest | PooledCorpus,
     split: str,
     frontend_config: FrontendConfig,
-    scaler: FeatureScaler | None,
-    params: ModelParams,
+    models: Sequence[tuple[ModelParams | None, FeatureScaler | None, Datastore | None]],
     mode: str = "parametric",
     knn_config: KnnConfig | None = None,
-    datastore: Datastore | None = None,
-) -> EvalPairs:
-    """Predict a whole split under one inference mode, as EvalPairs.
+) -> list[EvalPairs]:
+    """Predict a whole split under one inference mode for each model, a
+    (params, scaler, datastore) triple; one EvalPairs per model.
 
     Modes: "parametric" (clipped forward pass; alignnet uses each
     sample's own dataset_id, which must have a row in its table),
@@ -290,39 +293,59 @@ def predict_split(
     space; knn_config defaults to KnnConfig()) and "domain-retrieval"
     (alignnet with the table row of the nearest record's dataset, how
     the alignnet scores corpora outside its table). Arguments are
-    checked before any sample is featurized. The retrieval modes
-    featurize and time-pool the whole split, then make one batched
-    retrieve_neighbors call.
+    checked before any sample is featurized.
+
+    Each sample is featurized once, raw, and each model standardizes its
+    own copy with its scaler (none: the raw features). Parametric and knn
+    scoring stream one utterance at a time; the retrieval modes make one
+    batched retrieve_neighbors call per model. Domain retrieval keeps the
+    split's raw matrices and standardizes each again for the forward pass.
     """
     if mode not in INFERENCE_MODES:
         raise ValidationError(f"unknown inference mode {mode!r}")
-    if mode != "parametric" and datastore is None:
-        raise ValidationError(f"mode {mode!r} needs a datastore")
-    if mode == "domain-retrieval" and not isinstance(params, AlignNetParams):
-        raise ValidationError("domain-retrieval needs alignnet parameters")
     samples = corpus.samples(split)
+    for params, _scaler, datastore in models:
+        if mode != "parametric" and datastore is None:
+            raise ValidationError(f"mode {mode!r} needs a datastore")
+        if mode == "domain-retrieval" and not isinstance(params, AlignNetParams):
+            raise ValidationError("domain-retrieval needs alignnet parameters")
+        if mode == "parametric" and isinstance(params, AlignNetParams):
+            check_table_rows(params.dataset_ids, samples, split)
     if not samples:
         raise ValueError(f"corpus has no samples in split {split!r}")
-    if mode == "parametric":
-        if isinstance(params, AlignNetParams):
-            check_table_rows(params.dataset_ids, samples, split)
-        preds = [predict_clipped(params, featurize(s, frontend_config, scaler).frames, s.dataset_id) for s in samples]
-    elif mode == "knn":
-        cfg = knn_config or KnnConfig()
-        queries = np.stack([pool_time(featurize(s, frontend_config, scaler)) for s in samples])
-        neighbors = retrieve_neighbors(datastore, queries, cfg.k)
-        weights = (knn_weights(d, cfg.temperature, cfg.paper_literal) for d in neighbors.distances)
-        preds = [float(w @ sc) for w, sc in zip(weights, neighbors.scores)]
-    else:
-        mats = [featurize(s, frontend_config, scaler) for s in samples]
-        neighbors = retrieve_neighbors(datastore, np.stack([pool_time(m) for m in mats]), 1)
-        preds = [predict_clipped(params, m.frames, ids[0]) for m, ids in zip(mats, neighbors.dataset_ids)]
-    return EvalPairs(
-        sample_ids=tuple(s.sample_id for s in samples),
-        system_ids=tuple(s.system_id for s in samples),
-        true=np.array([s.mos for s in samples]),
-        pred=np.array(preds),
-    )
+
+    def standardized(scaler: FeatureScaler | None, raw: EmbeddingMatrix) -> EmbeddingMatrix:
+        return raw if scaler is None else scaler.transform(raw)
+
+    preds: list[list[float]] = [[] for _ in models]
+    queries: list[list[np.ndarray]] = [[] for _ in models]
+    raws = []  # the split's raw features, which domain retrieval scores after retrieving
+    for s in samples:
+        raw = featurize(s, frontend_config)
+        for j, (params, scaler, _datastore) in enumerate(models):
+            mat = standardized(scaler, raw)
+            if mode == "parametric":
+                preds[j].append(predict_clipped(params, mat.frames, s.dataset_id))
+            else:
+                queries[j].append(pool_time(mat))
+        if mode == "domain-retrieval":
+            raws.append(raw)
+    cfg = knn_config or KnnConfig()
+    for j, (params, scaler, datastore) in enumerate(models):
+        if mode == "knn":
+            neighbors = retrieve_neighbors(datastore, np.stack(queries[j]), cfg.k)
+            weights = (knn_weights(d, cfg.temperature, cfg.paper_literal) for d in neighbors.distances)
+            preds[j] = [float(w @ sc) for w, sc in zip(weights, neighbors.scores)]
+        elif mode == "domain-retrieval":
+            neighbors = retrieve_neighbors(datastore, np.stack(queries[j]), 1)
+            preds[j] = [
+                predict_clipped(params, standardized(scaler, raw).frames, ids[0])
+                for raw, ids in zip(raws, neighbors.dataset_ids)
+            ]
+    sample_ids = tuple(s.sample_id for s in samples)
+    system_ids = tuple(s.system_id for s in samples)
+    true = [s.mos for s in samples]
+    return [EvalPairs(sample_ids, system_ids, np.array(true), np.array(p)) for p in preds]
 
 
 def save_datastore(path: str | Path, ds: Datastore) -> None:

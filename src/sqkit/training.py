@@ -1,17 +1,24 @@
 """SGD training with clipped MSE, best-k checkpoint tracking, early stop.
 
-The loop is deliberately plain: the train split is featurized once into
-one packed (sum T, D) matrix, standardized in place, minibatches come
-from a seeded shuffle stream, and the optimizer is classical heavy-ball
-momentum (v <- momentum*v + g; p <- p - lr*v). Each step gathers its
-utterances' rows into a workspace buffer and makes one packed
-forward/backward call; the workspace is sized once per run to the
-batch_size longest utterances, so the gather and activation buffers are
-allocated once, not per step.
+Training is two steps. prepare_train_data does everything that does not
+depend on the seed, once: it featurizes the train split into one
+preallocated, packed (sum T, D) matrix (each utterance's frame count read
+from its file header), fits the scaler and standardizes the matrix in
+place, standardizes the dev split, and pools each train utterance into
+the retrieval datastore. train then runs one seeded SGD loop over that
+TrainData without changing it, so any number of seeds share one
+featurization. MDF prepares both phases once (MdfData).
+
+The loop is deliberately plain: minibatches come from a seeded shuffle
+stream, and the optimizer is classical heavy-ball momentum
+(v <- momentum*v + g; p <- p - lr*v). Each step gathers its utterances'
+rows into a workspace buffer and makes one packed forward/backward call;
+the workspace is sized once per run to the batch_size longest
+utterances, so the gather and activation buffers are allocated once, not
+per step.
 Everything a run produces (best parameters, the feature scaler, the
-retrieval datastore pooled from the standardized train matrix, the
-checkpoint ledger, the eval log) travels together in a TrainResult so
-inference can never see half a model.
+retrieval datastore, the checkpoint ledger, the eval log) travels
+together in a TrainResult so inference can never see half a model.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import numpy as np
 
 from .corpus import CorpusManifest, PooledCorpus, Sample
 from .errors import UndefinedCorrelationError, ValidationError
-from .frontend import EmbeddingMatrix, FeatureScaler, FrontendConfig, featurize
+from .frontend import EmbeddingMatrix, FeatureScaler, FrontendConfig, feature_source, featurize, frame_count
 from .inference import Datastore, predict_clipped
 from .metrics import EvalPairs, pearson, spearman, system_aggregate
 # head_raw and alignnet_raw are unused here: perfbench's tracer wraps these
@@ -178,7 +185,7 @@ class TrainResult:
 def _dev_criterion(
     params: ModelParams,
     dev_samples: Sequence[Sample],
-    dev_mats: list[EmbeddingMatrix],
+    dev_mats: Sequence[EmbeddingMatrix],
     criterion: str,
 ) -> float:
     preds = [predict_clipped(params, m.frames, s.dataset_id) for s, m in zip(dev_samples, dev_mats)]
@@ -199,58 +206,120 @@ def table_dataset_ids(corpus: CorpusManifest | PooledCorpus) -> tuple[str, ...]:
     return corpus.dataset_ids if isinstance(corpus, PooledCorpus) else (corpus.name,)
 
 
-def train(
-    model_kind: str,
+@dataclass(frozen=True)
+class TrainData:
+    """What a training run needs of its corpus and nothing of its seed,
+    built once and read, never changed, by every seed trained from it.
+
+    frames is the packed train split, standardized and read-only:
+    utterance i is rows starts[i] : starts[i] + lengths[i]. dev_mats are
+    the dev samples standardized by the same scaler, and datastore is
+    each train utterance's rows pooled over time.
+    """
+
+    corpus: CorpusManifest | PooledCorpus
+    train_samples: tuple[Sample, ...]
+    dev_samples: tuple[Sample, ...]
+    frames: np.ndarray
+    lengths: np.ndarray
+    starts: np.ndarray
+    targets: np.ndarray
+    scaler: FeatureScaler
+    dev_mats: tuple[EmbeddingMatrix, ...]
+    datastore: Datastore
+
+
+def prepare_train_data(
     corpus: CorpusManifest | PooledCorpus,
     frontend_config: FrontendConfig,
-    config: TrainConfig,
-    hidden: int = 64,
-    embed_dim: int = 16,
-    decoder_hidden: int = 32,
-    init_params: ModelParams | None = None,
     scaler: FeatureScaler | None = None,
-    dataset_ids: tuple[str, ...] | None = None,
-    out_dir: Path | None = None,
-) -> TrainResult:
-    """Run one seeded training run and return the best checkpoint.
-
-    The dev criterion is evaluated on clipped predictions every
-    eval_interval steps; training halts at max_steps or once the ledger
-    has not improved for patience_steps. A dev criterion that is
-    undefined (constant predictions early on) counts as no improvement.
-    init_params/scaler override initialization for fine-tuning phases;
-    dataset_ids fixes the alignnet table rows (defaults to the corpus's
-    dataset ids). With max_steps = 0 the initialized parameters come back
-    untouched and the ledger stays empty.
-    """
-    if model_kind not in MODEL_KINDS:
-        raise ValidationError(f"unknown model kind {model_kind!r}")
+) -> TrainData:
+    """Featurize a corpus's train and dev splits once for any number of
+    training runs. The train split goes straight into a matrix allocated
+    from the file headers' frame counts; an utterance whose features
+    disagree with its header raises ValidationError. The scaler is fitted
+    on the raw train frames unless one is given (MDF phase 2 keeps phase
+    1's)."""
     train_samples = corpus.samples("train")
     dev_samples = corpus.samples("dev")
     if not train_samples:
         raise ValueError("empty train split")
     if not dev_samples:
         raise ValueError("empty dev split (needed for model selection)")
-    if config.selection == "sys_srcc" and any(s.system_id is None for s in dev_samples):
+    lengths = np.array([frame_count(s, frontend_config) for s in train_samples])
+    starts = np.cumsum(lengths) - lengths
+    frames = None
+    for sample, start, length in zip(train_samples, starts.tolist(), lengths.tolist()):
+        mat = featurize(sample, frontend_config)
+        if frames is None:
+            frames = np.empty((int(lengths.sum()), mat.dim))
+        if (mat.n_frames, mat.dim) != (length, frames.shape[1]):
+            raise ValidationError(
+                f"{feature_source(sample, frontend_config)}: features are {mat.n_frames} x {mat.dim}, "
+                f"the header promises {length} x {frames.shape[1]}"
+            )
+        frames[start : start + length] = mat.frames
+    if scaler is None:
+        scaler = FeatureScaler.fit(frames)
+    scaler.standardize(frames)
+    frames.flags.writeable = False
+    targets = np.array([s.mos for s in train_samples])
+    # Each utterance's standardized rows pooled over time: the records
+    # build_datastore would make from the train split, bit for bit. This is
+    # np.mean's own sum, with its division done once for all utterances.
+    pooled = np.empty((len(train_samples), frames.shape[1]))
+    for row, start, length in zip(pooled, starts.tolist(), lengths.tolist()):
+        np.add.reduce(frames[start : start + length], axis=0, out=row)
+    pooled /= lengths[:, None]
+    return TrainData(
+        corpus=corpus,
+        train_samples=train_samples,
+        dev_samples=dev_samples,
+        frames=frames,
+        lengths=lengths,
+        starts=starts,
+        targets=targets,
+        scaler=scaler,
+        dev_mats=tuple(featurize(s, frontend_config, scaler) for s in dev_samples),
+        datastore=Datastore(embeddings=pooled, scores=targets, dataset_ids=tuple(s.dataset_id for s in train_samples)),
+    )
+
+
+def train(
+    model_kind: str,
+    data: TrainData,
+    config: TrainConfig,
+    hidden: int = 64,
+    embed_dim: int = 16,
+    decoder_hidden: int = 32,
+    init_params: ModelParams | None = None,
+    dataset_ids: tuple[str, ...] | None = None,
+    out_dir: Path | None = None,
+) -> TrainResult:
+    """Run one seeded training run on prepared data and return the best
+    checkpoint.
+
+    The dev criterion is evaluated on clipped predictions every
+    eval_interval steps; training halts at max_steps or once the ledger
+    has not improved for patience_steps. A dev criterion that is
+    undefined (constant predictions early on) counts as no improvement.
+    init_params overrides initialization for fine-tuning phases;
+    dataset_ids fixes the alignnet table rows (defaults to the corpus's
+    dataset ids). With max_steps = 0 the initialized parameters come back
+    untouched and the ledger stays empty.
+    """
+    if model_kind not in MODEL_KINDS:
+        raise ValidationError(f"unknown model kind {model_kind!r}")
+    if config.selection == "sys_srcc" and any(s.system_id is None for s in data.dev_samples):
         raise ValidationError("sys_srcc selection needs system_id on every dev sample")
 
-    # One (sum T, D) train matrix, standardized in place: utterance i is
-    # rows starts[i] : starts[i] + lengths[i].
-    train_frames = [featurize(s, frontend_config).frames for s in train_samples]
-    lengths_all = np.array([len(f) for f in train_frames])
-    starts_all = np.cumsum(lengths_all) - lengths_all
-    train_frames = np.concatenate(train_frames)
-    if scaler is None:
-        scaler = FeatureScaler.fit(train_frames)
-    scaler.standardize(train_frames)
-    dev_mats = [featurize(s, frontend_config, scaler) for s in dev_samples]
-
+    train_frames, lengths_all, starts_all, targets_all = data.frames, data.lengths, data.starts, data.targets
     dim = train_frames.shape[1]
     if model_kind == "alignnet":
         if dataset_ids is None:
-            dataset_ids = table_dataset_ids(corpus)
+            dataset_ids = table_dataset_ids(data.corpus)
         table_ids = set(dataset_ids)
-        missing = {s.dataset_id for s in train_samples} - table_ids
+        missing = {s.dataset_id for s in data.train_samples} - table_ids
         if missing:
             raise ValidationError(f"train samples reference dataset_ids outside the table: {sorted(missing)}")
         params: ModelParams = (
@@ -264,17 +333,8 @@ def train(
         raise ValidationError(f"initial params dim {params.dim} != feature dim {dim}")
     initial_params = copy_params(params)
 
-    targets_all = np.array([s.mos for s in train_samples])
-    # Each utterance's standardized rows pooled over time: the records
-    # build_datastore would make from the train split, bit for bit. This is
-    # np.mean's own sum, with its division done once for all utterances.
-    pooled = np.empty((len(train_samples), dim))
-    for row, start, length in zip(pooled, starts_all.tolist(), lengths_all.tolist()):
-        np.add.reduce(train_frames[start : start + length], axis=0, out=row)
-    pooled /= lengths_all[:, None]
-    datastore = Datastore(embeddings=pooled, scores=targets_all, dataset_ids=tuple(s.dataset_id for s in train_samples))
     if model_kind == "alignnet":
-        rows_all = np.array([params.row_index(s.dataset_id) for s in train_samples])
+        rows_all = np.array([params.row_index(s.dataset_id) for s in data.train_samples])
     work = Workspace(rows=int(np.sort(lengths_all)[-config.batch_size :].sum()))
 
     velocity = zero_grads(params)
@@ -288,7 +348,7 @@ def train(
 
     while step < config.max_steps:
         if not order.size:
-            order = shuffle_rng.permutation(len(train_samples))
+            order = shuffle_rng.permutation(len(lengths_all))
         batch, order = order[: config.batch_size], order[config.batch_size :]
         step += 1
 
@@ -320,7 +380,7 @@ def train(
 
         if step % config.eval_interval == 0:
             try:
-                value: float | None = _dev_criterion(params, dev_samples, dev_mats, config.selection)
+                value: float | None = _dev_criterion(params, data.dev_samples, data.dev_mats, config.selection)
             except UndefinedCorrelationError:
                 value = None
             if value is not None:
@@ -345,8 +405,8 @@ def train(
     return TrainResult(
         params=final,
         initial_params=initial_params,
-        scaler=scaler,
-        datastore=datastore,
+        scaler=data.scaler,
+        datastore=data.datastore,
         ledger=ledger,
         log=tuple(log),
         model_kind=model_kind,
@@ -364,11 +424,27 @@ class MdfResult:
     phase2: TrainResult
 
 
+@dataclass(frozen=True)
+class MdfData:
+    """The prepared data of both MDF phases: the pre-training member, and
+    the whole pool standardized by the member's scaler. Neither depends on
+    the seed."""
+
+    phase1: TrainData
+    phase2: TrainData
+
+
+def prepare_mdf_data(pretrain_name: str, pooled: PooledCorpus, frontend_config: FrontendConfig) -> MdfData:
+    members = {m.name: m for m in pooled.members}
+    if pretrain_name not in members:
+        raise ValueError(f"pretrain corpus {pretrain_name!r} not among pool members {sorted(members)}")
+    phase1 = prepare_train_data(members[pretrain_name], frontend_config)
+    return MdfData(phase1=phase1, phase2=prepare_train_data(pooled, frontend_config, phase1.scaler))
+
+
 def train_mdf(
     model_kind: str,
-    pretrain_name: str,
-    pooled: PooledCorpus,
-    frontend_config: FrontendConfig,
+    data: MdfData,
     phase1_config: TrainConfig,
     phase2_config: TrainConfig,
     hidden: int = 64,
@@ -383,28 +459,23 @@ def train_mdf(
     scaler so the parameters keep their meaning. The alignnet table is
     built over all pool members in phase 1 already, so the shapes carry.
     """
-    members = {m.name: m for m in pooled.members}
-    if pretrain_name not in members:
-        raise ValueError(f"pretrain corpus {pretrain_name!r} not among pool members {sorted(members)}")
+    dataset_ids = table_dataset_ids(data.phase2.corpus) if model_kind == "alignnet" else None
     phase1 = train(
         model_kind,
-        members[pretrain_name],
-        frontend_config,
+        data.phase1,
         phase1_config,
         hidden=hidden,
         embed_dim=embed_dim,
         decoder_hidden=decoder_hidden,
-        dataset_ids=pooled.dataset_ids if model_kind == "alignnet" else None,
+        dataset_ids=dataset_ids,
         out_dir=None if out_dir is None else out_dir / "phase1",
     )
     phase2 = train(
         model_kind,
-        pooled,
-        frontend_config,
+        data.phase2,
         phase2_config,
         init_params=copy_params(phase1.params),
-        scaler=phase1.scaler,
-        dataset_ids=pooled.dataset_ids if model_kind == "alignnet" else None,
+        dataset_ids=dataset_ids,
         out_dir=None if out_dir is None else out_dir / "phase2",
     )
     return MdfResult(phase1=phase1, phase2=phase2)

@@ -49,6 +49,8 @@ from sqkit import (
     pearson,
     pool,
     predict_split,
+    prepare_mdf_data,
+    prepare_train_data,
     retrieve_neighbors,
     spearman,
     split_random,
@@ -351,8 +353,8 @@ def test_single_dataset_training_reaches_dev_lcc(tmp_path):
         seed=0,
         eval_interval=100,
     )
-    result = train("head", corpus, DSP_FRONTEND, cfg)
-    pairs = predict_split(corpus, "dev", DSP_FRONTEND, result.scaler, result.params)
+    result = train("head", prepare_train_data(corpus, DSP_FRONTEND), cfg)
+    (pairs,) = predict_split(corpus, "dev", DSP_FRONTEND, [(result.params, result.scaler, None)])
     elapsed = time.perf_counter() - start
     assert result.steps_run <= 5000
     assert pearson(pairs) >= 0.9
@@ -420,6 +422,7 @@ def test_domain_retrieval_beats_pooled_head_on_shifted_corpora(tmp_path):
     mid = sibling_corpus(tmp_path, "mid", 0.0, 200)
     high = sibling_corpus(tmp_path, "high", +0.5, 300)
     pooled = pool([low, mid, high])
+    data = prepare_train_data(pooled, DSP_FRONTEND)  # shared by every seed and both models
 
     wins = 0
     for seed in (0, 1, 2):
@@ -432,15 +435,14 @@ def test_domain_retrieval_beats_pooled_head_on_shifted_corpora(tmp_path):
             seed=seed,
             eval_interval=100,
         )
-        align = train("alignnet", pooled, DSP_FRONTEND, cfg,
-                      hidden=32, embed_dim=8, decoder_hidden=16)
-        plain = train("head", pooled, DSP_FRONTEND, cfg, hidden=32)
+        align = train("alignnet", data, cfg, hidden=32, embed_dim=8, decoder_hidden=16)
+        plain = train("head", data, cfg, hidden=32)
         ds = build_datastore(DSP_FRONTEND, pooled, scaler=align.scaler)
         align_mse = plain_mse = 0.0
         for corpus in (low, high):
-            align_pairs = predict_split(corpus, "dev", DSP_FRONTEND, align.scaler,
-                                        align.params, mode="domain-retrieval", datastore=ds)
-            plain_pairs = predict_split(corpus, "dev", DSP_FRONTEND, plain.scaler, plain.params)
+            (align_pairs,) = predict_split(corpus, "dev", DSP_FRONTEND, [(align.params, align.scaler, ds)],
+                                           mode="domain-retrieval")
+            (plain_pairs,) = predict_split(corpus, "dev", DSP_FRONTEND, [(plain.params, plain.scaler, None)])
             align_mse += mse(align_pairs)
             plain_mse += mse(plain_pairs)
         wins += align_mse <= plain_mse
@@ -456,11 +458,11 @@ def test_mdf_phase_handoff_is_bit_exact(tmp_path):
                        patience_steps=100, seed=1)
     cfg2 = TrainConfig(batch_size=4, lr=0.01, max_steps=10, eval_interval=5,
                        patience_steps=100, seed=1)
-    result = train_mdf("alignnet", "seta", pooled, FRONTEND, cfg1, cfg2,
+    result = train_mdf("alignnet", prepare_mdf_data("seta", pooled, FRONTEND), cfg1, cfg2,
                        hidden=4, embed_dim=2, decoder_hidden=3)
     assert params_equal(result.phase2.initial_params, result.phase1.params)
 
-    frozen = train_mdf("head", "setb", pooled, FRONTEND, cfg1,
+    frozen = train_mdf("head", prepare_mdf_data("setb", pooled, FRONTEND), cfg1,
                        TrainConfig(max_steps=0, seed=1), hidden=4)
     assert params_equal(frozen.phase2.params, frozen.phase1.params)
 
@@ -543,8 +545,8 @@ def test_miscalibrated_predictor_ranks_well_but_fails_mse(tmp_path):
         eval_interval=100,
         loss_tau=0.0,
     )
-    result = train("head", compressed, DSP_FRONTEND, cfg, hidden=32)
-    pairs = predict_split(wide, "train", DSP_FRONTEND, result.scaler, result.params)
+    result = train("head", prepare_train_data(compressed, DSP_FRONTEND), cfg, hidden=32)
+    (pairs,) = predict_split(wide, "train", DSP_FRONTEND, [(result.params, result.scaler, None)])
 
     assert float(pairs.true.min()) == pytest.approx(1.0, abs=1e-9)
     assert float(pairs.true.max()) == pytest.approx(5.0, abs=1e-9)

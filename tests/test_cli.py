@@ -1,5 +1,6 @@
 """End-to-end command-line runs on a tiny synthetic recipe."""
 
+import collections
 import csv
 import dataclasses
 import hashlib
@@ -11,6 +12,7 @@ import pytest
 
 import sqkit.frontend
 import sqkit.inference
+import sqkit.training
 from sqkit import (
     KnnConfig,
     SynthSpec,
@@ -158,9 +160,9 @@ class TestTrain:
         sizes = []
         real_train = cli.train
 
-        def train(model_kind, corpus, *args, **kwargs):
-            sizes.append((corpus.size("train"), corpus.size("dev")))
-            return real_train(model_kind, corpus, *args, **kwargs)
+        def train(model_kind, data, *args, **kwargs):
+            sizes.append((data.corpus.size("train"), data.corpus.size("dev")))
+            return real_train(model_kind, data, *args, **kwargs)
 
         monkeypatch.setattr(cli, "train", train)
         assert main(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
@@ -247,9 +249,10 @@ class TestInfer:
         frontend = cli.build_frontend(recipe)
         expected = {
             kind: predict_split(
-                corpus, "dev", frontend, scaler, None, "knn", KnnConfig(k=3),
-                build_datastore(frontend, corpus, scaler=scaler, distance_kind=kind),
-            ).pred.tolist()
+                corpus, "dev", frontend,
+                [(None, scaler, build_datastore(frontend, corpus, scaler=scaler, distance_kind=kind))],
+                "knn", KnnConfig(k=3),
+            )[0].pred.tolist()
             for kind in ("euclidean", "cosine")
         }
         assert preds == expected["cosine"]
@@ -277,7 +280,7 @@ class TestInfer:
         _params, scaler = cli.load_model_dir(out / "train" / "seed0", cli.recipe_hash(recipe))
         frontend = cli.build_frontend(recipe)
         ds = build_datastore(frontend, corpus, scaler=scaler)
-        expected = {k: predict_split(corpus, "dev", frontend, scaler, None, "knn", KnnConfig(k=k), ds) for k in (3, 5)}
+        expected = {k: predict_split(corpus, "dev", frontend, [(None, scaler, ds)], "knn", KnnConfig(k=k))[0] for k in (3, 5)}
         assert preds == expected[3].pred.tolist()
         assert preds != expected[5].pred.tolist()  # so the recipe key, not the default, decided k
 
@@ -502,9 +505,9 @@ class TestBenchmark:
         retrained = []
         real = cli.train_one_seed
 
-        def train_one_seed(recipe, corpora, seed, out_dir):
+        def train_one_seed(recipe, data, seed, out_dir):
             retrained.append(seed)
-            return real(recipe, corpora, seed, out_dir)
+            return real(recipe, data, seed, out_dir)
 
         monkeypatch.setattr(cli, "train_one_seed", train_one_seed)
         assert main(["benchmark", "--config", str(config), "--out", str(out)]) == 0
@@ -867,9 +870,9 @@ class TestPreparedCorpora:
         trained_on = []
         real_train = cli.train
 
-        def train(model_kind, corpus, *args, **kwargs):
-            trained_on.append(corpus.size("train"))
-            return real_train(model_kind, corpus, *args, **kwargs)
+        def train(model_kind, data, *args, **kwargs):
+            trained_on.append(data.corpus.size("train"))
+            return real_train(model_kind, data, *args, **kwargs)
 
         monkeypatch.setattr(cli, "train", train)
         block = [line for line in BASE_RECIPE.splitlines() if not line.startswith("corpus.synth.")]
@@ -991,3 +994,84 @@ class TestPreparedCorpora:
         caplog.clear()
         assert main(["prepare", "--config", str(config), "--out", str(tmp_path / "fresh"), "--log-level", "info"]) == 0
         assert any(m.startswith("generated corpus 'synth'") for m in caplog.messages)
+
+
+class TestSeedsShareOneFeaturization:
+    """train, infer and benchmark featurize each sample once per command for
+    all seeds, and what a seed writes does not depend on the other seeds of
+    the run. Every recipe runs once with --seed 0,1 and once per seed alone,
+    in class-scoped runs the tests share."""
+
+    # recipe id -> (recipe, infer modes, benchmark mode)
+    RECIPES = {
+        "head": (BASE_RECIPE, ("parametric", "knn"), "parametric"),
+        "alignnet": (
+            BASE_RECIPE.replace("model.kind = head", "model.kind = alignnet"),
+            ("parametric", "knn"),
+            "domain-retrieval",
+        ),
+    }
+    SEED_RUNS = ("0,1", "0", "1")
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        """(recipe id, seed list) -> {(seed, output): bytes}, and (recipe id,
+        command) -> featurize calls per (sample, frontend config) during
+        that command of the 0,1 run."""
+        outputs, featurized = {}, {}
+        for rid, (recipe, infer_modes, bench_mode) in self.RECIPES.items():
+            config = write_recipe(tmp_path_factory.mktemp(rid), recipe)
+            for seeds in self.SEED_RUNS:
+                out = config.parent / f"out{seeds}"
+                base = ["--config", str(config), "--out", str(out), "--seed", seeds]
+                commands = [("train", ["train", *base])]
+                commands += [(f"infer {mode}", ["infer", *base, "--inference", mode]) for mode in infer_modes]
+                commands.append(("benchmark", ["benchmark", *base, "--inference", bench_mode]))
+                got = outputs[rid, seeds] = {}
+                for label, argv in commands:
+                    calls = collections.Counter()
+                    with pytest.MonkeyPatch.context() as mp:
+                        for module in (sqkit.training, sqkit.inference):
+                            def counted(sample, config, *args, _real=module.featurize, **kwargs):
+                                calls[sample.sample_id, config] += 1
+                                return _real(sample, config, *args, **kwargs)
+
+                            mp.setattr(module, "featurize", counted)
+                        assert main(argv) == 0, (rid, seeds, label)
+                    if seeds == "0,1":
+                        featurized[rid, label] = calls
+                    for seed in seeds.split(","):
+                        if label == "train":
+                            for name, data in tree_bytes(out / "train" / f"seed{seed}").items():
+                                got[seed, f"train/{name}"] = data
+                        elif label == "benchmark":
+                            lines = (out / "records.csv").read_text(encoding="utf-8").splitlines()
+                            got[seed, "records.csv"] = [line for line in lines if line.split(",")[2] == seed]
+                        else:
+                            for name in ("predictions.csv", "systems.csv"):
+                                got[seed, f"{label}/{name}"] = (out / "infer" / f"seed{seed}" / name).read_bytes()
+        return outputs, featurized
+
+    @pytest.mark.parametrize("rid", RECIPES)
+    def test_each_sample_is_featurized_once_per_command(self, runs, rid):
+        _outputs, featurized = runs
+        # 16 utterances at split ratio 0.75: train featurizes 12 + 4, and
+        # infer and benchmark score the 4 dev utterances.
+        sizes = {"train": 16, "infer parametric": 4, "infer knn": 4, "benchmark": 4}
+        for label, size in sizes.items():
+            calls = featurized[rid, label]
+            assert len(calls) == size, label
+            assert set(calls.values()) == {1}, label
+
+    @pytest.mark.parametrize("rid", RECIPES)
+    def test_a_seed_writes_the_same_bytes_with_or_without_other_seeds(self, runs, rid):
+        outputs, _featurized = runs
+        joint = outputs[rid, "0,1"]
+        alone = {**outputs[rid, "0"], **outputs[rid, "1"]}
+        assert sorted(joint) == sorted(alone)
+        assert {name for _seed, name in joint} >= {
+            "train/params.ckpt", "train/scaler.bin", "train/datastore.bin", "train/log.jsonl", "train/meta.json",
+            "infer parametric/predictions.csv", "infer knn/systems.csv", "records.csv",
+        }
+        assert [key for key in joint if joint[key] != alone[key]] == []
+        assert all(alone[seed, "records.csv"] for seed in "01")

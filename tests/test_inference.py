@@ -12,6 +12,7 @@ from sqkit import (
     CorpusManifest,
     Datastore,
     EmbeddingMatrix,
+    FeatureScaler,
     KnnConfig,
     PooledCorpus,
     Sample,
@@ -46,7 +47,7 @@ def predict_frames(monkeypatch, mats, mode, params=None, knn_config=None, datast
     samples = tuple(Sample(sid, None, Path(sid), dataset_id, None, 3.0) for sid in frames)
     corpus = CorpusManifest("frames", "synthetic", "en", 16000, {"test": samples})
     monkeypatch.setattr(sqkit.inference, "featurize", lambda sample, *_: frames[sample.sample_id])
-    return predict_split(corpus, "test", FRONTEND, None, params, mode, knn_config, datastore).pred
+    return predict_split(corpus, "test", FRONTEND, [(params, None, datastore)], mode, knn_config)[0].pred
 
 
 def knn_predictions(monkeypatch, ds, queries, cfg):
@@ -390,7 +391,7 @@ class TestParametricPredict:
         params = init_alignnet(DIM, ("a",), seed=0, hidden=3, embed_dim=2, decoder_hidden=3)
         forbid_featurize(monkeypatch)
         with pytest.raises(ValidationError, match=r"\['unseen'\].*--inference domain-retrieval"):
-            predict_split(corpus, "dev", FRONTEND, None, params)
+            predict_split(corpus, "dev", FRONTEND, [(params, None, None)])
 
 
 class TestDomainRetrieval:
@@ -437,7 +438,7 @@ class TestPredictSplit:
 
         corpus = make_corpus(tmp_path, "ps", n_train=6, n_dev=4, seed=7)
         params = init_head(6, 4, seed=2)
-        pairs = predict_split(corpus, "dev", FRONTEND, None, params)
+        (pairs,) = predict_split(corpus, "dev", FRONTEND, [(params, None, None)])
         expected = [clip_score(head_raw(params, featurize(s, FRONTEND).frames)) for s in corpus.samples("dev")]
         np.testing.assert_array_equal(pairs.pred, expected)
         np.testing.assert_array_equal(pairs.true, [s.mos for s in corpus.samples("dev")])
@@ -447,7 +448,7 @@ class TestPredictSplit:
         params = init_head(6, 4, seed=0)
         forbid_featurize(monkeypatch)
         with pytest.raises(ValidationError, match="datastore"):
-            predict_split(corpus, "dev", FRONTEND, None, params, mode="knn")
+            predict_split(corpus, "dev", FRONTEND, [(params, None, None)], mode="knn")
 
     def test_domain_retrieval_needs_alignnet(self, tmp_path, monkeypatch):
         corpus = make_corpus(tmp_path, "psd", seed=9)
@@ -455,14 +456,14 @@ class TestPredictSplit:
         params = init_head(6, 4, seed=0)
         forbid_featurize(monkeypatch)
         with pytest.raises(ValidationError, match="alignnet"):
-            predict_split(corpus, "dev", FRONTEND, None, params, mode="domain-retrieval", datastore=ds)
+            predict_split(corpus, "dev", FRONTEND, [(params, None, ds)], mode="domain-retrieval")
 
     def test_unknown_mode_rejected(self, tmp_path, monkeypatch):
         corpus = make_corpus(tmp_path, "psu", seed=10)
         params = init_head(6, 4, seed=0)
         forbid_featurize(monkeypatch)
         with pytest.raises(ValidationError, match="unknown inference mode"):
-            predict_split(corpus, "dev", FRONTEND, None, params, mode="oracle")
+            predict_split(corpus, "dev", FRONTEND, [(params, None, None)], mode="oracle")
 
     def test_the_datastore_decides_the_distance(self, monkeypatch):
         # (9, 0) is nearest to (10, 1) by euclidean distance but parallel
@@ -478,7 +479,7 @@ class TestPredictSplit:
     def test_knn_needs_no_params_and_defaults_to_the_store_distance(self, tmp_path):
         corpus = make_corpus(tmp_path, "psn", seed=13)
         ds = build_datastore(FRONTEND, corpus, distance_kind="cosine")
-        pairs = predict_split(corpus, "dev", FRONTEND, None, None, mode="knn", datastore=ds)
+        (pairs,) = predict_split(corpus, "dev", FRONTEND, [(None, None, ds)], mode="knn")
         cfg = KnnConfig()
         expected = []
         for s in corpus.samples("dev"):
@@ -502,24 +503,52 @@ class TestPredictSplit:
         # Per sample: a batch of one, then the weighting or the forward pass.
         singles = [batch_row(retrieve_neighbors(ds, pool_time(m)[None], cfg.k), 0) for m in mats]
 
-        knn = predict_split(pooled, "dev", FRONTEND, None, params, mode="knn", knn_config=cfg, datastore=ds)
+        (knn,) = predict_split(pooled, "dev", FRONTEND, [(params, None, ds)], mode="knn", knn_config=cfg)
         expected = np.array([float(knn_weights(n.distances, cfg.temperature) @ n.scores) for n in singles])
         assert knn.pred.tobytes() == expected.tobytes()
 
-        dr = predict_split(pooled, "dev", FRONTEND, None, params, mode="domain-retrieval", datastore=ds)
+        (dr,) = predict_split(pooled, "dev", FRONTEND, [(params, None, ds)], mode="domain-retrieval")
         nearest = [retrieve_neighbors(ds, pool_time(m)[None], 1).dataset_ids[0][0] for m in mats]
         expected = np.array([clip_score(alignnet_raw(params, m.frames, d)) for m, d in zip(mats, nearest)])
         assert dr.pred.tobytes() == expected.tobytes()
         assert len(set(dr.pred.tolist())) > 1
 
+    @pytest.mark.parametrize("mode", ["parametric", "knn", "domain-retrieval"])
+    def test_several_models_score_as_each_does_alone(self, tmp_path, monkeypatch, mode):
+        """Models with their own scalers, parameters and datastores, scored
+        in one call, each featurized sample shared: every model's result
+        equals its own one-model call, and the sample is featurized once."""
+        pooled = PooledCorpus((
+            make_corpus(tmp_path, "ma", n_train=8, n_dev=5, seed=31),
+            make_corpus(tmp_path, "mb", n_train=8, n_dev=5, seed=32),
+        ))
+        raw = np.concatenate([featurize(s, FRONTEND).frames for s in pooled.samples("train")])
+        models = []
+        for seed in range(3):
+            scaler = FeatureScaler(mean=raw.mean(axis=0) + 0.1 * seed, std=raw.std(axis=0) * (1.0 + seed))
+            params = init_alignnet(DIM, ("ma", "mb"), seed=seed, hidden=4, embed_dim=2, decoder_hidden=3)
+            params = params.with_arrays({"c2": np.array(3.0), "table": np.array([[1.0, -1.0], [-1.0, 1.0]]) * (seed + 1)})
+            models.append((params, scaler, build_datastore(FRONTEND, pooled, scaler=scaler)))
+        cfg = KnnConfig(k=3, temperature=0.5)
+        alone = [predict_split(pooled, "dev", FRONTEND, [model], mode, cfg)[0].pred for model in models]
+        featurized = []
+        real = sqkit.inference.featurize
+
+        def counted(sample, *args):
+            featurized.append(sample.sample_id)
+            return real(sample, *args)
+
+        monkeypatch.setattr(sqkit.inference, "featurize", counted)
+        together = predict_split(pooled, "dev", FRONTEND, models, mode, cfg)
+        assert [pairs.pred.tobytes() for pairs in together] == [pred.tobytes() for pred in alone]
+        assert len({pred.tobytes() for pred in alone}) == len(models)  # the models do differ
+        assert featurized == [s.sample_id for s in pooled.samples("dev")]
+
     def test_knn_predictions_stay_in_score_range(self, tmp_path):
         corpus = make_corpus(tmp_path, "psr", n_train=10, n_dev=6, seed=11)
         ds = build_datastore(FRONTEND, corpus)
         params = init_head(6, 4, seed=0)
-        pairs = predict_split(
-            corpus, "dev", FRONTEND, None, params, mode="knn",
-            knn_config=KnnConfig(k=3), datastore=ds,
-        )
+        (pairs,) = predict_split(corpus, "dev", FRONTEND, [(params, None, ds)], mode="knn", knn_config=KnnConfig(k=3))
         assert np.all(pairs.pred >= 1.0) and np.all(pairs.pred <= 5.0)
 
 

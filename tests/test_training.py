@@ -14,6 +14,7 @@ from sqkit import (
     HeadParams,
     Sample,
     TrainConfig,
+    TrainData,
     ValidationError,
     alignnet_raw,
     clipped_mse,
@@ -24,11 +25,16 @@ from sqkit import (
     named_rng,
     params_equal,
     pool,
+    prepare_mdf_data,
+    prepare_train_data,
     save_precomputed,
+    save_precomputed_text,
     select_criterion,
     train,
     train_mdf,
+    write_wav,
 )
+from sqkit.frontend import frame_count
 
 DIM = 6
 
@@ -206,7 +212,7 @@ class TestTrainLoop:
             batch_size=8, lr=0.01, momentum=0.9, max_steps=1, loss_tau=0.0, seed=3,
             eval_interval=1, patience_steps=10, top_k=2,
         )
-        result = train(kind, corpus, FRONTEND, config, **sizes)
+        result = train(kind, prepare_train_data(corpus, FRONTEND), config, **sizes)
         assert params_equal(result.initial_params, params)
 
         # Replicate the step by hand from the same deterministic pieces.
@@ -250,15 +256,15 @@ class TestTrainLoop:
         corpus = make_corpus(tmp_path, "det", seed=2)
         config = TrainConfig(batch_size=4, lr=0.01, max_steps=30, eval_interval=10, seed=5,
                              patience_steps=100)
-        a = train("head", corpus, FRONTEND, config, hidden=4)
-        b = train("head", corpus, FRONTEND, config, hidden=4)
+        a = train("head", prepare_train_data(corpus, FRONTEND), config, hidden=4)
+        b = train("head", prepare_train_data(corpus, FRONTEND), config, hidden=4)
         assert params_equal(a.params, b.params)
         assert a.log == b.log
 
     def test_zero_steps_returns_initialization(self, tmp_path):
         corpus = make_corpus(tmp_path, "zero", seed=3)
         config = TrainConfig(max_steps=0, seed=1)
-        result = train("head", corpus, FRONTEND, config, hidden=4)
+        result = train("head", prepare_train_data(corpus, FRONTEND), config, hidden=4)
         assert params_equal(result.params, result.initial_params)
         assert result.ledger.entries == []
         assert result.steps_run == 0
@@ -271,7 +277,7 @@ class TestTrainLoop:
         config = TrainConfig(
             batch_size=4, max_steps=500, eval_interval=1, patience_steps=7, seed=2,
         )
-        result = train("head", corpus, FRONTEND, config, hidden=4)
+        result = train("head", prepare_train_data(corpus, FRONTEND), config, hidden=4)
         assert result.steps_run == 8
         assert result.stop_reason == "patience"
         assert result.ledger.entries == []
@@ -283,7 +289,7 @@ class TestTrainLoop:
             batch_size=8, lr=0.05, max_steps=400, eval_interval=50, patience_steps=400,
             loss_tau=0.0, seed=0,
         )
-        result = train("head", corpus, FRONTEND, config, hidden=8)
+        result = train("head", prepare_train_data(corpus, FRONTEND), config, hidden=8)
         assert result.log[-1].train_loss < result.log[0].train_loss
 
     def test_checkpoints_written_and_pruned(self, tmp_path):
@@ -293,7 +299,7 @@ class TestTrainLoop:
             batch_size=8, lr=0.05, max_steps=200, eval_interval=20, patience_steps=200,
             top_k=2, seed=0,
         )
-        result = train("head", corpus, FRONTEND, config, hidden=4, out_dir=out)
+        result = train("head", prepare_train_data(corpus, FRONTEND), config, hidden=4, out_dir=out)
         on_disk = sorted(out.glob("ckpt_step*.bin"))
         assert len(on_disk) == len(result.ledger.entries) <= 2
         assert {e.path for e in result.ledger.entries} == set(on_disk)
@@ -307,7 +313,7 @@ class TestTrainLoop:
         )
         config = TrainConfig(batch_size=4, max_steps=5, eval_interval=5, seed=0)
         with pytest.raises(RuntimeError, match="non-finite loss"):
-            train("head", corpus, FRONTEND, config, hidden=4, init_params=huge)
+            train("head", prepare_train_data(corpus, FRONTEND), config, hidden=4, init_params=huge)
 
     def test_empty_splits_rejected(self, tmp_path):
         corpus = make_corpus(tmp_path, "empty", seed=8)
@@ -319,13 +325,13 @@ class TestTrainLoop:
             splits={"train": corpus.samples("train")},
         )
         with pytest.raises(ValueError, match="dev"):
-            train("head", no_dev, FRONTEND, TrainConfig(max_steps=1), hidden=4)
+            train("head", prepare_train_data(no_dev, FRONTEND), TrainConfig(max_steps=1), hidden=4)
 
     def test_alignnet_needs_table_rows_for_train_ids(self, tmp_path):
         corpus = make_corpus(tmp_path, "tbl", seed=9)
         with pytest.raises(ValidationError, match="outside the table"):
             train(
-                "alignnet", corpus, FRONTEND, TrainConfig(max_steps=1), hidden=4,
+                "alignnet", prepare_train_data(corpus, FRONTEND), TrainConfig(max_steps=1), hidden=4,
                 embed_dim=2, decoder_hidden=3, dataset_ids=("other",),
             )
 
@@ -342,7 +348,7 @@ class TestTrainMdf:
                            patience_steps=100, seed=1)
         cfg2 = TrainConfig(batch_size=4, lr=0.01, max_steps=10, eval_interval=5,
                            patience_steps=100, seed=1)
-        result = train_mdf("alignnet", "seta", pooled, FRONTEND, cfg1, cfg2,
+        result = train_mdf("alignnet", prepare_mdf_data("seta", pooled, FRONTEND), cfg1, cfg2,
                            hidden=4, embed_dim=2, decoder_hidden=3)
         assert params_equal(result.phase2.initial_params, result.phase1.params)
         assert result.phase1.params.dataset_ids == ("seta", "setb")
@@ -353,11 +359,86 @@ class TestTrainMdf:
         cfg1 = TrainConfig(batch_size=4, lr=0.01, max_steps=20, eval_interval=5,
                            patience_steps=100, seed=2)
         cfg2 = TrainConfig(max_steps=0, seed=2)
-        result = train_mdf("head", "setb", pooled, FRONTEND, cfg1, cfg2, hidden=4)
+        result = train_mdf("head", prepare_mdf_data("setb", pooled, FRONTEND), cfg1, cfg2, hidden=4)
         assert params_equal(result.phase2.params, result.phase1.params)
 
     def test_unknown_pretrain_member_rejected(self, tmp_path):
         pooled = self.build_pool(tmp_path)
         cfg = TrainConfig(max_steps=1)
         with pytest.raises(ValueError, match="not among pool members"):
-            train_mdf("head", "setc", pooled, FRONTEND, cfg, cfg, hidden=4)
+            train_mdf("head", prepare_mdf_data("setc", pooled, FRONTEND), cfg, cfg, hidden=4)
+
+
+class TestPackedTrainMatrix:
+    """prepare_train_data featurizes into a matrix allocated from the file
+    headers' frame counts. Under the identity scaler its frames are the raw
+    features, so they must equal np.concatenate of per-utterance featurize."""
+
+    # (rate, samples): 400 samples is one 25 ms window at 16 kHz.
+    CLIPS = [
+        (16000, 0), (16000, 1), (16000, 399), (16000, 400), (16000, 401), (16000, 4567),
+        (8000, 150), (8000, 200), (8000, 3001),
+        (22050, 300), (22050, 551), (22050, 6001),
+    ]
+
+    def wav_corpus(self, tmp_path, clips):
+        rng = np.random.default_rng(0)
+        samples = []
+        for i, (rate, n) in enumerate(clips):
+            path = tmp_path / f"clip{i}.wav"
+            write_wav(path, 0.3 * rng.uniform(-1.0, 1.0, size=n), rate)
+            samples.append(Sample(f"clip{i}", path, None, "wavs", None, 3.0))
+        return CorpusManifest("wavs", "non-synthetic", "en", 16000, {"train": tuple(samples), "dev": tuple(samples[:2])})
+
+    def check_packing(self, corpus, config):
+        samples = corpus.samples("train")
+        raw = [featurize(s, config).frames for s in samples]
+        assert [frame_count(s, config) for s in samples] == [len(f) for f in raw]
+        data = prepare_train_data(corpus, config, FeatureScaler.identity(raw[0].shape[1]))
+        assert isinstance(data, TrainData)
+        assert data.frames.tobytes() == np.concatenate(raw).tobytes()
+        assert data.lengths.tolist() == [len(f) for f in raw]
+        assert data.starts.tolist() == np.cumsum([0] + [len(f) for f in raw])[:-1].tolist()
+        assert not data.frames.flags.writeable
+
+    def test_wavs_at_every_rate_and_around_one_window(self, tmp_path):
+        corpus = self.wav_corpus(tmp_path, self.CLIPS)
+        self.check_packing(corpus, FrontendConfig(n_mels=8))
+        self.check_packing(corpus, FrontendConfig(n_mels=8, window_ms=32.0, hop_ms=7.5))
+
+    def test_embedding_files_binary_and_text(self, tmp_path):
+        rng = np.random.default_rng(1)
+        samples = []
+        for i, n_frames in enumerate([1, 2, 7, 30]):
+            mat = EmbeddingMatrix(frames=rng.normal(size=(n_frames, DIM)).astype(np.float32))
+            binary, text = tmp_path / f"e{i}.bin", tmp_path / f"e{i}.txt"
+            save_precomputed(binary, mat)
+            save_precomputed_text(text, f"e{i}", mat)
+            samples += [Sample(f"b{i}", None, binary, "emb", None, 3.0), Sample(f"t{i}", None, text, "emb", None, 3.0)]
+        with open(tmp_path / "e3.txt", "a", encoding="utf-8") as fh:
+            fh.write("\n  \n")  # blank lines hold no frame
+        corpus = CorpusManifest("emb", "non-synthetic", "en", 16000, {"train": tuple(samples), "dev": tuple(samples[:1])})
+        self.check_packing(corpus, FRONTEND)
+
+    def test_wav_header_promising_more_audio_than_it_holds(self, tmp_path):
+        corpus = self.wav_corpus(tmp_path, [(16000, 4000), (16000, 4000)])
+        path = corpus.samples("train")[1].audio_ref
+        path.write_bytes(path.read_bytes()[:-800])  # 400 samples short; the header still says 4000
+        with pytest.raises(ValidationError, match=f"{path}: features are 21 x 16, the header promises 23 x 16"):
+            prepare_train_data(corpus, FrontendConfig(n_mels=8))
+
+    def test_embedding_header_disagreeing_with_its_rows(self, tmp_path):
+        corpus = make_corpus(tmp_path, "hdr", n_train=3, n_dev=2, seed=12)
+        path = corpus.samples("train")[2].embedding_ref
+        data = bytearray(path.read_bytes())
+        data[4:8] = (4).to_bytes(4, "little")  # 3 rows written, 4 declared
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValidationError, match=str(path)):
+            prepare_train_data(corpus, FRONTEND)
+
+    def test_mixed_dimensions_name_the_file(self, tmp_path):
+        corpus = make_corpus(tmp_path, "dims", n_train=3, n_dev=2, seed=13)
+        path = corpus.samples("train")[1].embedding_ref
+        save_precomputed(path, EmbeddingMatrix(frames=np.ones((3, DIM + 1), dtype=np.float32)))
+        with pytest.raises(ValidationError, match=f"{path}.*3 x {DIM + 1}"):
+            prepare_train_data(corpus, FrontendConfig(kind="precomputed"))
