@@ -39,6 +39,7 @@ from .corpus import (
     subsample,
 )
 from .errors import (
+    AudioFormatError,
     CheckpointError,
     ManifestError,
     SqkitError,
@@ -839,7 +840,8 @@ def main(argv: list[str] | None = None) -> int:
         out = Path(out_text)
         lock = _acquire_lock(out)
         return COMMANDS[args.command](recipe, args, out)
-    except (ValidationError, ManifestError, CheckpointError, UndefinedRatioError, FileNotFoundError, ValueError) as exc:
+    except (ValidationError, ManifestError, CheckpointError, AudioFormatError, UndefinedRatioError, FileNotFoundError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SqkitError as exc:

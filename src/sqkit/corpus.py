@@ -12,6 +12,7 @@ import csv
 import json
 import logging
 import math
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -136,11 +137,6 @@ class PooledCorpus:
         return len(self.samples(split))
 
 
-def _resolve(path_text: str, base_dir: Path) -> Path:
-    p = Path(path_text)
-    return p if p.is_absolute() else base_dir / p
-
-
 def load_manifest(
     path: str | Path,
     name: str | None = None,
@@ -160,7 +156,7 @@ def load_manifest(
     existence is not checked here (missing files fail at feature time).
     """
     path = Path(path)
-    base_dir = path.parent
+    base_dir = str(path.parent)
     rows: dict[str, dict] = {}
     order: list[str] = []
     with open(path, encoding="utf-8", newline="") as fh:
@@ -209,8 +205,8 @@ def load_manifest(
         audio, emb, dataset, system, mos = rows[sid]["fields"]
         sample = Sample(
             sample_id=sid,
-            audio_ref=_resolve(audio, base_dir) if audio else None,
-            embedding_ref=_resolve(emb, base_dir) if emb else None,
+            audio_ref=Path(os.path.join(base_dir, audio)) if audio else None,
+            embedding_ref=Path(os.path.join(base_dir, emb)) if emb else None,
             dataset_id=dataset,
             system_id=system or None,
             mos=mos,
@@ -236,19 +232,35 @@ def load_manifest(
 
 
 def save_manifest(samples: tuple[Sample, ...] | list[Sample], path: str | Path) -> None:
-    """Write samples as a manifest CSV, whole or not at all; paths are
-    relativized when possible."""
+    """Write samples as a manifest CSV, whole or not at all.
+
+    A path whose real path (``Path.resolve()``) lies under the real path of
+    the CSV's directory is written relative to it, POSIX-style (the
+    directory itself as ``.``); any other path is written as given. Each
+    distinct parent directory is resolved once, so a row costs one
+    ``lstat`` of its file name, not one per path component; only a file
+    name that is a symlink (or empty, ``.`` or ``..``) takes a full
+    ``resolve()``.
+    """
     path = Path(path)
-    base_dir = path.parent.resolve()
+    base = str(path.parent.resolve())
+    prefix = base if base.endswith("/") else base + "/"
+    real_heads: dict[str, str] = {}
 
     def fmt(p: Path | None) -> str:
         if p is None:
             return ""
-        p = Path(p)
-        try:
-            return p.resolve().relative_to(base_dir).as_posix()
-        except ValueError:
-            return str(p)
+        text = os.fspath(p)
+        head, name = os.path.split(text)
+        real_head = real_heads.get(head)
+        if real_head is None:
+            real_head = real_heads[head] = str(Path(head).resolve())
+        real = os.path.join(real_head, name)
+        if name in ("", ".", "..") or os.path.islink(real):
+            real = str(Path(text).resolve())
+        if real == base:
+            return "."
+        return real[len(prefix) :] if real.startswith(prefix) else text
 
     rows = (
         [s.sample_id, fmt(s.audio_ref), fmt(s.embedding_ref), s.dataset_id, s.system_id or "", repr(s.mos), lid, str(score)]

@@ -30,6 +30,11 @@ TARGET_RATE_HZ = 16000
 EMBEDDING_MAGIC = b"SQE1"
 SCALER_MAGIC = b"SQSC"
 
+# Rows per block of FeatureScaler.fit's sum of squares: 4096 x 80 float64
+# is 2.6 MB, small beside a packed train matrix and large enough that the
+# per-block Python overhead does not show.
+_FIT_BLOCK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class EmbeddingMatrix:
@@ -89,9 +94,18 @@ class FrontendConfig:
         return self.expected_dim
 
 
+def _open_wav(path: str | Path) -> wave_mod.Wave_read:
+    """Open a WAV file for reading; a file that is not one raises
+    AudioFormatError naming it."""
+    try:
+        return wave_mod.open(str(path), "rb")
+    except (wave_mod.Error, EOFError) as exc:
+        raise AudioFormatError(f"{path}: not a PCM WAV file ({str(exc) or 'truncated header'})") from None
+
+
 def load_audio(path: str | Path) -> tuple[np.ndarray, int]:
     """Read a mono PCM WAV file as float64 samples in [-1, 1] plus its rate."""
-    with wave_mod.open(str(path), "rb") as wf:
+    with _open_wav(path) as wf:
         if wf.getcomptype() != "NONE":
             raise AudioFormatError(f"{path}: compressed WAV not supported")
         if wf.getnchannels() != 1:
@@ -299,10 +313,30 @@ class FeatureScaler:
 
     @staticmethod
     def fit(frames: np.ndarray) -> "FeatureScaler":
-        """Mean and std per dimension of (N, D) training frames."""
+        """Mean and std per dimension of (N, D) training frames: the bits of
+        ``frames.mean(axis=0)`` and ``frames.std(axis=0)`` (floored at 1e-8),
+        without np.std's temporary as large as ``frames``."""
         if frames.ndim != 2 or len(frames) == 0:
             raise ValidationError(f"cannot fit scaler on frames of shape {frames.shape}")
-        return FeatureScaler(mean=frames.mean(axis=0), std=np.maximum(frames.std(axis=0), 1e-8))
+        mean = frames.mean(axis=0)
+        n, dim = frames.shape
+        if dim == 1 or frames.dtype != np.float64 or not frames.flags.c_contiguous:
+            # np.std sums one column pairwise, and other layouts or dtypes in
+            # another order or precision: only np.std itself gives its bits.
+            std = frames.std(axis=0)
+        else:
+            # Over C-ordered float64 rows with D >= 2, np.std adds the squared
+            # deviations row after row. Carrying the running sum as each
+            # block's first row keeps that order; 0.0 + x is x for x >= 0.
+            block = np.zeros((min(n, _FIT_BLOCK_ROWS) + 1, dim))
+            for start in range(0, n, _FIT_BLOCK_ROWS):
+                rows = frames[start : start + _FIT_BLOCK_ROWS]
+                sq = block[1 : len(rows) + 1]
+                np.subtract(rows, mean, out=sq)
+                sq *= sq
+                block[0] = np.add.reduce(block[: len(rows) + 1], axis=0)
+            std = np.sqrt(block[0] / n)
+        return FeatureScaler(mean=mean, std=np.maximum(std, 1e-8))
 
     @staticmethod
     def identity(dim: int) -> "FeatureScaler":
@@ -351,11 +385,12 @@ def feature_source(sample: "Sample", config: FrontendConfig) -> Path:
 def frame_count(sample: "Sample", config: FrontendConfig) -> int:
     """The rows featurize will return for a sample, from its file's header
     alone: a WAV's rate and frame count through resampling and framing, an
-    SQE1 file's T, or the text form's non-blank lines. A file too broken
-    to say gives 0; featurize then names what is wrong with it."""
+    SQE1 file's T, or the text form's non-blank lines. A file that is not
+    a WAV raises AudioFormatError; an embedding file too broken to say
+    gives 0, and featurize then names what is wrong with it."""
     path = feature_source(sample, config)
     if config.kind == "dsp":
-        with wave_mod.open(str(path), "rb") as wf:
+        with _open_wav(path) as wf:
             n_samples, rate = wf.getnframes(), wf.getframerate()
         win, hop = _window_hop(config)
         # One row per hop; extract_dsp pads a clip shorter than a window to one.

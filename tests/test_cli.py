@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import wave
 from pathlib import Path
 
 import pytest
@@ -755,6 +756,23 @@ class TestExitCodes:
         assert main(["infer", "--config", str(config), "--out", str(out), "--inference", "knn"]) == 1
         err = capsys.readouterr().err
         assert str(path) in err and "truncated" in err
+
+    @pytest.mark.parametrize("bad", ["not-a-wav", "stereo"])
+    def test_a_bad_audio_file_is_exit_1_naming_it(self, tmp_path, capsys, bad):
+        config = write_recipe(tmp_path)
+        out = tmp_path / "out"
+        assert main(["prepare", "--config", str(config), "--out", str(out)]) == 0
+        path = load_corpus_dir(out / "corpora" / "synth").samples("train")[0].audio_ref
+        if bad == "stereo":
+            with wave.open(str(path), "wb") as wf:
+                wf.setnchannels(2)
+                wf.setsampwidth(2)
+                wf.setframerate(16000)
+                wf.writeframes(bytes(4 * 4000))
+        else:
+            path.write_bytes(b"not audio at all")
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 1
+        assert str(path) in capsys.readouterr().err
 
     def test_locked_out_dir_is_exit_2(self, tmp_path, capsys):
         config = write_recipe(tmp_path)

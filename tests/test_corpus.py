@@ -1,5 +1,7 @@
 """Manifest parsing, splits, pooling, and the synthetic corpus generator."""
 
+import csv
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -205,6 +207,72 @@ class TestManifestRoundTrip:
         assert loaded.name == "demo"
         assert loaded.native_rate_hz == 22050
         assert loaded.size("train") == 5 and loaded.size("dev") == 2
+
+    @pytest.mark.parametrize("through_symlink", [False, True], ids=["real-dir", "symlinked-dir"])
+    def test_save_writes_what_resolving_every_path_gives(self, tmp_path, monkeypatch, through_symlink):
+        base, outside = tmp_path / "corpus", tmp_path / "outside"
+        (base / "wav").mkdir(parents=True)
+        outside.mkdir()
+        (base / "wav" / "a.wav").write_bytes(b"")
+        (outside / "b.wav").write_bytes(b"")
+        (base / "out.wav").symlink_to(outside / "b.wav")
+        (outside / "in.wav").symlink_to(base / "wav" / "a.wav")
+        (base / "outdir").symlink_to(outside, target_is_directory=True)
+        (outside / "indir").symlink_to(base / "wav", target_is_directory=True)
+        manifest_dir = base
+        if through_symlink:
+            manifest_dir = tmp_path / "corpus-link"
+            manifest_dir.symlink_to(base, target_is_directory=True)
+        monkeypatch.chdir(tmp_path)
+        paths = [
+            base / "wav" / "a.wav",  # a file inside
+            base / "out.wav",  # a symlink inside that points outside
+            outside / "in.wav",  # a symlink outside that points in
+            base / "outdir" / "b.wav",  # a symlinked dir inside that points outside
+            outside / "indir" / "a.wav",  # a symlinked dir outside that points in
+            base / "wav" / ".." / "wav" / "a.wav",
+            outside / ".." / "corpus" / "wav" / "a.wav",
+            base / "outdir" / ".." / "corpus" / "wav" / "a.wav",  # ".." after a symlink
+            base / "outdir" / ".." / "x.wav",
+            base / "wav" / "..",
+            base / "missing.wav",
+            base / "nodir" / "missing.wav",
+            outside / "missing.wav",
+            base,  # the base dir itself
+            tmp_path,
+            Path("/"),
+            Path("corpus/wav/a.wav"),  # relative to the working dir
+            Path("outside/b.wav"),
+            Path("a.wav"),
+            Path("."),
+        ]
+        samples = [dataclasses.replace(make_samples(1)[0], sample_id=f"s{i}", audio_ref=p) for i, p in enumerate(paths)]
+        save_manifest(samples, manifest_dir / "m.csv")
+
+        def one_resolve_per_row(p: Path) -> str:
+            try:
+                return p.resolve().relative_to(manifest_dir.resolve()).as_posix()
+            except ValueError:
+                return str(p)
+
+        with open(manifest_dir / "m.csv", encoding="utf-8", newline="") as fh:
+            written = [row["audio_path"] for row in csv.DictReader(fh)]
+        assert written == [one_resolve_per_row(p) for p in paths]
+        assert {"wav/a.wav", ".", "missing.wav", "nodir/missing.wav", str(base / "out.wav")} <= set(written)
+
+    @pytest.mark.parametrize(
+        "text", ["a.wav", "./a.wav", "wav//a.wav", "wav/./a.wav", "wav/../a.wav", "/abs/a.wav", "//abs/a.wav"]
+    )
+    @pytest.mark.parametrize("manifest", ["m.csv", "sub/m.csv", "sub//./m.csv", "absolute"])
+    def test_load_joins_each_path_to_the_manifest_dir(self, tmp_path, monkeypatch, text, manifest):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "sub" / "m.csv" if manifest == "absolute" else Path(manifest)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_manifest(path, [f"u1,{text},,demo,,3.0,,", f"u2,,{text},demo,,3.0,,"])
+        audio, embedding = load_manifest(path).samples("train")
+        expected = path.parent / Path(text)
+        assert audio.audio_ref == expected and str(audio.audio_ref) == str(expected)
+        assert embedding.embedding_ref == expected and str(embedding.embedding_ref) == str(expected)
 
     def test_missing_corpus_json(self, tmp_path):
         with pytest.raises(ManifestError, match="corpus.json"):

@@ -1,6 +1,8 @@
 """Audio I/O, resampling, DSP features, padding, embedding files, scaling."""
 
+import re
 import struct
+import tracemalloc
 import wave as wave_mod
 from fractions import Fraction
 
@@ -80,6 +82,16 @@ class TestLoadAudio:
             wf.writeframes(np.zeros(40, dtype="<i2").tobytes())
         with pytest.raises(AudioFormatError, match="mono"):
             load_audio(path)
+
+    @pytest.mark.parametrize("data", [b"not audio at all", b"RIFF", b""], ids=["not-riff", "truncated", "empty"])
+    def test_a_file_that_is_not_a_wav_is_an_audio_format_error_naming_it(self, tmp_path, data):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(data)
+        sample = Sample(sample_id="u1", audio_ref=path, embedding_ref=None, dataset_id="d", system_id=None, mos=3.0)
+        with pytest.raises(AudioFormatError, match=re.escape(f"{path}: not a PCM WAV file")):
+            load_audio(path)
+        with pytest.raises(AudioFormatError, match=re.escape(f"{path}: not a PCM WAV file")):
+            frontend.frame_count(sample, FrontendConfig())
 
     def test_write_read_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -294,6 +306,30 @@ class TestFeatureScaler:
         loaded = load_scaler(path)
         np.testing.assert_array_equal(loaded.mean, scaler.mean)
         np.testing.assert_array_equal(loaded.std, scaler.std)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 80])
+    @pytest.mark.parametrize("n", [1, 5, 4096, 4097, 9000])
+    def test_fit_gives_the_bits_of_np_mean_and_np_std(self, n, dim):
+        rng = np.random.default_rng(n * 100 + dim)
+        frames = rng.normal(rng.uniform(-20, 20, size=dim), rng.uniform(0.1, 30, size=dim), size=(n, dim))
+        frames[rng.random(frames.shape) < 0.01] = -0.0
+        frames[:, -1] = 2.5  # a constant column: std 0, floored to 1e-8
+        layouts = [frames, np.asfortranarray(frames), np.repeat(frames, 2, axis=1)[:, ::2]]
+        for x in layouts:
+            scaler = FeatureScaler.fit(x)
+            assert scaler.mean.tobytes() == x.mean(axis=0).tobytes()
+            assert scaler.std.tobytes() == np.maximum(x.std(axis=0), 1e-8).tobytes()
+            assert scaler.std[-1] == 1e-8
+
+    def test_fit_allocates_no_copy_of_the_frames(self):
+        frames = np.random.default_rng(16).normal(size=(20_000, 80))
+        tracemalloc.start()
+        try:
+            FeatureScaler.fit(frames)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < frames.nbytes / 4
 
     def test_identity_and_dim_check(self):
         ident = FeatureScaler.identity(3)
