@@ -250,11 +250,15 @@ def materialize_corpus(recipe: Recipe, name: str, out_base: Path) -> CorpusManif
     return _transformed(recipe, prefix, corpus, seed)
 
 
-def get_corpora(recipe: Recipe, out_base: Path) -> dict[str, CorpusManifest]:
-    names = _corpus_names(recipe)
-    if not names:
+def get_corpora(recipe: Recipe, out_base: Path, names: list[str]) -> dict[str, CorpusManifest]:
+    """Materialize the named corpora, in sorted order: each command passes
+    the names it reads, so it neither generates nor validates the others.
+    A name the recipe does not declare is not loaded; _corpus rejects it
+    where the command looks it up."""
+    declared = _corpus_names(recipe)
+    if not declared:
         raise ValidationError("config declares no corpora (corpus.<name>.kind keys)")
-    return {name: materialize_corpus(recipe, name, out_base) for name in names}
+    return {name: materialize_corpus(recipe, name, out_base) for name in sorted(set(names) & set(declared))}
 
 
 def _corpus(corpora: dict[str, CorpusManifest], key: str, name: str) -> CorpusManifest:
@@ -263,9 +267,13 @@ def _corpus(corpora: dict[str, CorpusManifest], key: str, name: str) -> CorpusMa
     return corpora[name]
 
 
-def resolve_train_corpus(recipe: Recipe, corpora: dict[str, CorpusManifest]) -> CorpusManifest | PooledCorpus:
+def _train_names(recipe: Recipe) -> list[str]:
     """train.corpus is one name or a +-joined pool like a+b+c."""
-    members = [_corpus(corpora, "train.corpus", n.strip()) for n in recipe.require("train.corpus").split("+")]
+    return [n.strip() for n in recipe.require("train.corpus").split("+")]
+
+
+def resolve_train_corpus(recipe: Recipe, corpora: dict[str, CorpusManifest]) -> CorpusManifest | PooledCorpus:
+    members = [_corpus(corpora, "train.corpus", name) for name in _train_names(recipe)]
     return members[0] if len(members) == 1 else pool(members)
 
 
@@ -357,6 +365,12 @@ def _model_meta(seed_dir: Path) -> dict | None:
     except (FileNotFoundError, ValueError):
         return None
     return meta if isinstance(meta, dict) else None
+
+
+def _is_trained(seed_dir: Path, digest: str) -> bool:
+    """A finished model dir trained under the recipe whose recipe_hash is
+    digest; a dir without a datastore was trained before train wrote one."""
+    return (_model_meta(seed_dir) or {}).get("recipe_hash") == digest and (seed_dir / "datastore.bin").is_file()
 
 
 def load_model_dir(directory: Path, digest: str) -> tuple[ModelParams, FeatureScaler]:
@@ -499,7 +513,7 @@ def write_records_mean(path: Path, rows: list[tuple]) -> None:
 
 def cmd_prepare(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
     """Materialize every configured corpus under <out>/corpora/."""
-    corpora = get_corpora(recipe, out)
+    corpora = get_corpora(recipe, out, _corpus_names(recipe))
     for name, corpus in corpora.items():
         # A synthetic corpus dir is already in place. Other copies are written
         # in place, file by file: a dir corpus may live in this very dir.
@@ -522,7 +536,7 @@ def _seed_list(recipe: Recipe, args: argparse.Namespace) -> list[int]:
 
 
 def cmd_train(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
-    corpora = get_corpora(recipe, out)
+    corpora = get_corpora(recipe, out, _train_names(recipe))
     seeds = _seed_list(recipe, args)
     data = prepare_training(recipe, corpora)
     for seed in seeds:
@@ -531,6 +545,16 @@ def cmd_train(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
         value = "n/a" if best is None else f"{best.value:.4f}@{best.step}"
         print(f"trained seed {seed}: {result.model_kind}, {result.steps_run} steps, best {result.criterion} {value}")
     return 0
+
+
+def _inference_mode(recipe: Recipe, args: argparse.Namespace) -> str:
+    return args.inference or recipe.get("infer.mode", "parametric")
+
+
+def _checks_table_rows(recipe: Recipe, args: argparse.Namespace) -> bool:
+    """Parametric alignnet scoring checks each target's dataset ids against
+    the embedding table rows, which come from the train.corpus members."""
+    return _inference_mode(recipe, args) == "parametric" and recipe.get("model.kind", "head") == "alignnet"
 
 
 def _predict_seeds(
@@ -550,13 +574,13 @@ def _predict_seeds(
     loaded and scored only when the returned iterator is first advanced.
     Yields (seed, mode, one EvalPairs per target).
     """
-    mode = args.inference or recipe.get("infer.mode", "parametric")
+    mode = _inference_mode(recipe, args)
     if mode not in INFERENCE_MODES:
         raise ValidationError(f"unknown inference mode {mode!r}")
     model_kind = recipe.get("model.kind", "head")
     if mode == "domain-retrieval" and model_kind != "alignnet":
         raise ValidationError(f"domain-retrieval needs model.kind = alignnet, not {model_kind!r}")
-    if mode == "parametric" and model_kind == "alignnet":
+    if _checks_table_rows(recipe, args):
         table_ids = table_dataset_ids(resolve_train_corpus(recipe, corpora))
         for _name, corpus, split in targets:
             check_table_rows(table_ids, corpus.samples(split), split)
@@ -591,7 +615,8 @@ def _predict_seeds(
 def cmd_infer(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
     """Predict one corpus split with a trained model, one file per seed,
     plus the per-system means when every sample has a system id."""
-    corpora = get_corpora(recipe, out)
+    names = [recipe.require("infer.corpus")] + (_train_names(recipe) if _checks_table_rows(recipe, args) else [])
+    corpora = get_corpora(recipe, out, names)
     target = _target(recipe, corpora, "infer.corpus")
     for seed, mode, (pairs,) in _predict_seeds(recipe, args, out, corpora, [target]):
         seed_dir = out / "infer" / f"seed{seed}"
@@ -611,20 +636,19 @@ def cmd_benchmark(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
     """Train (unless this out dir holds a finished model trained under the
     same recipe) and evaluate every configured test set per seed, then write
     record files."""
-    corpora = get_corpora(recipe, out)
     names = [t.strip() for t in recipe.require("benchmark.tests").split(",") if t.strip()]
+    digest = recipe_hash(recipe)
+    seeds = dict.fromkeys(_seed_list(recipe, args))  # a seed listed twice is trained once
+    untrained = [seed for seed in seeds if not _is_trained(out / "train" / f"seed{seed}", digest)]
+    train_names = _train_names(recipe) if untrained or _checks_table_rows(recipe, args) else []
+    corpora = get_corpora(recipe, out, names + train_names)
     targets = [_target(recipe, corpora, "benchmark.tests", name) for name in names]
     predictions = _predict_seeds(recipe, args, out, corpora, targets)  # checks the inference settings
-    digest = recipe_hash(recipe)
-    data = None  # prepared on the first seed that needs training
-    for seed in _seed_list(recipe, args):
-        seed_dir = out / "train" / f"seed{seed}"
-        # A dir without a datastore was trained before train wrote one.
-        if (_model_meta(seed_dir) or {}).get("recipe_hash") != digest or not (seed_dir / "datastore.bin").is_file():
-            if data is None:
-                data = prepare_training(recipe, corpora)
+    if untrained:
+        data = prepare_training(recipe, corpora)
+        for seed in untrained:
             train_one_seed(recipe, data, seed, out)
-    del data  # the train matrix is not needed for scoring
+        del data  # the train matrix is not needed for scoring
 
     model_kind = recipe.get("model.kind", "head") + ("-mdf" if recipe.get("train.mdf_pretrain") else "")
     rows: list[tuple] = []
@@ -721,15 +745,16 @@ def cmd_export_embeddings(recipe: Recipe, args: argparse.Namespace, out: Path) -
     scaler of the first seed is used when present so the dump lives in
     the model's feature space (raw features otherwise).
     """
-    corpora = get_corpora(recipe, out)
-    frontend_config = build_frontend(recipe)
-    seeds = _seed_list(recipe, args)
     entries = [e.strip() for e in recipe.require("export.sets").split(",") if e.strip()]
-    sets = []
     for entry in entries:
         if ":" not in entry:
             raise ValidationError(f"export.sets entry {entry!r} must be corpus:split")
-        name, split = entry.split(":", 1)
+    pairs = [entry.split(":", 1) for entry in entries]
+    corpora = get_corpora(recipe, out, [name for name, _split in pairs])
+    frontend_config = build_frontend(recipe)
+    seeds = _seed_list(recipe, args)
+    sets = []
+    for name, split in pairs:
         role = "train" if split == "train" else "test"
         sets.append((f"{name}:{split}", _corpus(corpora, "export.sets", name), split, role))
 

@@ -172,7 +172,7 @@ def load_manifest(
                 continue
             if len(row) != len(MANIFEST_HEADER):
                 raise ManifestError(f"expected {len(MANIFEST_HEADER)} fields, got {len(row)}", line=lineno)
-            sid, audio, emb, dataset, system, mos_text, lid, lscore = (v.strip() for v in row)
+            sid, audio, emb, dataset, system, mos_text, lid, lscore = map(str.strip, row)
             if not sid:
                 raise ManifestError("empty sample_id", line=lineno)
             try:
@@ -200,13 +200,26 @@ def load_manifest(
             else:
                 rows[sid]["bare"] = True
 
+    # A ref is Path(os.path.join(base_dir, text)), built as one child join
+    # onto its directory's Path, which is parsed once per distinct dir text.
+    parents: dict[str, Path] = {}
+
+    def ref(text: str) -> Path | None:
+        if not text:
+            return None
+        head, name = os.path.split(text)
+        parent = parents.get(head)
+        if parent is None:
+            parent = parents[head] = Path(os.path.join(base_dir, head))
+        return parent / name
+
     samples = []
     for sid in order:
         audio, emb, dataset, system, mos = rows[sid]["fields"]
         sample = Sample(
             sample_id=sid,
-            audio_ref=Path(os.path.join(base_dir, audio)) if audio else None,
-            embedding_ref=Path(os.path.join(base_dir, emb)) if emb else None,
+            audio_ref=ref(audio),
+            embedding_ref=ref(emb),
             dataset_id=dataset,
             system_id=system or None,
             mos=mos,

@@ -106,8 +106,6 @@ def _open_wav(path: str | Path) -> wave_mod.Wave_read:
 def load_audio(path: str | Path) -> tuple[np.ndarray, int]:
     """Read a mono PCM WAV file as float64 samples in [-1, 1] plus its rate."""
     with _open_wav(path) as wf:
-        if wf.getcomptype() != "NONE":
-            raise AudioFormatError(f"{path}: compressed WAV not supported")
         if wf.getnchannels() != 1:
             raise AudioFormatError(f"{path}: expected mono, got {wf.getnchannels()} channels")
         width = wf.getsampwidth()

@@ -31,6 +31,7 @@ from sqkit import (
 )
 from sqkit.cli import main, parse_recipe, write_csv, write_records, write_records_mean
 from sqkit.training import LogRecord
+from test_frontend import float32_wav_bytes
 
 BASE_RECIPE = """
 # tiny end-to-end setup
@@ -185,7 +186,7 @@ class TestTrain:
         assert main(["train", "--config", str(config), "--out", str(out)]) == 0
         seed_dir = out / "train" / "seed0"
         parsed = cli.Recipe(parse_recipe(config), tmp_path)
-        corpora = cli.get_corpora(parsed, out)
+        corpora = cli.get_corpora(parsed, out, cli._corpus_names(parsed))
         frontend = cli.build_frontend(parsed)
         dirs = [(seed_dir, cli.resolve_train_corpus(parsed, corpora))]
         if "mdf_pretrain" in recipe:  # phase 2 pools with the phase-1 scaler, phase 1 saw synth alone
@@ -245,7 +246,7 @@ class TestInfer:
         preds = [float(row["pred"]) for row in read_csv(out / "infer" / "seed0" / "predictions.csv")]
 
         recipe = cli.Recipe(parse_recipe(config), tmp_path)
-        corpus = cli.get_corpora(recipe, out)["synth"]
+        corpus = cli.get_corpora(recipe, out, ["synth"])["synth"]
         _params, scaler = cli.load_model_dir(out / "train" / "seed0", cli.recipe_hash(recipe))
         frontend = cli.build_frontend(recipe)
         expected = {
@@ -277,7 +278,7 @@ class TestInfer:
         preds = [float(row["pred"]) for row in read_csv(out / "infer" / "seed0" / "predictions.csv")]
 
         recipe = cli.Recipe(parse_recipe(config), tmp_path)
-        corpus = cli.get_corpora(recipe, out)["synth"]
+        corpus = cli.get_corpora(recipe, out, ["synth"])["synth"]
         _params, scaler = cli.load_model_dir(out / "train" / "seed0", cli.recipe_hash(recipe))
         frontend = cli.build_frontend(recipe)
         ds = build_datastore(frontend, corpus, scaler=scaler)
@@ -479,9 +480,10 @@ class TestBenchmark:
         assert "metric sys_lcc for (head-parametric, synth) is undefined" in err
         assert not (tmp_path / "agg" / "aggregate.csv").exists()
 
-    def test_unknown_test_corpus_fails(self, tmp_path):
+    def test_unknown_test_corpus_fails(self, tmp_path, capsys):
         config = write_recipe(tmp_path, BASE_RECIPE.replace("benchmark.tests = synth", "benchmark.tests = ghost"))
         assert main(["benchmark", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        assert "benchmark.tests references unknown corpus 'ghost'" in capsys.readouterr().err
 
     def test_alignnet_parametric_on_a_corpus_outside_its_table_is_exit_1(self, tmp_path, capsys):
         # The alignnet has no embedding row for corpus "other": parametric
@@ -757,7 +759,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert str(path) in err and "truncated" in err
 
-    @pytest.mark.parametrize("bad", ["not-a-wav", "stereo"])
+    @pytest.mark.parametrize("bad", ["not-a-wav", "stereo", "float32"])
     def test_a_bad_audio_file_is_exit_1_naming_it(self, tmp_path, capsys, bad):
         config = write_recipe(tmp_path)
         out = tmp_path / "out"
@@ -769,6 +771,8 @@ class TestExitCodes:
                 wf.setsampwidth(2)
                 wf.setframerate(16000)
                 wf.writeframes(bytes(4 * 4000))
+        elif bad == "float32":
+            path.write_bytes(float32_wav_bytes(4000))
         else:
             path.write_bytes(b"not audio at all")
         assert main(["train", "--config", str(config), "--out", str(out)]) == 1
@@ -916,8 +920,8 @@ class TestPreparedCorpora:
         config = write_recipe(tmp_path)
         out = tmp_path / "out"
         recipe = cli.Recipe(parse_recipe(config), tmp_path)
-        first = cli.get_corpora(recipe, out)["synth"]  # generates
-        again = cli.get_corpora(recipe, out)["synth"]  # loads
+        first = cli.get_corpora(recipe, out, ["synth"])["synth"]  # generates
+        again = cli.get_corpora(recipe, out, ["synth"])["synth"]  # loads
         assert again == first
         assert all(s.audio_ref.parent == out / "corpora" / "synth" / "wav" for s in first.samples("train"))
 
@@ -940,13 +944,15 @@ class TestPreparedCorpora:
         synth_before = tree_bytes(out / "corpora" / "synth")
         calls = counted_generate(monkeypatch)
         config = write_recipe(tmp_path, BASE_RECIPE + OTHER_CORPUS.replace("corpus.other.n = 8", "corpus.other.n = 10"))
-        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["prepare", "--config", str(config), "--out", str(out)]) == 0
         assert calls == ["other"]
         assert tree_bytes(out / "corpora" / "synth") == synth_before
         assert len(read_csv(out / "corpora" / "other" / "train.csv")) == 5
 
     def test_train_infer_benchmark_without_prepare_generate_each_corpus_once(self, tmp_path, monkeypatch):
-        config = write_recipe(tmp_path, BASE_RECIPE + OTHER_CORPUS)
+        config = write_recipe(
+            tmp_path, BASE_RECIPE.replace("benchmark.tests = synth", "benchmark.tests = synth, other") + OTHER_CORPUS
+        )
         out = tmp_path / "out"
         calls = counted_generate(monkeypatch)
         for command in ("train", "infer", "benchmark"):
@@ -1012,6 +1018,103 @@ class TestPreparedCorpora:
         caplog.clear()
         assert main(["prepare", "--config", str(config), "--out", str(tmp_path / "fresh"), "--log-level", "info"]) == 0
         assert any(m.startswith("generated corpus 'synth'") for m in caplog.messages)
+
+
+# Three corpora, each read by its own commands: synth is trained on, other
+# is scored and exported, and only prepare reads extra.
+READS_RECIPE = (
+    BASE_RECIPE.replace("infer.corpus = synth", "infer.corpus = other")
+    .replace("benchmark.tests = synth", "benchmark.tests = other")
+    .replace("export.sets = synth:train, synth:dev", "export.sets = other:dev")
+    + OTHER_CORPUS
+    + OTHER_CORPUS.replace("other", "extra")
+)
+
+
+def recorded_materialize(monkeypatch):
+    """Record the corpus name of each cli.materialize_corpus call."""
+    calls = []
+    real = cli.materialize_corpus
+
+    def materialize_corpus(recipe, name, out_base):
+        calls.append(name)
+        return real(recipe, name, out_base)
+
+    monkeypatch.setattr(cli, "materialize_corpus", materialize_corpus)
+    return calls
+
+
+class TestEachCommandReadsOnlyItsCorpora:
+    """prepare materializes every declared corpus; train, infer, benchmark
+    and export-embeddings materialize only the corpora they read, in sorted
+    order."""
+
+    def run(self, calls, config, out, command, *flags):
+        calls.clear()
+        assert main([command, "--config", str(config), "--out", str(out), *flags]) == 0
+        return list(calls)
+
+    def test_each_command_reads_exactly_its_corpora(self, tmp_path, monkeypatch):
+        config = write_recipe(tmp_path, READS_RECIPE)
+        out = tmp_path / "out"
+        calls = recorded_materialize(monkeypatch)
+        assert self.run(calls, config, out, "prepare") == ["extra", "other", "synth"]
+        assert self.run(calls, config, out, "train") == ["synth"]
+        assert self.run(calls, config, out, "infer") == ["other"]
+        assert self.run(calls, config, out, "infer", "--inference", "knn") == ["other"]
+        assert self.run(calls, config, out, "benchmark") == ["other"]
+        assert self.run(calls, config, out, "export-embeddings") == ["other"]
+
+    def test_parametric_alignnet_also_reads_the_train_members_for_its_table(self, tmp_path, monkeypatch):
+        recipe = READS_RECIPE.replace("model.kind = head", "model.kind = alignnet").replace(
+            "train.corpus = synth", "train.corpus = synth+other"
+        )
+        config = write_recipe(tmp_path, recipe)
+        out = tmp_path / "out"
+        calls = recorded_materialize(monkeypatch)
+        assert self.run(calls, config, out, "train") == ["other", "synth"]
+        assert self.run(calls, config, out, "infer", "--inference", "knn") == ["other"]
+        assert self.run(calls, config, out, "infer") == ["other", "synth"]
+        assert self.run(calls, config, out, "benchmark", "--inference", "knn") == ["other"]
+        assert self.run(calls, config, out, "benchmark") == ["other", "synth"]
+
+    def test_benchmark_reads_the_train_corpus_only_when_a_seed_is_stale(self, tmp_path, monkeypatch):
+        config = write_recipe(tmp_path, READS_RECIPE)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(config), "--out", str(out), "--seed", "0,1"]) == 0
+        calls = recorded_materialize(monkeypatch)
+        trained = []
+        real = cli.train_one_seed
+
+        def train_one_seed(recipe, data, seed, out_dir):
+            trained.append(seed)
+            return real(recipe, data, seed, out_dir)
+
+        monkeypatch.setattr(cli, "train_one_seed", train_one_seed)
+        assert self.run(calls, config, out, "benchmark", "--seed", "0,1") == ["other"]
+        assert trained == []
+
+        meta_path = out / "train" / "seed1" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta_path.write_text(json.dumps({**meta, "recipe_hash": "another recipe"}))
+        assert self.run(calls, config, out, "benchmark", "--seed", "0,1,1") == ["other", "synth"]
+        assert trained == [1]
+
+    def test_an_unread_corpus_is_never_generated(self, tmp_path):
+        config = write_recipe(tmp_path, READS_RECIPE)
+        out = tmp_path / "out"
+        for command in ("train", "infer", "benchmark"):
+            assert main([command, "--config", str(config), "--out", str(out)]) == 0
+        assert not (out / "corpora" / "extra").exists()
+        assert sorted(p.name for p in (out / "corpora").iterdir()) == ["other", "synth"]
+
+    def test_a_broken_block_no_command_reads_fails_prepare_only(self, tmp_path, capsys):
+        config = write_recipe(tmp_path, BASE_RECIPE + "corpus.junk.kind = studio\n")
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["prepare", "--config", str(config), "--out", str(out)]) == 1
+        assert "unknown kind 'studio'" in capsys.readouterr().err
 
 
 class TestSeedsShareOneFeaturization:

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import os
 from pathlib import Path
 
 import numpy as np
@@ -261,7 +262,11 @@ class TestManifestRoundTrip:
         assert {"wav/a.wav", ".", "missing.wav", "nodir/missing.wav", str(base / "out.wav")} <= set(written)
 
     @pytest.mark.parametrize(
-        "text", ["a.wav", "./a.wav", "wav//a.wav", "wav/./a.wav", "wav/../a.wav", "/abs/a.wav", "//abs/a.wav"]
+        "text",
+        [
+            "a.wav", "./a.wav", "wav//a.wav", "wav/./a.wav", "wav/../a.wav", "/abs/a.wav", "//abs/a.wav",
+            "emb/x.sqe", "./emb/x.sqe", "emb//x.sqe", "../up/x.wav", "emb/", "emb/.", "emb/..",
+        ],
     )
     @pytest.mark.parametrize("manifest", ["m.csv", "sub/m.csv", "sub//./m.csv", "absolute"])
     def test_load_joins_each_path_to_the_manifest_dir(self, tmp_path, monkeypatch, text, manifest):
@@ -270,7 +275,9 @@ class TestManifestRoundTrip:
         path.parent.mkdir(parents=True, exist_ok=True)
         write_manifest(path, [f"u1,{text},,demo,,3.0,,", f"u2,,{text},demo,,3.0,,"])
         audio, embedding = load_manifest(path).samples("train")
-        expected = path.parent / Path(text)
+        # The rule: a ref is Path(os.path.join(<the manifest's parent as text>, <its field>)).
+        expected = Path(os.path.join(str(path.parent), text))
+        assert str(expected) == str(path.parent / Path(text))
         assert audio.audio_ref == expected and str(audio.audio_ref) == str(expected)
         assert embedding.embedding_ref == expected and str(embedding.embedding_ref) == str(expected)
 

@@ -45,6 +45,15 @@ def write_raw_wav(path, int_samples, rate=16000, width=2, channels=1):
         wf.writeframes(data)
 
 
+def float32_wav_bytes(n_frames, rate=16000):
+    """A mono 32-bit IEEE-float WAV (format tag 3) of silence, built by hand:
+    the wave module writes PCM only."""
+    fmt = struct.pack("<HHIIHH", 3, 1, rate, rate * 4, 4, 32)
+    data = bytes(4 * n_frames)
+    chunks = b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", len(data)) + data
+    return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+
+
 class TestLoadAudio:
     def test_full_scale_square_wave_quantization(self, tmp_path):
         path = tmp_path / "sq.wav"
@@ -92,6 +101,12 @@ class TestLoadAudio:
             load_audio(path)
         with pytest.raises(AudioFormatError, match=re.escape(f"{path}: not a PCM WAV file")):
             frontend.frame_count(sample, FrontendConfig())
+
+    def test_a_float_wav_is_not_a_pcm_wav_file(self, tmp_path):
+        path = tmp_path / "f32.wav"
+        path.write_bytes(float32_wav_bytes(100))
+        with pytest.raises(AudioFormatError, match=re.escape(f"{path}: not a PCM WAV file")):
+            load_audio(path)
 
     def test_write_read_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
