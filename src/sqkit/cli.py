@@ -18,7 +18,6 @@ import hashlib
 import json
 import logging
 import os
-import shutil
 import sys
 from pathlib import Path
 from typing import Iterator
@@ -64,7 +63,6 @@ from .inference import (
 from .metrics import EvalPairs, aggregate, best_values, mse, pearson, spearman, system_aggregate
 from .model import ModelParams, load_params, save_params
 from .training import (
-    MdfData,
     TrainConfig,
     TrainData,
     TrainResult,
@@ -73,7 +71,6 @@ from .training import (
     select_criterion,
     table_dataset_ids,
     train,
-    train_mdf,
 )
 
 logger = logging.getLogger(__name__)
@@ -331,14 +328,9 @@ def build_train_config(recipe: Recipe, seed: int, domain_tag: str, max_steps: in
 
 
 def save_model_dir(directory: Path, result: TrainResult, frontend_config: FrontendConfig, extra: dict) -> None:
-    """Persist one trained model: params, scaler, datastore, eval log, then
-    metadata.
-
-    meta.json marks a finished model dir (benchmark skips training when its
-    recipe_hash matches), so it is removed first and written last.
-    """
+    """Persist one trained model: params, scaler, datastore, eval log and
+    metadata."""
     directory.mkdir(parents=True, exist_ok=True)
-    (directory / "meta.json").unlink(missing_ok=True)
     save_params(result.params, directory / "params.ckpt")
     save_scaler(directory / "scaler.bin", result.scaler)
     save_datastore(directory / "datastore.bin", result.datastore)
@@ -414,22 +406,25 @@ def _train_configs(recipe: Recipe, seed: int, train_corpus: CorpusManifest | Poo
     return [config, build_train_config(recipe, seed, train_corpus.domain_tag, max_steps=phase2_steps)]
 
 
-def prepare_training(recipe: Recipe, corpora: dict[str, CorpusManifest]) -> TrainData | MdfData:
-    """The seed-independent part of training under the recipe, featurized
-    once for every seed; the train keys are checked before any sample is
-    read."""
+def prepare_training(recipe: Recipe, corpora: dict[str, CorpusManifest]) -> tuple[TrainData, ...]:
+    """The seed-independent data of each training phase under the recipe
+    (one, or two under MDF), featurized once for every seed; the train keys
+    are checked before any sample is read."""
     train_corpus = resolve_train_corpus(recipe, corpora)
     _train_configs(recipe, 0, train_corpus)  # the seed only fills in TrainConfig.seed
     frontend_config = build_frontend(recipe)
     mdf_pretrain = recipe.get("train.mdf_pretrain")
     if mdf_pretrain:
         return prepare_mdf_data(mdf_pretrain, train_corpus, frontend_config)
-    return prepare_train_data(train_corpus, frontend_config)
+    return (prepare_train_data(train_corpus, frontend_config),)
 
 
-def train_one_seed(recipe: Recipe, data: TrainData | MdfData, seed: int, out_dir: Path) -> TrainResult:
-    """Train (plain or MDF) for one seed from prepared data and persist
-    the artifacts."""
+def train_one_seed(recipe: Recipe, phases: tuple[TrainData, ...], seed: int, out_dir: Path) -> TrainResult:
+    """Train every phase for one seed from prepared data and write the seed
+    dir whole. Each phase after the first starts from the previous phase's
+    best params, and the alignnet table covers the last phase's corpus.
+    Under MDF each earlier phase is saved to mdf_phase<i>/ and its
+    checkpoints go to ledger/phase<i>/."""
     frontend_config = build_frontend(recipe)
     model_kind = recipe.get("model.kind", "head")
     sizes = {
@@ -437,27 +432,25 @@ def train_one_seed(recipe: Recipe, data: TrainData | MdfData, seed: int, out_dir
         "embed_dim": recipe.get_int("model.embed_dim", 16),
         "decoder_hidden": recipe.get_int("model.decoder_hidden", 32),
     }
-    seed_dir = out_dir / "train" / f"seed{seed}"
-    for stale in ("ledger", "mdf_phase1"):  # nothing of an earlier run survives a retrain
-        shutil.rmtree(seed_dir / stale, ignore_errors=True)
+    configs = _train_configs(recipe, seed, phases[-1].corpus)
+    dataset_ids = table_dataset_ids(phases[-1].corpus)
     extra = {"recipe_hash": recipe_hash(recipe)}
-
-    if isinstance(data, MdfData):
-        config, phase2_config = _train_configs(recipe, seed, data.phase2.corpus)
-        mdf_pretrain = recipe.get("train.mdf_pretrain")
-        mdf = train_mdf(model_kind, data, config, phase2_config, **sizes, out_dir=seed_dir / "ledger")
-        save_model_dir(
-            seed_dir / "mdf_phase1",
-            mdf.phase1,
-            frontend_config,
-            extra={**extra, "mdf_pretrain": mdf_pretrain, "phase": 1},
-        )
-        result = mdf.phase2
-        save_model_dir(seed_dir, result, frontend_config, extra={**extra, "mdf_pretrain": mdf_pretrain, "phase": 2})
-    else:
-        (config,) = _train_configs(recipe, seed, data.corpus)
-        result = train(model_kind, data, config, **sizes, out_dir=seed_dir / "ledger")
-        save_model_dir(seed_dir, result, frontend_config, extra=extra)
+    mdf = len(phases) > 1
+    result = None
+    with atomic_dir(out_dir / "train" / f"seed{seed}") as seed_dir:
+        for phase, (data, config) in enumerate(zip(phases, configs), start=1):
+            result = train(
+                model_kind,
+                data,
+                config,
+                **sizes,
+                init_params=None if result is None else result.params,
+                dataset_ids=dataset_ids,
+                out_dir=seed_dir / "ledger" / f"phase{phase}" if mdf else seed_dir / "ledger",
+            )
+            model_dir = seed_dir if phase == len(phases) else seed_dir / f"mdf_phase{phase}"
+            meta = {**extra, "mdf_pretrain": recipe.get("train.mdf_pretrain"), "phase": phase} if mdf else extra
+            save_model_dir(model_dir, result, frontend_config, meta)
     logger.info("seed %d: trained %s for %d steps", seed, model_kind, result.steps_run)
     return result
 
@@ -532,15 +525,18 @@ def _seed_list(recipe: Recipe, args: argparse.Namespace) -> list[int]:
         raise ValidationError(f"bad seed list {text!r}")
     if not seeds:
         raise ValidationError("seed list is empty")
+    repeated = sorted({seed for seed in seeds if seeds.count(seed) > 1})
+    if repeated:
+        raise ValidationError(f"seed list {text!r} repeats seed {', '.join(map(str, repeated))}")
     return seeds
 
 
 def cmd_train(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
-    corpora = get_corpora(recipe, out, _train_names(recipe))
     seeds = _seed_list(recipe, args)
-    data = prepare_training(recipe, corpora)
+    corpora = get_corpora(recipe, out, _train_names(recipe))
+    phases = prepare_training(recipe, corpora)
     for seed in seeds:
-        result = train_one_seed(recipe, data, seed, out)
+        result = train_one_seed(recipe, phases, seed, out)
         best = result.ledger.best
         value = "n/a" if best is None else f"{best.value:.4f}@{best.step}"
         print(f"trained seed {seed}: {result.model_kind}, {result.steps_run} steps, best {result.criterion} {value}")
@@ -619,15 +615,14 @@ def cmd_infer(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
     corpora = get_corpora(recipe, out, names)
     target = _target(recipe, corpora, "infer.corpus")
     for seed, mode, (pairs,) in _predict_seeds(recipe, args, out, corpora, [target]):
-        seed_dir = out / "infer" / f"seed{seed}"
-        seed_dir.mkdir(parents=True, exist_ok=True)
-        systems = (system or "" for system in pairs.system_ids)
-        rows = zip(pairs.sample_ids, systems, map(_fmt, pairs.true), map(_fmt, pairs.pred))
-        write_csv(seed_dir / "predictions.csv", ["sample_id", "system_id", "true", "pred"], rows)
-        if pairs.has_systems:
-            means = system_aggregate(pairs)
-            rows = zip(means.system_ids, map(_fmt, means.true), map(_fmt, means.pred))
-            write_csv(seed_dir / "systems.csv", ["system_id", "true_mean", "pred_mean"], rows)
+        with atomic_dir(out / "infer" / f"seed{seed}") as seed_dir:
+            systems = (system or "" for system in pairs.system_ids)
+            rows = zip(pairs.sample_ids, systems, map(_fmt, pairs.true), map(_fmt, pairs.pred))
+            write_csv(seed_dir / "predictions.csv", ["sample_id", "system_id", "true", "pred"], rows)
+            if pairs.has_systems:
+                means = system_aggregate(pairs)
+                rows = zip(means.system_ids, map(_fmt, means.true), map(_fmt, means.pred))
+                write_csv(seed_dir / "systems.csv", ["system_id", "true_mean", "pred_mean"], rows)
         print(f"infer seed {seed}: {mode} on {target[0]}/{target[2]}, {len(pairs)} predictions")
     return 0
 
@@ -638,17 +633,17 @@ def cmd_benchmark(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
     record files."""
     names = [t.strip() for t in recipe.require("benchmark.tests").split(",") if t.strip()]
     digest = recipe_hash(recipe)
-    seeds = dict.fromkeys(_seed_list(recipe, args))  # a seed listed twice is trained once
+    seeds = _seed_list(recipe, args)
     untrained = [seed for seed in seeds if not _is_trained(out / "train" / f"seed{seed}", digest)]
     train_names = _train_names(recipe) if untrained or _checks_table_rows(recipe, args) else []
     corpora = get_corpora(recipe, out, names + train_names)
     targets = [_target(recipe, corpora, "benchmark.tests", name) for name in names]
     predictions = _predict_seeds(recipe, args, out, corpora, targets)  # checks the inference settings
     if untrained:
-        data = prepare_training(recipe, corpora)
+        phases = prepare_training(recipe, corpora)
         for seed in untrained:
-            train_one_seed(recipe, data, seed, out)
-        del data  # the train matrix is not needed for scoring
+            train_one_seed(recipe, phases, seed, out)
+        del phases  # the train matrix is not needed for scoring
 
     model_kind = recipe.get("model.kind", "head") + ("-mdf" if recipe.get("train.mdf_pretrain") else "")
     rows: list[tuple] = []
@@ -773,23 +768,23 @@ def cmd_export_embeddings(recipe: Recipe, args: argparse.Namespace, out: Path) -
         seed=seeds[0],
     )
     proj, _components, _mean = pca_2d(dump.embeddings)
-    export_dir = out / "export"
-    export_dir.mkdir(parents=True, exist_ok=True)
     labels = list(zip(dump.set_labels, dump.sample_ids, dump.roles))
-    write_csv(
-        export_dir / "embeddings.csv",
-        ["set_label", "sample_id", "role"] + [f"e{i}" for i in range(dump.embeddings.shape[1])],
-        ([*label, *(repr(float(v)) for v in row)] for label, row in zip(labels, dump.embeddings)),
-    )
-    write_csv(
-        export_dir / "pca.csv",
-        ["set_label", "sample_id", "role", "x", "y"],
-        ([*label, repr(float(x)), repr(float(y))] for label, (x, y) in zip(labels, proj)),
-    )
     notes = [f"features: {scaler_note}"]
     if dump.truncated_sets:
         notes.append("sets smaller than n_per_set (taken whole): " + ", ".join(dump.truncated_sets))
-    write_text(export_dir / "summary.txt", "\n".join(notes) + "\n")
+    export_dir = out / "export"
+    with atomic_dir(export_dir) as tmp:
+        write_csv(
+            tmp / "embeddings.csv",
+            ["set_label", "sample_id", "role"] + [f"e{i}" for i in range(dump.embeddings.shape[1])],
+            ([*label, *(repr(float(v)) for v in row)] for label, row in zip(labels, dump.embeddings)),
+        )
+        write_csv(
+            tmp / "pca.csv",
+            ["set_label", "sample_id", "role", "x", "y"],
+            ([*label, repr(float(x)), repr(float(y))] for label, (x, y) in zip(labels, proj)),
+        )
+        write_text(tmp / "summary.txt", "\n".join(notes) + "\n")
     print(f"exported {len(dump.sample_ids)} embeddings -> {export_dir}")
     return 0
 

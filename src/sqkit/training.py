@@ -7,7 +7,8 @@ from its file header), fits the scaler and standardizes the matrix in
 place, standardizes the dev split, and pools each train utterance into
 the retrieval datastore. train then runs one seeded SGD loop over that
 TrainData without changing it, so any number of seeds share one
-featurization. MDF prepares both phases once (MdfData).
+featurization. MDF is two train calls: prepare_mdf_data featurizes the
+pool once and returns both phases' TrainData.
 
 The loop is deliberately plain: minibatches come from a seeded shuffle
 stream, and the optimizer is classical heavy-ball momentum
@@ -171,7 +172,6 @@ class TrainResult:
     """Everything one training run produced."""
 
     params: ModelParams
-    initial_params: ModelParams
     scaler: FeatureScaler
     datastore: Datastore
     ledger: CheckpointLedger
@@ -229,27 +229,24 @@ class TrainData:
     datastore: Datastore
 
 
-def prepare_train_data(
-    corpus: CorpusManifest | PooledCorpus,
-    frontend_config: FrontendConfig,
-    scaler: FeatureScaler | None = None,
-) -> TrainData:
-    """Featurize a corpus's train and dev splits once for any number of
-    training runs. The train split goes straight into a matrix allocated
-    from the file headers' frame counts; an utterance whose features
-    disagree with its header raises ValidationError. The scaler is fitted
-    on the raw train frames unless one is given (MDF phase 2 keeps phase
-    1's)."""
+def _train_samples(corpus: CorpusManifest | PooledCorpus) -> tuple[Sample, ...]:
+    """The corpus's train split, once both it and the dev split are known
+    to be non-empty."""
     train_samples = corpus.samples("train")
-    dev_samples = corpus.samples("dev")
     if not train_samples:
         raise ValueError("empty train split")
-    if not dev_samples:
+    if not corpus.samples("dev"):
         raise ValueError("empty dev split (needed for model selection)")
-    lengths = np.array([frame_count(s, frontend_config) for s in train_samples])
-    starts = np.cumsum(lengths) - lengths
+    return train_samples
+
+
+def _pack(samples: Sequence[Sample], frontend_config: FrontendConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The raw features of samples in one matrix allocated from the file
+    headers' frame counts, and each sample's frame count. An utterance
+    whose features disagree with its header raises ValidationError."""
+    lengths = np.array([frame_count(s, frontend_config) for s in samples])
     frames = None
-    for sample, start, length in zip(train_samples, starts.tolist(), lengths.tolist()):
+    for sample, start, length in zip(samples, (np.cumsum(lengths) - lengths).tolist(), lengths.tolist()):
         mat = featurize(sample, frontend_config)
         if frames is None:
             frames = np.empty((int(lengths.sum()), mat.dim))
@@ -259,8 +256,21 @@ def prepare_train_data(
                 f"the header promises {length} x {frames.shape[1]}"
             )
         frames[start : start + length] = mat.frames
-    if scaler is None:
-        scaler = FeatureScaler.fit(frames)
+    return frames, lengths
+
+
+def _standardized(
+    corpus: CorpusManifest | PooledCorpus,
+    frames: np.ndarray,
+    lengths: np.ndarray,
+    scaler: FeatureScaler,
+    frontend_config: FrontendConfig,
+) -> TrainData:
+    """TrainData over the corpus's packed raw train frames, which scaler
+    standardizes in place; the dev split is featurized under the same
+    scaler."""
+    train_samples, dev_samples = corpus.samples("train"), corpus.samples("dev")
+    starts = np.cumsum(lengths) - lengths
     scaler.standardize(frames)
     frames.flags.writeable = False
     targets = np.array([s.mos for s in train_samples])
@@ -283,6 +293,61 @@ def prepare_train_data(
         dev_mats=tuple(featurize(s, frontend_config, scaler) for s in dev_samples),
         datastore=Datastore(embeddings=pooled, scores=targets, dataset_ids=tuple(s.dataset_id for s in train_samples)),
     )
+
+
+def prepare_train_data(corpus: CorpusManifest | PooledCorpus, frontend_config: FrontendConfig) -> TrainData:
+    """Featurize a corpus's train and dev splits once for any number of
+    training runs. The train split goes straight into one packed matrix,
+    and the scaler is fitted on its raw frames."""
+    frames, lengths = _pack(_train_samples(corpus), frontend_config)
+    return _standardized(corpus, frames, lengths, FeatureScaler.fit(frames), frontend_config)
+
+
+def prepare_mdf_data(
+    pretrain_name: str, pooled: PooledCorpus, frontend_config: FrontendConfig
+) -> tuple[TrainData, TrainData]:
+    """The two MDF phases, featurized once: pre-training on the member
+    pretrain_name, then fine-tuning on the whole pool.
+
+    The pool's train split is packed into one matrix, and the scaler is
+    fitted on the member's rows and standardizes the whole pool, so the
+    phase-1 parameters keep their meaning in phase 2. A member's samples
+    are one contiguous block of the pool's, so phase 1's frames, targets,
+    dev matrices and datastore records are views of phase 2's.
+    """
+    names = [m.name for m in pooled.members]
+    if pretrain_name not in names:
+        raise ValidationError(f"pretrain corpus {pretrain_name!r} not among pool members {sorted(names)}")
+    index = names.index(pretrain_name)
+    member = pooled.members[index]
+    _train_samples(member)  # phase 1 needs both splits, as any training does
+
+    def block(split: str) -> slice:
+        start = sum(m.size(split) for m in pooled.members[:index])
+        return slice(start, start + member.size(split))
+
+    train_block, dev_block = block("train"), block("dev")
+    frames, lengths = _pack(pooled.samples("train"), frontend_config)
+    rows = slice(int(lengths[: train_block.start].sum()), int(lengths[: train_block.stop].sum()))
+    phase2 = _standardized(pooled, frames, lengths, FeatureScaler.fit(frames[rows]), frontend_config)
+    datastore = phase2.datastore
+    phase1 = TrainData(
+        corpus=member,
+        train_samples=phase2.train_samples[train_block],
+        dev_samples=phase2.dev_samples[dev_block],
+        frames=phase2.frames[rows],
+        lengths=phase2.lengths[train_block],
+        starts=phase2.starts[train_block] - rows.start,
+        targets=phase2.targets[train_block],
+        scaler=phase2.scaler,
+        dev_mats=phase2.dev_mats[dev_block],
+        datastore=Datastore(
+            embeddings=datastore.embeddings[train_block],
+            scores=datastore.scores[train_block],
+            dataset_ids=datastore.dataset_ids[train_block],
+        ),
+    )
+    return phase1, phase2
 
 
 def train(
@@ -331,7 +396,6 @@ def train(
         params = init_params if init_params is not None else init_head(dim, hidden, config.seed)
     if params.dim != dim:
         raise ValidationError(f"initial params dim {params.dim} != feature dim {dim}")
-    initial_params = copy_params(params)
 
     if model_kind == "alignnet":
         rows_all = np.array([params.row_index(s.dataset_id) for s in data.train_samples])
@@ -404,7 +468,6 @@ def train(
     final = copy_params(best.params) if best is not None else copy_params(params)
     return TrainResult(
         params=final,
-        initial_params=initial_params,
         scaler=data.scaler,
         datastore=data.datastore,
         ledger=ledger,
@@ -414,68 +477,3 @@ def train(
         steps_run=step,
         stop_reason=stop_reason,
     )
-
-
-@dataclass(frozen=True)
-class MdfResult:
-    """Two-phase run: pre-train on one corpus, fine-tune on the pool."""
-
-    phase1: TrainResult
-    phase2: TrainResult
-
-
-@dataclass(frozen=True)
-class MdfData:
-    """The prepared data of both MDF phases: the pre-training member, and
-    the whole pool standardized by the member's scaler. Neither depends on
-    the seed."""
-
-    phase1: TrainData
-    phase2: TrainData
-
-
-def prepare_mdf_data(pretrain_name: str, pooled: PooledCorpus, frontend_config: FrontendConfig) -> MdfData:
-    members = {m.name: m for m in pooled.members}
-    if pretrain_name not in members:
-        raise ValueError(f"pretrain corpus {pretrain_name!r} not among pool members {sorted(members)}")
-    phase1 = prepare_train_data(members[pretrain_name], frontend_config)
-    return MdfData(phase1=phase1, phase2=prepare_train_data(pooled, frontend_config, phase1.scaler))
-
-
-def train_mdf(
-    model_kind: str,
-    data: MdfData,
-    phase1_config: TrainConfig,
-    phase2_config: TrainConfig,
-    hidden: int = 64,
-    embed_dim: int = 16,
-    decoder_hidden: int = 32,
-    out_dir: Path | None = None,
-) -> MdfResult:
-    """Pre-train on one pool member, then fine-tune on the whole pool.
-
-    Phase 2 starts from the phase-1 best checkpoint bit-exactly (its
-    initial_params field is the proof) and keeps the phase-1 feature
-    scaler so the parameters keep their meaning. The alignnet table is
-    built over all pool members in phase 1 already, so the shapes carry.
-    """
-    dataset_ids = table_dataset_ids(data.phase2.corpus) if model_kind == "alignnet" else None
-    phase1 = train(
-        model_kind,
-        data.phase1,
-        phase1_config,
-        hidden=hidden,
-        embed_dim=embed_dim,
-        decoder_hidden=decoder_hidden,
-        dataset_ids=dataset_ids,
-        out_dir=None if out_dir is None else out_dir / "phase1",
-    )
-    phase2 = train(
-        model_kind,
-        data.phase2,
-        phase2_config,
-        init_params=copy_params(phase1.params),
-        dataset_ids=dataset_ids,
-        out_dir=None if out_dir is None else out_dir / "phase2",
-    )
-    return MdfResult(phase1=phase1, phase2=phase2)

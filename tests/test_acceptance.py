@@ -19,7 +19,7 @@ import pytest
 from scipy.stats import rankdata
 
 import oracles
-from test_cli import BASE_RECIPE
+from test_cli import BASE_RECIPE, MDF_RECIPE
 from test_inference import knn_predictions
 from test_metrics import make_pairs, report_with
 from test_model import alignnet_arrays, head_arrays
@@ -44,21 +44,22 @@ from sqkit import (
     head_backward,
     head_raw,
     knn_weights,
+    load_params,
     mse,
     params_equal,
     pearson,
     pool,
     predict_split,
-    prepare_mdf_data,
     prepare_train_data,
     retrieve_neighbors,
+    save_params,
     spearman,
     split_random,
     system_aggregate,
     train,
-    train_mdf,
     write_wav,
 )
+from sqkit import cli
 from sqkit.cli import main
 
 DSP_FRONTEND = FrontendConfig()
@@ -451,20 +452,28 @@ def test_domain_retrieval_beats_pooled_head_on_shifted_corpora(tmp_path):
 
 @criterion("mdf-contract")
 def test_mdf_phase_handoff_is_bit_exact(tmp_path):
-    seta = make_corpus(tmp_path, "seta", n_train=8, n_dev=5, seed=10)
-    setb = make_corpus(tmp_path, "setb", n_train=8, n_dev=5, seed=11)
-    pooled = pool([seta, setb])
-    cfg1 = TrainConfig(batch_size=4, lr=0.01, max_steps=30, eval_interval=5,
-                       patience_steps=100, seed=1)
-    cfg2 = TrainConfig(batch_size=4, lr=0.01, max_steps=10, eval_interval=5,
-                       patience_steps=100, seed=1)
-    result = train_mdf("alignnet", prepare_mdf_data("seta", pooled, FRONTEND), cfg1, cfg2,
-                       hidden=4, embed_dim=2, decoder_hidden=3)
-    assert params_equal(result.phase2.initial_params, result.phase1.params)
+    # Phase 2 starts from the phase-1 best checkpoint bit for bit: fine-tuning
+    # by hand from mdf_phase1/params.ckpt gives the seed's params.ckpt.
+    config = tmp_path / "mdf.cfg"
+    config.write_text(MDF_RECIPE.replace("model.kind = head", "model.kind = alignnet"), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+    seed_dir = out / "train" / "seed0"
+    recipe = cli.Recipe(cli.parse_recipe(config), tmp_path)
+    _phase1, phase2 = cli.prepare_training(recipe, cli.get_corpora(recipe, out, cli._train_names(recipe)))
+    _config1, config2 = cli._train_configs(recipe, 0, phase2.corpus)
+    start = load_params(seed_dir / "mdf_phase1" / "params.ckpt")
+    assert start.dataset_ids == ("synth", "other")  # phase 1 already holds the pool's table
+    save_params(train("alignnet", phase2, config2, init_params=start).params, tmp_path / "by_hand.ckpt")
+    assert (tmp_path / "by_hand.ckpt").read_bytes() == (seed_dir / "params.ckpt").read_bytes()
+    assert (seed_dir / "scaler.bin").read_bytes() == (seed_dir / "mdf_phase1" / "scaler.bin").read_bytes()
 
-    frozen = train_mdf("head", prepare_mdf_data("setb", pooled, FRONTEND), cfg1,
-                       TrainConfig(max_steps=0, seed=1), hidden=4)
-    assert params_equal(frozen.phase2.params, frozen.phase1.params)
+    # Without fine-tuning steps the model is the phase-1 model.
+    frozen = tmp_path / "frozen.cfg"
+    frozen.write_text(MDF_RECIPE.replace("train.mdf_max_steps = 20", "train.mdf_max_steps = 0"), encoding="utf-8")
+    assert main(["train", "--config", str(frozen), "--out", str(tmp_path / "frozen")]) == 0
+    frozen_dir = tmp_path / "frozen" / "train" / "seed0"
+    assert (frozen_dir / "params.ckpt").read_bytes() == (frozen_dir / "mdf_phase1" / "params.ckpt").read_bytes()
 
 
 @criterion("benchmark-determinism")

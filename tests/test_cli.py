@@ -351,9 +351,9 @@ class TestDistributionData:
                 expected = sum(float(m[column]) for m in members) / len(members)
                 assert float(row[mean]) == pytest.approx(expected, rel=1e-12)
 
-    def test_no_systems_file_without_system_ids(self, tmp_path):
+    def plain_recipe(self, tmp_path, out):
+        """A recipe whose infer.corpus is synth without system ids, and its sample count."""
         config = write_recipe(tmp_path)
-        out = tmp_path / "out"
         assert main(["prepare", "--config", str(config), "--out", str(out)]) == 0
         synth = load_corpus_dir(out / "corpora" / "synth")
         samples = [dataclasses.replace(s, system_id=None) for split in synth.splits for s in synth.samples(split)]
@@ -361,13 +361,33 @@ class TestDistributionData:
         recipe = BASE_RECIPE.replace("infer.corpus = synth", "infer.corpus = plain") + (
             f"corpus.plain.kind = manifest\ncorpus.plain.path = {tmp_path / 'plain.csv'}\n"
         )
-        config = write_recipe(tmp_path, recipe)
+        return write_recipe(tmp_path, recipe, name="plain.cfg"), len(samples)
+
+    def test_no_systems_file_without_system_ids(self, tmp_path):
+        out = tmp_path / "out"
+        config, n_samples = self.plain_recipe(tmp_path, out)
         assert main(["train", "--config", str(config), "--out", str(out)]) == 0
         assert main(["infer", "--config", str(config), "--out", str(out)]) == 0
         seed_dir = out / "infer" / "seed0"
         predictions = read_csv(seed_dir / "predictions.csv")
-        assert len(predictions) == len(samples) and {r["system_id"] for r in predictions} == {""}
+        assert len(predictions) == n_samples and {r["system_id"] for r in predictions} == {""}
         assert not (seed_dir / "systems.csv").exists()
+
+    def test_a_rerun_replaces_the_whole_seed_dir(self, tmp_path):
+        # An earlier infer on synth wrote systems.csv; scoring a corpus
+        # without system ids into the same out dir must not leave it behind.
+        out = tmp_path / "out"
+        config, n_samples = self.plain_recipe(tmp_path, out)
+        synth_config = write_recipe(tmp_path)
+        assert main(["train", "--config", str(synth_config), "--out", str(out)]) == 0
+        assert main(["infer", "--config", str(synth_config), "--out", str(out)]) == 0
+        seed_dir = out / "infer" / "seed0"
+        assert (seed_dir / "systems.csv").exists()
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["infer", "--config", str(config), "--out", str(out)]) == 0
+        assert len(read_csv(seed_dir / "predictions.csv")) == n_samples
+        assert sorted(p.name for p in seed_dir.iterdir()) == ["predictions.csv"]
+        assert sorted(p.name for p in (out / "infer").iterdir()) == ["seed0"]
 
 
 class TestBenchmark:
@@ -747,6 +767,20 @@ class TestExitCodes:
         assert main(["train", "--config", str(config), "--out", str(tmp_path / "out"), "--seed", seeds]) == 1
         assert named in capsys.readouterr().err
 
+    def test_a_repeated_seed_is_exit_1(self, tmp_path, capsys):
+        config = write_recipe(tmp_path)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(config), "--out", str(out), "--seed", "0,1"]) == 0
+        before = tree_bytes(out)
+        repeats = write_recipe(tmp_path, BASE_RECIPE.replace("seeds = 0", "seeds = 1,0,1"), name="repeats.cfg")
+        runs = [(config, ["--seed", "0,0"], "seed list '0,0' repeats seed 0"), (repeats, [], "'1,0,1' repeats seed 1")]
+        capsys.readouterr()
+        for command in ("train", "infer", "benchmark"):
+            for recipe, flags, named in runs:
+                assert main([command, "--config", str(recipe), "--out", str(out), *flags]) == 1, (command, flags)
+                assert named in capsys.readouterr().err
+        assert tree_bytes(out) == before
+
     @pytest.mark.parametrize("name", ["params.ckpt", "scaler.bin", "datastore.bin"])
     def test_truncated_train_artifact_is_exit_1(self, tmp_path, capsys, name):
         # A corrupt artifact on disk is bad input, whichever loader reads it.
@@ -832,7 +866,7 @@ class TestKillSafety:
 
         monkeypatch.setattr(cli, "train", train_with_unwritable_log)
         assert main(["train", "--config", str(config), "--out", str(out)]) == 2
-        assert sorted(p.name for p in seed_dir.iterdir()) == ["datastore.bin", "ledger", "params.ckpt", "scaler.bin"]
+        assert list((out / "train").iterdir()) == []  # the seed dir is written whole or not at all
 
         monkeypatch.undo()
         assert main(["benchmark", "--config", str(config), "--out", str(out)]) == 0
@@ -1097,7 +1131,7 @@ class TestEachCommandReadsOnlyItsCorpora:
         meta_path = out / "train" / "seed1" / "meta.json"
         meta = json.loads(meta_path.read_text())
         meta_path.write_text(json.dumps({**meta, "recipe_hash": "another recipe"}))
-        assert self.run(calls, config, out, "benchmark", "--seed", "0,1,1") == ["other", "synth"]
+        assert self.run(calls, config, out, "benchmark", "--seed", "0,1") == ["other", "synth"]
         assert trained == [1]
 
     def test_an_unread_corpus_is_never_generated(self, tmp_path):
@@ -1131,6 +1165,7 @@ class TestSeedsShareOneFeaturization:
             ("parametric", "knn"),
             "domain-retrieval",
         ),
+        "mdf": (MDF_RECIPE, ("parametric", "knn"), "parametric"),
     }
     SEED_RUNS = ("0,1", "0", "1")
 
@@ -1177,8 +1212,9 @@ class TestSeedsShareOneFeaturization:
     def test_each_sample_is_featurized_once_per_command(self, runs, rid):
         _outputs, featurized = runs
         # 16 utterances at split ratio 0.75: train featurizes 12 + 4, and
-        # infer and benchmark score the 4 dev utterances.
-        sizes = {"train": 16, "infer parametric": 4, "infer knn": 4, "benchmark": 4}
+        # infer and benchmark score the 4 dev utterances. MDF trains on the
+        # pool with other's 4 + 4 for both phases.
+        sizes = {"train": 24 if rid == "mdf" else 16, "infer parametric": 4, "infer knn": 4, "benchmark": 4}
         for label, size in sizes.items():
             calls = featurized[rid, label]
             assert len(calls) == size, label

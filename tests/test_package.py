@@ -1,4 +1,5 @@
-"""The package's public surface: ``sqkit.__all__`` against its imports."""
+"""The package's public surface: ``sqkit.__all__`` against its imports, and
+the perfbench tracer sites that wrap it."""
 
 import ast
 import importlib
@@ -6,7 +7,11 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import sqkit
+from sqkit.cli import main
+from test_cli import BASE_RECIPE, MDF_RECIPE
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -32,12 +37,18 @@ def test_all_names_resolve_appear_once_and_match_the_imports():
     assert set(sqkit.__all__) == set(imported)
 
 
-def test_every_perfbench_trace_site_resolves_to_a_callable():
-    # perfbench wraps these module attributes in a traced run; a refactor
-    # that drops or renames one must fail here, not only in the slow smoke test.
+def load_tracer():
+    """perfbench/tracer.py as a module, read where it lies."""
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_perfbench_trace_site_resolves_to_a_callable():
+    # perfbench wraps these module attributes in a traced run; a refactor
+    # that drops or renames one must fail here, not only in the slow smoke test.
+    tracer = load_tracer()
     assert tracer.SITES
     unresolved = [
         f"{module}.{attr}"
@@ -45,3 +56,29 @@ def test_every_perfbench_trace_site_resolves_to_a_callable():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert unresolved == []
+
+
+@pytest.mark.parametrize("recipe, steps", [(BASE_RECIPE, [60]), (MDF_RECIPE, [60, 20])], ids=["plain", "mdf"])
+def test_a_traced_pipeline_fills_every_span_attribute(tmp_path, recipe, steps):
+    # The tracer's attribute extractors read sqkit's results (a featurized
+    # matrix's n_frames, a TrainResult's steps_run): a refactor that breaks
+    # one must fail here too. Each training phase is one training.train span.
+    module = load_tracer()
+    config = tmp_path / "recipe.cfg"
+    config.write_text(recipe, encoding="utf-8")
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        codes = [
+            main([command, "--config", str(config), "--out", str(tmp_path / "out")])
+            for command in ("prepare", "train", "infer", "benchmark")
+        ]
+    finally:
+        tracer.uninstall()
+    assert codes == [0, 0, 0, 0]
+    assert tracer.missing == []
+    spans = {}
+    for span in tracer.spans:
+        spans.setdefault(span[module.SPAN_NAME], []).append(span[module.SPAN_ATTRS])
+    assert spans["frontend.featurize"] and all(attrs["frames"] > 0 for attrs in spans["frontend.featurize"])
+    assert [attrs["steps"] for attrs in spans["training.train"]] == steps

@@ -1,10 +1,12 @@
 """Loss, checkpoint ledger, the SGD loop, two-phase fine-tuning, seed sweeps."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sqkit.training
 from sqkit import (
     CheckpointLedger,
     CorpusManifest,
@@ -31,7 +33,6 @@ from sqkit import (
     save_precomputed_text,
     select_criterion,
     train,
-    train_mdf,
     write_wav,
 )
 from sqkit.frontend import frame_count
@@ -212,8 +213,10 @@ class TestTrainLoop:
             batch_size=8, lr=0.01, momentum=0.9, max_steps=1, loss_tau=0.0, seed=3,
             eval_interval=1, patience_steps=10, top_k=2,
         )
-        result = train(kind, prepare_train_data(corpus, FRONTEND), config, **sizes)
-        assert params_equal(result.initial_params, params)
+        data = prepare_train_data(corpus, FRONTEND)
+        result = train(kind, data, config, **sizes)
+        # Zero steps return the initialization: the step started from params.
+        assert params_equal(train(kind, data, dataclasses.replace(config, max_steps=0), **sizes).params, params)
 
         # Replicate the step by hand from the same deterministic pieces.
         samples = corpus.samples("train")
@@ -265,7 +268,7 @@ class TestTrainLoop:
         corpus = make_corpus(tmp_path, "zero", seed=3)
         config = TrainConfig(max_steps=0, seed=1)
         result = train("head", prepare_train_data(corpus, FRONTEND), config, hidden=4)
-        assert params_equal(result.params, result.initial_params)
+        assert params_equal(result.params, init_head(DIM, 4, seed=1))
         assert result.ledger.entries == []
         assert result.steps_run == 0
         assert result.stop_reason == "zero_steps"
@@ -337,42 +340,72 @@ class TestTrainLoop:
 
 
 class TestTrainMdf:
+    """prepare_mdf_data featurizes the pool once; phase 1 is a view of
+    phase 2. The hand-off between the phases is proved through the CLI in
+    the acceptance gate (mdf-contract)."""
+
     def build_pool(self, tmp_path):
         a = make_corpus(tmp_path, "seta", n_train=8, n_dev=5, seed=10)
-        b = make_corpus(tmp_path, "setb", n_train=8, n_dev=5, seed=11)
+        b = make_corpus(tmp_path, "setb", n_train=7, n_dev=4, seed=11)
         return pool([a, b])
 
-    def test_phase2_starts_from_phase1_best_bit_exactly(self, tmp_path):
+    @pytest.mark.parametrize("pretrain", ["seta", "setb"])
+    def test_phases_are_views_of_one_featurization(self, tmp_path, pretrain):
         pooled = self.build_pool(tmp_path)
-        cfg1 = TrainConfig(batch_size=4, lr=0.01, max_steps=20, eval_interval=5,
-                           patience_steps=100, seed=1)
-        cfg2 = TrainConfig(batch_size=4, lr=0.01, max_steps=10, eval_interval=5,
-                           patience_steps=100, seed=1)
-        result = train_mdf("alignnet", prepare_mdf_data("seta", pooled, FRONTEND), cfg1, cfg2,
-                           hidden=4, embed_dim=2, decoder_hidden=3)
-        assert params_equal(result.phase2.initial_params, result.phase1.params)
-        assert result.phase1.params.dataset_ids == ("seta", "setb")
-        assert result.phase2.scaler is result.phase1.scaler
+        member = {m.name: m for m in pooled.members}[pretrain]
+        calls = []
+        real = sqkit.training.featurize
+
+        def counted(sample, *args, **kwargs):
+            calls.append(sample.sample_id)
+            return real(sample, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sqkit.training, "featurize", counted)
+            phase1, phase2 = prepare_mdf_data(pretrain, pooled, FRONTEND)
+        assert sorted(calls) == sorted(s.sample_id for split in ("train", "dev") for s in pooled.samples(split))
+        assert np.shares_memory(phase1.frames, phase2.frames)
+        assert phase1.scaler is phase2.scaler
+        assert (phase1.corpus, phase2.corpus) == (member, pooled)
+
+        # Phase 1 is the member prepared alone, bit for bit.
+        alone = prepare_train_data(member, FRONTEND)
+        assert phase1.train_samples == alone.train_samples and phase1.dev_samples == alone.dev_samples
+        for name in ("frames", "lengths", "starts", "targets"):
+            assert getattr(phase1, name).tobytes() == getattr(alone, name).tobytes(), name
+        assert phase1.scaler.mean.tobytes() == alone.scaler.mean.tobytes()
+        assert phase1.scaler.std.tobytes() == alone.scaler.std.tobytes()
+        assert [m.frames.tobytes() for m in phase1.dev_mats] == [m.frames.tobytes() for m in alone.dev_mats]
+        assert phase1.datastore.embeddings.tobytes() == alone.datastore.embeddings.tobytes()
+        assert phase1.datastore.dataset_ids == alone.datastore.dataset_ids
+
+        # Phase 2 is the whole pool under the member's scaler.
+        raw = np.concatenate([featurize(s, FRONTEND).frames for s in pooled.samples("train")]).astype(np.float64)
+        assert phase2.frames.tobytes() == phase1.scaler.standardize(raw).tobytes()
+        assert not phase2.frames.flags.writeable
+        assert [m.frames.tobytes() for m in phase2.dev_mats] == [
+            featurize(s, FRONTEND, phase1.scaler).frames.tobytes() for s in pooled.samples("dev")
+        ]
 
     def test_zero_step_phase2_returns_phase1_model(self, tmp_path):
-        pooled = self.build_pool(tmp_path)
+        phase1, phase2 = prepare_mdf_data("setb", self.build_pool(tmp_path), FRONTEND)
         cfg1 = TrainConfig(batch_size=4, lr=0.01, max_steps=20, eval_interval=5,
                            patience_steps=100, seed=2)
-        cfg2 = TrainConfig(max_steps=0, seed=2)
-        result = train_mdf("head", prepare_mdf_data("setb", pooled, FRONTEND), cfg1, cfg2, hidden=4)
-        assert params_equal(result.phase2.params, result.phase1.params)
+        first = train("head", phase1, cfg1, hidden=4)
+        second = train("head", phase2, TrainConfig(max_steps=0, seed=2), init_params=first.params)
+        assert params_equal(second.params, first.params)
 
     def test_unknown_pretrain_member_rejected(self, tmp_path):
         pooled = self.build_pool(tmp_path)
-        cfg = TrainConfig(max_steps=1)
-        with pytest.raises(ValueError, match="not among pool members"):
-            train_mdf("head", prepare_mdf_data("setc", pooled, FRONTEND), cfg, cfg, hidden=4)
+        with pytest.raises(ValidationError, match="not among pool members"):
+            prepare_mdf_data("setc", pooled, FRONTEND)
 
 
 class TestPackedTrainMatrix:
     """prepare_train_data featurizes into a matrix allocated from the file
-    headers' frame counts. Under the identity scaler its frames are the raw
-    features, so they must equal np.concatenate of per-utterance featurize."""
+    headers' frame counts, then standardized in place, so its frames must
+    equal its scaler's standardization of np.concatenate of per-utterance
+    featurize, bit for bit."""
 
     # (rate, samples): 400 samples is one 25 ms window at 16 kHz.
     CLIPS = [
@@ -394,9 +427,12 @@ class TestPackedTrainMatrix:
         samples = corpus.samples("train")
         raw = [featurize(s, config).frames for s in samples]
         assert [frame_count(s, config) for s in samples] == [len(f) for f in raw]
-        data = prepare_train_data(corpus, config, FeatureScaler.identity(raw[0].shape[1]))
+        data = prepare_train_data(corpus, config)
         assert isinstance(data, TrainData)
-        assert data.frames.tobytes() == np.concatenate(raw).tobytes()
+        packed = np.concatenate(raw).astype(np.float64)
+        fitted = FeatureScaler.fit(packed)
+        assert (data.scaler.mean.tobytes(), data.scaler.std.tobytes()) == (fitted.mean.tobytes(), fitted.std.tobytes())
+        assert data.frames.tobytes() == data.scaler.standardize(packed).tobytes()
         assert data.lengths.tolist() == [len(f) for f in raw]
         assert data.starts.tolist() == np.cumsum([0] + [len(f) for f in raw])[:-1].tolist()
         assert not data.frames.flags.writeable
