@@ -54,7 +54,7 @@ with tempfile.TemporaryDirectory(prefix="sqkit-demo-") as tmp:
     print("ran", result.steps_run, "steps, selected by", result.criterion)
     print("ledger (best first):")
     for entry in result.ledger.entries:
-        print(f"  step {entry.step:4d}  dev {result.criterion} {entry.value:.4f}  {entry.path.name}")
+        print(f"  step {entry.step:4d}  dev {result.criterion} {entry.value:.4f}  ckpt_step{entry.step}.bin")
 
     # the training log keeps one record per step; dev values appear on the cadence
     evals = [r for r in result.log if r.dev_criterion is not None]

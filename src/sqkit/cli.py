@@ -559,6 +559,7 @@ def _predict_seeds(
     out: Path,
     corpora: dict[str, CorpusManifest],
     targets: list[tuple[str, CorpusManifest, str]],
+    seeds: list[int],
 ) -> Iterator[tuple[int, str, list[EvalPairs]]]:
     """Load every seed's trained model, and the datastore its inference
     mode needs under infer.distance, and predict every (name, corpus,
@@ -592,7 +593,6 @@ def _predict_seeds(
     if mode != "parametric" and distance_kind not in DISTANCE_KINDS:
         raise ValidationError(f"infer.distance must be one of {DISTANCE_KINDS}, not {distance_kind!r}")
     digest = recipe_hash(recipe)
-    seeds = _seed_list(recipe, args)
 
     def predict() -> Iterator[tuple[int, str, list[EvalPairs]]]:
         models = []
@@ -611,10 +611,11 @@ def _predict_seeds(
 def cmd_infer(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
     """Predict one corpus split with a trained model, one file per seed,
     plus the per-system means when every sample has a system id."""
+    seeds = _seed_list(recipe, args)
     names = [recipe.require("infer.corpus")] + (_train_names(recipe) if _checks_table_rows(recipe, args) else [])
     corpora = get_corpora(recipe, out, names)
     target = _target(recipe, corpora, "infer.corpus")
-    for seed, mode, (pairs,) in _predict_seeds(recipe, args, out, corpora, [target]):
+    for seed, mode, (pairs,) in _predict_seeds(recipe, args, out, corpora, [target], seeds):
         with atomic_dir(out / "infer" / f"seed{seed}") as seed_dir:
             systems = (system or "" for system in pairs.system_ids)
             rows = zip(pairs.sample_ids, systems, map(_fmt, pairs.true), map(_fmt, pairs.pred))
@@ -638,7 +639,7 @@ def cmd_benchmark(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
     train_names = _train_names(recipe) if untrained or _checks_table_rows(recipe, args) else []
     corpora = get_corpora(recipe, out, names + train_names)
     targets = [_target(recipe, corpora, "benchmark.tests", name) for name in names]
-    predictions = _predict_seeds(recipe, args, out, corpora, targets)  # checks the inference settings
+    predictions = _predict_seeds(recipe, args, out, corpora, targets, seeds)  # checks the inference settings
     if untrained:
         phases = prepare_training(recipe, corpora)
         for seed in untrained:
@@ -745,9 +746,9 @@ def cmd_export_embeddings(recipe: Recipe, args: argparse.Namespace, out: Path) -
         if ":" not in entry:
             raise ValidationError(f"export.sets entry {entry!r} must be corpus:split")
     pairs = [entry.split(":", 1) for entry in entries]
+    seeds = _seed_list(recipe, args)
     corpora = get_corpora(recipe, out, [name for name, _split in pairs])
     frontend_config = build_frontend(recipe)
-    seeds = _seed_list(recipe, args)
     sets = []
     for name, split in pairs:
         role = "train" if split == "train" else "test"

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import UndefinedCorrelationError, UndefinedRatioError, ValidationError
 
@@ -87,12 +86,22 @@ def pearson(pairs: EvalPairs) -> float:
     return _pearson_xy(pairs.true, pairs.pred)
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks; each run of equal values gets the mean of the
+    positions it spans (scipy.stats.rankdata's "average" method)."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((starts + ends + 1) / 2, ends - starts)
+    return ranks
+
+
 def spearman(pairs: EvalPairs) -> float:
     """Spearman rank correlation: Pearson on average ranks (ties averaged)."""
-    rx = rankdata(pairs.true, method="average")
-    ry = rankdata(pairs.pred, method="average")
     try:
-        return _pearson_xy(rx, ry)
+        return _pearson_xy(_average_ranks(pairs.true), _average_ranks(pairs.pred))
     except UndefinedCorrelationError:
         raise UndefinedCorrelationError("spearman is undefined: zero rank variance")
 

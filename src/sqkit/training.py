@@ -121,7 +121,6 @@ class LedgerEntry:
     step: int
     value: float
     params: ModelParams
-    path: Path | None = None
 
 
 @dataclass
@@ -130,26 +129,29 @@ class CheckpointLedger:
 
     An insertion happens when the ledger is not full or when the value
     strictly beats the current worst; last_improvement_step records the
-    most recent insertion and drives early stopping.
+    most recent insertion and drives early stopping. Given a directory,
+    offer saves an inserted checkpoint there as ckpt_step<step>.bin and
+    deletes the evicted one's file; entries hold no path.
     """
 
     top_k: int
     entries: list[LedgerEntry] = field(default_factory=list)
     last_improvement_step: int = 0
 
-    def offer(self, step: int, value: float, params: ModelParams, path: Path | None = None) -> bool:
+    def offer(self, step: int, value: float, params: ModelParams, directory: Path | None = None) -> bool:
         if not np.isfinite(value):
             return False
         if len(self.entries) >= self.top_k and value <= self.entries[-1].value:
             return False
-        evicted = None
-        if len(self.entries) >= self.top_k:
-            evicted = self.entries.pop()
-        self.entries.append(LedgerEntry(step=step, value=value, params=copy_params(params), path=path))
+        evicted = self.entries.pop() if len(self.entries) >= self.top_k else None
+        self.entries.append(LedgerEntry(step=step, value=value, params=copy_params(params)))
         self.entries.sort(key=lambda e: (-e.value, e.step))
         self.last_improvement_step = step
-        if evicted is not None and evicted.path is not None:
-            evicted.path.unlink(missing_ok=True)
+        if directory is not None:
+            if evicted is not None:
+                (directory / f"ckpt_step{evicted.step}.bin").unlink(missing_ok=True)
+            directory.mkdir(parents=True, exist_ok=True)
+            save_params(params, directory / f"ckpt_step{step}.bin")
         return True
 
     @property
@@ -448,12 +450,7 @@ def train(
             except UndefinedCorrelationError:
                 value = None
             if value is not None:
-                path = None
-                if out_dir is not None:
-                    out_dir.mkdir(parents=True, exist_ok=True)
-                    path = out_dir / f"ckpt_step{step}.bin"
-                if ledger.offer(step, value, params, path) and path is not None:
-                    save_params(params, path)
+                ledger.offer(step, value, params, out_dir)
             log.append(
                 LogRecord(step=step, train_loss=float(np.mean(losses_since_eval)), dev_criterion=value)
             )

@@ -9,6 +9,7 @@ import logging
 import wave
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sqkit.frontend
@@ -147,6 +148,34 @@ class TestTrain:
         assert meta["steps_run"] == 60
         assert meta["stop_reason"] == "max_steps"
         assert list((seed_dir / "ledger").glob("ckpt_step*.bin"))
+
+    @pytest.mark.parametrize("text", [BASE_RECIPE, MDF_RECIPE], ids=["base", "mdf"])
+    def test_the_result_names_no_path_that_is_gone(self, tmp_path, text):
+        # The seed dir is built in a temp dir and renamed into place; a path
+        # into the temp dir would dangle once train_one_seed returns.
+        recipe = cli.Recipe(parse_recipe(write_recipe(tmp_path, text)), tmp_path)
+        out = tmp_path / "out"
+        phases = cli.prepare_training(recipe, cli.get_corpora(recipe, out, cli._train_names(recipe)))
+        result = cli.train_one_seed(recipe, phases, 0, out)
+        assert result.ledger.entries
+        # Walk every object reachable through containers and instance attributes.
+        paths, stack, seen = [], [result], set()
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, Path):
+                paths.append(obj)
+            elif isinstance(obj, dict):
+                stack.extend([*obj.keys(), *obj.values()])
+            elif isinstance(obj, (list, tuple, set, frozenset)):
+                stack.extend(obj)
+            elif isinstance(obj, np.ndarray):
+                assert obj.dtype != object  # no Path can hide in an array
+            elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+                stack.extend(vars(obj).values())
+        assert [p for p in paths if not p.exists()] == []
 
     def test_seed_flag_overrides_config(self, tmp_path):
         config = write_recipe(tmp_path)
@@ -780,6 +809,14 @@ class TestExitCodes:
                 assert main([command, "--config", str(recipe), "--out", str(out), *flags]) == 1, (command, flags)
                 assert named in capsys.readouterr().err
         assert tree_bytes(out) == before
+
+    @pytest.mark.parametrize("command", ["infer", "export-embeddings"])
+    def test_a_repeated_seed_makes_no_corpus(self, tmp_path, capsys, command):
+        config = write_recipe(tmp_path)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out), "--seed", "0,0"]) == 1
+        assert "seed list '0,0' repeats seed 0" in capsys.readouterr().err
+        assert not (out / "corpora").exists()
 
     @pytest.mark.parametrize("name", ["params.ckpt", "scaler.bin", "datastore.bin"])
     def test_truncated_train_artifact_is_exit_1(self, tmp_path, capsys, name):

@@ -18,8 +18,9 @@ from sqkit import (
     system_aggregate,
 )
 from sqkit.cli import metric_values
+from sqkit.metrics import _average_ranks
 
-from oracles import mse_oracle, pearson_oracle, spearman_oracle
+from oracles import average_ranks_oracle, mse_oracle, pearson_oracle, spearman_oracle
 
 
 def make_pairs(true, pred, systems=None):
@@ -139,6 +140,43 @@ class TestSpearman:
     def test_tied_ranks_everywhere_is_undefined(self):
         with pytest.raises(UndefinedCorrelationError):
             spearman(make_pairs([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]))
+
+
+class TestAverageRanks:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1.0, 2.0, 2.0, 3.0],
+            [3.0, 1.0, 3.0, 1.0, 2.0, 3.0],
+            [2.5, 2.5, 2.5, 2.5],
+            [7.0],
+            [0.0, -0.0, 1.0, -0.0, -1.0, 0.0],
+            [5.0, 4.0, 3.0, 3.0, 2.0, 1.0],
+        ],
+        ids=["ties", "interleaved-ties", "all-equal", "one", "signed-zeros", "reversed"],
+    )
+    def test_matches_oracle(self, values):
+        ranks = _average_ranks(np.array(values))
+        assert ranks.dtype == np.float64
+        assert ranks.tolist() == average_ranks_oracle(values)
+
+    def test_matches_oracle_on_random_vectors(self):
+        rng = np.random.default_rng(808)
+        for _ in range(200):
+            x, y = random_vectors(rng, with_ties=True)
+            assert _average_ranks(x).tolist() == average_ranks_oracle(x.tolist())
+            assert _average_ranks(y).tolist() == average_ranks_oracle(y.tolist())
+
+    def test_bit_identical_to_scipy_rankdata(self):
+        rankdata = pytest.importorskip("scipy.stats").rankdata
+        rng = np.random.default_rng(909)
+        for i in range(2000):
+            n = int(rng.integers(1, 60))
+            values = rng.integers(-3, 4, n).astype(float) if i % 2 else rng.normal(size=n)
+            values[rng.random(n) < 0.2] = -0.0
+            ranks = _average_ranks(values)
+            expected = rankdata(values, method="average")
+            assert ranks.dtype == expected.dtype and ranks.tobytes() == expected.tobytes()
 
 
 class TestSystemAggregate:

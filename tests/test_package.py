@@ -1,9 +1,12 @@
-"""The package's public surface: ``sqkit.__all__`` against its imports, and
-the perfbench tracer sites that wrap it."""
+"""The package's public surface: ``sqkit.__all__`` against its imports, the
+perfbench tracer sites that wrap it, and the modules a command loads."""
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -11,7 +14,7 @@ import pytest
 
 import sqkit
 from sqkit.cli import main
-from test_cli import BASE_RECIPE, MDF_RECIPE
+from test_cli import BASE_RECIPE, MDF_RECIPE, write_recipe
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -35,6 +38,24 @@ def test_all_names_resolve_appear_once_and_match_the_imports():
     imported = imported_public_names()
     assert len(imported) == len(set(imported))
     assert set(sqkit.__all__) == set(imported)
+
+
+def test_a_command_never_imports_scipy(tmp_path):
+    # scipy is a test-only oracle. A fresh interpreter runs a whole command,
+    # so an import deferred into a function body shows too, not only one at
+    # module level.
+    config, out = write_recipe(tmp_path), tmp_path / "out"
+    code = (
+        "import sys\n"
+        "from sqkit.cli import main\n"
+        f"assert main(['benchmark', '--config', {str(config)!r}, '--out', {str(out)!r}]) == 0\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(sqkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def load_tracer():

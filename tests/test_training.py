@@ -188,14 +188,11 @@ class TestCheckpointLedger:
 
     def test_eviction_unlinks_checkpoint_file(self, tmp_path):
         ledger = CheckpointLedger(top_k=1)
-        low = tmp_path / "low.bin"
-        high = tmp_path / "high.bin"
-        low.write_bytes(b"x")
-        high.write_bytes(b"y")
-        ledger.offer(1, 0.2, self.PARAMS, path=low)
-        ledger.offer(2, 0.9, self.PARAMS, path=high)
-        assert not low.exists()
-        assert high.exists()
+        ledger.offer(1, 0.2, self.PARAMS, directory=tmp_path)
+        assert (tmp_path / "ckpt_step1.bin").exists()
+        ledger.offer(2, 0.9, self.PARAMS, directory=tmp_path)
+        assert not ledger.offer(3, 0.1, self.PARAMS, directory=tmp_path)
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "ckpt_step2.bin"]
 
     def test_non_finite_value_rejected(self):
         ledger = CheckpointLedger(top_k=2)
@@ -305,7 +302,7 @@ class TestTrainLoop:
         result = train("head", prepare_train_data(corpus, FRONTEND), config, hidden=4, out_dir=out)
         on_disk = sorted(out.glob("ckpt_step*.bin"))
         assert len(on_disk) == len(result.ledger.entries) <= 2
-        assert {e.path for e in result.ledger.entries} == set(on_disk)
+        assert {out / f"ckpt_step{e.step}.bin" for e in result.ledger.entries} == set(on_disk)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_loss_aborts_with_diagnostics(self, tmp_path):
