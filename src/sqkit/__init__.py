@@ -112,92 +112,3 @@ from .training import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlignNetParams",
-    "AudioFormatError",
-    "BenchCell",
-    "BenchMatrix",
-    "CheckpointError",
-    "CheckpointLedger",
-    "CorpusManifest",
-    "Datastore",
-    "DEFAULT_METRIC_KEYS",
-    "EmbeddingDump",
-    "EmbeddingMatrix",
-    "EvalPairs",
-    "FeatureScaler",
-    "FrontendConfig",
-    "HeadParams",
-    "KnnConfig",
-    "ManifestError",
-    "NeighborSet",
-    "PooledCorpus",
-    "Sample",
-    "SqkitError",
-    "SynthSpec",
-    "TrainConfig",
-    "TrainData",
-    "TrainResult",
-    "UndefinedCorrelationError",
-    "UndefinedRatioError",
-    "ValidationError",
-    "Workspace",
-    "aggregate",
-    "alignnet_backward",
-    "alignnet_raw",
-    "copy_params",
-    "best_score_difference",
-    "best_score_ratio",
-    "best_values",
-    "build_datastore",
-    "clip_score",
-    "clipped_mse",
-    "export_embeddings",
-    "extract_dsp",
-    "featurize",
-    "generate_synthetic_corpus",
-    "head_backward",
-    "head_raw",
-    "init_alignnet",
-    "init_head",
-    "knn_weights",
-    "load_audio",
-    "load_corpus_dir",
-    "load_datastore",
-    "load_manifest",
-    "load_params",
-    "load_precomputed",
-    "load_scaler",
-    "load_sidecar",
-    "mel_center_frequencies",
-    "mel_filterbank",
-    "mse",
-    "named_rng",
-    "params_equal",
-    "pca_2d",
-    "pearson",
-    "pool",
-    "pool_time",
-    "predict_split",
-    "prepare_mdf_data",
-    "prepare_train_data",
-    "resample_to_16k",
-    "retrieve_neighbors",
-    "save_corpus_dir",
-    "save_datastore",
-    "save_manifest",
-    "save_params",
-    "save_precomputed",
-    "save_precomputed_text",
-    "save_scaler",
-    "select_samples",
-    "select_criterion",
-    "spearman",
-    "split_random",
-    "subsample",
-    "system_aggregate",
-    "train",
-    "write_wav",
-    "zero_grads",
-]

@@ -1,8 +1,7 @@
 """Recipe-style command line: prepare, train, infer, benchmark, aggregate,
 export-embeddings.
 
-A recipe is a flat key=value config file. Three flags override a recipe
-key: --seed (seeds), --out (out) and --inference (infer.mode).
+A recipe is a flat key=value config file; KEYS declares every key it may set.
 Every command is deterministic given (config, seeds): corpora are
 materialized from seeded generators, training consumes named seed
 streams, and all emitted CSV floats use repr so reruns are byte-identical.
@@ -15,63 +14,31 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import inspect
 import json
 import logging
 import os
 import sys
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .codec import atomic_dir, atomic_open, read_csv_rows, write_csv
-from .corpus import (
-    CorpusManifest,
-    PooledCorpus,
-    SynthSpec,
-    generate_synthetic_corpus,
-    load_corpus_dir,
-    load_manifest,
-    pool,
-    save_corpus_dir,
-    split_random,
-    subsample,
-)
-from .errors import (
-    AudioFormatError,
-    CheckpointError,
-    ManifestError,
-    SqkitError,
-    UndefinedCorrelationError,
-    UndefinedRatioError,
-    ValidationError,
-)
+from .corpus import (CorpusManifest, PooledCorpus, SynthSpec, generate_synthetic_corpus, load_corpus_dir, load_manifest,
+                     pool, save_corpus_dir, split_random, subsample)
+from .errors import (AudioFormatError, CheckpointError, ManifestError, SqkitError, UndefinedCorrelationError,
+                     UndefinedRatioError, ValidationError)
 from .export import export_embeddings, pca_2d
 from .frontend import FeatureScaler, FrontendConfig, load_scaler, save_scaler
 # build_datastore is unused here: perfbench's tracer wraps this name on
 # this module, and a site that stops resolving fails its run.
-from .inference import (
-    DISTANCE_KINDS,
-    INFERENCE_MODES,
-    KnnConfig,
-    build_datastore,
-    check_table_rows,
-    load_datastore,
-    predict_split,
-    save_datastore,
-)
+from .inference import (DISTANCE_KINDS, INFERENCE_MODES, KnnConfig, build_datastore, check_table_rows, load_datastore,
+                        predict_split, save_datastore)
 from .metrics import EvalPairs, aggregate, best_values, mse, pearson, spearman, system_aggregate
 from .model import ModelParams, load_params, save_params
-from .training import (
-    TrainConfig,
-    TrainData,
-    TrainResult,
-    prepare_mdf_data,
-    prepare_train_data,
-    select_criterion,
-    table_dataset_ids,
-    train,
-)
+from .training import (SELECTION_CRITERIA, TrainConfig, TrainData, TrainResult, prepare_mdf_data, prepare_train_data,
+                       select_criterion, table_dataset_ids, train)
 
 logger = logging.getLogger(__name__)
 
@@ -81,6 +48,100 @@ MODEL_SECTIONS = ("corpus.", "frontend.", "model.", "train.")
 
 
 # ---------------------------------------------------------------- recipes
+
+
+REQUIRED = object()  # the default of a key that the command reading it needs set
+CORPUS_KINDS = ("synthetic", "manifest", "dir")
+BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+# value type -> (its parser, which raises ValueError or KeyError on a bad value;
+# what a value of the type looks like)
+VALUE_TYPES = {
+    "str": (str, "text"),
+    "path": (Path, "path"),
+    "int": (int, "integer"),
+    "float": (float, "number"),
+    "bool": (lambda text: BOOLS[text.lower()], "true/false"),
+    "floats": (lambda text: tuple(float(v) for v in text.split(",") if v.strip()), "comma-separated numbers"),
+}
+
+
+class Key(NamedTuple):
+    """A declared recipe key: a VALUE_TYPES name, the default, a one-line
+    doc, the values it allows (any when empty) and, for a corpus.X.* key,
+    the corpus kinds that read it (every kind when empty)."""
+
+    type: str
+    default: object
+    doc: str
+    choices: tuple[str, ...] = ()
+    kinds: tuple[str, ...] = ()
+
+
+def _arg(fn, name: str):
+    return inspect.signature(fn).parameters[name].default
+
+
+# Every recipe key, declared once; corpus.X.* stands for each corpus.<name>.*
+# block. A default the library already holds is read from it.
+KEYS: dict[str, Key] = {
+    "seeds": Key("str", "0", "comma-separated seed list; --seed overrides it"),
+    "out": Key("str", None, "output dir; --out overrides it, and one of the two is needed"),
+    "corpus.X.kind": Key("str", None, "synthetic, manifest (a CSV) or dir (a corpus directory); every block needs one"),
+    "corpus.X.seed": Key("int", 0, "seed of the generator, the subsample and the split"),
+    "corpus.X.subsample": Key("int", None, "keep n train samples, drawn before the split"),
+    "corpus.X.split_ratio": Key("float", None, "split a train-only corpus into train/dev at this train share"),
+    "corpus.X.n": Key("int", SynthSpec.n_utterances, "utterances", kinds=("synthetic",)),
+    "corpus.X.snr_grid": Key("floats", SynthSpec.snr_grid_db, "SNR levels in dB, one per system", kinds=("synthetic",)),
+    "corpus.X.mos_intercept": Key("float", SynthSpec.mos_intercept, "score at 0 dB SNR", kinds=("synthetic",)),
+    "corpus.X.mos_slope": Key("float", SynthSpec.mos_slope, "score per dB of SNR", kinds=("synthetic",)),
+    "corpus.X.delta": Key("float", SynthSpec.delta, "score shift of the whole corpus", kinds=("synthetic",)),
+    "corpus.X.sigma": Key("float", SynthSpec.sigma, "std of the per-utterance score noise", kinds=("synthetic",)),
+    "corpus.X.tone_lo": Key("float", SynthSpec.tone_hz[0], "lowest tone in Hz", kinds=("synthetic",)),
+    "corpus.X.tone_hi": Key("float", SynthSpec.tone_hz[1], "highest tone in Hz", kinds=("synthetic",)),
+    "corpus.X.amplitude": Key("float", SynthSpec.tone_amplitude, "tone amplitude", kinds=("synthetic",)),
+    "corpus.X.duration_lo": Key("float", SynthSpec.duration_s[0], "shortest utterance in s", kinds=("synthetic",)),
+    "corpus.X.duration_hi": Key("float", SynthSpec.duration_s[1], "longest utterance in s", kinds=("synthetic",)),
+    "corpus.X.rate": Key("int", SynthSpec.rate_hz, "sample rate of the audio in Hz", kinds=("synthetic", "manifest")),
+    "corpus.X.path": Key("path", REQUIRED, "the manifest CSV or the corpus directory", kinds=("manifest", "dir")),
+    "corpus.X.domain": Key("str", _arg(load_manifest, "domain_tag"), "domain tag", kinds=("manifest",)),
+    "corpus.X.language": Key("str", _arg(load_manifest, "language"), "language tag", kinds=("manifest",)),
+    "frontend.kind": Key("str", FrontendConfig.kind, "dsp (log-mel from audio) or precomputed (embedding files)"),
+    "frontend.n_mels": Key("int", FrontendConfig.n_mels, "mel bands of the dsp frontend"),
+    "frontend.window_ms": Key("float", FrontendConfig.window_ms, "dsp window length in ms"),
+    "frontend.hop_ms": Key("float", FrontendConfig.hop_ms, "dsp hop in ms"),
+    "frontend.expected_dim": Key("int", FrontendConfig.expected_dim, "feature dim a precomputed frontend enforces"),
+    "model.kind": Key("str", "head", "head or alignnet"),
+    "model.hidden": Key("int", _arg(train, "hidden"), "hidden width"),
+    "model.embed_dim": Key("int", _arg(train, "embed_dim"), "alignnet dataset-embedding width"),
+    "model.decoder_hidden": Key("int", _arg(train, "decoder_hidden"), "alignnet decoder width"),
+    "model.label": Key("str", None, "model name in the records (default kind[-mdf]-mode)"),
+    "train.corpus": Key("str", REQUIRED, "corpus name, or a pool like a+b+c"),
+    "train.batch_size": Key("int", TrainConfig.batch_size, "samples per SGD step"),
+    "train.lr": Key("float", TrainConfig.lr, "learning rate"),
+    "train.momentum": Key("float", TrainConfig.momentum, "SGD momentum"),
+    "train.max_steps": Key("int", TrainConfig.max_steps, "step budget"),
+    "train.patience_steps": Key("int", TrainConfig.patience_steps, "steps without a better dev score before a stop"),
+    "train.top_k": Key("int", TrainConfig.top_k, "checkpoints the ledger keeps"),
+    "train.loss_tau": Key("float", TrainConfig.loss_tau, "clipped-MSE margin"),
+    "train.selection": Key("str", "auto", "dev criterion, auto: by corpus domain", ("auto", *SELECTION_CRITERIA)),
+    "train.eval_interval": Key("int", TrainConfig.eval_interval, "steps between dev evaluations"),
+    "train.mdf_pretrain": Key("str", None, "pre-train corpus; setting it turns on two-phase MDF fine-tuning"),
+    "train.mdf_max_steps": Key("int", None, "fine-tune steps (default train.max_steps)"),
+    "infer.corpus": Key("str", REQUIRED, "corpus to predict"),
+    "infer.split": Key("str", None, "split to predict (default test, else dev, else train)"),
+    "infer.mode": Key("str", "parametric", "inference mode; --inference overrides it", INFERENCE_MODES),
+    "infer.distance": Key("str", _arg(load_datastore, "distance_kind"), "retrieval distance", DISTANCE_KINDS),
+    "infer.knn_k": Key("int", KnnConfig.k, "neighbours of the knn mode"),
+    "infer.knn_temperature": Key("float", KnnConfig.temperature, "softmax temperature of the knn weights"),
+    "infer.knn_paper_literal": Key("bool", KnnConfig.paper_literal, "weight by exp(+d/T), as the published formula"),
+    "benchmark.tests": Key("str", REQUIRED, "comma-separated test corpora"),
+    "benchmark.split": Key("str", None, "split to score, as infer.split"),
+    "aggregate.inputs": Key("str", REQUIRED, "comma-separated benchmark output dirs"),
+    "aggregate.best": Key("str", "within-family", "where the best values come from", ("within-family", "external")),
+    "aggregate.reference": Key("path", REQUIRED, "benchmark dir whose models give the best values under external"),
+    "export.sets": Key("str", REQUIRED, "comma-separated corpus:split list"),
+    "export.n_per_set": Key("int", _arg(export_embeddings, "n_per_set"), "samples drawn per set"),
+}
 
 
 def parse_recipe(path: str | Path) -> dict[str, str]:
@@ -102,60 +163,72 @@ def parse_recipe(path: str | Path) -> dict[str, str]:
     return config
 
 
+def _declared(key: str) -> tuple[str, str | None]:
+    """The KEYS name of a recipe key, and the corpus name of a
+    corpus.<name>.<field> key (None for any other key)."""
+    section, _, rest = key.partition(".")
+    name, _, field = rest.partition(".")
+    if section == "corpus" and field:
+        return f"corpus.X.{field}", name
+    return key, None
+
+
+@dataclasses.dataclass
 class Recipe:
-    """Config access with typed getters; relative paths resolve against
+    """A parsed recipe read through KEYS; relative paths resolve against
     the config file's directory."""
 
-    def __init__(self, config: dict[str, str], base_dir: Path):
-        self.config = config
-        self.base_dir = base_dir
+    config: dict[str, str]
+    base_dir: Path
 
-    def get(self, key: str, default: str | None = None) -> str | None:
-        return self.config.get(key, default)
-
-    def require(self, key: str) -> str:
-        if key not in self.config:
-            raise ValidationError(f"config key {key!r} is required")
-        return self.config[key]
-
-    def _number(self, key: str, default, kind: type):
-        raw = self.config.get(key)
-        try:
-            return default if raw is None else kind(raw)
-        except ValueError:
-            what = "integer" if kind is int else "number"
-            raise ValidationError(f"config key {key!r}: expected {what}, got {raw!r}")
-
-    def get_int(self, key: str, default: int | None) -> int | None:
-        return self._number(key, default, int)
-
-    def get_float(self, key: str, default: float | None) -> float | None:
-        return self._number(key, default, float)
-
-    def get_bool(self, key: str, default: bool) -> bool:
+    def get(self, key: str):
+        """The value of a declared key, parsed by its type, else its default.
+        An unset REQUIRED key, a value that does not parse and a value
+        outside the key's choices raise ValidationError."""
+        spec = KEYS[_declared(key)[0]]
         raw = self.config.get(key)
         if raw is None:
-            return default
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ValidationError(f"config key {key!r}: expected true/false, got {raw!r}")
+            if spec.default is REQUIRED:
+                raise ValidationError(f"config key {key!r} is required")
+            return spec.default
+        parse, what = VALUE_TYPES[spec.type]
+        try:
+            value = parse(raw)
+        except (ValueError, KeyError):
+            raise ValidationError(f"config key {key!r}: expected {what}, got {raw!r}")
+        if spec.choices and value not in spec.choices:
+            raise ValidationError(f"{key} must be {', '.join(spec.choices[:-1])} or {spec.choices[-1]}, got {raw!r}")
+        return self.base_dir / value if spec.type == "path" else value  # an absolute value replaces base_dir
 
-    def path(self, key: str) -> Path:
-        return self.base_dir / self.require(key)  # an absolute value replaces base_dir
+    def fields(self, cls, prefix: str) -> dict:
+        """The keyword arguments of dataclass cls that keys prefix<field> declare."""
+        return {f.name: self.get(prefix + f.name) for f in dataclasses.fields(cls) if prefix + f.name in KEYS}
+
+
+def check_keys(recipe: Recipe) -> None:
+    """Reject a key that KEYS does not declare, naming the nearest declared
+    one, and a corpus key that its block's kind does not read. The values
+    are checked where a command reads them."""
+    for key in sorted(recipe.config):
+        declared, name = _declared(key)
+        spec = KEYS.get(declared)
+        if spec is None:
+            import difflib  # only a recipe with an unknown key pays for this import
+
+            nearest = difflib.get_close_matches(declared, KEYS, n=1, cutoff=0.0)[0]
+            nearest = nearest.replace("corpus.X.", f"corpus.{name}.")
+            raise ValidationError(f"unknown config key {key!r}; did you mean {nearest!r}?")
+        kind = recipe.config.get(f"corpus.{name}.kind") if spec.kinds else None
+        if kind in CORPUS_KINDS and kind not in spec.kinds:  # an unknown kind fails where its corpus is made
+            kinds = " and ".join(spec.kinds)
+            raise ValidationError(f"config key {key!r} is read by {kinds} corpora, not by {kind} ones")
 
 
 # ---------------------------------------------------------------- corpora
 
 
 def _corpus_names(recipe: Recipe) -> list[str]:
-    names = {key.split(".")[1] for key in recipe.config if key.startswith("corpus.")}
-    return sorted(names)
-
-
-def _floats_list(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v.strip())
+    return sorted({key.split(".")[1] for key in recipe.config if key.startswith("corpus.")})
 
 
 def corpus_fingerprint(recipe: Recipe, name: str) -> str:
@@ -167,10 +240,10 @@ def corpus_fingerprint(recipe: Recipe, name: str) -> str:
 
 def _transformed(recipe: Recipe, prefix: str, corpus: CorpusManifest, seed: int) -> CorpusManifest:
     """Apply the block's subsample, then split a train-only corpus at split_ratio."""
-    n_sub = recipe.get_int(prefix + "subsample", None)
+    n_sub = recipe.get(prefix + "subsample")
     if n_sub is not None:
         corpus = subsample(corpus, n_sub, seed)
-    ratio = recipe.get_float(prefix + "split_ratio", None)
+    ratio = recipe.get(prefix + "split_ratio")
     if ratio is not None and set(corpus.splits) == {"train"}:
         corpus = split_random(corpus, ratio, seed)
     return corpus
@@ -188,26 +261,16 @@ def _synthetic_corpus(recipe: Recipe, name: str, seed: int, target: Path) -> Cor
     except (ManifestError, ValidationError, OSError, ValueError) as exc:
         reason = exc
     prefix = f"corpus.{name}."
+
+    def get(field: str):
+        return recipe.get(prefix + field)
+
     with atomic_dir(target) as tmp:
         spec = SynthSpec(
-            name=name,
-            out_dir=tmp,
-            n_utterances=recipe.get_int(prefix + "n", 120),
-            snr_grid_db=_floats_list(recipe.get(prefix + "snr_grid", "-2,0,2,5")),
-            mos_intercept=recipe.get_float(prefix + "mos_intercept", 3.0),
-            mos_slope=recipe.get_float(prefix + "mos_slope", 0.4),
-            delta=recipe.get_float(prefix + "delta", 0.0),
-            sigma=recipe.get_float(prefix + "sigma", 0.0),
-            tone_hz=(
-                recipe.get_float(prefix + "tone_lo", 200.0),
-                recipe.get_float(prefix + "tone_hi", 600.0),
-            ),
-            tone_amplitude=recipe.get_float(prefix + "amplitude", 0.25),
-            duration_s=(
-                recipe.get_float(prefix + "duration_lo", 1.0),
-                recipe.get_float(prefix + "duration_hi", 3.0),
-            ),
-            rate_hz=recipe.get_int(prefix + "rate", 16000),
+            name=name, out_dir=tmp, n_utterances=get("n"), snr_grid_db=get("snr_grid"),
+            mos_intercept=get("mos_intercept"), mos_slope=get("mos_slope"), delta=get("delta"), sigma=get("sigma"),
+            tone_hz=(get("tone_lo"), get("tone_hi")), tone_amplitude=get("amplitude"),
+            duration_s=(get("duration_lo"), get("duration_hi")), rate_hz=get("rate"),
         )
         corpus = _transformed(recipe, prefix, generate_synthetic_corpus(spec, seed), seed)
         save_corpus_dir(corpus, tmp, fingerprint)
@@ -229,19 +292,19 @@ def materialize_corpus(recipe: Recipe, name: str, out_base: Path) -> CorpusManif
     kind = recipe.get(prefix + "kind")
     if kind is None:
         raise ValidationError(f"corpus {name!r}: missing {prefix}kind")
-    seed = recipe.get_int(prefix + "seed", 0)
+    seed = recipe.get(prefix + "seed")
     if kind == "synthetic":
         return _synthetic_corpus(recipe, name, seed, out_base / "corpora" / name)
     if kind == "manifest":
         corpus = load_manifest(
-            recipe.path(prefix + "path"),
+            recipe.get(prefix + "path"),
             name=name,
-            domain_tag=recipe.get(prefix + "domain", "non-synthetic"),
-            language=recipe.get(prefix + "language", "und"),
-            native_rate_hz=recipe.get_int(prefix + "rate", 16000),
+            domain_tag=recipe.get(prefix + "domain"),
+            language=recipe.get(prefix + "language"),
+            native_rate_hz=recipe.get(prefix + "rate"),
         )
     elif kind == "dir":
-        corpus = load_corpus_dir(recipe.path(prefix + "path"))
+        corpus = load_corpus_dir(recipe.get(prefix + "path"))
     else:
         raise ValidationError(f"corpus {name!r}: unknown kind {kind!r}")
     return _transformed(recipe, prefix, corpus, seed)
@@ -266,7 +329,7 @@ def _corpus(corpora: dict[str, CorpusManifest], key: str, name: str) -> CorpusMa
 
 def _train_names(recipe: Recipe) -> list[str]:
     """train.corpus is one name or a +-joined pool like a+b+c."""
-    return [n.strip() for n in recipe.require("train.corpus").split("+")]
+    return [n.strip() for n in recipe.get("train.corpus").split("+")]
 
 
 def resolve_train_corpus(recipe: Recipe, corpora: dict[str, CorpusManifest]) -> CorpusManifest | PooledCorpus:
@@ -274,57 +337,27 @@ def resolve_train_corpus(recipe: Recipe, corpora: dict[str, CorpusManifest]) -> 
     return members[0] if len(members) == 1 else pool(members)
 
 
-def eval_split_for(corpus: CorpusManifest, preferred: str | None) -> str:
-    """Pick the evaluation split: the configured one, else test, else dev."""
-    if preferred:
-        if corpus.samples(preferred):
-            return preferred
-        raise ValidationError(f"corpus {corpus.name!r} has no samples in split {preferred!r}")
-    for split in ("test", "dev", "train"):
-        if corpus.samples(split):
-            return split
-    raise ValidationError(f"corpus {corpus.name!r} is empty")
-
-
 def _target(
     recipe: Recipe, corpora: dict[str, CorpusManifest], key: str, name: str | None = None
 ) -> tuple[str, CorpusManifest, str]:
     """The corpus named by `key` (or `name`, one entry of its list) and the
     split to score: <section>.split, else test, dev or train."""
-    name = recipe.require(key) if name is None else name
+    name = recipe.get(key) if name is None else name
     corpus = _corpus(corpora, key, name)
-    return name, corpus, eval_split_for(corpus, recipe.get(key.split(".")[0] + ".split"))
+    preferred = recipe.get(key.split(".")[0] + ".split")
+    if preferred and not corpus.samples(preferred):
+        raise ValidationError(f"corpus {corpus.name!r} has no samples in split {preferred!r}")
+    for split in [preferred] if preferred else ["test", "dev", "train"]:
+        if corpus.samples(split):
+            return name, corpus, split
+    raise ValidationError(f"corpus {corpus.name!r} is empty")
 
 
 # ---------------------------------------------------------------- training
 
 
 def build_frontend(recipe: Recipe) -> FrontendConfig:
-    return FrontendConfig(
-        kind=recipe.get("frontend.kind", "dsp"),
-        n_mels=recipe.get_int("frontend.n_mels", 40),
-        window_ms=recipe.get_float("frontend.window_ms", 25.0),
-        hop_ms=recipe.get_float("frontend.hop_ms", 10.0),
-        expected_dim=recipe.get_int("frontend.expected_dim", None),
-    )
-
-
-def build_train_config(recipe: Recipe, seed: int, domain_tag: str, max_steps: int | None = None) -> TrainConfig:
-    selection = recipe.get("train.selection", "auto")
-    if selection == "auto":
-        selection = select_criterion(domain_tag)
-    return TrainConfig(
-        batch_size=recipe.get_int("train.batch_size", 16),
-        lr=recipe.get_float("train.lr", 0.001),
-        momentum=recipe.get_float("train.momentum", 0.9),
-        max_steps=recipe.get_int("train.max_steps", 100_000) if max_steps is None else max_steps,
-        patience_steps=recipe.get_int("train.patience_steps", 2000),
-        top_k=recipe.get_int("train.top_k", 5),
-        loss_tau=recipe.get_float("train.loss_tau", 0.25),
-        selection=selection,
-        seed=seed,
-        eval_interval=recipe.get_int("train.eval_interval", 250),
-    )
+    return FrontendConfig(**recipe.fields(FrontendConfig, "frontend."))
 
 
 def save_model_dir(directory: Path, result: TrainResult, frontend_config: FrontendConfig, extra: dict) -> None:
@@ -396,14 +429,18 @@ def recipe_hash(recipe: Recipe) -> str:
 
 
 def _train_configs(recipe: Recipe, seed: int, train_corpus: CorpusManifest | PooledCorpus) -> list[TrainConfig]:
-    """The TrainConfig of each training phase: one, or two under MDF."""
-    config = build_train_config(recipe, seed, train_corpus.domain_tag)
+    """The TrainConfig of each training phase: one, or two under MDF, where
+    the second runs train.mdf_max_steps when that is set."""
+    values = recipe.fields(TrainConfig, "train.")
+    if values["selection"] == "auto":
+        values["selection"] = select_criterion(train_corpus.domain_tag)
+    config = TrainConfig(**values, seed=seed)
     if not recipe.get("train.mdf_pretrain"):
         return [config]
     if not isinstance(train_corpus, PooledCorpus):
         raise ValidationError("MDF needs a pooled train.corpus (a+b+...)")
-    phase2_steps = recipe.get_int("train.mdf_max_steps", config.max_steps)
-    return [config, build_train_config(recipe, seed, train_corpus.domain_tag, max_steps=phase2_steps)]
+    phase2_steps = recipe.get("train.mdf_max_steps")
+    return [config, config if phase2_steps is None else dataclasses.replace(config, max_steps=phase2_steps)]
 
 
 def prepare_training(recipe: Recipe, corpora: dict[str, CorpusManifest]) -> tuple[TrainData, ...]:
@@ -426,12 +463,8 @@ def train_one_seed(recipe: Recipe, phases: tuple[TrainData, ...], seed: int, out
     Under MDF each earlier phase is saved to mdf_phase<i>/ and its
     checkpoints go to ledger/phase<i>/."""
     frontend_config = build_frontend(recipe)
-    model_kind = recipe.get("model.kind", "head")
-    sizes = {
-        "hidden": recipe.get_int("model.hidden", 64),
-        "embed_dim": recipe.get_int("model.embed_dim", 16),
-        "decoder_hidden": recipe.get_int("model.decoder_hidden", 32),
-    }
+    model_kind = recipe.get("model.kind")
+    sizes = {name: recipe.get("model." + name) for name in ("hidden", "embed_dim", "decoder_hidden")}
     configs = _train_configs(recipe, seed, phases[-1].corpus)
     dataset_ids = table_dataset_ids(phases[-1].corpus)
     extra = {"recipe_hash": recipe_hash(recipe)}
@@ -518,7 +551,7 @@ def cmd_prepare(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
 
 
 def _seed_list(recipe: Recipe, args: argparse.Namespace) -> list[int]:
-    text = args.seed or recipe.get("seeds", "0")
+    text = args.seed or recipe.get("seeds")
     try:
         seeds = [int(s) for s in text.split(",") if s.strip()]
     except ValueError:
@@ -543,55 +576,40 @@ def cmd_train(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
     return 0
 
 
-def _inference_mode(recipe: Recipe, args: argparse.Namespace) -> str:
-    return args.inference or recipe.get("infer.mode", "parametric")
+def _inference_settings(recipe: Recipe, args: argparse.Namespace) -> tuple[str, KnnConfig | None, str | None]:
+    """The inference mode, the KnnConfig of the knn mode and the datastore
+    distance of the retrieval modes, checked against the recipe's model
+    kind. Commands call this before they make any corpus."""
+    mode = args.inference or recipe.get("infer.mode")
+    model_kind = recipe.get("model.kind")
+    if mode == "domain-retrieval" and model_kind != "alignnet":
+        raise ValidationError(f"domain-retrieval needs model.kind = alignnet, not {model_kind!r}")
+    knn_config = KnnConfig(**recipe.fields(KnnConfig, "infer.knn_")) if mode == "knn" else None
+    return mode, knn_config, None if mode == "parametric" else recipe.get("infer.distance")
 
 
-def _checks_table_rows(recipe: Recipe, args: argparse.Namespace) -> bool:
+def _checks_table_rows(recipe: Recipe, mode: str) -> bool:
     """Parametric alignnet scoring checks each target's dataset ids against
     the embedding table rows, which come from the train.corpus members."""
-    return _inference_mode(recipe, args) == "parametric" and recipe.get("model.kind", "head") == "alignnet"
+    return mode == "parametric" and recipe.get("model.kind") == "alignnet"
 
 
 def _predict_seeds(
-    recipe: Recipe,
-    args: argparse.Namespace,
-    out: Path,
-    corpora: dict[str, CorpusManifest],
-    targets: list[tuple[str, CorpusManifest, str]],
-    seeds: list[int],
-) -> Iterator[tuple[int, str, list[EvalPairs]]]:
+    recipe: Recipe, settings: tuple, out: Path, corpora: dict, targets: list, seeds: list
+) -> Iterator[tuple[int, list[EvalPairs]]]:
     """Load every seed's trained model, and the datastore its inference
-    mode needs under infer.distance, and predict every (name, corpus,
-    split) target for all seeds at once, so each target sample is
-    featurized once.
-
-    The inference settings, and that the recipe's model kind can score
-    every target in that mode, are checked on the call; the seeds are
-    loaded and scored only when the returned iterator is first advanced.
-    Yields (seed, mode, one EvalPairs per target).
-    """
-    mode = _inference_mode(recipe, args)
-    if mode not in INFERENCE_MODES:
-        raise ValidationError(f"unknown inference mode {mode!r}")
-    model_kind = recipe.get("model.kind", "head")
-    if mode == "domain-retrieval" and model_kind != "alignnet":
-        raise ValidationError(f"domain-retrieval needs model.kind = alignnet, not {model_kind!r}")
-    if _checks_table_rows(recipe, args):
+    mode needs, and predict every (name, corpus, split) target for all
+    seeds at once under _inference_settings, so each target sample is
+    featurized once. That the model kind can score every target in that
+    mode is checked on the call; the seeds are loaded and scored only when
+    the returned iterator is first advanced. Yields (seed, one EvalPairs
+    per target)."""
+    mode, knn_config, distance_kind = settings
+    if _checks_table_rows(recipe, mode):
         table_ids = table_dataset_ids(resolve_train_corpus(recipe, corpora))
         for _name, corpus, split in targets:
             check_table_rows(table_ids, corpus.samples(split), split)
     frontend_config = build_frontend(recipe)
-    knn_config = None
-    if mode == "knn":
-        knn_config = KnnConfig(
-            k=recipe.get_int("infer.knn_k", 5),
-            temperature=recipe.get_float("infer.knn_temperature", 1.0),
-            paper_literal=recipe.get_bool("infer.knn_paper_literal", False),
-        )
-    distance_kind = recipe.get("infer.distance", "euclidean")
-    if mode != "parametric" and distance_kind not in DISTANCE_KINDS:
-        raise ValidationError(f"infer.distance must be one of {DISTANCE_KINDS}, not {distance_kind!r}")
     digest = recipe_hash(recipe)
 
     def predict() -> Iterator[tuple[int, str, list[EvalPairs]]]:
@@ -603,7 +621,7 @@ def _predict_seeds(
             models.append((params, scaler, datastore))
         by_target = [predict_split(corpus, split, frontend_config, models, mode, knn_config) for _, corpus, split in targets]
         for seed, *pairs in zip(seeds, *by_target):
-            yield seed, mode, pairs
+            yield seed, pairs
 
     return predict()
 
@@ -612,10 +630,11 @@ def cmd_infer(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
     """Predict one corpus split with a trained model, one file per seed,
     plus the per-system means when every sample has a system id."""
     seeds = _seed_list(recipe, args)
-    names = [recipe.require("infer.corpus")] + (_train_names(recipe) if _checks_table_rows(recipe, args) else [])
+    settings = _inference_settings(recipe, args)
+    names = [recipe.get("infer.corpus")] + (_train_names(recipe) if _checks_table_rows(recipe, settings[0]) else [])
     corpora = get_corpora(recipe, out, names)
     target = _target(recipe, corpora, "infer.corpus")
-    for seed, mode, (pairs,) in _predict_seeds(recipe, args, out, corpora, [target], seeds):
+    for seed, (pairs,) in _predict_seeds(recipe, settings, out, corpora, [target], seeds):
         with atomic_dir(out / "infer" / f"seed{seed}") as seed_dir:
             systems = (system or "" for system in pairs.system_ids)
             rows = zip(pairs.sample_ids, systems, map(_fmt, pairs.true), map(_fmt, pairs.pred))
@@ -624,7 +643,7 @@ def cmd_infer(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
                 means = system_aggregate(pairs)
                 rows = zip(means.system_ids, map(_fmt, means.true), map(_fmt, means.pred))
                 write_csv(seed_dir / "systems.csv", ["system_id", "true_mean", "pred_mean"], rows)
-        print(f"infer seed {seed}: {mode} on {target[0]}/{target[2]}, {len(pairs)} predictions")
+        print(f"infer seed {seed}: {settings[0]} on {target[0]}/{target[2]}, {len(pairs)} predictions")
     return 0
 
 
@@ -632,25 +651,28 @@ def cmd_benchmark(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
     """Train (unless this out dir holds a finished model trained under the
     same recipe) and evaluate every configured test set per seed, then write
     record files."""
-    names = [t.strip() for t in recipe.require("benchmark.tests").split(",") if t.strip()]
+    names = [t.strip() for t in recipe.get("benchmark.tests").split(",") if t.strip()]
     digest = recipe_hash(recipe)
     seeds = _seed_list(recipe, args)
+    settings = _inference_settings(recipe, args)
     untrained = [seed for seed in seeds if not _is_trained(out / "train" / f"seed{seed}", digest)]
-    train_names = _train_names(recipe) if untrained or _checks_table_rows(recipe, args) else []
+    train_names = _train_names(recipe) if untrained or _checks_table_rows(recipe, settings[0]) else []
     corpora = get_corpora(recipe, out, names + train_names)
     targets = [_target(recipe, corpora, "benchmark.tests", name) for name in names]
-    predictions = _predict_seeds(recipe, args, out, corpora, targets, seeds)  # checks the inference settings
+    predictions = _predict_seeds(recipe, settings, out, corpora, targets, seeds)  # checks the table rows
     if untrained:
         phases = prepare_training(recipe, corpora)
         for seed in untrained:
             train_one_seed(recipe, phases, seed, out)
         del phases  # the train matrix is not needed for scoring
 
-    model_kind = recipe.get("model.kind", "head") + ("-mdf" if recipe.get("train.mdf_pretrain") else "")
+    model_label = recipe.get("model.label")
+    if model_label is None:
+        mdf = "-mdf" if recipe.get("train.mdf_pretrain") else ""
+        model_label = f"{recipe.get('model.kind')}{mdf}-{settings[0]}"
     rows: list[tuple] = []
     tests: dict[str, list[str]] = {}
-    for seed, mode, all_pairs in predictions:
-        model_label = recipe.get("model.label", f"{model_kind}-{mode}")
+    for seed, all_pairs in predictions:
         for (name, corpus, _split), pairs in zip(targets, all_pairs):
             tests[name] = [name, corpus.domain_tag, str(len(pairs))]
             for metric, value in metric_values(pairs).items():
@@ -689,7 +711,7 @@ def cmd_aggregate(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
     is taken over all merged models, or aggregate.reference names another
     benchmark dir whose models define the best values externally.
     """
-    input_dirs = [p.strip() for p in recipe.require("aggregate.inputs").split(",") if p.strip()]
+    input_dirs = [p.strip() for p in recipe.get("aggregate.inputs").split(",") if p.strip()]
     merged: dict[tuple[str, str], dict[str, float]] = {}
     domains: dict[str, str] = {}
     for text in input_dirs:
@@ -700,36 +722,24 @@ def cmd_aggregate(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
         merged.update(by_cell)
         domains.update(run_domains)
 
-    policy = recipe.get("aggregate.best", "within-family")
     best = None
-    if policy == "external":
-        ref_cells, ref_domains = _read_records_mean(recipe.path("aggregate.reference"))
+    if recipe.get("aggregate.best") == "external":
+        ref_cells, ref_domains = _read_records_mean(recipe.get("aggregate.reference"))
         for test, domain in sorted(domains.items()):
             if test not in ref_domains:
                 raise ValidationError(f"aggregate.reference has no test set {test!r}")
             if ref_domains[test] != domain:
                 raise ValidationError(f"aggregate.reference tags test set {test!r} {ref_domains[test]!r}, not {domain!r}")
         best = best_values(ref_cells, ref_domains)
-    elif policy != "within-family":
-        raise ValidationError(f"aggregate.best must be within-family or external, got {policy!r}")
 
     matrix = aggregate(merged, domains, best)
     out.mkdir(parents=True, exist_ok=True)
     cells = ((model, test, matrix.cells[model, test]) for model in matrix.model_ids for test in matrix.test_ids)
-    write_csv(
-        out / "aggregate.csv",
-        ["model", "test", "mse", "corr", "difference", "ratio"],
-        ([m, t, repr(c.mse), repr(c.corr), repr(c.difference), repr(c.ratio)] for m, t, c in cells),
-    )
-    write_csv(
-        out / "aggregate_summary.csv",
-        ["model", "domain", "mean_difference", "mean_ratio"],
-        (
-            [model, domain, repr(diff), repr(ratio)]
-            for model in matrix.model_ids
-            for domain, (diff, ratio) in sorted(matrix.averages[model].items())
-        ),
-    )
+    rows = ([m, t, repr(c.mse), repr(c.corr), repr(c.difference), repr(c.ratio)] for m, t, c in cells)
+    write_csv(out / "aggregate.csv", ["model", "test", "mse", "corr", "difference", "ratio"], rows)
+    averages = ((model, *item) for model in matrix.model_ids for item in sorted(matrix.averages[model].items()))
+    rows = ([model, domain, repr(diff), repr(ratio)] for model, domain, (diff, ratio) in averages)
+    write_csv(out / "aggregate_summary.csv", ["model", "domain", "mean_difference", "mean_ratio"], rows)
     print(f"aggregated {len(matrix.model_ids)} models x {len(matrix.test_ids)} tests -> {out / 'aggregate.csv'}")
     return 0
 
@@ -741,7 +751,7 @@ def cmd_export_embeddings(recipe: Recipe, args: argparse.Namespace, out: Path) -
     scaler of the first seed is used when present so the dump lives in
     the model's feature space (raw features otherwise).
     """
-    entries = [e.strip() for e in recipe.require("export.sets").split(",") if e.strip()]
+    entries = [e.strip() for e in recipe.get("export.sets").split(",") if e.strip()]
     for entry in entries:
         if ":" not in entry:
             raise ValidationError(f"export.sets entry {entry!r} must be corpus:split")
@@ -749,10 +759,10 @@ def cmd_export_embeddings(recipe: Recipe, args: argparse.Namespace, out: Path) -
     seeds = _seed_list(recipe, args)
     corpora = get_corpora(recipe, out, [name for name, _split in pairs])
     frontend_config = build_frontend(recipe)
-    sets = []
-    for name, split in pairs:
-        role = "train" if split == "train" else "test"
-        sets.append((f"{name}:{split}", _corpus(corpora, "export.sets", name), split, role))
+    sets = [
+        (f"{name}:{split}", _corpus(corpora, "export.sets", name), split, "train" if split == "train" else "test")
+        for name, split in pairs
+    ]
 
     scaler = None
     scaler_note = "raw frontend features (no trained scaler found)"
@@ -761,13 +771,7 @@ def cmd_export_embeddings(recipe: Recipe, args: argparse.Namespace, out: Path) -
         _params, scaler = load_model_dir(model_dir, recipe_hash(recipe))
         scaler_note = f"scaler from {model_dir}"
 
-    dump = export_embeddings(
-        sets,
-        frontend_config,
-        scaler,
-        n_per_set=recipe.get_int("export.n_per_set", 100),
-        seed=seeds[0],
-    )
+    dump = export_embeddings(sets, frontend_config, scaler, n_per_set=recipe.get("export.n_per_set"), seed=seeds[0])
     proj, _components, _mean = pca_2d(dump.embeddings)
     labels = list(zip(dump.set_labels, dump.sample_ids, dump.roles))
     notes = [f"features: {scaler_note}"]
@@ -775,16 +779,11 @@ def cmd_export_embeddings(recipe: Recipe, args: argparse.Namespace, out: Path) -
         notes.append("sets smaller than n_per_set (taken whole): " + ", ".join(dump.truncated_sets))
     export_dir = out / "export"
     with atomic_dir(export_dir) as tmp:
-        write_csv(
-            tmp / "embeddings.csv",
-            ["set_label", "sample_id", "role"] + [f"e{i}" for i in range(dump.embeddings.shape[1])],
-            ([*label, *(repr(float(v)) for v in row)] for label, row in zip(labels, dump.embeddings)),
-        )
-        write_csv(
-            tmp / "pca.csv",
-            ["set_label", "sample_id", "role", "x", "y"],
-            ([*label, repr(float(x)), repr(float(y))] for label, (x, y) in zip(labels, proj)),
-        )
+        header = ["set_label", "sample_id", "role"]
+        rows = ([*label, *(repr(float(v)) for v in row)] for label, row in zip(labels, dump.embeddings))
+        write_csv(tmp / "embeddings.csv", header + [f"e{i}" for i in range(dump.embeddings.shape[1])], rows)
+        rows = ([*label, repr(float(x)), repr(float(y))] for label, (x, y) in zip(labels, proj))
+        write_csv(tmp / "pca.csv", header + ["x", "y"], rows)
         write_text(tmp / "summary.txt", "\n".join(notes) + "\n")
     print(f"exported {len(dump.sample_ids)} embeddings -> {export_dir}")
     return 0
@@ -793,14 +792,8 @@ def cmd_export_embeddings(recipe: Recipe, args: argparse.Namespace, out: Path) -
 # ---------------------------------------------------------------- main
 
 
-COMMANDS = {
-    "prepare": cmd_prepare,
-    "train": cmd_train,
-    "infer": cmd_infer,
-    "benchmark": cmd_benchmark,
-    "aggregate": cmd_aggregate,
-    "export-embeddings": cmd_export_embeddings,
-}
+COMMANDS = {"prepare": cmd_prepare, "train": cmd_train, "infer": cmd_infer, "benchmark": cmd_benchmark,
+            "aggregate": cmd_aggregate, "export-embeddings": cmd_export_embeddings}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -859,6 +852,7 @@ def main(argv: list[str] | None = None) -> int:
         if out_text is None:
             raise ValidationError("no output dir: pass --out or set 'out' in the config")
         out = Path(out_text)
+        check_keys(recipe)
         lock = _acquire_lock(out)
         return COMMANDS[args.command](recipe, args, out)
     except (ValidationError, ManifestError, CheckpointError, AudioFormatError, UndefinedRatioError, FileNotFoundError,

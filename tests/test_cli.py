@@ -119,6 +119,80 @@ class TestParseRecipe:
             parse_recipe(path)
 
 
+# A manifest corpus that no command but prepare reads.
+MANIFEST_CORPUS = "corpus.man.kind = manifest\ncorpus.man.path = man.csv\n"
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_default(default):
+    """A declared default as the README's key table writes it."""
+    if default is cli.REQUIRED:
+        return "required"
+    if default is None:
+        return "unset"
+    if isinstance(default, bool):
+        return str(default).lower()
+    if isinstance(default, tuple):
+        return ",".join(f"{v:g}" for v in default)
+    return f"{default:g}" if isinstance(default, float) else str(default)
+
+
+# One misspelled key per section, and a key of another corpus kind: each
+# recipe line and what stderr must name.
+MISSPELLED = [
+    ("seed = 0", "unknown config key 'seed'; did you mean 'seeds'?"),
+    ("corpus.synth.durations_lo = 0.2", "'corpus.synth.durations_lo'; did you mean 'corpus.synth.duration_lo'?"),
+    ("corpus.man.domian = studio", "'corpus.man.domian'; did you mean 'corpus.man.domain'?"),
+    ("corpus.man.n = 8", "'corpus.man.n' is read by synthetic corpora, not by manifest ones"),
+    ("frontend.nmels = 8", "'frontend.nmels'; did you mean 'frontend.n_mels'?"),
+    ("model.hiden = 8", "'model.hiden'; did you mean 'model.hidden'?"),
+    ("train.max_step = 60", "'train.max_step'; did you mean 'train.max_steps'?"),
+    ("infer.knn_kk = 3", "'infer.knn_kk'; did you mean 'infer.knn_k'?"),
+    ("benchmark.test = synth", "'benchmark.test'; did you mean 'benchmark.tests'?"),
+    ("aggregate.input = runs", "'aggregate.input'; did you mean 'aggregate.inputs'?"),
+    ("export.set = synth:train", "'export.set'; did you mean 'export.sets'?"),
+]
+
+
+class TestRecipeKeys:
+    @pytest.mark.parametrize("line, named", MISSPELLED, ids=[line.split(" = ")[0] for line, _named in MISSPELLED])
+    def test_a_misspelled_key_is_exit_1_before_any_file_is_written(self, tmp_path, capsys, line, named):
+        config = write_recipe(tmp_path, BASE_RECIPE + MANIFEST_CORPUS + line + "\n")
+        out = tmp_path / "out"
+        assert main(["benchmark", "--config", str(config), "--out", str(out)]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()  # so no corpora/ either
+        # Without the misspelled line the recipe passes the check.
+        clean = write_recipe(tmp_path, BASE_RECIPE + MANIFEST_CORPUS, name="clean.cfg")
+        cli.check_keys(cli.Recipe(parse_recipe(clean), tmp_path))
+
+    def test_digests_keep_the_raw_line_rule(self, tmp_path):
+        # sha256 of recipe text: these values were computed before the key
+        # table existed, and model dirs and corpus dirs on disk record them.
+        expected = {
+            "base": ("f56b7fd868a54b7fbb1695a4ab17d9af7f943059d7f0505536101198e562176d", ["synth"]),
+            "mdf": ("b0d41190365413e6d416c1b36d95f772b1ee7dc87093e18f9f4ca53a938abaa5", ["other", "synth"]),
+        }
+        fingerprints = {
+            "synth": "c805616955fe12e81b910443a6e0d0df7477d50fb789c06d6a07d0d6ac6ab844",
+            "other": "b0b598b2fb98878e2851f1d2e473b4e6495e15f2ccc18e7581f91530d87b63b8",
+        }
+        for name, text in (("base", BASE_RECIPE), ("mdf", MDF_RECIPE)):
+            recipe = cli.Recipe(parse_recipe(write_recipe(tmp_path, text)), tmp_path)
+            digest, corpora = expected[name]
+            assert cli.recipe_hash(recipe) == digest
+            assert cli._corpus_names(recipe) == corpora
+            for corpus in corpora:
+                assert cli.corpus_fingerprint(recipe, corpus) == fingerprints[corpus]
+
+    def test_the_readme_table_lists_every_declared_key(self):
+        text = README.read_text(encoding="utf-8").split("### Recipe keys", 1)[1].split("\n## ", 1)[0]
+        rows = [line.split("|")[1:-1] for line in text.splitlines() if line.startswith("| `")]
+        table = {key.strip().strip("`"): (kind.strip().strip("`"), default.strip().strip("`")) for key, kind, default, _ in rows}
+        assert len(table) == len(rows)
+        assert table == {key: (spec.type, readme_default(spec.default)) for key, spec in cli.KEYS.items()}
+
+
 class TestPrepare:
     def test_writes_corpus_dirs(self, tmp_path):
         config = write_recipe(tmp_path)
@@ -333,6 +407,22 @@ class TestInfer:
         assert main(["infer", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
         assert "has no samples in split 'test'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["infer", "benchmark"])
+    @pytest.mark.parametrize(
+        "settings, named",
+        [
+            ("infer.mode = bogus\n", "infer.mode must be parametric, knn or domain-retrieval, got 'bogus'"),
+            ("infer.mode = knn\ninfer.distance = manhattan\n", "infer.distance must be euclidean or cosine"),
+        ],
+        ids=["unknown-mode", "unknown-distance"],
+    )
+    def test_bad_inference_settings_make_no_corpus(self, tmp_path, capsys, command, settings, named):
+        config = write_recipe(tmp_path, BASE_RECIPE + settings)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 1
+        assert not (out / "corpora").exists()
+        assert named in capsys.readouterr().err
+
     @pytest.mark.parametrize("mode", ["knn", "domain-retrieval"])
     def test_unknown_distance_is_exit_1_before_any_featurizing(self, tmp_path, monkeypatch, capsys, mode):
         recipe = BASE_RECIPE.replace("model.kind = head", "model.kind = alignnet") + "infer.distance = manhattan\n"
@@ -478,7 +568,7 @@ class TestBenchmark:
     @pytest.mark.parametrize(
         "recipe, named",
         [
-            (BASE_RECIPE + "infer.mode = knnn\n", "unknown inference mode 'knnn'"),
+            (BASE_RECIPE + "infer.mode = knnn\n", "infer.mode must be parametric, knn or domain-retrieval, got 'knnn'"),
             (BASE_RECIPE + "infer.mode = knn\ninfer.distance = manhattan\n", "infer.distance"),
             (BASE_RECIPE + "infer.mode = knn\ninfer.knn_k = 0\n", "k must be >= 1"),
             (BASE_RECIPE + "infer.mode = domain-retrieval\n", "domain-retrieval needs model.kind = alignnet"),

@@ -1,0 +1,18 @@
+#!/bin/sh
+# Run every demo against src/ from the repository root. Each demo works in
+# a temp dir of its own and must remove it: the demos share one fresh
+# TMPDIR, and anything left in it fails the run.
+# Usage: sh tools/run_demos.sh
+cd "$(dirname "$0")/.." || exit 1
+TMPDIR="$(mktemp -d)" || exit 1
+export TMPDIR
+for demo in demos/*.py; do
+  echo "== $demo"
+  PYTHONPATH=src python "$demo" || exit 1
+done
+if [ -n "$(ls -A "$TMPDIR")" ]; then
+  echo "demos left files behind in $TMPDIR:"
+  ls -A "$TMPDIR"
+  exit 1
+fi
+rmdir "$TMPDIR"
