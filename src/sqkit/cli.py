@@ -207,8 +207,9 @@ class Recipe:
 
 def check_keys(recipe: Recipe) -> None:
     """Reject a key that KEYS does not declare, naming the nearest declared
-    one, and a corpus key that its block's kind does not read. The values
-    are checked where a command reads them."""
+    one, a corpus key that its block's kind does not read, and a value that
+    is not of its key's type or not among its choices, whether or not the
+    command reads the key."""
     for key in sorted(recipe.config):
         declared, name = _declared(key)
         spec = KEYS.get(declared)
@@ -222,6 +223,7 @@ def check_keys(recipe: Recipe) -> None:
         if kind in CORPUS_KINDS and kind not in spec.kinds:  # an unknown kind fails where its corpus is made
             kinds = " and ".join(spec.kinds)
             raise ValidationError(f"config key {key!r} is read by {kinds} corpora, not by {kind} ones")
+        recipe.get(key)
 
 
 # ---------------------------------------------------------------- corpora

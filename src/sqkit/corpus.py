@@ -427,9 +427,11 @@ def generate_synthetic_corpus(spec: SynthSpec, seed: int) -> CorpusManifest:
     content depends only on (spec-sans-delta, seed): shifting ``delta``
     changes scores, never waveforms. Files are written in place; the CLI
     generates into a ``codec.atomic_dir`` so a killed run leaves no torn
-    corpus dir.
+    corpus dir. The waveform, noise, time and PCM arrays are allocated once,
+    at the longest clip's length, and reused for every utterance.
     """
-    from .frontend import write_wav
+    from . import frontend
+    from .model import Workspace
 
     if spec.mos_slope <= 0:
         raise ValueError("mos_slope must be positive (monotone SNR->MOS map)")
@@ -440,6 +442,8 @@ def generate_synthetic_corpus(spec: SynthSpec, seed: int) -> CorpusManifest:
     wav_dir.mkdir(parents=True, exist_ok=True)
 
     rng = named_rng(seed, f"synth/{spec.name}")
+    work = Workspace(rows=int(round(spec.duration_s[1] * spec.rate_hz)))
+    ramp = np.arange(work.rows, dtype=np.float64)  # ramp[:n] / rate is np.arange(n) / rate
     samples: list[Sample] = []
     sidecar_rows: list[list[str]] = []
     for i in range(spec.n_utterances):
@@ -448,10 +452,18 @@ def generate_synthetic_corpus(spec: SynthSpec, seed: int) -> CorpusManifest:
         tone_hz = rng.uniform(*spec.tone_hz)
         phase = rng.uniform(0.0, 2.0 * np.pi)
         n_samples = int(round(duration * spec.rate_hz))
-        t = np.arange(n_samples) / spec.rate_hz
-        tone = spec.tone_amplitude * np.sin(2.0 * np.pi * tone_hz * t + phase)
+        # amplitude * sin(2 pi f t + phase) + N(0, noise_std), in place: the
+        # products commute, and standard_normal draws what normal(0.0, s)
+        # draws, whose 0.0 + s z is s z up to a zero's sign.
+        wave = np.divide(ramp[:n_samples], spec.rate_hz, out=work.take("wave", n_samples))
+        wave *= 2.0 * np.pi * tone_hz
+        wave += phase
+        np.sin(wave, out=wave)
+        wave *= spec.tone_amplitude
         noise_std = (spec.tone_amplitude / np.sqrt(2.0)) * 10.0 ** (-snr_db / 20.0)
-        wave = tone + rng.normal(0.0, noise_std, size=n_samples)
+        noise = rng.standard_normal(out=work.take("noise", n_samples))
+        noise *= noise_std
+        wave += noise
         np.clip(wave, -1.0, 1.0, out=wave)
 
         eps = float(rng.normal(0.0, spec.sigma)) if spec.sigma > 0 else 0.0
@@ -459,7 +471,7 @@ def generate_synthetic_corpus(spec: SynthSpec, seed: int) -> CorpusManifest:
 
         sample_id = f"{spec.name}-{i:05d}"
         wav_path = wav_dir / f"{sample_id}.wav"
-        write_wav(wav_path, wave, spec.rate_hz)
+        frontend.write_wav(wav_path, wave, spec.rate_hz, work)
         samples.append(
             Sample(
                 sample_id=sample_id,

@@ -14,6 +14,7 @@ import numpy as np
 from .corpus import CorpusManifest, PooledCorpus
 from .errors import ValidationError
 from .frontend import FeatureScaler, FrontendConfig, featurize, pool_time
+from .model import Workspace
 from .seeding import named_rng
 
 logger = logging.getLogger(__name__)
@@ -54,6 +55,7 @@ def export_embeddings(
         raise ValidationError("n_per_set must be >= 1")
     labels, ids, roles, rows = [], [], [], []
     truncated = []
+    work = Workspace()
     for label, corpus, split, role in sets:
         samples = corpus.samples(split)
         if not samples:
@@ -66,7 +68,7 @@ def export_embeddings(
             labels.append(label)
             ids.append(sample.sample_id)
             roles.append(role)
-            rows.append(pool_time(featurize(sample, frontend_config, scaler)))
+            rows.append(pool_time(featurize(sample, frontend_config, scaler, work)))
     return EmbeddingDump(
         set_labels=tuple(labels),
         sample_ids=tuple(ids),

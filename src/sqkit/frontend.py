@@ -21,6 +21,7 @@ import numpy as np
 
 from .codec import Reader, write_artifact
 from .errors import AudioFormatError, ValidationError
+from .model import Workspace
 
 if TYPE_CHECKING:
     from .corpus import Sample
@@ -34,6 +35,13 @@ SCALER_MAGIC = b"SQSC"
 # is 2.6 MB, small beside a packed train matrix and large enough that the
 # per-block Python overhead does not show.
 _FIT_BLOCK_ROWS = 4096
+
+# np.interp and np.fft.rfft take no out argument, so resample_to_16k and
+# extract_dsp call them on blocks whose result stays under 127 KiB: glibc
+# serves that from reused heap memory, where 128 KiB or more would be a
+# fresh mmap faulted in on every call. Each output element depends only on
+# its own input row or time, so the blocks give the whole call's bits.
+_HEAP_BLOCK_BYTES = 127 * 1024
 
 
 @dataclass(frozen=True)
@@ -103,8 +111,11 @@ def _open_wav(path: str | Path) -> wave_mod.Wave_read:
         raise AudioFormatError(f"{path}: not a PCM WAV file ({str(exc) or 'truncated header'})") from None
 
 
-def load_audio(path: str | Path) -> tuple[np.ndarray, int]:
-    """Read a mono PCM WAV file as float64 samples in [-1, 1] plus its rate."""
+def load_audio(path: str | Path, work: Workspace | None = None) -> tuple[np.ndarray, int]:
+    """Read a mono PCM WAV file as float64 samples in [-1, 1] plus its rate.
+
+    With work, the samples are its "audio" buffer, valid until the next
+    call that takes it; without, a fresh array."""
     with _open_wav(path) as wf:
         if wf.getnchannels() != 1:
             raise AudioFormatError(f"{path}: expected mono, got {wf.getnchannels()} channels")
@@ -112,23 +123,34 @@ def load_audio(path: str | Path) -> tuple[np.ndarray, int]:
         rate = wf.getframerate()
         raw = wf.readframes(wf.getnframes())
     if width == 2:
-        samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+        pcm, offset, scale = np.frombuffer(raw, dtype="<i2"), 0.0, 32768.0
     elif width == 1:
-        samples = (np.frombuffer(raw, dtype=np.uint8).astype(np.float64) - 128.0) / 128.0
+        pcm, offset, scale = np.frombuffer(raw, dtype=np.uint8), 128.0, 128.0
     else:
         raise AudioFormatError(f"{path}: unsupported sample width {width} bytes")
+    samples = (work or Workspace()).take("audio", len(pcm))
+    samples[:] = pcm  # exact: float64 holds every 8- and 16-bit PCM value
+    if offset:
+        samples -= offset
+    samples /= scale
     return samples, rate
 
 
-def write_wav(path: str | Path, samples: np.ndarray, rate_hz: int) -> None:
-    """Write float samples in [-1, 1] as a 16-bit mono PCM WAV file."""
-    clipped = np.clip(np.asarray(samples, dtype=np.float64), -1.0, 1.0)
-    quantized = np.round(clipped * 32767.0).astype("<i2")
+def write_wav(path: str | Path, samples: np.ndarray, rate_hz: int, work: Workspace | None = None) -> None:
+    """Write float samples in [-1, 1] as a 16-bit mono PCM WAV file; with
+    work, the quantized copies are its "pcm_float" and "pcm" buffers."""
+    samples = np.asarray(samples, dtype=np.float64)
+    work = work or Workspace()
+    scaled = np.clip(samples, -1.0, 1.0, out=work.take("pcm_float", len(samples)))
+    scaled *= 32767.0
+    np.rint(scaled, out=scaled)  # np.round with no decimals is rint
+    quantized = work.take("pcm", len(samples), dtype=np.dtype("<i2"))
+    quantized[:] = scaled
     with wave_mod.open(str(path), "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)
         wf.setframerate(rate_hz)
-        wf.writeframes(quantized.tobytes())
+        wf.writeframes(quantized)
 
 
 def resampled_length(n_samples: int, rate_hz: int) -> int:
@@ -138,12 +160,13 @@ def resampled_length(n_samples: int, rate_hz: int) -> int:
     return n_samples if rate_hz == TARGET_RATE_HZ else int(round(n_samples * TARGET_RATE_HZ / rate_hz))
 
 
-def resample_to_16k(samples: np.ndarray, rate_hz: int) -> np.ndarray:
+def resample_to_16k(samples: np.ndarray, rate_hz: int, work: Workspace | None = None) -> np.ndarray:
     """Resample to 16 kHz by linear interpolation; 16 kHz input passes through.
 
     Output length is round(len * 16000 / rate). Linear interpolation is a
     deliberate quality tradeoff: deterministic and dependency-free, at the
-    cost of imperfect anti-aliasing (fine for fixtures and features).
+    cost of imperfect anti-aliasing (fine for fixtures and features). With
+    work, the output is its "resampled" buffer; without, a fresh array.
     """
     n_out = resampled_length(len(samples), rate_hz)
     if rate_hz == TARGET_RATE_HZ:
@@ -151,9 +174,17 @@ def resample_to_16k(samples: np.ndarray, rate_hz: int) -> np.ndarray:
     samples = np.asarray(samples, dtype=np.float64)
     if n_out == 0:
         return np.zeros(0, dtype=np.float64)
-    t_out = np.arange(n_out) / TARGET_RATE_HZ
-    t_in = np.arange(len(samples)) / rate_hz
-    return np.interp(t_out, t_in, samples)
+    work = work or Workspace()
+    block = _HEAP_BLOCK_BYTES // 8  # elements of each 8-byte temporary
+    t_in = work.take("t_in", len(samples))  # np.arange(len(samples)) / rate_hz
+    for start in range(0, len(samples), block):
+        stop = min(start + block, len(samples))
+        np.divide(np.arange(start, stop), rate_hz, out=t_in[start:stop])
+    out = work.take("resampled", n_out)
+    for start in range(0, n_out, block):
+        stop = min(start + block, n_out)
+        out[start:stop] = np.interp(np.arange(start, stop) / TARGET_RATE_HZ, t_in, samples)
+    return out
 
 
 def hz_to_mel(f_hz: np.ndarray | float) -> np.ndarray | float:
@@ -205,14 +236,16 @@ def _window_hop(config: FrontendConfig) -> tuple[int, int]:
     return int(round(config.window_ms * rate / 1000.0)), int(round(config.hop_ms * rate / 1000.0))
 
 
-def extract_dsp(samples: np.ndarray, config: FrontendConfig) -> EmbeddingMatrix:
+def extract_dsp(samples: np.ndarray, config: FrontendConfig, work: Workspace | None = None) -> EmbeddingMatrix:
     """Frame-level DSP features for a 16 kHz waveform.
 
     Per frame (Hann window, FFT sized to the next power of two): the D
     columns are n_mels floored log-mel energies followed by n_mels floored
     log band shares (energy fraction per band). Pure silence maps every
     entry to log(log_floor). Utterances shorter than one window are
-    reflection-padded up to a single frame.
+    reflection-padded up to a single frame. The power spectra, and a block
+    of windowed frames at a time, live in work's "power" and "frames"
+    buffers; the returned matrix is always a fresh array.
     """
     samples = np.asarray(samples, dtype=np.float64)
     rate = config.target_rate_hz
@@ -227,14 +260,27 @@ def extract_dsp(samples: np.ndarray, config: FrontendConfig) -> EmbeddingMatrix:
         n_fft *= 2
     window, fb = _dsp_tables(win, n_fft, rate, config.n_mels)
 
-    frames = np.lib.stride_tricks.sliding_window_view(samples, win)[::hop] * window
-    power = np.abs(np.fft.rfft(frames, n=n_fft, axis=1)) ** 2
-    energies = power @ fb.T
-    log_mel = np.log(np.maximum(energies, config.log_floor))
+    work = work or Workspace()
+    windows = np.lib.stride_tricks.sliding_window_view(samples, win)[::hop]
+    n_bins, n_mels = n_fft // 2 + 1, config.n_mels
+    block = max(1, _HEAP_BLOCK_BYTES // (16 * n_bins))  # rows of rfft's complex128 result
+    # Windowed frames zero-padded to n_fft, as rfft(n=n_fft) pads them. A
+    # call with a shorter window may have left data in the pad columns.
+    frames = work.take("frames", min(block, len(windows)), n_fft)
+    frames[:, win:] = 0.0
+    power = work.take("power", len(windows), n_bins)
+    for start in range(0, len(windows), block):
+        rows = power[start : start + block]
+        padded = frames[: len(rows)]
+        np.multiply(windows[start : start + block], window, out=padded[:, :win])
+        np.abs(np.fft.rfft(padded, axis=1), out=rows)
+        np.square(rows, out=rows)  # what ** 2 computes
+    energies = power @ fb.T  # one product: row blocks would round differently
+    feats = np.empty((len(windows), 2 * n_mels))
+    np.log(np.maximum(energies, config.log_floor), out=feats[:, :n_mels])
     totals = energies.sum(axis=1, keepdims=True)
     shares = np.divide(energies, totals, out=np.zeros_like(energies), where=totals > 0)
-    log_share = np.log(np.maximum(shares, config.log_floor))
-    feats = np.concatenate([log_mel, log_share], axis=1)
+    np.log(np.maximum(shares, config.log_floor), out=feats[:, n_mels:])
     return EmbeddingMatrix(frames=feats)
 
 
@@ -404,12 +450,20 @@ def frame_count(sample: "Sample", config: FrontendConfig) -> int:
     return sum(1 for line in text.splitlines() if line.split())
 
 
-def featurize(sample: "Sample", config: FrontendConfig, scaler: FeatureScaler | None = None) -> EmbeddingMatrix:
-    """Turn one sample into frame features per the frontend config."""
+def featurize(
+    sample: "Sample", config: FrontendConfig, scaler: FeatureScaler | None = None, work: Workspace | None = None
+) -> EmbeddingMatrix:
+    """Turn one sample into frame features per the frontend config.
+
+    A loop over samples passes one Workspace to every call, so the audio,
+    resampling and DSP intermediates are allocated once for the loop. The
+    result never aliases it."""
     path = feature_source(sample, config)
     if config.kind == "dsp":
-        samples, rate = load_audio(path)
-        mat = extract_dsp(resample_to_16k(samples, rate), config)
+        work = work or Workspace()
+        samples, rate = load_audio(path, work)
+        mat = extract_dsp(resample_to_16k(samples, rate, work), config, work)
     else:
         mat = load_precomputed(path, expected_dim=config.expected_dim)
-    return scaler.transform(mat) if scaler is not None else mat
+    # Both branches return a fresh matrix, so it is standardized in place.
+    return EmbeddingMatrix(frames=scaler.standardize(mat.frames)) if scaler is not None else mat

@@ -37,7 +37,7 @@ from .corpus import CorpusManifest, PooledCorpus, Sample
 from .errors import ValidationError
 from .frontend import EmbeddingMatrix, FeatureScaler, FrontendConfig, featurize, pool_time
 from .metrics import EvalPairs
-from .model import AlignNetParams, HeadParams, ModelParams, alignnet_raw, clip_score, head_raw
+from .model import AlignNetParams, HeadParams, ModelParams, Workspace, alignnet_raw, clip_score, head_raw
 
 DATASTORE_MAGIC = b"SQD2"
 DISTANCE_KINDS = ("euclidean", "cosine")
@@ -195,7 +195,8 @@ def build_datastore(
     samples = corpus.samples("train")
     if not samples:
         raise ValueError("corpus has no samples in split 'train'")
-    embeddings = np.stack([pool_time(featurize(s, frontend_config, scaler)) for s in samples])
+    work = Workspace()
+    embeddings = np.stack([pool_time(featurize(s, frontend_config, scaler, work)) for s in samples])
     return Datastore(
         embeddings=embeddings,
         scores=np.array([s.mos for s in samples]),
@@ -320,8 +321,9 @@ def predict_split(
     preds: list[list[float]] = [[] for _ in models]
     queries: list[list[np.ndarray]] = [[] for _ in models]
     raws = []  # the split's raw features, which domain retrieval scores after retrieving
+    work = Workspace()
     for s in samples:
-        raw = featurize(s, frontend_config)
+        raw = featurize(s, frontend_config, None, work)
         for j, (params, scaler, _datastore) in enumerate(models):
             mat = standardized(scaler, raw)
             if mode == "parametric":

@@ -184,22 +184,28 @@ def _check_dim(frames: np.ndarray, dim: int) -> None:
 
 
 class Workspace:
-    """Working buffers reused by the packed kernels across calls.
+    """Working buffers reused across the calls of one loop: the packed
+    kernels' intermediates over a training run, and the audio-sized arrays
+    of the synthetic generator and of featurize over a corpus.
 
-    One float64 (rows, width) buffer per name, allocated on first use and
-    grown only when a batch needs more rows. A training run sizes it once
-    to its largest batch; without reuse every step would fault a few
-    megabytes of fresh pages in for its temporaries.
+    One buffer per name, (rows, width) or, without a width, (rows,),
+    allocated on first use and grown only when a call needs more rows. The
+    owner sizes it once to its largest call where it knows that size.
+    Without reuse every call would fault fresh pages in for its
+    temporaries: glibc serves an allocation of 128 KiB or more with a new
+    mmap. Callers drop the workspace with the loop, so its memory lives no
+    longer than the loop.
     """
 
     def __init__(self, rows: int = 0) -> None:
         self.rows = rows
         self._buffers: dict[str, np.ndarray] = {}
 
-    def take(self, name: str, rows: int, width: int) -> np.ndarray:
+    def take(self, name: str, rows: int, width: int | None = None, dtype=np.float64) -> np.ndarray:
+        tail = () if width is None else (width,)
         buf = self._buffers.get(name)
-        if buf is None or buf.shape[0] < rows or buf.shape[1] != width:
-            buf = self._buffers[name] = np.empty((max(rows, self.rows), width))
+        if buf is None or len(buf) < rows or buf.shape[1:] != tail or buf.dtype != dtype:
+            buf = self._buffers[name] = np.empty((max(rows, self.rows), *tail), dtype)
         return buf[:rows]
 
 

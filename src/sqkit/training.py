@@ -248,8 +248,9 @@ def _pack(samples: Sequence[Sample], frontend_config: FrontendConfig) -> tuple[n
     whose features disagree with its header raises ValidationError."""
     lengths = np.array([frame_count(s, frontend_config) for s in samples])
     frames = None
+    work = Workspace()
     for sample, start, length in zip(samples, (np.cumsum(lengths) - lengths).tolist(), lengths.tolist()):
-        mat = featurize(sample, frontend_config)
+        mat = featurize(sample, frontend_config, None, work)
         if frames is None:
             frames = np.empty((int(lengths.sum()), mat.dim))
         if (mat.n_frames, mat.dim) != (length, frames.shape[1]):
@@ -283,6 +284,7 @@ def _standardized(
     for row, start, length in zip(pooled, starts.tolist(), lengths.tolist()):
         np.add.reduce(frames[start : start + length], axis=0, out=row)
     pooled /= lengths[:, None]
+    work = Workspace()
     return TrainData(
         corpus=corpus,
         train_samples=train_samples,
@@ -292,7 +294,7 @@ def _standardized(
         starts=starts,
         targets=targets,
         scaler=scaler,
-        dev_mats=tuple(featurize(s, frontend_config, scaler) for s in dev_samples),
+        dev_mats=tuple(featurize(s, frontend_config, scaler, work) for s in dev_samples),
         datastore=Datastore(embeddings=pooled, scores=targets, dataset_ids=tuple(s.dataset_id for s in train_samples)),
     )
 

@@ -166,6 +166,25 @@ class TestRecipeKeys:
         clean = write_recipe(tmp_path, BASE_RECIPE + MANIFEST_CORPUS, name="clean.cfg")
         cli.check_keys(cli.Recipe(parse_recipe(clean), tmp_path))
 
+    @pytest.mark.parametrize(
+        "command, line, named",
+        [
+            ("infer", "infer.distance = cosin", "infer.distance must be euclidean or cosine, got 'cosin'"),
+            ("train", "infer.knn_k = five", "config key 'infer.knn_k': expected integer, got 'five'"),
+            ("benchmark", "aggregate.best = best", "aggregate.best must be within-family or external, got 'best'"),
+            ("prepare", "corpus.synth.sigma = loud", "config key 'corpus.synth.sigma': expected number, got 'loud'"),
+        ],
+        ids=["choices", "int", "aggregate-choices", "float"],
+    )
+    def test_a_bad_value_the_command_does_not_read_is_exit_1_before_any_file_is_written(
+        self, tmp_path, capsys, command, line, named
+    ):
+        config = write_recipe(tmp_path, BASE_RECIPE + line + "\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_digests_keep_the_raw_line_rule(self, tmp_path):
         # sha256 of recipe text: these values were computed before the key
         # table existed, and model dirs and corpus dirs on disk record them.
@@ -425,10 +444,11 @@ class TestInfer:
 
     @pytest.mark.parametrize("mode", ["knn", "domain-retrieval"])
     def test_unknown_distance_is_exit_1_before_any_featurizing(self, tmp_path, monkeypatch, capsys, mode):
-        recipe = BASE_RECIPE.replace("model.kind = head", "model.kind = alignnet") + "infer.distance = manhattan\n"
-        config = write_recipe(tmp_path, recipe)
+        recipe = BASE_RECIPE.replace("model.kind = head", "model.kind = alignnet")
         out = tmp_path / "out"
-        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["train", "--config", str(write_recipe(tmp_path, recipe)), "--out", str(out)]) == 0
+        # train rejects the bad value too, so the model is trained without it.
+        config = write_recipe(tmp_path, recipe + "infer.distance = manhattan\n")
 
         def featurize(*_args, **_kwargs):
             raise AssertionError("featurized with an unknown distance")

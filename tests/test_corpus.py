@@ -2,7 +2,9 @@
 
 import csv
 import dataclasses
+import io
 import os
+import wave as wave_mod
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,7 @@ from sqkit import (
     load_corpus_dir,
     load_manifest,
     load_sidecar,
+    named_rng,
     pool,
     save_corpus_dir,
     save_manifest,
@@ -379,7 +382,53 @@ def synth_spec(tmp_path, name="tones", **overrides) -> SynthSpec:
     return SynthSpec(**defaults)
 
 
+def reference_wav_bytes(spec: SynthSpec, seed: int) -> list[bytes]:
+    """The WAV file of each utterance by the generator's formula, computed
+    with a fresh array at every step and quantized as round(32767 x)."""
+    rng = named_rng(seed, f"synth/{spec.name}")
+    files = []
+    for i in range(spec.n_utterances):
+        snr_db = float(spec.snr_grid_db[i % len(spec.snr_grid_db)])
+        duration = rng.uniform(*spec.duration_s)
+        tone_hz = rng.uniform(*spec.tone_hz)
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        n_samples = int(round(duration * spec.rate_hz))
+        t = np.arange(n_samples) / spec.rate_hz
+        tone = spec.tone_amplitude * np.sin(2.0 * np.pi * tone_hz * t + phase)
+        noise_std = (spec.tone_amplitude / np.sqrt(2.0)) * 10.0 ** (-snr_db / 20.0)
+        wave = np.clip(tone + rng.normal(0.0, noise_std, size=n_samples), -1.0, 1.0)
+        if spec.sigma > 0:
+            rng.normal(0.0, spec.sigma)  # the score noise, drawn after the audio
+        buf = io.BytesIO()
+        with wave_mod.open(buf, "wb") as wf:
+            wf.setnchannels(1)
+            wf.setsampwidth(2)
+            wf.setframerate(spec.rate_hz)
+            wf.writeframes(np.round(wave * 32767.0).astype("<i2").tobytes())
+        files.append(buf.getvalue())
+    return files
+
+
 class TestSyntheticCorpus:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(rate_hz=8000),
+            dict(rate_hz=16000, sigma=0.4),
+            dict(rate_hz=22050, duration_s=(0.05, 0.4)),
+            # Every clip is exactly the longest length the buffers are sized to.
+            dict(rate_hz=22050, duration_s=(0.3, 0.3)),
+            # -30 dB: the noise clips at full scale.
+            dict(rate_hz=16000, snr_grid_db=(-30.0, 40.0), tone_amplitude=0.9),
+        ],
+        ids=["8k", "16k-sigma", "22k", "22k-longest", "16k-clipping"],
+    )
+    def test_wav_bytes_match_the_per_utterance_formula(self, tmp_path, overrides):
+        spec = synth_spec(tmp_path, n_utterances=6, **overrides)
+        corpus = generate_synthetic_corpus(spec, seed=5)
+        written = [s.audio_ref.read_bytes() for s in corpus.samples("train")]
+        assert written == reference_wav_bytes(spec, seed=5)
+
     def test_basic_shape(self, tmp_path):
         corpus = generate_synthetic_corpus(synth_spec(tmp_path), seed=11)
         samples = corpus.samples("train")

@@ -16,6 +16,7 @@ from sqkit import (
     FrontendConfig,
     Sample,
     ValidationError,
+    Workspace,
     extract_dsp,
     featurize,
     load_audio,
@@ -377,6 +378,50 @@ class TestFeaturize:
         )
         with pytest.raises(ValidationError, match="no audio"):
             featurize(sample, FrontendConfig())
+
+    def test_a_shared_workspace_gives_the_bits_of_fresh_calls(self, tmp_path):
+        rng = np.random.default_rng(8)
+        clips = [
+            (22050, 0.3 * rng.uniform(-1.0, 1.0, size=9000)),
+            (8000, 0.5 * np.sin(np.arange(5000) * 0.3)),
+            (16000, 0.2 * rng.standard_normal(7000)),
+            (16000, 0.2 * rng.standard_normal(150)),  # shorter than one window
+            (22050, np.zeros(4000)),  # pure silence
+            (8000, 0.3 * rng.uniform(-1.0, 1.0, size=30000)),
+            (16000, np.zeros(1)),
+        ]
+        samples = []
+        for i, (rate, wave) in enumerate(clips):
+            path = tmp_path / f"c{i}.wav"
+            write_wav(path, wave, rate)
+            samples.append(Sample(f"c{i}", path, None, "d", None, 3.0))
+        scaler = FeatureScaler(mean=np.linspace(-4.0, 0.0, 16), std=np.linspace(0.5, 2.0, 16))
+        # A 30 ms window leaves data in the pad columns a 25 ms one must see as zeros.
+        configs = [(FrontendConfig(n_mels=8, window_ms=30.0), None), (FrontendConfig(n_mels=8), scaler)]
+        work = Workspace()
+        first = None
+        for config, scale in configs:
+            for sample in samples:
+                shared = featurize(sample, config, scale, work)
+                np.testing.assert_array_equal(shared.frames, featurize(sample, config, scale).frames)
+                if first is None:
+                    first, kept = shared, shared.frames.copy()
+        np.testing.assert_array_equal(first.frames, kept)
+
+    def test_without_a_workspace_the_public_steps_return_fresh_arrays(self, tmp_path):
+        path = tmp_path / "a.wav"
+        write_wav(path, 0.3 * np.sin(np.arange(8000) * 0.1), 8000)
+        a, _ = load_audio(path)
+        b, _ = load_audio(path)
+        assert not np.shares_memory(a, b)
+        r1, r2 = resample_to_16k(a, 8000), resample_to_16k(a, 8000)
+        assert not np.shares_memory(r1, r2)
+        work = Workspace()
+        shared, _ = load_audio(path, work)
+        np.testing.assert_array_equal(shared, a)
+        np.testing.assert_array_equal(resample_to_16k(shared, 8000, work), r1)
+        shared_dsp = extract_dsp(r1, FrontendConfig(), work)
+        np.testing.assert_array_equal(shared_dsp.frames, extract_dsp(r1, FrontendConfig()).frames)
 
     def test_precomputed_path(self, tmp_path):
         mat = EmbeddingMatrix(frames=np.random.default_rng(15).normal(size=(4, 6)))

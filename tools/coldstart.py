@@ -6,8 +6,9 @@
 Per recipe and run, each tree (taking turns to go first) times ``import
 sqkit.cli`` in a fresh interpreter, then prepare, train, infer and benchmark
 on a fresh out dir, each run as ``python -m sqkit.cli`` runs it. It records
-wall seconds, each process's own peak RSS (Linux VmHWM) and the output
-tree's sha256, and reports per tree the median and quartiles. ``tier1`` is
+wall seconds, each process's own peak RSS (Linux VmHWM), its minor page
+faults (from the child's rusage) and the output tree's sha256, and reports
+per tree the median and quartiles. ``tier1`` is
 tests/test_cli.py's BASE_RECIPE; other names are perfbench workloads at full
 size, seed 1. Only PYTHONPATH differs between trees.
 """
@@ -18,6 +19,7 @@ import collections
 import hashlib
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -53,15 +55,20 @@ def recipe_for(name: str, work: Path) -> tuple[str, dict]:
     return workload.recipe, workload.command_args
 
 
-def run(tree: Path, code: str, cwd: Path) -> tuple[float, float]:
-    """Wall seconds and peak RSS (MB) of code in a fresh interpreter on tree's src."""
+def run(tree: Path, code: str, cwd: Path) -> tuple[float, float, int]:
+    """Wall seconds, peak RSS (MB) and minor page faults of code in a fresh
+    interpreter on tree's src."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    # Children are run one at a time, so the waited-for children's fault
+    # count grows by exactly this child's own.
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-c", PEAK + code, "peak_kb"], cwd=cwd, env=env, stdout=subprocess.DEVNULL)
     elapsed = time.perf_counter() - start
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     if proc.returncode:
         raise SystemExit(f"{code!r} on {tree} exited {proc.returncode}")
-    return elapsed, int((cwd / "peak_kb").read_text()) / 1024
+    return elapsed, int((cwd / "peak_kb").read_text()) / 1024, faults
 
 
 def tree_digest(out: Path) -> str:
@@ -94,15 +101,17 @@ def main() -> None:
             for i in range(args.runs):
                 for label in list(trees)[:: 1 if i % 2 == 0 else -1]:
                     got, tree = samples[label], trees[label]
-                    for key, value in zip(("import_s", "import_peak_rss_mb"), run(tree, "import sqkit.cli", work)):
+                    imported = run(tree, "import sqkit.cli", work)
+                    for key, value in zip(("import_s", "import_peak_rss_mb", "import_minflt"), imported):
                         got[key].append(value)
                     shutil.rmtree(work / "out", ignore_errors=True)
                     peaks = []
                     for command in COMMANDS:
                         argv = ["sqkit", command, "--config", "recipe.cfg", "--out", "out", *flags.get(command, ())]
                         code = f"sys.argv[:] = {argv!r}\nrunpy.run_module('sqkit.cli', run_name='__main__', alter_sys=True)"
-                        seconds, rss = run(tree, code, work)
+                        seconds, rss, faults = run(tree, code, work)
                         got[f"{command}_s"].append(seconds)
+                        got[f"{command}_minflt"].append(faults)
                         peaks.append(rss)
                     got["pipeline_s"].append(sum(got[f"{command}_s"][-1] for command in COMMANDS))
                     got["pipeline_peak_rss_mb"].append(max(peaks))
