@@ -13,7 +13,7 @@ import functools
 import os
 import struct
 import wave as wave_mod
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -46,15 +46,16 @@ _HEAP_BLOCK_BYTES = 127 * 1024
 
 @dataclass(frozen=True)
 class EmbeddingMatrix:
-    """Frame-level features: (T, D) float64 rows."""
+    """Frame-level features: (T, D) float64 rows, checked finite unless their maker has."""
 
     frames: np.ndarray
+    check_finite: InitVar[bool] = True
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, check_finite: bool) -> None:
         frames = np.asarray(self.frames, dtype=np.float64)
         if frames.ndim != 2 or frames.shape[0] < 1 or frames.shape[1] < 1:
             raise ValidationError(f"embedding must be a non-empty 2-D matrix, got shape {frames.shape}")
-        if not np.all(np.isfinite(frames)):
+        if check_finite and not np.isfinite(frames).all():
             raise ValidationError("embedding contains non-finite values")
         object.__setattr__(self, "frames", frames)
 
@@ -298,18 +299,21 @@ def save_precomputed_text(path: str | Path, sample_id: str, mat: EmbeddingMatrix
             fh.write(f"{sample_id} {mat.dim} {t} {values}\n")
 
 
-def load_precomputed(path: str | Path, expected_dim: int | None = None) -> EmbeddingMatrix:
-    """Load an embedding file (binary SQE1 or its text form) as float64.
-
-    When expected_dim is given, a differing file dimensionality is a
-    validation error: precomputed dims must be consistent across a corpus.
-    Malformed files of either form raise ValidationError.
-    """
-    with open(path, "rb") as fh:  # Path.read_bytes costs 10 us more a file, felt at thousands of files
-        data = fh.read()
+def load_precomputed(path: str | Path, expected_dim: int | None = None, out: np.ndarray | None = None) -> EmbeddingMatrix:
+    """Load an embedding file (binary SQE1 or its text form) as float64,
+    checked finite before it is stored: into out, rows the caller owns,
+    when they have its shape, else into a fresh array. A dimensionality
+    other than expected_dim, when given, is a validation error: precomputed
+    dims must be consistent across a corpus. Malformed files of either form
+    raise ValidationError naming the path."""
+    fd = os.open(path, os.O_RDONLY)  # under half the cost of open() and its read, felt at thousands of files
+    try:
+        data = os.pread(fd, os.lseek(fd, 0, os.SEEK_END), 0)
+    finally:
+        os.close(fd)
     if data[:4] == EMBEDDING_MAGIC:
         reader = Reader(data, path, ValidationError, EMBEDDING_MAGIC, "embedding")
-        frames = reader.array("<f4", reader.fields("<II")).astype(np.float64)
+        values = reader.array("<f4", reader.fields("<II"))
         reader.end()
     else:
         try:
@@ -324,18 +328,23 @@ def load_precomputed(path: str | Path, expected_dim: int | None = None) -> Embed
             if len(parts) < 4:
                 raise ValidationError(f"{path} line {lineno}: expected `sample_id dim t v...`")
             try:
-                dim, values = int(parts[1]), [float(v) for v in parts[3:]]
+                dim, row = int(parts[1]), [float(v) for v in parts[3:]]
             except ValueError as exc:
                 raise ValidationError(f"{path} line {lineno}: {exc}") from None
-            if len(values) != dim or (rows and dim != len(rows[0])):
+            if len(row) != dim or (rows and dim != len(rows[0])):
                 raise ValidationError(f"{path} line {lineno}: inconsistent dimensionality")
-            rows.append(values)
-        if not rows:
-            raise ValidationError(f"{path}: empty embedding file")
-        frames = np.asarray(rows, dtype=np.float64)
-    if expected_dim is not None and frames.shape[1] != expected_dim:
-        raise ValidationError(f"{path}: embedding dim {frames.shape[1]} != expected {expected_dim}")
-    return EmbeddingMatrix(frames=frames)
+            rows.append(row)
+        values = np.asarray(rows, dtype=np.float64)
+    if values.size == 0:
+        raise ValidationError(f"{path}: embedding must be a non-empty 2-D matrix, got shape {values.shape}")
+    if expected_dim is not None and values.shape[1] != expected_dim:
+        raise ValidationError(f"{path}: embedding dim {values.shape[1]} != expected {expected_dim}")
+    if not np.isfinite(values).all():
+        raise ValidationError(f"{path}: embedding contains non-finite values")
+    if out is None or out.shape != values.shape:
+        out = np.empty(values.shape)
+    out[...] = values  # exact: float64 holds every float32
+    return EmbeddingMatrix(out, check_finite=False)
 
 
 def pool_time(mat: EmbeddingMatrix) -> np.ndarray:
@@ -386,13 +395,13 @@ class FeatureScaler:
     def identity(dim: int) -> "FeatureScaler":
         return FeatureScaler(mean=np.zeros(dim), std=np.ones(dim))
 
-    def standardize(self, frames: np.ndarray) -> np.ndarray:
-        """Standardize (N, D) float64 frames in place and return them."""
+    def standardize(self, frames: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Standardize (N, D) float64 frames into out (default: in place) and return it."""
         if frames.shape[1] != len(self.mean):
             raise ValidationError(f"scaler dim {len(self.mean)} != feature dim {frames.shape[1]}")
-        frames -= self.mean
-        frames /= self.std
-        return frames
+        out = np.subtract(frames, self.mean, out=frames if out is None else out)
+        out /= self.std
+        return out
 
     def transform(self, mat: EmbeddingMatrix) -> EmbeddingMatrix:
         return EmbeddingMatrix(frames=self.standardize(mat.frames.copy()))
@@ -429,9 +438,9 @@ def feature_source(sample: "Sample", config: FrontendConfig) -> Path:
 def frame_count(sample: "Sample", config: FrontendConfig) -> int:
     """The rows featurize will return for a sample, from its file's header
     alone: a WAV's rate and frame count through resampling and framing, an
-    SQE1 file's T, or the text form's non-blank lines. A file that is not
-    a WAV raises AudioFormatError; an embedding file too broken to say
-    gives 0, and featurize then names what is wrong with it."""
+    SQE1 file's T if its size bears it out, or the text form's non-blank
+    lines. A file that is not a WAV raises AudioFormatError; an embedding
+    file too broken to say gives 0, and featurize then names its fault."""
     path = feature_source(sample, config)
     if config.kind == "dsp":
         with _open_wav(path) as wf:
@@ -442,28 +451,32 @@ def frame_count(sample: "Sample", config: FrontendConfig) -> int:
     fd = os.open(path, os.O_RDONLY)  # under half the cost of open(), paid once per train utterance
     try:
         head = os.read(fd, 12)
+        size = os.lseek(fd, 0, os.SEEK_END)
     finally:
         os.close(fd)
-    if head[:4] == EMBEDDING_MAGIC:
-        return struct.unpack("<I", head[4:8])[0] if len(head) == 12 else 0
+    if head[:4] == EMBEDDING_MAGIC:  # a T the size does not bear out could size a packed matrix past all memory
+        n_frames, dim = struct.unpack("<II", head[4:]) if len(head) == 12 else (0, 0)
+        return n_frames if size == 12 + 4 * n_frames * dim else 0
     text = Path(path).read_bytes().decode("utf-8", errors="replace")
     return sum(1 for line in text.splitlines() if line.split())
 
 
 def featurize(
-    sample: "Sample", config: FrontendConfig, scaler: FeatureScaler | None = None, work: Workspace | None = None
+    sample: "Sample", config: FrontendConfig, scaler: FeatureScaler | None = None, work: Workspace | None = None,
+    out: np.ndarray | None = None,
 ) -> EmbeddingMatrix:
     """Turn one sample into frame features per the frontend config.
 
     A loop over samples passes one Workspace to every call, so the audio,
     resampling and DSP intermediates are allocated once for the loop. The
-    result never aliases it."""
+    result never aliases it: it is out, rows the caller owns, when they
+    have a precomputed file's shape, else a fresh array."""
     path = feature_source(sample, config)
     if config.kind == "dsp":
         work = work or Workspace()
         samples, rate = load_audio(path, work)
         mat = extract_dsp(resample_to_16k(samples, rate, work), config, work)
     else:
-        mat = load_precomputed(path, expected_dim=config.expected_dim)
-    # Both branches return a fresh matrix, so it is standardized in place.
+        mat = load_precomputed(path, config.expected_dim, out)
+    # Every branch's matrix is the caller's to change, so it is standardized in place.
     return EmbeddingMatrix(frames=scaler.standardize(mat.frames)) if scaler is not None else mat

@@ -297,10 +297,11 @@ def predict_split(
     checked before any sample is featurized.
 
     Each sample is featurized once, raw, and each model standardizes its
-    own copy with its scaler (none: the raw features). Parametric and knn
-    scoring stream one utterance at a time; the retrieval modes make one
-    batched retrieve_neighbors call per model. Domain retrieval keeps the
-    split's raw matrices and standardizes each again for the forward pass.
+    own copy with its scaler (none: the raw features), a query in one
+    workspace buffer. Parametric scoring streams one utterance at a time;
+    the retrieval modes pool each into its query row and make one batched
+    retrieve_neighbors call per model. Domain retrieval keeps the split's
+    raw matrices and standardizes each again for the forward pass.
     """
     if mode not in INFERENCE_MODES:
         raise ValidationError(f"unknown inference mode {mode!r}")
@@ -319,27 +320,36 @@ def predict_split(
         return raw if scaler is None else scaler.transform(raw)
 
     preds: list[list[float]] = [[] for _ in models]
-    queries: list[list[np.ndarray]] = [[] for _ in models]
+    # Pooled queries with pool_time's bits: np.mean's row sum, divided by the frame counts once.
+    queries = [np.empty((len(samples), datastore.dim)) for _, _, datastore in models] if mode != "parametric" else []
+    lengths = np.empty(len(samples))
     raws = []  # the split's raw features, which domain retrieval scores after retrieving
     work = Workspace()
-    for s in samples:
+    for i, s in enumerate(samples):
         raw = featurize(s, frontend_config, None, work)
-        for j, (params, scaler, _datastore) in enumerate(models):
-            mat = standardized(scaler, raw)
+        lengths[i] = raw.n_frames
+        for j, (params, scaler, datastore) in enumerate(models):
             if mode == "parametric":
-                preds[j].append(predict_clipped(params, mat.frames, s.dataset_id))
-            else:
-                queries[j].append(pool_time(mat))
+                preds[j].append(predict_clipped(params, standardized(scaler, raw).frames, s.dataset_id))
+            elif raw.dim != datastore.dim:
+                raise ValidationError(f"{s.sample_id}: feature dim {raw.dim} != datastore dim {datastore.dim}")
+            else:  # standardized into one buffer, unchecked: retrieve_neighbors checks the pooled queries
+                frames = raw.frames
+                if scaler is not None:
+                    frames = scaler.standardize(frames, work.take("query", *frames.shape))
+                np.add.reduce(frames, axis=0, out=queries[j][i])
         if mode == "domain-retrieval":
             raws.append(raw)
+    for pooled in queries:
+        pooled /= lengths[:, None]
     cfg = knn_config or KnnConfig()
     for j, (params, scaler, datastore) in enumerate(models):
         if mode == "knn":
-            neighbors = retrieve_neighbors(datastore, np.stack(queries[j]), cfg.k)
+            neighbors = retrieve_neighbors(datastore, queries[j], cfg.k)
             weights = (knn_weights(d, cfg.temperature, cfg.paper_literal) for d in neighbors.distances)
             preds[j] = [float(w @ sc) for w, sc in zip(weights, neighbors.scores)]
         elif mode == "domain-retrieval":
-            neighbors = retrieve_neighbors(datastore, np.stack(queries[j]), 1)
+            neighbors = retrieve_neighbors(datastore, queries[j], 1)
             preds[j] = [
                 predict_clipped(params, standardized(scaler, raw).frames, ids[0])
                 for raw, ids in zip(raws, neighbors.dataset_ids)

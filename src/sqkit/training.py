@@ -244,13 +244,14 @@ def _train_samples(corpus: CorpusManifest | PooledCorpus) -> tuple[Sample, ...]:
 
 def _pack(samples: Sequence[Sample], frontend_config: FrontendConfig) -> tuple[np.ndarray, np.ndarray]:
     """The raw features of samples in one matrix allocated from the file
-    headers' frame counts, and each sample's frame count. An utterance
-    whose features disagree with its header raises ValidationError."""
+    headers' frame counts, and each sample's frame count. Precomputed
+    features are decoded straight into their rows. An utterance whose
+    features disagree with its header raises ValidationError."""
     lengths = np.array([frame_count(s, frontend_config) for s in samples])
     frames = None
     work = Workspace()
     for sample, start, length in zip(samples, (np.cumsum(lengths) - lengths).tolist(), lengths.tolist()):
-        mat = featurize(sample, frontend_config, None, work)
+        mat = featurize(sample, frontend_config, None, work, None if frames is None else frames[start : start + length])
         if frames is None:
             frames = np.empty((int(lengths.sum()), mat.dim))
         if (mat.n_frames, mat.dim) != (length, frames.shape[1]):
@@ -258,7 +259,8 @@ def _pack(samples: Sequence[Sample], frontend_config: FrontendConfig) -> tuple[n
                 f"{feature_source(sample, frontend_config)}: features are {mat.n_frames} x {mat.dim}, "
                 f"the header promises {length} x {frames.shape[1]}"
             )
-        frames[start : start + length] = mat.frames
+        if mat.frames.base is not frames:  # not decoded in place
+            frames[start : start + length] = mat.frames
     return frames, lengths
 
 

@@ -16,6 +16,7 @@ import sqkit.frontend
 import sqkit.inference
 import sqkit.training
 from sqkit import (
+    EmbeddingMatrix,
     KnnConfig,
     SynthSpec,
     ValidationError,
@@ -28,6 +29,8 @@ from sqkit import (
     predict_split,
     save_datastore,
     save_manifest,
+    save_precomputed,
+    save_precomputed_text,
     split_random,
 )
 from sqkit.cli import main, parse_recipe, write_csv, write_records, write_records_mean
@@ -83,10 +86,76 @@ MDF_RECIPE = (
 )
 
 
+# Two manifest corpora of precomputed embeddings pooled for training, and
+# a query corpus drawn from both. A pipeline writes into the out dir
+# precomputed, its one aggregate input.
+PRECOMPUTED_RECIPE = """
+corpus.pa.kind = manifest
+corpus.pa.path = pa.csv
+corpus.pa.split_ratio = 0.75
+corpus.pb.kind = manifest
+corpus.pb.path = pb.csv
+corpus.pb.split_ratio = 0.75
+corpus.pq.kind = manifest
+corpus.pq.path = pq.csv
+
+frontend.kind = precomputed
+frontend.expected_dim = 6
+
+model.kind = alignnet
+model.hidden = 8
+model.embed_dim = 4
+model.decoder_hidden = 8
+
+train.corpus = pa+pb
+train.batch_size = 8
+train.lr = 0.01
+train.max_steps = 40
+train.eval_interval = 10
+train.patience_steps = 1000
+train.loss_tau = 0.0
+
+infer.corpus = pq
+infer.mode = knn
+infer.knn_k = 3
+benchmark.tests = pa,pb
+benchmark.split = dev
+export.sets = pa:train, pq:train
+export.n_per_set = 5
+aggregate.inputs = precomputed
+seeds = 0
+"""
+
+
 def write_recipe(tmp_path, text=BASE_RECIPE, name="recipe.cfg"):
     path = Path(tmp_path) / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def write_precomputed_corpora(root: Path) -> None:
+    """PRECOMPUTED_RECIPE's manifests and SQE1 files: 2 to 6 frames of 6
+    dims per utterance around a mean that sets its MOS, and one utterance
+    of pa in the text form. The queries are labelled pa, so that the
+    parametric mode has a table row for them, and half sit where pb's
+    utterances do."""
+    rng = np.random.default_rng(19)
+    (root / "emb").mkdir()
+    for name, n, offset in (("pa", 16, -0.5), ("pb", 16, 0.5), ("pq", 8, None)):
+        lines = ["sample_id,audio_path,embedding_path,dataset,system_id,mos,listener_id,listener_score"]
+        for i in range(n):
+            dataset, shift = (name, offset) if name != "pq" else ("pa", (-0.5, 0.5)[i % 2])
+            center = rng.normal(size=6) + shift
+            mos = float(np.clip(3.0 + center[0], 1.0, 5.0))
+            mat = EmbeddingMatrix(frames=(center + 0.3 * rng.normal(size=(int(rng.integers(2, 7)), 6))).astype("<f4"))
+            if (name, i) == ("pa", 3):
+                ref = f"emb/{name}{i}.txt"
+                save_precomputed_text(root / ref, f"{name}{i}", mat)
+            else:
+                ref = f"emb/{name}{i}.sqe"
+                save_precomputed(root / ref, mat)
+            lines.append(f"{name}{i},,{ref},{dataset},sys{i % 3},{mos!r},,")
+        (root / f"{name}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_csv(path):
@@ -1379,3 +1448,45 @@ class TestSeedsShareOneFeaturization:
         }
         assert [key for key in joint if joint[key] != alone[key]] == []
         assert all(alone[seed, "records.csv"] for seed in "01")
+
+
+class TestNonFiniteEmbeddings:
+    """A NaN or inf in an embedding file of either form is exit 1, and
+    stderr names the file, wherever the file is read."""
+
+    # benchmark scores the query corpus, as infer does.
+    RECIPE = PRECOMPUTED_RECIPE.replace(
+        "benchmark.tests = pa,pb\nbenchmark.split = dev", "benchmark.tests = pq\nbenchmark.split = train"
+    )
+
+    @staticmethod
+    def poison(path, form):
+        """Rewrite an embedding file in the given form with one value
+        non-finite: a NaN in an SQE1 file, an inf in the text form."""
+        frames = sqkit.frontend.load_precomputed(path).frames.astype("<f4")
+        if form == "sqe1":
+            frames[1, 2] = np.nan
+            path.write_bytes(b"SQE1" + frames.shape[0].to_bytes(4, "little") + (6).to_bytes(4, "little") + frames.tobytes())
+        else:
+            frames[0, 4] = np.inf
+            lines = (f"u 6 {t} " + " ".join(repr(float(v)) for v in row) for t, row in enumerate(frames))
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    @pytest.mark.parametrize("form", ["sqe1", "text"])
+    @pytest.mark.parametrize("split", ["train", "query"])
+    def test_exit_1_names_the_file(self, tmp_path, capsys, form, split):
+        write_precomputed_corpora(tmp_path)
+        config, out = write_recipe(tmp_path, self.RECIPE), tmp_path / "out"
+        assert main(["prepare", "--config", str(config), "--out", str(out)]) == 0
+        if split == "train":
+            path = Path(read_csv(out / "corpora" / "pa" / "train.csv")[1]["embedding_path"])
+            commands = ("train", "benchmark")
+        else:
+            assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+            path = tmp_path / "emb" / "pq2.sqe"
+            commands = ("infer", "benchmark")
+        self.poison(path, form)
+        capsys.readouterr()
+        for command in commands:
+            assert main([command, "--config", str(config), "--out", str(out)]) == 1, command
+            assert f"{path}: embedding contains non-finite values" in capsys.readouterr().err, command

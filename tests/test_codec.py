@@ -7,29 +7,36 @@ struct.error, IndexError, UnicodeDecodeError or bare ValueError escaping a
 loader, or a silently malformed object, fails these tests.
 """
 
+import re
 import struct
 
 import numpy as np
 import pytest
 
+import sqkit.training
 from sqkit import (
     CheckpointError,
     Datastore,
     EmbeddingMatrix,
     FeatureScaler,
+    KnnConfig,
     ValidationError,
+    build_datastore,
     init_alignnet,
     init_head,
     load_datastore,
     load_params,
     load_precomputed,
     load_scaler,
+    predict_split,
+    prepare_train_data,
     save_datastore,
     save_params,
     save_precomputed,
     save_scaler,
 )
 from sqkit.codec import atomic_dir, write_artifact
+from test_training import FRONTEND, make_corpus
 
 
 def small_datastore():
@@ -106,6 +113,64 @@ def test_corrupt_files_round_trip_exactly_or_raise_typed_error(kind, tmp_path):
         outcomes["loaded"] += 1
     assert outcomes["raised"] > len(data)  # at least every truncation and the extra byte
     assert outcomes["loaded"] >= 1
+
+
+def sqe1_corruptions(data):
+    """(label, bytes) of corrupt variants of one SQE1 file: every
+    truncation, extra bytes, three bit flips of each header byte, and each
+    payload value's exponent bits all set (NaN, or inf where the mantissa
+    is 0) plus one value set to -inf."""
+    yield from ((f"truncated to {n}", data[:n]) for n in range(len(data)))
+    yield "one extra byte", data + b"\x00"
+    yield "one extra value", data + struct.pack("<f", 1.0)
+    for offset in range(12):
+        for mask in (0x01, 0x80, 0xFF):
+            flipped = bytearray(data)
+            flipped[offset] ^= mask
+            yield f"header byte {offset} ^ {mask:#04x}", bytes(flipped)
+    for offset in range(12, len(data), 4):
+        flipped = bytearray(data)
+        flipped[offset + 2] |= 0x80  # little-endian float32: the exponent is bits 7 of byte 2 to 6 of byte 3
+        flipped[offset + 3] |= 0x7F
+        yield f"value at byte {offset} non-finite", bytes(flipped)
+    yield "a value -inf", data[:20] + struct.pack("<f", -np.inf) + data[24:]
+
+
+class TestEmbeddingDecodeSweep:
+    """Every corrupt variant of one SQE1 file raises ValidationError naming
+    the file, through train's decode into the packed matrix and through
+    infer's decode into a workspace buffer; no numpy error surfaces, and the
+    packed rows meant for the file hold none of its values."""
+
+    def test_train_packed_decode(self, tmp_path, monkeypatch):
+        corpus = make_corpus(tmp_path, "sweep", n_train=4, n_dev=2, seed=50)
+        path = corpus.samples("train")[2].embedding_ref
+        given_rows = []
+        real = sqkit.training.featurize
+
+        def featurize(sample, config, scaler=None, work=None, out=None):
+            if out is not None:
+                out.fill(7.0)  # a marker: a failed decode must leave it
+                given_rows.append(out)
+            return real(sample, config, scaler, work, out)
+
+        monkeypatch.setattr(sqkit.training, "featurize", featurize)
+        for label, blob in sqe1_corruptions(path.read_bytes()):
+            path.write_bytes(blob)
+            given_rows.clear()
+            with pytest.raises(ValidationError, match=re.escape(str(path))):
+                prepare_train_data(corpus, FRONTEND)
+            assert len(given_rows) == 2, label  # samples 1 and 2 were given rows; sample 2 failed
+            assert np.all(given_rows[-1] == 7.0), label
+
+    def test_infer_per_sample_decode(self, tmp_path):
+        corpus = make_corpus(tmp_path, "sweepq", n_train=4, n_dev=3, seed=51)
+        ds = build_datastore(FRONTEND, corpus)
+        path = corpus.samples("dev")[1].embedding_ref
+        for label, blob in sqe1_corruptions(path.read_bytes()):
+            path.write_bytes(blob)
+            with pytest.raises(ValidationError, match=re.escape(str(path))):
+                predict_split(corpus, "dev", FRONTEND, [(None, None, ds)], "knn", KnnConfig(k=1))
 
 
 class TestReportedDefects:

@@ -513,6 +513,60 @@ class TestPredictSplit:
         assert dr.pred.tobytes() == expected.tobytes()
         assert len(set(dr.pred.tolist())) > 1
 
+    @pytest.mark.parametrize("kind", ["euclidean", "cosine"])
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_retrieval_modes_equal_the_per_sample_reference(self, tmp_path, kind, k):
+        """Both retrieval modes, two models in one call (one with a scaler,
+        one without), against the per-sample path written out: featurize,
+        scaler.transform, pool_time, retrieve_neighbors on a batch of one,
+        then knn_weights or the clipped forward pass. The first dev query
+        ties at distance 0 with two records of equal score that differ in
+        dataset id, the "rb" one stored first: the tie-break picks "ra"."""
+        pooled = PooledCorpus((
+            make_corpus(tmp_path, "ra", n_train=8, n_dev=4, seed=61),
+            make_corpus(tmp_path, "rb", n_train=8, n_dev=4, seed=62),
+        ))
+        train, dev = pooled.samples("train"), pooled.samples("dev")
+        raw = np.concatenate([featurize(s, FRONTEND).frames for s in train])
+
+        def reference(scaler, sample):
+            mat = featurize(sample, FRONTEND)
+            mat = mat if scaler is None else scaler.transform(mat)
+            return mat.frames, pool_time(mat)[None]
+
+        models = []
+        for seed, scaler in enumerate([FeatureScaler(mean=raw.mean(axis=0), std=raw.std(axis=0)), None]):
+            params = init_alignnet(DIM, ("ra", "rb"), seed=seed, hidden=4, embed_dim=2, decoder_hidden=3)
+            params = params.with_arrays({"c2": np.array(3.0), "table": np.array([[2.0, -2.0], [-2.0, 2.0]])})
+            tie = reference(scaler, dev[0])[1]
+            ds = Datastore(
+                np.concatenate([tie, tie] + [reference(scaler, s)[1] for s in train]),
+                np.array([3.5, 3.5] + [s.mos for s in train]),
+                ("rb", "ra") + tuple(s.dataset_id for s in train),
+                distance_kind=kind,
+            )
+            models.append((params, scaler, ds))
+        cfg = KnnConfig(k=k, temperature=0.5)
+        knn = predict_split(pooled, "dev", FRONTEND, models, "knn", cfg)
+        dr = predict_split(pooled, "dev", FRONTEND, models, "domain-retrieval")
+
+        for (params, scaler, ds), got_knn, got_dr in zip(models, knn, dr):
+            want_knn, want_dr = [], []
+            for s in dev:
+                frames, query = reference(scaler, s)
+                near = retrieve_neighbors(ds, query, k)
+                want_knn.append(float(knn_weights(near.distances[0], cfg.temperature, cfg.paper_literal) @ near.scores[0]))
+                nearest = retrieve_neighbors(ds, query, 1).dataset_ids[0][0]
+                want_dr.append(clip_score(alignnet_raw(params, frames, nearest)))
+            assert got_knn.pred.tobytes() == np.array(want_knn).tobytes()
+            assert got_dr.pred.tobytes() == np.array(want_dr).tobytes()
+            frames, query = reference(scaler, dev[0])
+            tied = retrieve_neighbors(ds, query, 2)
+            assert tied.dataset_ids[0] == ("ra", "rb") and tied.distances[0, 0] == tied.distances[0, 1]
+            assert got_dr.pred[0] == clip_score(alignnet_raw(params, frames, "ra")) != clip_score(
+                alignnet_raw(params, frames, "rb")
+            )
+
     @pytest.mark.parametrize("mode", ["parametric", "knn", "domain-retrieval"])
     def test_several_models_score_as_each_does_alone(self, tmp_path, monkeypatch, mode):
         """Models with their own scalers, parameters and datastores, scored
