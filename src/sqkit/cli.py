@@ -235,9 +235,13 @@ def _corpus_names(recipe: Recipe) -> list[str]:
 
 def corpus_fingerprint(recipe: Recipe, name: str) -> str:
     """sha256 of the raw lines of one corpus block (corpus.<name>.*), by the
-    raw-string rule of recipe_hash: the same block fingerprints the same in
-    any out dir."""
-    return _raw_lines_hash(recipe, (f"corpus.{name}.",))
+    raw-string rule of recipe_hash, plus, for a manifest block, the sha256
+    of its source CSV's bytes: the same block and bytes fingerprint the same
+    in any out dir."""
+    prefix = f"corpus.{name}."
+    path = recipe.get(prefix + "path") if recipe.get(prefix + "kind") == "manifest" else None
+    extra = [] if path is None else [f"source sha256 = {hashlib.sha256(path.read_bytes()).hexdigest()}"]
+    return _raw_lines_hash(recipe, (prefix,), *extra)
 
 
 def _transformed(recipe: Recipe, prefix: str, corpus: CorpusManifest, seed: int) -> CorpusManifest:
@@ -251,65 +255,67 @@ def _transformed(recipe: Recipe, prefix: str, corpus: CorpusManifest, seed: int)
     return corpus
 
 
-def _synthetic_corpus(recipe: Recipe, name: str, seed: int, target: Path) -> CorpusManifest:
-    """The prepared corpus in target when its fingerprint matches the
-    recipe; otherwise generate it, subsample and split it, and move the
-    finished dir into place (corpus.json written last)."""
+def _prepared_corpus(recipe: Recipe, name: str, kind: str, seed: int, target: Path) -> CorpusManifest:
+    """The prepared corpus in target while its corpus.json records the
+    block's fingerprint and a manifest's resolved source path (its split
+    CSVs name the source's files by absolute path). Otherwise make it,
+    subsample and split it, move the finished dir into place (corpus.json
+    written last) and return the corpus as made, not read back."""
+    prefix = f"corpus.{name}."
     fingerprint = corpus_fingerprint(recipe, name)
+    path = recipe.get(prefix + "path") if kind == "manifest" else None
+    source = None if path is None else str(path.resolve())
     try:
-        corpus = load_corpus_dir(target, fingerprint)
+        corpus = load_corpus_dir(target, fingerprint, source)
         logger.info("loaded prepared corpus %r from %s", name, target)
         return corpus
     except (ManifestError, ValidationError, OSError, ValueError) as exc:
         reason = exc
-    prefix = f"corpus.{name}."
 
     def get(field: str):
         return recipe.get(prefix + field)
 
     with atomic_dir(target) as tmp:
-        spec = SynthSpec(
-            name=name, out_dir=tmp, n_utterances=get("n"), snr_grid_db=get("snr_grid"),
-            mos_intercept=get("mos_intercept"), mos_slope=get("mos_slope"), delta=get("delta"), sigma=get("sigma"),
-            tone_hz=(get("tone_lo"), get("tone_hi")), tone_amplitude=get("amplitude"),
-            duration_s=(get("duration_lo"), get("duration_hi")), rate_hz=get("rate"),
-        )
-        corpus = _transformed(recipe, prefix, generate_synthetic_corpus(spec, seed), seed)
-        save_corpus_dir(corpus, tmp, fingerprint)
+        if path is not None:
+            made = load_manifest(path, name=name, domain_tag=get("domain"), language=get("language"),
+                                 native_rate_hz=get("rate"))
+        else:
+            made = generate_synthetic_corpus(SynthSpec(
+                name=name, out_dir=tmp, n_utterances=get("n"), snr_grid_db=get("snr_grid"),
+                mos_intercept=get("mos_intercept"), mos_slope=get("mos_slope"), delta=get("delta"), sigma=get("sigma"),
+                tone_hz=(get("tone_lo"), get("tone_hi")), tone_amplitude=get("amplitude"),
+                duration_s=(get("duration_lo"), get("duration_hi")), rate_hz=get("rate"),
+            ), seed)
+        corpus = _transformed(recipe, prefix, made, seed)
+        save_corpus_dir(corpus, tmp, fingerprint, source)
     logger.info("generated corpus %r into %s (%s)", name, target, reason)
-    return load_corpus_dir(target, fingerprint)  # samples point into target, not the temp dir
+    if path is not None:  # a manifest names its source's files; generated WAVs moved with tmp into target
+        return corpus
+    moved = {split: tuple(dataclasses.replace(s, audio_ref=target / s.audio_ref.relative_to(tmp)) for s in samples)
+             for split, samples in corpus.splits.items()}
+    return dataclasses.replace(corpus, splits=moved)
 
 
 def materialize_corpus(recipe: Recipe, name: str, out_base: Path) -> CorpusManifest:
     """Build one corpus from its config block.
 
-    kinds: synthetic (made once under <out>/corpora/<name> and loaded from
-    there while its fingerprint matches the block), manifest (one CSV
-    loaded as a train split), dir (corpus directory with corpus.json). A
-    train-only corpus with split_ratio set is partitioned into train/dev;
-    subsample trims the train split first. A prepared synthetic dir holds
-    the corpus after both.
+    kinds: synthetic and manifest (one CSV, a train split) are made once
+    under <out>/corpora/<name> and loaded from there while corpus.json
+    matches the block (and a manifest's source bytes and resolved path);
+    dir (a corpus directory) is loaded from its path. A loaded split is
+    read when first used. A train-only corpus with split_ratio set is
+    partitioned into train/dev, after subsample trims the train split.
     """
     prefix = f"corpus.{name}."
     kind = recipe.get(prefix + "kind")
     if kind is None:
         raise ValidationError(f"corpus {name!r}: missing {prefix}kind")
     seed = recipe.get(prefix + "seed")
-    if kind == "synthetic":
-        return _synthetic_corpus(recipe, name, seed, out_base / "corpora" / name)
-    if kind == "manifest":
-        corpus = load_manifest(
-            recipe.get(prefix + "path"),
-            name=name,
-            domain_tag=recipe.get(prefix + "domain"),
-            language=recipe.get(prefix + "language"),
-            native_rate_hz=recipe.get(prefix + "rate"),
-        )
-    elif kind == "dir":
-        corpus = load_corpus_dir(recipe.get(prefix + "path"))
-    else:
+    if kind in ("synthetic", "manifest"):
+        return _prepared_corpus(recipe, name, kind, seed, out_base / "corpora" / name)
+    if kind != "dir":
         raise ValidationError(f"corpus {name!r}: unknown kind {kind!r}")
-    return _transformed(recipe, prefix, corpus, seed)
+    return _transformed(recipe, prefix, load_corpus_dir(recipe.get(prefix + "path")), seed)
 
 
 def get_corpora(recipe: Recipe, out_base: Path, names: list[str]) -> dict[str, CorpusManifest]:
@@ -543,11 +549,10 @@ def cmd_prepare(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
     """Materialize every configured corpus under <out>/corpora/."""
     corpora = get_corpora(recipe, out, _corpus_names(recipe))
     for name, corpus in corpora.items():
-        # A synthetic corpus dir is already in place. Other copies are written
-        # in place, file by file: a dir corpus may live in this very dir.
-        if recipe.get(f"corpus.{name}.kind") != "synthetic":
+        sizes = {split: corpus.size(split) for split in corpus.splits}  # read every split before a write
+        # Only a dir corpus is not in place yet; it is copied file by file, as it may live in this very dir.
+        if recipe.get(f"corpus.{name}.kind") == "dir":
             save_corpus_dir(corpus, out / "corpora" / name)
-        sizes = {split: corpus.size(split) for split in corpus.splits}
         print(f"prepared corpus {name}: {sizes}")
     return 0
 

@@ -13,6 +13,7 @@ import json
 import logging
 import math
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -87,7 +88,7 @@ class CorpusManifest:
     domain_tag: str
     language: str
     native_rate_hz: int
-    splits: dict[str, tuple[Sample, ...]] = field(default_factory=dict)
+    splits: Mapping[str, tuple[Sample, ...]] = field(default_factory=dict)
 
     def validate(self) -> None:
         if self.domain_tag not in DOMAIN_TAGS:
@@ -283,12 +284,45 @@ def save_manifest(samples: tuple[Sample, ...] | list[Sample], path: str | Path) 
     write_csv(path, MANIFEST_HEADER, rows)
 
 
-def load_corpus_dir(directory: str | Path, fingerprint: str | None = None) -> CorpusManifest:
-    """Load a corpus directory: ``corpus.json`` metadata plus split CSVs.
+class _SplitFiles(Mapping):
+    """Split name -> samples of a corpus dir. A split's CSV is parsed, with
+    every load_manifest check, when first read; the first read also checks
+    that no sample_id is in two splits, from the id column of the rest."""
 
-    With ``fingerprint`` set, a corpus.json that records another
-    fingerprint, or none, raises ManifestError: the dir was made from
-    another recipe (or by an older sqkit) and cannot be trusted.
+    def __init__(self, paths: dict[str, Path], info: dict):
+        self.paths, self.info, self.read = paths, info, {}
+
+    def __getitem__(self, split: str) -> tuple[Sample, ...]:
+        if split not in self.read:
+            samples = load_manifest(self.paths[split], split=split, **self.info).samples(split)
+            if not self.read:
+                seen: dict[str, str] = {}
+                for other, path in self.paths.items():
+                    for sid in [s.sample_id for s in samples] if other == split else _sample_ids(path):
+                        if seen.setdefault(sid, other) != other:
+                            raise ValidationError(f"duplicate sample_id {sid!r} (splits {seen[sid]} and {other})")
+            self.read[split] = samples
+        return self.read[split]
+
+    def __iter__(self):
+        return iter(self.paths)
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+
+def _sample_ids(path: Path) -> dict[str, None]:
+    """The sample_id column of a manifest CSV, each value once, in order."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return dict.fromkeys(row[0].strip() for row in list(csv.reader(fh))[1:] if row)
+
+
+def load_corpus_dir(directory: str | Path, fingerprint: str | None = None, source: str | None = None) -> CorpusManifest:
+    """Load a corpus directory: ``corpus.json`` now, and a split's CSV when
+    the split is first read (a split corpus.json does not list is empty).
+    With ``fingerprint`` or ``source`` set, a corpus.json that records
+    another one, or none, raises ManifestError: the dir was made from
+    another recipe or source CSV (or by an older sqkit) and is not trusted.
     """
     directory = Path(directory)
     meta_path = directory / "corpus.json"
@@ -300,9 +334,9 @@ def load_corpus_dir(directory: str | Path, fingerprint: str | None = None) -> Co
         raise ManifestError(f"{meta_path}: unreadable ({exc})") from None
     if not isinstance(meta, dict):
         raise ManifestError(f"{meta_path}: not a JSON object")
-    if fingerprint is not None and meta.get("fingerprint") != fingerprint:
-        found = meta.get("fingerprint") or "(none)"
-        raise ManifestError(f"{meta_path}: fingerprint {found} does not match the recipe's {fingerprint}")
+    for key, want in (("fingerprint", fingerprint), ("source", source)):
+        if want is not None and meta.get(key) != want:
+            raise ManifestError(f"{meta_path}: {key} {meta.get(key) or '(none)'} does not match the recipe's {want}")
     try:
         info = dict(
             name=meta["name"],
@@ -310,21 +344,18 @@ def load_corpus_dir(directory: str | Path, fingerprint: str | None = None) -> Co
             language=meta.get("language", "und"),
             native_rate_hz=int(meta.get("native_rate_hz", 16000)),
         )
-        files = dict(meta["splits"])
+        paths = {split: directory / csv_name for split, csv_name in dict(meta["splits"]).items()}
     except (KeyError, TypeError, ValueError) as exc:
         raise ManifestError(f"{meta_path}: bad corpus metadata ({exc!r})") from None
-    splits = {
-        split: load_manifest(directory / csv_name, split=split, **info).samples(split)
-        for split, csv_name in files.items()
-    }
-    corpus = CorpusManifest(splits=splits, **info)
-    corpus.validate()
-    return corpus
+    CorpusManifest(splits=dict.fromkeys(paths, ()), **info).validate()  # the domain tag and split names
+    return CorpusManifest(splits=_SplitFiles(paths, info), **info)
 
 
-def save_corpus_dir(corpus: CorpusManifest, directory: str | Path, fingerprint: str | None = None) -> None:
+def save_corpus_dir(corpus: CorpusManifest, directory: str | Path, fingerprint: str | None = None,
+                    source: str | None = None) -> None:
     """Write a corpus as one CSV per split, then corpus.json (recording
-    ``fingerprint`` when given); each file is written whole or not at all."""
+    ``fingerprint`` and ``source`` when given); each file is written whole
+    or not at all."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     meta = {
@@ -334,8 +365,7 @@ def save_corpus_dir(corpus: CorpusManifest, directory: str | Path, fingerprint: 
         "native_rate_hz": corpus.native_rate_hz,
         "splits": {split: f"{split}.csv" for split in corpus.splits},
     }
-    if fingerprint is not None:
-        meta["fingerprint"] = fingerprint
+    meta.update((key, value) for key, value in (("fingerprint", fingerprint), ("source", source)) if value is not None)
     for split, samples in corpus.splits.items():
         save_manifest(samples, directory / f"{split}.csv")
     with atomic_open(directory / "corpus.json", "w", encoding="utf-8") as fh:

@@ -15,7 +15,7 @@ import struct
 import wave as wave_mod
 from dataclasses import InitVar, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import IO, TYPE_CHECKING
 
 import numpy as np
 
@@ -103,11 +103,11 @@ class FrontendConfig:
         return self.expected_dim
 
 
-def _open_wav(path: str | Path) -> wave_mod.Wave_read:
-    """Open a WAV file for reading; a file that is not one raises
-    AudioFormatError naming it."""
+def _open_wav(path: str | Path, fh: IO[bytes] | None = None) -> wave_mod.Wave_read:
+    """Open a WAV file (fh, when given, is it opened) for reading; a file
+    that is not one raises AudioFormatError naming it."""
     try:
-        return wave_mod.open(str(path), "rb")
+        return wave_mod.open(fh or str(path), "rb")
     except (wave_mod.Error, EOFError) as exc:
         raise AudioFormatError(f"{path}: not a PCM WAV file ({str(exc) or 'truncated header'})") from None
 
@@ -439,12 +439,17 @@ def frame_count(sample: "Sample", config: FrontendConfig) -> int:
     """The rows featurize will return for a sample, from its file's header
     alone: a WAV's rate and frame count through resampling and framing, an
     SQE1 file's T if its size bears it out, or the text form's non-blank
-    lines. A file that is not a WAV raises AudioFormatError; an embedding
-    file too broken to say gives 0, and featurize then names its fault."""
+    lines. A file that is not a WAV, or whose header promises more audio
+    than the file holds, raises AudioFormatError; an embedding file too
+    broken to say gives 0, and featurize then names its fault."""
     path = feature_source(sample, config)
     if config.kind == "dsp":
-        with _open_wav(path) as wf:
+        with open(path, "rb") as fh, _open_wav(path, fh) as wf:
             n_samples, rate = wf.getnframes(), wf.getframerate()
+            promised = n_samples * wf.getsampwidth() * wf.getnchannels()
+            held = os.fstat(fh.fileno()).st_size - fh.tell()
+        if promised > held:  # a size field nothing bears out would size a packed matrix past all memory
+            raise AudioFormatError(f"{path}: the header promises {promised} bytes of audio, the file holds {held}")
         win, hop = _window_hop(config)
         # One row per hop; extract_dsp pads a clip shorter than a window to one.
         return (max(resampled_length(n_samples, rate), win) - win) // hop + 1

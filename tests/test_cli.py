@@ -12,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sqkit.codec
+import sqkit.corpus
 import sqkit.frontend
 import sqkit.inference
 import sqkit.training
@@ -1365,6 +1367,136 @@ class TestEachCommandReadsOnlyItsCorpora:
         capsys.readouterr()
         assert main(["prepare", "--config", str(config), "--out", str(out)]) == 1
         assert "unknown kind 'studio'" in capsys.readouterr().err
+
+
+def recorded_reads(monkeypatch):
+    """Record (corpus name, split, samples) for each split a load_manifest
+    call builds, whether cli reads a source CSV or corpus a prepared one."""
+    calls = []
+
+    def wrap(module):
+        real = module.load_manifest
+
+        def load_manifest(*args, **kwargs):
+            corpus = real(*args, **kwargs)
+            calls.extend((corpus.name, split, len(samples)) for split, samples in corpus.splits.items())
+            return corpus
+
+        monkeypatch.setattr(module, "load_manifest", load_manifest)
+
+    wrap(cli)
+    wrap(sqkit.corpus)
+    return calls
+
+
+class TestPreparedManifestCorpora:
+    """A manifest corpus is split once into corpora/<name>/ and read from
+    there while corpus.json matches its block, its source CSV's bytes and
+    that CSV's resolved path; a command builds only the splits it uses."""
+
+    def prepared(self, root, *commands, out=None):
+        write_precomputed_corpora(root)
+        config, out = write_recipe(root, PRECOMPUTED_RECIPE), out or root / "out"
+        for command in ("prepare", *commands):
+            assert main([command, "--config", str(config), "--out", str(out)]) == 0, command
+        return config, out
+
+    def test_a_corpus_loaded_from_its_dir_equals_the_one_built_from_the_source(self, tmp_path, monkeypatch):
+        write_precomputed_corpora(tmp_path)
+        recipe = cli.Recipe(parse_recipe(write_recipe(tmp_path, PRECOMPUTED_RECIPE)), tmp_path)
+        direct = {
+            "pa": split_random(sqkit.corpus.load_manifest(tmp_path / "pa.csv", name="pa"), 0.75, seed=0),
+            "pq": sqkit.corpus.load_manifest(tmp_path / "pq.csv", name="pq"),
+        }
+        reads = recorded_reads(monkeypatch)
+        built = cli.get_corpora(recipe, tmp_path / "out", ["pa", "pq"])
+        assert sorted(reads) == [("pa", "train", 16), ("pq", "train", 8)]  # the two sources, once each
+        reads.clear()
+        loaded = cli.get_corpora(recipe, tmp_path / "out", ["pa", "pq"])
+        assert reads == []  # corpus.json only, until a split is asked for
+        for name, corpus in direct.items():
+            for field in dataclasses.fields(corpus):
+                if field.name != "splits":
+                    values = (getattr(c, field.name) for c in (loaded[name], built[name], corpus))
+                    assert len(set(values)) == 1, field.name
+            assert list(loaded[name].splits) == list(built[name].splits) == list(corpus.splits)
+            for split in corpus.splits:
+                samples = loaded[name].samples(split)
+                assert samples == built[name].samples(split) == corpus.samples(split)
+                assert all(s.audio_ref is None and isinstance(s.embedding_ref, Path) for s in samples)
+        assert sorted(reads) == [("pa", "dev", 4), ("pa", "train", 12), ("pq", "train", 8)]
+
+    def test_a_changed_source_byte_or_moved_inputs_rebuild_the_corpus(self, tmp_path, monkeypatch):
+        root = tmp_path / "inputs"
+        root.mkdir()
+        config, out = self.prepared(root, out=tmp_path / "out")
+        reads = recorded_reads(monkeypatch)
+        assert main(["prepare", "--config", str(config), "--out", str(out)]) == 0
+        assert {(name, split) for name, split, _ in reads} == {("pa", "train"), ("pa", "dev"), ("pb", "train"),
+                                                                ("pb", "dev"), ("pq", "train")}  # read, not rebuilt
+        source = (root / "pa.csv").read_bytes()
+        assert source.count(b",sys1,") > 1
+        (root / "pa.csv").write_bytes(source.replace(b",sys1,", b",sys7,", 1))  # one byte
+        reads.clear()
+        pb_before = tree_bytes(out / "corpora" / "pb")
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+        assert ("pa", "train", 16) in reads and ("pb", "train", 16) not in reads  # pa from its source only
+        rows = [row for split in ("train", "dev") for row in read_csv(out / "corpora" / "pa" / f"{split}.csv")]
+        assert sum(row["system_id"] == "sys7" for row in rows) == 1
+        assert tree_bytes(out / "corpora" / "pb") == pb_before
+
+        moved = tmp_path / "moved"
+        root.rename(moved)  # the same bytes, in another dir
+        reads.clear()
+        assert main(["infer", "--config", str(moved / "recipe.cfg"), "--out", str(out)]) == 0
+        assert reads == [("pq", "train", 8)]  # built from the moved source
+        meta = json.loads((out / "corpora" / "pq" / "corpus.json").read_text())
+        assert meta["source"] == str((moved / "pq.csv").resolve())
+        rows = read_csv(out / "corpora" / "pq" / "train.csv")
+        assert all(row["embedding_path"].startswith(str(moved / "emb") + "/") for row in rows)
+
+    def test_a_benchmark_of_the_dev_split_builds_no_train_sample(self, tmp_path, monkeypatch):
+        config, out = self.prepared(tmp_path, "train")
+        reads = recorded_reads(monkeypatch)
+        assert main(["benchmark", "--config", str(config), "--out", str(out), "--inference", "knn"]) == 0
+        assert sorted(reads) == [("pa", "dev", 4), ("pb", "dev", 4)]
+
+    def test_a_sample_id_in_two_prepared_splits_is_exit_1_naming_it(self, tmp_path, capsys):
+        config, out = self.prepared(tmp_path, "train")
+        corpus_dir = out / "corpora" / "pb"
+        copied = (corpus_dir / "train.csv").read_text(encoding="utf-8").splitlines()[2]
+        with open(corpus_dir / "dev.csv", "a", encoding="utf-8") as fh:
+            fh.write(copied + "\n")
+        capsys.readouterr()
+        assert main(["benchmark", "--config", str(config), "--out", str(out), "--inference", "knn"]) == 1
+        assert f"duplicate sample_id {copied.split(',')[0]!r}" in capsys.readouterr().err
+
+    def test_every_split_a_command_uses_is_read_before_its_first_write(self, tmp_path, monkeypatch):
+        config, out = self.prepared(tmp_path)
+        events = []
+        real_replace = sqkit.codec.os.replace
+
+        def replace(src, dst):
+            events.append("write")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(sqkit.codec.os, "replace", replace)  # codec renames every file sqkit writes into place
+
+        def reading(real):
+            def load_manifest(*args, **kwargs):
+                events.append("read")
+                return real(*args, **kwargs)
+
+            return load_manifest
+
+        for module in (cli, sqkit.corpus):
+            monkeypatch.setattr(module, "load_manifest", reading(module.load_manifest))
+        # benchmark first, so that it also trains
+        for command in ("benchmark", "train", "infer", "benchmark", "export-embeddings"):
+            events.clear()
+            assert main([command, "--config", str(config), "--out", str(out)]) == 0, command
+            assert "read" in events and "write" in events, command
+            assert "read" not in events[events.index("write"):], command
 
 
 class TestSeedsShareOneFeaturization:

@@ -8,6 +8,7 @@ import pytest
 
 import sqkit.training
 from sqkit import (
+    AudioFormatError,
     CheckpointLedger,
     CorpusManifest,
     EmbeddingMatrix,
@@ -457,7 +458,8 @@ class TestPackedTrainMatrix:
         corpus = self.wav_corpus(tmp_path, [(16000, 4000), (16000, 4000)])
         path = corpus.samples("train")[1].audio_ref
         path.write_bytes(path.read_bytes()[:-800])  # 400 samples short; the header still says 4000
-        with pytest.raises(ValidationError, match=f"{path}: features are 21 x 16, the header promises 23 x 16"):
+        message = f"{path}: the header promises 8000 bytes of audio, the file holds 7200"
+        with pytest.raises(AudioFormatError, match=message):
             prepare_train_data(corpus, FrontendConfig(n_mels=8))
 
     def test_embedding_header_disagreeing_with_its_rows(self, tmp_path):
