@@ -30,7 +30,7 @@ from .corpus import (CorpusManifest, PooledCorpus, SynthSpec, generate_synthetic
 from .errors import (AudioFormatError, CheckpointError, ManifestError, SqkitError, UndefinedCorrelationError,
                      UndefinedRatioError, ValidationError)
 from .export import export_embeddings, pca_2d
-from .frontend import FeatureScaler, FrontendConfig, load_scaler, save_scaler
+from .frontend import FeatureScaler, FeatureStore, FrontendConfig, load_scaler, save_scaler
 # build_datastore is unused here: perfbench's tracer wraps this name on
 # this module, and a site that stops resolving fails its run.
 from .inference import (DISTANCE_KINDS, INFERENCE_MODES, KnnConfig, build_datastore, check_table_rows, load_datastore,
@@ -235,13 +235,25 @@ def _corpus_names(recipe: Recipe) -> list[str]:
 
 def corpus_fingerprint(recipe: Recipe, name: str) -> str:
     """sha256 of the raw lines of one corpus block (corpus.<name>.*), by the
-    raw-string rule of recipe_hash, plus, for a manifest block, the sha256
-    of its source CSV's bytes: the same block and bytes fingerprint the same
-    in any out dir."""
+    raw-string rule of recipe_hash, plus a line with the sha256 of the bytes
+    of each CSV the block is read from: a manifest block's source CSV, a dir
+    block's CSVs. The same block and bytes fingerprint the same in any out
+    dir."""
     prefix = f"corpus.{name}."
-    path = recipe.get(prefix + "path") if recipe.get(prefix + "kind") == "manifest" else None
-    extra = [] if path is None else [f"source sha256 = {hashlib.sha256(path.read_bytes()).hexdigest()}"]
+    kind = recipe.get(prefix + "kind")
+    path = recipe.get(prefix + "path") if kind in ("manifest", "dir") else None
+    sources = [] if path is None else [path] if kind == "manifest" else sorted(path.glob("*.csv"))
+    extra = [f"source sha256 = {hashlib.sha256(source.read_bytes()).hexdigest()}" for source in sources]
     return _raw_lines_hash(recipe, (prefix,), *extra)
+
+
+def feature_store(recipe: Recipe, out: Path, corpora: dict[str, CorpusManifest]) -> FeatureStore:
+    """The out dir's store of dsp features, in corpora/<name>/: a corpus's
+    store files are keyed by its block's fingerprint and the frontend.* raw
+    lines, so they are the same bytes in any out dir."""
+    blocks = {corpus.name: block for block, corpus in corpora.items()}  # a dir corpus names itself
+    frontend = _raw_lines_hash(recipe, ("frontend.",))
+    return FeatureStore(out / "corpora", lambda name: f"{corpus_fingerprint(recipe, blocks[name])}\n{frontend}")
 
 
 def _transformed(recipe: Recipe, prefix: str, corpus: CorpusManifest, seed: int) -> CorpusManifest:
@@ -451,17 +463,18 @@ def _train_configs(recipe: Recipe, seed: int, train_corpus: CorpusManifest | Poo
     return [config, config if phase2_steps is None else dataclasses.replace(config, max_steps=phase2_steps)]
 
 
-def prepare_training(recipe: Recipe, corpora: dict[str, CorpusManifest]) -> tuple[TrainData, ...]:
+def prepare_training(recipe: Recipe, corpora: dict[str, CorpusManifest], out: Path) -> tuple[TrainData, ...]:
     """The seed-independent data of each training phase under the recipe
-    (one, or two under MDF), featurized once for every seed; the train keys
-    are checked before any sample is read."""
+    (one, or two under MDF), featurized once for every seed through the out
+    dir's feature store; the train keys are checked before any sample is
+    read."""
     train_corpus = resolve_train_corpus(recipe, corpora)
     _train_configs(recipe, 0, train_corpus)  # the seed only fills in TrainConfig.seed
-    frontend_config = build_frontend(recipe)
+    frontend_config, store = build_frontend(recipe), feature_store(recipe, out, corpora)
     mdf_pretrain = recipe.get("train.mdf_pretrain")
     if mdf_pretrain:
-        return prepare_mdf_data(mdf_pretrain, train_corpus, frontend_config)
-    return (prepare_train_data(train_corpus, frontend_config),)
+        return prepare_mdf_data(mdf_pretrain, train_corpus, frontend_config, store)
+    return (prepare_train_data(train_corpus, frontend_config, store),)
 
 
 def train_one_seed(recipe: Recipe, phases: tuple[TrainData, ...], seed: int, out_dir: Path) -> TrainResult:
@@ -546,13 +559,10 @@ def write_records_mean(path: Path, rows: list[tuple]) -> None:
 
 
 def cmd_prepare(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
-    """Materialize every configured corpus under <out>/corpora/."""
-    corpora = get_corpora(recipe, out, _corpus_names(recipe))
-    for name, corpus in corpora.items():
-        sizes = {split: corpus.size(split) for split in corpus.splits}  # read every split before a write
-        # Only a dir corpus is not in place yet; it is copied file by file, as it may live in this very dir.
-        if recipe.get(f"corpus.{name}.kind") == "dir":
-            save_corpus_dir(corpus, out / "corpora" / name)
+    """Materialize every synthetic and manifest corpus under
+    <out>/corpora/, and read every split of every configured corpus."""
+    for name, corpus in get_corpora(recipe, out, _corpus_names(recipe)).items():
+        sizes = {split: corpus.size(split) for split in corpus.splits}
         print(f"prepared corpus {name}: {sizes}")
     return 0
 
@@ -574,7 +584,7 @@ def _seed_list(recipe: Recipe, args: argparse.Namespace) -> list[int]:
 def cmd_train(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
     seeds = _seed_list(recipe, args)
     corpora = get_corpora(recipe, out, _train_names(recipe))
-    phases = prepare_training(recipe, corpora)
+    phases = prepare_training(recipe, corpora, out)
     for seed in seeds:
         result = train_one_seed(recipe, phases, seed, out)
         best = result.ledger.best
@@ -616,7 +626,7 @@ def _predict_seeds(
         table_ids = table_dataset_ids(resolve_train_corpus(recipe, corpora))
         for _name, corpus, split in targets:
             check_table_rows(table_ids, corpus.samples(split), split)
-    frontend_config = build_frontend(recipe)
+    frontend_config, store = build_frontend(recipe), feature_store(recipe, out, corpora)
     digest = recipe_hash(recipe)
 
     def predict() -> Iterator[tuple[int, str, list[EvalPairs]]]:
@@ -626,7 +636,8 @@ def _predict_seeds(
             params, scaler = load_model_dir(seed_dir, digest)
             datastore = None if mode == "parametric" else load_datastore(seed_dir / "datastore.bin", distance_kind)
             models.append((params, scaler, datastore))
-        by_target = [predict_split(corpus, split, frontend_config, models, mode, knn_config) for _, corpus, split in targets]
+        by_target = [predict_split(corpus, split, frontend_config, models, mode, knn_config, store)
+                     for _, corpus, split in targets]
         for seed, *pairs in zip(seeds, *by_target):
             yield seed, pairs
 
@@ -668,7 +679,7 @@ def cmd_benchmark(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
     targets = [_target(recipe, corpora, "benchmark.tests", name) for name in names]
     predictions = _predict_seeds(recipe, settings, out, corpora, targets, seeds)  # checks the table rows
     if untrained:
-        phases = prepare_training(recipe, corpora)
+        phases = prepare_training(recipe, corpora, out)
         for seed in untrained:
             train_one_seed(recipe, phases, seed, out)
         del phases  # the train matrix is not needed for scoring
@@ -778,7 +789,8 @@ def cmd_export_embeddings(recipe: Recipe, args: argparse.Namespace, out: Path) -
         _params, scaler = load_model_dir(model_dir, recipe_hash(recipe))
         scaler_note = f"scaler from {model_dir}"
 
-    dump = export_embeddings(sets, frontend_config, scaler, n_per_set=recipe.get("export.n_per_set"), seed=seeds[0])
+    dump = export_embeddings(sets, frontend_config, scaler, n_per_set=recipe.get("export.n_per_set"), seed=seeds[0],
+                             feature_store=feature_store(recipe, out, corpora))
     proj, _components, _mean = pca_2d(dump.embeddings)
     labels = list(zip(dump.set_labels, dump.sample_ids, dump.roles))
     notes = [f"features: {scaler_note}"]

@@ -9,6 +9,7 @@ involves randomness takes an explicit seed.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import logging
 import math
@@ -158,6 +159,7 @@ def load_manifest(
     """
     path = Path(path)
     base_dir = str(path.parent)
+    error = functools.partial(ManifestError, path=path)
     rows: dict[str, dict] = {}
     order: list[str] = []
     with open(path, encoding="utf-8", newline="") as fh:
@@ -165,38 +167,38 @@ def load_manifest(
         try:
             header = next(reader)
         except StopIteration:
-            raise ManifestError("empty manifest", line=1)
+            raise error("empty manifest", line=1)
         if header != MANIFEST_HEADER:
-            raise ManifestError(f"bad header {header!r}", line=1)
+            raise error(f"bad header {header!r}", line=1)
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(MANIFEST_HEADER):
-                raise ManifestError(f"expected {len(MANIFEST_HEADER)} fields, got {len(row)}", line=lineno)
+                raise error(f"expected {len(MANIFEST_HEADER)} fields, got {len(row)}", line=lineno)
             sid, audio, emb, dataset, system, mos_text, lid, lscore = map(str.strip, row)
             if not sid:
-                raise ManifestError("empty sample_id", line=lineno)
+                raise error("empty sample_id", line=lineno)
             try:
                 mos = float(mos_text)
             except ValueError:
-                raise ManifestError(f"unparseable mos {mos_text!r}", line=lineno)
+                raise error(f"unparseable mos {mos_text!r}", line=lineno)
             fields = (audio, emb, dataset, system, mos)
             if sid not in rows:
                 rows[sid] = {"fields": fields, "listeners": [], "bare": False}
                 order.append(sid)
             else:
                 if rows[sid]["fields"] != fields:
-                    raise ManifestError(f"conflicting rows for sample {sid!r}", line=lineno)
+                    raise error(f"conflicting rows for sample {sid!r}", line=lineno)
                 if rows[sid]["bare"] or lid == "":
                     # Repeats are only legal as one-row-per-listener fan-out.
-                    raise ManifestError(f"duplicate rows for sample {sid!r}", line=lineno)
+                    raise error(f"duplicate rows for sample {sid!r}", line=lineno)
             if (lid == "") != (lscore == ""):
-                raise ManifestError("listener_id and listener_score must both be set or both empty", line=lineno)
+                raise error("listener_id and listener_score must both be set or both empty", line=lineno)
             if lid:
                 try:
                     score = int(lscore)
                 except ValueError:
-                    raise ManifestError(f"unparseable listener_score {lscore!r}", line=lineno)
+                    raise error(f"unparseable listener_score {lscore!r}", line=lineno)
                 rows[sid]["listeners"].append((lid, score))
             else:
                 rows[sid]["bare"] = True

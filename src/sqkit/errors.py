@@ -8,14 +8,15 @@ class SqkitError(Exception):
 class ManifestError(SqkitError):
     """A manifest file could not be parsed.
 
-    Carries the 1-based line number of the offending row when known.
+    Carries the 1-based line number of the offending row when known; the
+    message leads with the file, when given, and the line: `<path> line 3: ...`.
     """
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, path: object = None):
         self.line = line
         if line is not None:
             message = f"line {line}: {message}"
-        super().__init__(message)
+        super().__init__(message if path is None else f"{path} {message}")
 
 
 class ValidationError(SqkitError):

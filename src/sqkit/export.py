@@ -13,7 +13,7 @@ import numpy as np
 
 from .corpus import CorpusManifest, PooledCorpus
 from .errors import ValidationError
-from .frontend import FeatureScaler, FrontendConfig, featurize, pool_time
+from .frontend import FeatureScaler, FeatureStore, FrontendConfig, featurize, pool_time, split_features
 from .model import Workspace
 from .seeding import named_rng
 
@@ -44,12 +44,14 @@ def export_embeddings(
     scaler: FeatureScaler | None,
     n_per_set: int = 100,
     seed: int = 0,
+    feature_store: FeatureStore | None = None,
 ) -> EmbeddingDump:
     """Pool-and-collect embeddings from each (label, corpus, split, role) set.
 
     Takes n_per_set random samples per set (the whole set when smaller,
     recorded in truncated_sets); the choice is a pure function of
-    (seed, label).
+    (seed, label). dsp features are read through feature_store (a temp
+    one when None).
     """
     if n_per_set < 1:
         raise ValidationError("n_per_set must be >= 1")
@@ -63,12 +65,13 @@ def export_embeddings(
         if len(samples) < n_per_set:
             truncated.append(label)
             logger.info("set %r has %d < %d samples; taking all", label, len(samples), n_per_set)
-        for i in select_samples(len(samples), n_per_set, seed, label):
-            sample = samples[i]
+        picked = select_samples(len(samples), n_per_set, seed, label)
+        raw_mats = split_features(corpus, split, frontend_config, feature_store, featurize, work, picked)
+        for i, raw in zip(picked, raw_mats):
             labels.append(label)
-            ids.append(sample.sample_id)
+            ids.append(samples[i].sample_id)
             roles.append(role)
-            rows.append(pool_time(featurize(sample, frontend_config, scaler, work)))
+            rows.append(pool_time(raw if scaler is None else scaler.transform(raw)))
     return EmbeddingDump(
         set_labels=tuple(labels),
         sample_ids=tuple(ids),

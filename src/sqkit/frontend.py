@@ -1,7 +1,8 @@
-"""Feature extraction: audio I/O, resampling, DSP features, scaling.
+"""Feature extraction: audio I/O, resampling, DSP features, scaling, and
+the feature store that keeps a split's DSP features between commands.
 
-Everything here is a pure function of its inputs, so feature extraction
-can be cached or parallelized freely. The built-in DSP frontend stands in
+Feature extraction is a pure function of its inputs, so it can be stored
+or parallelized freely. The built-in DSP frontend stands in
 for heavier learned feature extractors: any (T, D) matrix with a declared
 dimensionality works downstream, whether computed here or loaded from a
 precomputed-embedding file.
@@ -9,27 +10,34 @@ precomputed-embedding file.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import hashlib
+import logging
 import os
 import struct
+import tempfile
 import wave as wave_mod
+import zlib
 from dataclasses import InitVar, dataclass
 from pathlib import Path
-from typing import IO, TYPE_CHECKING
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .codec import Reader, write_artifact
+from .codec import Reader, atomic_open, write_artifact
+from .corpus import CorpusManifest, PooledCorpus, Sample
 from .errors import AudioFormatError, ValidationError
 from .model import Workspace
 
-if TYPE_CHECKING:
-    from .corpus import Sample
+logger = logging.getLogger(__name__)
 
 TARGET_RATE_HZ = 16000
 
 EMBEDDING_MAGIC = b"SQE1"
 SCALER_MAGIC = b"SQSC"
+FEATURES_MAGIC = b"SQF1"
+FEATURES_HEADER = "<32sIII"  # key, utterances, dim, crc32 of the length table
 
 # Rows per block of FeatureScaler.fit's sum of squares: 4096 x 80 float64
 # is 2.6 MB, small beside a packed train matrix and large enough that the
@@ -103,26 +111,25 @@ class FrontendConfig:
         return self.expected_dim
 
 
-def _open_wav(path: str | Path, fh: IO[bytes] | None = None) -> wave_mod.Wave_read:
-    """Open a WAV file (fh, when given, is it opened) for reading; a file
-    that is not one raises AudioFormatError naming it."""
-    try:
-        return wave_mod.open(fh or str(path), "rb")
-    except (wave_mod.Error, EOFError) as exc:
-        raise AudioFormatError(f"{path}: not a PCM WAV file ({str(exc) or 'truncated header'})") from None
-
-
 def load_audio(path: str | Path, work: Workspace | None = None) -> tuple[np.ndarray, int]:
     """Read a mono PCM WAV file as float64 samples in [-1, 1] plus its rate.
+    A file that is not one, or whose header promises more audio than the
+    file holds, raises AudioFormatError naming it.
 
     With work, the samples are its "audio" buffer, valid until the next
     call that takes it; without, a fresh array."""
-    with _open_wav(path) as wf:
+    with open(path, "rb") as fh:
+        try:
+            wf = wave_mod.open(fh, "rb")
+        except (wave_mod.Error, EOFError) as exc:
+            raise AudioFormatError(f"{path}: not a PCM WAV file ({str(exc) or 'truncated header'})") from None
         if wf.getnchannels() != 1:
             raise AudioFormatError(f"{path}: expected mono, got {wf.getnchannels()} channels")
-        width = wf.getsampwidth()
-        rate = wf.getframerate()
-        raw = wf.readframes(wf.getnframes())
+        width, rate, n_frames = wf.getsampwidth(), wf.getframerate(), wf.getnframes()
+        promised, held = n_frames * width, os.fstat(fh.fileno()).st_size - fh.tell()
+        if promised > held:  # readframes would return the short clip without a word
+            raise AudioFormatError(f"{path}: the header promises {promised} bytes of audio, the file holds {held}")
+        raw = wf.readframes(n_frames)
     if width == 2:
         pcm, offset, scale = np.frombuffer(raw, dtype="<i2"), 0.0, 32768.0
     elif width == 1:
@@ -154,13 +161,6 @@ def write_wav(path: str | Path, samples: np.ndarray, rate_hz: int, work: Workspa
         wf.writeframes(quantized)
 
 
-def resampled_length(n_samples: int, rate_hz: int) -> int:
-    """Length of resample_to_16k's output for n_samples at rate_hz."""
-    if rate_hz < 8000:
-        raise ValidationError(f"sample rate {rate_hz} below supported minimum 8000")
-    return n_samples if rate_hz == TARGET_RATE_HZ else int(round(n_samples * TARGET_RATE_HZ / rate_hz))
-
-
 def resample_to_16k(samples: np.ndarray, rate_hz: int, work: Workspace | None = None) -> np.ndarray:
     """Resample to 16 kHz by linear interpolation; 16 kHz input passes through.
 
@@ -169,10 +169,12 @@ def resample_to_16k(samples: np.ndarray, rate_hz: int, work: Workspace | None = 
     cost of imperfect anti-aliasing (fine for fixtures and features). With
     work, the output is its "resampled" buffer; without, a fresh array.
     """
-    n_out = resampled_length(len(samples), rate_hz)
+    if rate_hz < 8000:
+        raise ValidationError(f"sample rate {rate_hz} below supported minimum 8000")
     if rate_hz == TARGET_RATE_HZ:
         return samples
     samples = np.asarray(samples, dtype=np.float64)
+    n_out = int(round(len(samples) * TARGET_RATE_HZ / rate_hz))
     if n_out == 0:
         return np.zeros(0, dtype=np.float64)
     work = work or Workspace()
@@ -231,12 +233,6 @@ def _dsp_tables(win: int, n_fft: int, rate_hz: int, n_mels: int) -> tuple[np.nda
     return window, fb
 
 
-def _window_hop(config: FrontendConfig) -> tuple[int, int]:
-    """extract_dsp's window and hop, in samples at the target rate."""
-    rate = config.target_rate_hz
-    return int(round(config.window_ms * rate / 1000.0)), int(round(config.hop_ms * rate / 1000.0))
-
-
 def extract_dsp(samples: np.ndarray, config: FrontendConfig, work: Workspace | None = None) -> EmbeddingMatrix:
     """Frame-level DSP features for a 16 kHz waveform.
 
@@ -250,7 +246,7 @@ def extract_dsp(samples: np.ndarray, config: FrontendConfig, work: Workspace | N
     """
     samples = np.asarray(samples, dtype=np.float64)
     rate = config.target_rate_hz
-    win, hop = _window_hop(config)
+    win, hop = int(round(config.window_ms * rate / 1000.0)), int(round(config.hop_ms * rate / 1000.0))
     if len(samples) < win:
         deficit = win - len(samples)
         mode = "reflect" if len(samples) > 1 else "edge"
@@ -423,7 +419,7 @@ def load_scaler(path: str | Path) -> FeatureScaler:
     return FeatureScaler(mean=mean, std=std)
 
 
-def feature_source(sample: "Sample", config: FrontendConfig) -> Path:
+def feature_source(sample: Sample, config: FrontendConfig) -> Path:
     """The file featurize reads for a sample: its audio for the dsp
     frontend, its embedding file for the precomputed one."""
     if config.kind == "dsp":
@@ -435,24 +431,12 @@ def feature_source(sample: "Sample", config: FrontendConfig) -> Path:
     return sample.embedding_ref
 
 
-def frame_count(sample: "Sample", config: FrontendConfig) -> int:
-    """The rows featurize will return for a sample, from its file's header
-    alone: a WAV's rate and frame count through resampling and framing, an
-    SQE1 file's T if its size bears it out, or the text form's non-blank
-    lines. A file that is not a WAV, or whose header promises more audio
-    than the file holds, raises AudioFormatError; an embedding file too
-    broken to say gives 0, and featurize then names its fault."""
+def frame_count(sample: Sample, config: FrontendConfig) -> int:
+    """The rows featurize will return for a sample of the precomputed
+    frontend, from its embedding file alone: an SQE1 file's T if its size
+    bears it out, or the text form's non-blank lines. A file too broken to
+    say gives 0, and featurize then names its fault."""
     path = feature_source(sample, config)
-    if config.kind == "dsp":
-        with open(path, "rb") as fh, _open_wav(path, fh) as wf:
-            n_samples, rate = wf.getnframes(), wf.getframerate()
-            promised = n_samples * wf.getsampwidth() * wf.getnchannels()
-            held = os.fstat(fh.fileno()).st_size - fh.tell()
-        if promised > held:  # a size field nothing bears out would size a packed matrix past all memory
-            raise AudioFormatError(f"{path}: the header promises {promised} bytes of audio, the file holds {held}")
-        win, hop = _window_hop(config)
-        # One row per hop; extract_dsp pads a clip shorter than a window to one.
-        return (max(resampled_length(n_samples, rate), win) - win) // hop + 1
     fd = os.open(path, os.O_RDONLY)  # under half the cost of open(), paid once per train utterance
     try:
         head = os.read(fd, 12)
@@ -467,7 +451,7 @@ def frame_count(sample: "Sample", config: FrontendConfig) -> int:
 
 
 def featurize(
-    sample: "Sample", config: FrontendConfig, scaler: FeatureScaler | None = None, work: Workspace | None = None,
+    sample: Sample, config: FrontendConfig, scaler: FeatureScaler | None = None, work: Workspace | None = None,
     out: np.ndarray | None = None,
 ) -> EmbeddingMatrix:
     """Turn one sample into frame features per the frontend config.
@@ -485,3 +469,158 @@ def featurize(
         mat = load_precomputed(path, config.expected_dim, out)
     # Every branch's matrix is the caller's to change, so it is standardized in place.
     return EmbeddingMatrix(frames=scaler.standardize(mat.frames)) if scaler is not None else mat
+
+
+@dataclass(frozen=True)
+class FeatureStore:
+    """Where the raw dsp features of each corpus split are kept between
+    commands: <root>/<corpus name>/<split>.features. key(name) is what
+    decides a corpus's features apart from the split (the CLI gives its
+    fingerprint and the frontend.* lines); a store file's key adds the
+    split's name and sample ids."""
+
+    root: Path
+    key: Callable[[str], str]
+
+
+class _StoredSplit:
+    """One corpus split's raw dsp features in its SQF1 store file, utterance
+    i at rows starts[i] to starts[i + 1]. A file that is missing or fails a
+    check (on open its key, shape, length-table crc32 and size; on read each
+    utterance's crc32 and finiteness) is built again through featurize, and
+    the rebuild is logged at INFO."""
+
+    def __init__(self, store: FeatureStore, corpus: CorpusManifest, split: str, config: FrontendConfig,
+                 featurize: Callable[..., EmbeddingMatrix]):
+        self.samples, self.config, self.featurize = corpus.samples(split), config, featurize
+        self.path = store.root / corpus.name / f"{split}.features"
+        lines = [store.key(corpus.name), split, *(s.sample_id for s in self.samples)]
+        self.key = hashlib.sha256("\n".join(lines).encode("utf-8")).digest()
+        try:
+            self._open()
+        except (OSError, ValidationError) as exc:
+            self._build(exc)
+
+    def _open(self) -> None:
+        n, dim = len(self.samples), self.config.dim
+        with open(self.path, "rb") as fh:
+            head = fh.read(4 + struct.calcsize(FEATURES_HEADER) + 8 * n)
+            size = os.fstat(fh.fileno()).st_size
+        reader = Reader(head, self.path, ValidationError, FEATURES_MAGIC, "feature store")
+        key, *shape, crc = reader.fields(FEATURES_HEADER)
+        if (key, *shape) != (self.key, n, dim):
+            raise ValidationError(f"{self.path}: stored for another corpus, split or frontend")
+        self.table = reader.array("<u4", (n, 2))  # per utterance: frames, crc32 of its float64 rows
+        self.starts = np.concatenate([[0], np.cumsum(self.table[:, 0], dtype=np.intp)])
+        self.rows_at = len(head)
+        if zlib.crc32(self.table) != crc or 0 in self.table[:, 0] or size != len(head) + 8 * dim * self.starts[-1]:
+            raise ValidationError(f"{self.path}: the length table or the file size fails its check")
+
+    def _build(self, reason: Exception) -> None:
+        logger.info("building feature store %s (%s)", self.path, reason)
+        table = np.zeros((len(self.samples), 2), dtype="<u4")
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        work = Workspace()
+        with atomic_open(self.path) as fh:
+            fh.seek(4 + struct.calcsize(FEATURES_HEADER) + table.nbytes)  # the rows first, one utterance at a time
+            for row, sample in zip(table, self.samples):
+                frames = self.featurize(sample, self.config, None, work).frames
+                row[:] = len(frames), zlib.crc32(frames)
+                fh.write(frames)
+            fh.seek(0)
+            header = struct.pack(FEATURES_HEADER, self.key, len(table), self.config.dim, zlib.crc32(table))
+            fh.write(FEATURES_MAGIC + header + table.tobytes())
+        self._open()
+
+    def read(self, first: int, stop: int, out: np.ndarray) -> np.ndarray:
+        """Utterances first to stop - 1 into out, C-contiguous float64 rows
+        of their shape, with one read."""
+        try:
+            return self._read(first, stop, out)
+        except (OSError, ValidationError) as exc:
+            self._build(exc)
+            return self._read(first, stop, out)
+
+    def _read(self, first: int, stop: int, out: np.ndarray) -> np.ndarray:
+        ends = (self.starts[first : stop + 1] - self.starts[first]).tolist()
+        if out.shape != (ends[-1], self.config.dim):
+            raise ValidationError(f"{self.path}: utterances {first} to {stop - 1} are not {out.shape[0]} rows")
+        with open(self.path, "rb", buffering=0) as fh:
+            fh.seek(self.rows_at + 8 * self.config.dim * int(self.starts[first]))
+            if fh.readinto(out) != out.nbytes:
+                raise ValidationError(f"{self.path}: truncated feature store")
+        crcs = [zlib.crc32(out[a:b]) for a, b in zip(ends, ends[1:])]
+        if crcs != self.table[first:stop, 1].tolist() or not np.isfinite(out).all():
+            raise ValidationError(f"{self.path}: stored features fail their crc32 or finiteness check")
+        return out
+
+
+@contextlib.contextmanager
+def _stored_splits(corpus: CorpusManifest | PooledCorpus, split: str, config: FrontendConfig,
+                   store: FeatureStore | None, featurize: Callable) -> Iterator[list[_StoredSplit]]:
+    """The split of each member corpus (the corpus itself unless pooled) in
+    its store; without a store, in a temp dir removed on exit."""
+    with contextlib.nullcontext() if store else tempfile.TemporaryDirectory() as tmp:
+        store = store or FeatureStore(Path(tmp), lambda name: "")
+        members = corpus.members if isinstance(corpus, PooledCorpus) else (corpus,)
+        yield [_StoredSplit(store, member, split, config, featurize) for member in members]
+
+
+def packed_features(
+    corpus: CorpusManifest | PooledCorpus, split: str, config: FrontendConfig, store: FeatureStore | None,
+    featurize: Callable[..., EmbeddingMatrix],
+) -> tuple[np.ndarray, np.ndarray]:
+    """A (possibly pooled) corpus split's raw features in one packed
+    (sum T, D) matrix, and each sample's frame count T. dsp features are
+    read from each member's store with one read; precomputed ones are
+    decoded straight into rows allocated from their files' headers, and an
+    utterance whose features disagree with its header raises
+    ValidationError. featurize, the caller's lookup of it, makes every
+    store miss and every decode."""
+    if config.kind == "dsp":
+        with _stored_splits(corpus, split, config, store, featurize) as parts:
+            lengths = np.concatenate([np.diff(part.starts) for part in parts])
+            frames = np.empty((int(lengths.sum()), config.dim))
+            at = 0
+            for part in parts:
+                part.read(0, len(part.samples), frames[at : at + part.starts[-1]])
+                at += part.starts[-1]
+        return frames, lengths
+    samples = corpus.samples(split)
+    lengths = np.array([frame_count(s, config) for s in samples])
+    frames = None
+    work = Workspace()
+    for sample, start, length in zip(samples, (np.cumsum(lengths) - lengths).tolist(), lengths.tolist()):
+        mat = featurize(sample, config, None, work, None if frames is None else frames[start : start + length])
+        if frames is None:
+            frames = np.empty((int(lengths.sum()), mat.dim))
+        if (mat.n_frames, mat.dim) != (length, frames.shape[1]):
+            raise ValidationError(
+                f"{feature_source(sample, config)}: features are {mat.n_frames} x {mat.dim}, "
+                f"the header promises {length} x {frames.shape[1]}"
+            )
+        if mat.frames.base is not frames:  # not decoded in place
+            frames[start : start + length] = mat.frames
+    return frames, lengths
+
+
+def split_features(
+    corpus: CorpusManifest | PooledCorpus, split: str, config: FrontendConfig, store: FeatureStore | None,
+    featurize: Callable[..., EmbeddingMatrix], work: Workspace | None = None, indices: Sequence[int] | None = None,
+) -> Iterator[EmbeddingMatrix]:
+    """The raw features of each sample of a (possibly pooled) corpus split,
+    or of those at indices, in order. dsp ones are read from the stores one
+    utterance at a time, into work's "stored" buffer (valid until the next)
+    or, without work, a fresh array; precomputed ones come from featurize,
+    the caller's lookup of it, as an embedding file is stored features."""
+    samples = corpus.samples(split)
+    picked = range(len(samples)) if indices is None else indices
+    if config.kind != "dsp":
+        yield from (featurize(samples[i], config, None, work) for i in picked)
+        return
+    with _stored_splits(corpus, split, config, store, featurize) as parts:
+        utterances = [(part, j) for part in parts for j in range(len(part.samples))]
+        for part, j in (utterances[i] for i in picked):
+            shape = (int(part.starts[j + 1] - part.starts[j]), config.dim)
+            out = np.empty(shape) if work is None else work.take("stored", *shape)
+            yield EmbeddingMatrix(part.read(j, j + 1, out), check_finite=False)

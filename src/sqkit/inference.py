@@ -35,7 +35,8 @@ import numpy as np
 from .codec import Reader, pack_strings, write_artifact
 from .corpus import CorpusManifest, PooledCorpus, Sample
 from .errors import ValidationError
-from .frontend import EmbeddingMatrix, FeatureScaler, FrontendConfig, featurize, pool_time
+from .frontend import (EmbeddingMatrix, FeatureScaler, FeatureStore, FrontendConfig, featurize, pool_time,
+                       split_features)
 from .metrics import EvalPairs
 from .model import AlignNetParams, HeadParams, ModelParams, Workspace, alignnet_raw, clip_score, head_raw
 
@@ -283,6 +284,7 @@ def predict_split(
     models: Sequence[tuple[ModelParams | None, FeatureScaler | None, Datastore | None]],
     mode: str = "parametric",
     knn_config: KnnConfig | None = None,
+    feature_store: FeatureStore | None = None,
 ) -> list[EvalPairs]:
     """Predict a whole split under one inference mode for each model, a
     (params, scaler, datastore) triple; one EvalPairs per model.
@@ -296,12 +298,14 @@ def predict_split(
     the alignnet scores corpora outside its table). Arguments are
     checked before any sample is featurized.
 
-    Each sample is featurized once, raw, and each model standardizes its
-    own copy with its scaler (none: the raw features), a query in one
-    workspace buffer. Parametric scoring streams one utterance at a time;
-    the retrieval modes pool each into its query row and make one batched
-    retrieve_neighbors call per model. Domain retrieval keeps the split's
-    raw matrices and standardizes each again for the forward pass.
+    Each sample's raw features are read once (frontend.split_features:
+    dsp ones from feature_store, a temp one when None), and each model
+    standardizes its own copy with its scaler (none: the raw features), a
+    query in one workspace buffer. Parametric scoring streams one
+    utterance at a time; the retrieval modes pool each into its query row
+    and make one batched retrieve_neighbors call per model. Domain
+    retrieval keeps the split's raw matrices and standardizes each again
+    for the forward pass.
     """
     if mode not in INFERENCE_MODES:
         raise ValidationError(f"unknown inference mode {mode!r}")
@@ -325,8 +329,10 @@ def predict_split(
     lengths = np.empty(len(samples))
     raws = []  # the split's raw features, which domain retrieval scores after retrieving
     work = Workspace()
-    for i, s in enumerate(samples):
-        raw = featurize(s, frontend_config, None, work)
+    # Domain retrieval keeps every utterance's raw matrix, so none may live in the workspace.
+    raw_mats = split_features(corpus, split, frontend_config, feature_store, featurize,
+                              None if mode == "domain-retrieval" else work)
+    for i, (s, raw) in enumerate(zip(samples, raw_mats)):
         lengths[i] = raw.n_frames
         for j, (params, scaler, datastore) in enumerate(models):
             if mode == "parametric":

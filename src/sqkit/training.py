@@ -1,14 +1,14 @@
 """SGD training with clipped MSE, best-k checkpoint tracking, early stop.
 
 Training is two steps. prepare_train_data does everything that does not
-depend on the seed, once: it featurizes the train split into one
-preallocated, packed (sum T, D) matrix (each utterance's frame count read
-from its file header), fits the scaler and standardizes the matrix in
-place, standardizes the dev split, and pools each train utterance into
-the retrieval datastore. train then runs one seeded SGD loop over that
-TrainData without changing it, so any number of seeds share one
-featurization. MDF is two train calls: prepare_mdf_data featurizes the
-pool once and returns both phases' TrainData.
+depend on the seed, once: it reads the train split's raw features into
+one packed (sum T, D) matrix (frontend.packed_features), fits the scaler
+and standardizes the matrix in place, packs and standardizes the dev
+split, and pools each train utterance into the retrieval datastore. train
+then runs one seeded SGD loop over that TrainData without changing it,
+so any number of seeds share one featurization. MDF is two train calls:
+prepare_mdf_data featurizes the pool once and returns both phases'
+TrainData.
 
 The loop is deliberately plain: minibatches come from a seeded shuffle
 stream, and the optimizer is classical heavy-ball momentum
@@ -33,7 +33,7 @@ import numpy as np
 
 from .corpus import CorpusManifest, PooledCorpus, Sample
 from .errors import UndefinedCorrelationError, ValidationError
-from .frontend import EmbeddingMatrix, FeatureScaler, FrontendConfig, feature_source, featurize, frame_count
+from .frontend import EmbeddingMatrix, FeatureScaler, FeatureStore, FrontendConfig, featurize, packed_features
 from .inference import Datastore, predict_clipped
 from .metrics import EvalPairs, pearson, spearman, system_aggregate
 # head_raw and alignnet_raw are unused here: perfbench's tracer wraps these
@@ -231,37 +231,12 @@ class TrainData:
     datastore: Datastore
 
 
-def _train_samples(corpus: CorpusManifest | PooledCorpus) -> tuple[Sample, ...]:
-    """The corpus's train split, once both it and the dev split are known
-    to be non-empty."""
-    train_samples = corpus.samples("train")
-    if not train_samples:
+def _check_splits(corpus: CorpusManifest | PooledCorpus) -> None:
+    """Training needs a train split and a dev split, neither empty."""
+    if not corpus.samples("train"):
         raise ValueError("empty train split")
     if not corpus.samples("dev"):
         raise ValueError("empty dev split (needed for model selection)")
-    return train_samples
-
-
-def _pack(samples: Sequence[Sample], frontend_config: FrontendConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The raw features of samples in one matrix allocated from the file
-    headers' frame counts, and each sample's frame count. Precomputed
-    features are decoded straight into their rows. An utterance whose
-    features disagree with its header raises ValidationError."""
-    lengths = np.array([frame_count(s, frontend_config) for s in samples])
-    frames = None
-    work = Workspace()
-    for sample, start, length in zip(samples, (np.cumsum(lengths) - lengths).tolist(), lengths.tolist()):
-        mat = featurize(sample, frontend_config, None, work, None if frames is None else frames[start : start + length])
-        if frames is None:
-            frames = np.empty((int(lengths.sum()), mat.dim))
-        if (mat.n_frames, mat.dim) != (length, frames.shape[1]):
-            raise ValidationError(
-                f"{feature_source(sample, frontend_config)}: features are {mat.n_frames} x {mat.dim}, "
-                f"the header promises {length} x {frames.shape[1]}"
-            )
-        if mat.frames.base is not frames:  # not decoded in place
-            frames[start : start + length] = mat.frames
-    return frames, lengths
 
 
 def _standardized(
@@ -270,10 +245,11 @@ def _standardized(
     lengths: np.ndarray,
     scaler: FeatureScaler,
     frontend_config: FrontendConfig,
+    feature_store: FeatureStore | None,
 ) -> TrainData:
     """TrainData over the corpus's packed raw train frames, which scaler
-    standardizes in place; the dev split is featurized under the same
-    scaler."""
+    standardizes in place; the dev split is packed and standardized by the
+    same scaler, and each dev matrix is a view of its rows."""
     train_samples, dev_samples = corpus.samples("train"), corpus.samples("dev")
     starts = np.cumsum(lengths) - lengths
     scaler.standardize(frames)
@@ -286,7 +262,8 @@ def _standardized(
     for row, start, length in zip(pooled, starts.tolist(), lengths.tolist()):
         np.add.reduce(frames[start : start + length], axis=0, out=row)
     pooled /= lengths[:, None]
-    work = Workspace()
+    dev_frames, dev_lengths = packed_features(corpus, "dev", frontend_config, feature_store, featurize)
+    scaler.standardize(dev_frames)
     return TrainData(
         corpus=corpus,
         train_samples=train_samples,
@@ -296,21 +273,25 @@ def _standardized(
         starts=starts,
         targets=targets,
         scaler=scaler,
-        dev_mats=tuple(featurize(s, frontend_config, scaler, work) for s in dev_samples),
+        dev_mats=tuple(map(EmbeddingMatrix, np.split(dev_frames, np.cumsum(dev_lengths)[:-1]))),
         datastore=Datastore(embeddings=pooled, scores=targets, dataset_ids=tuple(s.dataset_id for s in train_samples)),
     )
 
 
-def prepare_train_data(corpus: CorpusManifest | PooledCorpus, frontend_config: FrontendConfig) -> TrainData:
+def prepare_train_data(
+    corpus: CorpusManifest | PooledCorpus, frontend_config: FrontendConfig, feature_store: FeatureStore | None = None
+) -> TrainData:
     """Featurize a corpus's train and dev splits once for any number of
-    training runs. The train split goes straight into one packed matrix,
-    and the scaler is fitted on its raw frames."""
-    frames, lengths = _pack(_train_samples(corpus), frontend_config)
-    return _standardized(corpus, frames, lengths, FeatureScaler.fit(frames), frontend_config)
+    training runs, reading dsp features through feature_store (a temp one
+    when None). The train split goes straight into one packed matrix, and
+    the scaler is fitted on its raw frames."""
+    _check_splits(corpus)
+    frames, lengths = packed_features(corpus, "train", frontend_config, feature_store, featurize)
+    return _standardized(corpus, frames, lengths, FeatureScaler.fit(frames), frontend_config, feature_store)
 
 
 def prepare_mdf_data(
-    pretrain_name: str, pooled: PooledCorpus, frontend_config: FrontendConfig
+    pretrain_name: str, pooled: PooledCorpus, frontend_config: FrontendConfig, feature_store: FeatureStore | None = None
 ) -> tuple[TrainData, TrainData]:
     """The two MDF phases, featurized once: pre-training on the member
     pretrain_name, then fine-tuning on the whole pool.
@@ -326,16 +307,16 @@ def prepare_mdf_data(
         raise ValidationError(f"pretrain corpus {pretrain_name!r} not among pool members {sorted(names)}")
     index = names.index(pretrain_name)
     member = pooled.members[index]
-    _train_samples(member)  # phase 1 needs both splits, as any training does
+    _check_splits(member)  # phase 1 needs both splits, as any training does
 
     def block(split: str) -> slice:
         start = sum(m.size(split) for m in pooled.members[:index])
         return slice(start, start + member.size(split))
 
     train_block, dev_block = block("train"), block("dev")
-    frames, lengths = _pack(pooled.samples("train"), frontend_config)
+    frames, lengths = packed_features(pooled, "train", frontend_config, feature_store, featurize)
     rows = slice(int(lengths[: train_block.start].sum()), int(lengths[: train_block.stop].sum()))
-    phase2 = _standardized(pooled, frames, lengths, FeatureScaler.fit(frames[rows]), frontend_config)
+    phase2 = _standardized(pooled, frames, lengths, FeatureScaler.fit(frames[rows]), frontend_config, feature_store)
     datastore = phase2.datastore
     phase1 = TrainData(
         corpus=member,

@@ -6,7 +6,9 @@ import dataclasses
 import hashlib
 import json
 import logging
+import struct
 import wave
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,7 @@ import sqkit.inference
 import sqkit.training
 from sqkit import (
     EmbeddingMatrix,
+    FrontendConfig,
     KnnConfig,
     SynthSpec,
     ValidationError,
@@ -167,6 +170,19 @@ def read_csv(path):
 
 def warnings_logged(caplog):
     return [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+
+
+def counted_featurize(monkeypatch):
+    """sample_id -> featurize calls, through the two lookups train, infer and
+    benchmark featurize by."""
+    calls = collections.Counter()
+    for module in (sqkit.training, sqkit.inference):
+        def counted(sample, *args, _real=module.featurize, **kwargs):
+            calls[sample.sample_id] += 1
+            return _real(sample, *args, **kwargs)
+
+        monkeypatch.setattr(module, "featurize", counted)
+    return calls
 
 
 class TestParseRecipe:
@@ -319,7 +335,7 @@ class TestTrain:
         # into the temp dir would dangle once train_one_seed returns.
         recipe = cli.Recipe(parse_recipe(write_recipe(tmp_path, text)), tmp_path)
         out = tmp_path / "out"
-        phases = cli.prepare_training(recipe, cli.get_corpora(recipe, out, cli._train_names(recipe)))
+        phases = cli.prepare_training(recipe, cli.get_corpora(recipe, out, cli._train_names(recipe)), out)
         result = cli.train_one_seed(recipe, phases, 0, out)
         assert result.ledger.entries
         # Walk every object reachable through containers and instance attributes.
@@ -425,8 +441,7 @@ class TestInfer:
 
         monkeypatch.setattr(sqkit.inference, "featurize", featurize)
         assert main(["infer", "--config", str(config), "--out", str(out), "--inference", "knn"]) == 0
-        dev = [row["sample_id"] for row in read_csv(out / "corpora" / "synth" / "dev.csv")]
-        assert featurized == dev  # the queries only: the train split is not featurized again
+        assert featurized == []  # the dev queries come from the store train wrote; the train split is not read
         assert sorted(p.name for p in (out / "infer" / "seed0").iterdir()) == ["predictions.csv", "systems.csv"]
 
     def test_distance_is_applied_when_the_datastore_is_loaded(self, tmp_path):
@@ -624,6 +639,13 @@ class TestBenchmark:
 
         tests_rows = read_csv(out / "tests.csv")
         assert tests_rows == [{"test": "synth", "domain_tag": "synthetic", "n": "4"}]
+
+    def test_training_and_scoring_featurize_each_utterance_once(self, tmp_path, monkeypatch):
+        # 16 utterances: train and dev for model selection, then the dev
+        # split that is scored is read back from the feature store.
+        calls = counted_featurize(monkeypatch)
+        self.run_benchmark(tmp_path, "out")
+        assert sum(calls.values()) == 16 and len(calls) == 16
 
     def test_two_out_dirs_are_byte_identical(self, tmp_path):
         out_a = self.run_benchmark(tmp_path, "out_a", seeds="0")
@@ -1029,6 +1051,22 @@ class TestExitCodes:
             path.write_bytes(b"not audio at all")
         assert main(["train", "--config", str(config), "--out", str(out)]) == 1
         assert str(path) in capsys.readouterr().err
+
+    def test_a_wav_cut_short_is_exit_1_naming_it_in_infer_and_benchmark(self, tmp_path, capsys):
+        recipe = BASE_RECIPE.replace("infer.corpus = synth", "infer.corpus = other")
+        recipe = recipe.replace("benchmark.tests = synth", "benchmark.tests = other") + OTHER_CORPUS
+        config, out = write_recipe(tmp_path, recipe), tmp_path / "out"
+        for command in ("prepare", "train"):
+            assert main([command, "--config", str(config), "--out", str(out)]) == 0
+        path = load_corpus_dir(out / "corpora" / "other").samples("dev")[0].audio_ref  # a sample both commands score
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[: size - 100])
+        capsys.readouterr()
+        for command in ("infer", "benchmark"):
+            assert main([command, "--config", str(config), "--out", str(out)]) == 1, command
+            message = f"{path}: the header promises {size - 44} bytes of audio, the file holds {size - 144}"
+            assert message in capsys.readouterr().err, command
+        assert not (out / "corpora" / "other" / "dev.features").exists()
 
     def test_locked_out_dir_is_exit_2(self, tmp_path, capsys):
         config = write_recipe(tmp_path)
@@ -1461,6 +1499,22 @@ class TestPreparedManifestCorpora:
         assert main(["benchmark", "--config", str(config), "--out", str(out), "--inference", "knn"]) == 0
         assert sorted(reads) == [("pa", "dev", 4), ("pb", "dev", 4)]
 
+    def test_a_bad_row_is_exit_1_naming_its_file_and_line(self, tmp_path, capsys):
+        write_precomputed_corpora(tmp_path)
+        config, out = write_recipe(tmp_path, PRECOMPUTED_RECIPE), tmp_path / "out"
+        source = tmp_path / "pq.csv"
+        for path, command in ((source, "prepare"), (out / "corpora" / "pa" / "dev.csv", "benchmark")):
+            text = path.read_text(encoding="utf-8")
+            lines = text.splitlines()
+            lines[2] += ",9"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            capsys.readouterr()
+            assert main([command, "--config", str(config), "--out", str(out)]) == 1, command
+            named = path.resolve() if path == source else path  # a recipe path is read from the config's real dir
+            assert f"error: {named} line 3: expected 8 fields, got 9\n" in capsys.readouterr().err, command
+            path.write_text(text, encoding="utf-8")
+            assert main(["prepare", "--config", str(config), "--out", str(out)]) == 0
+
     def test_a_sample_id_in_two_prepared_splits_is_exit_1_naming_it(self, tmp_path, capsys):
         config, out = self.prepared(tmp_path, "train")
         corpus_dir = out / "corpora" / "pb"
@@ -1500,10 +1554,10 @@ class TestPreparedManifestCorpora:
 
 
 class TestSeedsShareOneFeaturization:
-    """train, infer and benchmark featurize each sample once per command for
-    all seeds, and what a seed writes does not depend on the other seeds of
-    the run. Every recipe runs once with --seed 0,1 and once per seed alone,
-    in class-scoped runs the tests share."""
+    """train, infer and benchmark featurize each sample once per out dir for
+    all seeds and commands, and what a seed writes does not depend on the
+    other seeds of the run. Every recipe runs once with --seed 0,1 and once
+    per seed alone, in class-scoped runs the tests share."""
 
     # recipe id -> (recipe, infer modes, benchmark mode)
     RECIPES = {
@@ -1557,16 +1611,17 @@ class TestSeedsShareOneFeaturization:
         return outputs, featurized
 
     @pytest.mark.parametrize("rid", RECIPES)
-    def test_each_sample_is_featurized_once_per_command(self, runs, rid):
+    def test_each_sample_is_featurized_once_per_out_dir(self, runs, rid):
         _outputs, featurized = runs
-        # 16 utterances at split ratio 0.75: train featurizes 12 + 4, and
-        # infer and benchmark score the 4 dev utterances. MDF trains on the
-        # pool with other's 4 + 4 for both phases.
-        sizes = {"train": 24 if rid == "mdf" else 16, "infer parametric": 4, "infer knn": 4, "benchmark": 4}
-        for label, size in sizes.items():
-            calls = featurized[rid, label]
-            assert len(calls) == size, label
-            assert set(calls.values()) == {1}, label
+        # 16 utterances at split ratio 0.75: train featurizes 12 + 4 into
+        # the feature store, and infer and benchmark read the 4 dev
+        # utterances they score from it. MDF trains on the pool with
+        # other's 4 + 4 for both phases.
+        labels = ("train", "infer parametric", "infer knn", "benchmark")
+        calls = sum((featurized[rid, label] for label in labels), collections.Counter())
+        assert len(calls) == (24 if rid == "mdf" else 16)
+        assert set(calls.values()) == {1}
+        assert calls == featurized[rid, "train"]
 
     @pytest.mark.parametrize("rid", RECIPES)
     def test_a_seed_writes_the_same_bytes_with_or_without_other_seeds(self, runs, rid):
@@ -1622,3 +1677,115 @@ class TestNonFiniteEmbeddings:
         for command in commands:
             assert main([command, "--config", str(config), "--out", str(out)]) == 1, command
             assert f"{path}: embedding contains non-finite values" in capsys.readouterr().err, command
+
+
+def stored_rows(path):
+    """The key and each utterance's float64 rows of an SQF1 store file,
+    parsed by hand from the layout in README.md."""
+    data = path.read_bytes()
+    assert data[:4] == b"SQF1"
+    key, n, dim, table_crc = struct.unpack_from("<32sIII", data, 4)
+    table = struct.unpack_from(f"<{2 * n}I", data, 48)
+    assert zlib.crc32(data[48 : 48 + 8 * n]) == table_crc
+    rows, at = [], 48 + 8 * n
+    for frames, crc in zip(table[0::2], table[1::2]):
+        rows.append(data[at : at + 8 * frames * dim])
+        assert zlib.crc32(rows[-1]) == crc
+        at += 8 * frames * dim
+    assert at == len(data)
+    return key, rows
+
+
+class TestFeatureStore:
+    """The first command that featurizes a dsp split writes its raw features
+    to corpora/<name>/<split>.features; later commands read them from there
+    while the store's key and checks hold, and build the store again when
+    they do not."""
+
+    def trained(self, tmp_path, text=BASE_RECIPE, out_name="out"):
+        config, out = write_recipe(tmp_path, text), tmp_path / out_name
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+        return config, out
+
+    def test_stored_rows_are_featurize_bits_and_the_same_bytes_in_any_out_dir(self, tmp_path):
+        _config, out = self.trained(tmp_path)
+        _config, other = self.trained(tmp_path, out_name="other")
+        corpus_dir = out / "corpora" / "synth"
+        assert sorted(p.name for p in corpus_dir.glob("*.features")) == ["dev.features", "train.features"]
+        for split in ("train", "dev"):
+            data = (corpus_dir / f"{split}.features").read_bytes()
+            assert data == (other / "corpora" / "synth" / f"{split}.features").read_bytes(), split
+            _key, rows = stored_rows(corpus_dir / f"{split}.features")
+            samples = load_corpus_dir(corpus_dir).samples(split)
+            assert rows == [sqkit.frontend.featurize(s, FrontendConfig(n_mels=8)).frames.tobytes() for s in samples]
+        config = write_recipe(tmp_path)
+        assert main(["prepare", "--config", str(config), "--out", str(tmp_path / "prepared")]) == 0
+        assert not list((tmp_path / "prepared").rglob("*.features"))  # prepare writes no store
+
+    def test_a_changed_frontend_key_rebuilds_the_store_and_an_unchanged_one_reads_it(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        config, out = self.trained(tmp_path)
+        store = out / "corpora" / "synth" / "dev.features"
+        key, rows = stored_rows(store)
+        calls = counted_featurize(monkeypatch)
+        for command in ("train", "infer", "benchmark"):
+            assert main([command, "--config", str(config), "--out", str(out)]) == 0, command
+        assert calls == {}
+        hop = write_recipe(tmp_path, BASE_RECIPE + "frontend.hop_ms = 12.5\n", name="hop.cfg")
+        assert main(["infer", "--config", str(hop), "--out", str(out), "-v"]) == 0
+        dev = [s.sample_id for s in load_corpus_dir(out / "corpora" / "synth").samples("dev")]
+        assert calls == dict.fromkeys(dev, 1)
+        assert any(f"building feature store {store}" in r.getMessage() and "stored for another" in r.getMessage()
+                   for r in caplog.records if r.levelno == logging.INFO)
+        new_key, new_rows = stored_rows(store)
+        assert new_key != key and len(b"".join(new_rows)) < len(b"".join(rows))  # a longer hop, fewer frames
+
+    def test_a_changed_split_csv_of_a_dir_corpus_rebuilds_its_store(self, tmp_path, monkeypatch):
+        config = write_recipe(tmp_path)
+        assert main(["prepare", "--config", str(config), "--out", str(tmp_path / "made")]) == 0
+        corpus_dir = tmp_path / "made" / "corpora" / "synth"
+        block = [line for line in BASE_RECIPE.splitlines() if not line.startswith("corpus.synth.")]
+        dir_block = f"\ncorpus.synth.kind = dir\ncorpus.synth.path = {corpus_dir}\n"
+        dir_config = write_recipe(tmp_path, "\n".join(block) + dir_block, name="dir.cfg")
+        out = tmp_path / "out"
+        assert main(["prepare", "--config", str(dir_config), "--out", str(out)]) == 0
+        assert not (out / "corpora").exists()  # a dir corpus is read where it is, not copied
+        assert main(["train", "--config", str(dir_config), "--out", str(out)]) == 0
+        assert sorted(p.name for p in (out / "corpora" / "synth").iterdir()) == ["dev.features", "train.features"]
+        calls = counted_featurize(monkeypatch)
+        assert main(["infer", "--config", str(dir_config), "--out", str(out)]) == 0
+        before = read_csv(out / "infer" / "seed0" / "predictions.csv")
+        assert calls == {}
+
+        # The same sample ids in the same order, with the first two clips swapped.
+        rows = read_csv(corpus_dir / "dev.csv")
+        rows[0]["audio_path"], rows[1]["audio_path"] = rows[1]["audio_path"], rows[0]["audio_path"]
+        write_csv(corpus_dir / "dev.csv", list(rows[0]), [list(row.values()) for row in rows])
+        assert main(["infer", "--config", str(dir_config), "--out", str(out)]) == 0
+        after = read_csv(out / "infer" / "seed0" / "predictions.csv")
+        assert calls == dict.fromkeys((row["sample_id"] for row in rows), 1)
+        swapped = [before[1]["pred"], before[0]["pred"]] + [row["pred"] for row in before[2:]]
+        assert [row["pred"] for row in after] == swapped
+
+    def test_a_truncated_or_bit_flipped_store_never_changes_a_prediction(self, tmp_path, caplog):
+        config, out = self.trained(tmp_path)
+        infer = ["infer", "--config", str(config), "--out", str(out), "-v"]
+        assert main(infer) == 0
+        predictions = (out / "infer" / "seed0" / "predictions.csv").read_bytes()
+        store = out / "corpora" / "synth" / "dev.features"
+        data = store.read_bytes()
+        rows_at = 48 + 8 * 4
+        cuts = (0, 3, 20, 47, 48, rows_at - 1, rows_at, rows_at + 1, len(data) // 2, len(data) - 1)
+        variants = [data[:n] for n in cuts] + [data + b"\0"]
+        for offset in (0, 4, 35, 36, 40, 44, 48, 52, 60, rows_at, rows_at + 7, len(data) // 2, len(data) - 1):
+            flipped = bytearray(data)
+            flipped[offset] ^= 0x01
+            variants.append(bytes(flipped))
+        for i, blob in enumerate(variants):
+            store.write_bytes(blob)
+            caplog.clear()
+            assert main(infer) == 0, i
+            assert (out / "infer" / "seed0" / "predictions.csv").read_bytes() == predictions, i
+            assert store.read_bytes() == data, i
+            assert any(f"building feature store {store}" in r.getMessage() for r in caplog.records), i

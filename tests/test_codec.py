@@ -1,10 +1,12 @@
-"""The four binary artifact formats: exact layouts and corrupt-input handling.
+"""The binary artifact formats: exact layouts and corrupt-input handling.
 
 Every loader must either read a file back into an object that re-saves to
 exactly the same bytes, or raise its own typed error (CheckpointError for
 checkpoints, ValidationError for scalers, datastores and embeddings). A
 struct.error, IndexError, UnicodeDecodeError or bare ValueError escaping a
-loader, or a silently malformed object, fails these tests.
+loader, or a silently malformed object, fails these tests. A feature store
+(SQF1) is not loaded but read: any variant that fails a check is built
+again, to the same bytes and the same features.
 """
 
 import re
@@ -13,13 +15,16 @@ import struct
 import numpy as np
 import pytest
 
+import sqkit.frontend
 import sqkit.training
 from sqkit import (
     CheckpointError,
+    CorpusManifest,
     Datastore,
     EmbeddingMatrix,
     FeatureScaler,
     KnnConfig,
+    Sample,
     ValidationError,
     build_datastore,
     init_alignnet,
@@ -34,8 +39,10 @@ from sqkit import (
     save_params,
     save_precomputed,
     save_scaler,
+    write_wav,
 )
 from sqkit.codec import atomic_dir, write_artifact
+from sqkit.frontend import FeatureStore, FrontendConfig, packed_features, split_features
 from test_training import FRONTEND, make_corpus
 
 
@@ -171,6 +178,65 @@ class TestEmbeddingDecodeSweep:
             path.write_bytes(blob)
             with pytest.raises(ValidationError, match=re.escape(str(path))):
                 predict_split(corpus, "dev", FRONTEND, [(None, None, ds)], "knn", KnnConfig(k=1))
+
+
+class TestFeatureStoreSweep:
+    """Every truncation, extra byte and bit flip (0x01, 0x80 and 0xFF at
+    each byte) of an SQF1 feature store fails one of its checks: reading the
+    split again featurizes every utterance, rewrites the store to the same
+    bytes and returns the same features, through both the packed read and
+    the per-utterance one."""
+
+    CONFIG = FrontendConfig(n_mels=1)
+
+    def test_every_corrupt_variant_is_rebuilt_to_the_same_bytes(self, tmp_path):
+        rng = np.random.default_rng(52)
+        samples = []
+        for i, n in enumerate((400, 560)):  # 1 and 2 frames
+            write_wav(tmp_path / f"u{i}.wav", 0.3 * rng.uniform(-1.0, 1.0, n), 16000)
+            samples.append(Sample(f"u{i}", tmp_path / f"u{i}.wav", None, "sweep", None, 3.0))
+        corpus = CorpusManifest("sweep", "non-synthetic", "en", 16000, {"train": tuple(samples)})
+        store = FeatureStore(tmp_path / "store", lambda name: "key")
+        calls = []
+
+        def featurize(sample, *args):
+            calls.append(sample.sample_id)
+            return sqkit.frontend.featurize(sample, *args)
+
+        def read_both():
+            packed, lengths = packed_features(corpus, "train", self.CONFIG, store, featurize)
+            one_by_one = [m.frames.copy() for m in split_features(corpus, "train", self.CONFIG, store, featurize)]
+            return packed, lengths.tolist(), one_by_one
+
+        packed, lengths, one_by_one = read_both()
+        assert lengths == [1, 2] and calls == ["u0", "u1"]
+        assert np.concatenate(one_by_one).tobytes() == packed.tobytes()
+        reference = [sqkit.frontend.featurize(s, self.CONFIG).frames for s in samples]
+        assert packed.tobytes() == np.concatenate(reference).tobytes()  # featurize's bits
+        path = tmp_path / "store" / "sweep" / "train.features"
+        data = path.read_bytes()
+        assert len(data) == 4 + 44 + 8 * 2 + 8 * 2 * 3
+
+        variants = [(f"truncated to {n}", data[:n]) for n in range(len(data))] + [("one extra byte", data + b"\0")]
+        for offset in range(len(data)):
+            for mask in (0x01, 0x80, 0xFF):
+                flipped = bytearray(data)
+                flipped[offset] ^= mask
+                variants.append((f"byte {offset} ^ {mask:#04x}", bytes(flipped)))
+        for label, blob in variants:
+            for read in (0, 1):  # the packed read, then the per-utterance one
+                path.write_bytes(blob)
+                calls.clear()
+                if read == 0:
+                    got, got_lengths = packed_features(corpus, "train", self.CONFIG, store, featurize)
+                    assert (got.tobytes(), got_lengths.tolist()) == (packed.tobytes(), lengths), label
+                else:
+                    got = [m.frames.tobytes() for m in split_features(corpus, "train", self.CONFIG, store, featurize)]
+                    assert got == [f.tobytes() for f in one_by_one], label
+                assert calls == ["u0", "u1"], label
+                assert path.read_bytes() == data, label
+        calls.clear()
+        assert read_both()[1] == lengths and calls == []  # the intact store is read, not built
 
 
 class TestReportedDefects:

@@ -400,10 +400,11 @@ class TestTrainMdf:
 
 
 class TestPackedTrainMatrix:
-    """prepare_train_data featurizes into a matrix allocated from the file
-    headers' frame counts, then standardized in place, so its frames must
-    equal its scaler's standardization of np.concatenate of per-utterance
-    featurize, bit for bit."""
+    """prepare_train_data reads into one packed matrix (dsp features from
+    a feature store, precomputed ones into rows allocated from their file
+    headers' frame counts), then standardizes it in place, so its frames
+    must equal its scaler's standardization of np.concatenate of
+    per-utterance featurize, bit for bit."""
 
     # (rate, samples): 400 samples is one 25 ms window at 16 kHz.
     CLIPS = [
@@ -424,7 +425,8 @@ class TestPackedTrainMatrix:
     def check_packing(self, corpus, config):
         samples = corpus.samples("train")
         raw = [featurize(s, config).frames for s in samples]
-        assert [frame_count(s, config) for s in samples] == [len(f) for f in raw]
+        if config.kind == "precomputed":  # dsp features come from a feature store, which counts them as it writes
+            assert [frame_count(s, config) for s in samples] == [len(f) for f in raw]
         data = prepare_train_data(corpus, config)
         assert isinstance(data, TrainData)
         packed = np.concatenate(raw).astype(np.float64)
@@ -434,6 +436,8 @@ class TestPackedTrainMatrix:
         assert data.lengths.tolist() == [len(f) for f in raw]
         assert data.starts.tolist() == np.cumsum([0] + [len(f) for f in raw])[:-1].tolist()
         assert not data.frames.flags.writeable
+        dev = [data.scaler.standardize(featurize(s, config).frames).tobytes() for s in corpus.samples("dev")]
+        assert [m.frames.tobytes() for m in data.dev_mats] == dev  # packed, then standardized once
 
     def test_wavs_at_every_rate_and_around_one_window(self, tmp_path):
         corpus = self.wav_corpus(tmp_path, self.CLIPS)
