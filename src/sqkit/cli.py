@@ -30,7 +30,7 @@ from .corpus import (CorpusManifest, PooledCorpus, SynthSpec, generate_synthetic
 from .errors import (AudioFormatError, CheckpointError, ManifestError, SqkitError, UndefinedCorrelationError,
                      UndefinedRatioError, ValidationError)
 from .export import export_embeddings, pca_2d
-from .frontend import FeatureScaler, FeatureStore, FrontendConfig, load_scaler, save_scaler
+from .frontend import FeatureScaler, FrontendConfig, load_scaler, save_scaler
 # build_datastore is unused here: perfbench's tracer wraps this name on
 # this module, and a site that stops resolving fails its run.
 from .inference import (DISTANCE_KINDS, INFERENCE_MODES, KnnConfig, build_datastore, check_table_rows, load_datastore,
@@ -247,13 +247,15 @@ def corpus_fingerprint(recipe: Recipe, name: str) -> str:
     return _raw_lines_hash(recipe, (prefix,), *extra)
 
 
-def feature_store(recipe: Recipe, out: Path, corpora: dict[str, CorpusManifest]) -> FeatureStore:
-    """The out dir's store of dsp features, in corpora/<name>/: a corpus's
-    store files are keyed by its block's fingerprint and the frontend.* raw
-    lines, so they are the same bytes in any out dir."""
-    blocks = {corpus.name: block for block, corpus in corpora.items()}  # a dir corpus names itself
+def feature_stores(recipe: Recipe, out: Path, names: list[str]) -> list[tuple[Path, str]] | None:
+    """Where each named corpus block keeps its splits' dsp features,
+    corpora/<name>/, and their key: the block's fingerprint and the
+    frontend.* raw lines, so a store is the same bytes in any out dir. None
+    for the precomputed frontend, whose files already are stored features."""
+    if build_frontend(recipe).kind != "dsp":
+        return None
     frontend = _raw_lines_hash(recipe, ("frontend.",))
-    return FeatureStore(out / "corpora", lambda name: f"{corpus_fingerprint(recipe, blocks[name])}\n{frontend}")
+    return [(out / "corpora" / name, f"{corpus_fingerprint(recipe, name)}\n{frontend}") for name in names]
 
 
 def _transformed(recipe: Recipe, prefix: str, corpus: CorpusManifest, seed: int) -> CorpusManifest:
@@ -470,11 +472,11 @@ def prepare_training(recipe: Recipe, corpora: dict[str, CorpusManifest], out: Pa
     read."""
     train_corpus = resolve_train_corpus(recipe, corpora)
     _train_configs(recipe, 0, train_corpus)  # the seed only fills in TrainConfig.seed
-    frontend_config, store = build_frontend(recipe), feature_store(recipe, out, corpora)
+    frontend_config, stores = build_frontend(recipe), feature_stores(recipe, out, _train_names(recipe))
     mdf_pretrain = recipe.get("train.mdf_pretrain")
     if mdf_pretrain:
-        return prepare_mdf_data(mdf_pretrain, train_corpus, frontend_config, store)
-    return (prepare_train_data(train_corpus, frontend_config, store),)
+        return prepare_mdf_data(mdf_pretrain, train_corpus, frontend_config, stores)
+    return (prepare_train_data(train_corpus, frontend_config, stores),)
 
 
 def train_one_seed(recipe: Recipe, phases: tuple[TrainData, ...], seed: int, out_dir: Path) -> TrainResult:
@@ -626,7 +628,7 @@ def _predict_seeds(
         table_ids = table_dataset_ids(resolve_train_corpus(recipe, corpora))
         for _name, corpus, split in targets:
             check_table_rows(table_ids, corpus.samples(split), split)
-    frontend_config, store = build_frontend(recipe), feature_store(recipe, out, corpora)
+    frontend_config = build_frontend(recipe)
     digest = recipe_hash(recipe)
 
     def predict() -> Iterator[tuple[int, str, list[EvalPairs]]]:
@@ -636,8 +638,8 @@ def _predict_seeds(
             params, scaler = load_model_dir(seed_dir, digest)
             datastore = None if mode == "parametric" else load_datastore(seed_dir / "datastore.bin", distance_kind)
             models.append((params, scaler, datastore))
-        by_target = [predict_split(corpus, split, frontend_config, models, mode, knn_config, store)
-                     for _, corpus, split in targets]
+        by_target = [predict_split(corpus, split, frontend_config, models, mode, knn_config,
+                                   feature_stores(recipe, out, [name])) for name, corpus, split in targets]
         for seed, *pairs in zip(seeds, *by_target):
             yield seed, pairs
 
@@ -790,7 +792,7 @@ def cmd_export_embeddings(recipe: Recipe, args: argparse.Namespace, out: Path) -
         scaler_note = f"scaler from {model_dir}"
 
     dump = export_embeddings(sets, frontend_config, scaler, n_per_set=recipe.get("export.n_per_set"), seed=seeds[0],
-                             feature_store=feature_store(recipe, out, corpora))
+                             feature_stores=feature_stores(recipe, out, [name for name, _split in pairs]))
     proj, _components, _mean = pca_2d(dump.embeddings)
     labels = list(zip(dump.set_labels, dump.sample_ids, dump.roles))
     notes = [f"features: {scaler_note}"]

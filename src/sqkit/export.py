@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .corpus import CorpusManifest, PooledCorpus
 from .errors import ValidationError
-from .frontend import FeatureScaler, FeatureStore, FrontendConfig, featurize, pool_time, split_features
+from .frontend import FeatureScaler, FrontendConfig, featurize, pool_time, split_features
 from .model import Workspace
 from .seeding import named_rng
 
@@ -44,21 +46,22 @@ def export_embeddings(
     scaler: FeatureScaler | None,
     n_per_set: int = 100,
     seed: int = 0,
-    feature_store: FeatureStore | None = None,
+    feature_stores: Sequence[tuple[Path, str]] | None = None,
 ) -> EmbeddingDump:
     """Pool-and-collect embeddings from each (label, corpus, split, role) set.
 
     Takes n_per_set random samples per set (the whole set when smaller,
     recorded in truncated_sets); the choice is a pure function of
-    (seed, label). dsp features are read through feature_store (a temp
-    one when None).
+    (seed, label). dsp features are read from feature_stores, one
+    (directory, key) per set, where they are stored (frontend.split_features),
+    and featurized where not.
     """
     if n_per_set < 1:
         raise ValidationError("n_per_set must be >= 1")
     labels, ids, roles, rows = [], [], [], []
     truncated = []
     work = Workspace()
-    for label, corpus, split, role in sets:
+    for k, (label, corpus, split, role) in enumerate(sets):
         samples = corpus.samples(split)
         if not samples:
             raise ValueError(f"set {label!r} has no samples in split {split!r}")
@@ -66,8 +69,9 @@ def export_embeddings(
             truncated.append(label)
             logger.info("set %r has %d < %d samples; taking all", label, len(samples), n_per_set)
         picked = select_samples(len(samples), n_per_set, seed, label)
-        raw_mats = split_features(corpus, split, frontend_config, feature_store, featurize, work, picked)
-        for i, raw in zip(picked, raw_mats):
+        stores = None if feature_stores is None else feature_stores[k : k + 1]
+        raw_mats = split_features(corpus, split, frontend_config, stores, featurize, work, picked)
+        for i, raw in zip(picked, raw_mats, strict=True):
             labels.append(label)
             ids.append(samples[i].sample_id)
             roles.append(role)

@@ -10,9 +10,11 @@ precomputed-embedding file.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import functools
 import hashlib
+import itertools
 import logging
 import os
 import struct
@@ -471,119 +473,167 @@ def featurize(
     return EmbeddingMatrix(frames=scaler.standardize(mat.frames)) if scaler is not None else mat
 
 
-@dataclass(frozen=True)
-class FeatureStore:
-    """Where the raw dsp features of each corpus split are kept between
-    commands: <root>/<corpus name>/<split>.features. key(name) is what
-    decides a corpus's features apart from the split (the CLI gives its
-    fingerprint and the frontend.* lines); a store file's key adds the
-    split's name and sample ids."""
-
-    root: Path
-    key: Callable[[str], str]
-
-
 class _StoredSplit:
-    """One corpus split's raw dsp features in its SQF1 store file, utterance
-    i at rows starts[i] to starts[i + 1]. A file that is missing or fails a
-    check (on open its key, shape, length-table crc32 and size; on read each
-    utterance's crc32 and finiteness) is built again through featurize, and
-    the rebuild is logged at INFO."""
+    """One corpus split's raw dsp features in its SQF1 store file in
+    directory, utterance i at rows starts[i] to starts[i + 1], keyed by the
+    sha256 of key, the split and its sample ids. A file that is missing
+    (miss is why) or fails a check (on open its key, shape, length-table
+    crc32 and size; on read each utterance's crc32 and finiteness) is built
+    again through featurize, logged at INFO, and the rows just built are
+    read back unchecked."""
 
-    def __init__(self, store: FeatureStore, corpus: CorpusManifest, split: str, config: FrontendConfig,
+    def __init__(self, directory: Path, key: str, corpus: CorpusManifest, split: str, config: FrontendConfig,
                  featurize: Callable[..., EmbeddingMatrix]):
         self.samples, self.config, self.featurize = corpus.samples(split), config, featurize
-        self.path = store.root / corpus.name / f"{split}.features"
-        lines = [store.key(corpus.name), split, *(s.sample_id for s in self.samples)]
+        self.path = directory / f"{split}.features"
+        lines = [key, split, *(s.sample_id for s in self.samples)]
         self.key = hashlib.sha256("\n".join(lines).encode("utf-8")).digest()
+        self.fd, self.checked, self.miss = -1, True, None
         try:
             self._open()
         except (OSError, ValidationError) as exc:
-            self._build(exc)
+            self.miss = exc
 
     def _open(self) -> None:
         n, dim = len(self.samples), self.config.dim
-        with open(self.path, "rb") as fh:
-            head = fh.read(4 + struct.calcsize(FEATURES_HEADER) + 8 * n)
-            size = os.fstat(fh.fileno()).st_size
+        self.fd = os.open(self.path, os.O_RDONLY)
+        head = os.pread(self.fd, 4 + struct.calcsize(FEATURES_HEADER) + 8 * n, 0)
         reader = Reader(head, self.path, ValidationError, FEATURES_MAGIC, "feature store")
         key, *shape, crc = reader.fields(FEATURES_HEADER)
         if (key, *shape) != (self.key, n, dim):
             raise ValidationError(f"{self.path}: stored for another corpus, split or frontend")
-        self.table = reader.array("<u4", (n, 2))  # per utterance: frames, crc32 of its float64 rows
-        self.starts = np.concatenate([[0], np.cumsum(self.table[:, 0], dtype=np.intp)])
-        self.rows_at = len(head)
-        if zlib.crc32(self.table) != crc or 0 in self.table[:, 0] or size != len(head) + 8 * dim * self.starts[-1]:
+        self._index(reader.array("<u4", (n, 2)))
+        size = os.fstat(self.fd).st_size
+        if zlib.crc32(self.table) != crc or 0 in self.table[:, 0] or size != self.rows_at + 8 * dim * self.starts[-1]:
             raise ValidationError(f"{self.path}: the length table or the file size fails its check")
 
-    def _build(self, reason: Exception) -> None:
-        logger.info("building feature store %s (%s)", self.path, reason)
+    def _index(self, table: np.ndarray) -> None:
+        self.table = table  # per utterance: frames, crc32 of its float64 rows
+        self.starts = np.concatenate([[0], np.cumsum(table[:, 0], dtype=np.intp)])
+        self.rows_at = 4 + struct.calcsize(FEATURES_HEADER) + table.nbytes
+
+    def close(self) -> None:
+        if self.fd >= 0:
+            os.close(self.fd)
+        self.fd = -1
+
+    def built(self) -> Iterator[np.ndarray]:
+        """Featurize every utterance into a new store file, yielding each
+        one's rows (a fresh array) once they are written; the file is in
+        place before the last is yielded, so a caller that stops there
+        leaves it whole."""
+        logger.info("building feature store %s (%s)", self.path, self.miss)
+        self.close()
         table = np.zeros((len(self.samples), 2), dtype="<u4")
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        work = Workspace()
+        work, frames = Workspace(), None
         with atomic_open(self.path) as fh:
             fh.seek(4 + struct.calcsize(FEATURES_HEADER) + table.nbytes)  # the rows first, one utterance at a time
             for row, sample in zip(table, self.samples):
+                if frames is not None:
+                    yield frames
                 frames = self.featurize(sample, self.config, None, work).frames
                 row[:] = len(frames), zlib.crc32(frames)
                 fh.write(frames)
             fh.seek(0)
             header = struct.pack(FEATURES_HEADER, self.key, len(table), self.config.dim, zlib.crc32(table))
             fh.write(FEATURES_MAGIC + header + table.tobytes())
-        self._open()
+        self._index(table)
+        self.fd, self.checked, self.miss = os.open(self.path, os.O_RDONLY), False, None
+        if frames is not None:
+            yield frames
 
     def read(self, first: int, stop: int, out: np.ndarray) -> np.ndarray:
         """Utterances first to stop - 1 into out, C-contiguous float64 rows
         of their shape, with one read."""
-        try:
-            return self._read(first, stop, out)
-        except (OSError, ValidationError) as exc:
-            self._build(exc)
-            return self._read(first, stop, out)
-
-    def _read(self, first: int, stop: int, out: np.ndarray) -> np.ndarray:
         ends = (self.starts[first : stop + 1] - self.starts[first]).tolist()
         if out.shape != (ends[-1], self.config.dim):
             raise ValidationError(f"{self.path}: utterances {first} to {stop - 1} are not {out.shape[0]} rows")
-        with open(self.path, "rb", buffering=0) as fh:
-            fh.seek(self.rows_at + 8 * self.config.dim * int(self.starts[first]))
-            if fh.readinto(out) != out.nbytes:
-                raise ValidationError(f"{self.path}: truncated feature store")
-        crcs = [zlib.crc32(out[a:b]) for a, b in zip(ends, ends[1:])]
-        if crcs != self.table[first:stop, 1].tolist() or not np.isfinite(out).all():
-            raise ValidationError(f"{self.path}: stored features fail their crc32 or finiteness check")
+        if os.preadv(self.fd, [out], self.rows_at + 8 * self.config.dim * int(self.starts[first])) != out.nbytes:
+            raise ValidationError(f"{self.path}: truncated feature store")
+        if self.checked:
+            crcs = [zlib.crc32(out[a:b]) for a, b in zip(ends, ends[1:])]
+            if crcs != self.table[first:stop, 1].tolist() or not np.isfinite(out).all():
+                raise ValidationError(f"{self.path}: stored features fail their crc32 or finiteness check")
         return out
+
+    def read_all(self, out: np.ndarray) -> np.ndarray:
+        """Every utterance into out (its rows sized from starts), with one
+        read; one that fails builds the store again and reads it back."""
+        try:
+            return self.read(0, len(self.samples), out)
+        except (OSError, ValidationError) as exc:
+            self.miss = exc
+        collections.deque(self.built(), maxlen=0)
+        return self.read(0, len(self.samples), out)
+
+    def utterance(self, j: int, work: Workspace | None) -> np.ndarray:
+        """Utterance j's rows, read into work's "stored" buffer (valid
+        until the next call) or, without work, a fresh array."""
+        shape = (int(self.starts[j + 1] - self.starts[j]), self.config.dim)
+        return self.read(j, j + 1, np.empty(shape) if work is None else work.take("stored", *shape))
+
+    def utterances(self, work: Workspace | None) -> Iterator[np.ndarray]:
+        """Every utterance's rows in order, read one at a time; after a miss
+        or a failed read, the rest come from the rebuild as it is written."""
+        done = 0
+        try:
+            if self.miss is None:
+                for done in range(len(self.samples)):
+                    yield self.utterance(done, work)
+                return
+        except (OSError, ValidationError) as exc:
+            self.miss = exc
+        yield from itertools.islice(self.built(), done, None)
+
+    def picked(self, j: int, work: Workspace | None) -> np.ndarray:
+        """Utterance j alone: read while the store holds it, else
+        featurized, as a subset of the split builds no store."""
+        if self.miss is None:
+            with contextlib.suppress(OSError, ValidationError):
+                return self.utterance(j, work)
+        return self.featurize(self.samples[j], self.config, None, work).frames
 
 
 @contextlib.contextmanager
 def _stored_splits(corpus: CorpusManifest | PooledCorpus, split: str, config: FrontendConfig,
-                   store: FeatureStore | None, featurize: Callable) -> Iterator[list[_StoredSplit]]:
+                   stores: Sequence[tuple[Path, str]] | None, featurize: Callable) -> Iterator[list[_StoredSplit]]:
     """The split of each member corpus (the corpus itself unless pooled) in
-    its store; without a store, in a temp dir removed on exit."""
-    with contextlib.nullcontext() if store else tempfile.TemporaryDirectory() as tmp:
-        store = store or FeatureStore(Path(tmp), lambda name: "")
-        members = corpus.members if isinstance(corpus, PooledCorpus) else (corpus,)
-        yield [_StoredSplit(store, member, split, config, featurize) for member in members]
+    its store, stores[i] being member i's directory and key; without
+    stores, in a temp dir removed on exit."""
+    members = corpus.members if isinstance(corpus, PooledCorpus) else (corpus,)
+    with contextlib.ExitStack() as stack:
+        if stores is None:
+            tmp = Path(stack.enter_context(tempfile.TemporaryDirectory()))
+            stores = [(tmp / str(i), "") for i in range(len(members))]
+        parts = []
+        for (directory, key), member in zip(stores, members, strict=True):
+            parts.append(stack.enter_context(contextlib.closing(
+                _StoredSplit(directory, key, member, split, config, featurize))))
+        yield parts
 
 
 def packed_features(
-    corpus: CorpusManifest | PooledCorpus, split: str, config: FrontendConfig, store: FeatureStore | None,
-    featurize: Callable[..., EmbeddingMatrix],
+    corpus: CorpusManifest | PooledCorpus, split: str, config: FrontendConfig,
+    stores: Sequence[tuple[Path, str]] | None, featurize: Callable[..., EmbeddingMatrix],
 ) -> tuple[np.ndarray, np.ndarray]:
     """A (possibly pooled) corpus split's raw features in one packed
     (sum T, D) matrix, and each sample's frame count T. dsp features are
-    read from each member's store with one read; precomputed ones are
-    decoded straight into rows allocated from their files' headers, and an
-    utterance whose features disagree with its header raises
-    ValidationError. featurize, the caller's lookup of it, makes every
-    store miss and every decode."""
+    read from each member's store (_stored_splits) with one read, a missing
+    store built first; precomputed ones are decoded straight into rows
+    allocated from their files' headers, and an utterance whose features
+    disagree with its header raises ValidationError. featurize, the
+    caller's lookup of it, makes every store build and every decode."""
     if config.kind == "dsp":
-        with _stored_splits(corpus, split, config, store, featurize) as parts:
+        with _stored_splits(corpus, split, config, stores, featurize) as parts:
+            for part in parts:
+                if part.miss is not None:
+                    collections.deque(part.built(), maxlen=0)
             lengths = np.concatenate([np.diff(part.starts) for part in parts])
             frames = np.empty((int(lengths.sum()), config.dim))
             at = 0
             for part in parts:
-                part.read(0, len(part.samples), frames[at : at + part.starts[-1]])
+                part.read_all(frames[at : at + part.starts[-1]])
                 at += part.starts[-1]
         return frames, lengths
     samples = corpus.samples(split)
@@ -605,22 +655,26 @@ def packed_features(
 
 
 def split_features(
-    corpus: CorpusManifest | PooledCorpus, split: str, config: FrontendConfig, store: FeatureStore | None,
-    featurize: Callable[..., EmbeddingMatrix], work: Workspace | None = None, indices: Sequence[int] | None = None,
+    corpus: CorpusManifest | PooledCorpus, split: str, config: FrontendConfig,
+    stores: Sequence[tuple[Path, str]] | None, featurize: Callable[..., EmbeddingMatrix],
+    work: Workspace | None = None, indices: Sequence[int] | None = None,
 ) -> Iterator[EmbeddingMatrix]:
     """The raw features of each sample of a (possibly pooled) corpus split,
-    or of those at indices, in order. dsp ones are read from the stores one
-    utterance at a time, into work's "stored" buffer (valid until the next)
-    or, without work, a fresh array; precomputed ones come from featurize,
-    the caller's lookup of it, as an embedding file is stored features."""
+    or of those at indices, in order. dsp ones are read from the stores
+    (_stored_splits) one utterance at a time, into work's "stored" buffer
+    (valid until the next) or, without work, a fresh array; a missing store
+    is built as it is read, except for indices, which featurize what is not
+    stored. Precomputed ones come from featurize, the caller's lookup of it,
+    as an embedding file is stored features."""
     samples = corpus.samples(split)
-    picked = range(len(samples)) if indices is None else indices
     if config.kind != "dsp":
+        picked = range(len(samples)) if indices is None else indices
         yield from (featurize(samples[i], config, None, work) for i in picked)
         return
-    with _stored_splits(corpus, split, config, store, featurize) as parts:
-        utterances = [(part, j) for part in parts for j in range(len(part.samples))]
-        for part, j in (utterances[i] for i in picked):
-            shape = (int(part.starts[j + 1] - part.starts[j]), config.dim)
-            out = np.empty(shape) if work is None else work.take("stored", *shape)
-            yield EmbeddingMatrix(part.read(j, j + 1, out), check_finite=False)
+    with _stored_splits(corpus, split, config, stores, featurize) as parts:
+        if indices is None:
+            raws = itertools.chain.from_iterable(part.utterances(work) for part in parts)
+        else:
+            utterances = [(part, j) for part in parts for j in range(len(part.samples))]
+            raws = (part.picked(j, work) for part, j in (utterances[i] for i in indices))
+        yield from (EmbeddingMatrix(raw, check_finite=False) for raw in raws)

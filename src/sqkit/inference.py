@@ -35,8 +35,7 @@ import numpy as np
 from .codec import Reader, pack_strings, write_artifact
 from .corpus import CorpusManifest, PooledCorpus, Sample
 from .errors import ValidationError
-from .frontend import (EmbeddingMatrix, FeatureScaler, FeatureStore, FrontendConfig, featurize, pool_time,
-                       split_features)
+from .frontend import EmbeddingMatrix, FeatureScaler, FrontendConfig, featurize, pool_time, split_features
 from .metrics import EvalPairs
 from .model import AlignNetParams, HeadParams, ModelParams, Workspace, alignnet_raw, clip_score, head_raw
 
@@ -284,7 +283,7 @@ def predict_split(
     models: Sequence[tuple[ModelParams | None, FeatureScaler | None, Datastore | None]],
     mode: str = "parametric",
     knn_config: KnnConfig | None = None,
-    feature_store: FeatureStore | None = None,
+    feature_stores: Sequence[tuple[Path, str]] | None = None,
 ) -> list[EvalPairs]:
     """Predict a whole split under one inference mode for each model, a
     (params, scaler, datastore) triple; one EvalPairs per model.
@@ -299,7 +298,8 @@ def predict_split(
     checked before any sample is featurized.
 
     Each sample's raw features are read once (frontend.split_features:
-    dsp ones from feature_store, a temp one when None), and each model
+    dsp ones from feature_stores, one (directory, key) per member corpus,
+    or a temp dir when None), and each model
     standardizes its own copy with its scaler (none: the raw features), a
     query in one workspace buffer. Parametric scoring streams one
     utterance at a time; the retrieval modes pool each into its query row
@@ -330,9 +330,9 @@ def predict_split(
     raws = []  # the split's raw features, which domain retrieval scores after retrieving
     work = Workspace()
     # Domain retrieval keeps every utterance's raw matrix, so none may live in the workspace.
-    raw_mats = split_features(corpus, split, frontend_config, feature_store, featurize,
+    raw_mats = split_features(corpus, split, frontend_config, feature_stores, featurize,
                               None if mode == "domain-retrieval" else work)
-    for i, (s, raw) in enumerate(zip(samples, raw_mats)):
+    for i, (s, raw) in enumerate(zip(samples, raw_mats, strict=True)):
         lengths[i] = raw.n_frames
         for j, (params, scaler, datastore) in enumerate(models):
             if mode == "parametric":

@@ -3,7 +3,7 @@
 Training is two steps. prepare_train_data does everything that does not
 depend on the seed, once: it reads the train split's raw features into
 one packed (sum T, D) matrix (frontend.packed_features), fits the scaler
-and standardizes the matrix in place, packs and standardizes the dev
+and standardizes the matrix in place, reads and standardizes the dev
 split, and pools each train utterance into the retrieval datastore. train
 then runs one seeded SGD loop over that TrainData without changing it,
 so any number of seeds share one featurization. MDF is two train calls:
@@ -33,7 +33,7 @@ import numpy as np
 
 from .corpus import CorpusManifest, PooledCorpus, Sample
 from .errors import UndefinedCorrelationError, ValidationError
-from .frontend import EmbeddingMatrix, FeatureScaler, FeatureStore, FrontendConfig, featurize, packed_features
+from .frontend import EmbeddingMatrix, FeatureScaler, FrontendConfig, featurize, packed_features, split_features
 from .inference import Datastore, predict_clipped
 from .metrics import EvalPairs, pearson, spearman, system_aggregate
 # head_raw and alignnet_raw are unused here: perfbench's tracer wraps these
@@ -245,11 +245,11 @@ def _standardized(
     lengths: np.ndarray,
     scaler: FeatureScaler,
     frontend_config: FrontendConfig,
-    feature_store: FeatureStore | None,
+    feature_stores: Sequence[tuple[Path, str]] | None,
 ) -> TrainData:
     """TrainData over the corpus's packed raw train frames, which scaler
-    standardizes in place; the dev split is packed and standardized by the
-    same scaler, and each dev matrix is a view of its rows."""
+    standardizes in place; each dev utterance's raw features are read into
+    their own matrix and standardized in place by the same scaler."""
     train_samples, dev_samples = corpus.samples("train"), corpus.samples("dev")
     starts = np.cumsum(lengths) - lengths
     scaler.standardize(frames)
@@ -262,8 +262,9 @@ def _standardized(
     for row, start, length in zip(pooled, starts.tolist(), lengths.tolist()):
         np.add.reduce(frames[start : start + length], axis=0, out=row)
     pooled /= lengths[:, None]
-    dev_frames, dev_lengths = packed_features(corpus, "dev", frontend_config, feature_store, featurize)
-    scaler.standardize(dev_frames)
+    # One array per dev utterance, as featurize makes them: one packed dev matrix, freed after train,
+    # raises glibc's mmap threshold, and knn-retrieval's benchmark ran 8% slower after it (2-vCPU host).
+    dev_raws = split_features(corpus, "dev", frontend_config, feature_stores, featurize)
     return TrainData(
         corpus=corpus,
         train_samples=train_samples,
@@ -273,25 +274,31 @@ def _standardized(
         starts=starts,
         targets=targets,
         scaler=scaler,
-        dev_mats=tuple(map(EmbeddingMatrix, np.split(dev_frames, np.cumsum(dev_lengths)[:-1]))),
+        dev_mats=tuple(EmbeddingMatrix(scaler.standardize(raw.frames)) for raw in dev_raws),
         datastore=Datastore(embeddings=pooled, scores=targets, dataset_ids=tuple(s.dataset_id for s in train_samples)),
     )
 
 
 def prepare_train_data(
-    corpus: CorpusManifest | PooledCorpus, frontend_config: FrontendConfig, feature_store: FeatureStore | None = None
+    corpus: CorpusManifest | PooledCorpus,
+    frontend_config: FrontendConfig,
+    feature_stores: Sequence[tuple[Path, str]] | None = None,
 ) -> TrainData:
     """Featurize a corpus's train and dev splits once for any number of
-    training runs, reading dsp features through feature_store (a temp one
-    when None). The train split goes straight into one packed matrix, and
-    the scaler is fitted on its raw frames."""
+    training runs, reading dsp features from feature_stores, one
+    (directory, key) per member corpus (a temp dir when None). The train
+    split goes straight into one packed matrix, and the scaler is fitted
+    on its raw frames."""
     _check_splits(corpus)
-    frames, lengths = packed_features(corpus, "train", frontend_config, feature_store, featurize)
-    return _standardized(corpus, frames, lengths, FeatureScaler.fit(frames), frontend_config, feature_store)
+    frames, lengths = packed_features(corpus, "train", frontend_config, feature_stores, featurize)
+    return _standardized(corpus, frames, lengths, FeatureScaler.fit(frames), frontend_config, feature_stores)
 
 
 def prepare_mdf_data(
-    pretrain_name: str, pooled: PooledCorpus, frontend_config: FrontendConfig, feature_store: FeatureStore | None = None
+    pretrain_name: str,
+    pooled: PooledCorpus,
+    frontend_config: FrontendConfig,
+    feature_stores: Sequence[tuple[Path, str]] | None = None,
 ) -> tuple[TrainData, TrainData]:
     """The two MDF phases, featurized once: pre-training on the member
     pretrain_name, then fine-tuning on the whole pool.
@@ -314,9 +321,9 @@ def prepare_mdf_data(
         return slice(start, start + member.size(split))
 
     train_block, dev_block = block("train"), block("dev")
-    frames, lengths = packed_features(pooled, "train", frontend_config, feature_store, featurize)
+    frames, lengths = packed_features(pooled, "train", frontend_config, feature_stores, featurize)
     rows = slice(int(lengths[: train_block.start].sum()), int(lengths[: train_block.stop].sum()))
-    phase2 = _standardized(pooled, frames, lengths, FeatureScaler.fit(frames[rows]), frontend_config, feature_store)
+    phase2 = _standardized(pooled, frames, lengths, FeatureScaler.fit(frames[rows]), frontend_config, feature_stores)
     datastore = phase2.datastore
     phase1 = TrainData(
         corpus=member,

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import shutil
 import struct
 import wave
 import zlib
@@ -16,6 +17,7 @@ import pytest
 
 import sqkit.codec
 import sqkit.corpus
+import sqkit.export
 import sqkit.frontend
 import sqkit.inference
 import sqkit.training
@@ -1789,3 +1791,58 @@ class TestFeatureStore:
             assert (out / "infer" / "seed0" / "predictions.csv").read_bytes() == predictions, i
             assert store.read_bytes() == data, i
             assert any(f"building feature store {store}" in r.getMessage() for r in caplog.records), i
+
+    def test_two_dir_blocks_of_one_corpus_name_keep_apart_stores(self, tmp_path, monkeypatch):
+        # Two corpus dirs whose corpus.json both say "synth", with the same sample ids and splits
+        # but louder tones in b: each block keeps its own stores, under its own name and key.
+        made = {}
+        for block, amplitude in (("a", 0.3), ("b", 0.6)):
+            text = BASE_RECIPE + f"corpus.synth.amplitude = {amplitude}\n"
+            config = write_recipe(tmp_path, text, name=f"{block}.cfg")
+            assert main(["prepare", "--config", str(config), "--out", str(tmp_path / f"made_{block}")]) == 0
+            made[block] = tmp_path / f"made_{block}" / "corpora" / "synth"
+        ids = [[s.sample_id for s in load_corpus_dir(made[block]).samples("dev")] for block in "ab"]
+        assert ids[0] == ids[1]
+        body = [line for line in BASE_RECIPE.splitlines()
+                if not line.startswith(("corpus.synth.", "train.corpus", "infer.corpus", "benchmark.tests"))]
+        blocks = "".join(f"corpus.{block}.kind = dir\ncorpus.{block}.path = {made[block]}\n" for block in "ab")
+        text = "\n".join(body) + "\n" + blocks + "train.corpus = a\ninfer.corpus = b\nbenchmark.tests = a, b\n"
+        config = write_recipe(tmp_path, text, name="two.cfg")
+        out = tmp_path / "out"
+        for command in ("train", "infer", "benchmark"):
+            assert main([command, "--config", str(config), "--out", str(out)]) == 0, command
+        assert sorted(p.relative_to(out / "corpora").as_posix() for p in (out / "corpora").rglob("*.features")) == [
+            "a/dev.features", "a/train.features", "b/dev.features"]
+        dev_rows = [stored_rows(out / "corpora" / block / "dev.features")[1] for block in "ab"]
+        assert dev_rows[0] != dev_rows[1]
+
+        # A fresh out dir with the trained model and no store scores each block alone the same way.
+        records = read_csv(out / "records.csv")
+        for block in "ab":
+            alone = write_recipe(tmp_path, text.replace("tests = a, b", f"tests = {block}"), name=f"{block}-alone.cfg")
+            fresh = tmp_path / f"fresh_{block}"
+            shutil.copytree(out / "train", fresh / "train")
+            calls = counted_featurize(monkeypatch)
+            assert main(["benchmark", "--config", str(alone), "--out", str(fresh)]) == 0, block
+            assert read_csv(fresh / "records.csv") == [row for row in records if row["test"] == block], block
+            assert calls == dict.fromkeys(ids[0], 1), block
+
+    def test_export_of_a_subset_featurizes_only_what_it_picks(self, tmp_path, monkeypatch):
+        config = write_recipe(tmp_path)
+        out, trained = tmp_path / "out", tmp_path / "trained"
+        calls = collections.Counter()
+
+        def counted(sample, *args, _real=sqkit.export.featurize, **kwargs):
+            calls[sample.sample_id] += 1
+            return _real(sample, *args, **kwargs)
+
+        monkeypatch.setattr(sqkit.export, "featurize", counted)
+        assert main(["export-embeddings", "--config", str(config), "--out", str(out)]) == 0
+        assert sum(calls.values()) == 5 + 4 and set(calls.values()) == {1}  # 5 of 12 train clips, all 4 dev ones
+        assert not list(out.rglob("*.features"))  # a subset builds no store
+        assert main(["train", "--config", str(config), "--out", str(trained)]) == 0
+        (trained / "train").rename(tmp_path / "model")  # raw features, as in out: no trained scaler
+        calls.clear()
+        assert main(["export-embeddings", "--config", str(config), "--out", str(trained)]) == 0
+        assert calls == {}  # read from the stores train wrote
+        assert (trained / "export" / "embeddings.csv").read_bytes() == (out / "export" / "embeddings.csv").read_bytes()

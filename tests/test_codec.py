@@ -42,7 +42,7 @@ from sqkit import (
     write_wav,
 )
 from sqkit.codec import atomic_dir, write_artifact
-from sqkit.frontend import FeatureStore, FrontendConfig, packed_features, split_features
+from sqkit.frontend import FrontendConfig, packed_features, split_features
 from test_training import FRONTEND, make_corpus
 
 
@@ -196,7 +196,7 @@ class TestFeatureStoreSweep:
             write_wav(tmp_path / f"u{i}.wav", 0.3 * rng.uniform(-1.0, 1.0, n), 16000)
             samples.append(Sample(f"u{i}", tmp_path / f"u{i}.wav", None, "sweep", None, 3.0))
         corpus = CorpusManifest("sweep", "non-synthetic", "en", 16000, {"train": tuple(samples)})
-        store = FeatureStore(tmp_path / "store", lambda name: "key")
+        store = [(tmp_path / "store" / "sweep", "key")]
         calls = []
 
         def featurize(sample, *args):
