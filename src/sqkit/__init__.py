@@ -16,7 +16,6 @@ from .corpus import (
     generate_synthetic_corpus,
     load_corpus_dir,
     load_manifest,
-    load_sidecar,
     pool,
     save_corpus_dir,
     save_manifest,
@@ -52,7 +51,6 @@ from .frontend import (
     pool_time,
     resample_to_16k,
     save_precomputed,
-    save_precomputed_text,
     save_scaler,
     write_wav,
 )
@@ -94,7 +92,6 @@ from .model import (
     init_alignnet,
     init_head,
     load_params,
-    params_equal,
     save_params,
     zero_grads,
 )

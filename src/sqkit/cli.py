@@ -424,6 +424,8 @@ def load_model_dir(directory: Path, digest: str) -> tuple[ModelParams, FeatureSc
     """Load a trained model dir, which must also hold its datastore; warn
     when it was trained under a recipe whose recipe_hash is not digest."""
     meta = _model_meta(directory)
+    if meta is None and (directory / "meta.json").exists():
+        raise CheckpointError(f"{directory / 'meta.json'}: not a JSON object (truncated or corrupt); rerun train")
     if meta is None:
         raise ValidationError(f"no trained model in {directory} (run the train command first)")
     datastore = directory / "datastore.bin"

@@ -4,7 +4,9 @@ plus the atomic writers and the one CSV writer and reader.
 An artifact is a 4-byte magic tag, little-endian struct fields, optional
 string tables (uint16 byte length, then UTF-8, per entry) and fixed-shape
 arrays, with nothing after the last array. Reader checks every length
-against the bytes present and raises the loader's own error type.
+against the bytes present and raises the loader's own error type. SQE1
+embedding files, read by the thousand, skip it: frontend.load_precomputed
+checks their one header and size itself.
 """
 
 from __future__ import annotations

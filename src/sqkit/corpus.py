@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import atomic_open, read_csv_rows, write_csv
+from .codec import atomic_open, write_csv
 from .errors import ManifestError, ValidationError
 from .seeding import named_rng
 
@@ -528,9 +528,3 @@ def generate_synthetic_corpus(spec: SynthSpec, seed: int) -> CorpusManifest:
     logger.info("generated synthetic corpus %r: %d utterances in %s", spec.name, len(samples), out_dir)
     return corpus
 
-
-def load_sidecar(directory: str | Path) -> dict[str, tuple[float, float, float]]:
-    """Read a synthetic corpus sidecar: sample_id -> (snr_db, delta, epsilon);
-    a missing column raises ValidationError."""
-    rows = read_csv_rows(Path(directory) / "sidecar.csv", SIDECAR_COLUMNS)
-    return {row["sample_id"]: (float(row["snr_db"]), float(row["delta"]), float(row["epsilon"])) for row in rows}

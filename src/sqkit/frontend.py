@@ -100,6 +100,8 @@ class FrontendConfig:
             raise ValidationError(f"unknown frontend kind {self.kind!r}")
         if self.kind == "dsp" and (self.n_mels < 1 or self.window_ms <= 0 or self.hop_ms <= 0):
             raise ValidationError("dsp parameters must be positive")
+        if self.expected_dim is not None and self.expected_dim < 1:
+            raise ValidationError(f"expected_dim must be positive, not {self.expected_dim}")
         if self.target_rate_hz != TARGET_RATE_HZ:
             # featurize always resamples to 16 kHz; extract_dsp sizes its frames from this field.
             raise ValidationError(f"target_rate_hz must be {TARGET_RATE_HZ}, not {self.target_rate_hz}")
@@ -289,60 +291,41 @@ def save_precomputed(path: str | Path, mat: EmbeddingMatrix) -> None:
     write_artifact(path, EMBEDDING_MAGIC, "<II", frames.shape, frames.tobytes())
 
 
-def save_precomputed_text(path: str | Path, sample_id: str, mat: EmbeddingMatrix) -> None:
-    """Text form of the embedding file: one line per frame, `sample_id dim t v...`."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for t, row in enumerate(mat.frames):
-            values = " ".join(repr(float(v)) for v in row)
-            fh.write(f"{sample_id} {mat.dim} {t} {values}\n")
-
-
-def load_precomputed(path: str | Path, expected_dim: int | None = None, out: np.ndarray | None = None) -> EmbeddingMatrix:
-    """Load an embedding file (binary SQE1 or its text form) as float64,
-    checked finite before it is stored: into out, rows the caller owns,
-    when they have its shape, else into a fresh array. A dimensionality
-    other than expected_dim, when given, is a validation error: precomputed
-    dims must be consistent across a corpus. Malformed files of either form
-    raise ValidationError naming the path."""
+def load_precomputed(path: str | Path, expected_dim: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """An SQE1 embedding file's (T, D) rows as float64, checked finite
+    before they are stored: into out, rows the caller owns, which must have
+    the file's shape (its size is then read without asking), else into a
+    fresh array. A dimensionality other than expected_dim, when given, is a
+    validation error: precomputed dims must be consistent across a corpus.
+    A file without the SQE1 tag, or whose header, size or values fail a
+    check, raises ValidationError naming the path."""
     fd = os.open(path, os.O_RDONLY)  # under half the cost of open() and its read, felt at thousands of files
     try:
-        data = os.pread(fd, os.lseek(fd, 0, os.SEEK_END), 0)
+        size = os.fstat(fd).st_size if out is None else 12 + 4 * out.size
+        data = os.pread(fd, size + 1, 0)  # a byte past the size shows a file grown since it was sized
     finally:
         os.close(fd)
-    if data[:4] == EMBEDDING_MAGIC:
-        reader = Reader(data, path, ValidationError, EMBEDDING_MAGIC, "embedding")
-        values = reader.array("<f4", reader.fields("<II"))
-        reader.end()
-    else:
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"{path}: not an SQE1 file and not UTF-8 text (byte {exc.start})") from None
-        rows = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) < 4:
-                raise ValidationError(f"{path} line {lineno}: expected `sample_id dim t v...`")
-            try:
-                dim, row = int(parts[1]), [float(v) for v in parts[3:]]
-            except ValueError as exc:
-                raise ValidationError(f"{path} line {lineno}: {exc}") from None
-            if len(row) != dim or (rows and dim != len(rows[0])):
-                raise ValidationError(f"{path} line {lineno}: inconsistent dimensionality")
-            rows.append(row)
-        values = np.asarray(rows, dtype=np.float64)
-    if values.size == 0:
-        raise ValidationError(f"{path}: embedding must be a non-empty 2-D matrix, got shape {values.shape}")
-    if expected_dim is not None and values.shape[1] != expected_dim:
-        raise ValidationError(f"{path}: embedding dim {values.shape[1]} != expected {expected_dim}")
+    if data[:4] != EMBEDDING_MAGIC:
+        raise ValidationError(f"{path}: not an SQE1 embedding file")
+    if len(data) < 12:
+        raise ValidationError(f"{path}: truncated SQE1 header ({len(data)} bytes)")
+    n_frames, dim = struct.unpack_from("<II", data, 4)
+    if expected_dim is not None and dim != expected_dim:
+        raise ValidationError(f"{path}: embedding dim {dim} != expected {expected_dim}")
+    if n_frames * dim == 0:
+        raise ValidationError(f"{path}: embedding must be a non-empty 2-D matrix, got shape ({n_frames}, {dim})")
+    if out is not None and out.shape != (n_frames, dim):
+        raise ValidationError(f"{path}: features are {n_frames} x {dim}, its size gave {out.shape[0]} x {out.shape[1]}")
+    if len(data) != 12 + 4 * n_frames * dim:
+        state = "truncated" if len(data) < 12 + 4 * n_frames * dim else "overlong"
+        raise ValidationError(f"{path}: {state} embedding file (its header states {n_frames} x {dim} float32 rows)")
+    values = np.frombuffer(data, "<f4", offset=12).reshape(n_frames, dim)
     if not np.isfinite(values).all():
         raise ValidationError(f"{path}: embedding contains non-finite values")
-    if out is None or out.shape != values.shape:
+    if out is None:
         out = np.empty(values.shape)
     out[...] = values  # exact: float64 holds every float32
-    return EmbeddingMatrix(out, check_finite=False)
+    return out
 
 
 def pool_time(mat: EmbeddingMatrix) -> np.ndarray:
@@ -433,42 +416,21 @@ def feature_source(sample: Sample, config: FrontendConfig) -> Path:
     return sample.embedding_ref
 
 
-def frame_count(sample: Sample, config: FrontendConfig) -> int:
-    """The rows featurize will return for a sample of the precomputed
-    frontend, from its embedding file alone: an SQE1 file's T if its size
-    bears it out, or the text form's non-blank lines. A file too broken to
-    say gives 0, and featurize then names its fault."""
-    path = feature_source(sample, config)
-    fd = os.open(path, os.O_RDONLY)  # under half the cost of open(), paid once per train utterance
-    try:
-        head = os.read(fd, 12)
-        size = os.lseek(fd, 0, os.SEEK_END)
-    finally:
-        os.close(fd)
-    if head[:4] == EMBEDDING_MAGIC:  # a T the size does not bear out could size a packed matrix past all memory
-        n_frames, dim = struct.unpack("<II", head[4:]) if len(head) == 12 else (0, 0)
-        return n_frames if size == 12 + 4 * n_frames * dim else 0
-    text = Path(path).read_bytes().decode("utf-8", errors="replace")
-    return sum(1 for line in text.splitlines() if line.split())
-
-
 def featurize(
     sample: Sample, config: FrontendConfig, scaler: FeatureScaler | None = None, work: Workspace | None = None,
-    out: np.ndarray | None = None,
 ) -> EmbeddingMatrix:
     """Turn one sample into frame features per the frontend config.
 
     A loop over samples passes one Workspace to every call, so the audio,
     resampling and DSP intermediates are allocated once for the loop. The
-    result never aliases it: it is out, rows the caller owns, when they
-    have a precomputed file's shape, else a fresh array."""
+    result is always a fresh array, never one of work's buffers."""
     path = feature_source(sample, config)
     if config.kind == "dsp":
         work = work or Workspace()
         samples, rate = load_audio(path, work)
         mat = extract_dsp(resample_to_16k(samples, rate, work), config, work)
     else:
-        mat = load_precomputed(path, config.expected_dim, out)
+        mat = EmbeddingMatrix(load_precomputed(path, config.expected_dim), check_finite=False)
     # Every branch's matrix is the caller's to change, so it is standardized in place.
     return EmbeddingMatrix(frames=scaler.standardize(mat.frames)) if scaler is not None else mat
 
@@ -620,10 +582,12 @@ def packed_features(
     """A (possibly pooled) corpus split's raw features in one packed
     (sum T, D) matrix, and each sample's frame count T. dsp features are
     read from each member's store (_stored_splits) with one read, a missing
-    store built first; precomputed ones are decoded straight into rows
-    allocated from their files' headers, and an utterance whose features
-    disagree with its header raises ValidationError. featurize, the
-    caller's lookup of it, makes every store build and every decode."""
+    store built first through featurize, the caller's lookup of it.
+    Precomputed ones are decoded by load_precomputed straight into rows
+    sized from each file's size, T = (size - 12) / (4 D), D being
+    expected_dim or the first file's: one stat and one open per file. A
+    file whose header or size disagrees with those rows raises
+    ValidationError naming it."""
     if config.kind == "dsp":
         with _stored_splits(corpus, split, config, stores, featurize) as parts:
             for part in parts:
@@ -636,21 +600,20 @@ def packed_features(
                 part.read_all(frames[at : at + part.starts[-1]])
                 at += part.starts[-1]
         return frames, lengths
-    samples = corpus.samples(split)
-    lengths = np.array([frame_count(s, config) for s in samples])
-    frames = None
-    work = Workspace()
-    for sample, start, length in zip(samples, (np.cumsum(lengths) - lengths).tolist(), lengths.tolist()):
-        mat = featurize(sample, config, None, work, None if frames is None else frames[start : start + length])
-        if frames is None:
-            frames = np.empty((int(lengths.sum()), mat.dim))
-        if (mat.n_frames, mat.dim) != (length, frames.shape[1]):
-            raise ValidationError(
-                f"{feature_source(sample, config)}: features are {mat.n_frames} x {mat.dim}, "
-                f"the header promises {length} x {frames.shape[1]}"
-            )
-        if mat.frames.base is not frames:  # not decoded in place
-            frames[start : start + length] = mat.frames
+    paths = [feature_source(sample, config) for sample in corpus.samples(split)]
+    # Without expected_dim the first file, decoded here once, states D.
+    first = load_precomputed(paths[0]) if config.expected_dim is None and paths else None
+    dim = config.expected_dim if first is None else first.shape[1]
+    lengths = np.array([max(os.stat(path).st_size - 12, 0) // (4 * dim) for path in paths], dtype=np.intp)
+    if first is not None:
+        lengths[0] = len(first)
+    frames = np.empty((int(lengths.sum()), dim))
+    stops = np.cumsum(lengths)
+    for path, start, stop in zip(paths, (stops - lengths).tolist(), stops.tolist()):
+        if start == 0 and first is not None:
+            frames[:stop] = first
+        else:
+            load_precomputed(path, config.expected_dim, frames[start:stop])
     return frames, lengths
 
 

@@ -340,16 +340,6 @@ def zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(arr) for name, arr in params.as_dict().items()}
 
 
-def params_equal(a: ModelParams, b: ModelParams) -> bool:
-    """Bitwise equality of two parameter sets of the same kind."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, AlignNetParams) and a.dataset_ids != b.dataset_ids:
-        return False
-    da, db = a.as_dict(), b.as_dict()
-    return all(da[k].shape == db[k].shape and np.array_equal(da[k], db[k]) for k in da)
-
-
 def copy_params(params: ModelParams) -> ModelParams:
     return params.with_arrays({k: v.copy() for k, v in params.as_dict().items()})
 

@@ -22,7 +22,7 @@ import oracles
 from test_cli import BASE_RECIPE, MDF_RECIPE
 from test_inference import knn_predictions
 from test_metrics import make_pairs, report_with
-from test_model import alignnet_arrays, head_arrays
+from test_model import alignnet_arrays, head_arrays, params_equal
 from test_training import FRONTEND, make_corpus
 
 from sqkit import (
@@ -46,7 +46,6 @@ from sqkit import (
     knn_weights,
     load_params,
     mse,
-    params_equal,
     pearson,
     pool,
     predict_split,

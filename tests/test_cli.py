@@ -37,7 +37,6 @@ from sqkit import (
     save_datastore,
     save_manifest,
     save_precomputed,
-    save_precomputed_text,
     split_random,
 )
 from sqkit.cli import main, parse_recipe, write_csv, write_records, write_records_mean
@@ -142,10 +141,9 @@ def write_recipe(tmp_path, text=BASE_RECIPE, name="recipe.cfg"):
 
 def write_precomputed_corpora(root: Path) -> None:
     """PRECOMPUTED_RECIPE's manifests and SQE1 files: 2 to 6 frames of 6
-    dims per utterance around a mean that sets its MOS, and one utterance
-    of pa in the text form. The queries are labelled pa, so that the
-    parametric mode has a table row for them, and half sit where pb's
-    utterances do."""
+    dims per utterance around a mean that sets its MOS. The queries are
+    labelled pa, so that the parametric mode has a table row for them, and
+    half sit where pb's utterances do."""
     rng = np.random.default_rng(19)
     (root / "emb").mkdir()
     for name, n, offset in (("pa", 16, -0.5), ("pb", 16, 0.5), ("pq", 8, None)):
@@ -155,12 +153,8 @@ def write_precomputed_corpora(root: Path) -> None:
             center = rng.normal(size=6) + shift
             mos = float(np.clip(3.0 + center[0], 1.0, 5.0))
             mat = EmbeddingMatrix(frames=(center + 0.3 * rng.normal(size=(int(rng.integers(2, 7)), 6))).astype("<f4"))
-            if (name, i) == ("pa", 3):
-                ref = f"emb/{name}{i}.txt"
-                save_precomputed_text(root / ref, f"{name}{i}", mat)
-            else:
-                ref = f"emb/{name}{i}.sqe"
-                save_precomputed(root / ref, mat)
+            ref = f"emb/{name}{i}.sqe"
+            save_precomputed(root / ref, mat)
             lines.append(f"{name}{i},,{ref},{dataset},sys{i % 3},{mos!r},,")
         (root / f"{name}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -1035,6 +1029,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert str(path) in err and "truncated" in err
 
+    @pytest.mark.parametrize("meta", ["truncated", "a list"])
+    def test_a_meta_json_that_is_no_json_object_is_exit_1_naming_it(self, tmp_path, capsys, meta):
+        config = write_recipe(tmp_path)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+        path = out / "train" / "seed0" / "meta.json"
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2] if meta == "truncated" else "[]\n")
+        capsys.readouterr()
+        assert main(["infer", "--config", str(config), "--out", str(out), "--inference", "knn"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}: not a JSON object" in err and "no trained model" not in err
+        # benchmark still takes the seed for untrained: it trains it again.
+        assert main(["benchmark", "--config", str(config), "--out", str(out), "--inference", "knn"]) == 0
+        assert path.read_text() == text
+
     @pytest.mark.parametrize("bad", ["not-a-wav", "stereo", "float32"])
     def test_a_bad_audio_file_is_exit_1_naming_it(self, tmp_path, capsys, bad):
         config = write_recipe(tmp_path)
@@ -1640,8 +1650,9 @@ class TestSeedsShareOneFeaturization:
 
 
 class TestNonFiniteEmbeddings:
-    """A NaN or inf in an embedding file of either form is exit 1, and
-    stderr names the file, wherever the file is read."""
+    """A NaN in an SQE1 embedding file, or a file in the former text form
+    (no SQE1 tag), is exit 1, and stderr names the file, wherever the file
+    is read."""
 
     # benchmark scores the query corpus, as infer does.
     RECIPE = PRECOMPUTED_RECIPE.replace(
@@ -1650,16 +1661,17 @@ class TestNonFiniteEmbeddings:
 
     @staticmethod
     def poison(path, form):
-        """Rewrite an embedding file in the given form with one value
-        non-finite: a NaN in an SQE1 file, an inf in the text form."""
-        frames = sqkit.frontend.load_precomputed(path).frames.astype("<f4")
+        """Rewrite an embedding file in the given form and return the error
+        it must raise: an SQE1 file with a NaN, or its finite values in the
+        text form, `sample_id dim t v...` per frame."""
+        frames = sqkit.frontend.load_precomputed(path).astype("<f4")
         if form == "sqe1":
             frames[1, 2] = np.nan
             path.write_bytes(b"SQE1" + frames.shape[0].to_bytes(4, "little") + (6).to_bytes(4, "little") + frames.tobytes())
-        else:
-            frames[0, 4] = np.inf
-            lines = (f"u 6 {t} " + " ".join(repr(float(v)) for v in row) for t, row in enumerate(frames))
-            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            return "embedding contains non-finite values"
+        lines = (f"u 6 {t} " + " ".join(repr(float(v)) for v in row) for t, row in enumerate(frames))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return "not an SQE1 embedding file"
 
     @pytest.mark.parametrize("form", ["sqe1", "text"])
     @pytest.mark.parametrize("split", ["train", "query"])
@@ -1674,11 +1686,11 @@ class TestNonFiniteEmbeddings:
             assert main(["train", "--config", str(config), "--out", str(out)]) == 0
             path = tmp_path / "emb" / "pq2.sqe"
             commands = ("infer", "benchmark")
-        self.poison(path, form)
+        message = self.poison(path, form)
         capsys.readouterr()
         for command in commands:
             assert main([command, "--config", str(config), "--out", str(out)]) == 1, command
-            assert f"{path}: embedding contains non-finite values" in capsys.readouterr().err, command
+            assert f"{path}: {message}" in capsys.readouterr().err, command
 
 
 def stored_rows(path):

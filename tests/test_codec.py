@@ -74,7 +74,9 @@ ARTIFACTS = {
     ),
     "scaler": (ValidationError, small_scaler, save_scaler, load_scaler),
     "datastore": (ValidationError, small_datastore, save_datastore, load_datastore),
-    "embedding": (ValidationError, small_embedding, save_precomputed, load_precomputed),
+    "embedding": (
+        ValidationError, small_embedding, save_precomputed, lambda path: EmbeddingMatrix(load_precomputed(path))
+    ),
 }
 
 
@@ -153,22 +155,23 @@ class TestEmbeddingDecodeSweep:
         corpus = make_corpus(tmp_path, "sweep", n_train=4, n_dev=2, seed=50)
         path = corpus.samples("train")[2].embedding_ref
         given_rows = []
-        real = sqkit.training.featurize
+        real = sqkit.frontend.load_precomputed
 
-        def featurize(sample, config, scaler=None, work=None, out=None):
+        def load_precomputed(file, expected_dim=None, out=None):
             if out is not None:
                 out.fill(7.0)  # a marker: a failed decode must leave it
-                given_rows.append(out)
-            return real(sample, config, scaler, work, out)
+                given_rows.append((file, out))
+            return real(file, expected_dim, out)
 
-        monkeypatch.setattr(sqkit.training, "featurize", featurize)
+        monkeypatch.setattr(sqkit.frontend, "load_precomputed", load_precomputed)
         for label, blob in sqe1_corruptions(path.read_bytes()):
             path.write_bytes(blob)
             given_rows.clear()
             with pytest.raises(ValidationError, match=re.escape(str(path))):
                 prepare_train_data(corpus, FRONTEND)
-            assert len(given_rows) == 2, label  # samples 1 and 2 were given rows; sample 2 failed
-            assert np.all(given_rows[-1] == 7.0), label
+            # Samples 0 to 2 were given rows sized from their files; sample 2 failed.
+            assert [file for file, _ in given_rows] == [s.embedding_ref for s in corpus.samples("train")[:3]], label
+            assert np.all(given_rows[-1][1] == 7.0), label
 
     def test_infer_per_sample_decode(self, tmp_path):
         corpus = make_corpus(tmp_path, "sweepq", n_train=4, n_dev=3, seed=51)
@@ -293,13 +296,13 @@ class TestReportedDefects:
         data = bytearray(path.read_bytes())
         data[0] ^= 0xFF
         path.write_bytes(bytes(data))
-        with pytest.raises(ValidationError, match="UTF-8"):
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: not an SQE1 embedding file")):
             load_precomputed(path)
 
-    def test_unparseable_text_value_names_path_and_line(self, tmp_path):
+    def test_text_form_file_is_validation_error_naming_it(self, tmp_path):
         path = tmp_path / "e.txt"
-        path.write_text("u 2 0 1.0 2.0\nu 2 0 1.0 abc\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match=r"e\.txt line 2: .*abc"):
+        path.write_text("u 2 0 1.0 2.0\nu 2 1 1.0 3.0\n", encoding="utf-8")  # the former text form, well formed
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: not an SQE1 embedding file")):
             load_precomputed(path)
 
 

@@ -20,7 +20,6 @@ from sqkit import (
     load_audio,
     load_corpus_dir,
     load_manifest,
-    load_sidecar,
     named_rng,
     pool,
     save_corpus_dir,
@@ -29,10 +28,18 @@ from sqkit import (
     split_random,
     subsample,
 )
-from sqkit.corpus import MANIFEST_HEADER
+from sqkit.codec import read_csv_rows
+from sqkit.corpus import MANIFEST_HEADER, SIDECAR_COLUMNS
 from sqkit.metrics import EvalPairs
 
 HEADER = ",".join(MANIFEST_HEADER)
+
+
+def load_sidecar(directory):
+    """Read a synthetic corpus sidecar: sample_id -> (snr_db, delta, epsilon);
+    a missing column raises ValidationError."""
+    rows = read_csv_rows(Path(directory) / "sidecar.csv", SIDECAR_COLUMNS)
+    return {row["sample_id"]: (float(row["snr_db"]), float(row["delta"]), float(row["epsilon"])) for row in rows}
 
 
 def write_manifest(path: Path, rows: list[str]) -> Path:

@@ -26,7 +26,6 @@ from sqkit import (
     pool_time,
     resample_to_16k,
     save_precomputed,
-    save_precomputed_text,
     save_scaler,
     write_wav,
 )
@@ -288,16 +287,34 @@ class TestEmbeddingFiles:
         path = tmp_path / "e.bin"
         save_precomputed(path, mat)
         loaded = load_precomputed(path)
-        np.testing.assert_array_equal(loaded.frames, mat.frames)
+        np.testing.assert_array_equal(loaded, mat.frames)
 
-    def test_text_round_trip(self, tmp_path):
-        mat = EmbeddingMatrix(frames=np.random.default_rng(11).normal(size=(3, 5)))
+    def test_text_form_is_rejected_naming_the_file(self, tmp_path):
+        # The former text form, `sample_id dim t v...` per frame, has no SQE1 tag.
+        frames = np.random.default_rng(11).normal(size=(3, 5))
         path = tmp_path / "e.txt"
-        save_precomputed_text(path, "utt-1", mat)
-        loaded = load_precomputed(path)
-        np.testing.assert_array_equal(loaded.frames, mat.frames)
-        first = path.read_text().splitlines()[0].split()
-        assert first[0] == "utt-1" and first[1] == "5" and first[2] == "0"
+        path.write_text("".join(f"utt-1 5 {t} " + " ".join(map(repr, row)) + "\n" for t, row in enumerate(frames)))
+        for out in (None, np.full((3, 5), 7.0)):
+            with pytest.raises(ValidationError, match=re.escape(f"{path}: not an SQE1 embedding file")):
+                load_precomputed(path, out=out)
+        assert np.all(out == 7.0)
+
+    def test_decode_into_rows_of_its_shape(self, tmp_path):
+        mat = EmbeddingMatrix(frames=np.random.default_rng(16).normal(size=(4, 3)).astype(np.float32))
+        path = tmp_path / "e.bin"
+        save_precomputed(path, mat)
+        rows = np.empty((4, 3))
+        assert load_precomputed(path, 3, rows) is rows
+        assert rows.tobytes() == mat.frames.tobytes()
+        for shape in ((3, 3), (5, 3), (4, 4)):
+            with pytest.raises(ValidationError, match=re.escape(f"{path}: features are 4 x 3")):
+                load_precomputed(path, out=np.empty(shape))
+
+    @pytest.mark.parametrize("dim", [0, -3])
+    def test_expected_dim_must_be_positive(self, dim):
+        # The packed decode sizes a file's rows as (size - 12) / (4 D).
+        with pytest.raises(ValidationError, match=f"expected_dim must be positive, not {dim}"):
+            FrontendConfig(kind="precomputed", expected_dim=dim)
 
     def test_dim_mismatch_rejected(self, tmp_path):
         mat = EmbeddingMatrix(frames=np.zeros((2, 3)))

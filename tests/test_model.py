@@ -20,10 +20,19 @@ from sqkit import (
     init_alignnet,
     init_head,
     load_params,
-    params_equal,
     save_params,
     zero_grads,
 )
+
+
+def params_equal(a, b):
+    """Bitwise equality of two parameter sets of the same kind."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, AlignNetParams) and a.dataset_ids != b.dataset_ids:
+        return False
+    da, db = a.as_dict(), b.as_dict()
+    return all(da[k].shape == db[k].shape and np.array_equal(da[k], db[k]) for k in da)
 
 
 def head_arrays(rng, dim, hidden):

@@ -1,11 +1,15 @@
 """Loss, checkpoint ledger, the SGD loop, two-phase fine-tuning, seed sweeps."""
 
+import collections
 import dataclasses
+import os
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sqkit.frontend
 import sqkit.training
 from sqkit import (
     AudioFormatError,
@@ -26,17 +30,15 @@ from sqkit import (
     init_alignnet,
     init_head,
     named_rng,
-    params_equal,
     pool,
     prepare_mdf_data,
     prepare_train_data,
     save_precomputed,
-    save_precomputed_text,
     select_criterion,
     train,
     write_wav,
 )
-from sqkit.frontend import frame_count
+from test_model import params_equal
 
 DIM = 6
 
@@ -352,16 +354,17 @@ class TestTrainMdf:
         pooled = self.build_pool(tmp_path)
         member = {m.name: m for m in pooled.members}[pretrain]
         calls = []
-        real = sqkit.training.featurize
+        real = sqkit.frontend.load_precomputed
 
-        def counted(sample, *args, **kwargs):
-            calls.append(sample.sample_id)
-            return real(sample, *args, **kwargs)
+        def counted(path, *args, **kwargs):  # every decode: the packed train one and featurize's of dev
+            calls.append(str(path))
+            return real(path, *args, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sqkit.training, "featurize", counted)
+            mp.setattr(sqkit.frontend, "load_precomputed", counted)
             phase1, phase2 = prepare_mdf_data(pretrain, pooled, FRONTEND)
-        assert sorted(calls) == sorted(s.sample_id for split in ("train", "dev") for s in pooled.samples(split))
+        refs = [str(s.embedding_ref) for split in ("train", "dev") for s in pooled.samples(split)]
+        assert sorted(calls) == sorted(refs)
         assert np.shares_memory(phase1.frames, phase2.frames)
         assert phase1.scaler is phase2.scaler
         assert (phase1.corpus, phase2.corpus) == (member, pooled)
@@ -402,9 +405,9 @@ class TestTrainMdf:
 class TestPackedTrainMatrix:
     """prepare_train_data reads into one packed matrix (dsp features from
     a feature store, precomputed ones into rows allocated from their file
-    headers' frame counts), then standardizes it in place, so its frames
-    must equal its scaler's standardization of np.concatenate of
-    per-utterance featurize, bit for bit."""
+    sizes), then standardizes it in place, so its frames must equal its
+    scaler's standardization of np.concatenate of per-utterance featurize,
+    bit for bit."""
 
     # (rate, samples): 400 samples is one 25 ms window at 16 kHz.
     CLIPS = [
@@ -425,8 +428,6 @@ class TestPackedTrainMatrix:
     def check_packing(self, corpus, config):
         samples = corpus.samples("train")
         raw = [featurize(s, config).frames for s in samples]
-        if config.kind == "precomputed":  # dsp features come from a feature store, which counts them as it writes
-            assert [frame_count(s, config) for s in samples] == [len(f) for f in raw]
         data = prepare_train_data(corpus, config)
         assert isinstance(data, TrainData)
         packed = np.concatenate(raw).astype(np.float64)
@@ -444,19 +445,77 @@ class TestPackedTrainMatrix:
         self.check_packing(corpus, FrontendConfig(n_mels=8))
         self.check_packing(corpus, FrontendConfig(n_mels=8, window_ms=32.0, hop_ms=7.5))
 
-    def test_embedding_files_binary_and_text(self, tmp_path):
+    def embedding_corpus(self, tmp_path):
         rng = np.random.default_rng(1)
         samples = []
-        for i, n_frames in enumerate([1, 2, 7, 30]):
-            mat = EmbeddingMatrix(frames=rng.normal(size=(n_frames, DIM)).astype(np.float32))
-            binary, text = tmp_path / f"e{i}.bin", tmp_path / f"e{i}.txt"
-            save_precomputed(binary, mat)
-            save_precomputed_text(text, f"e{i}", mat)
-            samples += [Sample(f"b{i}", None, binary, "emb", None, 3.0), Sample(f"t{i}", None, text, "emb", None, 3.0)]
-        with open(tmp_path / "e3.txt", "a", encoding="utf-8") as fh:
-            fh.write("\n  \n")  # blank lines hold no frame
-        corpus = CorpusManifest("emb", "non-synthetic", "en", 16000, {"train": tuple(samples), "dev": tuple(samples[:1])})
+        for i, n_frames in enumerate([1, 2, 7, 30, 3, 1]):
+            path = tmp_path / f"e{i}.bin"
+            save_precomputed(path, EmbeddingMatrix(frames=rng.normal(size=(n_frames, DIM)).astype(np.float32)))
+            samples.append(Sample(f"b{i}", None, path, "emb", None, 3.0))
+        return CorpusManifest("emb", "non-synthetic", "en", 16000, {"train": tuple(samples), "dev": tuple(samples[:2])})
+
+    def test_embedding_files(self, tmp_path):
+        corpus = self.embedding_corpus(tmp_path)
         self.check_packing(corpus, FRONTEND)
+        self.check_packing(corpus, FrontendConfig(kind="precomputed"))  # D from the first file's header
+
+    def test_a_text_form_file_names_the_file(self, tmp_path):
+        corpus = self.embedding_corpus(tmp_path)
+        frames = featurize(corpus.samples("train")[2], FRONTEND).frames
+        for i in (0, 2):  # D from the first file's header, or from expected_dim
+            path = corpus.samples("train")[i].embedding_ref
+            original = path.read_bytes()
+            # The former text form, `sample_id dim t v...` per frame, has no SQE1 tag.
+            path.write_text("".join(f"b{i} {DIM} {t} " + " ".join(map(repr, r)) + "\n" for t, r in enumerate(frames)))
+            for config in (FRONTEND, FrontendConfig(kind="precomputed")):
+                with pytest.raises(ValidationError, match=re.escape(f"{path}: not an SQE1 embedding file")):
+                    prepare_train_data(corpus, config)
+            path.write_bytes(original)
+
+    def test_each_embedding_file_is_opened_once(self, tmp_path, monkeypatch):
+        corpus = make_corpus(tmp_path, "opens", n_train=5, n_dev=3, seed=14)
+        paths = {str(s.embedding_ref) for split in ("train", "dev") for s in corpus.samples(split)}
+        opened = collections.Counter()
+        real_open = os.open
+
+        def counted_open(path, *args, **kwargs):
+            if str(path) in paths:
+                opened[str(path)] += 1
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", counted_open)
+        for config in (FRONTEND, FrontendConfig(kind="precomputed")):
+            opened.clear()
+            prepare_train_data(corpus, config)
+            assert opened == {path: 1 for path in paths}
+
+    @pytest.mark.parametrize("change, message", [
+        ("grown", "overlong embedding file"),
+        ("shrunk", "truncated embedding file"),
+        ("one more row", f"features are 4 x {DIM}, its size gave 3 x {DIM}"),
+        ("one row fewer", f"features are 2 x {DIM}, its size gave 3 x {DIM}"),
+    ])
+    def test_a_file_resized_between_its_stat_and_its_read(self, tmp_path, monkeypatch, change, message):
+        corpus = make_corpus(tmp_path, "resized", n_train=3, n_dev=2, seed=15)
+        path = corpus.samples("train")[1].embedding_ref
+        real = sqkit.frontend.load_precomputed
+
+        def resize_then_load(file, *args):
+            if file == path:  # packed_features has sized its rows from the file's size
+                data = path.read_bytes()
+                n_frames = int.from_bytes(data[4:8], "little")
+                row = data[12 : 12 + 4 * DIM]
+                path.write_bytes({
+                    "grown": data + row,
+                    "shrunk": data[: -4 * DIM],
+                    "one more row": data[:4] + (n_frames + 1).to_bytes(4, "little") + data[8:] + row,
+                    "one row fewer": data[:4] + (n_frames - 1).to_bytes(4, "little") + data[8 : -4 * DIM],
+                }[change])
+            return real(file, *args)
+
+        monkeypatch.setattr(sqkit.frontend, "load_precomputed", resize_then_load)
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: {message}")):
+            prepare_train_data(corpus, FRONTEND)
 
     def test_wav_header_promising_more_audio_than_it_holds(self, tmp_path):
         corpus = self.wav_corpus(tmp_path, [(16000, 4000), (16000, 4000)])
