@@ -18,7 +18,6 @@ from sqkit import (
     extract_dsp,
     load_audio,
     mel_center_frequencies,
-    pool_time,
     resample_to_16k,
     write_wav,
 )
@@ -50,10 +49,11 @@ with tempfile.TemporaryDirectory(prefix="sqkit-demo-") as tmp:
     print(f"peak mel band {peak} centered at {centers[peak]:.0f} Hz")
 
     # utterance embedding: mean over time
-    vec = pool_time(mat)
+    vec = mat.frames.mean(axis=0)
     print("pooled vector", vec.shape)
 
-    # scalers are fit on train features and reused everywhere after
+    # scalers are fit on train features and reused everywhere after;
+    # standardize works in place unless given an out array
     scaler = FeatureScaler.fit(mat.frames)
-    standardized = scaler.transform(mat)
-    print("largest per-dim mean after standardizing:", float(np.abs(standardized.frames.mean(axis=0)).max()))
+    standardized = scaler.standardize(mat.frames, np.empty_like(mat.frames))
+    print("largest per-dim mean after standardizing:", float(np.abs(standardized.mean(axis=0)).max()))

@@ -21,7 +21,6 @@ from sqkit import (
     generate_synthetic_corpus,
     knn_weights,
     mse,
-    pool_time,
     predict_split,
     retrieve_neighbors,
     save_datastore,
@@ -50,7 +49,7 @@ with tempfile.TemporaryDirectory(prefix="sqkit-demo-") as tmp:
 
     # inspect retrieval for one held-out utterance: queries are (Q, D) rows
     sample = corpus.samples("dev")[0]
-    query = pool_time(featurize(sample, frontend))[None]
+    query = featurize(sample, frontend).frames.mean(axis=0)[None]
     neighbors = retrieve_neighbors(ds, query, k=5)
     distances, scores = neighbors.distances[0], neighbors.scores[0]
     print("query", sample.sample_id, "true", round(sample.mos, 2))

@@ -24,7 +24,6 @@ from sqkit import (
     generate_synthetic_corpus,
     mse,
     pool,
-    pool_time,
     predict_split,
     prepare_train_data,
     retrieve_neighbors,
@@ -66,14 +65,14 @@ with tempfile.TemporaryDirectory(prefix="sqkit-demo-") as tmp:
 
     # one utterance, three dataset rows: the embedding table moves the score
     sample = mid.samples("dev")[0]
-    mat = featurize(sample, frontend, model.scaler)
+    frames = featurize(sample, frontend, model.scaler).frames
     for name in model.params.dataset_ids:
-        pred = clip_score(alignnet_raw(model.params, mat.frames, name))
+        pred = clip_score(alignnet_raw(model.params, frames, name))
         print(f"  scored as {name:>4}: {pred:.3f}")
 
     # with no dataset label, borrow the nearest training neighbor's
     ds = build_datastore(frontend, pooled, scaler=model.scaler)
-    (guessed,), = retrieve_neighbors(ds, pool_time(mat)[None], k=1).dataset_ids
+    (guessed,), = retrieve_neighbors(ds, frames.mean(axis=0)[None], k=1).dataset_ids
     print(f"nearest neighbor says {sample.sample_id} came from {guessed!r} (truth {sample.dataset_id!r})")
 
     # corpus-shift effect on the shifted corpora's dev sets

@@ -48,7 +48,6 @@ from .frontend import (
     load_scaler,
     mel_center_frequencies,
     mel_filterbank,
-    pool_time,
     resample_to_16k,
     save_precomputed,
     save_scaler,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .corpus import CorpusManifest, PooledCorpus
 from .errors import ValidationError
-from .frontend import FeatureScaler, FrontendConfig, featurize, pool_time, split_features
+from .frontend import FeatureScaler, FrontendConfig, featurize, split_features
 from .model import Workspace
 from .seeding import named_rng
 
@@ -75,7 +75,9 @@ def export_embeddings(
             labels.append(label)
             ids.append(samples[i].sample_id)
             roles.append(role)
-            rows.append(pool_time(raw if scaler is None else scaler.transform(raw)))
+            if scaler is not None:
+                raw = scaler.standardize(raw)
+            rows.append(raw.mean(axis=0))
     return EmbeddingDump(
         set_labels=tuple(labels),
         sample_ids=tuple(ids),

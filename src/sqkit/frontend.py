@@ -35,6 +35,7 @@ from .model import Workspace
 logger = logging.getLogger(__name__)
 
 TARGET_RATE_HZ = 16000
+LOG_FLOOR = 1e-10  # extract_dsp's floor under each energy and share before the log
 
 EMBEDDING_MAGIC = b"SQE1"
 SCALER_MAGIC = b"SQSC"
@@ -56,7 +57,9 @@ _HEAP_BLOCK_BYTES = 127 * 1024
 
 @dataclass(frozen=True)
 class EmbeddingMatrix:
-    """Frame-level features: (T, D) float64 rows, checked finite unless their maker has."""
+    """What featurize and extract_dsp return: frame-level features, (T, D)
+    float64 rows, checked finite unless their maker has. Everything past
+    them passes the plain frames array."""
 
     frames: np.ndarray
     check_finite: InitVar[bool] = True
@@ -68,10 +71,6 @@ class EmbeddingMatrix:
         if check_finite and not np.isfinite(frames).all():
             raise ValidationError("embedding contains non-finite values")
         object.__setattr__(self, "frames", frames)
-
-    @property
-    def dim(self) -> int:
-        return int(self.frames.shape[1])
 
     @property
     def n_frames(self) -> int:
@@ -91,8 +90,6 @@ class FrontendConfig:
     n_mels: int = 40
     window_ms: float = 25.0
     hop_ms: float = 10.0
-    target_rate_hz: int = TARGET_RATE_HZ
-    log_floor: float = 1e-10
     expected_dim: int | None = None
 
     def __post_init__(self) -> None:
@@ -102,9 +99,6 @@ class FrontendConfig:
             raise ValidationError("dsp parameters must be positive")
         if self.expected_dim is not None and self.expected_dim < 1:
             raise ValidationError(f"expected_dim must be positive, not {self.expected_dim}")
-        if self.target_rate_hz != TARGET_RATE_HZ:
-            # featurize always resamples to 16 kHz; extract_dsp sizes its frames from this field.
-            raise ValidationError(f"target_rate_hz must be {TARGET_RATE_HZ}, not {self.target_rate_hz}")
 
     @property
     def dim(self) -> int:
@@ -241,15 +235,15 @@ def extract_dsp(samples: np.ndarray, config: FrontendConfig, work: Workspace | N
     """Frame-level DSP features for a 16 kHz waveform.
 
     Per frame (Hann window, FFT sized to the next power of two): the D
-    columns are n_mels floored log-mel energies followed by n_mels floored
-    log band shares (energy fraction per band). Pure silence maps every
-    entry to log(log_floor). Utterances shorter than one window are
-    reflection-padded up to a single frame. The power spectra, and a block
+    columns are n_mels log-mel energies followed by n_mels log band shares
+    (energy fraction per band), each floored at LOG_FLOOR before the log,
+    so pure silence maps every entry to log(LOG_FLOOR). Utterances shorter
+    than one window are reflection-padded up to a single frame. The power spectra, and a block
     of windowed frames at a time, live in work's "power" and "frames"
     buffers; the returned matrix is always a fresh array.
     """
     samples = np.asarray(samples, dtype=np.float64)
-    rate = config.target_rate_hz
+    rate = TARGET_RATE_HZ
     win, hop = int(round(config.window_ms * rate / 1000.0)), int(round(config.hop_ms * rate / 1000.0))
     if len(samples) < win:
         deficit = win - len(samples)
@@ -278,16 +272,16 @@ def extract_dsp(samples: np.ndarray, config: FrontendConfig, work: Workspace | N
         np.square(rows, out=rows)  # what ** 2 computes
     energies = power @ fb.T  # one product: row blocks would round differently
     feats = np.empty((len(windows), 2 * n_mels))
-    np.log(np.maximum(energies, config.log_floor), out=feats[:, :n_mels])
+    np.log(np.maximum(energies, LOG_FLOOR), out=feats[:, :n_mels])
     totals = energies.sum(axis=1, keepdims=True)
     shares = np.divide(energies, totals, out=np.zeros_like(energies), where=totals > 0)
-    np.log(np.maximum(shares, config.log_floor), out=feats[:, n_mels:])
+    np.log(np.maximum(shares, LOG_FLOOR), out=feats[:, n_mels:])
     return EmbeddingMatrix(frames=feats)
 
 
-def save_precomputed(path: str | Path, mat: EmbeddingMatrix) -> None:
-    """Write an embedding file: magic SQE1, uint32 T, uint32 D, float32 rows."""
-    frames = np.asarray(mat.frames, dtype="<f4")
+def save_precomputed(path: str | Path, frames: np.ndarray) -> None:
+    """Write (T, D) rows as an embedding file: magic SQE1, uint32 T, uint32 D, float32 rows."""
+    frames = np.asarray(frames, dtype="<f4")
     write_artifact(path, EMBEDDING_MAGIC, "<II", frames.shape, frames.tobytes())
 
 
@@ -326,11 +320,6 @@ def load_precomputed(path: str | Path, expected_dim: int | None = None, out: np.
         out = np.empty(values.shape)
     out[...] = values  # exact: float64 holds every float32
     return out
-
-
-def pool_time(mat: EmbeddingMatrix) -> np.ndarray:
-    """Average frames over time into one D-vector."""
-    return mat.frames.mean(axis=0)
 
 
 @dataclass(frozen=True)
@@ -372,10 +361,6 @@ class FeatureScaler:
             std = np.sqrt(block[0] / n)
         return FeatureScaler(mean=mean, std=np.maximum(std, 1e-8))
 
-    @staticmethod
-    def identity(dim: int) -> "FeatureScaler":
-        return FeatureScaler(mean=np.zeros(dim), std=np.ones(dim))
-
     def standardize(self, frames: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Standardize (N, D) float64 frames into out (default: in place) and return it."""
         if frames.shape[1] != len(self.mean):
@@ -383,9 +368,6 @@ class FeatureScaler:
         out = np.subtract(frames, self.mean, out=frames if out is None else out)
         out /= self.std
         return out
-
-    def transform(self, mat: EmbeddingMatrix) -> EmbeddingMatrix:
-        return EmbeddingMatrix(frames=self.standardize(mat.frames.copy()))
 
 
 def save_scaler(path: str | Path, scaler: FeatureScaler) -> None:
@@ -621,9 +603,9 @@ def split_features(
     corpus: CorpusManifest | PooledCorpus, split: str, config: FrontendConfig,
     stores: Sequence[tuple[Path, str]] | None, featurize: Callable[..., EmbeddingMatrix],
     work: Workspace | None = None, indices: Sequence[int] | None = None,
-) -> Iterator[EmbeddingMatrix]:
-    """The raw features of each sample of a (possibly pooled) corpus split,
-    or of those at indices, in order. dsp ones are read from the stores
+) -> Iterator[np.ndarray]:
+    """The raw (T, D) features of each sample of a (possibly pooled) corpus
+    split, or of those at indices, in order. dsp ones are read from the stores
     (_stored_splits) one utterance at a time, into work's "stored" buffer
     (valid until the next) or, without work, a fresh array; a missing store
     is built as it is read, except for indices, which featurize what is not
@@ -632,12 +614,11 @@ def split_features(
     samples = corpus.samples(split)
     if config.kind != "dsp":
         picked = range(len(samples)) if indices is None else indices
-        yield from (featurize(samples[i], config, None, work) for i in picked)
+        yield from (featurize(samples[i], config, None, work).frames for i in picked)
         return
     with _stored_splits(corpus, split, config, stores, featurize) as parts:
         if indices is None:
-            raws = itertools.chain.from_iterable(part.utterances(work) for part in parts)
+            yield from itertools.chain.from_iterable(part.utterances(work) for part in parts)
         else:
             utterances = [(part, j) for part in parts for j in range(len(part.samples))]
-            raws = (part.picked(j, work) for part, j in (utterances[i] for i in indices))
-        yield from (EmbeddingMatrix(raw, check_finite=False) for raw in raws)
+            yield from (part.picked(j, work) for part, j in (utterances[i] for i in indices))

@@ -35,7 +35,7 @@ import numpy as np
 from .codec import Reader, pack_strings, write_artifact
 from .corpus import CorpusManifest, PooledCorpus, Sample
 from .errors import ValidationError
-from .frontend import EmbeddingMatrix, FeatureScaler, FrontendConfig, featurize, pool_time, split_features
+from .frontend import FeatureScaler, FrontendConfig, featurize, split_features
 from .metrics import EvalPairs
 from .model import AlignNetParams, HeadParams, ModelParams, Workspace, alignnet_raw, clip_score, head_raw
 
@@ -196,7 +196,7 @@ def build_datastore(
     if not samples:
         raise ValueError("corpus has no samples in split 'train'")
     work = Workspace()
-    embeddings = np.stack([pool_time(featurize(s, frontend_config, scaler, work)) for s in samples])
+    embeddings = np.stack([featurize(s, frontend_config, scaler, work).frames.mean(axis=0) for s in samples])
     return Datastore(
         embeddings=embeddings,
         scores=np.array([s.mos for s in samples]),
@@ -259,7 +259,7 @@ def knn_weights(distances: np.ndarray, temperature: float, paper_literal: bool =
 def predict_clipped(params: ModelParams, frames: np.ndarray, dataset_id: str | None = None) -> float:
     """One utterance's clipped forward pass; alignnet scores it with the
     table row of dataset_id. Dev eval in training and the parametric and
-    domain-retrieval modes all score through it."""
+    domain-retrieval modes all score through it, one utterance a call."""
     if isinstance(params, HeadParams):
         return clip_score(head_raw(params, frames))
     return clip_score(alignnet_raw(params, frames, dataset_id))
@@ -297,15 +297,15 @@ def predict_split(
     the alignnet scores corpora outside its table). Arguments are
     checked before any sample is featurized.
 
-    Each sample's raw features are read once (frontend.split_features:
-    dsp ones from feature_stores, one (directory, key) per member corpus,
-    or a temp dir when None), and each model
-    standardizes its own copy with its scaler (none: the raw features), a
-    query in one workspace buffer. Parametric scoring streams one
-    utterance at a time; the retrieval modes pool each into its query row
-    and make one batched retrieve_neighbors call per model. Domain
-    retrieval keeps the split's raw matrices and standardizes each again
-    for the forward pass.
+    Each sample's raw (T, D) features are read once
+    (frontend.split_features: dsp ones from feature_stores, one
+    (directory, key) per member corpus, or a temp dir when None), and each
+    model standardizes its own copy with its scaler (none: the raw
+    features) into one workspace buffer. Parametric scoring streams one
+    utterance per forward call; the retrieval modes pool each into its
+    query row and make one batched retrieve_neighbors call per model.
+    Domain retrieval keeps the split's raw arrays and standardizes each
+    again for the forward pass.
     """
     if mode not in INFERENCE_MODES:
         raise ValidationError(f"unknown inference mode {mode!r}")
@@ -320,30 +320,29 @@ def predict_split(
     if not samples:
         raise ValueError(f"corpus has no samples in split {split!r}")
 
-    def standardized(scaler: FeatureScaler | None, raw: EmbeddingMatrix) -> EmbeddingMatrix:
-        return raw if scaler is None else scaler.transform(raw)
+    work = Workspace()
+
+    def standardized(scaler: FeatureScaler | None, raw: np.ndarray) -> np.ndarray:
+        """raw, or its standardized copy in work's "query" buffer (valid until the next call)."""
+        return raw if scaler is None else scaler.standardize(raw, work.take("query", *raw.shape))
 
     preds: list[list[float]] = [[] for _ in models]
-    # Pooled queries with pool_time's bits: np.mean's row sum, divided by the frame counts once.
+    # Pooled queries with .mean(axis=0)'s bits: np.mean's row sum, divided by the frame counts once.
     queries = [np.empty((len(samples), datastore.dim)) for _, _, datastore in models] if mode != "parametric" else []
     lengths = np.empty(len(samples))
     raws = []  # the split's raw features, which domain retrieval scores after retrieving
-    work = Workspace()
     # Domain retrieval keeps every utterance's raw matrix, so none may live in the workspace.
     raw_mats = split_features(corpus, split, frontend_config, feature_stores, featurize,
                               None if mode == "domain-retrieval" else work)
     for i, (s, raw) in enumerate(zip(samples, raw_mats, strict=True)):
-        lengths[i] = raw.n_frames
+        lengths[i] = len(raw)
         for j, (params, scaler, datastore) in enumerate(models):
             if mode == "parametric":
-                preds[j].append(predict_clipped(params, standardized(scaler, raw).frames, s.dataset_id))
-            elif raw.dim != datastore.dim:
-                raise ValidationError(f"{s.sample_id}: feature dim {raw.dim} != datastore dim {datastore.dim}")
-            else:  # standardized into one buffer, unchecked: retrieve_neighbors checks the pooled queries
-                frames = raw.frames
-                if scaler is not None:
-                    frames = scaler.standardize(frames, work.take("query", *frames.shape))
-                np.add.reduce(frames, axis=0, out=queries[j][i])
+                preds[j].append(predict_clipped(params, standardized(scaler, raw), s.dataset_id))
+            elif raw.shape[1] != datastore.dim:
+                raise ValidationError(f"{s.sample_id}: feature dim {raw.shape[1]} != datastore dim {datastore.dim}")
+            else:  # unchecked: retrieve_neighbors checks the pooled queries
+                np.add.reduce(standardized(scaler, raw), axis=0, out=queries[j][i])
         if mode == "domain-retrieval":
             raws.append(raw)
     for pooled in queries:
@@ -357,7 +356,7 @@ def predict_split(
         elif mode == "domain-retrieval":
             neighbors = retrieve_neighbors(datastore, queries[j], 1)
             preds[j] = [
-                predict_clipped(params, standardized(scaler, raw).frames, ids[0])
+                predict_clipped(params, standardized(scaler, raw), ids[0])
                 for raw, ids in zip(raws, neighbors.dataset_ids)
             ]
     sample_ids = tuple(s.sample_id for s in samples)

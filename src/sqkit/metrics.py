@@ -78,7 +78,9 @@ def _pearson_xy(x: np.ndarray, y: np.ndarray) -> float:
     syy = float(yc @ yc)
     if sxx == 0.0 or syy == 0.0:
         raise UndefinedCorrelationError("pearson is undefined for a constant vector")
-    return float((xc @ yc) / np.sqrt(sxx * syy))
+    # Clamped: rounding can carry an exactly linear pair past 1, and a
+    # checkpoint would then beat an equal one on last-bit noise.
+    return float(np.clip((xc @ yc) / np.sqrt(sxx * syy), -1.0, 1.0))
 
 
 def pearson(pairs: EvalPairs) -> float:

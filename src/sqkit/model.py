@@ -12,10 +12,11 @@ Shapes (D = feature dim, T = frames):
              o_t = v2 . relu(V1^T u_t + c1) + c2
   raw = mean_t o_t,  prediction = clip_score(raw) = min(5, max(1, raw))
 
-The backward kernels take a packed batch: the utterances' frames stacked
-into one (sum T, D) matrix plus their lengths, so a training step is one
-forward/backward pass whatever the batch size. Per-utterance means are
-np.add.reduceat sums over the utterance start rows. A Workspace keeps
+Each model has one forward pass, over a packed batch: the utterances'
+frames stacked into one (sum T, D) matrix plus their lengths, with
+per-utterance means from np.add.reduceat over the start rows. The
+backward kernels run it as their first half, so a training step is one
+call; head_raw / alignnet_raw run it on one utterance. A Workspace keeps
 the large (sum T, width) intermediates between calls.
 """
 
@@ -178,11 +179,6 @@ def init_alignnet(
     )
 
 
-def _check_dim(frames: np.ndarray, dim: int) -> None:
-    if frames.ndim != 2 or frames.shape[1] != dim:
-        raise ValidationError(f"expected (T, {dim}) features, got shape {frames.shape}")
-
-
 class Workspace:
     """Working buffers reused across the calls of one loop: the packed
     kernels' intermediates over a training run, and the audio-sized arrays
@@ -210,25 +206,29 @@ class Workspace:
 
 
 Loss = Callable[[np.ndarray], tuple[float, np.ndarray]]
+Indices = Sequence[int] | np.ndarray | None
 
 
 def _sum_loss(raws: np.ndarray) -> tuple[float, np.ndarray]:
     return float(raws.sum()), np.ones_like(raws)
 
 
-def _segments(frames: np.ndarray, dim: int, lengths) -> tuple[np.ndarray, np.ndarray]:
+def _segments(frames: np.ndarray, dim: int, lengths: Indices) -> tuple[np.ndarray, np.ndarray]:
     """Per-utterance lengths and start rows of a packed (sum T, D) batch."""
-    _check_dim(frames, dim)
+    if frames.ndim != 2 or frames.shape[1] != dim:
+        raise ValidationError(f"expected (T, {dim}) features, got shape {frames.shape}")
     lengths = np.array([frames.shape[0]] if lengths is None else lengths, dtype=np.intp)
-    if lengths.ndim != 1 or len(lengths) == 0 or lengths.min() < 1 or lengths.sum() != frames.shape[0]:
+    # The checks run on Python ints: numpy's per-call overhead would cost
+    # more than a one-utterance forward pass's arithmetic.
+    counts = lengths.tolist()
+    if lengths.ndim != 1 or not counts or min(counts) < 1 or sum(counts) != frames.shape[0]:
         raise ValidationError(f"lengths must be positive and sum to the {frames.shape[0]} packed frames")
-    return lengths, np.cumsum(lengths) - lengths
+    return lengths, lengths.cumsum() - lengths
 
 
-def _loss_grad(loss: Loss | None, frame_scores: np.ndarray, lengths: np.ndarray, starts: np.ndarray):
-    """Per-utterance mean scores through the loss; returns the loss value,
-    d(loss)/d(raw) per utterance and d(loss)/d(score) per frame."""
-    raws = np.add.reduceat(frame_scores, starts) / lengths
+def _loss_grad(loss: Loss | None, raws: np.ndarray, lengths: np.ndarray):
+    """The raw scores through the loss; returns the loss value, d(loss)/d(raw)
+    per utterance and d(loss)/d(score) per frame."""
     value, d_raws = (loss or _sum_loss)(raws)
     d_raws = np.asarray(d_raws, dtype=np.float64)
     if d_raws.shape != raws.shape:
@@ -236,17 +236,27 @@ def _loss_grad(loss: Loss | None, frame_scores: np.ndarray, lengths: np.ndarray,
     return value, d_raws, np.repeat(d_raws / lengths, lengths)
 
 
+def _head_forward(params: HeadParams, frames: np.ndarray, lengths: Indices, work: Workspace):
+    """The head's forward pass over a packed batch: each utterance's raw
+    score, its lengths and start rows, and the hidden activations (work's
+    "hidden" buffer) that backward needs."""
+    lengths, starts = _segments(frames, params.dim, lengths)
+    act = np.matmul(frames, params.w1, out=work.take("hidden", len(frames), params.hidden))
+    act += params.b1
+    np.maximum(act, 0.0, out=act)
+    return np.add.reduceat(act @ params.w2 + params.b2, starts) / lengths, lengths, starts, act
+
+
 def head_raw(params: HeadParams, frames: np.ndarray) -> float:
-    _check_dim(frames, params.dim)
-    hidden = np.maximum(frames @ params.w1 + params.b1, 0.0)
-    return float(np.mean(hidden @ params.w2 + params.b2))
+    """One utterance's mean frame score; frames is its (T, D) matrix."""
+    return float(_head_forward(params, frames, None, Workspace())[0][0])
 
 
 def head_backward(
     params: HeadParams,
     frames: np.ndarray,
     *,
-    lengths: Sequence[int] | np.ndarray | None = None,
+    lengths: Indices = None,
     loss: Loss | None = None,
     work: Workspace | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
@@ -259,11 +269,8 @@ def head_backward(
     backward work; the default is sum(raws), so one utterance gives
     (raw, d(raw)/d(theta)).
     """
-    lengths, starts = _segments(frames, params.dim, lengths)
-    act = np.matmul(frames, params.w1, out=(work or Workspace()).take("hidden", len(frames), params.hidden))
-    act += params.b1
-    np.maximum(act, 0.0, out=act)
-    value, d_raws, d_scores = _loss_grad(loss, act @ params.w2 + params.b2, lengths, starts)
+    raws, lengths, _, act = _head_forward(params, frames, lengths, work or Workspace())
+    value, d_raws, d_scores = _loss_grad(loss, raws, lengths)
     d_w2 = act.T @ d_scores
     d_act = np.greater(act, 0.0, out=act)  # relu(x) > 0 <=> x > 0; act becomes its mask
     d_act *= params.w2
@@ -272,13 +279,34 @@ def head_backward(
     return value, grads
 
 
+def _alignnet_forward(params: AlignNetParams, frames: np.ndarray, dataset_id: str | None, lengths: Indices,
+                      rows: Indices, work: Workspace):
+    """_head_forward for alignnet, which also returns each utterance's
+    table row and the decoder activations (work's "decoder" buffer).
+
+    The row enters the decoder as a per-utterance bias, table[rows] @
+    V1[H:] + c1: in exact arithmetic that is concat(h_t, e_d) @ V1 + c1,
+    with no (sum T, H+E) fused matrix built.
+    """
+    lengths, starts = _segments(frames, params.dim, lengths)
+    rows = np.array([params.row_index(dataset_id)] if rows is None else rows, dtype=np.intp)
+    picked = rows.tolist()  # checked as Python ints, as _segments checks lengths
+    if rows.shape != lengths.shape or min(picked) < 0 or max(picked) >= len(params.dataset_ids):
+        raise ValidationError(f"need one table row in [0, {len(params.dataset_ids)}) per utterance")
+    n, h = len(frames), params.hidden
+    trunk = np.matmul(frames, params.w1, out=work.take("hidden", n, h))
+    trunk += params.b1
+    np.maximum(trunk, 0.0, out=trunk)
+    dec = np.matmul(trunk, params.v1[:h], out=work.take("decoder", n, params.decoder_hidden))
+    dec += (params.table[rows] @ params.v1[h:] + params.c1).repeat(lengths, axis=0)
+    np.maximum(dec, 0.0, out=dec)
+    raws = np.add.reduceat(dec @ params.v2 + params.c2, starts) / lengths
+    return raws, lengths, starts, rows, trunk, dec
+
+
 def alignnet_raw(params: AlignNetParams, frames: np.ndarray, dataset_id: str) -> float:
-    _check_dim(frames, params.dim)
-    row = params.table[params.row_index(dataset_id)]
-    trunk = np.maximum(frames @ params.w1 + params.b1, 0.0)
-    fused = np.concatenate([trunk, np.broadcast_to(row, (trunk.shape[0], len(row)))], axis=1)
-    dec = np.maximum(fused @ params.v1 + params.c1, 0.0)
-    return float(np.mean(dec @ params.v2 + params.c2))
+    """head_raw for alignnet, scored with the table row of dataset_id."""
+    return float(_alignnet_forward(params, frames, dataset_id, None, None, Workspace())[0][0])
 
 
 def alignnet_backward(
@@ -286,33 +314,17 @@ def alignnet_backward(
     frames: np.ndarray,
     dataset_id: str | None = None,
     *,
-    lengths: Sequence[int] | np.ndarray | None = None,
-    rows: Sequence[int] | np.ndarray | None = None,
+    lengths: Indices = None,
+    rows: Indices = None,
     loss: Loss | None = None,
     work: Workspace | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """head_backward for alignnet; rows gives each utterance's table row
-    (default: the row of dataset_id for one utterance).
-
-    The embedding enters the decoder as a per-utterance bias,
-    table[rows] @ V1[H:] + c1, so no (sum T, H+E) fused matrix is built.
-    """
-    lengths, starts = _segments(frames, params.dim, lengths)
-    rows = np.array([params.row_index(dataset_id)] if rows is None else rows, dtype=np.intp)
-    if rows.shape != lengths.shape or rows.min() < 0 or rows.max() >= len(params.dataset_ids):
-        raise ValidationError(f"need one table row in [0, {len(params.dataset_ids)}) per utterance")
+    (default: the row of dataset_id for one utterance)."""
     work = work or Workspace()
-    n, h = len(frames), params.hidden
-    v1_trunk, v1_embed = params.v1[:h], params.v1[h:]
-    embeds = params.table[rows]
-
-    trunk = np.matmul(frames, params.w1, out=work.take("hidden", n, h))
-    trunk += params.b1
-    np.maximum(trunk, 0.0, out=trunk)
-    dec = np.matmul(trunk, v1_trunk, out=work.take("decoder", n, params.decoder_hidden))
-    dec += np.repeat(embeds @ v1_embed + params.c1, lengths, axis=0)
-    np.maximum(dec, 0.0, out=dec)
-    value, d_raws, d_scores = _loss_grad(loss, dec @ params.v2 + params.c2, lengths, starts)
+    raws, lengths, starts, rows, trunk, dec = _alignnet_forward(params, frames, dataset_id, lengths, rows, work)
+    value, d_raws, d_scores = _loss_grad(loss, raws, lengths)
+    v1_trunk, v1_embed = params.v1[: params.hidden], params.v1[params.hidden :]
 
     d_v2 = dec.T @ d_scores
     d_dec = np.greater(dec, 0.0, out=dec)  # dec is needed no more: its mask overwrites it
@@ -321,8 +333,8 @@ def alignnet_backward(
     d_bias = np.add.reduceat(d_dec, starts, axis=0)
     d_table = np.zeros_like(params.table)
     np.add.at(d_table, rows, d_bias @ v1_embed.T)  # rows repeat within a batch
-    d_v1 = np.concatenate([trunk.T @ d_dec, embeds.T @ d_bias])
-    d_trunk = np.matmul(d_dec, v1_trunk.T, out=work.take("d_hidden", n, h))
+    d_v1 = np.concatenate([trunk.T @ d_dec, params.table[rows].T @ d_bias])
+    d_trunk = np.matmul(d_dec, v1_trunk.T, out=work.take("d_hidden", len(frames), params.hidden))
     d_trunk *= np.greater(trunk, 0.0, out=trunk)
     grads = {
         "w1": frames.T @ d_trunk,

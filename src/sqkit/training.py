@@ -33,7 +33,7 @@ import numpy as np
 
 from .corpus import CorpusManifest, PooledCorpus, Sample
 from .errors import UndefinedCorrelationError, ValidationError
-from .frontend import EmbeddingMatrix, FeatureScaler, FrontendConfig, featurize, packed_features, split_features
+from .frontend import FeatureScaler, FrontendConfig, featurize, packed_features, split_features
 from .inference import Datastore, predict_clipped
 from .metrics import EvalPairs, pearson, spearman, system_aggregate
 # head_raw and alignnet_raw are unused here: perfbench's tracer wraps these
@@ -187,10 +187,10 @@ class TrainResult:
 def _dev_criterion(
     params: ModelParams,
     dev_samples: Sequence[Sample],
-    dev_mats: Sequence[EmbeddingMatrix],
+    dev_mats: Sequence[np.ndarray],
     criterion: str,
 ) -> float:
-    preds = [predict_clipped(params, m.frames, s.dataset_id) for s, m in zip(dev_samples, dev_mats)]
+    preds = [predict_clipped(params, m, s.dataset_id) for s, m in zip(dev_samples, dev_mats)]
     pairs = EvalPairs(
         sample_ids=tuple(s.sample_id for s in dev_samples),
         system_ids=tuple(s.system_id for s in dev_samples),
@@ -215,8 +215,8 @@ class TrainData:
 
     frames is the packed train split, standardized and read-only:
     utterance i is rows starts[i] : starts[i] + lengths[i]. dev_mats are
-    the dev samples standardized by the same scaler, and datastore is
-    each train utterance's rows pooled over time.
+    the dev samples' (T, D) arrays standardized by the same scaler, and
+    datastore is each train utterance's rows pooled over time.
     """
 
     corpus: CorpusManifest | PooledCorpus
@@ -227,7 +227,7 @@ class TrainData:
     starts: np.ndarray
     targets: np.ndarray
     scaler: FeatureScaler
-    dev_mats: tuple[EmbeddingMatrix, ...]
+    dev_mats: tuple[np.ndarray, ...]
     datastore: Datastore
 
 
@@ -274,7 +274,7 @@ def _standardized(
         starts=starts,
         targets=targets,
         scaler=scaler,
-        dev_mats=tuple(EmbeddingMatrix(scaler.standardize(raw.frames)) for raw in dev_raws),
+        dev_mats=tuple(scaler.standardize(raw) for raw in dev_raws),
         datastore=Datastore(embeddings=pooled, scores=targets, dataset_ids=tuple(s.dataset_id for s in train_samples)),
     )
 

@@ -5,7 +5,9 @@ with a 50-digit square root, so they are trustworthy to far below the
 1e-12 comparison tolerance. Ranks come from a brute-force average-rank
 definition. Gradient oracles use central finite differences on parameter
 draws rejected until every ReLU pre-activation sits clear of its kink,
-where the difference quotient is exact up to float rounding.
+where the difference quotient is exact up to float rounding. They
+differentiate the reference forward passes below, written out as the
+model equations read, not sqkit's packed forward.
 """
 
 from __future__ import annotations
@@ -105,3 +107,21 @@ def draw_clear_of_kinks(draw_fn, preact_fn, margin: float = 5e-3, max_tries: int
         if all(np.min(np.abs(pre)) > margin for pre in preact_fn(candidate)):
             return candidate
     raise RuntimeError("could not draw parameters clear of ReLU kinks")
+
+
+def head_raw_reference(params, frames) -> float:
+    """One utterance's head score as the equations read: the np.mean of
+    w2 . relu(W1^T x_t + b1) + b2 over its frames."""
+    hidden = np.maximum(frames @ params.w1 + params.b1, 0.0)
+    return float(np.mean(hidden @ params.w2 + params.b2))
+
+
+def alignnet_raw_reference(params, frames, dataset_id) -> float:
+    """One utterance's alignnet score as the equations read: the table row
+    of dataset_id concatenated onto every trunk frame, then the decoder,
+    then np.mean over the frames."""
+    row = params.table[params.row_index(dataset_id)]
+    trunk = np.maximum(frames @ params.w1 + params.b1, 0.0)
+    fused = np.concatenate([trunk, np.broadcast_to(row, (trunk.shape[0], len(row)))], axis=1)
+    dec = np.maximum(fused @ params.v1 + params.c1, 0.0)
+    return float(np.mean(dec @ params.v2 + params.c2))

@@ -38,11 +38,9 @@ from sqkit import (
     UndefinedCorrelationError,
     aggregate,
     alignnet_backward,
-    alignnet_raw,
     build_datastore,
     generate_synthetic_corpus,
     head_backward,
-    head_raw,
     knn_weights,
     load_params,
     mse,
@@ -179,7 +177,7 @@ def test_analytic_gradients_match_central_differences():
         arrays, frames = oracles.draw_clear_of_kinks(draw, preacts)
         _, grads = head_backward(HeadParams(**arrays), frames)
         rel = oracles.check_gradients(
-            lambda a: head_raw(HeadParams(**a), frames), arrays, grads
+            lambda a: oracles.head_raw_reference(HeadParams(**a), frames), arrays, grads
         )
         assert rel < 1e-4
 
@@ -206,7 +204,7 @@ def test_analytic_gradients_match_central_differences():
         params = AlignNetParams(**arrays, dataset_ids=ids)
         _, grads = alignnet_backward(params, frames, target)
         rel = oracles.check_gradients(
-            lambda a: alignnet_raw(AlignNetParams(**a, dataset_ids=ids), frames, target),
+            lambda a: oracles.alignnet_raw_reference(AlignNetParams(**a, dataset_ids=ids), frames, target),
             arrays,
             grads,
         )

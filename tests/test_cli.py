@@ -22,7 +22,6 @@ import sqkit.frontend
 import sqkit.inference
 import sqkit.training
 from sqkit import (
-    EmbeddingMatrix,
     FrontendConfig,
     KnnConfig,
     SynthSpec,
@@ -152,9 +151,9 @@ def write_precomputed_corpora(root: Path) -> None:
             dataset, shift = (name, offset) if name != "pq" else ("pa", (-0.5, 0.5)[i % 2])
             center = rng.normal(size=6) + shift
             mos = float(np.clip(3.0 + center[0], 1.0, 5.0))
-            mat = EmbeddingMatrix(frames=(center + 0.3 * rng.normal(size=(int(rng.integers(2, 7)), 6))).astype("<f4"))
+            frames = (center + 0.3 * rng.normal(size=(int(rng.integers(2, 7)), 6))).astype("<f4")
             ref = f"emb/{name}{i}.sqe"
-            save_precomputed(root / ref, mat)
+            save_precomputed(root / ref, frames)
             lines.append(f"{name}{i},,{ref},{dataset},sys{i % 3},{mos!r},,")
         (root / f"{name}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 

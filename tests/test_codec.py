@@ -21,7 +21,6 @@ from sqkit import (
     CheckpointError,
     CorpusManifest,
     Datastore,
-    EmbeddingMatrix,
     FeatureScaler,
     KnnConfig,
     Sample,
@@ -61,7 +60,7 @@ def small_scaler():
 
 
 def small_embedding():
-    return EmbeddingMatrix(frames=np.random.default_rng(41).normal(size=(3, 2)).astype(np.float32))
+    return np.random.default_rng(41).normal(size=(3, 2)).astype(np.float32)
 
 
 # kind -> (error type, make object, save(path, obj), load(path))
@@ -74,9 +73,7 @@ ARTIFACTS = {
     ),
     "scaler": (ValidationError, small_scaler, save_scaler, load_scaler),
     "datastore": (ValidationError, small_datastore, save_datastore, load_datastore),
-    "embedding": (
-        ValidationError, small_embedding, save_precomputed, lambda path: EmbeddingMatrix(load_precomputed(path))
-    ),
+    "embedding": (ValidationError, small_embedding, save_precomputed, load_precomputed),
 }
 
 
@@ -208,7 +205,7 @@ class TestFeatureStoreSweep:
 
         def read_both():
             packed, lengths = packed_features(corpus, "train", self.CONFIG, store, featurize)
-            one_by_one = [m.frames.copy() for m in split_features(corpus, "train", self.CONFIG, store, featurize)]
+            one_by_one = [m.copy() for m in split_features(corpus, "train", self.CONFIG, store, featurize)]
             return packed, lengths.tolist(), one_by_one
 
         packed, lengths, one_by_one = read_both()
@@ -234,7 +231,7 @@ class TestFeatureStoreSweep:
                     got, got_lengths = packed_features(corpus, "train", self.CONFIG, store, featurize)
                     assert (got.tobytes(), got_lengths.tolist()) == (packed.tobytes(), lengths), label
                 else:
-                    got = [m.frames.tobytes() for m in split_features(corpus, "train", self.CONFIG, store, featurize)]
+                    got = [m.tobytes() for m in split_features(corpus, "train", self.CONFIG, store, featurize)]
                     assert got == [f.tobytes() for f in one_by_one], label
                 assert calls == ["u0", "u1"], label
                 assert path.read_bytes() == data, label
@@ -344,10 +341,10 @@ class TestLayouts:
         assert path.read_bytes() == expected
 
     def test_embedding(self, tmp_path):
-        mat = small_embedding()
+        frames = small_embedding()
         path = tmp_path / "e.bin"
-        save_precomputed(path, mat)
-        assert path.read_bytes() == b"SQE1" + struct.pack("<II", 3, 2) + f4(mat.frames)
+        save_precomputed(path, frames)
+        assert path.read_bytes() == b"SQE1" + struct.pack("<II", 3, 2) + f4(frames)
 
 
 def test_failed_write_leaves_the_previous_file_or_none(tmp_path):

@@ -1,6 +1,7 @@
 """Datastore retrieval, softmax-weighted kNN, and the three inference modes."""
 
 import dataclasses
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +27,10 @@ from sqkit import (
     init_head,
     knn_weights,
     load_datastore,
-    pool_time,
     predict_split,
     retrieve_neighbors,
     save_datastore,
+    save_precomputed,
 )
 from test_training import DIM, FRONTEND, make_corpus
 
@@ -80,8 +81,29 @@ class TestBuildDatastore:
 
         corpus = make_corpus(tmp_path, "dsc", n_train=3, n_dev=3, seed=2)
         ds = build_datastore(FRONTEND, corpus)
-        expected = pool_time(featurize(corpus.samples("train")[0], FRONTEND))
+        expected = featurize(corpus.samples("train")[0], FRONTEND).frames.mean(axis=0)
         np.testing.assert_array_equal(ds.embeddings[0], expected)
+
+    def test_records_are_exact_time_means(self, tmp_path):
+        """A one-frame utterance pools to itself, v and -v cancel, and every
+        record is the exact mean of its frames to rounding, inside each
+        column's range."""
+        rng = np.random.default_rng(7)
+        v = rng.normal(size=DIM)
+        utterances = [v[None], np.stack([v, -v])] + [rng.normal(size=(n, DIM)) for n in (5, 12)]
+        samples = []
+        for i, frames in enumerate(utterances):
+            save_precomputed(tmp_path / f"u{i}.bin", frames)
+            samples.append(Sample(f"u{i}", None, tmp_path / f"u{i}.bin", "pool", None, 3.0))
+        corpus = CorpusManifest("pool", "non-synthetic", "en", 16000, {"train": tuple(samples)})
+        ds = build_datastore(FRONTEND, corpus)
+        stored = [f.astype(np.float32).astype(np.float64) for f in utterances]
+        assert ds.embeddings[0].tobytes() == stored[0][0].tobytes()
+        assert ds.embeddings[1].tolist() == [0.0] * DIM
+        for record, frames in zip(ds.embeddings, stored):
+            exact = [float(sum(map(Fraction, col.tolist())) / len(col)) for col in frames.T]
+            np.testing.assert_allclose(record, exact, rtol=1e-15, atol=1e-300)
+            assert np.all(record >= frames.min(axis=0)) and np.all(record <= frames.max(axis=0))
 
     def test_empty_split_rejected(self, tmp_path):
         corpus = make_corpus(tmp_path, "dsd", seed=3)
@@ -413,16 +435,16 @@ class TestDomainRetrieval:
         rng = np.random.default_rng(6)
         params = init_alignnet(3, ("a", "b"), seed=1, hidden=4, embed_dim=2, decoder_hidden=3)
         params = params.with_arrays({"table": np.tile(params.table[0], (2, 1))})
-        mat = EmbeddingMatrix(frames=rng.normal(size=(4, 3)))
+        frames = rng.normal(size=(4, 3))
         store_a = Datastore(
             embeddings=rng.normal(size=(2, 3)), scores=np.array([2.0, 4.0]), dataset_ids=("a", "a")
         )
         store_b = Datastore(
             embeddings=rng.normal(size=(2, 3)), scores=np.array([2.0, 4.0]), dataset_ids=("b", "b")
         )
-        pred_a = predict_frames(monkeypatch, [mat.frames], "domain-retrieval", params, datastore=store_a)
-        pred_b = predict_frames(monkeypatch, [mat.frames], "domain-retrieval", params, datastore=store_b)
-        assert pred_a.tolist() == pred_b.tolist() == [clip_score(alignnet_raw(params, mat.frames, "a"))]
+        pred_a = predict_frames(monkeypatch, [frames], "domain-retrieval", params, datastore=store_a)
+        pred_b = predict_frames(monkeypatch, [frames], "domain-retrieval", params, datastore=store_b)
+        assert pred_a.tolist() == pred_b.tolist() == [clip_score(alignnet_raw(params, frames, "a"))]
 
 
 def forbid_featurize(monkeypatch):
@@ -483,7 +505,7 @@ class TestPredictSplit:
         cfg = KnnConfig()
         expected = []
         for s in corpus.samples("dev"):
-            want = reference_neighbors(ds, pool_time(featurize(s, FRONTEND)), cfg.k)
+            want = reference_neighbors(ds, featurize(s, FRONTEND).frames.mean(axis=0), cfg.k)
             expected.append(float(knn_weights(want[0], cfg.temperature) @ want[1]))
         np.testing.assert_array_equal(pairs.pred, expected)
 
@@ -499,17 +521,17 @@ class TestPredictSplit:
         # Three query rows per screening block: the 14 dev samples span five.
         monkeypatch.setattr(sqkit.inference, "_BLOCK_BYTES", 8 * len(ds) * 3)
         cfg = KnnConfig(k=3, temperature=0.5)
-        mats = [featurize(s, FRONTEND) for s in pooled.samples("dev")]
+        mats = [featurize(s, FRONTEND).frames for s in pooled.samples("dev")]
         # Per sample: a batch of one, then the weighting or the forward pass.
-        singles = [batch_row(retrieve_neighbors(ds, pool_time(m)[None], cfg.k), 0) for m in mats]
+        singles = [batch_row(retrieve_neighbors(ds, m.mean(axis=0)[None], cfg.k), 0) for m in mats]
 
         (knn,) = predict_split(pooled, "dev", FRONTEND, [(params, None, ds)], mode="knn", knn_config=cfg)
         expected = np.array([float(knn_weights(n.distances, cfg.temperature) @ n.scores) for n in singles])
         assert knn.pred.tobytes() == expected.tobytes()
 
         (dr,) = predict_split(pooled, "dev", FRONTEND, [(params, None, ds)], mode="domain-retrieval")
-        nearest = [retrieve_neighbors(ds, pool_time(m)[None], 1).dataset_ids[0][0] for m in mats]
-        expected = np.array([clip_score(alignnet_raw(params, m.frames, d)) for m, d in zip(mats, nearest)])
+        nearest = [retrieve_neighbors(ds, m.mean(axis=0)[None], 1).dataset_ids[0][0] for m in mats]
+        expected = np.array([clip_score(alignnet_raw(params, m, d)) for m, d in zip(mats, nearest)])
         assert dr.pred.tobytes() == expected.tobytes()
         assert len(set(dr.pred.tolist())) > 1
 
@@ -518,7 +540,7 @@ class TestPredictSplit:
     def test_retrieval_modes_equal_the_per_sample_reference(self, tmp_path, kind, k):
         """Both retrieval modes, two models in one call (one with a scaler,
         one without), against the per-sample path written out: featurize,
-        scaler.transform, pool_time, retrieve_neighbors on a batch of one,
+        scaler.standardize, the time mean, retrieve_neighbors on a batch of one,
         then knn_weights or the clipped forward pass. The first dev query
         ties at distance 0 with two records of equal score that differ in
         dataset id, the "rb" one stored first: the tie-break picks "ra"."""
@@ -530,9 +552,9 @@ class TestPredictSplit:
         raw = np.concatenate([featurize(s, FRONTEND).frames for s in train])
 
         def reference(scaler, sample):
-            mat = featurize(sample, FRONTEND)
-            mat = mat if scaler is None else scaler.transform(mat)
-            return mat.frames, pool_time(mat)[None]
+            frames = featurize(sample, FRONTEND).frames
+            frames = frames if scaler is None else scaler.standardize(frames)
+            return frames, frames.mean(axis=0)[None]
 
         models = []
         for seed, scaler in enumerate([FeatureScaler(mean=raw.mean(axis=0), std=raw.std(axis=0)), None]):

@@ -87,6 +87,18 @@ class TestPearson:
         assert pearson(make_pairs(x, 0.1 * y - 7)) == pytest.approx(base, abs=1e-12)
         assert pearson(make_pairs(-2 * x, y)) == pytest.approx(-base, abs=1e-12)
 
+    def test_never_leaves_minus_one_to_one(self):
+        # Rounding carries about a quarter of exactly linear pairs past 1
+        # unclamped; a model-selection ledger would then rank a checkpoint
+        # above an equal one on last-bit noise.
+        rng = np.random.default_rng(404)
+        values = []
+        for _ in range(2000):
+            x = rng.normal(size=int(rng.integers(2, 51)))
+            values += [pearson(make_pairs(x, 3 * x + 1.7)), pearson(make_pairs(x, -3 * x + 1.7))]
+            values.append(spearman(make_pairs(x, 3 * x + 1.7)))
+        assert max(values) == 1.0 and min(values) == -1.0
+
     def test_constant_vector_is_undefined(self):
         with pytest.raises(UndefinedCorrelationError):
             pearson(make_pairs([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]))

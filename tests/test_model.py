@@ -7,7 +7,6 @@ import oracles
 from sqkit import (
     AlignNetParams,
     CheckpointError,
-    EmbeddingMatrix,
     HeadParams,
     ValidationError,
     Workspace,
@@ -80,10 +79,10 @@ class TestHeadForward:
     def test_clipping_to_score_range(self):
         high = HeadParams(w1=np.zeros((2, 2)), b1=np.zeros(2), w2=np.zeros(2), b2=np.asarray(7.5))
         low = HeadParams(w1=np.zeros((2, 2)), b1=np.zeros(2), w2=np.zeros(2), b2=np.asarray(0.2))
-        mat = EmbeddingMatrix(frames=np.zeros((3, 2)))
-        assert head_raw(high, mat.frames) == 7.5
-        assert clip_score(head_raw(high, mat.frames)) == 5.0
-        assert clip_score(head_raw(low, mat.frames)) == 1.0
+        frames = np.zeros((3, 2))
+        assert head_raw(high, frames) == 7.5
+        assert clip_score(head_raw(high, frames)) == 5.0
+        assert clip_score(head_raw(low, frames)) == 1.0
         assert clip_score(3.25) == 3.25
 
     def test_wrong_dim_rejected(self):
@@ -119,14 +118,66 @@ class TestAlignNetForward:
 
     def test_clipped_score_inside_range(self):
         params = init_alignnet(4, ("x",), seed=4, hidden=3, embed_dim=2, decoder_hidden=3)
-        mat = EmbeddingMatrix(frames=np.random.default_rng(5).normal(size=(3, 4)))
-        assert 1.0 <= clip_score(alignnet_raw(params, mat.frames, "x")) <= 5.0
+        frames = np.random.default_rng(5).normal(size=(3, 4))
+        assert 1.0 <= clip_score(alignnet_raw(params, frames, "x")) <= 5.0
 
     def test_duplicate_dataset_ids_rejected(self):
         from sqkit import ValidationError
 
         with pytest.raises(ValidationError):
             init_alignnet(4, ("x", "x"), seed=0)
+
+
+class TestPackedForward:
+    """The packed forward, which the backward kernels run as their first
+    half, over random packed batches against the written-out reference
+    forward of each utterance alone."""
+
+    @staticmethod
+    def batches(rng, dim):
+        """(frames, lengths) draws: a single one-frame utterance, a single
+        longer one, and mixed batches that hold one-frame utterances."""
+        yield rng.normal(size=(1, dim)), [1]
+        yield rng.normal(size=(7, dim)), [7]
+        for _ in range(20):
+            lengths = rng.integers(1, 9, size=int(rng.integers(2, 7)))
+            lengths[rng.integers(0, len(lengths))] = 1
+            yield rng.normal(size=(int(lengths.sum()), dim)), lengths.tolist()
+
+    @staticmethod
+    def split(frames, lengths):
+        return np.split(frames, np.cumsum(lengths)[:-1])
+
+    @staticmethod
+    def raws(backward, params, frames, **kwargs):
+        """The raw scores backward's forward half hands to its loss."""
+        seen = []
+
+        def record(raws):
+            seen.append(raws.copy())
+            return 0.0, np.zeros_like(raws)
+
+        backward(params, frames, loss=record, **kwargs)
+        return seen[0]
+
+    def test_head_matches_the_reference(self):
+        rng = np.random.default_rng(40)
+        for frames, lengths in self.batches(rng, 6):
+            params = HeadParams(**head_arrays(rng, 6, 5))
+            want = [oracles.head_raw_reference(params, f) for f in self.split(frames, lengths)]
+            got = self.raws(head_backward, params, frames, lengths=lengths)
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+    def test_alignnet_matches_the_reference(self):
+        rng = np.random.default_rng(41)
+        ids = ("a", "b", "c")
+        for frames, lengths in self.batches(rng, 6):
+            params = AlignNetParams(**alignnet_arrays(rng, 6, 5, 3, 4, len(ids)), dataset_ids=ids)
+            rows = rng.integers(0, len(ids), size=len(lengths))
+            utterances = zip(self.split(frames, lengths), rows)
+            want = [oracles.alignnet_raw_reference(params, f, ids[r]) for f, r in utterances]
+            got = self.raws(alignnet_backward, params, frames, lengths=lengths, rows=rows)
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
 class TestInit:
@@ -169,7 +220,7 @@ class TestHeadGradients:
         frames = rng.normal(size=(4, 5))
         params = HeadParams(**arrays)
         raw, _ = head_backward(params, frames)
-        assert raw == pytest.approx(head_raw(params, frames), rel=1e-15)
+        assert raw == head_raw(params, frames)  # one forward half: the same bits
 
     def test_finite_difference_agreement(self):
         rng = np.random.default_rng(11)
@@ -189,7 +240,7 @@ class TestHeadGradients:
             params = HeadParams(**arrays)
             _, grads = head_backward(params, frames)
             worst = oracles.check_gradients(
-                lambda a: head_raw(HeadParams(**a), frames), arrays, grads
+                lambda a: oracles.head_raw_reference(HeadParams(**a), frames), arrays, grads
             )
             assert worst < 1e-4
 
@@ -201,7 +252,7 @@ class TestAlignNetGradients:
         params = AlignNetParams(**arrays, dataset_ids=("a", "b"))
         frames = rng.normal(size=(3, 5))
         raw, _ = alignnet_backward(params, frames, "b")
-        assert raw == pytest.approx(alignnet_raw(params, frames, "b"), rel=1e-15)
+        assert raw == alignnet_raw(params, frames, "b")  # one forward half: the same bits
 
     def test_finite_difference_agreement(self):
         rng = np.random.default_rng(13)
@@ -228,7 +279,7 @@ class TestAlignNetGradients:
             params = AlignNetParams(**arrays, dataset_ids=ids)
             _, grads = alignnet_backward(params, frames, target)
             worst = oracles.check_gradients(
-                lambda a: alignnet_raw(AlignNetParams(**a, dataset_ids=ids), frames, target),
+                lambda a: oracles.alignnet_raw_reference(AlignNetParams(**a, dataset_ids=ids), frames, target),
                 arrays,
                 grads,
             )
@@ -269,7 +320,8 @@ class TestPackedKernels:
         value, grads = head_backward(HeadParams(**arrays), frames, lengths=self.LENGTHS, loss=self.loss)
 
         def total(a):
-            return self.loss(np.array([head_raw(HeadParams(**a), f) for f in self.split(frames)]))[0]
+            raws = [oracles.head_raw_reference(HeadParams(**a), f) for f in self.split(frames)]
+            return self.loss(np.array(raws))[0]
 
         assert value == pytest.approx(total(arrays), rel=1e-14)
         assert oracles.check_gradients(total, arrays, grads) < 1e-4
@@ -298,7 +350,8 @@ class TestPackedKernels:
 
         def total(a):
             p = AlignNetParams(**a, dataset_ids=self.IDS)
-            return self.loss(np.array([alignnet_raw(p, f, d) for f, d in zip(self.split(frames), ids)]))[0]
+            raws = [oracles.alignnet_raw_reference(p, f, d) for f, d in zip(self.split(frames), ids)]
+            return self.loss(np.array(raws))[0]
 
         assert value == pytest.approx(total(arrays), rel=1e-14)
         assert oracles.check_gradients(total, arrays, grads) < 1e-4

@@ -9,13 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 import sqkit.frontend
 import sqkit.training
 from sqkit import (
     AudioFormatError,
     CheckpointLedger,
     CorpusManifest,
-    EmbeddingMatrix,
     FeatureScaler,
     FrontendConfig,
     HeadParams,
@@ -23,10 +23,8 @@ from sqkit import (
     TrainConfig,
     TrainData,
     ValidationError,
-    alignnet_raw,
     clipped_mse,
     featurize,
-    head_raw,
     init_alignnet,
     init_head,
     named_rng,
@@ -61,7 +59,7 @@ def make_corpus(tmp_path, name, n_train=12, n_dev=6, seed=0, mos_fn=None, dev_mo
             else:
                 mos = float(np.clip(3.0 + base[0], 1.0, 5.0))
             path = emb_dir / f"{split}{i}.bin"
-            save_precomputed(path, EmbeddingMatrix(frames=frames.astype(np.float32)))
+            save_precomputed(path, frames.astype(np.float32))
             samples.append(
                 Sample(
                     sample_id=f"{name}-{split}{i}",
@@ -97,7 +95,7 @@ def per_sample_reference(params, frames, dataset_id):
     if isinstance(params, HeadParams):
         d_trunk = np.where(pre1 > 0.0, params.w2, 0.0) / t
         grads = {"w1": frames.T @ d_trunk, "b1": d_trunk.sum(axis=0), "w2": trunk.mean(axis=0), "b2": np.ones(())}
-        return head_raw(params, frames), grads
+        return oracles.head_raw_reference(params, frames), grads
     h, row = params.hidden, params.row_index(dataset_id)
     fused = np.concatenate([trunk, np.tile(params.table[row], (t, 1))], axis=1)
     pre2 = fused @ params.v1 + params.c1
@@ -115,7 +113,7 @@ def per_sample_reference(params, frames, dataset_id):
         "v2": np.maximum(pre2, 0.0).mean(axis=0),
         "c2": np.ones(()),
     }
-    return alignnet_raw(params, frames, dataset_id), grads
+    return oracles.alignnet_raw_reference(params, frames, dataset_id), grads
 
 
 class TestClippedMse:
@@ -222,11 +220,11 @@ class TestTrainLoop:
         samples = corpus.samples("train")
         raw_mats = [featurize(s, FRONTEND) for s in samples]
         scaler = FeatureScaler.fit(np.concatenate([m.frames for m in raw_mats]))
-        mats = [scaler.transform(m) for m in raw_mats]
+        mats = [scaler.standardize(m.frames) for m in raw_mats]
         order = named_rng(3, "shuffle").permutation(8).tolist()
         raws, grads = [], []
         for i in order:
-            raw, g = per_sample_reference(params, mats[i].frames, samples[i].dataset_id)
+            raw, g = per_sample_reference(params, mats[i], samples[i].dataset_id)
             raws.append(raw)
             grads.append(g)
         targets = np.array([samples[i].mos for i in order])
@@ -376,7 +374,7 @@ class TestTrainMdf:
             assert getattr(phase1, name).tobytes() == getattr(alone, name).tobytes(), name
         assert phase1.scaler.mean.tobytes() == alone.scaler.mean.tobytes()
         assert phase1.scaler.std.tobytes() == alone.scaler.std.tobytes()
-        assert [m.frames.tobytes() for m in phase1.dev_mats] == [m.frames.tobytes() for m in alone.dev_mats]
+        assert [m.tobytes() for m in phase1.dev_mats] == [m.tobytes() for m in alone.dev_mats]
         assert phase1.datastore.embeddings.tobytes() == alone.datastore.embeddings.tobytes()
         assert phase1.datastore.dataset_ids == alone.datastore.dataset_ids
 
@@ -384,7 +382,7 @@ class TestTrainMdf:
         raw = np.concatenate([featurize(s, FRONTEND).frames for s in pooled.samples("train")]).astype(np.float64)
         assert phase2.frames.tobytes() == phase1.scaler.standardize(raw).tobytes()
         assert not phase2.frames.flags.writeable
-        assert [m.frames.tobytes() for m in phase2.dev_mats] == [
+        assert [m.tobytes() for m in phase2.dev_mats] == [
             featurize(s, FRONTEND, phase1.scaler).frames.tobytes() for s in pooled.samples("dev")
         ]
 
@@ -438,7 +436,7 @@ class TestPackedTrainMatrix:
         assert data.starts.tolist() == np.cumsum([0] + [len(f) for f in raw])[:-1].tolist()
         assert not data.frames.flags.writeable
         dev = [data.scaler.standardize(featurize(s, config).frames).tobytes() for s in corpus.samples("dev")]
-        assert [m.frames.tobytes() for m in data.dev_mats] == dev  # packed, then standardized once
+        assert [m.tobytes() for m in data.dev_mats] == dev  # packed, then standardized once
 
     def test_wavs_at_every_rate_and_around_one_window(self, tmp_path):
         corpus = self.wav_corpus(tmp_path, self.CLIPS)
@@ -450,7 +448,7 @@ class TestPackedTrainMatrix:
         samples = []
         for i, n_frames in enumerate([1, 2, 7, 30, 3, 1]):
             path = tmp_path / f"e{i}.bin"
-            save_precomputed(path, EmbeddingMatrix(frames=rng.normal(size=(n_frames, DIM)).astype(np.float32)))
+            save_precomputed(path, rng.normal(size=(n_frames, DIM)).astype(np.float32))
             samples.append(Sample(f"b{i}", None, path, "emb", None, 3.0))
         return CorpusManifest("emb", "non-synthetic", "en", 16000, {"train": tuple(samples), "dev": tuple(samples[:2])})
 
@@ -537,6 +535,6 @@ class TestPackedTrainMatrix:
     def test_mixed_dimensions_name_the_file(self, tmp_path):
         corpus = make_corpus(tmp_path, "dims", n_train=3, n_dev=2, seed=13)
         path = corpus.samples("train")[1].embedding_ref
-        save_precomputed(path, EmbeddingMatrix(frames=np.ones((3, DIM + 1), dtype=np.float32)))
+        save_precomputed(path, np.ones((3, DIM + 1), dtype=np.float32))
         with pytest.raises(ValidationError, match=f"{path}.*3 x {DIM + 1}"):
             prepare_train_data(corpus, FrontendConfig(kind="precomputed"))
