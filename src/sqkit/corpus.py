@@ -469,6 +469,12 @@ def generate_synthetic_corpus(spec: SynthSpec, seed: int) -> CorpusManifest:
         raise ValueError("mos_slope must be positive (monotone SNR->MOS map)")
     if spec.n_utterances < 1:
         raise ValueError("n_utterances must be >= 1")
+    if not spec.snr_grid_db:
+        raise ValidationError(f"synthetic corpus {spec.name!r}: snr_grid_db is empty")
+    if not 0 <= spec.duration_s[0] <= spec.duration_s[1]:
+        raise ValidationError(f"synthetic corpus {spec.name!r}: duration_s {spec.duration_s} is not 0 <= low <= high")
+    if not spec.tone_hz[0] <= spec.tone_hz[1]:
+        raise ValidationError(f"synthetic corpus {spec.name!r}: tone_hz {spec.tone_hz} is not low <= high")
     out_dir = Path(spec.out_dir)
     wav_dir = out_dir / "wav"
     wav_dir.mkdir(parents=True, exist_ok=True)

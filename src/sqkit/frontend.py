@@ -10,11 +10,9 @@ precomputed-embedding file.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import functools
 import hashlib
-import itertools
 import logging
 import os
 import struct
@@ -420,15 +418,17 @@ def featurize(
 class _StoredSplit:
     """One corpus split's raw dsp features in its SQF1 store file in
     directory, utterance i at rows starts[i] to starts[i + 1], keyed by the
-    sha256 of key, the split and its sample ids. A file that is missing
-    (miss is why) or fails a check (on open its key, shape, length-table
-    crc32 and size; on read each utterance's crc32 and finiteness) is built
-    again through featurize, logged at INFO, and the rows just built are
-    read back unchecked."""
+    sha256 of key, the split and its sample ids. A store read from disk is
+    checked: on open its key, shape, length-table crc32 and size, on each
+    read each utterance's crc32 and finiteness. If builds (the whole split
+    is read), a missing store is built on open and one whose read fails a
+    check is built once more, logged at INFO; the rows just built are read
+    back unchecked. A subset builds nothing: picked featurizes what the
+    store does not hold."""
 
     def __init__(self, directory: Path, key: str, corpus: CorpusManifest, split: str, config: FrontendConfig,
-                 featurize: Callable[..., EmbeddingMatrix]):
-        self.samples, self.config, self.featurize = corpus.samples(split), config, featurize
+                 featurize: Callable[..., EmbeddingMatrix], builds: bool):
+        self.samples, self.config, self.featurize, self.builds = corpus.samples(split), config, featurize, builds
         self.path = directory / f"{split}.features"
         lines = [key, split, *(s.sample_id for s in self.samples)]
         self.key = hashlib.sha256("\n".join(lines).encode("utf-8")).digest()
@@ -437,6 +437,8 @@ class _StoredSplit:
             self._open()
         except (OSError, ValidationError) as exc:
             self.miss = exc
+            if builds:
+                self.build()
 
     def _open(self) -> None:
         n, dim = len(self.samples), self.config.dim
@@ -461,21 +463,17 @@ class _StoredSplit:
             os.close(self.fd)
         self.fd = -1
 
-    def built(self) -> Iterator[np.ndarray]:
-        """Featurize every utterance into a new store file, yielding each
-        one's rows (a fresh array) once they are written; the file is in
-        place before the last is yielded, so a caller that stops there
-        leaves it whole."""
+    def build(self) -> None:
+        """Featurize every utterance, one at a time, into a new store file
+        whose header is written last, and open it to be read unchecked."""
         logger.info("building feature store %s (%s)", self.path, self.miss)
         self.close()
         table = np.zeros((len(self.samples), 2), dtype="<u4")
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        work, frames = Workspace(), None
+        work = Workspace()
         with atomic_open(self.path) as fh:
-            fh.seek(4 + struct.calcsize(FEATURES_HEADER) + table.nbytes)  # the rows first, one utterance at a time
+            fh.seek(4 + struct.calcsize(FEATURES_HEADER) + table.nbytes)  # the rows first
             for row, sample in zip(table, self.samples):
-                if frames is not None:
-                    yield frames
                 frames = self.featurize(sample, self.config, None, work).frames
                 row[:] = len(frames), zlib.crc32(frames)
                 fh.write(frames)
@@ -484,32 +482,28 @@ class _StoredSplit:
             fh.write(FEATURES_MAGIC + header + table.tobytes())
         self._index(table)
         self.fd, self.checked, self.miss = os.open(self.path, os.O_RDONLY), False, None
-        if frames is not None:
-            yield frames
 
     def read(self, first: int, stop: int, out: np.ndarray) -> np.ndarray:
         """Utterances first to stop - 1 into out, C-contiguous float64 rows
-        of their shape, with one read."""
+        of their shape, with one read. A checked read that fails builds the
+        store again, if the split builds, and reads once more, unchecked."""
         ends = (self.starts[first : stop + 1] - self.starts[first]).tolist()
         if out.shape != (ends[-1], self.config.dim):
             raise ValidationError(f"{self.path}: utterances {first} to {stop - 1} are not {out.shape[0]} rows")
-        if os.preadv(self.fd, [out], self.rows_at + 8 * self.config.dim * int(self.starts[first])) != out.nbytes:
-            raise ValidationError(f"{self.path}: truncated feature store")
-        if self.checked:
-            crcs = [zlib.crc32(out[a:b]) for a, b in zip(ends, ends[1:])]
-            if crcs != self.table[first:stop, 1].tolist() or not np.isfinite(out).all():
-                raise ValidationError(f"{self.path}: stored features fail their crc32 or finiteness check")
-        return out
-
-    def read_all(self, out: np.ndarray) -> np.ndarray:
-        """Every utterance into out (its rows sized from starts), with one
-        read; one that fails builds the store again and reads it back."""
         try:
-            return self.read(0, len(self.samples), out)
+            if os.preadv(self.fd, [out], self.rows_at + 8 * self.config.dim * int(self.starts[first])) != out.nbytes:
+                raise ValidationError(f"{self.path}: truncated feature store")
+            if self.checked:
+                crcs = [zlib.crc32(out[a:b]) for a, b in zip(ends, ends[1:])]
+                if crcs != self.table[first:stop, 1].tolist() or not np.isfinite(out).all():
+                    raise ValidationError(f"{self.path}: stored features fail their crc32 or finiteness check")
+            return out
         except (OSError, ValidationError) as exc:
+            if not (self.checked and self.builds):
+                raise
             self.miss = exc
-        collections.deque(self.built(), maxlen=0)
-        return self.read(0, len(self.samples), out)
+        self.build()
+        return self.read(first, stop, out)
 
     def utterance(self, j: int, work: Workspace | None) -> np.ndarray:
         """Utterance j's rows, read into work's "stored" buffer (valid
@@ -517,22 +511,9 @@ class _StoredSplit:
         shape = (int(self.starts[j + 1] - self.starts[j]), self.config.dim)
         return self.read(j, j + 1, np.empty(shape) if work is None else work.take("stored", *shape))
 
-    def utterances(self, work: Workspace | None) -> Iterator[np.ndarray]:
-        """Every utterance's rows in order, read one at a time; after a miss
-        or a failed read, the rest come from the rebuild as it is written."""
-        done = 0
-        try:
-            if self.miss is None:
-                for done in range(len(self.samples)):
-                    yield self.utterance(done, work)
-                return
-        except (OSError, ValidationError) as exc:
-            self.miss = exc
-        yield from itertools.islice(self.built(), done, None)
-
     def picked(self, j: int, work: Workspace | None) -> np.ndarray:
-        """Utterance j alone: read while the store holds it, else
-        featurized, as a subset of the split builds no store."""
+        """Utterance j of a subset: read while the store holds it, else
+        featurized."""
         if self.miss is None:
             with contextlib.suppress(OSError, ValidationError):
                 return self.utterance(j, work)
@@ -541,10 +522,11 @@ class _StoredSplit:
 
 @contextlib.contextmanager
 def _stored_splits(corpus: CorpusManifest | PooledCorpus, split: str, config: FrontendConfig,
-                   stores: Sequence[tuple[Path, str]] | None, featurize: Callable) -> Iterator[list[_StoredSplit]]:
+                   stores: Sequence[tuple[Path, str]] | None, featurize: Callable,
+                   builds: bool) -> Iterator[list[_StoredSplit]]:
     """The split of each member corpus (the corpus itself unless pooled) in
-    its store, stores[i] being member i's directory and key; without
-    stores, in a temp dir removed on exit."""
+    its store, stores[i] being member i's directory and key, built where
+    missing if builds; without stores, in a temp dir removed on exit."""
     members = corpus.members if isinstance(corpus, PooledCorpus) else (corpus,)
     with contextlib.ExitStack() as stack:
         if stores is None:
@@ -553,7 +535,7 @@ def _stored_splits(corpus: CorpusManifest | PooledCorpus, split: str, config: Fr
         parts = []
         for (directory, key), member in zip(stores, members, strict=True):
             parts.append(stack.enter_context(contextlib.closing(
-                _StoredSplit(directory, key, member, split, config, featurize))))
+                _StoredSplit(directory, key, member, split, config, featurize, builds))))
         yield parts
 
 
@@ -564,22 +546,19 @@ def packed_features(
     """A (possibly pooled) corpus split's raw features in one packed
     (sum T, D) matrix, and each sample's frame count T. dsp features are
     read from each member's store (_stored_splits) with one read, a missing
-    store built first through featurize, the caller's lookup of it.
+    store built whole first through featurize, the caller's lookup of it.
     Precomputed ones are decoded by load_precomputed straight into rows
     sized from each file's size, T = (size - 12) / (4 D), D being
     expected_dim or the first file's: one stat and one open per file. A
     file whose header or size disagrees with those rows raises
     ValidationError naming it."""
     if config.kind == "dsp":
-        with _stored_splits(corpus, split, config, stores, featurize) as parts:
-            for part in parts:
-                if part.miss is not None:
-                    collections.deque(part.built(), maxlen=0)
+        with _stored_splits(corpus, split, config, stores, featurize, builds=True) as parts:
             lengths = np.concatenate([np.diff(part.starts) for part in parts])
             frames = np.empty((int(lengths.sum()), config.dim))
             at = 0
             for part in parts:
-                part.read_all(frames[at : at + part.starts[-1]])
+                part.read(0, len(part.samples), frames[at : at + part.starts[-1]])
                 at += part.starts[-1]
         return frames, lengths
     paths = [feature_source(sample, config) for sample in corpus.samples(split)]
@@ -608,17 +587,17 @@ def split_features(
     split, or of those at indices, in order. dsp ones are read from the stores
     (_stored_splits) one utterance at a time, into work's "stored" buffer
     (valid until the next) or, without work, a fresh array; a missing store
-    is built as it is read, except for indices, which featurize what is not
-    stored. Precomputed ones come from featurize, the caller's lookup of it,
-    as an embedding file is stored features."""
+    is built whole before the first is read, except for indices, which
+    featurize what is not stored. Precomputed ones come from featurize, the
+    caller's lookup of it, as an embedding file is stored features."""
     samples = corpus.samples(split)
     if config.kind != "dsp":
         picked = range(len(samples)) if indices is None else indices
         yield from (featurize(samples[i], config, None, work).frames for i in picked)
         return
-    with _stored_splits(corpus, split, config, stores, featurize) as parts:
+    with _stored_splits(corpus, split, config, stores, featurize, builds=indices is None) as parts:
+        utterances = [(part, j) for part in parts for j in range(len(part.samples))]
         if indices is None:
-            yield from itertools.chain.from_iterable(part.utterances(work) for part in parts)
+            yield from (part.utterance(j, work) for part, j in utterances)
         else:
-            utterances = [(part, j) for part in parts for j in range(len(part.samples))]
             yield from (part.picked(j, work) for part, j in (utterances[i] for i in indices))

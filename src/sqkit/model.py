@@ -42,7 +42,10 @@ SCORE_HI = 5.0
 
 
 def clip_score(raw: float) -> float:
-    """A raw mean frame score clamped to the [1, 5] rating scale."""
+    """A raw mean frame score clamped to the [1, 5] rating scale. A NaN raw
+    raises ValidationError, where max(1.0, nan) would return 1.0."""
+    if raw != raw:  # a plain NaN test: numpy's costs more than the clamp
+        raise ValidationError("the model scored NaN: a parameter or feature is not finite")
     return float(min(SCORE_HI, max(SCORE_LO, raw)))
 
 
@@ -376,7 +379,8 @@ def save_params(params: ModelParams, path: str | Path) -> None:
 
 
 def load_params(path: str | Path) -> ModelParams:
-    """Load a checkpoint (its kind tag picks the model); a malformed file raises CheckpointError."""
+    """Load a checkpoint (its kind tag picks the model); a malformed file,
+    or one holding a non-finite value, raises CheckpointError naming it."""
     reader = Reader(Path(path).read_bytes(), path, CheckpointError, PARAMS_MAGIC, "checkpoint")
     version, kind = reader.fields("<BB")
     if version != PARAMS_VERSION:
@@ -394,4 +398,7 @@ def load_params(path: str | Path) -> ModelParams:
         raise CheckpointError(f"{path}: unknown model kind tag {kind}")
     arrays = {name: reader.array("<f8", shape).copy() for name, shape in shapes.items()}
     reader.end()
+    non_finite = [name for name, values in arrays.items() if not np.isfinite(values).all()]
+    if non_finite:
+        raise CheckpointError(f"{path}: non-finite values in {', '.join(non_finite)}")
     return HeadParams(**arrays) if kind == KIND_HEAD else AlignNetParams(**arrays, dataset_ids=ids)

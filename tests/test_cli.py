@@ -31,10 +31,12 @@ from sqkit import (
     generate_synthetic_corpus,
     load_corpus_dir,
     load_datastore,
+    load_params,
     load_scaler,
     predict_split,
     save_datastore,
     save_manifest,
+    save_params,
     save_precomputed,
     split_random,
 )
@@ -1027,6 +1029,32 @@ class TestExitCodes:
         assert main(["infer", "--config", str(config), "--out", str(out), "--inference", "knn"]) == 1
         err = capsys.readouterr().err
         assert str(path) in err and "truncated" in err
+
+    def test_a_nan_parameter_is_exit_1_naming_params_ckpt(self, tmp_path, capsys):
+        # Unchecked, a NaN parameter would score every utterance 1.0 and exit 0.
+        config, out = write_recipe(tmp_path), tmp_path / "out"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+        path = out / "train" / "seed0" / "params.ckpt"
+        save_params(load_params(path).with_arrays({"b2": np.asarray(np.nan)}), path)
+        capsys.readouterr()
+        assert main(["infer", "--config", str(config), "--out", str(out)]) == 1
+        assert f"{path}: non-finite values in b2" in capsys.readouterr().err
+        assert not (out / "infer").exists()
+
+    @pytest.mark.parametrize("bounds, field", [
+        ({"snr_grid": ""}, "snr_grid_db"),
+        ({"duration_lo": "1.5", "duration_hi": "0.5"}, "duration_s"),
+        ({"duration_lo": "-0.5", "duration_hi": "0.5"}, "duration_s"),
+        ({"tone_lo": "900", "tone_hi": "100"}, "tone_hz"),
+    ])
+    def test_impossible_synthetic_bounds_are_exit_1_naming_the_field(self, tmp_path, capsys, bounds, field):
+        lines = [line for line in BASE_RECIPE.splitlines()
+                 if line.split(" = ")[0].removeprefix("corpus.synth.") not in bounds]
+        lines += [f"corpus.synth.{key} = {value}".rstrip() for key, value in bounds.items()]
+        config, out = write_recipe(tmp_path, "\n".join(lines) + "\n"), tmp_path / "out"
+        assert main(["prepare", "--config", str(config), "--out", str(out)]) == 1
+        assert f"error: synthetic corpus 'synth': {field} " in capsys.readouterr().err
+        assert not (out / "corpora" / "synth").exists()
 
     @pytest.mark.parametrize("meta", ["truncated", "a list"])
     def test_a_meta_json_that_is_no_json_object_is_exit_1_naming_it(self, tmp_path, capsys, meta):

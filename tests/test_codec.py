@@ -11,6 +11,7 @@ again, to the same bytes and the same features.
 
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,6 +238,83 @@ class TestFeatureStoreSweep:
                 assert path.read_bytes() == data, label
         calls.clear()
         assert read_both()[1] == lengths and calls == []  # the intact store is read, not built
+
+
+class TestFeatureStoreContract:
+    """A missing store is built whole before the first row is returned,
+    whatever the reader then takes; a failed build is not retried; and no
+    read, build or rebuild leaves a file descriptor open."""
+
+    CONFIG = FrontendConfig(n_mels=1)
+
+    def split(self, tmp_path):
+        rng = np.random.default_rng(53)
+        samples = []
+        for i, n in enumerate((400, 560, 720)):  # 1, 2 and 3 frames
+            write_wav(tmp_path / f"u{i}.wav", 0.3 * rng.uniform(-1.0, 1.0, n), 16000)
+            samples.append(Sample(f"u{i}", tmp_path / f"u{i}.wav", None, "contract", None, 3.0))
+        corpus = CorpusManifest("contract", "non-synthetic", "en", 16000, {"train": tuple(samples)})
+        calls = []
+
+        def featurize(sample, *args):
+            calls.append(sample.sample_id)
+            return sqkit.frontend.featurize(sample, *args)
+
+        return corpus, [(tmp_path / "store", "key")], featurize, calls
+
+    def test_a_reader_that_stops_early_leaves_a_whole_store(self, tmp_path):
+        corpus, store, featurize, calls = self.split(tmp_path)
+        reading = split_features(corpus, "train", self.CONFIG, store, featurize)
+        first = next(reading).copy()
+        reading.close()
+        assert calls == ["u0", "u1", "u2"]
+        assert (tmp_path / "store" / "train.features").exists()
+        calls.clear()
+        rows = [m.copy() for m in split_features(corpus, "train", self.CONFIG, store, featurize)]
+        assert calls == [] and [len(m) for m in rows] == [1, 2, 3]
+        assert rows[0].tobytes() == first.tobytes()
+
+    def test_no_read_build_or_rebuild_leaves_a_descriptor_open(self, tmp_path):
+        fd_dir = Path("/proc/self/fd")
+        if not fd_dir.is_dir():
+            pytest.skip("no /proc/self/fd to count open descriptors")
+        corpus, store, featurize, calls = self.split(tmp_path)
+        path = tmp_path / "store" / "train.features"
+
+        def broken(sample, *args):
+            if sample.sample_id == "u1":
+                raise ValidationError(f"{sample.audio_ref}: broken")
+            return featurize(sample, *args)
+
+        def packed():
+            packed_features(corpus, "train", self.CONFIG, store, featurize)
+
+        def early_stop():
+            reading = split_features(corpus, "train", self.CONFIG, store, featurize)
+            next(reading)
+            reading.close()
+
+        def rebuild_after_a_bit_flip():
+            data = bytearray(path.read_bytes())
+            data[-1] ^= 0x01  # the last utterance's last row
+            path.write_bytes(bytes(data))
+            assert [len(m) for m in split_features(corpus, "train", self.CONFIG, store, featurize)] == [1, 2, 3]
+
+        def failed_build():
+            path.unlink()
+            with pytest.raises(ValidationError, match="broken"):
+                packed_features(corpus, "train", self.CONFIG, store, broken)
+
+        packed()  # builds the store
+        cases = ((packed, []), (early_stop, []), (rebuild_after_a_bit_flip, ["u0", "u1", "u2"]),
+                 (failed_build, ["u0"]))  # featurized once: a failed build is not retried
+        for case, featurized in cases:
+            calls.clear()
+            before = len(list(fd_dir.iterdir()))
+            case()
+            assert len(list(fd_dir.iterdir())) == before, case.__name__
+            assert calls == featurized, case.__name__
+        assert list(path.parent.iterdir()) == []  # the failed build left no temp file
 
 
 class TestReportedDefects:

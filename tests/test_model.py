@@ -22,6 +22,7 @@ from sqkit import (
     save_params,
     zero_grads,
 )
+from sqkit.inference import predict_clipped
 
 
 def params_equal(a, b):
@@ -84,6 +85,15 @@ class TestHeadForward:
         assert clip_score(head_raw(high, frames)) == 5.0
         assert clip_score(head_raw(low, frames)) == 1.0
         assert clip_score(3.25) == 3.25
+
+    def test_a_nan_raw_is_refused_not_clipped(self):
+        # max(1.0, nan) is 1.0: unchecked, a NaN parameter would score every utterance 1.0.
+        params = init_head(4, 3, seed=0).with_arrays({"b2": np.asarray(np.nan)})
+        with pytest.raises(ValidationError, match="NaN"):
+            predict_clipped(params, np.zeros((2, 4)))
+        with pytest.raises(ValidationError, match="NaN"):
+            clip_score(float("nan"))
+        assert clip_score(float("inf")) == 5.0 and clip_score(-float("inf")) == 1.0
 
     def test_wrong_dim_rejected(self):
         params = init_head(5, 4, seed=0)
@@ -413,6 +423,16 @@ class TestCheckpointFiles:
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(CheckpointError):
+            load_params(path)
+
+    @pytest.mark.parametrize("name, value", [("b2", np.nan), ("w1", np.inf)])
+    def test_a_non_finite_value_is_rejected_naming_the_file_and_array(self, tmp_path, name, value):
+        params = init_head(4, 3, seed=0)
+        bad = params.as_dict()[name].copy()
+        bad.flat[0] = value
+        path = tmp_path / "params.ckpt"
+        save_params(params.with_arrays({name: bad}), path)
+        with pytest.raises(CheckpointError, match=f"{path}: non-finite values in {name}$"):
             load_params(path)
 
     def test_truncated_file_rejected(self, tmp_path):
