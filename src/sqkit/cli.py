@@ -247,17 +247,6 @@ def corpus_fingerprint(recipe: Recipe, name: str) -> str:
     return _raw_lines_hash(recipe, (prefix,), *extra)
 
 
-def feature_stores(recipe: Recipe, out: Path, names: list[str]) -> list[tuple[Path, str]] | None:
-    """Where each named corpus block keeps its splits' dsp features,
-    corpora/<name>/, and their key: the block's fingerprint and the
-    frontend.* raw lines, so a store is the same bytes in any out dir. None
-    for the precomputed frontend, whose files already are stored features."""
-    if build_frontend(recipe).kind != "dsp":
-        return None
-    frontend = _raw_lines_hash(recipe, ("frontend.",))
-    return [(out / "corpora" / name, f"{corpus_fingerprint(recipe, name)}\n{frontend}") for name in names]
-
-
 def _transformed(recipe: Recipe, prefix: str, corpus: CorpusManifest, seed: int) -> CorpusManifest:
     """Apply the block's subsample, then split a train-only corpus at split_ratio."""
     n_sub = recipe.get(prefix + "subsample")
@@ -269,14 +258,13 @@ def _transformed(recipe: Recipe, prefix: str, corpus: CorpusManifest, seed: int)
     return corpus
 
 
-def _prepared_corpus(recipe: Recipe, name: str, kind: str, seed: int, target: Path) -> CorpusManifest:
+def _prepared_corpus(recipe: Recipe, name: str, kind: str, seed: int, target: Path, fingerprint: str) -> CorpusManifest:
     """The prepared corpus in target while its corpus.json records the
     block's fingerprint and a manifest's resolved source path (its split
     CSVs name the source's files by absolute path). Otherwise make it,
     subsample and split it, move the finished dir into place (corpus.json
     written last) and return the corpus as made, not read back."""
     prefix = f"corpus.{name}."
-    fingerprint = corpus_fingerprint(recipe, name)
     path = recipe.get(prefix + "path") if kind == "manifest" else None
     source = None if path is None else str(path.resolve())
     try:
@@ -319,17 +307,22 @@ def materialize_corpus(recipe: Recipe, name: str, out_base: Path) -> CorpusManif
     dir (a corpus directory) is loaded from its path. A loaded split is
     read when first used. A train-only corpus with split_ratio set is
     partitioned into train/dev, after subsample trims the train split.
+    Every kind's feature_store is <out>/corpora/<name> and the block's
+    fingerprint, so a store is the same bytes in any out dir.
     """
     prefix = f"corpus.{name}."
     kind = recipe.get(prefix + "kind")
     if kind is None:
         raise ValidationError(f"corpus {name!r}: missing {prefix}kind")
-    seed = recipe.get(prefix + "seed")
+    seed, target = recipe.get(prefix + "seed"), out_base / "corpora" / name
+    fingerprint = corpus_fingerprint(recipe, name)
     if kind in ("synthetic", "manifest"):
-        return _prepared_corpus(recipe, name, kind, seed, out_base / "corpora" / name)
-    if kind != "dir":
+        corpus = _prepared_corpus(recipe, name, kind, seed, target, fingerprint)
+    elif kind == "dir":
+        corpus = _transformed(recipe, prefix, load_corpus_dir(recipe.get(prefix + "path")), seed)
+    else:
         raise ValidationError(f"corpus {name!r}: unknown kind {kind!r}")
-    return _transformed(recipe, prefix, load_corpus_dir(recipe.get(prefix + "path")), seed)
+    return dataclasses.replace(corpus, feature_store=(target, fingerprint))
 
 
 def get_corpora(recipe: Recipe, out_base: Path, names: list[str]) -> dict[str, CorpusManifest]:
@@ -355,7 +348,17 @@ def _train_names(recipe: Recipe) -> list[str]:
 
 
 def resolve_train_corpus(recipe: Recipe, corpora: dict[str, CorpusManifest]) -> CorpusManifest | PooledCorpus:
-    members = [_corpus(corpora, "train.corpus", name) for name in _train_names(recipe)]
+    """The train.corpus block, or the pool of its blocks, whose corpora
+    must have distinct names: pool members and alignnet table rows are
+    keyed by corpus name, not block."""
+    blocks = _train_names(recipe)
+    members = [_corpus(corpora, "train.corpus", name) for name in blocks]
+    holders: dict[str, str] = {}
+    for block, member in zip(blocks, members):
+        first = holders.setdefault(member.name, block)
+        if first != block:
+            raise ValidationError(f"train.corpus blocks {first!r} and {block!r} both hold corpus {member.name!r}; "
+                                  "pool members and alignnet table rows are keyed by corpus name")
     return members[0] if len(members) == 1 else pool(members)
 
 
@@ -467,18 +470,18 @@ def _train_configs(recipe: Recipe, seed: int, train_corpus: CorpusManifest | Poo
     return [config, config if phase2_steps is None else dataclasses.replace(config, max_steps=phase2_steps)]
 
 
-def prepare_training(recipe: Recipe, corpora: dict[str, CorpusManifest], out: Path) -> tuple[TrainData, ...]:
+def prepare_training(recipe: Recipe, corpora: dict[str, CorpusManifest]) -> tuple[TrainData, ...]:
     """The seed-independent data of each training phase under the recipe
-    (one, or two under MDF), featurized once for every seed through the out
-    dir's feature store; the train keys are checked before any sample is
-    read."""
+    (one, or two under MDF), featurized once for every seed through each
+    corpus's feature store; the train keys are checked before any sample
+    is read."""
     train_corpus = resolve_train_corpus(recipe, corpora)
     _train_configs(recipe, 0, train_corpus)  # the seed only fills in TrainConfig.seed
-    frontend_config, stores = build_frontend(recipe), feature_stores(recipe, out, _train_names(recipe))
+    frontend_config = build_frontend(recipe)
     mdf_pretrain = recipe.get("train.mdf_pretrain")
     if mdf_pretrain:
-        return prepare_mdf_data(mdf_pretrain, train_corpus, frontend_config, stores)
-    return (prepare_train_data(train_corpus, frontend_config, stores),)
+        return prepare_mdf_data(mdf_pretrain, train_corpus, frontend_config)
+    return (prepare_train_data(train_corpus, frontend_config),)
 
 
 def train_one_seed(recipe: Recipe, phases: tuple[TrainData, ...], seed: int, out_dir: Path) -> TrainResult:
@@ -588,7 +591,7 @@ def _seed_list(recipe: Recipe, args: argparse.Namespace) -> list[int]:
 def cmd_train(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
     seeds = _seed_list(recipe, args)
     corpora = get_corpora(recipe, out, _train_names(recipe))
-    phases = prepare_training(recipe, corpora, out)
+    phases = prepare_training(recipe, corpora)
     for seed in seeds:
         result = train_one_seed(recipe, phases, seed, out)
         best = result.ledger.best
@@ -640,8 +643,8 @@ def _predict_seeds(
             params, scaler = load_model_dir(seed_dir, digest)
             datastore = None if mode == "parametric" else load_datastore(seed_dir / "datastore.bin", distance_kind)
             models.append((params, scaler, datastore))
-        by_target = [predict_split(corpus, split, frontend_config, models, mode, knn_config,
-                                   feature_stores(recipe, out, [name])) for name, corpus, split in targets]
+        by_target = [predict_split(corpus, split, frontend_config, models, mode, knn_config)
+                     for _name, corpus, split in targets]
         for seed, *pairs in zip(seeds, *by_target):
             yield seed, pairs
 
@@ -683,7 +686,7 @@ def cmd_benchmark(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
     targets = [_target(recipe, corpora, "benchmark.tests", name) for name in names]
     predictions = _predict_seeds(recipe, settings, out, corpora, targets, seeds)  # checks the table rows
     if untrained:
-        phases = prepare_training(recipe, corpora, out)
+        phases = prepare_training(recipe, corpora)
         for seed in untrained:
             train_one_seed(recipe, phases, seed, out)
         del phases  # the train matrix is not needed for scoring
@@ -793,8 +796,7 @@ def cmd_export_embeddings(recipe: Recipe, args: argparse.Namespace, out: Path) -
         _params, scaler = load_model_dir(model_dir, recipe_hash(recipe))
         scaler_note = f"scaler from {model_dir}"
 
-    dump = export_embeddings(sets, frontend_config, scaler, n_per_set=recipe.get("export.n_per_set"), seed=seeds[0],
-                             feature_stores=feature_stores(recipe, out, [name for name, _split in pairs]))
+    dump = export_embeddings(sets, frontend_config, scaler, n_per_set=recipe.get("export.n_per_set"), seed=seeds[0])
     proj, _components, _mean = pca_2d(dump.embeddings)
     labels = list(zip(dump.set_labels, dump.sample_ids, dump.roles))
     notes = [f"features: {scaler_note}"]

@@ -90,6 +90,7 @@ class CorpusManifest:
     language: str
     native_rate_hz: int
     splits: Mapping[str, tuple[Sample, ...]] = field(default_factory=dict)
+    feature_store: tuple[Path, str] | None = None  # the directory and fingerprint of its dsp feature store
 
     def validate(self) -> None:
         if self.domain_tag not in DOMAIN_TAGS:
@@ -382,9 +383,9 @@ def split_random(corpus: CorpusManifest, ratio: float, seed: int) -> CorpusManif
     the original manifest order.
     """
     if set(corpus.splits) != {"train"}:
-        raise ValueError("split_random requires a corpus with only a train split")
+        raise ValidationError("split_random requires a corpus with only a train split")
     if not 0.0 < ratio < 1.0:
-        raise ValueError(f"ratio must be in (0, 1), got {ratio}")
+        raise ValidationError(f"ratio must be in (0, 1), got {ratio}")
     samples = corpus.samples("train")
     n = len(samples)
     n_train = math.floor(n * ratio)
@@ -404,7 +405,7 @@ def subsample(corpus: CorpusManifest, n: int, seed: int) -> CorpusManifest:
     """Keep a uniform random subset of n train samples (other splits intact)."""
     samples = corpus.samples("train")
     if n > len(samples):
-        raise ValueError(f"cannot subsample {n} from {len(samples)} train samples")
+        raise ValidationError(f"cannot subsample {n} from {len(samples)} train samples")
     perm = named_rng(seed, f"subsample/{corpus.name}").permutation(len(samples))
     keep = sorted(perm[:n].tolist())
     splits = dict(corpus.splits)
@@ -415,10 +416,10 @@ def subsample(corpus: CorpusManifest, n: int, seed: int) -> CorpusManifest:
 def pool(corpora: list[CorpusManifest] | tuple[CorpusManifest, ...]) -> PooledCorpus:
     """Merge corpora into one training pool; corpus names must be unique."""
     if not corpora:
-        raise ValueError("pool requires at least one corpus")
+        raise ValidationError("pool requires at least one corpus")
     names = [c.name for c in corpora]
     if len(set(names)) != len(names):
-        raise ValueError(f"duplicate corpus names in pool: {names}")
+        raise ValidationError(f"duplicate corpus names in pool: {names}")
     return PooledCorpus(members=tuple(corpora))
 
 
@@ -466,9 +467,9 @@ def generate_synthetic_corpus(spec: SynthSpec, seed: int) -> CorpusManifest:
     from .model import Workspace
 
     if spec.mos_slope <= 0:
-        raise ValueError("mos_slope must be positive (monotone SNR->MOS map)")
+        raise ValidationError("mos_slope must be positive (monotone SNR->MOS map)")
     if spec.n_utterances < 1:
-        raise ValueError("n_utterances must be >= 1")
+        raise ValidationError("n_utterances must be >= 1")
     if not spec.snr_grid_db:
         raise ValidationError(f"synthetic corpus {spec.name!r}: snr_grid_db is empty")
     if not 0 <= spec.duration_s[0] <= spec.duration_s[1]:

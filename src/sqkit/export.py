@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -46,31 +44,30 @@ def export_embeddings(
     scaler: FeatureScaler | None,
     n_per_set: int = 100,
     seed: int = 0,
-    feature_stores: Sequence[tuple[Path, str]] | None = None,
 ) -> EmbeddingDump:
     """Pool-and-collect embeddings from each (label, corpus, split, role) set.
 
     Takes n_per_set random samples per set (the whole set when smaller,
     recorded in truncated_sets); the choice is a pure function of
-    (seed, label). dsp features are read from feature_stores, one
-    (directory, key) per set, where they are stored (frontend.split_features),
-    and featurized where not.
+    (seed, label). dsp features are read from the store that the set's
+    corpus names in its feature_store where it holds them
+    (frontend.split_features), and featurized where not; a subset builds
+    no store.
     """
     if n_per_set < 1:
         raise ValidationError("n_per_set must be >= 1")
     labels, ids, roles, rows = [], [], [], []
     truncated = []
     work = Workspace()
-    for k, (label, corpus, split, role) in enumerate(sets):
+    for label, corpus, split, role in sets:
         samples = corpus.samples(split)
         if not samples:
-            raise ValueError(f"set {label!r} has no samples in split {split!r}")
+            raise ValidationError(f"set {label!r} has no samples in split {split!r}")
         if len(samples) < n_per_set:
             truncated.append(label)
             logger.info("set %r has %d < %d samples; taking all", label, len(samples), n_per_set)
         picked = select_samples(len(samples), n_per_set, seed, label)
-        stores = None if feature_stores is None else feature_stores[k : k + 1]
-        raw_mats = split_features(corpus, split, frontend_config, stores, featurize, work, picked)
+        raw_mats = split_features(corpus, split, frontend_config, featurize, work, picked)
         for i, raw in zip(picked, raw_mats, strict=True):
             labels.append(label)
             ids.append(samples[i].sample_id)

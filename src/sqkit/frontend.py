@@ -13,13 +13,14 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
+import json
 import logging
 import os
 import struct
 import tempfile
 import wave as wave_mod
 import zlib
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -376,11 +377,15 @@ def save_scaler(path: str | Path, scaler: FeatureScaler) -> None:
 
 
 def load_scaler(path: str | Path) -> FeatureScaler:
-    """Load a scaler file; a malformed one raises ValidationError."""
+    """Load a scaler file; a malformed one, or one whose mean or std is not
+    finite or whose std is not positive (fit floors it at 1e-8), raises
+    ValidationError naming it."""
     reader = Reader(Path(path).read_bytes(), path, ValidationError, SCALER_MAGIC, "scaler")
     (dim,) = reader.fields("<I")
     mean, std = reader.array("<f8", (2, dim)).copy()
     reader.end()
+    if not (np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0).all()):
+        raise ValidationError(f"{path}: scaler mean or std is not finite, or a std is not positive")
     return FeatureScaler(mean=mean, std=std)
 
 
@@ -418,19 +423,21 @@ def featurize(
 class _StoredSplit:
     """One corpus split's raw dsp features in its SQF1 store file in
     directory, utterance i at rows starts[i] to starts[i + 1], keyed by the
-    sha256 of key, the split and its sample ids. A store read from disk is
-    checked: on open its key, shape, length-table crc32 and size, on each
+    sha256 of the corpus's fingerprint, the config's values (the record
+    meta.json keeps), the split and its sample ids. A store read from disk
+    is checked: on open its key, shape, length-table crc32 and size, on each
     read each utterance's crc32 and finiteness. If builds (the whole split
     is read), a missing store is built on open and one whose read fails a
     check is built once more, logged at INFO; the rows just built are read
     back unchecked. A subset builds nothing: picked featurizes what the
     store does not hold."""
 
-    def __init__(self, directory: Path, key: str, corpus: CorpusManifest, split: str, config: FrontendConfig,
+    def __init__(self, directory: Path, fingerprint: str, corpus: CorpusManifest, split: str, config: FrontendConfig,
                  featurize: Callable[..., EmbeddingMatrix], builds: bool):
         self.samples, self.config, self.featurize, self.builds = corpus.samples(split), config, featurize, builds
         self.path = directory / f"{split}.features"
-        lines = [key, split, *(s.sample_id for s in self.samples)]
+        frontend = json.dumps(asdict(config), sort_keys=True)
+        lines = [fingerprint, frontend, split, *(s.sample_id for s in self.samples)]
         self.key = hashlib.sha256("\n".join(lines).encode("utf-8")).digest()
         self.fd, self.checked, self.miss = -1, True, None
         try:
@@ -521,27 +528,26 @@ class _StoredSplit:
 
 
 @contextlib.contextmanager
-def _stored_splits(corpus: CorpusManifest | PooledCorpus, split: str, config: FrontendConfig,
-                   stores: Sequence[tuple[Path, str]] | None, featurize: Callable,
+def _stored_splits(corpus: CorpusManifest | PooledCorpus, split: str, config: FrontendConfig, featurize: Callable,
                    builds: bool) -> Iterator[list[_StoredSplit]]:
     """The split of each member corpus (the corpus itself unless pooled) in
-    its store, stores[i] being member i's directory and key, built where
-    missing if builds; without stores, in a temp dir removed on exit."""
+    the store its feature_store names, built where missing if builds; a
+    member without one, in a temp dir removed on exit."""
     members = corpus.members if isinstance(corpus, PooledCorpus) else (corpus,)
     with contextlib.ExitStack() as stack:
-        if stores is None:
+        if any(member.feature_store is None for member in members):
             tmp = Path(stack.enter_context(tempfile.TemporaryDirectory()))
-            stores = [(tmp / str(i), "") for i in range(len(members))]
         parts = []
-        for (directory, key), member in zip(stores, members, strict=True):
+        for i, member in enumerate(members):
+            directory, fingerprint = member.feature_store or (tmp / str(i), "")
             parts.append(stack.enter_context(contextlib.closing(
-                _StoredSplit(directory, key, member, split, config, featurize, builds))))
+                _StoredSplit(directory, fingerprint, member, split, config, featurize, builds))))
         yield parts
 
 
 def packed_features(
     corpus: CorpusManifest | PooledCorpus, split: str, config: FrontendConfig,
-    stores: Sequence[tuple[Path, str]] | None, featurize: Callable[..., EmbeddingMatrix],
+    featurize: Callable[..., EmbeddingMatrix],
 ) -> tuple[np.ndarray, np.ndarray]:
     """A (possibly pooled) corpus split's raw features in one packed
     (sum T, D) matrix, and each sample's frame count T. dsp features are
@@ -553,7 +559,7 @@ def packed_features(
     file whose header or size disagrees with those rows raises
     ValidationError naming it."""
     if config.kind == "dsp":
-        with _stored_splits(corpus, split, config, stores, featurize, builds=True) as parts:
+        with _stored_splits(corpus, split, config, featurize, builds=True) as parts:
             lengths = np.concatenate([np.diff(part.starts) for part in parts])
             frames = np.empty((int(lengths.sum()), config.dim))
             at = 0
@@ -580,22 +586,22 @@ def packed_features(
 
 def split_features(
     corpus: CorpusManifest | PooledCorpus, split: str, config: FrontendConfig,
-    stores: Sequence[tuple[Path, str]] | None, featurize: Callable[..., EmbeddingMatrix],
-    work: Workspace | None = None, indices: Sequence[int] | None = None,
+    featurize: Callable[..., EmbeddingMatrix], work: Workspace | None = None, indices: Sequence[int] | None = None,
 ) -> Iterator[np.ndarray]:
     """The raw (T, D) features of each sample of a (possibly pooled) corpus
-    split, or of those at indices, in order. dsp ones are read from the stores
-    (_stored_splits) one utterance at a time, into work's "stored" buffer
-    (valid until the next) or, without work, a fresh array; a missing store
-    is built whole before the first is read, except for indices, which
-    featurize what is not stored. Precomputed ones come from featurize, the
-    caller's lookup of it, as an embedding file is stored features."""
+    split, or of those at indices, in order. dsp ones are read from the
+    members' stores (_stored_splits) one utterance at a time, into work's
+    "stored" buffer (valid until the next) or, without work, a fresh array;
+    a missing store is built whole before the first is read, except for
+    indices, which featurize what is not stored. Precomputed ones come
+    from featurize, the caller's lookup of it, as an embedding file is
+    stored features."""
     samples = corpus.samples(split)
     if config.kind != "dsp":
         picked = range(len(samples)) if indices is None else indices
         yield from (featurize(samples[i], config, None, work).frames for i in picked)
         return
-    with _stored_splits(corpus, split, config, stores, featurize, builds=indices is None) as parts:
+    with _stored_splits(corpus, split, config, featurize, builds=indices is None) as parts:
         utterances = [(part, j) for part in parts for j in range(len(part.samples))]
         if indices is None:
             yield from (part.utterance(j, work) for part, j in utterances)

@@ -194,7 +194,7 @@ def build_datastore(
     """
     samples = corpus.samples("train")
     if not samples:
-        raise ValueError("corpus has no samples in split 'train'")
+        raise ValidationError("corpus has no samples in split 'train'")
     work = Workspace()
     embeddings = np.stack([featurize(s, frontend_config, scaler, work).frames.mean(axis=0) for s in samples])
     return Datastore(
@@ -283,7 +283,6 @@ def predict_split(
     models: Sequence[tuple[ModelParams | None, FeatureScaler | None, Datastore | None]],
     mode: str = "parametric",
     knn_config: KnnConfig | None = None,
-    feature_stores: Sequence[tuple[Path, str]] | None = None,
 ) -> list[EvalPairs]:
     """Predict a whole split under one inference mode for each model, a
     (params, scaler, datastore) triple; one EvalPairs per model.
@@ -298,8 +297,8 @@ def predict_split(
     checked before any sample is featurized.
 
     Each sample's raw (T, D) features are read once
-    (frontend.split_features: dsp ones from feature_stores, one
-    (directory, key) per member corpus, or a temp dir when None), and each
+    (frontend.split_features: dsp ones from the store each member corpus's
+    feature_store names, or a temp dir for a member without one), and each
     model standardizes its own copy with its scaler (none: the raw
     features) into one workspace buffer. Parametric scoring streams one
     utterance per forward call; the retrieval modes pool each into its
@@ -318,7 +317,7 @@ def predict_split(
         if mode == "parametric" and isinstance(params, AlignNetParams):
             check_table_rows(params.dataset_ids, samples, split)
     if not samples:
-        raise ValueError(f"corpus has no samples in split {split!r}")
+        raise ValidationError(f"corpus has no samples in split {split!r}")
 
     work = Workspace()
 
@@ -332,8 +331,7 @@ def predict_split(
     lengths = np.empty(len(samples))
     raws = []  # the split's raw features, which domain retrieval scores after retrieving
     # Domain retrieval keeps every utterance's raw matrix, so none may live in the workspace.
-    raw_mats = split_features(corpus, split, frontend_config, feature_stores, featurize,
-                              None if mode == "domain-retrieval" else work)
+    raw_mats = split_features(corpus, split, frontend_config, featurize, None if mode == "domain-retrieval" else work)
     for i, (s, raw) in enumerate(zip(samples, raw_mats, strict=True)):
         lengths[i] = len(raw)
         for j, (params, scaler, datastore) in enumerate(models):

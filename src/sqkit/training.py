@@ -234,9 +234,9 @@ class TrainData:
 def _check_splits(corpus: CorpusManifest | PooledCorpus) -> None:
     """Training needs a train split and a dev split, neither empty."""
     if not corpus.samples("train"):
-        raise ValueError("empty train split")
+        raise ValidationError("empty train split")
     if not corpus.samples("dev"):
-        raise ValueError("empty dev split (needed for model selection)")
+        raise ValidationError("empty dev split (needed for model selection)")
 
 
 def _standardized(
@@ -245,7 +245,6 @@ def _standardized(
     lengths: np.ndarray,
     scaler: FeatureScaler,
     frontend_config: FrontendConfig,
-    feature_stores: Sequence[tuple[Path, str]] | None,
 ) -> TrainData:
     """TrainData over the corpus's packed raw train frames, which scaler
     standardizes in place; each dev utterance's raw features are read into
@@ -264,7 +263,7 @@ def _standardized(
     pooled /= lengths[:, None]
     # One array per dev utterance, as featurize makes them: one packed dev matrix, freed after train,
     # raises glibc's mmap threshold, and knn-retrieval's benchmark ran 8% slower after it (2-vCPU host).
-    dev_raws = split_features(corpus, "dev", frontend_config, feature_stores, featurize)
+    dev_raws = split_features(corpus, "dev", frontend_config, featurize)
     return TrainData(
         corpus=corpus,
         train_samples=train_samples,
@@ -279,26 +278,19 @@ def _standardized(
     )
 
 
-def prepare_train_data(
-    corpus: CorpusManifest | PooledCorpus,
-    frontend_config: FrontendConfig,
-    feature_stores: Sequence[tuple[Path, str]] | None = None,
-) -> TrainData:
+def prepare_train_data(corpus: CorpusManifest | PooledCorpus, frontend_config: FrontendConfig) -> TrainData:
     """Featurize a corpus's train and dev splits once for any number of
-    training runs, reading dsp features from feature_stores, one
-    (directory, key) per member corpus (a temp dir when None). The train
+    training runs, reading dsp features from the store each member corpus's
+    feature_store names (a temp dir for a member without one). The train
     split goes straight into one packed matrix, and the scaler is fitted
     on its raw frames."""
     _check_splits(corpus)
-    frames, lengths = packed_features(corpus, "train", frontend_config, feature_stores, featurize)
-    return _standardized(corpus, frames, lengths, FeatureScaler.fit(frames), frontend_config, feature_stores)
+    frames, lengths = packed_features(corpus, "train", frontend_config, featurize)
+    return _standardized(corpus, frames, lengths, FeatureScaler.fit(frames), frontend_config)
 
 
 def prepare_mdf_data(
-    pretrain_name: str,
-    pooled: PooledCorpus,
-    frontend_config: FrontendConfig,
-    feature_stores: Sequence[tuple[Path, str]] | None = None,
+    pretrain_name: str, pooled: PooledCorpus, frontend_config: FrontendConfig
 ) -> tuple[TrainData, TrainData]:
     """The two MDF phases, featurized once: pre-training on the member
     pretrain_name, then fine-tuning on the whole pool.
@@ -321,9 +313,9 @@ def prepare_mdf_data(
         return slice(start, start + member.size(split))
 
     train_block, dev_block = block("train"), block("dev")
-    frames, lengths = packed_features(pooled, "train", frontend_config, feature_stores, featurize)
+    frames, lengths = packed_features(pooled, "train", frontend_config, featurize)
     rows = slice(int(lengths[: train_block.start].sum()), int(lengths[: train_block.stop].sum()))
-    phase2 = _standardized(pooled, frames, lengths, FeatureScaler.fit(frames[rows]), frontend_config, feature_stores)
+    phase2 = _standardized(pooled, frames, lengths, FeatureScaler.fit(frames[rows]), frontend_config)
     datastore = phase2.datastore
     phase1 = TrainData(
         corpus=member,

@@ -332,7 +332,7 @@ class TestTrain:
         # into the temp dir would dangle once train_one_seed returns.
         recipe = cli.Recipe(parse_recipe(write_recipe(tmp_path, text)), tmp_path)
         out = tmp_path / "out"
-        phases = cli.prepare_training(recipe, cli.get_corpora(recipe, out, cli._train_names(recipe)), out)
+        phases = cli.prepare_training(recipe, cli.get_corpora(recipe, out, cli._train_names(recipe)))
         result = cli.train_one_seed(recipe, phases, 0, out)
         assert result.ledger.entries
         # Walk every object reachable through containers and instance attributes.
@@ -1041,6 +1041,34 @@ class TestExitCodes:
         assert f"{path}: non-finite values in b2" in capsys.readouterr().err
         assert not (out / "infer").exists()
 
+    @pytest.mark.parametrize("mode", ["parametric", "knn"])
+    def test_a_nan_scaler_mean_is_exit_1_naming_scaler_bin(self, tmp_path, capsys, mode):
+        # Unchecked, the NaN surfaced as a NaN score or a non-finite query, naming no file.
+        config, out = write_recipe(tmp_path), tmp_path / "out"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+        path = out / "train" / "seed0" / "scaler.bin"
+        data = bytearray(path.read_bytes())
+        data[8:16] = struct.pack("<d", np.nan)  # mean[0], after the magic and the dim
+        path.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["infer", "--config", str(config), "--out", str(out), "--inference", mode]) == 1
+        assert f"{path}: scaler mean or std is not finite" in capsys.readouterr().err
+        assert not (out / "infer").exists()
+
+    def test_pooling_two_dir_blocks_of_one_corpus_name_is_exit_1_naming_both(self, tmp_path, capsys):
+        made = tmp_path / "made"
+        assert main(["prepare", "--config", str(write_recipe(tmp_path)), "--out", str(made)]) == 0
+        body = [line for line in BASE_RECIPE.splitlines()
+                if not line.startswith(("corpus.synth.", "train.corpus", "infer.corpus", "benchmark.tests"))]
+        blocks = "".join(f"corpus.{b}.kind = dir\ncorpus.{b}.path = {made / 'corpora' / 'synth'}\n" for b in "ab")
+        text = "\n".join(body) + "\n" + blocks + "train.corpus = a+b\ninfer.corpus = a\nbenchmark.tests = a\n"
+        config = write_recipe(tmp_path, text, name="pool.cfg")
+        capsys.readouterr()
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "train.corpus blocks 'a' and 'b' both hold corpus 'synth'" in err
+        assert not (tmp_path / "out" / "train").exists()
+
     @pytest.mark.parametrize("bounds, field", [
         ({"snr_grid": ""}, "snr_grid_db"),
         ({"duration_lo": "1.5", "duration_hi": "0.5"}, "duration_s"),
@@ -1262,9 +1290,12 @@ class TestPreparedCorpora:
                 assert dataclasses.replace(loaded, audio_ref=None) == dataclasses.replace(made, audio_ref=None)
                 assert loaded.audio_ref.name == made.audio_ref.name
                 assert loaded.audio_ref.read_bytes() == made.audio_ref.read_bytes()
-        assert {k: v for k, v in vars(again).items() if k != "splits"} == {
-            k: v for k, v in vars(direct).items() if k != "splits"
+        assert {k: v for k, v in vars(again).items() if k not in ("splits", "feature_store")} == {
+            k: v for k, v in vars(direct).items() if k not in ("splits", "feature_store")
         }
+        fingerprint = cli.corpus_fingerprint(recipe, "synth")
+        assert again.feature_store == first.feature_store == (out / "corpora" / "synth", fingerprint)
+        assert direct.feature_store is None
 
     def test_editing_one_corpus_block_regenerates_that_corpus_only(self, tmp_path, monkeypatch):
         config = write_recipe(tmp_path, BASE_RECIPE + OTHER_CORPUS)
@@ -1493,9 +1524,11 @@ class TestPreparedManifestCorpora:
         assert reads == []  # corpus.json only, until a split is asked for
         for name, corpus in direct.items():
             for field in dataclasses.fields(corpus):
-                if field.name != "splits":
+                if field.name not in ("splits", "feature_store"):
                     values = (getattr(c, field.name) for c in (loaded[name], built[name], corpus))
                     assert len(set(values)) == 1, field.name
+            store = (tmp_path / "out" / "corpora" / name, cli.corpus_fingerprint(recipe, name))
+            assert loaded[name].feature_store == built[name].feature_store == store
             assert list(loaded[name].splits) == list(built[name].splits) == list(corpus.splits)
             for split in corpus.splits:
                 samples = loaded[name].samples(split)

@@ -196,8 +196,8 @@ class TestFeatureStoreSweep:
         for i, n in enumerate((400, 560)):  # 1 and 2 frames
             write_wav(tmp_path / f"u{i}.wav", 0.3 * rng.uniform(-1.0, 1.0, n), 16000)
             samples.append(Sample(f"u{i}", tmp_path / f"u{i}.wav", None, "sweep", None, 3.0))
-        corpus = CorpusManifest("sweep", "non-synthetic", "en", 16000, {"train": tuple(samples)})
-        store = [(tmp_path / "store" / "sweep", "key")]
+        store = (tmp_path / "store" / "sweep", "key")
+        corpus = CorpusManifest("sweep", "non-synthetic", "en", 16000, {"train": tuple(samples)}, store)
         calls = []
 
         def featurize(sample, *args):
@@ -205,8 +205,8 @@ class TestFeatureStoreSweep:
             return sqkit.frontend.featurize(sample, *args)
 
         def read_both():
-            packed, lengths = packed_features(corpus, "train", self.CONFIG, store, featurize)
-            one_by_one = [m.copy() for m in split_features(corpus, "train", self.CONFIG, store, featurize)]
+            packed, lengths = packed_features(corpus, "train", self.CONFIG, featurize)
+            one_by_one = [m.copy() for m in split_features(corpus, "train", self.CONFIG, featurize)]
             return packed, lengths.tolist(), one_by_one
 
         packed, lengths, one_by_one = read_both()
@@ -229,10 +229,10 @@ class TestFeatureStoreSweep:
                 path.write_bytes(blob)
                 calls.clear()
                 if read == 0:
-                    got, got_lengths = packed_features(corpus, "train", self.CONFIG, store, featurize)
+                    got, got_lengths = packed_features(corpus, "train", self.CONFIG, featurize)
                     assert (got.tobytes(), got_lengths.tolist()) == (packed.tobytes(), lengths), label
                 else:
-                    got = [m.tobytes() for m in split_features(corpus, "train", self.CONFIG, store, featurize)]
+                    got = [m.tobytes() for m in split_features(corpus, "train", self.CONFIG, featurize)]
                     assert got == [f.tobytes() for f in one_by_one], label
                 assert calls == ["u0", "u1"], label
                 assert path.read_bytes() == data, label
@@ -253,24 +253,25 @@ class TestFeatureStoreContract:
         for i, n in enumerate((400, 560, 720)):  # 1, 2 and 3 frames
             write_wav(tmp_path / f"u{i}.wav", 0.3 * rng.uniform(-1.0, 1.0, n), 16000)
             samples.append(Sample(f"u{i}", tmp_path / f"u{i}.wav", None, "contract", None, 3.0))
-        corpus = CorpusManifest("contract", "non-synthetic", "en", 16000, {"train": tuple(samples)})
+        store = (tmp_path / "store", "key")
+        corpus = CorpusManifest("contract", "non-synthetic", "en", 16000, {"train": tuple(samples)}, store)
         calls = []
 
         def featurize(sample, *args):
             calls.append(sample.sample_id)
             return sqkit.frontend.featurize(sample, *args)
 
-        return corpus, [(tmp_path / "store", "key")], featurize, calls
+        return corpus, featurize, calls
 
     def test_a_reader_that_stops_early_leaves_a_whole_store(self, tmp_path):
-        corpus, store, featurize, calls = self.split(tmp_path)
-        reading = split_features(corpus, "train", self.CONFIG, store, featurize)
+        corpus, featurize, calls = self.split(tmp_path)
+        reading = split_features(corpus, "train", self.CONFIG, featurize)
         first = next(reading).copy()
         reading.close()
         assert calls == ["u0", "u1", "u2"]
         assert (tmp_path / "store" / "train.features").exists()
         calls.clear()
-        rows = [m.copy() for m in split_features(corpus, "train", self.CONFIG, store, featurize)]
+        rows = [m.copy() for m in split_features(corpus, "train", self.CONFIG, featurize)]
         assert calls == [] and [len(m) for m in rows] == [1, 2, 3]
         assert rows[0].tobytes() == first.tobytes()
 
@@ -278,7 +279,7 @@ class TestFeatureStoreContract:
         fd_dir = Path("/proc/self/fd")
         if not fd_dir.is_dir():
             pytest.skip("no /proc/self/fd to count open descriptors")
-        corpus, store, featurize, calls = self.split(tmp_path)
+        corpus, featurize, calls = self.split(tmp_path)
         path = tmp_path / "store" / "train.features"
 
         def broken(sample, *args):
@@ -287,10 +288,10 @@ class TestFeatureStoreContract:
             return featurize(sample, *args)
 
         def packed():
-            packed_features(corpus, "train", self.CONFIG, store, featurize)
+            packed_features(corpus, "train", self.CONFIG, featurize)
 
         def early_stop():
-            reading = split_features(corpus, "train", self.CONFIG, store, featurize)
+            reading = split_features(corpus, "train", self.CONFIG, featurize)
             next(reading)
             reading.close()
 
@@ -298,12 +299,12 @@ class TestFeatureStoreContract:
             data = bytearray(path.read_bytes())
             data[-1] ^= 0x01  # the last utterance's last row
             path.write_bytes(bytes(data))
-            assert [len(m) for m in split_features(corpus, "train", self.CONFIG, store, featurize)] == [1, 2, 3]
+            assert [len(m) for m in split_features(corpus, "train", self.CONFIG, featurize)] == [1, 2, 3]
 
         def failed_build():
             path.unlink()
             with pytest.raises(ValidationError, match="broken"):
-                packed_features(corpus, "train", self.CONFIG, store, broken)
+                packed_features(corpus, "train", self.CONFIG, broken)
 
         packed()  # builds the store
         cases = ((packed, []), (early_stop, []), (rebuild_after_a_bit_flip, ["u0", "u1", "u2"]),

@@ -334,13 +334,13 @@ class TestSplits:
     def test_requires_train_only(self):
         corpus = corpus_of(make_samples(10))
         once = split_random(corpus, 0.5, seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             split_random(once, 0.5, seed=1)
 
     def test_ratio_bounds(self):
         corpus = corpus_of(make_samples(10))
         for ratio in (0.0, 1.0, -0.1, 1.5):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValidationError):
                 split_random(corpus, ratio, seed=1)
 
     def test_subsample(self):
@@ -351,7 +351,7 @@ class TestSplits:
         assert [s.sample_id for s in small.samples("train")] == [
             s.sample_id for s in again.samples("train")
         ]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             subsample(corpus, 31, seed=3)
 
 
@@ -367,11 +367,11 @@ class TestPool:
 
     def test_duplicate_names_rejected(self):
         a = corpus_of(make_samples(3, "a"), name="a")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             pool([a, a])
 
     def test_empty_pool_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             pool([])
 
 
@@ -513,5 +513,5 @@ class TestSyntheticCorpus:
         assert all(a > b for a, b in zip(ordered, ordered[1:]))
 
     def test_non_monotone_map_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="mos_slope"):
+        with pytest.raises(ValidationError, match="mos_slope"):
             generate_synthetic_corpus(synth_spec(tmp_path, name="bad", mos_slope=0.0), seed=0)

@@ -55,7 +55,7 @@ class TestExportEmbeddings:
 
     def test_empty_split_rejected(self, tmp_path):
         corpus = make_corpus(tmp_path, "expe", seed=2)
-        with pytest.raises(ValueError, match="no samples"):
+        with pytest.raises(ValidationError, match="no samples"):
             export_embeddings([("s", corpus, "test", "test")], FRONTEND, None)
 
     def test_n_per_set_validated(self, tmp_path):

@@ -108,7 +108,7 @@ class TestBuildDatastore:
     def test_empty_split_rejected(self, tmp_path):
         corpus = make_corpus(tmp_path, "dsd", seed=3)
         dev_only = dataclasses.replace(corpus, splits={"dev": corpus.samples("dev")})
-        with pytest.raises(ValueError, match="no samples in split 'train'"):
+        with pytest.raises(ValidationError, match="no samples in split 'train'"):
             build_datastore(FRONTEND, dev_only)
 
 

@@ -20,22 +20,28 @@ from sqkit import (
     FrontendConfig,
     HeadParams,
     Sample,
+    SynthSpec,
     TrainConfig,
     TrainData,
     ValidationError,
     clipped_mse,
     featurize,
+    generate_synthetic_corpus,
     init_alignnet,
     init_head,
     named_rng,
     pool,
+    predict_split,
     prepare_mdf_data,
     prepare_train_data,
     save_precomputed,
     select_criterion,
+    split_random,
+    subsample,
     train,
     write_wav,
 )
+from test_cli import counted_featurize
 from test_model import params_equal
 
 DIM = 6
@@ -325,7 +331,7 @@ class TestTrainLoop:
             native_rate_hz=16000,
             splits={"train": corpus.samples("train")},
         )
-        with pytest.raises(ValueError, match="dev"):
+        with pytest.raises(ValidationError, match="dev"):
             train("head", prepare_train_data(no_dev, FRONTEND), TrainConfig(max_steps=1), hidden=4)
 
     def test_alignnet_needs_table_rows_for_train_ids(self, tmp_path):
@@ -538,3 +544,60 @@ class TestPackedTrainMatrix:
         save_precomputed(path, np.ones((3, DIM + 1), dtype=np.float32))
         with pytest.raises(ValidationError, match=f"{path}.*3 x {DIM + 1}"):
             prepare_train_data(corpus, FrontendConfig(kind="precomputed"))
+
+
+class TestCorpusFeatureStore:
+    """A corpus given a feature_store keeps its dsp splits' features there:
+    training and scoring featurize each utterance once between them, the
+    store travels through subsample, split_random and pool, and a changed
+    frontend value builds it again."""
+
+    CONFIG = FrontendConfig(n_mels=8)
+
+    def corpus(self, tmp_path, name):
+        spec = SynthSpec(name=name, out_dir=tmp_path / name, n_utterances=8, duration_s=(0.1, 0.2))
+        return generate_synthetic_corpus(spec, seed=3)
+
+    def test_training_then_scoring_featurizes_each_utterance_once(self, tmp_path, monkeypatch):
+        store = (tmp_path / "store", "fingerprint")
+        corpus = dataclasses.replace(split_random(self.corpus(tmp_path, "s"), 0.75, seed=0), feature_store=store)
+        calls = counted_featurize(monkeypatch)
+        data = prepare_train_data(corpus, self.CONFIG)
+        model = (init_head(self.CONFIG.dim, 4, seed=0), data.scaler, None)
+        (pairs,) = predict_split(corpus, "dev", self.CONFIG, [model])
+        ids = [s.sample_id for split in ("train", "dev") for s in corpus.samples(split)]
+        assert calls == dict.fromkeys(ids, 1)
+        assert sorted(p.name for p in (tmp_path / "store").iterdir()) == ["dev.features", "train.features"]
+
+        calls.clear()
+        assert prepare_train_data(corpus, self.CONFIG).frames.tobytes() == data.frames.tobytes()
+        (again,) = predict_split(corpus, "dev", FrontendConfig(n_mels=8, hop_ms=10.0), [model])  # hop_ms's default
+        assert again.pred.tobytes() == pairs.pred.tobytes()
+        assert calls == {}
+
+    def test_the_store_survives_subsample_split_random_and_pool(self, tmp_path):
+        stores = [(tmp_path / name, f"fingerprint of {name}") for name in "ab"]
+        a, b = (dataclasses.replace(self.corpus(tmp_path, name), feature_store=store)
+                for name, store in zip("ab", stores))
+        assert subsample(a, 5, seed=0).feature_store == stores[0]
+        assert split_random(a, 0.5, seed=0).feature_store == stores[0]
+        pooled = pool([split_random(subsample(a, 6, seed=0), 0.5, seed=0), b])
+        assert [m.feature_store for m in pooled.members] == stores
+        _frames, lengths = sqkit.frontend.packed_features(pooled, "train", self.CONFIG, featurize)
+        assert len(lengths) == 3 + 8
+        assert [p.name for p in (tmp_path / "a").glob("*.features")] == ["train.features"]
+        assert [p.name for p in (tmp_path / "b").glob("*.features")] == ["train.features"]
+
+    def test_a_changed_frontend_value_rebuilds_the_store(self, tmp_path, monkeypatch):
+        corpus = dataclasses.replace(self.corpus(tmp_path, "s"), feature_store=(tmp_path / "store", "fingerprint"))
+        path = tmp_path / "store" / "train.features"
+        calls = counted_featurize(monkeypatch)
+        ids = [s.sample_id for s in corpus.samples("train")]
+        for config, built in ((self.CONFIG, True), (self.CONFIG, False), (FrontendConfig(n_mels=8, hop_ms=12.5), True),
+                              (FrontendConfig(n_mels=9), True), (self.CONFIG, True)):
+            calls.clear()
+            key = path.read_bytes()[4:36] if path.exists() else None
+            frames, _lengths = sqkit.frontend.packed_features(corpus, "train", config, sqkit.training.featurize)
+            assert calls == (dict.fromkeys(ids, 1) if built else {}), config
+            assert (path.read_bytes()[4:36] != key) == built, config
+            assert frames.shape[1] == config.dim
