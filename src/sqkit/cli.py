@@ -24,7 +24,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .codec import atomic_dir, atomic_open, read_csv_rows, write_csv
+from .codec import atomic_dir, atomic_open, open_text, read_csv_rows, write_csv
 from .corpus import (CorpusManifest, PooledCorpus, SynthSpec, generate_synthetic_corpus, load_corpus_dir, load_manifest,
                      pool, save_corpus_dir, split_random, subsample)
 from .errors import (AudioFormatError, CheckpointError, ManifestError, SqkitError, UndefinedCorrelationError,
@@ -147,8 +147,7 @@ KEYS: dict[str, Key] = {
 def parse_recipe(path: str | Path) -> dict[str, str]:
     """Read a flat key=value config; '#' starts a comment, blanks ignored."""
     config: dict[str, str] = {}
-    path = Path(path)
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(open_text(path).read().splitlines(), start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
@@ -719,12 +718,12 @@ def _read_records_mean(run_dir: Path) -> tuple[dict[tuple[str, str], dict[str, f
         raise ValidationError(f"{run_dir} has no records_mean.csv/tests.csv (run benchmark first)")
     by_cell: dict[tuple[str, str], dict[str, float]] = {}
     for row in read_csv_rows(records_path, ("model", "test", "metric", "value")):
-        if row["value"] == "undefined":
-            raise ValidationError(
-                f"{records_path}: metric {row['metric']} for ({row['model']}, {row['test']}) is undefined; "
-                "aggregate needs defined metrics"
-            )
-        by_cell.setdefault((row["model"], row["test"]), {})[row["metric"]] = float(row["value"])
+        try:
+            value = float(row["value"])  # "undefined" is not a number either
+        except ValueError:
+            raise ValidationError(f"{records_path}: metric {row['metric']} for ({row['model']}, {row['test']}) is "
+                                  f"{row['value']}; aggregate needs defined metrics") from None
+        by_cell.setdefault((row["model"], row["test"]), {})[row["metric"]] = value
     domains = {row["test"]: row["domain_tag"] for row in read_csv_rows(tests_path, ("test", "domain_tag"))}
     return by_cell, domains
 
@@ -880,8 +879,8 @@ def main(argv: list[str] | None = None) -> int:
         check_keys(recipe)
         lock = _acquire_lock(out)
         return COMMANDS[args.command](recipe, args, out)
-    except (ValidationError, ManifestError, CheckpointError, AudioFormatError, UndefinedRatioError, FileNotFoundError,
-            ValueError) as exc:
+    except (ValidationError, ManifestError, CheckpointError, AudioFormatError, UndefinedRatioError,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SqkitError as exc:

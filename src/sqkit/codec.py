@@ -1,5 +1,5 @@
 """The one codec behind sqkit's binary artifacts (SQPM, SQSC, SQD2, SQE1),
-plus the atomic writers and the one CSV writer and reader.
+plus the atomic writers, the one CSV writer and reader and the text reader.
 
 An artifact is a 4-byte magic tag, little-endian struct fields, optional
 string tables (uint16 byte length, then UTF-8, per entry) and fixed-shape
@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import math
 import os
 import shutil
 import struct
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -54,10 +55,19 @@ def write_csv(path: str | Path, header: Iterable[str], rows: Iterable[Iterable[s
         writer.writerows(rows)
 
 
+def open_text(path: str | Path, error: Callable[[str], SqkitError] = ValidationError) -> io.StringIO:
+    """A UTF-8 text file read whole, as open(path, encoding="utf-8", newline="")
+    reads it; a byte that is not UTF-8 raises error naming the file."""
+    try:
+        return io.StringIO(Path(path).read_bytes().decode("utf-8"), newline="")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def read_csv_rows(path: str | Path, columns: tuple[str, ...]) -> list[dict[str, str]]:
     """The rows of a CSV file whose header names every column; a missing
     column or a row shorter than the header raises ValidationError."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_text(path) as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in columns if c not in (reader.fieldnames or ())]
         if missing:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import atomic_open, write_csv
+from .codec import atomic_open, open_text, write_csv
 from .errors import ManifestError, ValidationError
 from .seeding import named_rng
 
@@ -163,7 +163,7 @@ def load_manifest(
     error = functools.partial(ManifestError, path=path)
     rows: dict[str, dict] = {}
     order: list[str] = []
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_text(path, ManifestError) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -316,7 +316,7 @@ class _SplitFiles(Mapping):
 
 def _sample_ids(path: Path) -> dict[str, None]:
     """The sample_id column of a manifest CSV, each value once, in order."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_text(path, ManifestError) as fh:
         return dict.fromkeys(row[0].strip() for row in list(csv.reader(fh))[1:] if row)
 
 

@@ -285,10 +285,10 @@ def save_precomputed(path: str | Path, frames: np.ndarray) -> None:
 
 
 def load_precomputed(path: str | Path, expected_dim: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
-    """An SQE1 embedding file's (T, D) rows as float64, checked finite
-    before they are stored: into out, rows the caller owns, which must have
-    the file's shape (its size is then read without asking), else into a
-    fresh array. A dimensionality other than expected_dim, when given, is a
+    """An SQE1 embedding file's (T, D) rows, checked finite before they are
+    stored: into out, rows the caller owns of the file's shape and any float
+    dtype (its size is then read without asking), else into a fresh float64
+    array. A dimensionality other than expected_dim, when given, is a
     validation error: precomputed dims must be consistent across a corpus.
     A file without the SQE1 tag, or whose header, size or values fail a
     check, raises ValidationError naming the path."""
@@ -317,7 +317,7 @@ def load_precomputed(path: str | Path, expected_dim: int | None = None, out: np.
         raise ValidationError(f"{path}: embedding contains non-finite values")
     if out is None:
         out = np.empty(values.shape)
-    out[...] = values  # exact: float64 holds every float32
+    out[...] = values  # exact into float32 or float64 rows
     return out
 
 
@@ -335,33 +335,34 @@ class FeatureScaler:
 
     @staticmethod
     def fit(frames: np.ndarray) -> "FeatureScaler":
-        """Mean and std per dimension of (N, D) training frames: the bits of
-        ``frames.mean(axis=0)`` and ``frames.std(axis=0)`` (floored at 1e-8),
-        without np.std's temporary as large as ``frames``."""
+        """Mean and std per dimension of (N, D) training frames of any float
+        dtype, in float64: the bits of ``x.mean(axis=0)`` and ``x.std(axis=0)``
+        (floored at 1e-8) for ``x = frames.astype(np.float64)``, without x or
+        np.std's temporary as large as it."""
         if frames.ndim != 2 or len(frames) == 0:
             raise ValidationError(f"cannot fit scaler on frames of shape {frames.shape}")
-        mean = frames.mean(axis=0)
         n, dim = frames.shape
-        if dim == 1 or frames.dtype != np.float64 or not frames.flags.c_contiguous:
-            # np.std sums one column pairwise, and other layouts or dtypes in
-            # another order or precision: only np.std itself gives its bits.
-            std = frames.std(axis=0)
-        else:
-            # Over C-ordered float64 rows with D >= 2, np.std adds the squared
-            # deviations row after row. Carrying the running sum as each
-            # block's first row keeps that order; 0.0 + x is x for x >= 0.
-            block = np.zeros((min(n, _FIT_BLOCK_ROWS) + 1, dim))
-            for start in range(0, n, _FIT_BLOCK_ROWS):
-                rows = frames[start : start + _FIT_BLOCK_ROWS]
-                sq = block[1 : len(rows) + 1]
-                np.subtract(rows, mean, out=sq)
-                sq *= sq
-                block[0] = np.add.reduce(block[: len(rows) + 1], axis=0)
-            std = np.sqrt(block[0] / n)
-        return FeatureScaler(mean=mean, std=np.maximum(std, 1e-8))
+        if dim == 1 or not frames.flags.c_contiguous:
+            # np.mean and np.std sum one column pairwise, and other layouts in
+            # another order: only they give their own bits.
+            frames = np.asarray(frames, dtype=np.float64)
+            return FeatureScaler(mean=frames.mean(axis=0), std=np.maximum(frames.std(axis=0), 1e-8))
+        # Over C-ordered rows with D >= 2, np.mean adds the rows, each cast to
+        # the float64 accumulator, and np.std the squared deviations, row after
+        # row. Carrying the running sum as each block's first row keeps that
+        # order; 0.0 + x is x for x >= 0.
+        mean = frames.mean(axis=0, dtype=np.float64)
+        block = np.zeros((min(n, _FIT_BLOCK_ROWS) + 1, dim))
+        for start in range(0, n, _FIT_BLOCK_ROWS):
+            rows = frames[start : start + _FIT_BLOCK_ROWS]
+            sq = block[1 : len(rows) + 1]
+            np.subtract(rows, mean, out=sq)
+            sq *= sq
+            block[0] = np.add.reduce(block[: len(rows) + 1], axis=0)
+        return FeatureScaler(mean=mean, std=np.maximum(np.sqrt(block[0] / n), 1e-8))
 
     def standardize(self, frames: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Standardize (N, D) float64 frames into out (default: in place) and return it."""
+        """Standardize (N, D) frames into out (default: in place; float64 for float32 frames) and return it."""
         if frames.shape[1] != len(self.mean):
             raise ValidationError(f"scaler dim {len(self.mean)} != feature dim {frames.shape[1]}")
         out = np.subtract(frames, self.mean, out=frames if out is None else out)
@@ -551,10 +552,10 @@ def packed_features(
 ) -> tuple[np.ndarray, np.ndarray]:
     """A (possibly pooled) corpus split's raw features in one packed
     (sum T, D) matrix, and each sample's frame count T. dsp features are
-    read from each member's store (_stored_splits) with one read, a missing
-    store built whole first through featurize, the caller's lookup of it.
-    Precomputed ones are decoded by load_precomputed straight into rows
-    sized from each file's size, T = (size - 12) / (4 D), D being
+    float64, read from each member's store (_stored_splits) with one read, a
+    missing store built whole first through featurize, the caller's lookup
+    of it. Precomputed ones are float32, decoded by load_precomputed into
+    rows sized from each file's size, T = (size - 12) / (4 D), D being
     expected_dim or the first file's: one stat and one open per file. A
     file whose header or size disagrees with those rows raises
     ValidationError naming it."""
@@ -574,7 +575,7 @@ def packed_features(
     lengths = np.array([max(os.stat(path).st_size - 12, 0) // (4 * dim) for path in paths], dtype=np.intp)
     if first is not None:
         lengths[0] = len(first)
-    frames = np.empty((int(lengths.sum()), dim))
+    frames = np.empty((int(lengths.sum()), dim), np.float32)
     stops = np.cumsum(lengths)
     for path, start, stop in zip(paths, (stops - lengths).tolist(), stops.tolist()):
         if start == 0 and first is not None:

@@ -3,7 +3,7 @@
 Training is two steps. prepare_train_data does everything that does not
 depend on the seed, once: it reads the train split's raw features into
 one packed (sum T, D) matrix (frontend.packed_features), fits the scaler
-and standardizes the matrix in place, reads and standardizes the dev
+and standardizes a float64 matrix in place, reads and standardizes the dev
 split, and pools each train utterance into the retrieval datastore. train
 then runs one seeded SGD loop over that TrainData without changing it,
 so any number of seeds share one featurization. MDF is two train calls:
@@ -213,10 +213,10 @@ class TrainData:
     """What a training run needs of its corpus and nothing of its seed,
     built once and read, never changed, by every seed trained from it.
 
-    frames is the packed train split, standardized and read-only:
-    utterance i is rows starts[i] : starts[i] + lengths[i]. dev_mats are
-    the dev samples' (T, D) arrays standardized by the same scaler, and
-    datastore is each train utterance's rows pooled over time.
+    frames is the packed train split, read-only (standardized if float64,
+    raw if float32): utterance i is rows starts[i] : starts[i] + lengths[i].
+    dev_mats are the dev samples' (T, D) arrays standardized by the same
+    scaler, and datastore is each train utterance's rows pooled over time.
     """
 
     corpus: CorpusManifest | PooledCorpus
@@ -247,19 +247,27 @@ def _standardized(
     frontend_config: FrontendConfig,
 ) -> TrainData:
     """TrainData over the corpus's packed raw train frames, which scaler
-    standardizes in place; each dev utterance's raw features are read into
-    their own matrix and standardized in place by the same scaler."""
+    standardizes in place if float64; each dev utterance's raw features are
+    read into their own matrix and standardized in place by the same scaler."""
     train_samples, dev_samples = corpus.samples("train"), corpus.samples("dev")
     starts = np.cumsum(lengths) - lengths
-    scaler.standardize(frames)
-    frames.flags.writeable = False
     targets = np.array([s.mos for s in train_samples])
     # Each utterance's standardized rows pooled over time: the records
     # build_datastore would make from the train split, bit for bit. This is
     # np.mean's own sum, with its division done once for all utterances.
+    # float64 (dsp) rows are standardized in place, float32 (SQE1) ones into
+    # a buffer, whole utterances of about 4,096 rows at a time (standardizing
+    # each step's dsp rows cost 6% of train; each utterance alone, 8%).
     pooled = np.empty((len(train_samples), frames.shape[1]))
-    for row, start, length in zip(pooled, starts.tolist(), lengths.tolist()):
-        np.add.reduce(frames[start : start + length], axis=0, out=row)
+    work = Workspace()
+    firsts = np.flatnonzero(np.diff(starts // 4096, prepend=-1)).tolist()
+    for first, stop in zip(firsts, [*firsts[1:], len(starts)]):
+        rows = frames[starts[first] : starts[stop - 1] + lengths[stop - 1]]
+        chunk = scaler.standardize(rows, out=None if frames.dtype == np.float64 else work.take("pool", *rows.shape))
+        for row, start, length in zip(pooled[first:stop], (starts[first:stop] - starts[first]).tolist(),
+                                      lengths[first:stop].tolist()):
+            np.add.reduce(chunk[start : start + length], axis=0, out=row)
+    frames.flags.writeable = False
     pooled /= lengths[:, None]
     # One array per dev utterance, as featurize makes them: one packed dev matrix, freed after train,
     # raises glibc's mmap threshold, and knn-retrieval's benchmark ran 8% slower after it (2-vCPU host).
@@ -282,8 +290,8 @@ def prepare_train_data(corpus: CorpusManifest | PooledCorpus, frontend_config: F
     """Featurize a corpus's train and dev splits once for any number of
     training runs, reading dsp features from the store each member corpus's
     feature_store names (a temp dir for a member without one). The train
-    split goes straight into one packed matrix, and the scaler is fitted
-    on its raw frames."""
+    split goes straight into one packed matrix at its source's precision,
+    and the scaler is fitted on its raw frames."""
     _check_splits(corpus)
     frames, lengths = packed_features(corpus, "train", frontend_config, featurize)
     return _standardized(corpus, frames, lengths, FeatureScaler.fit(frames), frontend_config)
@@ -406,7 +414,9 @@ def train(
         n = int(lengths.sum())
         # Row of each batch frame in train_frames, utterances in batch order.
         frame_rows = np.arange(n) + np.repeat(starts_all[batch] - (np.cumsum(lengths) - lengths), lengths)
-        frames = np.take(train_frames, frame_rows, axis=0, out=work.take("frames", n, dim), mode="clip")
+        frames = np.take(train_frames, frame_rows, axis=0, out=work.take("rows", n, dim, train_frames.dtype), mode="clip")
+        if frames.dtype != np.float64:  # raw rows: take cannot cast, so they are standardized from their copy
+            frames = data.scaler.standardize(frames, out=work.take("frames", n, dim))
 
         def loss(raws: np.ndarray) -> tuple[float, np.ndarray]:
             value, d_raws = clipped_mse(raws, targets_all[batch], config.loss_tau)

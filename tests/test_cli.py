@@ -874,8 +874,9 @@ class TestAggregate:
             ("records_mean.csv", "model,test,metric,value\nm,synth,utt_mse\n", "line 2: fewer fields"),
             ("tests.csv", "test,tag,n\nsynth,synthetic,4\n", "lacks column(s) domain_tag"),
             ("tests.csv", "test,domain_tag,n\nsynth\n", "line 2: fewer fields"),
+            ("records_mean.csv", "model,test,metric,value\nm,synth,utt_mse,0.5x\n", "utt_mse for (m, synth) is 0.5x"),
         ],
-        ids=["records-header", "records-short-row", "tests-header", "tests-short-row"],
+        ids=["records-header", "records-short-row", "tests-header", "tests-short-row", "records-not-a-number"],
     )
     def test_malformed_record_files_are_exit_1(self, tmp_path, capsys, name, text, named):
         write_bench_dir(tmp_path / "in", self.REFERENCE, {"synth": "synthetic"})
@@ -962,6 +963,25 @@ class TestExitCodes:
         assert main(["train", "--config", str(config), "--out", str(tmp_path / "o"), *flag]) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_an_unexpected_numpy_value_error_is_exit_2(self, tmp_path, monkeypatch, capsys):
+        # A ValueError that numpy raises inside a command is a runtime failure, not bad input.
+        def broken(preds, targets, tau):
+            return np.add(np.ones(2), np.ones(3))
+
+        monkeypatch.setattr(sqkit.training, "clipped_mse", broken)
+        assert main(["train", "--config", str(write_recipe(tmp_path)), "--out", str(tmp_path / "out")]) == 2
+        assert "runtime error: ValueError: operands could not be broadcast together" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["recipe.cfg", "pa.csv"])
+    def test_a_byte_that_is_not_utf8_is_exit_1_naming_its_file(self, tmp_path, capsys, name):
+        write_precomputed_corpora(tmp_path)
+        config = write_recipe(tmp_path, PRECOMPUTED_RECIPE)
+        path = tmp_path / name
+        text = path.read_bytes()
+        path.write_bytes(text.replace(b"\n", b"\n#\xff\n" if name == "recipe.cfg" else b"\xff\n", 2))
+        assert main(["prepare", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert f"{path}: not UTF-8 text (byte " in capsys.readouterr().err
 
     def test_unknown_command_is_exit_1(self):
         assert main(["paint"]) == 1

@@ -331,6 +331,19 @@ class TestFeatureScaler:
             assert scaler.std.tobytes() == np.maximum(x.std(axis=0), 1e-8).tobytes()
             assert scaler.std[-1] == 1e-8
 
+    @pytest.mark.parametrize("dim", [1, 2, 64, 80])
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 20_000])
+    def test_fit_on_float32_rows_gives_the_bits_of_their_float64_copy(self, n, dim):
+        # A packed SQE1 train matrix stays float32; its scaler must not know.
+        rng = np.random.default_rng(n * 100 + dim + 7)
+        frames = rng.normal(rng.uniform(-20, 20, size=dim), rng.uniform(0.1, 30, size=dim), size=(n, dim))
+        frames = frames.astype(np.float32)
+        frames[:, 0] = -0.0
+        strided = np.repeat(frames, 2, axis=1)[:, ::2]  # not C-contiguous, as the reversed and Fortran views
+        for x in (frames, strided, frames[::-1], np.asfortranarray(frames)):
+            ours, theirs = FeatureScaler.fit(x), FeatureScaler.fit(x.astype(np.float64))
+            assert (ours.mean.tobytes(), ours.std.tobytes()) == (theirs.mean.tobytes(), theirs.std.tobytes())
+
     def test_fit_allocates_no_copy_of_the_frames(self):
         frames = np.random.default_rng(16).normal(size=(20_000, 80))
         tracemalloc.start()

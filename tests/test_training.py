@@ -384,9 +384,12 @@ class TestTrainMdf:
         assert phase1.datastore.embeddings.tobytes() == alone.datastore.embeddings.tobytes()
         assert phase1.datastore.dataset_ids == alone.datastore.dataset_ids
 
-        # Phase 2 is the whole pool under the member's scaler.
-        raw = np.concatenate([featurize(s, FRONTEND).frames for s in pooled.samples("train")]).astype(np.float64)
-        assert phase2.frames.tobytes() == phase1.scaler.standardize(raw).tobytes()
+        # Phase 2 is the whole pool's decoded float32 rows, held raw, and
+        # standardizes under the member's scaler to the bits of the float64 rows.
+        raw = np.concatenate([featurize(s, FRONTEND).frames for s in pooled.samples("train")])
+        assert phase2.frames.dtype == np.float32 and phase2.frames.tobytes() == raw.astype(np.float32).tobytes()
+        standardize = phase1.scaler.standardize
+        assert standardize(phase2.frames.astype(np.float64)).tobytes() == standardize(raw).tobytes()
         assert not phase2.frames.flags.writeable
         assert [m.tobytes() for m in phase2.dev_mats] == [
             featurize(s, FRONTEND, phase1.scaler).frames.tobytes() for s in pooled.samples("dev")
@@ -409,9 +412,10 @@ class TestTrainMdf:
 class TestPackedTrainMatrix:
     """prepare_train_data reads into one packed matrix (dsp features from
     a feature store, precomputed ones into rows allocated from their file
-    sizes), then standardizes it in place, so its frames must equal its
-    scaler's standardization of np.concatenate of per-utterance featurize,
-    bit for bit."""
+    sizes). dsp frames are float64, standardized in place, so they must
+    equal their scaler's standardization of np.concatenate of per-utterance
+    featurize, bit for bit. Precomputed frames stay the files' raw float32
+    rows, whose float64 copy standardizes to those same bits."""
 
     # (rate, samples): 400 samples is one 25 ms window at 16 kHz.
     CLIPS = [
@@ -437,7 +441,12 @@ class TestPackedTrainMatrix:
         packed = np.concatenate(raw).astype(np.float64)
         fitted = FeatureScaler.fit(packed)
         assert (data.scaler.mean.tobytes(), data.scaler.std.tobytes()) == (fitted.mean.tobytes(), fitted.std.tobytes())
-        assert data.frames.tobytes() == data.scaler.standardize(packed).tobytes()
+        standardized = data.scaler.standardize(packed.copy())
+        if config.kind == "dsp":
+            assert data.frames.dtype == np.float64 and data.frames.tobytes() == standardized.tobytes()
+        else:
+            assert data.frames.dtype == np.float32 and data.frames.tobytes() == packed.astype(np.float32).tobytes()
+            assert data.scaler.standardize(data.frames.astype(np.float64)).tobytes() == standardized.tobytes()
         assert data.lengths.tolist() == [len(f) for f in raw]
         assert data.starts.tolist() == np.cumsum([0] + [len(f) for f in raw])[:-1].tolist()
         assert not data.frames.flags.writeable
@@ -462,6 +471,27 @@ class TestPackedTrainMatrix:
         corpus = self.embedding_corpus(tmp_path)
         self.check_packing(corpus, FRONTEND)
         self.check_packing(corpus, FrontendConfig(kind="precomputed"))  # D from the first file's header
+
+    def test_raw_frames_train_and_pool_as_their_standardized_float64_copy(self, tmp_path):
+        rng = np.random.default_rng(2)
+        samples = []
+        for i, n_frames in enumerate(rng.integers(1, 60, size=300)):
+            path = tmp_path / f"r{i}.bin"
+            save_precomputed(path, rng.normal(3.0, 2.0, size=(n_frames, DIM)).astype(np.float32))
+            samples.append(Sample(f"r{i}", None, path, "emb", None, float(rng.uniform(1.0, 5.0))))
+        corpus = CorpusManifest("emb", "non-synthetic", "en", 16000, {"train": tuple(samples), "dev": tuple(samples[:4])})
+        data = prepare_train_data(corpus, FRONTEND)
+        assert len(data.frames) > 2 * 4096  # the datastore pools several chunks of utterances
+        pooled = np.stack([featurize(s, FRONTEND, data.scaler).frames.mean(axis=0) for s in samples])
+        assert data.datastore.embeddings.tobytes() == pooled.tobytes()
+        # The former contract: frames standardized once, in float64.
+        held = dataclasses.replace(data, frames=data.scaler.standardize(data.frames.astype(np.float64)))
+        config = TrainConfig(batch_size=5, max_steps=12, eval_interval=4, patience_steps=100, seed=3)
+        for kind in ("head", "alignnet"):
+            ours, theirs = train(kind, data, config, hidden=4), train(kind, held, config, hidden=4)
+            assert ours.log == theirs.log
+            assert [a.tobytes() for a in ours.params.as_dict().values()] == [
+                a.tobytes() for a in theirs.params.as_dict().values()]
 
     def test_a_text_form_file_names_the_file(self, tmp_path):
         corpus = self.embedding_corpus(tmp_path)

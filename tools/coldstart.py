@@ -6,9 +6,10 @@
 Per recipe and run, each tree (taking turns to go first) times ``import
 sqkit.cli`` in a fresh interpreter, then prepare, train, infer and benchmark
 on a fresh out dir, each run as ``python -m sqkit.cli`` runs it. It records
-wall seconds, each process's own peak RSS (Linux VmHWM), its minor page
-faults (from the child's rusage) and the output tree's sha256, and reports
-per tree the median and quartiles. ``tier1`` is
+wall seconds, each process's own peak RSS (Linux VmHWM; ``<command>_peak_rss_mb``
+and their maximum, ``pipeline_peak_rss_mb``), its minor page faults (from
+the child's rusage) and the output tree's sha256, and reports per tree the
+median and quartiles. ``tier1`` is
 tests/test_cli.py's BASE_RECIPE; other names are perfbench workloads at full
 size, seed 1. Only PYTHONPATH differs between trees.
 """
@@ -105,16 +106,15 @@ def main() -> None:
                     for key, value in zip(("import_s", "import_peak_rss_mb", "import_minflt"), imported):
                         got[key].append(value)
                     shutil.rmtree(work / "out", ignore_errors=True)
-                    peaks = []
                     for command in COMMANDS:
                         argv = ["sqkit", command, "--config", "recipe.cfg", "--out", "out", *flags.get(command, ())]
                         code = f"sys.argv[:] = {argv!r}\nrunpy.run_module('sqkit.cli', run_name='__main__', alter_sys=True)"
                         seconds, rss, faults = run(tree, code, work)
                         got[f"{command}_s"].append(seconds)
                         got[f"{command}_minflt"].append(faults)
-                        peaks.append(rss)
+                        got[f"{command}_peak_rss_mb"].append(rss)
                     got["pipeline_s"].append(sum(got[f"{command}_s"][-1] for command in COMMANDS))
-                    got["pipeline_peak_rss_mb"].append(max(peaks))
+                    got["pipeline_peak_rss_mb"].append(max(got[f"{command}_peak_rss_mb"][-1] for command in COMMANDS))
                     got["digests"].append(tree_digest(work / "out"))
         result["recipes"][name] = {
             label: {key: sorted(set(v)) if key == "digests" else stats(v) for key, v in got.items()}
