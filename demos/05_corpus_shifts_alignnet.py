@@ -65,7 +65,7 @@ with tempfile.TemporaryDirectory(prefix="sqkit-demo-") as tmp:
 
     # one utterance, three dataset rows: the embedding table moves the score
     sample = mid.samples("dev")[0]
-    frames = featurize(sample, frontend, model.scaler).frames
+    frames = model.scaler.standardize(featurize(sample, frontend).frames)
     for name in model.params.dataset_ids:
         pred = clip_score(alignnet_raw(model.params, frames, name))
         print(f"  scored as {name:>4}: {pred:.3f}")

@@ -20,7 +20,7 @@ import logging
 import os
 import sys
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -235,13 +235,14 @@ def _corpus_names(recipe: Recipe) -> list[str]:
 def corpus_fingerprint(recipe: Recipe, name: str) -> str:
     """sha256 of the raw lines of one corpus block (corpus.<name>.*), by the
     raw-string rule of recipe_hash, plus a line with the sha256 of the bytes
-    of each CSV the block is read from: a manifest block's source CSV, a dir
-    block's CSVs. The same block and bytes fingerprint the same in any out
-    dir."""
+    of each file the block is read from: a manifest block's source CSV, a
+    dir block's corpus.json and each split CSV it names, wherever that sits.
+    The same block and bytes fingerprint the same in any out dir."""
     prefix = f"corpus.{name}."
     kind = recipe.get(prefix + "kind")
-    path = recipe.get(prefix + "path") if kind in ("manifest", "dir") else None
-    sources = [] if path is None else [path] if kind == "manifest" else sorted(path.glob("*.csv"))
+    sources = [recipe.get(prefix + "path")] if kind in ("manifest", "dir") else []
+    if kind == "dir":
+        sources = [sources[0] / "corpus.json", *load_corpus_dir(sources[0]).splits.paths.values()]
     extra = [f"source sha256 = {hashlib.sha256(source.read_bytes()).hexdigest()}" for source in sources]
     return _raw_lines_hash(recipe, (prefix,), *extra)
 
@@ -611,54 +612,30 @@ def _inference_settings(recipe: Recipe, args: argparse.Namespace) -> tuple[str, 
     return mode, knn_config, None if mode == "parametric" else recipe.get("infer.distance")
 
 
-def _checks_table_rows(recipe: Recipe, mode: str) -> bool:
-    """Parametric alignnet scoring checks each target's dataset ids against
-    the embedding table rows, which come from the train.corpus members."""
-    return mode == "parametric" and recipe.get("model.kind") == "alignnet"
-
-
-def _predict_seeds(
-    recipe: Recipe, settings: tuple, out: Path, corpora: dict, targets: list, seeds: list
-) -> Iterator[tuple[int, list[EvalPairs]]]:
-    """Load every seed's trained model, and the datastore its inference
-    mode needs, and predict every (name, corpus, split) target for all
-    seeds at once under _inference_settings, so each target sample is
-    featurized once. That the model kind can score every target in that
-    mode is checked on the call; the seeds are loaded and scored only when
-    the returned iterator is first advanced. Yields (seed, one EvalPairs
-    per target)."""
-    mode, knn_config, distance_kind = settings
-    if _checks_table_rows(recipe, mode):
-        table_ids = table_dataset_ids(resolve_train_corpus(recipe, corpora))
-        for _name, corpus, split in targets:
-            check_table_rows(table_ids, corpus.samples(split), split)
-    frontend_config = build_frontend(recipe)
+def _load_models(recipe: Recipe, out: Path, seeds: list[int], mode: str, distance_kind: str | None) -> list[tuple]:
+    """Each seed's trained (params, scaler, datastore) triple, the datastore
+    loaded for the retrieval modes only, queried under distance_kind."""
     digest = recipe_hash(recipe)
-
-    def predict() -> Iterator[tuple[int, str, list[EvalPairs]]]:
-        models = []
-        for seed in seeds:
-            seed_dir = out / "train" / f"seed{seed}"
-            params, scaler = load_model_dir(seed_dir, digest)
-            datastore = None if mode == "parametric" else load_datastore(seed_dir / "datastore.bin", distance_kind)
-            models.append((params, scaler, datastore))
-        by_target = [predict_split(corpus, split, frontend_config, models, mode, knn_config)
-                     for _name, corpus, split in targets]
-        for seed, *pairs in zip(seeds, *by_target):
-            yield seed, pairs
-
-    return predict()
+    models = []
+    for seed in seeds:
+        seed_dir = out / "train" / f"seed{seed}"
+        params, scaler = load_model_dir(seed_dir, digest)
+        datastore = None if mode == "parametric" else load_datastore(seed_dir / "datastore.bin", distance_kind)
+        models.append((params, scaler, datastore))
+    return models
 
 
 def cmd_infer(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
     """Predict one corpus split with a trained model, one file per seed,
     plus the per-system means when every sample has a system id."""
     seeds = _seed_list(recipe, args)
-    settings = _inference_settings(recipe, args)
-    names = [recipe.get("infer.corpus")] + (_train_names(recipe) if _checks_table_rows(recipe, settings[0]) else [])
-    corpora = get_corpora(recipe, out, names)
-    target = _target(recipe, corpora, "infer.corpus")
-    for seed, (pairs,) in _predict_seeds(recipe, settings, out, corpora, [target], seeds):
+    mode, knn_config, distance_kind = _inference_settings(recipe, args)
+    corpora = get_corpora(recipe, out, [recipe.get("infer.corpus")])
+    name, corpus, split = _target(recipe, corpora, "infer.corpus")
+    models = _load_models(recipe, out, seeds, mode, distance_kind)
+    # All seeds at once, so each sample is featurized once; predict_split checks each model's table rows first.
+    all_pairs = predict_split(corpus, split, build_frontend(recipe), models, mode, knn_config)
+    for seed, pairs in zip(seeds, all_pairs):
         with atomic_dir(out / "infer" / f"seed{seed}") as seed_dir:
             systems = (system or "" for system in pairs.system_ids)
             rows = zip(pairs.sample_ids, systems, map(_fmt, pairs.true), map(_fmt, pairs.pred))
@@ -667,7 +644,7 @@ def cmd_infer(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
                 means = system_aggregate(pairs)
                 rows = zip(means.system_ids, map(_fmt, means.true), map(_fmt, means.pred))
                 write_csv(seed_dir / "systems.csv", ["system_id", "true_mean", "pred_mean"], rows)
-        print(f"infer seed {seed}: {settings[0]} on {target[0]}/{target[2]}, {len(pairs)} predictions")
+        print(f"infer seed {seed}: {mode} on {name}/{split}, {len(pairs)} predictions")
     return 0
 
 
@@ -678,25 +655,30 @@ def cmd_benchmark(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
     names = [t.strip() for t in recipe.get("benchmark.tests").split(",") if t.strip()]
     digest = recipe_hash(recipe)
     seeds = _seed_list(recipe, args)
-    settings = _inference_settings(recipe, args)
+    mode, knn_config, distance_kind = _inference_settings(recipe, args)
     untrained = [seed for seed in seeds if not _is_trained(out / "train" / f"seed{seed}", digest)]
-    train_names = _train_names(recipe) if untrained or _checks_table_rows(recipe, settings[0]) else []
-    corpora = get_corpora(recipe, out, names + train_names)
+    corpora = get_corpora(recipe, out, names + (_train_names(recipe) if untrained else []))
     targets = [_target(recipe, corpora, "benchmark.tests", name) for name in names]
-    predictions = _predict_seeds(recipe, settings, out, corpora, targets, seeds)  # checks the table rows
     if untrained:
+        if mode == "parametric" and recipe.get("model.kind") == "alignnet":  # fail before training, not after
+            table_ids = table_dataset_ids(resolve_train_corpus(recipe, corpora))
+            for _name, corpus, split in targets:
+                check_table_rows(table_ids, corpus.samples(split), split)
         phases = prepare_training(recipe, corpora)
         for seed in untrained:
             train_one_seed(recipe, phases, seed, out)
         del phases  # the train matrix is not needed for scoring
+    models = _load_models(recipe, out, seeds, mode, distance_kind)
+    frontend_config = build_frontend(recipe)
+    by_target = [predict_split(corpus, split, frontend_config, models, mode, knn_config) for _, corpus, split in targets]
 
     model_label = recipe.get("model.label")
     if model_label is None:
         mdf = "-mdf" if recipe.get("train.mdf_pretrain") else ""
-        model_label = f"{recipe.get('model.kind')}{mdf}-{settings[0]}"
+        model_label = f"{recipe.get('model.kind')}{mdf}-{mode}"
     rows: list[tuple] = []
     tests: dict[str, list[str]] = {}
-    for seed, all_pairs in predictions:
+    for seed, *all_pairs in zip(seeds, *by_target):
         for (name, corpus, _split), pairs in zip(targets, all_pairs):
             tests[name] = [name, corpus.domain_tag, str(len(pairs))]
             for metric, value in metric_values(pairs).items():

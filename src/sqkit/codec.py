@@ -6,7 +6,8 @@ string tables (uint16 byte length, then UTF-8, per entry) and fixed-shape
 arrays, with nothing after the last array. Reader checks every length
 against the bytes present and raises the loader's own error type. SQE1
 embedding files, read by the thousand, skip it: frontend.load_precomputed
-checks their one header and size itself.
+checks their one header and size itself. An SQF1 feature store's header
+goes through Reader; frontend._StoredSplit checks the rows it reads.
 """
 
 from __future__ import annotations

@@ -50,9 +50,8 @@ def export_embeddings(
     Takes n_per_set random samples per set (the whole set when smaller,
     recorded in truncated_sets); the choice is a pure function of
     (seed, label). dsp features are read from the store that the set's
-    corpus names in its feature_store where it holds them
-    (frontend.split_features), and featurized where not; a subset builds
-    no store.
+    corpus names in its feature_store (frontend.split_features), which is
+    built whole for the set's split first when missing, as for any reader.
     """
     if n_per_set < 1:
         raise ValidationError("n_per_set must be >= 1")
@@ -66,9 +65,9 @@ def export_embeddings(
         if len(samples) < n_per_set:
             truncated.append(label)
             logger.info("set %r has %d < %d samples; taking all", label, len(samples), n_per_set)
-        picked = select_samples(len(samples), n_per_set, seed, label)
-        raw_mats = split_features(corpus, split, frontend_config, featurize, work, picked)
-        for i, raw in zip(picked, raw_mats, strict=True):
+        chosen = select_samples(len(samples), n_per_set, seed, label)
+        raw_mats = split_features(corpus, split, frontend_config, featurize, work, chosen)
+        for i, raw in zip(chosen, raw_mats, strict=True):
             labels.append(label)
             ids.append(samples[i].sample_id)
             roles.append(role)

@@ -365,6 +365,9 @@ class FeatureScaler:
         """Standardize (N, D) frames into out (default: in place; float64 for float32 frames) and return it."""
         if frames.shape[1] != len(self.mean):
             raise ValidationError(f"scaler dim {len(self.mean)} != feature dim {frames.shape[1]}")
+        if out is not None and out.dtype != frames.dtype:  # an exact cast first: numpy's mixed-dtype loop is slower
+            out[...] = frames
+            frames = out
         out = np.subtract(frames, self.mean, out=frames if out is None else out)
         out /= self.std
         return out
@@ -402,10 +405,9 @@ def feature_source(sample: Sample, config: FrontendConfig) -> Path:
     return sample.embedding_ref
 
 
-def featurize(
-    sample: Sample, config: FrontendConfig, scaler: FeatureScaler | None = None, work: Workspace | None = None,
-) -> EmbeddingMatrix:
-    """Turn one sample into frame features per the frontend config.
+def featurize(sample: Sample, config: FrontendConfig, work: Workspace | None = None) -> EmbeddingMatrix:
+    """Turn one sample into its raw frame features per the frontend config;
+    a reader standardizes them with its model's scaler.
 
     A loop over samples passes one Workspace to every call, so the audio,
     resampling and DSP intermediates are allocated once for the loop. The
@@ -414,11 +416,8 @@ def featurize(
     if config.kind == "dsp":
         work = work or Workspace()
         samples, rate = load_audio(path, work)
-        mat = extract_dsp(resample_to_16k(samples, rate, work), config, work)
-    else:
-        mat = EmbeddingMatrix(load_precomputed(path, config.expected_dim), check_finite=False)
-    # Every branch's matrix is the caller's to change, so it is standardized in place.
-    return EmbeddingMatrix(frames=scaler.standardize(mat.frames)) if scaler is not None else mat
+        return extract_dsp(resample_to_16k(samples, rate, work), config, work)
+    return EmbeddingMatrix(load_precomputed(path, config.expected_dim), check_finite=False)
 
 
 class _StoredSplit:
@@ -427,26 +426,24 @@ class _StoredSplit:
     sha256 of the corpus's fingerprint, the config's values (the record
     meta.json keeps), the split and its sample ids. A store read from disk
     is checked: on open its key, shape, length-table crc32 and size, on each
-    read each utterance's crc32 and finiteness. If builds (the whole split
-    is read), a missing store is built on open and one whose read fails a
-    check is built once more, logged at INFO; the rows just built are read
-    back unchecked. A subset builds nothing: picked featurizes what the
-    store does not hold."""
+    read each utterance's crc32 and finiteness. A store missing or failing
+    its open checks is built whole on open, and one whose read fails a
+    check is built once more, each logged at INFO with the reason; the rows
+    just built are read back unchecked. Every reader, of the whole split or
+    of some utterances, goes through this one policy."""
 
     def __init__(self, directory: Path, fingerprint: str, corpus: CorpusManifest, split: str, config: FrontendConfig,
-                 featurize: Callable[..., EmbeddingMatrix], builds: bool):
-        self.samples, self.config, self.featurize, self.builds = corpus.samples(split), config, featurize, builds
+                 featurize: Callable[..., EmbeddingMatrix]):
+        self.samples, self.config, self.featurize = corpus.samples(split), config, featurize
         self.path = directory / f"{split}.features"
         frontend = json.dumps(asdict(config), sort_keys=True)
         lines = [fingerprint, frontend, split, *(s.sample_id for s in self.samples)]
         self.key = hashlib.sha256("\n".join(lines).encode("utf-8")).digest()
-        self.fd, self.checked, self.miss = -1, True, None
+        self.fd, self.checked = -1, True
         try:
             self._open()
         except (OSError, ValidationError) as exc:
-            self.miss = exc
-            if builds:
-                self.build()
+            self.build(exc)
 
     def _open(self) -> None:
         n, dim = len(self.samples), self.config.dim
@@ -471,10 +468,11 @@ class _StoredSplit:
             os.close(self.fd)
         self.fd = -1
 
-    def build(self) -> None:
+    def build(self, reason: Exception) -> None:
         """Featurize every utterance, one at a time, into a new store file
-        whose header is written last, and open it to be read unchecked."""
-        logger.info("building feature store %s (%s)", self.path, self.miss)
+        whose header is written last, and open it to be read unchecked;
+        reason, why the stored one was not read, goes to the log."""
+        logger.info("building feature store %s (%s)", self.path, reason)
         self.close()
         table = np.zeros((len(self.samples), 2), dtype="<u4")
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -482,19 +480,19 @@ class _StoredSplit:
         with atomic_open(self.path) as fh:
             fh.seek(4 + struct.calcsize(FEATURES_HEADER) + table.nbytes)  # the rows first
             for row, sample in zip(table, self.samples):
-                frames = self.featurize(sample, self.config, None, work).frames
+                frames = self.featurize(sample, self.config, work).frames
                 row[:] = len(frames), zlib.crc32(frames)
                 fh.write(frames)
             fh.seek(0)
             header = struct.pack(FEATURES_HEADER, self.key, len(table), self.config.dim, zlib.crc32(table))
             fh.write(FEATURES_MAGIC + header + table.tobytes())
         self._index(table)
-        self.fd, self.checked, self.miss = os.open(self.path, os.O_RDONLY), False, None
+        self.fd, self.checked = os.open(self.path, os.O_RDONLY), False
 
     def read(self, first: int, stop: int, out: np.ndarray) -> np.ndarray:
         """Utterances first to stop - 1 into out, C-contiguous float64 rows
-        of their shape, with one read. A checked read that fails builds the
-        store again, if the split builds, and reads once more, unchecked."""
+        of their shape, with one read. After a checked read that fails, the
+        store is built anew and read once more, unchecked."""
         ends = (self.starts[first : stop + 1] - self.starts[first]).tolist()
         if out.shape != (ends[-1], self.config.dim):
             raise ValidationError(f"{self.path}: utterances {first} to {stop - 1} are not {out.shape[0]} rows")
@@ -507,10 +505,9 @@ class _StoredSplit:
                     raise ValidationError(f"{self.path}: stored features fail their crc32 or finiteness check")
             return out
         except (OSError, ValidationError) as exc:
-            if not (self.checked and self.builds):
+            if not self.checked:
                 raise
-            self.miss = exc
-        self.build()
+            self.build(exc)
         return self.read(first, stop, out)
 
     def utterance(self, j: int, work: Workspace | None) -> np.ndarray:
@@ -519,21 +516,13 @@ class _StoredSplit:
         shape = (int(self.starts[j + 1] - self.starts[j]), self.config.dim)
         return self.read(j, j + 1, np.empty(shape) if work is None else work.take("stored", *shape))
 
-    def picked(self, j: int, work: Workspace | None) -> np.ndarray:
-        """Utterance j of a subset: read while the store holds it, else
-        featurized."""
-        if self.miss is None:
-            with contextlib.suppress(OSError, ValidationError):
-                return self.utterance(j, work)
-        return self.featurize(self.samples[j], self.config, None, work).frames
-
 
 @contextlib.contextmanager
-def _stored_splits(corpus: CorpusManifest | PooledCorpus, split: str, config: FrontendConfig, featurize: Callable,
-                   builds: bool) -> Iterator[list[_StoredSplit]]:
+def _stored_splits(corpus: CorpusManifest | PooledCorpus, split: str, config: FrontendConfig,
+                   featurize: Callable) -> Iterator[list[_StoredSplit]]:
     """The split of each member corpus (the corpus itself unless pooled) in
-    the store its feature_store names, built where missing if builds; a
-    member without one, in a temp dir removed on exit."""
+    the store its feature_store names, built where missing; a member
+    without one, in a temp dir removed on exit."""
     members = corpus.members if isinstance(corpus, PooledCorpus) else (corpus,)
     with contextlib.ExitStack() as stack:
         if any(member.feature_store is None for member in members):
@@ -542,7 +531,7 @@ def _stored_splits(corpus: CorpusManifest | PooledCorpus, split: str, config: Fr
         for i, member in enumerate(members):
             directory, fingerprint = member.feature_store or (tmp / str(i), "")
             parts.append(stack.enter_context(contextlib.closing(
-                _StoredSplit(directory, fingerprint, member, split, config, featurize, builds))))
+                _StoredSplit(directory, fingerprint, member, split, config, featurize))))
         yield parts
 
 
@@ -560,7 +549,7 @@ def packed_features(
     file whose header or size disagrees with those rows raises
     ValidationError naming it."""
     if config.kind == "dsp":
-        with _stored_splits(corpus, split, config, featurize, builds=True) as parts:
+        with _stored_splits(corpus, split, config, featurize) as parts:
             lengths = np.concatenate([np.diff(part.starts) for part in parts])
             frames = np.empty((int(lengths.sum()), config.dim))
             at = 0
@@ -590,21 +579,16 @@ def split_features(
     featurize: Callable[..., EmbeddingMatrix], work: Workspace | None = None, indices: Sequence[int] | None = None,
 ) -> Iterator[np.ndarray]:
     """The raw (T, D) features of each sample of a (possibly pooled) corpus
-    split, or of those at indices, in order. dsp ones are read from the
-    members' stores (_stored_splits) one utterance at a time, into work's
-    "stored" buffer (valid until the next) or, without work, a fresh array;
-    a missing store is built whole before the first is read, except for
-    indices, which featurize what is not stored. Precomputed ones come
-    from featurize, the caller's lookup of it, as an embedding file is
-    stored features."""
+    split, or of those at indices, in order. dsp ones are read one at a
+    time from the members' stores (_stored_splits, each built whole first
+    if missing) into work's "stored" buffer (valid until the next) or,
+    without work, a fresh array. Precomputed ones come from featurize, the
+    caller's lookup of it, as an embedding file is stored features."""
     samples = corpus.samples(split)
+    chosen = range(len(samples)) if indices is None else indices
     if config.kind != "dsp":
-        picked = range(len(samples)) if indices is None else indices
-        yield from (featurize(samples[i], config, None, work).frames for i in picked)
+        yield from (featurize(samples[i], config, work).frames for i in chosen)
         return
-    with _stored_splits(corpus, split, config, featurize, builds=indices is None) as parts:
+    with _stored_splits(corpus, split, config, featurize) as parts:
         utterances = [(part, j) for part in parts for j in range(len(part.samples))]
-        if indices is None:
-            yield from (part.utterance(j, work) for part, j in utterances)
-        else:
-            yield from (part.picked(j, work) for part, j in (utterances[i] for i in indices))
+        yield from (part.utterance(j, work) for part, j in (utterances[i] for i in chosen))

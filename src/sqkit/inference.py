@@ -196,7 +196,8 @@ def build_datastore(
     if not samples:
         raise ValidationError("corpus has no samples in split 'train'")
     work = Workspace()
-    embeddings = np.stack([featurize(s, frontend_config, scaler, work).frames.mean(axis=0) for s in samples])
+    raws = (featurize(s, frontend_config, work).frames for s in samples)  # fresh arrays: standardized in place
+    embeddings = np.stack([(raw if scaler is None else scaler.standardize(raw)).mean(axis=0) for raw in raws])
     return Datastore(
         embeddings=embeddings,
         scores=np.array([s.mos for s in samples]),

@@ -41,6 +41,7 @@ from sqkit import (
     split_random,
 )
 from sqkit.cli import main, parse_recipe, write_csv, write_records, write_records_mean
+from sqkit.corpus import MANIFEST_HEADER
 from sqkit.training import LogRecord
 from test_frontend import float32_wav_bytes
 
@@ -955,6 +956,18 @@ class TestExitCodes:
     def test_unknown_flag_is_exit_1(self, tmp_path):
         assert main(["train", "--config", "x", "--bogus"]) == 1
 
+    def test_an_unset_required_key_is_exit_1_naming_it(self, tmp_path, capsys):
+        config = write_recipe(tmp_path, BASE_RECIPE.replace("infer.corpus = synth\n", ""))
+        assert main(["infer", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: config key 'infer.corpus' is required\n"
+
+    def test_a_corpus_with_no_samples_in_any_split_is_exit_1(self, tmp_path, capsys):
+        (tmp_path / "empty.csv").write_text(",".join(MANIFEST_HEADER) + "\n", encoding="utf-8")
+        text = BASE_RECIPE.replace("infer.corpus = synth", "infer.corpus = empty")
+        config = write_recipe(tmp_path, text + "corpus.empty.kind = manifest\ncorpus.empty.path = empty.csv\n")
+        assert main(["infer", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: corpus 'empty' is empty\n"
+
     @pytest.mark.parametrize(
         "flag", [["--knn-k", "3"], ["--knn-temperature", "0.5"], ["--paper-literal-knn"], ["--mdf-pretrain", "synth"]]
     )
@@ -1445,7 +1458,8 @@ class TestEachCommandReadsOnlyItsCorpora:
         assert self.run(calls, config, out, "benchmark") == ["other"]
         assert self.run(calls, config, out, "export-embeddings") == ["other"]
 
-    def test_parametric_alignnet_also_reads_the_train_members_for_its_table(self, tmp_path, monkeypatch):
+    def test_trained_parametric_alignnet_checks_its_table_without_the_train_members(self, tmp_path, monkeypatch,
+                                                                                     capsys):
         recipe = READS_RECIPE.replace("model.kind = head", "model.kind = alignnet").replace(
             "train.corpus = synth", "train.corpus = synth+other"
         )
@@ -1454,9 +1468,16 @@ class TestEachCommandReadsOnlyItsCorpora:
         calls = recorded_materialize(monkeypatch)
         assert self.run(calls, config, out, "train") == ["other", "synth"]
         assert self.run(calls, config, out, "infer", "--inference", "knn") == ["other"]
-        assert self.run(calls, config, out, "infer") == ["other", "synth"]
+        assert self.run(calls, config, out, "infer") == ["other"]
         assert self.run(calls, config, out, "benchmark", "--inference", "knn") == ["other"]
-        assert self.run(calls, config, out, "benchmark") == ["other", "synth"]
+        assert self.run(calls, config, out, "benchmark") == ["other"]
+        # The trained params hold the table: a target outside it is refused without reading the members.
+        calls.clear()
+        capsys.readouterr()
+        outside = write_recipe(tmp_path, recipe.replace("infer.corpus = other", "infer.corpus = extra"), name="x.cfg")
+        assert main(["infer", "--config", str(outside), "--out", str(out)]) == 1
+        assert calls == ["extra"]
+        assert "have no row in the alignnet embedding table ('synth', 'other')" in capsys.readouterr().err
 
     def test_benchmark_reads_the_train_corpus_only_when_a_seed_is_stale(self, tmp_path, monkeypatch):
         config = write_recipe(tmp_path, READS_RECIPE)
@@ -1862,6 +1883,38 @@ class TestFeatureStore:
         swapped = [before[1]["pred"], before[0]["pred"]] + [row["pred"] for row in before[2:]]
         assert [row["pred"] for row in after] == swapped
 
+    def test_a_changed_split_csv_in_a_subdirectory_of_a_dir_corpus_rebuilds_its_store(self, tmp_path, monkeypatch):
+        config = write_recipe(tmp_path)
+        assert main(["prepare", "--config", str(config), "--out", str(tmp_path / "made")]) == 0
+        corpus_dir = tmp_path / "made" / "corpora" / "synth"
+        meta = json.loads((corpus_dir / "corpus.json").read_text())
+        (corpus_dir / "splits").mkdir()
+        for split in meta["splits"]:  # corpus.json names splits/<split>.csv; no CSV is left at the top
+            save_manifest(load_corpus_dir(corpus_dir).samples(split), corpus_dir / "splits" / f"{split}.csv")
+        for split in meta["splits"]:
+            (corpus_dir / f"{split}.csv").unlink()
+            meta["splits"][split] = f"splits/{split}.csv"
+        (corpus_dir / "corpus.json").write_text(json.dumps(meta))
+        block = [line for line in BASE_RECIPE.splitlines() if not line.startswith("corpus.synth.")]
+        dir_block = f"\ncorpus.synth.kind = dir\ncorpus.synth.path = {corpus_dir}\n"
+        dir_config = write_recipe(tmp_path, "\n".join(block) + dir_block, name="dir.cfg")
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(dir_config), "--out", str(out)]) == 0
+        calls = counted_featurize(monkeypatch)
+        assert main(["infer", "--config", str(dir_config), "--out", str(out)]) == 0
+        before = read_csv(out / "infer" / "seed0" / "predictions.csv")
+        assert calls == {}
+
+        # The first dev row now points at the second one's clip.
+        dev_csv = corpus_dir / "splits" / "dev.csv"
+        rows = read_csv(dev_csv)
+        rows[0]["audio_path"] = rows[1]["audio_path"]
+        write_csv(dev_csv, list(rows[0]), [list(row.values()) for row in rows])
+        assert main(["infer", "--config", str(dir_config), "--out", str(out)]) == 0
+        after = read_csv(out / "infer" / "seed0" / "predictions.csv")
+        assert calls == dict.fromkeys((row["sample_id"] for row in rows), 1)
+        assert [row["pred"] for row in after] == [before[1]["pred"]] + [row["pred"] for row in before[1:]]
+
     def test_a_truncated_or_bit_flipped_store_never_changes_a_prediction(self, tmp_path, caplog):
         config, out = self.trained(tmp_path)
         infer = ["infer", "--config", str(config), "--out", str(out), "-v"]
@@ -1919,7 +1972,7 @@ class TestFeatureStore:
             assert read_csv(fresh / "records.csv") == [row for row in records if row["test"] == block], block
             assert calls == dict.fromkeys(ids[0], 1), block
 
-    def test_export_of_a_subset_featurizes_only_what_it_picks(self, tmp_path, monkeypatch):
+    def test_export_of_a_subset_builds_each_split_store_whole_once(self, tmp_path, monkeypatch):
         config = write_recipe(tmp_path)
         out, trained = tmp_path / "out", tmp_path / "trained"
         calls = collections.Counter()
@@ -1929,12 +1982,19 @@ class TestFeatureStore:
             return _real(sample, *args, **kwargs)
 
         monkeypatch.setattr(sqkit.export, "featurize", counted)
-        assert main(["export-embeddings", "--config", str(config), "--out", str(out)]) == 0
-        assert sum(calls.values()) == 5 + 4 and set(calls.values()) == {1}  # 5 of 12 train clips, all 4 dev ones
-        assert not list(out.rglob("*.features"))  # a subset builds no store
-        assert main(["train", "--config", str(config), "--out", str(trained)]) == 0
-        (trained / "train").rename(tmp_path / "model")  # raw features, as in out: no trained scaler
+        export = ["export-embeddings", "--config", str(config), "--out", str(out)]
+        assert main(export) == 0
+        assert sum(calls.values()) == 12 + 4 and set(calls.values()) == {1}  # 5 of 12 train clips picked, 4 dev
+        exported = (out / "export" / "embeddings.csv").read_bytes()
         calls.clear()
+        assert main(export) == 0
+        assert calls == {}  # read from the stores the first export built
+        assert (out / "export" / "embeddings.csv").read_bytes() == exported
+        assert main(["train", "--config", str(config), "--out", str(trained)]) == 0
+        for split in ("train", "dev"):  # the stores train writes, byte for byte
+            store = Path("corpora", "synth", f"{split}.features")
+            assert (trained / store).read_bytes() == (out / store).read_bytes(), split
+        (trained / "train").rename(tmp_path / "model")  # raw features, as in out: no trained scaler
         assert main(["export-embeddings", "--config", str(config), "--out", str(trained)]) == 0
         assert calls == {}  # read from the stores train wrote
-        assert (trained / "export" / "embeddings.csv").read_bytes() == (out / "export" / "embeddings.csv").read_bytes()
+        assert (trained / "export" / "embeddings.csv").read_bytes() == exported

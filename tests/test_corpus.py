@@ -139,6 +139,30 @@ class TestManifestParsing:
         with pytest.raises(ManifestError, match="duplicate"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("rows, message", [
+        (None, "line 1: empty manifest"),
+        ([" ,a.wav,,demo,sysA,3.0,,"], "line 2: empty sample_id"),
+        (["u1,a.wav,,demo,sysA,3.0,L1,"], "line 2: listener_id and listener_score must both be set or both empty"),
+        (["u1,a.wav,,demo,sysA,3.0,,3"], "line 2: listener_id and listener_score must both be set or both empty"),
+        (["u1,a.wav,,demo,sysA,3.0,L1,3.5"], "line 2: unparseable listener_score '3.5'"),
+    ])
+    def test_a_malformed_file_or_row_names_the_file_and_line(self, tmp_path, rows, message):
+        path = tmp_path / "m.csv"
+        if rows is None:
+            path.write_text("", encoding="utf-8")
+        else:
+            write_manifest(path, rows)
+        with pytest.raises(ManifestError) as info:
+            load_manifest(path)
+        assert str(info.value) == f"{path} {message}"
+
+    def test_a_listener_score_outside_1_to_5_is_validation_error(self, tmp_path):
+        # The mean, 3.0, matches the mos: only the range check refuses these scores.
+        path = write_manifest(tmp_path / "m.csv", ["u1,a.wav,,demo,sysA,3.0,L1,6", "u1,a.wav,,demo,sysA,3.0,L2,0"])
+        with pytest.raises(ValidationError) as info:
+            load_manifest(path)
+        assert str(info.value) == "sample 'u1': listener 'L1' score 6 outside [1, 5]"
+
     def test_mos_out_of_range_is_validation_error(self, tmp_path):
         path = write_manifest(tmp_path / "m.csv", ["u1,a.wav,,demo,sysA,5.5,,"])
         with pytest.raises(ValidationError, match="outside"):

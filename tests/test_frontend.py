@@ -274,6 +274,17 @@ class TestEmbeddingFiles:
             with pytest.raises(ValidationError, match=re.escape(f"{path}: features are 4 x 3")):
                 load_precomputed(path, out=np.empty(shape))
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"kind": "mfcc"}, "unknown frontend kind 'mfcc'"),
+        ({"n_mels": 0}, "dsp parameters must be positive"),
+        ({"window_ms": 0.0}, "dsp parameters must be positive"),
+        ({"hop_ms": -10.0}, "dsp parameters must be positive"),
+    ])
+    def test_an_unknown_kind_or_a_non_positive_dsp_parameter_is_refused(self, fields, message):
+        with pytest.raises(ValidationError) as info:
+            FrontendConfig(**fields)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("dim", [0, -3])
     def test_expected_dim_must_be_positive(self, dim):
         # The packed decode sizes a file's rows as (size - 12) / (4 D).
@@ -307,6 +318,16 @@ class TestFeatureScaler:
         stacked = np.concatenate([scaler.standardize(m) for m in mats])
         np.testing.assert_allclose(stacked.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(stacked.std(axis=0), 1.0, atol=1e-12)
+
+    def test_float32_rows_into_float64_give_the_bits_of_their_float64_copy(self):
+        rng = np.random.default_rng(14)
+        rows = rng.normal(3.0, 2.0, size=(4200, 64)).astype(np.float32)
+        kept = rows.copy()
+        scaler = FeatureScaler(mean=rng.normal(size=64), std=rng.uniform(0.5, 2.0, size=64))
+        out = np.empty(rows.shape)
+        assert scaler.standardize(rows, out) is out
+        assert out.tobytes() == scaler.standardize(rows.astype(np.float64)).tobytes()
+        assert rows.tobytes() == kept.tobytes()
 
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(13)
@@ -411,8 +432,11 @@ class TestFeaturize:
         first = None
         for config, scale in configs:
             for sample in samples:
-                shared = featurize(sample, config, scale, work)
-                np.testing.assert_array_equal(shared.frames, featurize(sample, config, scale).frames)
+                shared, fresh = featurize(sample, config, work), featurize(sample, config)
+                if scale is not None:  # the caller standardizes featurize's fresh arrays in place
+                    scale.standardize(shared.frames)
+                    scale.standardize(fresh.frames)
+                np.testing.assert_array_equal(shared.frames, fresh.frames)
                 if first is None:
                     first, kept = shared, shared.frames.copy()
         np.testing.assert_array_equal(first.frames, kept)

@@ -32,6 +32,8 @@ from sqkit import (
     save_datastore,
     save_precomputed,
 )
+from sqkit.codec import write_artifact
+from sqkit.inference import DATASTORE_MAGIC
 from test_training import DIM, FRONTEND, make_corpus
 
 
@@ -480,6 +482,13 @@ class TestPredictSplit:
         with pytest.raises(ValidationError, match="alignnet"):
             predict_split(corpus, "dev", FRONTEND, [(params, None, ds)], mode="domain-retrieval")
 
+    @pytest.mark.parametrize("mode", ["knn", "domain-retrieval"])
+    def test_a_feature_dim_other_than_the_datastores_is_refused(self, monkeypatch, mode):
+        params = init_alignnet(2, ("a",), seed=0, hidden=3, embed_dim=2, decoder_hidden=3)
+        with pytest.raises(ValidationError) as info:
+            predict_frames(monkeypatch, [np.ones((3, 2))], mode, params=params, datastore=line_datastore([1.0], [3.0]))
+        assert str(info.value) == "s0: feature dim 2 != datastore dim 1"
+
     def test_unknown_mode_rejected(self, tmp_path, monkeypatch):
         corpus = make_corpus(tmp_path, "psu", seed=10)
         params = init_head(6, 4, seed=0)
@@ -664,6 +673,23 @@ class TestDatastoreFiles:
         path.write_bytes(b"WHAT" + b"\x00" * 30)
         with pytest.raises(ValidationError, match="not a datastore"):
             load_datastore(path)
+
+    def test_a_header_of_no_records_is_rejected(self, tmp_path):
+        path = tmp_path / "empty.bin"
+        write_artifact(path, DATASTORE_MAGIC, "<III", (0, 2, 0))
+        with pytest.raises(ValidationError) as info:
+            load_datastore(path)
+        assert str(info.value) == f"{path}: bad datastore header (0 records)"
+
+    @pytest.mark.parametrize("table", [b"\x01\x00b\x01\x00a", b"\x01\x00a\x01\x00a"])
+    def test_an_unsorted_or_duplicated_id_table_is_rejected(self, tmp_path, table):
+        path = tmp_path / "store.bin"
+        save_datastore(path, Datastore(np.eye(2), np.array([2.0, 4.0]), ("a", "b")))
+        data = path.read_bytes()
+        path.write_bytes(data.replace(b"\x01\x00a\x01\x00b", table, 1))
+        with pytest.raises(ValidationError) as info:
+            load_datastore(path)
+        assert str(info.value) == f"{path}: dataset-id table is not sorted and unique"
 
 
 class TestDatastoreValidation:

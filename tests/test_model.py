@@ -435,6 +435,15 @@ class TestCheckpointFiles:
         with pytest.raises(CheckpointError, match=f"{path}: non-finite values in {name}$"):
             load_params(path)
 
+    def test_duplicate_dataset_ids_are_rejected_naming_the_file(self, tmp_path):
+        path = tmp_path / "align.bin"
+        save_params(init_alignnet(6, ("aa", "ab"), seed=0, hidden=4, embed_dim=3, decoder_hidden=4), path)
+        data = path.read_bytes()
+        path.write_bytes(data.replace(b"\x02\x00ab", b"\x02\x00aa", 1))  # the id table's second entry
+        with pytest.raises(CheckpointError) as info:
+            load_params(path)
+        assert str(info.value) == f"{path}: duplicate dataset ids ('aa', 'aa')"
+
     def test_truncated_file_rejected(self, tmp_path):
         params = init_head(6, 4, seed=23)
         path = tmp_path / "cut.bin"

@@ -161,6 +161,25 @@ class TestSelectCriterion:
             select_criterion("telephone")
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("fields, message", [
+        ({"batch_size": 0}, "batch_size, lr must be positive; max_steps >= 0"),
+        ({"lr": 0.0}, "batch_size, lr must be positive; max_steps >= 0"),
+        ({"max_steps": -1}, "batch_size, lr must be positive; max_steps >= 0"),
+        ({"momentum": 1.0}, "momentum must be in [0, 1)"),
+        ({"momentum": -0.1}, "momentum must be in [0, 1)"),
+        ({"patience_steps": 0}, "patience_steps, top_k, eval_interval must be >= 1"),
+        ({"top_k": 0}, "patience_steps, top_k, eval_interval must be >= 1"),
+        ({"eval_interval": 0}, "patience_steps, top_k, eval_interval must be >= 1"),
+        ({"loss_tau": -0.25}, "loss_tau must be >= 0"),
+        ({"selection": "sys_mse"}, "selection must be one of ('utt_lcc', 'sys_srcc')"),
+    ])
+    def test_each_out_of_range_value_is_refused(self, fields, message):
+        with pytest.raises(ValidationError) as info:
+            TrainConfig(**fields)
+        assert str(info.value) == message
+
+
 class TestCheckpointLedger:
     PARAMS = init_head(3, 2, seed=0)
 
@@ -392,7 +411,7 @@ class TestTrainMdf:
         assert standardize(phase2.frames.astype(np.float64)).tobytes() == standardize(raw).tobytes()
         assert not phase2.frames.flags.writeable
         assert [m.tobytes() for m in phase2.dev_mats] == [
-            featurize(s, FRONTEND, phase1.scaler).frames.tobytes() for s in pooled.samples("dev")
+            phase1.scaler.standardize(featurize(s, FRONTEND).frames).tobytes() for s in pooled.samples("dev")
         ]
 
     def test_zero_step_phase2_returns_phase1_model(self, tmp_path):
@@ -482,7 +501,7 @@ class TestPackedTrainMatrix:
         corpus = CorpusManifest("emb", "non-synthetic", "en", 16000, {"train": tuple(samples), "dev": tuple(samples[:4])})
         data = prepare_train_data(corpus, FRONTEND)
         assert len(data.frames) > 2 * 4096  # the datastore pools several chunks of utterances
-        pooled = np.stack([featurize(s, FRONTEND, data.scaler).frames.mean(axis=0) for s in samples])
+        pooled = np.stack([data.scaler.standardize(featurize(s, FRONTEND).frames).mean(axis=0) for s in samples])
         assert data.datastore.embeddings.tobytes() == pooled.tobytes()
         # The former contract: frames standardized once, in float64.
         held = dataclasses.replace(data, frames=data.scaler.standardize(data.frames.astype(np.float64)))
