@@ -101,10 +101,9 @@ KEYS: dict[str, Key] = {
     "corpus.X.amplitude": Key("float", SynthSpec.tone_amplitude, "tone amplitude", kinds=("synthetic",)),
     "corpus.X.duration_lo": Key("float", SynthSpec.duration_s[0], "shortest utterance in s", kinds=("synthetic",)),
     "corpus.X.duration_hi": Key("float", SynthSpec.duration_s[1], "longest utterance in s", kinds=("synthetic",)),
-    "corpus.X.rate": Key("int", SynthSpec.rate_hz, "sample rate of the audio in Hz", kinds=("synthetic", "manifest")),
+    "corpus.X.rate": Key("int", SynthSpec.rate_hz, "sample rate of the audio in Hz", kinds=("synthetic",)),
     "corpus.X.path": Key("path", REQUIRED, "the manifest CSV or the corpus directory", kinds=("manifest", "dir")),
     "corpus.X.domain": Key("str", _arg(load_manifest, "domain_tag"), "domain tag", kinds=("manifest",)),
-    "corpus.X.language": Key("str", _arg(load_manifest, "language"), "language tag", kinds=("manifest",)),
     "frontend.kind": Key("str", FrontendConfig.kind, "dsp (log-mel from audio) or precomputed (embedding files)"),
     "frontend.n_mels": Key("int", FrontendConfig.n_mels, "mel bands of the dsp frontend"),
     "frontend.window_ms": Key("float", FrontendConfig.window_ms, "dsp window length in ms"),
@@ -232,17 +231,20 @@ def _corpus_names(recipe: Recipe) -> list[str]:
     return sorted({key.split(".")[1] for key in recipe.config if key.startswith("corpus.")})
 
 
-def corpus_fingerprint(recipe: Recipe, name: str) -> str:
+def corpus_fingerprint(recipe: Recipe, name: str, loaded: CorpusManifest | None = None) -> str:
     """sha256 of the raw lines of one corpus block (corpus.<name>.*), by the
     raw-string rule of recipe_hash, plus a line with the sha256 of the bytes
     of each file the block is read from: a manifest block's source CSV, a
     dir block's corpus.json and each split CSV it names, wherever that sits.
-    The same block and bytes fingerprint the same in any out dir."""
+    The same block and bytes fingerprint the same in any out dir. A caller
+    that has loaded a dir block's corpus passes it as loaded, so that its
+    corpus.json is not parsed again."""
     prefix = f"corpus.{name}."
     kind = recipe.get(prefix + "kind")
     sources = [recipe.get(prefix + "path")] if kind in ("manifest", "dir") else []
     if kind == "dir":
-        sources = [sources[0] / "corpus.json", *load_corpus_dir(sources[0]).splits.paths.values()]
+        loaded = load_corpus_dir(sources[0]) if loaded is None else loaded
+        sources = [sources[0] / "corpus.json", *loaded.splits.paths.values()]
     extra = [f"source sha256 = {hashlib.sha256(source.read_bytes()).hexdigest()}" for source in sources]
     return _raw_lines_hash(recipe, (prefix,), *extra)
 
@@ -279,8 +281,7 @@ def _prepared_corpus(recipe: Recipe, name: str, kind: str, seed: int, target: Pa
 
     with atomic_dir(target) as tmp:
         if path is not None:
-            made = load_manifest(path, name=name, domain_tag=get("domain"), language=get("language"),
-                                 native_rate_hz=get("rate"))
+            made = load_manifest(path, name=name, domain_tag=get("domain"))
         else:
             made = generate_synthetic_corpus(SynthSpec(
                 name=name, out_dir=tmp, n_utterances=get("n"), snr_grid_db=get("snr_grid"),
@@ -315,11 +316,12 @@ def materialize_corpus(recipe: Recipe, name: str, out_base: Path) -> CorpusManif
     if kind is None:
         raise ValidationError(f"corpus {name!r}: missing {prefix}kind")
     seed, target = recipe.get(prefix + "seed"), out_base / "corpora" / name
-    fingerprint = corpus_fingerprint(recipe, name)
+    loaded = load_corpus_dir(recipe.get(prefix + "path")) if kind == "dir" else None
+    fingerprint = corpus_fingerprint(recipe, name, loaded)
     if kind in ("synthetic", "manifest"):
         corpus = _prepared_corpus(recipe, name, kind, seed, target, fingerprint)
     elif kind == "dir":
-        corpus = _transformed(recipe, prefix, load_corpus_dir(recipe.get(prefix + "path")), seed)
+        corpus = _transformed(recipe, prefix, loaded, seed)
     else:
         raise ValidationError(f"corpus {name!r}: unknown kind {kind!r}")
     return dataclasses.replace(corpus, feature_store=(target, fingerprint))
@@ -630,9 +632,10 @@ def cmd_infer(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
     plus the per-system means when every sample has a system id."""
     seeds = _seed_list(recipe, args)
     mode, knn_config, distance_kind = _inference_settings(recipe, args)
-    corpora = get_corpora(recipe, out, [recipe.get("infer.corpus")])
-    name, corpus, split = _target(recipe, corpora, "infer.corpus")
-    models = _load_models(recipe, out, seeds, mode, distance_kind)
+    name = recipe.get("infer.corpus")
+    models = _load_models(recipe, out, seeds, mode, distance_kind)  # before any corpus is made
+    corpora = get_corpora(recipe, out, [name])
+    _name, corpus, split = _target(recipe, corpora, "infer.corpus")
     # All seeds at once, so each sample is featurized once; predict_split checks each model's table rows first.
     all_pairs = predict_split(corpus, split, build_frontend(recipe), models, mode, knn_config)
     for seed, pairs in zip(seeds, all_pairs):
@@ -763,19 +766,19 @@ def cmd_export_embeddings(recipe: Recipe, args: argparse.Namespace, out: Path) -
             raise ValidationError(f"export.sets entry {entry!r} must be corpus:split")
     pairs = [entry.split(":", 1) for entry in entries]
     seeds = _seed_list(recipe, args)
+    scaler = None
+    scaler_note = "raw frontend features (no trained scaler found)"
+    model_dir = out / "train" / f"seed{seeds[0]}"
+    if (model_dir / "meta.json").exists():  # loaded before any corpus is made
+        _params, scaler = load_model_dir(model_dir, recipe_hash(recipe))
+        scaler_note = f"scaler from {model_dir}"
+
     corpora = get_corpora(recipe, out, [name for name, _split in pairs])
     frontend_config = build_frontend(recipe)
     sets = [
         (f"{name}:{split}", _corpus(corpora, "export.sets", name), split, "train" if split == "train" else "test")
         for name, split in pairs
     ]
-
-    scaler = None
-    scaler_note = "raw frontend features (no trained scaler found)"
-    model_dir = out / "train" / f"seed{seeds[0]}"
-    if (model_dir / "meta.json").exists():
-        _params, scaler = load_model_dir(model_dir, recipe_hash(recipe))
-        scaler_note = f"scaler from {model_dir}"
 
     dump = export_embeddings(sets, frontend_config, scaler, n_per_set=recipe.get("export.n_per_set"), seed=seeds[0])
     proj, _components, _mean = pca_2d(dump.embeddings)

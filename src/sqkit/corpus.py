@@ -87,8 +87,6 @@ class CorpusManifest:
 
     name: str
     domain_tag: str
-    language: str
-    native_rate_hz: int
     splits: Mapping[str, tuple[Sample, ...]] = field(default_factory=dict)
     feature_store: tuple[Path, str] | None = None  # the directory and fingerprint of its dsp feature store
 
@@ -144,8 +142,6 @@ def load_manifest(
     path: str | Path,
     name: str | None = None,
     domain_tag: str = "non-synthetic",
-    language: str = "und",
-    native_rate_hz: int = 16000,
     split: str = "train",
 ) -> CorpusManifest:
     """Load one manifest CSV into a corpus with a single split.
@@ -236,13 +232,7 @@ def load_manifest(
         raise ValidationError(f"manifest mixes datasets {sorted(datasets)}")
     if name is None:
         name = samples[0].dataset_id if samples else path.stem
-    corpus = CorpusManifest(
-        name=name,
-        domain_tag=domain_tag,
-        language=language,
-        native_rate_hz=native_rate_hz,
-        splits={split: tuple(samples)},
-    )
+    corpus = CorpusManifest(name=name, domain_tag=domain_tag, splits={split: tuple(samples)})
     corpus.validate()
     logger.info("loaded %d samples from %s", len(samples), path)
     return corpus
@@ -341,16 +331,14 @@ def load_corpus_dir(directory: str | Path, fingerprint: str | None = None, sourc
         if want is not None and meta.get(key) != want:
             raise ManifestError(f"{meta_path}: {key} {meta.get(key) or '(none)'} does not match the recipe's {want}")
     try:
-        info = dict(
-            name=meta["name"],
-            domain_tag=meta["domain_tag"],
-            language=meta.get("language", "und"),
-            native_rate_hz=int(meta.get("native_rate_hz", 16000)),
-        )
+        info = dict(name=meta["name"], domain_tag=meta["domain_tag"])
         paths = {split: directory / csv_name for split, csv_name in dict(meta["splits"]).items()}
     except (KeyError, TypeError, ValueError) as exc:
         raise ManifestError(f"{meta_path}: bad corpus metadata ({exc!r})") from None
-    CorpusManifest(splits=dict.fromkeys(paths, ()), **info).validate()  # the domain tag and split names
+    try:
+        CorpusManifest(splits=dict.fromkeys(paths, ()), **info).validate()  # the domain tag and split names
+    except ValidationError as exc:
+        raise ManifestError(f"{meta_path}: {exc}") from None
     return CorpusManifest(splits=_SplitFiles(paths, info), **info)
 
 
@@ -364,8 +352,6 @@ def save_corpus_dir(corpus: CorpusManifest, directory: str | Path, fingerprint: 
     meta = {
         "name": corpus.name,
         "domain_tag": corpus.domain_tag,
-        "language": corpus.language,
-        "native_rate_hz": corpus.native_rate_hz,
         "splits": {split: f"{split}.csv" for split in corpus.splits},
     }
     meta.update((key, value) for key, value in (("fingerprint", fingerprint), ("source", source)) if value is not None)
@@ -523,13 +509,7 @@ def generate_synthetic_corpus(spec: SynthSpec, seed: int) -> CorpusManifest:
         )
         sidecar_rows.append([sample_id, repr(snr_db), repr(spec.delta), repr(eps)])
 
-    corpus = CorpusManifest(
-        name=spec.name,
-        domain_tag="synthetic",
-        language="none",
-        native_rate_hz=spec.rate_hz,
-        splits={"train": tuple(samples)},
-    )
+    corpus = CorpusManifest(name=spec.name, domain_tag="synthetic", splits={"train": tuple(samples)})
     corpus.validate()
     write_csv(out_dir / "sidecar.csv", SIDECAR_COLUMNS, sidecar_rows)
     logger.info("generated synthetic corpus %r: %d utterances in %s", spec.name, len(samples), out_dir)

@@ -214,18 +214,15 @@ class TrainData:
     built once and read, never changed, by every seed trained from it.
 
     frames is the packed train split, read-only (standardized if float64,
-    raw if float32): utterance i is rows starts[i] : starts[i] + lengths[i].
+    raw if float32): utterance i is the lengths[i] rows after those of the
+    utterances before it.
     dev_mats are the dev samples' (T, D) arrays standardized by the same
     scaler, and datastore is each train utterance's rows pooled over time.
     """
 
     corpus: CorpusManifest | PooledCorpus
-    train_samples: tuple[Sample, ...]
-    dev_samples: tuple[Sample, ...]
     frames: np.ndarray
     lengths: np.ndarray
-    starts: np.ndarray
-    targets: np.ndarray
     scaler: FeatureScaler
     dev_mats: tuple[np.ndarray, ...]
     datastore: Datastore
@@ -249,7 +246,7 @@ def _standardized(
     """TrainData over the corpus's packed raw train frames, which scaler
     standardizes in place if float64; each dev utterance's raw features are
     read into their own matrix and standardized in place by the same scaler."""
-    train_samples, dev_samples = corpus.samples("train"), corpus.samples("dev")
+    train_samples = corpus.samples("train")
     starts = np.cumsum(lengths) - lengths
     targets = np.array([s.mos for s in train_samples])
     # Each utterance's standardized rows pooled over time: the records
@@ -276,12 +273,8 @@ def _standardized(
     dev_raws = split_features(corpus, "dev", frontend_config, featurize)
     return TrainData(
         corpus=corpus,
-        train_samples=train_samples,
-        dev_samples=dev_samples,
         frames=frames,
         lengths=lengths,
-        starts=starts,
-        targets=targets,
         scaler=scaler,
         dev_mats=tuple(scaler.standardize(raw) for raw in dev_raws),
         datastore=Datastore(embeddings=pooled, scores=targets, dataset_ids=tuple(s.dataset_id for s in train_samples)),
@@ -308,7 +301,7 @@ def prepare_mdf_data(
     The pool's train split is packed into one matrix, and the scaler is
     fitted on the member's rows and standardizes the whole pool, so the
     phase-1 parameters keep their meaning in phase 2. A member's samples
-    are one contiguous block of the pool's, so phase 1's frames, targets,
+    are one contiguous block of the pool's, so phase 1's frames, lengths,
     dev matrices and datastore records are views of phase 2's.
     """
     names = [m.name for m in pooled.members]
@@ -329,12 +322,8 @@ def prepare_mdf_data(
     datastore = phase2.datastore
     phase1 = TrainData(
         corpus=member,
-        train_samples=phase2.train_samples[train_block],
-        dev_samples=phase2.dev_samples[dev_block],
         frames=phase2.frames[rows],
         lengths=phase2.lengths[train_block],
-        starts=phase2.starts[train_block] - rows.start,
-        targets=phase2.targets[train_block],
         scaler=phase2.scaler,
         dev_mats=phase2.dev_mats[dev_block],
         datastore=Datastore(
@@ -371,16 +360,19 @@ def train(
     """
     if model_kind not in MODEL_KINDS:
         raise ValidationError(f"unknown model kind {model_kind!r}")
-    if config.selection == "sys_srcc" and any(s.system_id is None for s in data.dev_samples):
+    train_samples, dev_samples = data.corpus.samples("train"), data.corpus.samples("dev")
+    if config.selection == "sys_srcc" and any(s.system_id is None for s in dev_samples):
         raise ValidationError("sys_srcc selection needs system_id on every dev sample")
 
-    train_frames, lengths_all, starts_all, targets_all = data.frames, data.lengths, data.starts, data.targets
+    train_frames, lengths_all = data.frames, data.lengths
+    starts_all = np.cumsum(lengths_all) - lengths_all
+    targets_all = np.array([s.mos for s in train_samples])
     dim = train_frames.shape[1]
     if model_kind == "alignnet":
         if dataset_ids is None:
             dataset_ids = table_dataset_ids(data.corpus)
         table_ids = set(dataset_ids)
-        missing = {s.dataset_id for s in data.train_samples} - table_ids
+        missing = {s.dataset_id for s in train_samples} - table_ids
         if missing:
             raise ValidationError(f"train samples reference dataset_ids outside the table: {sorted(missing)}")
         params: ModelParams = (
@@ -394,7 +386,7 @@ def train(
         raise ValidationError(f"initial params dim {params.dim} != feature dim {dim}")
 
     if model_kind == "alignnet":
-        rows_all = np.array([params.row_index(s.dataset_id) for s in data.train_samples])
+        rows_all = np.array([params.row_index(s.dataset_id) for s in train_samples])
     work = Workspace(rows=int(np.sort(lengths_all)[-config.batch_size :].sum()))
 
     velocity = zero_grads(params)
@@ -442,7 +434,7 @@ def train(
 
         if step % config.eval_interval == 0:
             try:
-                value: float | None = _dev_criterion(params, data.dev_samples, data.dev_mats, config.selection)
+                value: float | None = _dev_criterion(params, dev_samples, data.dev_mats, config.selection)
             except UndefinedCorrelationError:
                 value = None
             if value is not None:

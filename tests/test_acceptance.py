@@ -406,8 +406,6 @@ def sibling_corpus(wav_root, name, delta, seed, n_train=40, n_dev=12):
     corpus = CorpusManifest(
         name=name,
         domain_tag="synthetic",
-        language="none",
-        native_rate_hz=16000,
         splits={"train": tuple(train_rows), "dev": tuple(dev_rows)},
     )
     corpus.validate()

@@ -24,6 +24,7 @@ import sqkit.training
 from sqkit import (
     FrontendConfig,
     KnnConfig,
+    SqkitError,
     SynthSpec,
     ValidationError,
     build_datastore,
@@ -296,6 +297,16 @@ class TestRecipeKeys:
         assert len(table) == len(rows)
         assert table == {key: (spec.type, readme_default(spec.default)) for key, spec in cli.KEYS.items()}
 
+    @pytest.mark.parametrize("line, named", [
+        ("corpus.man.rate = 22050", "'corpus.man.rate' is read by synthetic corpora, not by manifest ones"),
+        ("corpus.man.language = en", "unknown config key 'corpus.man.language'"),
+    ], ids=["rate", "language"])
+    def test_a_manifest_block_sets_no_rate_or_language(self, tmp_path, capsys, line, named):
+        # load_audio reads each WAV's rate from its header, and no reader took a language.
+        config = write_recipe(tmp_path, BASE_RECIPE + MANIFEST_CORPUS + line + "\n")
+        assert main(["prepare", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert named in capsys.readouterr().err
+
 
 class TestPrepare:
     def test_writes_corpus_dirs(self, tmp_path):
@@ -415,6 +426,12 @@ class TestInfer:
         assert main(["infer", "--config", str(config), "--out", str(out)]) == 1
         assert "train command first" in capsys.readouterr().err
 
+    def test_a_missing_model_is_exit_1_before_any_corpus_is_made(self, tmp_path, capsys):
+        config, out = write_recipe(tmp_path), tmp_path / "out"
+        assert main(["infer", "--config", str(config), "--out", str(out)]) == 1
+        assert f"no trained model in {out / 'train' / 'seed0'}" in capsys.readouterr().err
+        assert not (out / "corpora").exists()
+
     def test_writes_predictions(self, tmp_path):
         config = write_recipe(tmp_path)
         out = tmp_path / "out"
@@ -507,6 +524,7 @@ class TestInfer:
 
     def test_split_with_no_samples_is_exit_1(self, tmp_path, capsys):
         config = write_recipe(tmp_path, BASE_RECIPE + "infer.split = test\n")
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 0  # infer loads it first
         assert main(["infer", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
         assert "has no samples in split 'test'" in capsys.readouterr().err
 
@@ -951,6 +969,15 @@ class TestExportEmbeddings:
         assert main(["export-embeddings", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
         assert "export.sets entry 'synth' must be corpus:split" in capsys.readouterr().err
 
+    def test_a_corrupt_meta_json_is_exit_1_before_any_corpus_is_made(self, tmp_path, capsys):
+        config, out = write_recipe(tmp_path), tmp_path / "out"
+        path = out / "train" / "seed0" / "meta.json"
+        path.parent.mkdir(parents=True)
+        path.write_text("[]\n")
+        assert main(["export-embeddings", "--config", str(config), "--out", str(out)]) == 1
+        assert f"error: {path}: not a JSON object" in capsys.readouterr().err
+        assert not (out / "corpora").exists()
+
 
 class TestExitCodes:
     def test_unknown_flag_is_exit_1(self, tmp_path):
@@ -965,6 +992,8 @@ class TestExitCodes:
         (tmp_path / "empty.csv").write_text(",".join(MANIFEST_HEADER) + "\n", encoding="utf-8")
         text = BASE_RECIPE.replace("infer.corpus = synth", "infer.corpus = empty")
         config = write_recipe(tmp_path, text + "corpus.empty.kind = manifest\ncorpus.empty.path = empty.csv\n")
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 0  # infer loads it first
+        capsys.readouterr()
         assert main(["infer", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == "error: corpus 'empty' is empty\n"
 
@@ -985,6 +1014,37 @@ class TestExitCodes:
         monkeypatch.setattr(sqkit.training, "clipped_mse", broken)
         assert main(["train", "--config", str(write_recipe(tmp_path)), "--out", str(tmp_path / "out")]) == 2
         assert "runtime error: ValueError: operands could not be broadcast together" in capsys.readouterr().err
+
+    def test_a_sqkit_error_of_no_input_kind_is_exit_2(self, tmp_path, monkeypatch, capsys):
+        def broken(recipe, args, out):
+            raise SqkitError("a fault of no documented input kind")
+
+        monkeypatch.setitem(cli.COMMANDS, "prepare", broken)
+        assert main(["prepare", "--config", str(write_recipe(tmp_path)), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: a fault of no documented input kind\n"
+
+    def test_a_synthetic_corpus_of_no_utterances_is_exit_1(self, tmp_path, capsys):
+        config = write_recipe(tmp_path, BASE_RECIPE.replace("corpus.synth.n = 16", "corpus.synth.n = 0"))
+        out = tmp_path / "out"
+        assert main(["prepare", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: n_utterances must be >= 1\n"
+        assert not (out / "corpora" / "synth").exists()
+
+    @pytest.mark.parametrize("field, value, named", [
+        ("domain_tag", "studio", "unknown domain tag 'studio'"),
+        ("splits", {"holdout": "train.csv"}, "unknown split name 'holdout'"),
+    ], ids=["domain-tag", "split-name"])
+    def test_a_bad_dir_corpus_json_is_exit_1_naming_it(self, tmp_path, capsys, field, value, named):
+        made = tmp_path / "made"
+        assert main(["prepare", "--config", str(write_recipe(tmp_path)), "--out", str(made)]) == 0
+        path = made / "corpora" / "synth" / "corpus.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
+        body = [line for line in BASE_RECIPE.splitlines() if not line.startswith("corpus.synth.")]
+        dir_block = f"\ncorpus.synth.kind = dir\ncorpus.synth.path = {path.parent}\n"
+        config = write_recipe(tmp_path, "\n".join(body) + dir_block, name="dir.cfg")
+        capsys.readouterr()
+        assert main(["prepare", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {named}\n"
 
     @pytest.mark.parametrize("name", ["recipe.cfg", "pa.csv"])
     def test_a_byte_that_is_not_utf8_is_exit_1_naming_its_file(self, tmp_path, capsys, name):
@@ -1882,6 +1942,25 @@ class TestFeatureStore:
         assert calls == dict.fromkeys((row["sample_id"] for row in rows), 1)
         swapped = [before[1]["pred"], before[0]["pred"]] + [row["pred"] for row in before[2:]]
         assert [row["pred"] for row in after] == swapped
+
+    def test_infer_parses_a_dir_corpus_json_once(self, tmp_path, monkeypatch):
+        config = write_recipe(tmp_path)
+        assert main(["prepare", "--config", str(config), "--out", str(tmp_path / "made")]) == 0
+        corpus_dir = tmp_path / "made" / "corpora" / "synth"
+        block = [line for line in BASE_RECIPE.splitlines() if not line.startswith("corpus.synth.")]
+        dir_block = f"\ncorpus.synth.kind = dir\ncorpus.synth.path = {corpus_dir}\n"
+        dir_config = write_recipe(tmp_path, "\n".join(block) + dir_block, name="dir.cfg")
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(dir_config), "--out", str(out)]) == 0
+        loads = []
+
+        def counted(directory, *args, _real=cli.load_corpus_dir):
+            loads.append(Path(directory))
+            return _real(directory, *args)
+
+        monkeypatch.setattr(cli, "load_corpus_dir", counted)
+        assert main(["infer", "--config", str(dir_config), "--out", str(out)]) == 0
+        assert loads == [corpus_dir]  # the fingerprint hashes the split CSVs of the corpus already loaded
 
     def test_a_changed_split_csv_in_a_subdirectory_of_a_dir_corpus_rebuilds_its_store(self, tmp_path, monkeypatch):
         config = write_recipe(tmp_path)

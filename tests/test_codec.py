@@ -9,6 +9,7 @@ loader, or a silently malformed object, fails these tests. A feature store
 again, to the same bytes and the same features.
 """
 
+import logging
 import re
 import struct
 from pathlib import Path
@@ -197,7 +198,7 @@ class TestFeatureStoreSweep:
             write_wav(tmp_path / f"u{i}.wav", 0.3 * rng.uniform(-1.0, 1.0, n), 16000)
             samples.append(Sample(f"u{i}", tmp_path / f"u{i}.wav", None, "sweep", None, 3.0))
         store = (tmp_path / "store" / "sweep", "key")
-        corpus = CorpusManifest("sweep", "non-synthetic", "en", 16000, {"train": tuple(samples)}, store)
+        corpus = CorpusManifest("sweep", "non-synthetic", {"train": tuple(samples)}, store)
         calls = []
 
         def featurize(sample, *args):
@@ -254,7 +255,7 @@ class TestFeatureStoreContract:
             write_wav(tmp_path / f"u{i}.wav", 0.3 * rng.uniform(-1.0, 1.0, n), 16000)
             samples.append(Sample(f"u{i}", tmp_path / f"u{i}.wav", None, "contract", None, 3.0))
         store = (tmp_path / "store", "key")
-        corpus = CorpusManifest("contract", "non-synthetic", "en", 16000, {"train": tuple(samples)}, store)
+        corpus = CorpusManifest("contract", "non-synthetic", {"train": tuple(samples)}, store)
         calls = []
 
         def featurize(sample, *args):
@@ -274,6 +275,23 @@ class TestFeatureStoreContract:
         rows = [m.copy() for m in split_features(corpus, "train", self.CONFIG, featurize)]
         assert calls == [] and [len(m) for m in rows] == [1, 2, 3]
         assert rows[0].tobytes() == first.tobytes()
+
+    def test_a_store_cut_short_after_it_was_opened_is_rebuilt_once(self, tmp_path, caplog):
+        corpus, featurize, calls = self.split(tmp_path)
+        rows = [m.copy() for m in split_features(corpus, "train", self.CONFIG, featurize)]  # builds the store
+        path = tmp_path / "store" / "train.features"
+        data = path.read_bytes()
+        calls.clear()
+        reading = split_features(corpus, "train", self.CONFIG, featurize)
+        got = [next(reading).copy()]  # the store passed its open checks and is read from its descriptor
+        with open(path, "r+b") as fh:
+            fh.truncate(len(data) - 3 * 2 * 8)  # the last utterance's 3 rows of 2 float64 features
+        with caplog.at_level(logging.INFO, logger="sqkit.frontend"):
+            got += [m.copy() for m in reading]
+        assert [m.tobytes() for m in got] == [m.tobytes() for m in rows]
+        assert calls == ["u0", "u1", "u2"]  # rebuilt once, whole
+        assert path.read_bytes() == data
+        assert f"building feature store {path} ({path}: truncated feature store)" in caplog.messages
 
     def test_no_read_build_or_rebuild_leaves_a_descriptor_open(self, tmp_path):
         fd_dir = Path("/proc/self/fd")

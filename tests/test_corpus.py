@@ -65,8 +65,6 @@ def corpus_of(samples, name="demo", split="train") -> CorpusManifest:
     return CorpusManifest(
         name=name,
         domain_tag="non-synthetic",
-        language="und",
-        native_rate_hz=16000,
         splits={split: tuple(samples)},
     )
 
@@ -87,6 +85,10 @@ class TestManifestParsing:
         assert sample.mos == 3.5
         assert sample.audio_ref == tmp_path / "wav/u1.wav"
         assert sample.embedding_ref is None
+
+    def test_a_blank_row_is_skipped(self, tmp_path):
+        path = write_manifest(tmp_path / "m.csv", ["u1,a.wav,,demo,,3.0,,", "", "u2,b.wav,,demo,,4.0,,"])
+        assert [s.sample_id for s in load_manifest(path).samples("train")] == ["u1", "u2"]
 
     def test_listener_fanout_rows(self, tmp_path):
         path = write_manifest(
@@ -216,8 +218,6 @@ class TestManifestRoundTrip:
         corpus = CorpusManifest(
             name="demo",
             domain_tag="non-synthetic",
-            language="en",
-            native_rate_hz=22050,
             splits={"train":
                     tuple(make_samples(5)), "dev": tuple(make_samples(3, dataset="demo")[:2])},
         )
@@ -234,13 +234,12 @@ class TestManifestRoundTrip:
             for i, s in enumerate(corpus.splits["dev"])
         )
         corpus = CorpusManifest(
-            name="demo", domain_tag="non-synthetic", language="en", native_rate_hz=22050,
+            name="demo", domain_tag="non-synthetic",
             splits={"train": corpus.splits["train"], "dev": dev},
         )
         save_corpus_dir(corpus, tmp_path / "c")
         loaded = load_corpus_dir(tmp_path / "c")
         assert loaded.name == "demo"
-        assert loaded.native_rate_hz == 22050
         assert loaded.size("train") == 5 and loaded.size("dev") == 2
 
     @pytest.mark.parametrize("through_symlink", [False, True], ids=["real-dir", "symlinked-dir"])
@@ -315,6 +314,12 @@ class TestManifestRoundTrip:
         assert audio.audio_ref == expected and str(audio.audio_ref) == str(expected)
         assert embedding.embedding_ref == expected and str(embedding.embedding_ref) == str(expected)
 
+    def test_an_id_in_two_splits_is_rejected(self):
+        samples = make_samples(3)
+        corpus = CorpusManifest("demo", "non-synthetic", {"train": tuple(samples[:2]), "dev": tuple(samples[1:])})
+        with pytest.raises(ValidationError, match="duplicate sample_id 'demo-001'"):
+            corpus.validate()
+
     def test_missing_corpus_json(self, tmp_path):
         with pytest.raises(ManifestError, match="corpus.json"):
             load_corpus_dir(tmp_path)
@@ -388,6 +393,10 @@ class TestPool:
         assert pooled.domain_tag == "pooled"
         assert [s.dataset_id for s in pooled.samples("train")] == ["a"] * 3 + ["b"] * 2
         assert pooled.size("train") == 5
+
+    def test_name_joins_the_member_names(self):
+        pooled = pool([corpus_of(make_samples(1, "a"), name="a"), corpus_of(make_samples(1, "b"), name="b")])
+        assert pooled.name == "a+b"
 
     def test_duplicate_names_rejected(self):
         a = corpus_of(make_samples(3, "a"), name="a")

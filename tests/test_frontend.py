@@ -80,6 +80,16 @@ class TestLoadAudio:
         samples, _ = load_audio(path)
         np.testing.assert_allclose(samples, [(128 - 128) / 128, (255 - 128) / 128, (0 - 128) / 128])
 
+    def test_24_bit_rejected(self, tmp_path):
+        path = tmp_path / "w24.wav"
+        with wave_mod.open(str(path), "wb") as wf:
+            wf.setnchannels(1)
+            wf.setsampwidth(3)
+            wf.setframerate(16000)
+            wf.writeframes(bytes(3 * 40))
+        with pytest.raises(AudioFormatError, match=re.escape(f"{path}: unsupported sample width 3 bytes")):
+            load_audio(path)
+
     def test_stereo_rejected(self, tmp_path):
         path = tmp_path / "st.wav"
         with wave_mod.open(str(path), "wb") as wf:
@@ -291,6 +301,17 @@ class TestEmbeddingFiles:
         with pytest.raises(ValidationError, match=f"expected_dim must be positive, not {dim}"):
             FrontendConfig(kind="precomputed", expected_dim=dim)
 
+    def test_a_precomputed_dim_is_its_expected_dim(self):
+        assert FrontendConfig(kind="precomputed", expected_dim=6).dim == 6
+        with pytest.raises(ValidationError, match="precomputed frontend needs expected_dim"):
+            FrontendConfig(kind="precomputed").dim
+
+    def test_zero_frames_rejected(self, tmp_path):
+        path = tmp_path / "e.bin"
+        path.write_bytes(b"SQE1" + struct.pack("<II", 0, 4))
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: embedding must be a non-empty 2-D matrix")):
+            load_precomputed(path)
+
     def test_dim_mismatch_rejected(self, tmp_path):
         path = tmp_path / "e.bin"
         save_precomputed(path, np.zeros((2, 3)))
@@ -408,6 +429,18 @@ class TestFeaturize:
         )
         with pytest.raises(ValidationError, match="no audio"):
             featurize(sample, FrontendConfig())
+
+    def test_precomputed_needs_an_embedding_file(self, tmp_path):
+        sample = Sample("u1", tmp_path / "a.wav", None, "d", None, 3.0)
+        with pytest.raises(ValidationError, match="sample 'u1' has no embedding file"):
+            featurize(sample, FrontendConfig(kind="precomputed", expected_dim=4))
+
+    def test_a_clip_that_resamples_to_no_samples_is_one_floor_frame(self, tmp_path):
+        path = tmp_path / "one.wav"
+        write_raw_wav(path, [12000], rate=48000)  # 1 x 16000 / 48000 rounds to 0 samples
+        sample = Sample("u1", path, None, "d", None, 3.0)
+        frames = featurize(sample, FrontendConfig(n_mels=8)).frames
+        assert frames.shape == (1, 16) and np.all(frames == np.log(frontend.LOG_FLOOR))
 
     def test_a_shared_workspace_gives_the_bits_of_fresh_calls(self, tmp_path):
         rng = np.random.default_rng(8)

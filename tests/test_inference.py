@@ -48,7 +48,7 @@ def predict_frames(monkeypatch, mats, mode, params=None, knn_config=None, datast
     from dataset_id; featurize is replaced by a lookup of the matrices."""
     frames = {f"s{i}": EmbeddingMatrix(frames=m) for i, m in enumerate(mats)}
     samples = tuple(Sample(sid, None, Path(sid), dataset_id, None, 3.0) for sid in frames)
-    corpus = CorpusManifest("frames", "synthetic", "en", 16000, {"test": samples})
+    corpus = CorpusManifest("frames", "synthetic", {"test": samples})
     monkeypatch.setattr(sqkit.inference, "featurize", lambda sample, *_: frames[sample.sample_id])
     return predict_split(corpus, "test", FRONTEND, [(params, None, datastore)], mode, knn_config)[0].pred
 
@@ -97,7 +97,7 @@ class TestBuildDatastore:
         for i, frames in enumerate(utterances):
             save_precomputed(tmp_path / f"u{i}.bin", frames)
             samples.append(Sample(f"u{i}", None, tmp_path / f"u{i}.bin", "pool", None, 3.0))
-        corpus = CorpusManifest("pool", "non-synthetic", "en", 16000, {"train": tuple(samples)})
+        corpus = CorpusManifest("pool", "non-synthetic", {"train": tuple(samples)})
         ds = build_datastore(FRONTEND, corpus)
         stored = [f.astype(np.float32).astype(np.float64) for f in utterances]
         assert ds.embeddings[0].tobytes() == stored[0][0].tobytes()
@@ -466,6 +466,11 @@ class TestPredictSplit:
         expected = [clip_score(head_raw(params, featurize(s, FRONTEND).frames)) for s in corpus.samples("dev")]
         np.testing.assert_array_equal(pairs.pred, expected)
         np.testing.assert_array_equal(pairs.true, [s.mos for s in corpus.samples("dev")])
+
+    def test_an_empty_split_is_rejected(self, tmp_path):
+        corpus = make_corpus(tmp_path, "pse", seed=7)
+        with pytest.raises(ValidationError, match="corpus has no samples in split 'test'"):
+            predict_split(corpus, "test", FRONTEND, [(init_head(6, 4, seed=2), None, None)])
 
     def test_knn_mode_needs_datastore(self, tmp_path, monkeypatch):
         corpus = make_corpus(tmp_path, "psk", seed=8)

@@ -415,6 +415,10 @@ class TestAggregate:
         with pytest.raises(ValidationError, match="test set 't2' has domain tag"):
             aggregate(self.spreadsheet_reports(), domains, best={"t1": (0.3, 0.9), "t2": (0.25, 0.8)})
 
+    def test_no_records_rejected(self):
+        with pytest.raises(ValidationError, match="aggregate requires at least one record"):
+            aggregate({}, {})
+
     def test_missing_cell_rejected(self):
         reports = self.spreadsheet_reports()
         del reports[("m3", "t2")]

@@ -1,5 +1,7 @@
 """Forward passes, analytic gradients, init, and checkpoint files."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,11 @@ class TestAlignNetForward:
         with pytest.raises(ValidationError):
             init_alignnet(4, ("x", "x"), seed=0)
 
+    def test_table_rows_must_match_the_ids(self):
+        params = init_alignnet(4, ("x", "y"), seed=0)
+        with pytest.raises(ValidationError, match="dataset_ids length must match embedding table rows"):
+            AlignNetParams(**{**params.as_dict(), "dataset_ids": ("x",)})
+
 
 class TestPackedForward:
     """The packed forward, which the backward kernels run as their first
@@ -217,6 +224,20 @@ class TestInit:
         a = init_alignnet(7, ("p", "q"), seed=5, hidden=4, embed_dim=3, decoder_hidden=4)
         b = init_alignnet(7, ("p", "q"), seed=5, hidden=4, embed_dim=3, decoder_hidden=4)
         assert params_equal(a, b)
+
+    @pytest.mark.parametrize("dim, hidden", [(0, 4), (4, 0)])
+    def test_head_widths_must_be_positive(self, dim, hidden):
+        with pytest.raises(ValidationError, match="dim and hidden must be >= 1"):
+            init_head(dim, hidden, seed=0)
+
+    @pytest.mark.parametrize("widths", [{"dim": 0}, {"hidden": 0}, {"embed_dim": 0}, {"decoder_hidden": 0}])
+    def test_alignnet_widths_must_be_positive(self, widths):
+        with pytest.raises(ValidationError, match="all widths must be >= 1"):
+            init_alignnet(**{"dim": 4, "dataset_ids": ("x",), "seed": 0, **widths})
+
+    def test_alignnet_needs_a_dataset_id(self):
+        with pytest.raises(ValidationError, match="alignnet needs at least one dataset id"):
+            init_alignnet(4, (), seed=0)
 
     def test_weights_are_not_constant(self):
         params = init_head(10, 6, seed=1)
@@ -388,6 +409,15 @@ class TestPackedKernels:
         with pytest.raises(RuntimeError, match="rejected"):
             head_backward(params, np.ones((3, 3)), lengths=[1, 2], loss=reject)
 
+    def test_a_loss_gradient_of_another_shape_is_rejected(self):
+        params = init_head(3, 2, seed=0)
+
+        def wide(raws):
+            return 0.0, np.zeros(len(raws) + 1)
+
+        with pytest.raises(ValidationError, match=re.escape("loss gradient shape (3,) != raw scores (2,)")):
+            head_backward(params, np.ones((3, 3)), lengths=[1, 2], loss=wide)
+
     @pytest.mark.parametrize("lengths", [[], [3], [2, 0, 2], [[4]]])
     def test_lengths_must_cover_the_frames(self, lengths):
         with pytest.raises(ValidationError, match="lengths"):
@@ -408,6 +438,11 @@ class TestCheckpointFiles:
         loaded = load_params(path)
         assert isinstance(loaded, HeadParams)
         assert params_equal(loaded, params)
+
+    def test_only_params_are_saved(self, tmp_path):
+        with pytest.raises(CheckpointError, match="cannot serialize dict"):
+            save_params({"w1": np.zeros(2)}, tmp_path / "params.ckpt")
+        assert not (tmp_path / "params.ckpt").exists()
 
     def test_alignnet_round_trip_preserves_ids(self, tmp_path):
         ids = ("bvcc", "tencent", "nisqa-é")

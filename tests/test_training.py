@@ -81,8 +81,6 @@ def make_corpus(tmp_path, name, n_train=12, n_dev=6, seed=0, mos_fn=None, dev_mo
     corpus = CorpusManifest(
         name=name,
         domain_tag="non-synthetic",
-        language="en",
-        native_rate_hz=16000,
         splits={"train": build("train", n_train), "dev": build("dev", n_dev)},
     )
     corpus.validate()
@@ -346,12 +344,34 @@ class TestTrainLoop:
         no_dev = CorpusManifest(
             name="empty",
             domain_tag="non-synthetic",
-            language="en",
-            native_rate_hz=16000,
             splits={"train": corpus.samples("train")},
         )
         with pytest.raises(ValidationError, match="dev"):
             train("head", prepare_train_data(no_dev, FRONTEND), TrainConfig(max_steps=1), hidden=4)
+
+    def test_an_empty_train_split_is_rejected(self, tmp_path):
+        corpus = make_corpus(tmp_path, "notrain", seed=8)
+        no_train = dataclasses.replace(corpus, splits={"train": (), "dev": corpus.samples("dev")})
+        with pytest.raises(ValidationError, match="empty train split"):
+            prepare_train_data(no_train, FRONTEND)
+
+    def test_an_unknown_model_kind_is_rejected(self, tmp_path):
+        data = prepare_train_data(make_corpus(tmp_path, "kind", seed=8), FRONTEND)
+        with pytest.raises(ValidationError, match="unknown model kind 'mlp'"):
+            train("mlp", data, TrainConfig(max_steps=1), hidden=4)
+
+    def test_sys_srcc_needs_a_system_id_on_every_dev_sample(self, tmp_path):
+        corpus = make_corpus(tmp_path, "nosys", seed=8)
+        first, *rest = corpus.samples("dev")
+        dev = (dataclasses.replace(first, system_id=None), *rest)
+        data = prepare_train_data(dataclasses.replace(corpus, splits={**corpus.splits, "dev": dev}), FRONTEND)
+        with pytest.raises(ValidationError, match="sys_srcc selection needs system_id on every dev sample"):
+            train("head", data, TrainConfig(max_steps=1, selection="sys_srcc"), hidden=4)
+
+    def test_init_params_of_another_dim_are_rejected(self, tmp_path):
+        data = prepare_train_data(make_corpus(tmp_path, "dim", seed=8), FRONTEND)
+        with pytest.raises(ValidationError, match=f"initial params dim {DIM + 1} != feature dim {DIM}"):
+            train("head", data, TrainConfig(max_steps=1), init_params=init_head(DIM + 1, 4, seed=0))
 
     def test_alignnet_needs_table_rows_for_train_ids(self, tmp_path):
         corpus = make_corpus(tmp_path, "tbl", seed=9)
@@ -394,8 +414,7 @@ class TestTrainMdf:
 
         # Phase 1 is the member prepared alone, bit for bit.
         alone = prepare_train_data(member, FRONTEND)
-        assert phase1.train_samples == alone.train_samples and phase1.dev_samples == alone.dev_samples
-        for name in ("frames", "lengths", "starts", "targets"):
+        for name in ("frames", "lengths"):
             assert getattr(phase1, name).tobytes() == getattr(alone, name).tobytes(), name
         assert phase1.scaler.mean.tobytes() == alone.scaler.mean.tobytes()
         assert phase1.scaler.std.tobytes() == alone.scaler.std.tobytes()
@@ -450,7 +469,7 @@ class TestPackedTrainMatrix:
             path = tmp_path / f"clip{i}.wav"
             write_wav(path, 0.3 * rng.uniform(-1.0, 1.0, size=n), rate)
             samples.append(Sample(f"clip{i}", path, None, "wavs", None, 3.0))
-        return CorpusManifest("wavs", "non-synthetic", "en", 16000, {"train": tuple(samples), "dev": tuple(samples[:2])})
+        return CorpusManifest("wavs", "non-synthetic", {"train": tuple(samples), "dev": tuple(samples[:2])})
 
     def check_packing(self, corpus, config):
         samples = corpus.samples("train")
@@ -467,7 +486,6 @@ class TestPackedTrainMatrix:
             assert data.frames.dtype == np.float32 and data.frames.tobytes() == packed.astype(np.float32).tobytes()
             assert data.scaler.standardize(data.frames.astype(np.float64)).tobytes() == standardized.tobytes()
         assert data.lengths.tolist() == [len(f) for f in raw]
-        assert data.starts.tolist() == np.cumsum([0] + [len(f) for f in raw])[:-1].tolist()
         assert not data.frames.flags.writeable
         dev = [data.scaler.standardize(featurize(s, config).frames).tobytes() for s in corpus.samples("dev")]
         assert [m.tobytes() for m in data.dev_mats] == dev  # packed, then standardized once
@@ -484,7 +502,7 @@ class TestPackedTrainMatrix:
             path = tmp_path / f"e{i}.bin"
             save_precomputed(path, rng.normal(size=(n_frames, DIM)).astype(np.float32))
             samples.append(Sample(f"b{i}", None, path, "emb", None, 3.0))
-        return CorpusManifest("emb", "non-synthetic", "en", 16000, {"train": tuple(samples), "dev": tuple(samples[:2])})
+        return CorpusManifest("emb", "non-synthetic", {"train": tuple(samples), "dev": tuple(samples[:2])})
 
     def test_embedding_files(self, tmp_path):
         corpus = self.embedding_corpus(tmp_path)
@@ -498,7 +516,7 @@ class TestPackedTrainMatrix:
             path = tmp_path / f"r{i}.bin"
             save_precomputed(path, rng.normal(3.0, 2.0, size=(n_frames, DIM)).astype(np.float32))
             samples.append(Sample(f"r{i}", None, path, "emb", None, float(rng.uniform(1.0, 5.0))))
-        corpus = CorpusManifest("emb", "non-synthetic", "en", 16000, {"train": tuple(samples), "dev": tuple(samples[:4])})
+        corpus = CorpusManifest("emb", "non-synthetic", {"train": tuple(samples), "dev": tuple(samples[:4])})
         data = prepare_train_data(corpus, FRONTEND)
         assert len(data.frames) > 2 * 4096  # the datastore pools several chunks of utterances
         pooled = np.stack([data.scaler.standardize(featurize(s, FRONTEND).frames).mean(axis=0) for s in samples])
