@@ -236,14 +236,13 @@ def corpus_fingerprint(recipe: Recipe, name: str, loaded: CorpusManifest | None 
     raw-string rule of recipe_hash, plus a line with the sha256 of the bytes
     of each file the block is read from: a manifest block's source CSV, a
     dir block's corpus.json and each split CSV it names, wherever that sits.
-    The same block and bytes fingerprint the same in any out dir. A caller
-    that has loaded a dir block's corpus passes it as loaded, so that its
-    corpus.json is not parsed again."""
+    The same block and bytes fingerprint the same in any out dir. loaded
+    is a dir block's corpus as load_corpus_dir read it (None for the other
+    kinds)."""
     prefix = f"corpus.{name}."
     kind = recipe.get(prefix + "kind")
     sources = [recipe.get(prefix + "path")] if kind in ("manifest", "dir") else []
     if kind == "dir":
-        loaded = load_corpus_dir(sources[0]) if loaded is None else loaded
         sources = [sources[0] / "corpus.json", *loaded.splits.paths.values()]
     extra = [f"source sha256 = {hashlib.sha256(source.read_bytes()).hexdigest()}" for source in sources]
     return _raw_lines_hash(recipe, (prefix,), *extra)

@@ -217,7 +217,8 @@ class TrainData:
     raw if float32): utterance i is the lengths[i] rows after those of the
     utterances before it.
     dev_mats are the dev samples' (T, D) arrays standardized by the same
-    scaler, and datastore is each train utterance's rows pooled over time.
+    scaler, and datastore is each train utterance's rows pooled over time,
+    its MOS and its dataset id (train's targets and alignnet table rows).
     """
 
     corpus: CorpusManifest | PooledCorpus
@@ -360,19 +361,19 @@ def train(
     """
     if model_kind not in MODEL_KINDS:
         raise ValidationError(f"unknown model kind {model_kind!r}")
-    train_samples, dev_samples = data.corpus.samples("train"), data.corpus.samples("dev")
+    dev_samples = data.corpus.samples("dev")
     if config.selection == "sys_srcc" and any(s.system_id is None for s in dev_samples):
         raise ValidationError("sys_srcc selection needs system_id on every dev sample")
 
     train_frames, lengths_all = data.frames, data.lengths
     starts_all = np.cumsum(lengths_all) - lengths_all
-    targets_all = np.array([s.mos for s in train_samples])
+    targets_all = data.datastore.scores
     dim = train_frames.shape[1]
     if model_kind == "alignnet":
         if dataset_ids is None:
             dataset_ids = table_dataset_ids(data.corpus)
         table_ids = set(dataset_ids)
-        missing = {s.dataset_id for s in train_samples} - table_ids
+        missing = set(data.datastore.dataset_ids) - table_ids
         if missing:
             raise ValidationError(f"train samples reference dataset_ids outside the table: {sorted(missing)}")
         params: ModelParams = (
@@ -386,7 +387,7 @@ def train(
         raise ValidationError(f"initial params dim {params.dim} != feature dim {dim}")
 
     if model_kind == "alignnet":
-        rows_all = np.array([params.row_index(s.dataset_id) for s in train_samples])
+        rows_all = np.array([params.row_index(dataset_id) for dataset_id in data.datastore.dataset_ids])
     work = Workspace(rows=int(np.sort(lengths_all)[-config.batch_size :].sum()))
 
     velocity = zero_grads(params)

@@ -997,6 +997,19 @@ class TestExitCodes:
         assert main(["infer", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == "error: corpus 'empty' is empty\n"
 
+    @pytest.mark.parametrize("tests, extra, named", [
+        ("synth", "benchmark.split = test\n", "error: corpus 'synth' has no samples in split 'test'\n"),
+        ("empty", "corpus.empty.kind = manifest\ncorpus.empty.path = empty.csv\n", "error: corpus 'empty' is empty\n"),
+    ], ids=["split", "corpus"])
+    def test_benchmark_refuses_a_test_set_with_no_samples_before_training(self, tmp_path, capsys, tests, extra, named):
+        # The target checks infer makes only after loading a trained model, with no model in reach.
+        (tmp_path / "empty.csv").write_text(",".join(MANIFEST_HEADER) + "\n", encoding="utf-8")
+        text = BASE_RECIPE.replace("benchmark.tests = synth", f"benchmark.tests = {tests}") + extra
+        config, out = write_recipe(tmp_path, text), tmp_path / "out"
+        assert main(["benchmark", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == named
+        assert not (out / "train").exists()
+
     @pytest.mark.parametrize(
         "flag", [["--knn-k", "3"], ["--knn-temperature", "0.5"], ["--paper-literal-knn"], ["--mdf-pretrain", "synth"]]
     )
