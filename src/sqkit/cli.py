@@ -38,7 +38,7 @@ from .inference import (DISTANCE_KINDS, INFERENCE_MODES, KnnConfig, build_datast
 from .metrics import EvalPairs, aggregate, best_values, mse, pearson, spearman, system_aggregate
 from .model import ModelParams, load_params, save_params
 from .training import (SELECTION_CRITERIA, TrainConfig, TrainData, TrainResult, prepare_mdf_data, prepare_train_data,
-                       select_criterion, table_dataset_ids, train)
+                       select_criterion, train)
 
 logger = logging.getLogger(__name__)
 
@@ -456,58 +456,49 @@ def recipe_hash(recipe: Recipe) -> str:
     return _raw_lines_hash(recipe, MODEL_SECTIONS, f"mdf_pretrain = {recipe.get('train.mdf_pretrain') or ''}")
 
 
-def _train_configs(recipe: Recipe, seed: int, train_corpus: CorpusManifest | PooledCorpus) -> list[TrainConfig]:
-    """The TrainConfig of each training phase: one, or two under MDF, where
-    the second runs train.mdf_max_steps when that is set."""
+def prepare_training(recipe: Recipe, corpora: dict[str, CorpusManifest]) -> tuple[tuple[TrainData, TrainConfig], ...]:
+    """The (data, config) pair of each training phase under the recipe: one,
+    or two under MDF, where the second runs train.mdf_max_steps when that is
+    set. The data is featurized once for every seed through each corpus's
+    feature store, and each config holds seed 0, which train_one_seed
+    replaces. The train keys are checked before any sample is read."""
+    train_corpus = resolve_train_corpus(recipe, corpora)
     values = recipe.fields(TrainConfig, "train.")
     if values["selection"] == "auto":
         values["selection"] = select_criterion(train_corpus.domain_tag)
-    config = TrainConfig(**values, seed=seed)
-    if not recipe.get("train.mdf_pretrain"):
-        return [config]
+    config = TrainConfig(**values)
+    mdf_pretrain = recipe.get("train.mdf_pretrain")
+    if not mdf_pretrain:
+        return ((prepare_train_data(train_corpus, build_frontend(recipe)), config),)
     if not isinstance(train_corpus, PooledCorpus):
         raise ValidationError("MDF needs a pooled train.corpus (a+b+...)")
     phase2_steps = recipe.get("train.mdf_max_steps")
-    return [config, config if phase2_steps is None else dataclasses.replace(config, max_steps=phase2_steps)]
+    configs = (config, config if phase2_steps is None else dataclasses.replace(config, max_steps=phase2_steps))
+    return tuple(zip(prepare_mdf_data(mdf_pretrain, train_corpus, build_frontend(recipe)), configs))
 
 
-def prepare_training(recipe: Recipe, corpora: dict[str, CorpusManifest]) -> tuple[TrainData, ...]:
-    """The seed-independent data of each training phase under the recipe
-    (one, or two under MDF), featurized once for every seed through each
-    corpus's feature store; the train keys are checked before any sample
-    is read."""
-    train_corpus = resolve_train_corpus(recipe, corpora)
-    _train_configs(recipe, 0, train_corpus)  # the seed only fills in TrainConfig.seed
-    frontend_config = build_frontend(recipe)
-    mdf_pretrain = recipe.get("train.mdf_pretrain")
-    if mdf_pretrain:
-        return prepare_mdf_data(mdf_pretrain, train_corpus, frontend_config)
-    return (prepare_train_data(train_corpus, frontend_config),)
-
-
-def train_one_seed(recipe: Recipe, phases: tuple[TrainData, ...], seed: int, out_dir: Path) -> TrainResult:
-    """Train every phase for one seed from prepared data and write the seed
-    dir whole. Each phase after the first starts from the previous phase's
+def train_one_seed(recipe: Recipe, phases: tuple[tuple[TrainData, TrainConfig], ...], seed: int,
+                   out_dir: Path) -> TrainResult:
+    """Train every prepared (data, config) phase under the seed and write the
+    seed dir whole. Each phase after the first starts from the previous phase's
     best params, and the alignnet table covers the last phase's corpus.
     Under MDF each earlier phase is saved to mdf_phase<i>/ and its
     checkpoints go to ledger/phase<i>/."""
     frontend_config = build_frontend(recipe)
     model_kind = recipe.get("model.kind")
     sizes = {name: recipe.get("model." + name) for name in ("hidden", "embed_dim", "decoder_hidden")}
-    configs = _train_configs(recipe, seed, phases[-1].corpus)
-    dataset_ids = table_dataset_ids(phases[-1].corpus)
     extra = {"recipe_hash": recipe_hash(recipe)}
     mdf = len(phases) > 1
     result = None
     with atomic_dir(out_dir / "train" / f"seed{seed}") as seed_dir:
-        for phase, (data, config) in enumerate(zip(phases, configs), start=1):
+        for phase, (data, config) in enumerate(phases, start=1):
             result = train(
                 model_kind,
                 data,
-                config,
+                dataclasses.replace(config, seed=seed),
                 **sizes,
                 init_params=None if result is None else result.params,
-                dataset_ids=dataset_ids,
+                dataset_ids=phases[-1][0].corpus.dataset_ids,
                 out_dir=seed_dir / "ledger" / f"phase{phase}" if mdf else seed_dir / "ledger",
             )
             model_dir = seed_dir if phase == len(phases) else seed_dir / f"mdf_phase{phase}"
@@ -663,7 +654,7 @@ def cmd_benchmark(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
     targets = [_target(recipe, corpora, "benchmark.tests", name) for name in names]
     if untrained:
         if mode == "parametric" and recipe.get("model.kind") == "alignnet":  # fail before training, not after
-            table_ids = table_dataset_ids(resolve_train_corpus(recipe, corpora))
+            table_ids = resolve_train_corpus(recipe, corpora).dataset_ids
             for _name, corpus, split in targets:
                 check_table_rows(table_ids, corpus.samples(split), split)
         phases = prepare_training(recipe, corpora)
@@ -835,7 +826,7 @@ def _acquire_lock(out: Path) -> Path:
         try:
             holder = lock.read_text(encoding="utf-8", errors="replace").strip()
         except FileNotFoundError:  # the holder finished between open and read
-            holder = ""
+            holder = ""  # unreached: no test can time the holder's exit into that gap
         raise RuntimeError(f"output dir {out} is locked by pid {holder or '?'} ({lock}); remove it if that run is gone")
     with os.fdopen(fd, "w") as fh:
         fh.write(str(os.getpid()) + "\n")
@@ -879,4 +870,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main())  # unreached: tests call main() in-process

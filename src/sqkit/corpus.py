@@ -103,6 +103,11 @@ class CorpusManifest:
                     raise ValidationError(f"duplicate sample_id {sample.sample_id!r}")
                 seen.add(sample.sample_id)
 
+    @property
+    def dataset_ids(self) -> tuple[str, ...]:
+        """The alignnet table rows train gives the corpus: its name, as a pool's are its members' names."""
+        return (self.name,)
+
     def samples(self, split: str) -> tuple[Sample, ...]:
         return self.splits.get(split, ())
 
@@ -157,8 +162,7 @@ def load_manifest(
     path = Path(path)
     base_dir = str(path.parent)
     error = functools.partial(ManifestError, path=path)
-    rows: dict[str, dict] = {}
-    order: list[str] = []
+    rows: dict[str, tuple[tuple, list]] = {}  # sample_id -> (fields, listener scores), in first-row order
     with open_text(path, ManifestError) as fh:
         reader = csv.reader(fh)
         try:
@@ -180,25 +184,22 @@ def load_manifest(
             except ValueError:
                 raise error(f"unparseable mos {mos_text!r}", line=lineno)
             fields = (audio, emb, dataset, system, mos)
-            if sid not in rows:
-                rows[sid] = {"fields": fields, "listeners": [], "bare": False}
-                order.append(sid)
+            entry = rows.get(sid)
+            if entry is None:
+                entry = rows[sid] = (fields, [])
             else:
-                if rows[sid]["fields"] != fields:
+                if entry[0] != fields:
                     raise error(f"conflicting rows for sample {sid!r}", line=lineno)
-                if rows[sid]["bare"] or lid == "":
-                    # Repeats are only legal as one-row-per-listener fan-out.
+                if not entry[1] or lid == "":
+                    # Repeats are only legal as one-row-per-listener fan-out (a bare row adds no score).
                     raise error(f"duplicate rows for sample {sid!r}", line=lineno)
             if (lid == "") != (lscore == ""):
                 raise error("listener_id and listener_score must both be set or both empty", line=lineno)
             if lid:
                 try:
-                    score = int(lscore)
+                    entry[1].append((lid, int(lscore)))
                 except ValueError:
                     raise error(f"unparseable listener_score {lscore!r}", line=lineno)
-                rows[sid]["listeners"].append((lid, score))
-            else:
-                rows[sid]["bare"] = True
 
     # A ref is Path(os.path.join(base_dir, text)), built as one child join
     # onto its directory's Path, which is parsed once per distinct dir text.
@@ -213,27 +214,20 @@ def load_manifest(
             parent = parents[head] = Path(os.path.join(base_dir, head))
         return parent / name
 
-    samples = []
-    for sid in order:
-        audio, emb, dataset, system, mos = rows[sid]["fields"]
-        sample = Sample(
-            sample_id=sid,
-            audio_ref=ref(audio),
-            embedding_ref=ref(emb),
-            dataset_id=dataset,
-            system_id=system or None,
-            mos=mos,
-            listener_scores=tuple(rows[sid]["listeners"]),
-        )
-        samples.append(sample)
-
-    datasets = {s.dataset_id for s in samples}
-    if len(datasets) > 1:
-        raise ValidationError(f"manifest mixes datasets {sorted(datasets)}")
+    samples = tuple(
+        Sample(sid, ref(audio), ref(emb), dataset, system or None, mos, tuple(listeners))
+        for sid, ((audio, emb, dataset, system, mos), listeners) in rows.items()
+    )
     if name is None:
         name = samples[0].dataset_id if samples else path.stem
-    corpus = CorpusManifest(name=name, domain_tag=domain_tag, splits={split: tuple(samples)})
-    corpus.validate()
+    corpus = CorpusManifest(name=name, domain_tag=domain_tag, splits={split: samples})
+    try:
+        datasets = {s.dataset_id for s in samples}
+        if len(datasets) > 1:
+            raise ValidationError(f"manifest mixes datasets {sorted(datasets)}")
+        corpus.validate()
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
     logger.info("loaded %d samples from %s", len(samples), path)
     return corpus
 
@@ -282,18 +276,19 @@ class _SplitFiles(Mapping):
     every load_manifest check, when first read; the first read also checks
     that no sample_id is in two splits, from the id column of the rest."""
 
-    def __init__(self, paths: dict[str, Path], info: dict):
-        self.paths, self.info, self.read = paths, info, {}
+    def __init__(self, directory: Path, paths: dict[str, Path]):
+        self.directory, self.paths, self.read = directory, paths, {}
 
     def __getitem__(self, split: str) -> tuple[Sample, ...]:
         if split not in self.read:
-            samples = load_manifest(self.paths[split], split=split, **self.info).samples(split)
+            samples = load_manifest(self.paths[split], split=split).samples(split)
             if not self.read:
                 seen: dict[str, str] = {}
                 for other, path in self.paths.items():
                     for sid in [s.sample_id for s in samples] if other == split else _sample_ids(path):
                         if seen.setdefault(sid, other) != other:
-                            raise ValidationError(f"duplicate sample_id {sid!r} (splits {seen[sid]} and {other})")
+                            raise ValidationError(
+                                f"{self.directory}: duplicate sample_id {sid!r} (splits {seen[sid]} and {other})")
             self.read[split] = samples
         return self.read[split]
 
@@ -320,7 +315,7 @@ def load_corpus_dir(directory: str | Path, fingerprint: str | None = None, sourc
     directory = Path(directory)
     meta_path = directory / "corpus.json"
     try:
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta = json.load(open_text(meta_path, ManifestError))
     except FileNotFoundError:
         raise ManifestError(f"no corpus.json in {directory}") from None
     except (OSError, ValueError) as exc:
@@ -339,7 +334,7 @@ def load_corpus_dir(directory: str | Path, fingerprint: str | None = None, sourc
         CorpusManifest(splits=dict.fromkeys(paths, ()), **info).validate()  # the domain tag and split names
     except ValidationError as exc:
         raise ManifestError(f"{meta_path}: {exc}") from None
-    return CorpusManifest(splits=_SplitFiles(paths, info), **info)
+    return CorpusManifest(splits=_SplitFiles(directory, paths), **info)
 
 
 def save_corpus_dir(corpus: CorpusManifest, directory: str | Path, fingerprint: str | None = None,

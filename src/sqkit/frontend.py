@@ -495,7 +495,8 @@ class _StoredSplit:
         store is built anew and read once more, unchecked."""
         ends = (self.starts[first : stop + 1] - self.starts[first]).tolist()
         if out.shape != (ends[-1], self.config.dim):
-            raise ValidationError(f"{self.path}: utterances {first} to {stop - 1} are not {out.shape[0]} rows")
+            raise ValidationError(  # unreached: a guard; both callers size out from self.starts
+                f"{self.path}: utterances {first} to {stop - 1} are not {out.shape[0]} rows")
         try:
             if os.preadv(self.fd, [out], self.rows_at + 8 * self.config.dim * int(self.starts[first])) != out.nbytes:
                 raise ValidationError(f"{self.path}: truncated feature store")
@@ -506,7 +507,7 @@ class _StoredSplit:
             return out
         except (OSError, ValidationError) as exc:
             if not self.checked:
-                raise
+                raise  # unreached: a store this process has just built fails a read only on an I/O fault
             self.build(exc)
         return self.read(first, stop, out)
 

@@ -202,12 +202,6 @@ def _dev_criterion(
     return spearman(system_aggregate(pairs))
 
 
-def table_dataset_ids(corpus: CorpusManifest | PooledCorpus) -> tuple[str, ...]:
-    """The alignnet table rows train gives a corpus by default: the pool
-    members' names, or the corpus name."""
-    return corpus.dataset_ids if isinstance(corpus, PooledCorpus) else (corpus.name,)
-
-
 @dataclass(frozen=True)
 class TrainData:
     """What a training run needs of its corpus and nothing of its seed,
@@ -370,10 +364,8 @@ def train(
     targets_all = data.datastore.scores
     dim = train_frames.shape[1]
     if model_kind == "alignnet":
-        if dataset_ids is None:
-            dataset_ids = table_dataset_ids(data.corpus)
-        table_ids = set(dataset_ids)
-        missing = set(data.datastore.dataset_ids) - table_ids
+        dataset_ids = data.corpus.dataset_ids if dataset_ids is None else dataset_ids
+        missing = set(data.datastore.dataset_ids) - set(dataset_ids)
         if missing:
             raise ValidationError(f"train samples reference dataset_ids outside the table: {sorted(missing)}")
         params: ModelParams = (

@@ -459,8 +459,7 @@ def test_mdf_phase_handoff_is_bit_exact(tmp_path):
     assert main(["train", "--config", str(config), "--out", str(out)]) == 0
     seed_dir = out / "train" / "seed0"
     recipe = cli.Recipe(cli.parse_recipe(config), tmp_path)
-    _phase1, phase2 = cli.prepare_training(recipe, cli.get_corpora(recipe, out, cli._train_names(recipe)))
-    _config1, config2 = cli._train_configs(recipe, 0, phase2.corpus)
+    _phase1, (phase2, config2) = cli.prepare_training(recipe, cli.get_corpora(recipe, out, cli._train_names(recipe)))
     start = load_params(seed_dir / "mdf_phase1" / "params.ckpt")
     assert start.dataset_ids == ("synth", "other")  # phase 1 already holds the pool's table
     save_params(train("alignnet", phase2, config2, init_params=start).params, tmp_path / "by_hand.ckpt")

@@ -1059,6 +1059,35 @@ class TestExitCodes:
         assert main(["prepare", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"error: {path}: {named}\n"
 
+    @pytest.mark.parametrize("fault, message", [
+        ("mos", "sample 'pq0': mos 7.0 outside [1, 5]"),
+        ("dataset", "manifest mixes datasets ['other', 'pa']"),
+        ("two-splits", "duplicate sample_id 'pq4' (splits train and dev)"),
+    ], ids=["mos", "dataset", "two-splits"])
+    def test_a_validation_fault_is_exit_1_naming_its_file(self, tmp_path, capsys, fault, message):
+        write_precomputed_corpora(tmp_path)
+        recipe = PRECOMPUTED_RECIPE
+        named = tmp_path.resolve() / "pq.csv"  # a recipe path is read from the config's real dir
+        header, *rows = named.read_text(encoding="utf-8").splitlines()
+        if fault == "mos":
+            rows[0] = rows[0].rsplit(",", 3)[0] + ",7.0,,"
+        elif fault == "dataset":
+            rows[1] = rows[1].replace(",pa,", ",other,")
+        else:  # a dir corpus whose train and dev CSVs both hold pq4
+            named = named.with_name("pqdir")
+            named.mkdir()
+            (named / "corpus.json").write_text(json.dumps({
+                "name": "pq", "domain_tag": "non-synthetic", "splits": {"train": "train.csv", "dev": "dev.csv"}}))
+            (named / "train.csv").write_text("\n".join([header, *rows[:5]]) + "\n", encoding="utf-8")
+            (named / "dev.csv").write_text("\n".join([header, *rows[4:]]) + "\n", encoding="utf-8")
+            recipe = recipe.replace("corpus.pq.kind = manifest\ncorpus.pq.path = pq.csv",
+                                    "corpus.pq.kind = dir\ncorpus.pq.path = pqdir")
+        if fault != "two-splits":
+            named.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        config = write_recipe(tmp_path, recipe)
+        assert main(["prepare", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {named}: {message}\n"
+
     @pytest.mark.parametrize("name", ["recipe.cfg", "pa.csv"])
     def test_a_byte_that_is_not_utf8_is_exit_1_naming_its_file(self, tmp_path, capsys, name):
         write_precomputed_corpora(tmp_path)
@@ -1601,7 +1630,8 @@ def recorded_reads(monkeypatch):
 
         def load_manifest(*args, **kwargs):
             corpus = real(*args, **kwargs)
-            calls.extend((corpus.name, split, len(samples)) for split, samples in corpus.splits.items())
+            name = kwargs.get("name") or Path(args[0]).parent.name  # a prepared split is read without its name
+            calls.extend((name, split, len(samples)) for split, samples in corpus.splits.items())
             return corpus
 
         monkeypatch.setattr(module, "load_manifest", load_manifest)

@@ -103,6 +103,19 @@ class TestManifestParsing:
         (sample,) = corpus.samples("train")
         assert sample.listener_scores == (("L1", 2), ("L2", 4), ("L3", 3))
 
+    def test_interleaved_listener_rows_load_as_adjacent_ones(self, tmp_path):
+        rows = {
+            "u1 L1": "u1,a.wav,,demo,sysA,2.5,L1,2",
+            "u1 L2": "u1,a.wav,,demo,sysA,2.5,L2,3",
+            "u2 L1": "u2,b.wav,,demo,sysB,4.0,L1,4",
+        }
+        interleaved = load_manifest(write_manifest(tmp_path / "i.csv", [rows[k] for k in ("u1 L1", "u2 L1", "u1 L2")]))
+        adjacent = load_manifest(write_manifest(tmp_path / "a.csv", [rows[k] for k in ("u1 L1", "u1 L2", "u2 L1")]))
+        assert interleaved == adjacent
+        first, second = interleaved.samples("train")
+        assert (first.sample_id, second.sample_id) == ("u1", "u2")  # in the order of each id's first row
+        assert first.listener_scores == (("L1", 2), ("L2", 3)) and second.listener_scores == (("L1", 4),)
+
     def test_listener_mean_mismatch_rejected(self, tmp_path):
         path = write_manifest(
             tmp_path / "m.csv",
@@ -163,7 +176,7 @@ class TestManifestParsing:
         path = write_manifest(tmp_path / "m.csv", ["u1,a.wav,,demo,sysA,3.0,L1,6", "u1,a.wav,,demo,sysA,3.0,L2,0"])
         with pytest.raises(ValidationError) as info:
             load_manifest(path)
-        assert str(info.value) == "sample 'u1': listener 'L1' score 6 outside [1, 5]"
+        assert str(info.value) == f"{path}: sample 'u1': listener 'L1' score 6 outside [1, 5]"
 
     def test_mos_out_of_range_is_validation_error(self, tmp_path):
         path = write_manifest(tmp_path / "m.csv", ["u1,a.wav,,demo,sysA,5.5,,"])
@@ -333,6 +346,21 @@ class TestManifestRoundTrip:
         for directory, fingerprint in (("old", "abc"), ("new", "abd")):
             with pytest.raises(ManifestError, match="fingerprint"):
                 load_corpus_dir(tmp_path / directory, fingerprint=fingerprint)
+
+    def test_a_corpus_json_that_is_not_utf8_names_the_byte(self, tmp_path):
+        (tmp_path / "corpus.json").write_bytes(b'{"name": "\xff"}')
+        with pytest.raises(ManifestError) as info:
+            load_corpus_dir(tmp_path)
+        assert str(info.value) == f"{tmp_path / 'corpus.json'}: not UTF-8 text (byte 10)"
+
+    def test_listener_rows_of_an_unread_split_are_not_duplicates_across_splits(self, tmp_path):
+        rated = tuple(dataclasses.replace(s, listener_scores=(("L1", 2), ("L2", 4)), mos=3.0) for s in make_samples(2))
+        corpus = CorpusManifest("demo", "non-synthetic", {"train": rated, "dev": tuple(make_samples(4)[2:])})
+        save_corpus_dir(corpus, tmp_path)
+        assert (tmp_path / "train.csv").read_text(encoding="utf-8").count("demo-000,") == 2  # one row per listener
+        loaded = load_corpus_dir(tmp_path)
+        assert loaded.samples("dev") == corpus.samples("dev")  # the first read: train.csv's ids are only scanned
+        assert loaded.samples("train") == rated
 
     @pytest.mark.parametrize("text", ["", "{\"name\": ", "[1, 2]", "{\"name\": \"demo\"}", "\udcff"])
     def test_unreadable_corpus_json_is_a_manifest_error(self, tmp_path, text):
