@@ -33,8 +33,8 @@ from .export import export_embeddings, pca_2d
 from .frontend import FeatureScaler, FrontendConfig, load_scaler, save_scaler
 # build_datastore is unused here: perfbench's tracer wraps this name on
 # this module, and a site that stops resolving fails its run.
-from .inference import (DISTANCE_KINDS, INFERENCE_MODES, KnnConfig, build_datastore, check_table_rows, load_datastore,
-                        predict_split, save_datastore)
+from .inference import (DISTANCE_KINDS, INFERENCE_MODES, Datastore, KnnConfig, build_datastore, check_table_rows,
+                        load_datastore, predict_split, save_datastore)
 from .metrics import EvalPairs, aggregate, best_values, mse, pearson, spearman, system_aggregate
 from .model import ModelParams, load_params, save_params
 from .training import (SELECTION_CRITERIA, TrainConfig, TrainData, TrainResult, prepare_mdf_data, prepare_train_data,
@@ -53,15 +53,24 @@ MODEL_SECTIONS = ("corpus.", "frontend.", "model.", "train.")
 REQUIRED = object()  # the default of a key that the command reading it needs set
 CORPUS_KINDS = ("synthetic", "manifest", "dir")
 BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def _finite(text: str) -> float:
+    """float(text), which must be finite: no recipe key reads nan or inf."""
+    if not np.isfinite(value := float(text)):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 # value type -> (its parser, which raises ValueError or KeyError on a bad value;
 # what a value of the type looks like)
 VALUE_TYPES = {
     "str": (str, "text"),
     "path": (Path, "path"),
     "int": (int, "integer"),
-    "float": (float, "number"),
+    "float": (_finite, "number"),
     "bool": (lambda text: BOOLS[text.lower()], "true/false"),
-    "floats": (lambda text: tuple(float(v) for v in text.split(",") if v.strip()), "comma-separated numbers"),
+    "floats": (lambda text: tuple(_finite(v) for v in text.split(",") if v.strip()), "comma-separated numbers"),
 }
 
 
@@ -424,9 +433,11 @@ def _is_trained(seed_dir: Path, digest: str) -> bool:
     return (_model_meta(seed_dir) or {}).get("recipe_hash") == digest and (seed_dir / "datastore.bin").is_file()
 
 
-def load_model_dir(directory: Path, digest: str) -> tuple[ModelParams, FeatureScaler]:
-    """Load a trained model dir, which must also hold its datastore; warn
-    when it was trained under a recipe whose recipe_hash is not digest."""
+def load_model_dir(directory: Path, digest: str,
+                   distance_kind: str | None = None) -> tuple[ModelParams, FeatureScaler, Datastore | None]:
+    """The (params, scaler, datastore) triple of a trained model dir, which
+    must hold a datastore, loaded only for a retrieval distance_kind; warns
+    when the dir was trained under a recipe whose recipe_hash is not digest."""
     meta = _model_meta(directory)
     if meta is None and (directory / "meta.json").exists():
         raise CheckpointError(f"{directory / 'meta.json'}: not a JSON object (truncated or corrupt); rerun train")
@@ -437,7 +448,8 @@ def load_model_dir(directory: Path, digest: str) -> tuple[ModelParams, FeatureSc
         raise ValidationError(f"{datastore} is missing (an older sqkit did not write it); rerun train")
     if meta.get("recipe_hash") != digest:
         logger.warning("%s was trained under another recipe (its recipe_hash differs); rerun train", directory)
-    return load_params(directory / "params.ckpt"), load_scaler(directory / "scaler.bin")
+    params, scaler = load_params(directory / "params.ckpt"), load_scaler(directory / "scaler.bin")
+    return params, scaler, None if distance_kind is None else load_datastore(datastore, distance_kind)
 
 
 def _raw_lines_hash(recipe: Recipe, prefixes: tuple[str, ...], *extra: str) -> str:
@@ -604,26 +616,14 @@ def _inference_settings(recipe: Recipe, args: argparse.Namespace) -> tuple[str, 
     return mode, knn_config, None if mode == "parametric" else recipe.get("infer.distance")
 
 
-def _load_models(recipe: Recipe, out: Path, seeds: list[int], mode: str, distance_kind: str | None) -> list[tuple]:
-    """Each seed's trained (params, scaler, datastore) triple, the datastore
-    loaded for the retrieval modes only, queried under distance_kind."""
-    digest = recipe_hash(recipe)
-    models = []
-    for seed in seeds:
-        seed_dir = out / "train" / f"seed{seed}"
-        params, scaler = load_model_dir(seed_dir, digest)
-        datastore = None if mode == "parametric" else load_datastore(seed_dir / "datastore.bin", distance_kind)
-        models.append((params, scaler, datastore))
-    return models
-
-
 def cmd_infer(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
     """Predict one corpus split with a trained model, one file per seed,
     plus the per-system means when every sample has a system id."""
     seeds = _seed_list(recipe, args)
     mode, knn_config, distance_kind = _inference_settings(recipe, args)
     name = recipe.get("infer.corpus")
-    models = _load_models(recipe, out, seeds, mode, distance_kind)  # before any corpus is made
+    digest = recipe_hash(recipe)  # the models load before any corpus is made
+    models = [load_model_dir(out / "train" / f"seed{seed}", digest, distance_kind) for seed in seeds]
     corpora = get_corpora(recipe, out, [name])
     _name, corpus, split = _target(recipe, corpora, "infer.corpus")
     # All seeds at once, so each sample is featurized once; predict_split checks each model's table rows first.
@@ -661,7 +661,7 @@ def cmd_benchmark(recipe: Recipe, args: argparse.Namespace, out: Path) -> int:
         for seed in untrained:
             train_one_seed(recipe, phases, seed, out)
         del phases  # the train matrix is not needed for scoring
-    models = _load_models(recipe, out, seeds, mode, distance_kind)
+    models = [load_model_dir(out / "train" / f"seed{seed}", digest, distance_kind) for seed in seeds]
     frontend_config = build_frontend(recipe)
     by_target = [predict_split(corpus, split, frontend_config, models, mode, knn_config) for _, corpus, split in targets]
 
@@ -760,7 +760,7 @@ def cmd_export_embeddings(recipe: Recipe, args: argparse.Namespace, out: Path) -
     scaler_note = "raw frontend features (no trained scaler found)"
     model_dir = out / "train" / f"seed{seeds[0]}"
     if (model_dir / "meta.json").exists():  # loaded before any corpus is made
-        _params, scaler = load_model_dir(model_dir, recipe_hash(recipe))
+        _params, scaler, _datastore = load_model_dir(model_dir, recipe_hash(recipe))
         scaler_note = f"scaler from {model_dir}"
 
     corpora = get_corpora(recipe, out, [name for name, _split in pairs])

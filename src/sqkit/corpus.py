@@ -385,7 +385,7 @@ def split_random(corpus: CorpusManifest, ratio: float, seed: int) -> CorpusManif
 def subsample(corpus: CorpusManifest, n: int, seed: int) -> CorpusManifest:
     """Keep a uniform random subset of n train samples (other splits intact)."""
     samples = corpus.samples("train")
-    if n > len(samples):
+    if not 0 <= n <= len(samples):
         raise ValidationError(f"cannot subsample {n} from {len(samples)} train samples")
     perm = named_rng(seed, f"subsample/{corpus.name}").permutation(len(samples))
     keep = sorted(perm[:n].tolist())

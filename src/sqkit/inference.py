@@ -9,12 +9,12 @@ favors far neighbors; pass paper_literal=True to reproduce it.
 ``predict_split`` is the one scoring entry point: it featurizes a split
 once and scores it in one inference mode for every model it is given,
 each a (params, scaler, datastore) triple, such as all seeds of a run;
-one model is a one-element list. Each model standardizes the raw
-features with its own scaler. The retrieval modes make one
-``retrieve_neighbors`` call per model and split. The datastore's distance kind
-(euclidean or cosine, set when it is built or loaded) decides the
-distance; a KnnConfig only says how many neighbors to take and how to
-weight them.
+one model is a one-element list, and each standardizes the raw features
+with its own scaler. Parametric and domain retrieval share one forward
+loop and differ only in the table row that scores an utterance. The
+retrieval modes make one ``retrieve_neighbors`` call per model and split
+under the datastore's distance kind (euclidean or cosine, set when it is
+built or loaded); a KnnConfig sets k and the weighting.
 
 Retrieval is exact and batched. ``retrieve_neighbors`` takes a (Q, D)
 batch of queries. It screens all records with one matrix product per
@@ -301,11 +301,11 @@ def predict_split(
     (frontend.split_features: dsp ones from the store each member corpus's
     feature_store names, or a temp dir for a member without one), and each
     model standardizes its own copy with its scaler (none: the raw
-    features) into one workspace buffer. Parametric scoring streams one
-    utterance per forward call; the retrieval modes pool each into its
-    query row and make one batched retrieve_neighbors call per model.
-    Domain retrieval keeps the split's raw arrays and standardizes each
-    again for the forward pass.
+    features) into one workspace buffer. The retrieval modes pool each
+    model's query rows in one pass, then make one retrieve_neighbors call
+    per model (k neighbors for knn, 1 for domain retrieval). One forward
+    loop scores parametric and domain retrieval; it streams the split in
+    parametric mode, and domain retrieval holds the raw arrays for it.
     """
     if mode not in INFERENCE_MODES:
         raise ValidationError(f"unknown inference mode {mode!r}")
@@ -326,38 +326,32 @@ def predict_split(
         """raw, or its standardized copy in work's "query" buffer (valid until the next call)."""
         return raw if scaler is None else scaler.standardize(raw, work.take("query", *raw.shape))
 
-    preds: list[list[float]] = [[] for _ in models]
-    # Pooled queries with .mean(axis=0)'s bits: np.mean's row sum, divided by the frame counts once.
-    queries = [np.empty((len(samples), datastore.dim)) for _, _, datastore in models] if mode != "parametric" else []
-    lengths = np.empty(len(samples))
-    raws = []  # the split's raw features, which domain retrieval scores after retrieving
-    # Domain retrieval keeps every utterance's raw matrix, so none may live in the workspace.
-    raw_mats = split_features(corpus, split, frontend_config, featurize, None if mode == "domain-retrieval" else work)
-    for i, (s, raw) in enumerate(zip(samples, raw_mats, strict=True)):
-        lengths[i] = len(raw)
-        for j, (params, scaler, datastore) in enumerate(models):
-            if mode == "parametric":
-                preds[j].append(predict_clipped(params, standardized(scaler, raw), s.dataset_id))
-            elif raw.shape[1] != datastore.dim:
-                raise ValidationError(f"{s.sample_id}: feature dim {raw.shape[1]} != datastore dim {datastore.dim}")
-            else:  # unchecked: retrieve_neighbors checks the pooled queries
-                np.add.reduce(standardized(scaler, raw), axis=0, out=queries[j][i])
-        if mode == "domain-retrieval":
-            raws.append(raw)
-    for pooled in queries:
-        pooled /= lengths[:, None]
     cfg = knn_config or KnnConfig()
-    for j, (params, scaler, datastore) in enumerate(models):
+    preds: list[list[float]] = [[] for _ in models]
+    row_ids = [[s.dataset_id for s in samples]] * len(models)  # parametric: each sample's own table row
+    # Domain retrieval holds every utterance's raw matrix, so none may live in the workspace.
+    raws = split_features(corpus, split, frontend_config, featurize, None if mode == "domain-retrieval" else work)
+    if mode != "parametric":
+        if mode == "domain-retrieval":
+            raws = list(raws)  # the forward loop runs after retrieval
+        queries = [np.empty((len(samples), datastore.dim)) for _, _, datastore in models]
+        for i, (s, raw) in enumerate(zip(samples, raws, strict=True)):
+            for (_params, scaler, datastore), query in zip(models, queries):
+                if raw.shape[1] != datastore.dim:
+                    raise ValidationError(f"{s.sample_id}: feature dim {raw.shape[1]} != datastore dim {datastore.dim}")
+                # np.mean's bits (its sum, then its division) at less cost; retrieve_neighbors checks finiteness
+                np.divide(np.add.reduce(standardized(scaler, raw), axis=0), len(raw), out=query[i])
+        k = cfg.k if mode == "knn" else 1
+        found = [retrieve_neighbors(datastore, query, k) for (_, _, datastore), query in zip(models, queries)]
         if mode == "knn":
-            neighbors = retrieve_neighbors(datastore, queries[j], cfg.k)
-            weights = (knn_weights(d, cfg.temperature, cfg.paper_literal) for d in neighbors.distances)
-            preds[j] = [float(w @ sc) for w, sc in zip(weights, neighbors.scores)]
-        elif mode == "domain-retrieval":
-            neighbors = retrieve_neighbors(datastore, queries[j], 1)
-            preds[j] = [
-                predict_clipped(params, standardized(scaler, raw), ids[0])
-                for raw, ids in zip(raws, neighbors.dataset_ids)
-            ]
+            for pred, neighbors in zip(preds, found):
+                weights = (knn_weights(d, cfg.temperature, cfg.paper_literal) for d in neighbors.distances)
+                pred.extend(float(w @ sc) for w, sc in zip(weights, neighbors.scores))
+        else:
+            row_ids = [[ids[0] for ids in neighbors.dataset_ids] for neighbors in found]
+    for i, raw in enumerate(raws):  # knn: the pooling pass above used the stream up
+        for pred, (params, scaler, _datastore), ids in zip(preds, models, row_ids):
+            pred.append(predict_clipped(params, standardized(scaler, raw), ids[i]))
     sample_ids = tuple(s.sample_id for s in samples)
     system_ids = tuple(s.system_id for s in samples)
     true = [s.mos for s in samples]

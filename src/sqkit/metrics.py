@@ -13,21 +13,6 @@ import numpy as np
 
 from .errors import UndefinedCorrelationError, UndefinedRatioError, ValidationError
 
-__all__ = [
-    "EvalPairs",
-    "BenchCell",
-    "BenchMatrix",
-    "mse",
-    "pearson",
-    "spearman",
-    "system_aggregate",
-    "best_score_difference",
-    "best_score_ratio",
-    "best_values",
-    "aggregate",
-    "DEFAULT_METRIC_KEYS",
-]
-
 
 @dataclass(frozen=True)
 class EvalPairs:

@@ -259,13 +259,25 @@ class TestRecipeKeys:
             ("train", "infer.knn_k = five", "config key 'infer.knn_k': expected integer, got 'five'"),
             ("benchmark", "aggregate.best = best", "aggregate.best must be within-family or external, got 'best'"),
             ("prepare", "corpus.synth.sigma = loud", "config key 'corpus.synth.sigma': expected number, got 'loud'"),
+            # float() parses nan and inf, which no key can use.
+            ("train", "train.loss_tau = nan", "config key 'train.loss_tau': expected number, got 'nan'"),
+            ("train", "train.lr = nan", "config key 'train.lr': expected number, got 'nan'"),
+            ("train", "frontend.window_ms = nan", "config key 'frontend.window_ms': expected number, got 'nan'"),
+            ("train", "frontend.hop_ms = inf", "config key 'frontend.hop_ms': expected number, got 'inf'"),
+            ("prepare", "corpus.synth.sigma = nan", "config key 'corpus.synth.sigma': expected number, got 'nan'"),
+            ("infer", "infer.knn_temperature = nan", "config key 'infer.knn_temperature': expected number, got 'nan'"),
+            ("prepare", "corpus.synth.snr_grid = 0, -inf",
+             "config key 'corpus.synth.snr_grid': expected comma-separated numbers, got '0, -inf'"),
         ],
-        ids=["choices", "int", "aggregate-choices", "float"],
+        ids=["choices", "int", "aggregate-choices", "float", "loss_tau-nan", "lr-nan", "window_ms-nan", "hop_ms-inf",
+             "sigma-nan", "knn_temperature-nan", "floats-inf"],
     )
     def test_a_bad_value_the_command_does_not_read_is_exit_1_before_any_file_is_written(
         self, tmp_path, capsys, command, line, named
     ):
-        config = write_recipe(tmp_path, BASE_RECIPE + line + "\n")
+        key = line.split(" = ")[0]
+        base = "".join(kept for kept in BASE_RECIPE.splitlines(keepends=True) if not kept.startswith(key + " "))
+        config = write_recipe(tmp_path, base + line + "\n")
         out = tmp_path / "out"
         assert main([command, "--config", str(config), "--out", str(out)]) == 1
         assert named in capsys.readouterr().err
@@ -388,6 +400,13 @@ class TestTrain:
         assert main(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
         assert sizes == [(6, 2)]  # 16 generated, 8 kept, then split at 0.75
 
+    def test_a_negative_subsample_is_exit_1(self, tmp_path, capsys):
+        config = write_recipe(tmp_path, BASE_RECIPE + "corpus.synth.subsample = -1\n")
+        out = tmp_path / "out"
+        assert main(["prepare", "--config", str(config), "--out", str(out)]) == 1
+        assert "cannot subsample -1 from 16 train samples" in capsys.readouterr().err
+        assert not (out / "corpora" / "synth").exists()
+
     def test_mdf_on_a_single_train_corpus_is_exit_1(self, tmp_path, capsys):
         config = write_recipe(tmp_path, BASE_RECIPE + "train.mdf_pretrain = synth\n")
         assert main(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
@@ -470,7 +489,7 @@ class TestInfer:
 
         recipe = cli.Recipe(parse_recipe(config), tmp_path)
         corpus = cli.get_corpora(recipe, out, ["synth"])["synth"]
-        _params, scaler = cli.load_model_dir(out / "train" / "seed0", cli.recipe_hash(recipe))
+        _params, scaler, _datastore = cli.load_model_dir(out / "train" / "seed0", cli.recipe_hash(recipe))
         frontend = cli.build_frontend(recipe)
         expected = {
             kind: predict_split(
@@ -502,7 +521,7 @@ class TestInfer:
 
         recipe = cli.Recipe(parse_recipe(config), tmp_path)
         corpus = cli.get_corpora(recipe, out, ["synth"])["synth"]
-        _params, scaler = cli.load_model_dir(out / "train" / "seed0", cli.recipe_hash(recipe))
+        _params, scaler, _datastore = cli.load_model_dir(out / "train" / "seed0", cli.recipe_hash(recipe))
         frontend = cli.build_frontend(recipe)
         ds = build_datastore(frontend, corpus, scaler=scaler)
         expected = {k: predict_split(corpus, "dev", frontend, [(None, scaler, ds)], "knn", KnnConfig(k=k))[0] for k in (3, 5)}
@@ -1164,6 +1183,22 @@ class TestExitCodes:
         assert main(["infer", "--config", str(config), "--out", str(out), "--inference", "knn"]) == 1
         err = capsys.readouterr().err
         assert str(path) in err and "truncated" in err
+
+    def test_parametric_infer_never_opens_the_datastore(self, tmp_path, capsys):
+        # load_model_dir loads datastore.bin only for a retrieval distance.
+        config, out = write_recipe(tmp_path), tmp_path / "out"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["infer", "--config", str(config), "--out", str(out)]) == 0
+        predictions = out / "infer" / "seed0" / "predictions.csv"
+        before = predictions.read_bytes()
+        path = out / "train" / "seed0" / "datastore.bin"
+        path.write_bytes(b"")
+        capsys.readouterr()
+        assert main(["infer", "--config", str(config), "--out", str(out)]) == 0
+        assert predictions.read_bytes() == before
+        assert main(["infer", "--config", str(config), "--out", str(out), "--inference", "knn"]) == 1
+        assert str(path) in capsys.readouterr().err
+        assert predictions.read_bytes() == before
 
     def test_a_nan_parameter_is_exit_1_naming_params_ckpt(self, tmp_path, capsys):
         # Unchecked, a NaN parameter would score every utterance 1.0 and exit 0.

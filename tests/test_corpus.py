@@ -410,6 +410,9 @@ class TestSplits:
         ]
         with pytest.raises(ValidationError):
             subsample(corpus, 31, seed=3)
+        with pytest.raises(ValidationError, match="cannot subsample -1 from 30 train samples"):
+            subsample(corpus, -1, seed=3)  # perm[:-1] would keep all but one sample
+        assert subsample(corpus, 0, seed=3).size("train") == 0
 
 
 class TestPool:

@@ -14,14 +14,17 @@ from sqkit import (
     Datastore,
     EmbeddingMatrix,
     FeatureScaler,
+    FrontendConfig,
     KnnConfig,
     PooledCorpus,
     Sample,
+    SynthSpec,
     ValidationError,
     alignnet_raw,
     build_datastore,
     clip_score,
     featurize,
+    generate_synthetic_corpus,
     head_raw,
     init_alignnet,
     init_head,
@@ -58,6 +61,13 @@ def knn_predictions(monkeypatch, ds, queries, cfg):
     one-frame utterance, so its time pool is the row itself."""
     one_frame = np.asarray(queries, dtype=np.float64)[:, None, :]
     return predict_frames(monkeypatch, one_frame, "knn", knn_config=cfg, datastore=ds)
+
+
+def dsp_corpus(tmp_path, name, seed):
+    """13 short synthetic clips: 8 train and 5 dev samples."""
+    spec = SynthSpec(name, tmp_path / name, n_utterances=13, duration_s=(0.1, 0.2))
+    samples = generate_synthetic_corpus(spec, seed).samples("train")
+    return CorpusManifest(name, "synthetic", {"train": samples[:8], "dev": samples[8:]})
 
 
 def batch_row(neighbors, i):
@@ -607,20 +617,17 @@ class TestPredictSplit:
     def test_several_models_score_as_each_does_alone(self, tmp_path, monkeypatch, mode):
         """Models with their own scalers, parameters and datastores, scored
         in one call, each featurized sample shared: every model's result
-        equals its own one-model call, and the sample is featurized once."""
-        pooled = PooledCorpus((
+        equals its own one-model call, and the sample is featurized once.
+
+        Two inputs: an SQE1 split goes through featurize on every read, so a
+        second read shows; a dsp split is featurized once into its store and
+        read back through the workspace, so a model that overwrote the raw
+        features there would change the next model's scores."""
+        sqe1 = PooledCorpus((
             make_corpus(tmp_path, "ma", n_train=8, n_dev=5, seed=31),
             make_corpus(tmp_path, "mb", n_train=8, n_dev=5, seed=32),
         ))
-        raw = np.concatenate([featurize(s, FRONTEND).frames for s in pooled.samples("train")])
-        models = []
-        for seed in range(3):
-            scaler = FeatureScaler(mean=raw.mean(axis=0) + 0.1 * seed, std=raw.std(axis=0) * (1.0 + seed))
-            params = init_alignnet(DIM, ("ma", "mb"), seed=seed, hidden=4, embed_dim=2, decoder_hidden=3)
-            params = params.with_arrays({"c2": np.array(3.0), "table": np.array([[1.0, -1.0], [-1.0, 1.0]]) * (seed + 1)})
-            models.append((params, scaler, build_datastore(FRONTEND, pooled, scaler=scaler)))
-        cfg = KnnConfig(k=3, temperature=0.5)
-        alone = [predict_split(pooled, "dev", FRONTEND, [model], mode, cfg)[0].pred for model in models]
+        dsp = PooledCorpus((dsp_corpus(tmp_path / "dsp", "ma", seed=31), dsp_corpus(tmp_path / "dsp", "mb", seed=32)))
         featurized = []
         real = sqkit.inference.featurize
 
@@ -628,11 +635,24 @@ class TestPredictSplit:
             featurized.append(sample.sample_id)
             return real(sample, *args)
 
-        monkeypatch.setattr(sqkit.inference, "featurize", counted)
-        together = predict_split(pooled, "dev", FRONTEND, models, mode, cfg)
-        assert [pairs.pred.tobytes() for pairs in together] == [pred.tobytes() for pred in alone]
-        assert len({pred.tobytes() for pred in alone}) == len(models)  # the models do differ
-        assert featurized == [s.sample_id for s in pooled.samples("dev")]
+        for frontend, pooled in ((FRONTEND, sqe1), (FrontendConfig(n_mels=DIM // 2), dsp)):
+            raw = np.concatenate([featurize(s, frontend).frames for s in pooled.samples("train")])
+            models = []
+            for seed in range(3):
+                scaler = FeatureScaler(mean=raw.mean(axis=0) + 0.1 * seed, std=raw.std(axis=0) * (1.0 + seed))
+                params = init_alignnet(DIM, ("ma", "mb"), seed=seed, hidden=4, embed_dim=2, decoder_hidden=3)
+                table = np.array([[1.0, -1.0], [-1.0, 1.0]]) * (seed + 1)
+                params = params.with_arrays({"c2": np.array(3.0), "table": table})
+                models.append((params, scaler, build_datastore(frontend, pooled, scaler=scaler)))
+            cfg = KnnConfig(k=3, temperature=0.5)
+            alone = [predict_split(pooled, "dev", frontend, [model], mode, cfg)[0].pred for model in models]
+            featurized.clear()
+            monkeypatch.setattr(sqkit.inference, "featurize", counted)
+            together = predict_split(pooled, "dev", frontend, models, mode, cfg)
+            monkeypatch.setattr(sqkit.inference, "featurize", real)
+            assert [pairs.pred.tobytes() for pairs in together] == [pred.tobytes() for pred in alone], frontend.kind
+            assert len({pred.tobytes() for pred in alone}) == len(models)  # the models do differ
+            assert featurized == [s.sample_id for s in pooled.samples("dev")]
 
     def test_knn_predictions_stay_in_score_range(self, tmp_path):
         corpus = make_corpus(tmp_path, "psr", n_train=10, n_dev=6, seed=11)
