@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import hashlib
 import json
 import logging
 import math
@@ -172,9 +173,9 @@ def load_manifest(
         if header != MANIFEST_HEADER:
             raise error(f"bad header {header!r}", line=1)
         for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
             if len(row) != len(MANIFEST_HEADER):
+                if not row:
+                    continue
                 raise error(f"expected {len(MANIFEST_HEADER)} fields, got {len(row)}", line=lineno)
             sid, audio, emb, dataset, system, mos_text, lid, lscore = map(str.strip, row)
             if not sid:
@@ -202,16 +203,16 @@ def load_manifest(
                     raise error(f"unparseable listener_score {lscore!r}", line=lineno)
 
     # A ref is Path(os.path.join(base_dir, text)), built as one child join
-    # onto its directory's Path, which is parsed once per distinct dir text.
+    # onto its directory's Path, parsed once per text up to its last "/".
     parents: dict[str, Path] = {}
 
     def ref(text: str) -> Path | None:
         if not text:
             return None
-        head, name = os.path.split(text)
-        parent = parents.get(head)
+        head, slash, name = text.rpartition("/")
+        parent = parents.get(head + slash)
         if parent is None:
-            parent = parents[head] = Path(os.path.join(base_dir, head))
+            parent = parents[head + slash] = Path(os.path.join(base_dir, head + slash))
         return parent / name
 
     samples = tuple(
@@ -272,17 +273,20 @@ def save_manifest(samples: tuple[Sample, ...] | list[Sample], path: str | Path) 
 
 
 class _SplitFiles(Mapping):
-    """Split name -> samples of a corpus dir. A split's CSV is parsed, with
-    every load_manifest check, when first read; the first read also checks
-    that no sample_id is in two splits, from the id column of the rest."""
+    """Split name -> samples of a corpus dir, parsed with every load_manifest
+    check when first read. Given digests (a prepared dir), the ids must hash to
+    the split's; else the first read checks no id is also in another split."""
 
-    def __init__(self, directory: Path, paths: dict[str, Path]):
-        self.directory, self.paths, self.read = directory, paths, {}
+    def __init__(self, directory: Path, paths: dict[str, Path], digests: dict | None = None):
+        self.directory, self.paths, self.digests, self.read = directory, paths, digests, {}
 
     def __getitem__(self, split: str) -> tuple[Sample, ...]:
         if split not in self.read:
             samples = load_manifest(self.paths[split], split=split).samples(split)
-            if not self.read:
+            if self.digests is not None:
+                if _ids_digest(samples) != self.digests[split]:
+                    raise ManifestError(f"{self.paths[split]}: sample ids do not match corpus.json's digest")
+            elif not self.read:
                 seen: dict[str, str] = {}
                 for other, path in self.paths.items():
                     for sid in [s.sample_id for s in samples] if other == split else _sample_ids(path):
@@ -305,12 +309,18 @@ def _sample_ids(path: Path) -> dict[str, None]:
         return dict.fromkeys(row[0].strip() for row in list(csv.reader(fh))[1:] if row)
 
 
+def _ids_digest(samples: tuple[Sample, ...]) -> str:
+    """sha256 of the samples' ids, in order, as a JSON list."""
+    return hashlib.sha256(json.dumps([s.sample_id for s in samples]).encode("utf-8")).hexdigest()
+
+
 def load_corpus_dir(directory: str | Path, fingerprint: str | None = None, source: str | None = None) -> CorpusManifest:
     """Load a corpus directory: ``corpus.json`` now, and a split's CSV when
     the split is first read (a split corpus.json does not list is empty).
     With ``fingerprint`` or ``source`` set, a corpus.json that records
     another one, or none, raises ManifestError: the dir was made from
-    another recipe or source CSV (or by an older sqkit) and is not trusted.
+    another recipe or source CSV (or by an older sqkit) and is not trusted,
+    as is one with a fingerprint but no sample id digest for each split.
     """
     directory = Path(directory)
     meta_path = directory / "corpus.json"
@@ -330,24 +340,29 @@ def load_corpus_dir(directory: str | Path, fingerprint: str | None = None, sourc
         paths = {split: directory / csv_name for split, csv_name in dict(meta["splits"]).items()}
     except (KeyError, TypeError, ValueError) as exc:
         raise ManifestError(f"{meta_path}: bad corpus metadata ({exc!r})") from None
+    digests = meta.get("sample_ids_sha256")
+    if fingerprint is not None and not (isinstance(digests, dict) and digests.keys() == paths.keys()):
+        raise ManifestError(f"{meta_path}: no sample id digest for each split (written by an older sqkit)")
     try:
         CorpusManifest(splits=dict.fromkeys(paths, ()), **info).validate()  # the domain tag and split names
     except ValidationError as exc:
         raise ManifestError(f"{meta_path}: {exc}") from None
-    return CorpusManifest(splits=_SplitFiles(directory, paths), **info)
+    return CorpusManifest(splits=_SplitFiles(directory, paths, None if fingerprint is None else digests), **info)
 
 
 def save_corpus_dir(corpus: CorpusManifest, directory: str | Path, fingerprint: str | None = None,
                     source: str | None = None) -> None:
-    """Write a corpus as one CSV per split, then corpus.json (recording
-    ``fingerprint`` and ``source`` when given); each file is written whole
-    or not at all."""
+    """Validate a corpus, write one CSV per split, then corpus.json with each
+    split's sample id digest (and ``fingerprint`` and ``source`` when given);
+    each file is written whole or not at all."""
+    corpus.validate()
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     meta = {
         "name": corpus.name,
         "domain_tag": corpus.domain_tag,
         "splits": {split: f"{split}.csv" for split in corpus.splits},
+        "sample_ids_sha256": {split: _ids_digest(samples) for split, samples in corpus.splits.items()},
     }
     meta.update((key, value) for key, value in (("fingerprint", fingerprint), ("source", source)) if value is not None)
     for split, samples in corpus.splits.items():
@@ -457,6 +472,8 @@ def generate_synthetic_corpus(spec: SynthSpec, seed: int) -> CorpusManifest:
         raise ValidationError(f"synthetic corpus {spec.name!r}: duration_s {spec.duration_s} is not 0 <= low <= high")
     if not spec.tone_hz[0] <= spec.tone_hz[1]:
         raise ValidationError(f"synthetic corpus {spec.name!r}: tone_hz {spec.tone_hz} is not low <= high")
+    if spec.rate_hz < frontend.MIN_RATE_HZ:
+        raise ValidationError(f"synthetic corpus {spec.name!r}: rate_hz {spec.rate_hz} is below {frontend.MIN_RATE_HZ}")
     out_dir = Path(spec.out_dir)
     wav_dir = out_dir / "wav"
     wav_dir.mkdir(parents=True, exist_ok=True)

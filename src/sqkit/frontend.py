@@ -34,6 +34,7 @@ from .model import Workspace
 logger = logging.getLogger(__name__)
 
 TARGET_RATE_HZ = 16000
+MIN_RATE_HZ = 8000  # the lowest input rate resample_to_16k takes
 LOG_FLOOR = 1e-10  # extract_dsp's floor under each energy and share before the log
 
 EMBEDDING_MAGIC = b"SQE1"
@@ -166,8 +167,8 @@ def resample_to_16k(samples: np.ndarray, rate_hz: int, work: Workspace | None = 
     cost of imperfect anti-aliasing (fine for fixtures and features). With
     work, the output is its "resampled" buffer; without, a fresh array.
     """
-    if rate_hz < 8000:
-        raise ValidationError(f"sample rate {rate_hz} below supported minimum 8000")
+    if rate_hz < MIN_RATE_HZ:
+        raise ValidationError(f"sample rate {rate_hz} below supported minimum {MIN_RATE_HZ}")
     if rate_hz == TARGET_RATE_HZ:
         return samples
     samples = np.asarray(samples, dtype=np.float64)
@@ -356,6 +357,8 @@ class FeatureScaler:
         for start in range(0, n, _FIT_BLOCK_ROWS):
             rows = frames[start : start + _FIT_BLOCK_ROWS]
             sq = block[1 : len(rows) + 1]
+            if rows.dtype != np.float64:  # an exact cast first: numpy's mixed-dtype loop is slower
+                sq[...], rows = rows, sq
             np.subtract(rows, mean, out=sq)
             sq *= sq
             block[0] = np.add.reduce(block[: len(rows) + 1], axis=0)

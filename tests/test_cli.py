@@ -350,6 +350,13 @@ class TestTrain:
         assert meta["stop_reason"] == "max_steps"
         assert list((seed_dir / "ledger").glob("ckpt_step*.bin"))
 
+    def test_an_explicit_selection_overrides_the_domain_default(self, tmp_path):
+        # auto picks sys_srcc on a synthetic corpus
+        config = write_recipe(tmp_path, BASE_RECIPE + "train.selection = utt_lcc\n")
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+        assert json.loads((out / "train" / "seed0" / "meta.json").read_text())["criterion"] == "utt_lcc"
+
     @pytest.mark.parametrize("text", [BASE_RECIPE, MDF_RECIPE], ids=["base", "mdf"])
     def test_the_result_names_no_path_that_is_gone(self, tmp_path, text):
         # The seed dir is built in a temp dir and renamed into place; a path
@@ -674,6 +681,13 @@ class TestBenchmark:
 
         tests_rows = read_csv(out / "tests.csv")
         assert tests_rows == [{"test": "synth", "domain_tag": "synthetic", "n": "4"}]
+
+    def test_model_label_names_the_model_in_the_records(self, tmp_path):
+        config = write_recipe(tmp_path, BASE_RECIPE + "model.label = my-head\n")
+        out = tmp_path / "out"
+        assert main(["benchmark", "--config", str(config), "--out", str(out)]) == 0
+        for name in ("records.csv", "records_mean.csv"):
+            assert {r["model"] for r in read_csv(out / name)} == {"my-head"}, name
 
     def test_training_and_scoring_featurize_each_utterance_once(self, tmp_path, monkeypatch):
         # 16 utterances: train and dev for model selection, then the dev
@@ -1060,6 +1074,16 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main(["prepare", "--config", str(config), "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: n_utterances must be >= 1\n"
+        assert not (out / "corpora" / "synth").exists()
+
+    @pytest.mark.parametrize("rate", [0, -8000, 100])
+    def test_a_synthetic_rate_below_8000_is_exit_1_before_any_wav_is_written(self, tmp_path, capsys, monkeypatch,
+                                                                              rate):
+        monkeypatch.setattr(sqkit.frontend, "write_wav", None)  # a WAV written would be exit 2
+        config = write_recipe(tmp_path, BASE_RECIPE + f"corpus.synth.rate = {rate}\n")
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: synthetic corpus 'synth': rate_hz {rate} is below 8000\n"
         assert not (out / "corpora" / "synth").exists()
 
     @pytest.mark.parametrize("field, value, named", [
@@ -1766,15 +1790,53 @@ class TestPreparedManifestCorpora:
             path.write_text(text, encoding="utf-8")
             assert main(["prepare", "--config", str(config), "--out", str(out)]) == 0
 
-    def test_a_sample_id_in_two_prepared_splits_is_exit_1_naming_it(self, tmp_path, capsys):
+    def test_a_benchmark_of_the_dev_split_opens_no_other_split_csv(self, tmp_path, monkeypatch):
+        config, out = self.prepared(tmp_path, "train")
+        opened = []
+        real_open_text = sqkit.corpus.open_text
+
+        def open_text(path, *args):
+            opened.append(Path(path).relative_to(out).as_posix())
+            return real_open_text(path, *args)
+
+        def sample_ids(path):
+            raise AssertionError(f"read the ids of {path}")
+
+        monkeypatch.setattr(sqkit.corpus, "open_text", open_text)
+        monkeypatch.setattr(sqkit.corpus, "_sample_ids", sample_ids)
+        assert main(["benchmark", "--config", str(config), "--out", str(out), "--inference", "knn"]) == 0
+        assert sorted(opened) == ["corpora/pa/corpus.json", "corpora/pa/dev.csv",
+                                  "corpora/pb/corpus.json", "corpora/pb/dev.csv"]
+
+    @pytest.mark.parametrize("edit", ["changed-id", "copied-id"])
+    def test_an_edited_prepared_split_is_exit_1_naming_it_and_never_scored(self, tmp_path, capsys, monkeypatch, edit):
         config, out = self.prepared(tmp_path, "train")
         corpus_dir = out / "corpora" / "pb"
-        copied = (corpus_dir / "train.csv").read_text(encoding="utf-8").splitlines()[2]
-        with open(corpus_dir / "dev.csv", "a", encoding="utf-8") as fh:
-            fh.write(copied + "\n")
+        dev = corpus_dir / "dev.csv"
+        if edit == "changed-id":
+            header, first, *rest = dev.read_text(encoding="utf-8").splitlines()
+            dev.write_text("\n".join([header, "renamed" + first, *rest]) + "\n", encoding="utf-8")
+        else:  # a row of the train split, id and all, appended to dev
+            copied = (corpus_dir / "train.csv").read_text(encoding="utf-8").splitlines()[2]
+            with open(dev, "a", encoding="utf-8") as fh:
+                fh.write(copied + "\n")
+        monkeypatch.setattr(cli, "predict_split", None)  # scoring a split would be exit 2
         capsys.readouterr()
         assert main(["benchmark", "--config", str(config), "--out", str(out), "--inference", "knn"]) == 1
-        assert f"duplicate sample_id {copied.split(',')[0]!r}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {dev}: sample ids do not match corpus.json's digest\n"
+        assert not (out / "records.csv").exists()
+
+    def test_a_prepared_corpus_json_without_digests_is_remade(self, tmp_path, monkeypatch):
+        config, out = self.prepared(tmp_path)
+        meta_path = out / "corpora" / "pa" / "corpus.json"
+        written = meta_path.read_text(encoding="utf-8")
+        meta = json.loads(written)
+        del meta["sample_ids_sha256"]  # as an older sqkit wrote it
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        reads = recorded_reads(monkeypatch)
+        assert main(["prepare", "--config", str(config), "--out", str(out)]) == 0
+        assert ("pa", "train", 16) in reads and ("pb", "train", 16) not in reads  # pa from its source only
+        assert meta_path.read_text(encoding="utf-8") == written
 
     def test_every_split_a_command_uses_is_read_before_its_first_write(self, tmp_path, monkeypatch):
         config, out = self.prepared(tmp_path)

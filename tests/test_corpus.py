@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import io
+import json
 import os
 import wave as wave_mod
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sqkit.corpus
 from sqkit import (
     CorpusManifest,
     ManifestError,
@@ -346,6 +348,34 @@ class TestManifestRoundTrip:
         for directory, fingerprint in (("old", "abc"), ("new", "abd")):
             with pytest.raises(ManifestError, match="fingerprint"):
                 load_corpus_dir(tmp_path / directory, fingerprint=fingerprint)
+
+    def test_a_split_of_a_fingerprinted_dir_is_checked_by_its_id_digest_alone(self, tmp_path, monkeypatch):
+        samples = make_samples(4)
+        corpus = CorpusManifest("demo", "non-synthetic", {"train": tuple(samples[:3]), "dev": tuple(samples[3:])})
+        save_corpus_dir(corpus, tmp_path, fingerprint="abc")
+        monkeypatch.setattr(sqkit.corpus, "_sample_ids", None)  # train.csv's ids are never read
+        assert load_corpus_dir(tmp_path, fingerprint="abc").samples("dev") == corpus.samples("dev")
+        dev = tmp_path / "dev.csv"
+        dev.write_text(dev.read_text(encoding="utf-8").replace("demo-003,", "demo-000,"), encoding="utf-8")
+        with pytest.raises(ManifestError) as info:
+            load_corpus_dir(tmp_path, fingerprint="abc").samples("dev")
+        assert str(info.value) == f"{dev}: sample ids do not match corpus.json's digest"
+
+    def test_save_refuses_an_id_in_two_splits(self, tmp_path):
+        samples = make_samples(3)
+        corpus = CorpusManifest("demo", "non-synthetic", {"train": tuple(samples[:2]), "dev": tuple(samples[1:])})
+        with pytest.raises(ValidationError, match="duplicate sample_id 'demo-001'"):
+            save_corpus_dir(corpus, tmp_path)
+        assert not (tmp_path / "corpus.json").exists()
+
+    def test_a_fingerprinted_corpus_json_without_id_digests_is_not_trusted(self, tmp_path):
+        save_corpus_dir(corpus_of(make_samples(4)), tmp_path, fingerprint="abc")
+        meta = json.loads((tmp_path / "corpus.json").read_text(encoding="utf-8"))
+        del meta["sample_ids_sha256"]
+        (tmp_path / "corpus.json").write_text(json.dumps(meta), encoding="utf-8")
+        assert load_corpus_dir(tmp_path).size("train") == 4  # a dir read without a fingerprint needs none
+        with pytest.raises(ManifestError, match="no sample id digest for each split"):
+            load_corpus_dir(tmp_path, fingerprint="abc")
 
     def test_a_corpus_json_that_is_not_utf8_names_the_byte(self, tmp_path):
         (tmp_path / "corpus.json").write_bytes(b'{"name": "\xff"}')
